@@ -8,6 +8,7 @@ lookups fell back to unknown).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -78,6 +79,12 @@ def _load_config(args: argparse.Namespace) -> AnalyzerConfig:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    # The corpus, indexes and findings are acyclic and live until the
+    # reports are written, so cyclic collections would only re-walk them;
+    # reference counting still frees every temporary. Freezing the survivors
+    # on the way out keeps the next collection from walking them.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         cfg = _load_config(args)
         dep_kinds = tuple(k.strip() for k in args.dep_kinds.split(",") if k.strip())
@@ -102,6 +109,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     except (OSError, ValueError, FixtureError, ScannerError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        gc.freeze()
+        if gc_was_enabled:
+            gc.enable()
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     if result.provider_warnings:

@@ -429,25 +429,52 @@ def select_latest(doc: RegistryDocument) -> PackageRecord:
 
 def detect_layout(source: Path) -> str:
     """Auto-detect a snapshot layout: "dir", "bulk" or "ndjson"."""
+    return _sniff_layout(source)[0]
+
+
+# JSON's insignificant whitespace; bytes.strip() would also drop \v and \f.
+_JSON_WHITESPACE = b" \t\n\r"
+
+
+def _sniff_layout(source: Path) -> tuple[str, dict | None]:
+    """``detect_layout``'s verdict, plus the parsed tree of a one-line bulk export.
+
+    The tree is returned only when it is exactly what ``_iter_bulk`` would
+    load: the first line is strict UTF-8 without a BOM and nothing but JSON
+    whitespace follows it. Otherwise the second item is None.
+    """
     if source.is_dir():
-        return "dir"
+        return "dir", None
     with open(source, "rb") as fh:
-        first_line = fh.readline().strip()
+        raw = fh.readline()
+        try:
+            text = raw.decode("utf-8")
+            tree = None if text.startswith("\ufeff") else json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            tree = None
+        if _is_bulk_tree(tree):
+            whole = all(not chunk.strip(_JSON_WHITESPACE) for chunk in iter(lambda: fh.read(1 << 16), b""))
+            return "bulk", tree if whole else None
+    first_line = raw.strip()
     if not first_line:
-        return "ndjson"
+        return "ndjson", None
     try:
         parsed = json.loads(first_line)
     except json.JSONDecodeError:
         # A pretty-printed or multi-line JSON object: bulk export.
-        return "bulk"
-    if isinstance(parsed, dict) and "rows" in parsed and "name" not in parsed:
-        return "bulk"
-    return "ndjson"
+        return "bulk", None
+    return ("bulk" if _is_bulk_tree(parsed) else "ndjson"), None
 
 
-def _iter_bulk(source: Path) -> Iterator[bytes | dict]:
-    with open(source, "r", encoding="utf-8") as fh:
-        tree = json.load(fh)
+def _is_bulk_tree(tree: object) -> bool:
+    return isinstance(tree, dict) and "rows" in tree and "name" not in tree
+
+
+def _iter_bulk(source: Path, tree: dict | None) -> Iterator[object]:
+    """Rows of a bulk export; ``tree`` is the export already parsed, if any."""
+    if tree is None:
+        with open(source, "r", encoding="utf-8") as fh:
+            tree = json.load(fh)
     if isinstance(tree, dict) and isinstance(tree.get("rows"), list):
         for row in tree["rows"]:
             if isinstance(row, dict) and "doc" in row:
@@ -498,17 +525,20 @@ def load_corpus(source: str | Path, layout: str | None = None, jobs: int | None 
     source = Path(source)
     if not source.exists():
         raise OSError(f"snapshot not found: {source}")
+    tree = None
     if layout is None:
-        layout = detect_layout(source)
+        layout, tree = _sniff_layout(source)
 
     total = 0
     skipped = 0
     by_error: dict[str, int] = {}
     records: dict[str, PackageRecord] = {}
 
-    def ingest_one(item: bytes | dict) -> PackageRecord | None:
+    def ingest_one(item: object) -> PackageRecord | None:
         try:
-            doc = document_from_tree(item) if isinstance(item, (dict, list)) else parse_document(item)
+            # Anything already decoded (dict, list, null, scalar) is a tree;
+            # document_from_tree rejects every non-object as malformed.
+            doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
             return select_latest(doc)
         except ParseError as exc:
             by_error[exc.reason] = by_error.get(exc.reason, 0) + 1
@@ -524,9 +554,9 @@ def load_corpus(source: str | Path, layout: str | None = None, jobs: int | None 
                 blobs = list(pool.map(lambda p: p.read_bytes(), paths))
         else:
             blobs = [p.read_bytes() for p in paths]
-        items: Iterable[bytes | dict] = blobs
+        items: Iterable[object] = blobs
     elif layout == "bulk":
-        items = _iter_bulk(source)
+        items = _iter_bulk(source, tree)
     elif layout == "ndjson":
         items = _iter_ndjson(source)
     else:

@@ -1,7 +1,7 @@
 """Scan orchestration and canonical report emission.
 
 Pipeline order: ingest -> full-corpus dependents index -> exclusions ->
-rebuilt indexes over the filtered corpus -> analyzers -> combinations.
+indexes over the filtered corpus -> analyzers -> combinations.
 All report files are canonical (sorted keys, sorted records, trailing
 newline) and contain no wall-clock values, so reruns over identical inputs
 and fixtures are byte-identical.
@@ -38,7 +38,7 @@ from .providers import (
     PrefetchedDownloads,
     RateLimiter,
 )
-from .reach import build_dependents_index, build_maintainer_index
+from .reach import build_dependents_index, build_maintainer_index, without_packages
 from .signals import (
     EVIDENCE_SCHEMAS,
     AnalyzerConfig,
@@ -135,7 +135,10 @@ def run_scan(options: ScanOptions) -> ScanResult:
         )
 
     cfg = options.config.resolved(filtered)
-    dindex = build_dependents_index(filtered, options.dep_kinds)
+    # Excluded packages have no dependents, so dropping them from the full
+    # index gives the filtered one without a rebuild.
+    excluded = {rec.name for rec in corpus.records}.difference(filtered.by_name)
+    dindex = without_packages(pre_index, excluded)
     mindex = build_maintainer_index(filtered)
 
     if isinstance(downloads, LiveDownloadsProvider):

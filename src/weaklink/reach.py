@@ -58,6 +58,19 @@ def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime"
     return index
 
 
+def without_packages(index: DependentsIndex, names: set[str]) -> DependentsIndex:
+    """The dependents index with ``names`` dropped as keys and as dependents.
+
+    When no package outside ``names`` depends on one of them, as holds for
+    excluded packages, this equals ``build_dependents_index`` over the
+    corpus without ``names``, except that a name only they depended on
+    keeps an empty entry. Sets that lose no member are shared with ``index``.
+    """
+    return {
+        name: deps if deps.isdisjoint(names) else deps - names for name, deps in index.items() if name not in names
+    }
+
+
 def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     """Group packages by maintainer identity with each identity's last activity."""
     owned: dict[str, set[str]] = {}
@@ -115,15 +128,15 @@ def maintainer_reach(
     return len(union)
 
 
-def top_n(subjects: Sequence[tuple[str, object]], n: int) -> list[tuple[str, object]]:
-    """Top n by score, descending, with a closed cutoff.
+def top_n(subjects: Sequence[tuple[str, float]], n: int) -> list[tuple[str, float]]:
+    """Top n by numeric score, descending, with a closed cutoff.
 
     Ties are broken lexicographically on the subject id; every subject tied
     with the n-th score is included, so the result can be longer than n.
     """
     if not subjects:
         raise EmptyInputError("no subjects to rank")
-    ranked = sorted(subjects, key=lambda item: (_neg(item[1]), item[0]))
+    ranked = sorted(subjects, key=lambda item: (-item[1], item[0]))
     if n >= len(ranked):
         return ranked
     cutoff_score = ranked[n - 1][1]
@@ -133,28 +146,14 @@ def top_n(subjects: Sequence[tuple[str, object]], n: int) -> list[tuple[str, obj
     return ranked[:end]
 
 
-class _neg:
-    """Descending-order wrapper that avoids negating non-numeric scores."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        return other.value < self.value
-
-    def __eq__(self, other):
-        return self.value == other.value
-
-
-def top_percent(subjects: Sequence[tuple[str, object]], percent: float) -> list[tuple[str, object]]:
+def top_percent(subjects: Sequence[tuple[str, float]], percent: float) -> list[tuple[str, float]]:
     """Top ``percent`` of subjects by score with closed-cutoff tie handling."""
     if not 0 < percent <= 100:
         raise ValueError(f"percent must be in (0, 100], got {percent}")
     if not subjects:
         raise EmptyInputError("no subjects to rank")
-    k = math.ceil(len(subjects) * percent / 100.0)
+    # At least one: a tiny percent must not underflow to an empty ranking.
+    k = max(1, math.ceil(len(subjects) * percent / 100.0))
     return top_n(subjects, k)
 
 

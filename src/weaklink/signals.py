@@ -1,8 +1,11 @@
 """The six weak-link signal analyzers.
 
 Each analyzer is a pure function over an immutable corpus plus shared
-indexes: same inputs give byte-identical sorted findings. Thresholds are
-never hard-coded; everything tunable lives in ``AnalyzerConfig``.
+indexes: same inputs give the same findings. Analyzers do not sort their
+findings (W2 and W3 still come out in sort-key order, because records are
+in name order); the pipeline sorts all findings once by
+``WeakLinkFinding.sort_key``. Thresholds are never hard-coded; everything
+tunable lives in ``AnalyzerConfig``.
 
 Signals:
   W1  maintainer email domain available for registration (account takeover)
@@ -159,11 +162,10 @@ class WeakLinkFinding:
         }
 
     def sort_key(self) -> tuple:
+        # The tie-break is the serialized evidence: a tuple of the typed
+        # values would order escaped characters (below '"', non-ASCII)
+        # differently and change the report bytes.
         return (self.signal, self.subject_id, json.dumps(self.evidence, sort_keys=True))
-
-
-def _sorted_findings(findings: list[WeakLinkFinding]) -> list[WeakLinkFinding]:
-    return sorted(findings, key=WeakLinkFinding.sort_key)
 
 
 # --- script pattern classification -----------------------------------------
@@ -336,7 +338,7 @@ def analyze_w1(
                     observed_at=cfg.reference_time,
                 )
             )
-    return _sorted_findings(findings), dict(sorted(histogram.items()))
+    return findings, dict(sorted(histogram.items()))
 
 
 def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
@@ -358,7 +360,7 @@ def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
                 observed_at=cfg.reference_time,
             )
         )
-    return _sorted_findings(findings)
+    return findings
 
 
 def is_inactive(last_modified: datetime, cfg: AnalyzerConfig) -> bool:
@@ -376,48 +378,50 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
     """
     from .exclusions import is_deprecated_latest
 
-    findings = []
+    stale_maintainers = {key for key, info in mindex.items() if is_inactive(info.last_activity, cfg)}
+    inactive_pkg, inactive_maintainer, deprecated = [], [], []
     for rec in corpus.records:
-        inactive = is_inactive(rec.last_modified, cfg)
-        if inactive:
-            age = (cfg.reference_time - rec.last_modified).days
-            findings.append(
+        if not is_inactive(rec.last_modified, cfg):
+            continue
+        last_modified = format_timestamp(rec.last_modified)
+        age = (cfg.reference_time - rec.last_modified).days
+        inactive_pkg.append(
+            WeakLinkFinding(
+                subject_kind="package",
+                subject_id=rec.name,
+                signal="W3_inactive_pkg",
+                evidence={"last_modified": last_modified, "age_days": str(age)},
+                observed_at=cfg.reference_time,
+            )
+        )
+        keys = [p.identity_key for p in rec.maintainers if p.identity_key in mindex]
+        if keys and stale_maintainers.issuperset(keys):
+            inactive_maintainer.append(
                 WeakLinkFinding(
                     subject_kind="package",
                     subject_id=rec.name,
-                    signal="W3_inactive_pkg",
-                    evidence={"last_modified": format_timestamp(rec.last_modified), "age_days": str(age)},
+                    signal="W3_inactive_maintainer",
+                    evidence={
+                        "last_modified": last_modified,
+                        "maintainer_count": str(len(rec.maintainers)),
+                        "latest_maintainer_activity": format_timestamp(max(mindex[k].last_activity for k in keys)),
+                    },
                     observed_at=cfg.reference_time,
                 )
             )
-            if rec.maintainers:
-                activities = [mindex[p.identity_key].last_activity for p in rec.maintainers if p.identity_key in mindex]
-                if activities and all(is_inactive(act, cfg) for act in activities):
-                    findings.append(
-                        WeakLinkFinding(
-                            subject_kind="package",
-                            subject_id=rec.name,
-                            signal="W3_inactive_maintainer",
-                            evidence={
-                                "last_modified": format_timestamp(rec.last_modified),
-                                "maintainer_count": str(len(rec.maintainers)),
-                                "latest_maintainer_activity": format_timestamp(max(activities)),
-                            },
-                            observed_at=cfg.reference_time,
-                        )
-                    )
-        if is_deprecated_latest(rec) and inactive:
+        if is_deprecated_latest(rec):
             message = rec.deprecated if isinstance(rec.deprecated, str) else "true"
-            findings.append(
+            deprecated.append(
                 WeakLinkFinding(
                     subject_kind="package",
                     subject_id=rec.name,
                     signal="W3_deprecated",
-                    evidence={"deprecated": message, "last_modified": format_timestamp(rec.last_modified)},
+                    evidence={"deprecated": message, "last_modified": last_modified},
                     observed_at=cfg.reference_time,
                 )
             )
-    return _sorted_findings(findings)
+    # Concatenated in sub-signal name order, each list in record (name) order.
+    return deprecated + inactive_maintainer + inactive_pkg
 
 
 def mean_maintainers(corpus: Corpus) -> float:
@@ -449,7 +453,7 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
         )
         for name, _count in flagged
     ]
-    return _sorted_findings(findings)
+    return findings
 
 
 def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
@@ -482,7 +486,7 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
                 observed_at=cfg.reference_time,
             )
         )
-    return _sorted_findings(findings)
+    return findings
 
 
 def analyze_w6(
@@ -534,4 +538,4 @@ def analyze_w6(
                     observed_at=cfg.reference_time,
                 )
             )
-    return _sorted_findings(findings)
+    return findings

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
 
+from weaklink import cli
 from weaklink.cli import main
 from weaklink.pipeline import read_findings
 
@@ -247,3 +249,65 @@ def test_dep_kinds_flag(corpus_dir, tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["dep_kinds"] == ["runtime", "dev"]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_pauses_gc_and_restores_its_state(corpus_dir, tmp_path, monkeypatch, enabled):
+    seen: list[bool] = []
+
+    def record_gc_state(stage):
+        def wrapped(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return stage(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "run_scan", record_gc_state(cli.run_scan))
+    monkeypatch.setattr(cli, "write_reports", record_gc_state(cli.write_reports))
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        ok = main(scan_args(corpus_dir, tmp_path / "ok"))
+        after_ok = gc.isenabled()
+        failed = main(["scan", "--input", str(tmp_path / "nope.ndjson"), "--out", str(tmp_path / "bad")])
+        after_failed = gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert (ok, failed) == (0, 1)
+    assert after_ok is enabled
+    assert after_failed is enabled
+    # run_scan and write_reports of the good scan, run_scan of the failed one.
+    assert seen == [False, False, False]
+
+
+CANONICAL = ("findings.jsonl", "exclusions.jsonl", "combinations.json")
+
+
+def test_bulk_export_shapes_scan_like_ndjson(corpus_dir, tmp_path):
+    docs = [json.loads(line) for line in (corpus_dir / "snapshot.ndjson").read_text().splitlines()]
+    export = {"rows": [{"doc": doc} for doc in docs]}
+    one_line = tmp_path / "one-line.json"
+    one_line.write_text(json.dumps(export) + "\n")
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(export, indent=2) + "\n")
+    reference = tmp_path / "ndjson-report"
+    assert main(scan_args(corpus_dir, reference)) == 0
+    for snapshot in (one_line, pretty):
+        out = tmp_path / f"{snapshot.stem}-report"
+        args = scan_args(corpus_dir, out)
+        args[args.index("--input") + 1] = str(snapshot)
+        assert main(args) == 0
+        for name in CANONICAL:
+            assert (out / name).read_bytes() == (reference / name).read_bytes(), (snapshot.name, name)
+
+
+@pytest.mark.parametrize("variant", ["trailing-data", "bom", "bom-pretty"])
+def test_bulk_export_that_json_load_rejects_is_fatal(corpus_dir, tmp_path, variant):
+    docs = [json.loads(line) for line in (corpus_dir / "snapshot.ndjson").read_text().splitlines()[:20]]
+    export = json.dumps({"rows": [{"doc": doc} for doc in docs]}, indent=2 if variant == "bom-pretty" else None)
+    snapshot = tmp_path / "snapshot.json"
+    if variant == "trailing-data":
+        snapshot.write_bytes(export.encode() + b"\n}\n")
+    else:
+        snapshot.write_bytes(b"\xef\xbb\xbf" + export.encode() + b"\n")
+    assert main(["scan", "--input", str(snapshot), "--out", str(tmp_path / "out")]) == 1

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from weaklink.errors import NoVersionsError, ParseError
 from weaklink.ingest import (
+    detect_layout,
     extract_email_domain,
     load_corpus,
     parse_document,
@@ -343,3 +346,115 @@ def test_idempotent_load_canonical_serialization(tmp_path):
     ser_b = json.dumps([record_to_dict(r) for r in second.records], sort_keys=True)
     assert ser_a == ser_b
     assert first.digest == second.digest
+
+
+def test_non_object_items_are_counted_and_skipped(tmp_path):
+    # CouchDB exports a deleted document as {"doc": null}.
+    good = [minimal_doc(name=f"ok{i}") for i in range(2)]
+    rows = [{"doc": None}, {"doc": 5}, {"doc": []}, None, 5, 2.5, True, "text", [1, 2]]
+    bulk = tmp_path / "snap.json"
+    bulk.write_text(json.dumps({"rows": rows + [{"doc": d} for d in good]}))
+    lines = ["null", "5", "-2.5", "false", '"text"', "[1, 2]"]
+    ndjson = tmp_path / "snap.ndjson"
+    ndjson.write_text("\n".join(lines + [json.dumps(d) for d in good]) + "\n")
+    for path, bad in ((bulk, len(rows)), (ndjson, len(lines))):
+        stats = load_corpus(path).stats
+        assert stats.total == stats.parsed + stats.skipped == bad + 2
+        assert stats.by_error == {"malformed": bad}
+
+
+@pytest.mark.parametrize("top", ["null", "5", '"text"', "[null, 1]"])
+def test_bulk_export_of_non_objects_is_counted_and_skipped(tmp_path, top):
+    path = tmp_path / "snap.json"
+    path.write_text(top)
+    stats = load_corpus(path, layout="bulk").stats
+    assert stats.total == stats.skipped
+    assert stats.total >= 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("layout", ["bulk", "ndjson", "dir"])
+@given(values=st.lists(JSON_VALUES, max_size=6))
+def test_arbitrary_json_values_never_abort_a_load(layout, values):
+    # Hypothesis reruns the body per example, so it makes its own directory.
+    with tempfile.TemporaryDirectory() as tmp:
+        if layout == "bulk":
+            path = Path(tmp) / "snap.json"
+            path.write_text(json.dumps({"rows": values}))
+        elif layout == "ndjson":
+            path = Path(tmp) / "snap.ndjson"
+            path.write_text("".join(json.dumps(value) + "\n" for value in values))
+        else:
+            path = Path(tmp) / "snap"
+            path.mkdir()
+            for idx, value in enumerate(values):
+                (path / f"doc{idx}.json").write_text(json.dumps(value))
+        stats = load_corpus(path, layout=layout).stats
+    assert stats.total == len(values) == stats.parsed + stats.skipped
+
+
+def count_decodes(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    decode = json.JSONDecoder.decode
+
+    def counted(self, s, *args, **kwargs):
+        calls.append(len(s))
+        return decode(self, s, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "decode", counted)
+    return calls
+
+
+def test_one_line_bulk_export_is_decoded_once(tmp_path, monkeypatch):
+    path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(5)], "bulk")
+    calls = count_decodes(monkeypatch)
+    corpus = load_corpus(path)
+    assert len(calls) == 1
+    assert len(corpus.records) == 5
+
+
+def test_reused_bulk_tree_loads_the_same_corpus(tmp_path):
+    docs = [minimal_doc(name=f"pkg-{i}", contributors=["A <a@x.io>"]) for i in range(5)]
+    one_line = write_snapshot(tmp_path, docs, "bulk")
+    one_line.write_text(one_line.read_text() + "\n \r\n\t\n")
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps({"rows": [{"doc": d} for d in docs]}, indent=2))
+    forced = load_corpus(one_line, layout="bulk")
+    for path in (one_line, pretty):
+        corpus = load_corpus(path)
+        assert [record_to_dict(r) for r in corpus.records] == [record_to_dict(r) for r in forced.records]
+        assert corpus.stats == forced.stats
+
+
+def test_bulk_export_with_trailing_data_still_fails(tmp_path):
+    path = write_snapshot(tmp_path, [minimal_doc()], "bulk")
+    path.write_text(path.read_text() + "\n{}\n")
+    assert detect_layout(path) == "bulk"
+    with pytest.raises(json.JSONDecodeError):
+        load_corpus(path)
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_bulk_export_with_bom_still_fails(tmp_path, indent):
+    path = tmp_path / "snap.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"rows": [{"doc": minimal_doc()}]}, indent=indent).encode())
+    assert detect_layout(path) == "bulk"
+    with pytest.raises(json.JSONDecodeError):
+        load_corpus(path)
+
+
+def test_bulk_export_with_encoded_surrogate_still_fails(tmp_path):
+    # json.loads(bytes) accepts a UTF-8-encoded lone surrogate; a strict
+    # UTF-8 read of the file does not.
+    path = tmp_path / "snap.json"
+    doc = json.dumps({"rows": [{"doc": minimal_doc(description="X")}]}).encode()
+    path.write_bytes(doc.replace(b'"X"', b'"\xed\xa0\x80"'))
+    assert detect_layout(path) == "bulk"
+    with pytest.raises(UnicodeDecodeError):
+        load_corpus(path)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weaklink.errors import EmptyInputError, UnknownMaintainerError
+from weaklink.exclusions import apply_exclusions
 from weaklink.reach import (
     build_dependents_index,
     build_maintainer_index,
@@ -16,6 +19,7 @@ from weaklink.reach import (
     package_reach,
     top_n,
     top_percent,
+    without_packages,
 )
 
 from conftest import make_corpus, make_record, person, random_corpus
@@ -72,6 +76,46 @@ def test_edge_count_invariant():
         index = build_dependents_index(corpus)
         edges = sum(1 for rec in corpus.records for dep in rec.dependencies if dep != rec.name)
         assert sum(len(v) for v in index.values()) == edges
+
+
+def _filtered_index_matches_rebuild(corpus, dep_kinds=("runtime",)):
+    pre = build_dependents_index(corpus, dep_kinds)
+    filtered, _verdicts = apply_exclusions(corpus, pre)
+    excluded = {rec.name for rec in corpus.records} - set(filtered.by_name)
+    derived = without_packages(pre, excluded)
+    rebuilt = build_dependents_index(filtered, dep_kinds)
+    for rec in filtered.records:
+        assert derived[rec.name] == rebuilt[rec.name], rec.name
+    assert rebuilt.items() <= derived.items()
+    extra = derived.keys() - rebuilt.keys()
+    assert not extra & set(corpus.by_name)
+    assert all(derived[name] == set() for name in extra)
+    return excluded, extra
+
+
+def test_filtered_index_from_full_index_matches_rebuild():
+    # "noise" is excluded (deprecated, no dependents); "ext-lib" is an
+    # external name that only "noise" depends on, so it keeps an empty entry.
+    corpus = make_corpus(
+        [
+            make_record("noise", deprecated=True, dependencies={"kept": "*", "ext-lib": "*"}),
+            make_record("kept", dependencies={"shared": "*"}),
+            make_record("user", dependencies={"kept": "*", "shared": "*"}, dev_dependencies={"noise-dev": "*"}),
+            make_record("noise-dev", deprecated=True),
+        ]
+    )
+    excluded, extra = _filtered_index_matches_rebuild(corpus)
+    assert excluded == {"noise", "noise-dev"}
+    assert extra == {"ext-lib"}
+    # Counting dev edges, "noise-dev" has a dependent and is kept.
+    excluded, extra = _filtered_index_matches_rebuild(corpus, dep_kinds=("runtime", "dev"))
+    assert excluded == {"noise"}
+
+
+def test_filtered_index_matches_rebuild_on_random_corpora():
+    for seed in range(10):
+        excluded, _extra = _filtered_index_matches_rebuild(random_corpus(seed=seed, size=150))
+        assert excluded
 
 
 def test_maintainer_index_and_reach():
@@ -220,6 +264,41 @@ def test_top_percent_matches_oracle_and_permutation_invariant(items, percent):
     assert got == independent_top_percent(subjects, percent)
     shuffled = list(reversed(subjects))
     assert top_percent(shuffled, percent) == got
+
+
+def brute_force_top_n(subjects, n):
+    # Every subject scoring at least the n-th best score, best first, ties by id.
+    scores = sorted((score for _, score in subjects), reverse=True)
+    cutoff = scores[min(n, len(scores)) - 1]
+    kept = sorted((item for item in subjects if item[1] >= cutoff), key=lambda item: item[0])
+    return sorted(kept, key=lambda item: item[1], reverse=True)
+
+
+# Few distinct values so that ties are common; W5 ranks negative ratios.
+SCORES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-1.0, -0.5, -1 / 3, -0.25, -0.0, 0.0, 0.25, 2.5]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(SCORES, min_size=1, max_size=40), st.integers(1, 45))
+@example([-0.25, -0.5, -0.5, -1.0], 2)  # ties at the n-th score
+@example([3, 1, 2], 5)  # n >= len
+def test_top_n_matches_brute_force_closed_cutoff(scores, n):
+    subjects = [(f"s{i:02d}", score) for i, score in enumerate(scores)]
+    want = brute_force_top_n(subjects, n)
+    assert top_n(subjects, n) == want
+    assert top_n(subjects[::-1], n) == want
+
+
+@given(st.lists(SCORES, min_size=1, max_size=40), st.floats(0, 100, exclude_min=True))
+@example([0, 1], 5e-324)  # the product underflows to zero; the top subject still counts
+def test_top_percent_matches_brute_force_closed_cutoff(scores, percent):
+    subjects = [(f"s{i:02d}", score) for i, score in enumerate(scores)]
+    k = max(1, math.ceil(len(subjects) * percent / 100))
+    assert top_percent(subjects, percent) == brute_force_top_n(subjects, k)
 
 
 def test_index_round_trip(tmp_path):

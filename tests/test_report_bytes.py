@@ -1,0 +1,61 @@
+"""Report bytes against the committed benchmark reference digests.
+
+The scan benchmark (``perfbench/``) requires every scan of a corpus to
+produce the sha256 digests committed in ``perfbench/reference_digests.json``.
+This test checks the benchmark's 2k-package self-test corpus in all three
+snapshot layouts, so a change to any report byte fails ``pytest`` without
+running the benchmark.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from weaklink.cli import main
+from weaklink.synth import GenerationPlan, generate
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference_digests.json"
+SNAPSHOTS = {"ndjson": "snapshot.ndjson", "bulk": "snapshot.json", "dir": "snapshot"}
+
+
+def report_digests(report_dir: Path) -> dict[str, str]:
+    """sha256 of each canonical report, and of summary.json without the snapshot's path and digest."""
+    digests = {
+        name: hashlib.sha256((report_dir / name).read_bytes()).hexdigest()
+        for name in ("findings.jsonl", "exclusions.jsonl", "combinations.json")
+    }
+    summary = json.loads((report_dir / "summary.json").read_text(encoding="utf-8"))
+    del summary["input"]["path"], summary["input"]["digest"]
+    digests["summary.json-input"] = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("reference-corpus")
+    corpus = generate(GenerationPlan(seed=1, package_count=2_000))
+    for layout, name in SNAPSHOTS.items():
+        corpus.write_snapshot(out / name, layout=layout)
+    corpus.write_fixtures(out)
+    corpus.write_manifest(out / "manifest.json")
+    return out
+
+
+@pytest.mark.parametrize("layout", sorted(SNAPSHOTS))
+def test_reports_match_committed_reference_digests(corpus_dir, tmp_path, layout):
+    manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
+    args = [
+        "scan",
+        "--input", str(corpus_dir / SNAPSHOTS[layout]),
+        "--out", str(tmp_path),
+        "--domains-fixture", str(corpus_dir / "domains_fixture.jsonl"),
+        "--downloads-fixture", str(corpus_dir / "downloads_fixture.jsonl"),
+        "--popular-n", str(manifest["counts"]["popular_n"]),
+    ]
+    assert main(args) == 0
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["2000/1"]
+    assert report_digests(tmp_path) == reference
