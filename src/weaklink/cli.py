@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--popular-n", type=int, default=10_000, help="popular sample size per ranking")
     scan.add_argument("--dep-kinds", default="runtime", help="comma list of dependency kinds (runtime,dev,peer,optional)")
     scan.add_argument("--unsafe-full-output", action="store_true", help="also write full member lists")
-    scan.add_argument("--jobs", type=int, default=os.cpu_count(), help="worker pool size")
+    scan.add_argument("--jobs", type=int, default=os.cpu_count(), help="concurrent live downloads lookups")
 
     gen = sub.add_parser("gen", help="generate a synthetic snapshot with a ground-truth manifest")
     gen.add_argument("--seed", type=int, default=7)

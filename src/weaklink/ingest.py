@@ -18,12 +18,12 @@ error on shape alone. Malformed documents are counted and skipped by
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import logging
 import re
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -83,7 +83,7 @@ def extract_email_domain(email: str) -> str | None:
     if at <= 0 or at == len(text) - 1:
         return None
     domain = text[at + 1 :]
-    if any(ch.isspace() for ch in domain):
+    if domain.split() != [domain]:  # whitespace inside
         return None
     return domain.lower()
 
@@ -136,17 +136,35 @@ def parse_person(entry: object) -> PersonRef | None:
     return None
 
 
-def _parse_people(raw: object) -> tuple[PersonRef, ...]:
-    if isinstance(raw, dict) or isinstance(raw, str):
-        raw = [raw]
-    if not isinstance(raw, list):
-        return ()
-    people = []
-    for entry in raw:
-        person = parse_person(entry)
-        if person is not None:
-            people.append(person)
-    return tuple(people)
+class _Leaves:
+    """Leaf values shared by the records of one load.
+
+    Registry documents repeat the same maintainers, dependency names and
+    ranges and script names across packages; each distinct one is kept once.
+    A ``PersonRef`` is frozen, so records can share it.
+    """
+
+    def __init__(self) -> None:
+        self._people: dict[tuple[str | None, str | None], PersonRef | None] = {}
+        self.strings: dict[str, str] = {}
+
+    def person(self, entry: object) -> PersonRef | None:
+        if not isinstance(entry, dict):
+            return parse_person(entry)
+        name, email = entry.get("name"), entry.get("email")
+        key = (name if isinstance(name, str) else None, email if isinstance(email, str) else None)
+        try:
+            return self._people[key]
+        except KeyError:
+            person = self._people[key] = _make_person(*key)
+            return person
+
+    def people(self, raw: object) -> tuple[PersonRef, ...]:
+        if isinstance(raw, dict) or isinstance(raw, str):
+            raw = [raw]
+        if not isinstance(raw, list):
+            return ()
+        return tuple(person for entry in raw if (person := self.person(entry)) is not None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,18 +352,20 @@ def _normalize_license(raw: object) -> str | None:
     return None
 
 
-def _normalize_scripts(raw: object) -> dict[str, str]:
+def _normalize_scripts(raw: object, strings: dict[str, str]) -> dict[str, str]:
     if not isinstance(raw, dict):
         return {}
     # Bodies are preserved byte-for-byte; empty keys and non-string bodies
     # are unrecognizable and dropped.
-    return {k: v for k, v in raw.items() if isinstance(k, str) and k and isinstance(v, str)}
+    intern = strings.setdefault
+    return {intern(k, k): v for k, v in raw.items() if isinstance(k, str) and k and isinstance(v, str)}
 
 
-def _normalize_deps(raw: object) -> dict[str, str]:
+def _normalize_deps(raw: object, strings: dict[str, str]) -> dict[str, str]:
     if not isinstance(raw, dict):
         return {}
-    return {k: (v if isinstance(v, str) else "") for k, v in raw.items() if isinstance(k, str) and k}
+    intern = strings.setdefault
+    return {intern(k, k): (intern(v, v) if isinstance(v, str) else "") for k, v in raw.items() if isinstance(k, str) and k}
 
 
 def _non_negative_int(value: object) -> int | None:
@@ -356,12 +376,15 @@ def _non_negative_int(value: object) -> int | None:
     return None
 
 
-def select_latest(doc: RegistryDocument) -> PackageRecord:
+def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> PackageRecord:
     """Pick the document's latest version and normalize it into a record.
 
     Prefers the "latest" dist-tag (the registry's own notion of latest),
-    falling back to the highest semver among version keys.
+    falling back to the highest semver among version keys. ``leaves`` shares
+    equal people and strings with the other records of a load.
     """
+    if leaves is None:
+        leaves = _Leaves()
     if not doc.versions:
         raise NoVersionsError(doc.name)
     version = doc.dist_tags.get("latest")
@@ -369,22 +392,23 @@ def select_latest(doc: RegistryDocument) -> PackageRecord:
         version = semver.max_version(list(doc.versions.keys()))
     vobj = doc.versions[version]
 
-    version_times = [ts for key in doc.versions if (ts := parse_timestamp(doc.time.get(key, ""))) is not None]
     last_modified = parse_timestamp(doc.time.get("modified", ""))
-    if last_modified is None:
-        # Documents missing time["modified"] use the max per-version
-        # timestamp so every record has a defined last-modified.
-        last_modified = max(version_times) if version_times else None
     created = parse_timestamp(doc.time.get("created", ""))
-    if created is None:
-        created = min(version_times) if version_times else last_modified
+    if last_modified is None or created is None:
+        version_times = [ts for key in doc.versions if (ts := parse_timestamp(doc.time.get(key, ""))) is not None]
+        if last_modified is None:
+            # Documents missing time["modified"] use the max per-version
+            # timestamp so every record has a defined last-modified.
+            last_modified = max(version_times) if version_times else None
+        if created is None:
+            created = min(version_times) if version_times else last_modified
     if last_modified is None:
         raise ParseError("malformed", f"{doc.name}: no usable timestamp")
     if created is None or created > last_modified:
         created = last_modified
 
-    maintainers = _parse_people(vobj.get("maintainers")) or _parse_people(doc.maintainers)
-    contributors = _parse_people(vobj.get("contributors")) or _parse_people(doc.contributors)
+    maintainers = leaves.people(vobj.get("maintainers")) or leaves.people(doc.maintainers)
+    contributors = leaves.people(vobj.get("contributors")) or leaves.people(doc.contributors)
 
     repository = vobj.get("repository", doc.repository)
     license_raw = vobj.get("license", doc.license)
@@ -410,13 +434,13 @@ def select_latest(doc: RegistryDocument) -> PackageRecord:
         version=version,
         last_modified=last_modified,
         created=created,
-        scripts=_normalize_scripts(vobj.get("scripts")),
+        scripts=_normalize_scripts(vobj.get("scripts"), leaves.strings),
         maintainers=maintainers,
         contributors=contributors,
-        dependencies=_normalize_deps(vobj.get("dependencies")),
-        dev_dependencies=_normalize_deps(vobj.get("devDependencies")),
-        peer_dependencies=_normalize_deps(vobj.get("peerDependencies")),
-        optional_dependencies=_normalize_deps(vobj.get("optionalDependencies")),
+        dependencies=_normalize_deps(vobj.get("dependencies"), leaves.strings),
+        dev_dependencies=_normalize_deps(vobj.get("devDependencies"), leaves.strings),
+        peer_dependencies=_normalize_deps(vobj.get("peerDependencies"), leaves.strings),
+        optional_dependencies=_normalize_deps(vobj.get("optionalDependencies"), leaves.strings),
         repository_present=_normalize_repository(repository),
         license_value=_normalize_license(license_raw),
         description=description,
@@ -428,71 +452,380 @@ def select_latest(doc: RegistryDocument) -> PackageRecord:
 
 
 def detect_layout(source: Path) -> str:
-    """Auto-detect a snapshot layout: "dir", "bulk" or "ndjson"."""
-    return _sniff_layout(source)[0]
+    """Auto-detect a snapshot layout: "dir", "bulk" or "ndjson".
 
-
-# JSON's insignificant whitespace; bytes.strip() would also drop \v and \f.
-_JSON_WHITESPACE = b" \t\n\r"
-
-
-def _sniff_layout(source: Path) -> tuple[str, dict | None]:
-    """``detect_layout``'s verdict, plus the parsed tree of a one-line bulk export.
-
-    The tree is returned only when it is exactly what ``_iter_bulk`` would
-    load: the first line is strict UTF-8 without a BOM and nothing but JSON
-    whitespace follows it. Otherwise the second item is None.
+    A file whose first line, stripped, is one JSON value other than a
+    ``{"rows": ...}`` object without a "name" key is ndjson; so is a file
+    whose first line is blank. Every other file is a bulk export. The first
+    line is decoded one token at a time, so a one-line export is never held
+    whole.
     """
     if source.is_dir():
-        return "dir", None
+        return "dir"
+    verdict = _wide_text_verdict(source)
+    if verdict is not None:
+        return verdict
     with open(source, "rb") as fh:
-        raw = fh.readline()
+        reader = _BulkReader(fh, autodetect=True, rows_key=None)
         try:
-            text = raw.decode("utf-8")
-            tree = None if text.startswith("\ufeff") else json.loads(text)
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            tree = None
-        if _is_bulk_tree(tree):
-            whole = all(not chunk.strip(_JSON_WHITESPACE) for chunk in iter(lambda: fh.read(1 << 16), b""))
-            return "bulk", tree if whole else None
-    first_line = raw.strip()
-    if not first_line:
-        return "ndjson", None
-    try:
-        parsed = json.loads(first_line)
-    except json.JSONDecodeError:
-        # A pretty-printed or multi-line JSON object: bulk export.
-        return "bulk", None
-    return ("bulk" if _is_bulk_tree(parsed) else "ndjson"), None
+            for _ in reader.items():
+                pass
+        except _Verdict as verdict:
+            return verdict.layout
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            # The first line is not one JSON value. Only bytes in it that
+            # are not UTF-8 (encoded surrogates aside) make that an error.
+            if reader.text.invalid is not None and reader.text.first_nl is None:
+                raise reader.text.invalid from None
+    return "bulk"
 
 
 def _is_bulk_tree(tree: object) -> bool:
     return isinstance(tree, dict) and "rows" in tree and "name" not in tree
 
 
-def _iter_bulk(source: Path, tree: dict | None) -> Iterator[object]:
-    """Rows of a bulk export; ``tree`` is the export already parsed, if any."""
-    if tree is None:
-        with open(source, "r", encoding="utf-8") as fh:
-            tree = json.load(fh)
-    if isinstance(tree, dict) and isinstance(tree.get("rows"), list):
-        for row in tree["rows"]:
-            if isinstance(row, dict) and "doc" in row:
-                yield row["doc"]
-            else:
-                yield row
-    elif isinstance(tree, list):
-        yield from tree
-    else:
-        yield tree
+def _wide_text_verdict(source: Path) -> str | None:
+    """The layout of a file whose first line json.loads reads as UTF-16 or UTF-32; else None.
 
-
-def _iter_ndjson(source: Path) -> Iterator[bytes]:
+    Autodetection parses the first line's bytes, and json.loads detects
+    those encodings in bytes. No registry export is written in them, and
+    the first line of such a file is parsed whole, as json.loads does.
+    """
+    limit = 1 << 16  # enough to see past leading whitespace
     with open(source, "rb") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield line
+        line = fh.readline(limit)
+        whole = line.endswith(b"\n") or len(line) < limit
+        if json.detect_encoding((line.strip() if whole else line.lstrip())[:4]) in ("utf-8", "utf-8-sig"):
+            return None
+        if not whole:
+            line += fh.readline()
+    try:
+        tree = json.loads(line.strip())
+    except json.JSONDecodeError:
+        return "bulk"
+    return "bulk" if _is_bulk_tree(tree) else "ndjson"
+
+
+_CHUNK = 1 << 20  # bytes read at a time from a bulk export
+# A token that fails or ends this close to the end of the buffer may be cut
+# short by it ("nul", "1e", "12" of "123"), and is decoded again with more
+# text. "Unterminated string" errors point at the string's start instead.
+_CUT = 32
+_DECODER = json.JSONDecoder()
+_JSON_WS = json.decoder.WHITESPACE.match
+# What bytes.strip() drops from the ends of the first line before
+# autodetection parses it, newline aside.
+_LINE_WS = re.compile(r"[ \t\r\x0b\x0c]*").match
+_NOT_JSON_WS = re.compile(r"[\x0b\x0c]").search
+_BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
+
+def _scan_key(text: str, idx: int) -> tuple[str, int]:
+    return json.decoder.scanstring(text, idx + 1)
+
+
+class _Verdict(Exception):
+    """Autodetection settled the layout of the file being read."""
+
+    def __init__(self, layout: str):
+        super().__init__(layout)
+        self.layout = layout
+
+
+class _Reread(Exception):
+    """A later top-level "rows" key voids the rows read so far."""
+
+    def __init__(self, rows_key: int):
+        super().__init__(rows_key)
+        self.rows_key = rows_key
+
+
+class _JsonText:
+    """The UTF-8 text of a file, decoded in chunks behind a cursor.
+
+    Only ``buf[pos:]`` is unread; each refill drops the text before the
+    cursor. Errors carry the position in the whole file, as ``json.load``'s
+    do. Decoding is strict but for encoded surrogates, which are kept and
+    recorded in ``surrogate``: ``json.loads`` accepts them in bytes, which
+    autodetection must match, while a strict read of the file does not.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._undecoded = b""
+        self._decoded = 0  # characters decoded so far
+        self.buf = ""
+        self.pos = 0
+        self.base = 0  # file position of buf[0]
+        self.eof = False
+        self.first_nl: int | None = None  # file position of the first newline
+        self._lines = 0  # newlines before buf
+        self._last_nl = -1  # file position of the last newline before buf
+        self.surrogate: UnicodeDecodeError | None = None
+        self.invalid: UnicodeDecodeError | None = None  # no text after this
+
+    def _decode(self, data: bytes) -> str:
+        raw = self._undecoded + data
+        try:
+            text, used = codecs.utf_8_decode(raw, "strict", not data)
+        except UnicodeDecodeError as exc:
+            try:
+                text, used = codecs.utf_8_decode(raw, "surrogatepass", not data)
+                self.surrogate = self.surrogate or exc
+            except UnicodeDecodeError as bad:
+                text, used = codecs.utf_8_decode(raw[: bad.start], "surrogatepass", True)[0], len(raw)
+                self.invalid = bad
+        self._undecoded = raw[used:]
+        if self.first_nl is None and (nl := text.find("\n")) >= 0:
+            self.first_nl = self._decoded + nl
+        self._decoded += len(text)
+        return text
+
+    def _more(self, size: int) -> str:
+        """The next decoded text, "" at the end of the file."""
+        while not self.invalid:
+            data = self._fh.read(size)
+            text = self._decode(data)
+            if text or not (data or self.invalid):
+                return text
+        raise self.invalid
+
+    def fill(self) -> None:
+        """Drop the text before the cursor and append more; set ``eof`` at the end."""
+        buf, pos = self.buf, self.pos
+        # Read at least what is still unread, so a long token is decoded
+        # again a bounded number of times.
+        text = self._more(max(_CHUNK, len(buf) - pos))
+        self._lines += buf.count("\n", 0, pos)
+        if (nl := buf.rfind("\n", 0, pos)) >= 0:
+            self._last_nl = self.base + nl
+        self.base += pos
+        self.buf = buf[pos:] + text
+        self.pos = 0
+        self.eof = not text
+
+    def next_char(self) -> str:
+        """Skip JSON whitespace; the character at the cursor, "" at the end."""
+        while True:
+            self.pos = _JSON_WS(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return self.buf[self.pos]
+            if self.eof:
+                return ""
+            self.fill()
+
+    def line_rest(self) -> tuple[str, str]:
+        """The run of line whitespace at the cursor and the character after it; the cursor stays."""
+        while True:
+            end = _LINE_WS(self.buf, self.pos).end()
+            if end < len(self.buf) or self.eof:
+                return self.buf[self.pos : end], self.buf[end : end + 1]
+            self.fill()
+
+    def token(self, scan):
+        """Decode the value (or key) at the cursor with ``scan``; the cursor moves past it."""
+        while True:
+            try:
+                value, end = scan(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.eof or not (exc.msg.startswith("Unterminated string") or exc.pos >= len(self.buf) - _CUT):
+                    raise self.fail(exc.msg, exc.pos) from None
+            else:
+                if self.eof or end < len(self.buf) - _CUT:
+                    self.pos = end
+                    return value
+            self.fill()
+
+    def fail(self, msg: str, pos: int | None = None) -> ValueError:
+        """The error a strict read of the whole file raises for a JSON error at ``pos`` of the buffer.
+
+        That read decodes the file before it parses, so a byte anywhere in
+        the file that is not strict UTF-8 wins over the JSON error.
+        """
+        return self.first_error(self.error(msg, pos))
+
+    def error(self, msg: str, pos: int | None = None) -> json.JSONDecodeError:
+        """A JSON error at ``pos`` of the buffer (default: the cursor), placed in the whole file."""
+        pos = self.pos if pos is None else pos
+        exc = json.JSONDecodeError(msg, self.buf, pos)
+        nl = self.buf.rfind("\n", 0, pos)
+        exc.pos = self.base + pos
+        exc.lineno += self._lines
+        exc.colno = pos - nl if nl >= 0 else exc.pos - self._last_nl
+        exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
+        return exc
+
+    def first_error(self, exc: json.JSONDecodeError) -> ValueError:
+        try:
+            while self._more(_CHUNK):
+                pass
+        except UnicodeDecodeError:
+            pass
+        return self.surrogate or self.invalid or exc
+
+
+class _BulkReader:
+    """The items of a bulk export, each decoded and handed on before the next.
+
+    Gives what ``json.load`` of the whole file would: the rows of the last
+    top-level "rows" list (each row's "doc" when it has one), the elements
+    of a top-level list, or else the top-level value itself, and the same
+    errors.
+
+    With ``autodetect``, the reader also settles ``detect_layout``'s
+    verdict from the first line and raises ``_Verdict("ndjson")`` when the
+    file is not a bulk export after all. Rows are handed on before the
+    verdict is in (for a one-line export it comes at the end), so that
+    exception voids them. ``rows_key`` is the index of the "rows" key whose
+    rows are handed on; a later "rows" key raises ``_Reread`` with its own
+    index. When ``rows_key`` is None the reader only decides the verdict and
+    raises ``_Verdict`` with it.
+    """
+
+    def __init__(self, fh, autodetect: bool, rows_key: int | None):
+        self.text = _JsonText(fh)
+        self._pending = autodetect
+        self._rows_key = rows_key
+        self._handed_on = False
+        # The error a strict read raises on a file autodetection reads
+        # leniently, as json.loads does the first line.
+        self._doom: json.JSONDecodeError | None = None
+
+    def _settle(self, layout: str) -> None:
+        self._pending = False
+        if layout == "ndjson" or self._rows_key is None:
+            raise _Verdict(layout)
+        if self._doom is not None:
+            raise self.text.first_error(self._doom)
+
+    def _doom_at_line_ws(self, run: str, msg: str) -> None:
+        """``run`` starts at the cursor; a strict read fails at a vertical tab or form feed in it."""
+        if self._doom is None and (bad := _NOT_JSON_WS(run)):
+            self._doom = self.text.error(msg, self.text.pos + bad.start())
+
+    def _past_first_line(self) -> None:
+        nl = self.text.first_nl
+        if self._pending and nl is not None and nl < self.text.base + self.text.pos:
+            self._settle("bulk")
+
+    def _lead_in(self) -> None:
+        text = self.text
+        run, ch = text.line_rest()
+        if not self._pending:
+            if not run and ch == "\ufeff":  # at the start of the file
+                raise text.fail(_BOM, 0)
+            return
+        if ch in ("\n", ""):
+            self._settle("ndjson")  # a blank first line
+        self._doom_at_line_ws(run, "Expecting value")
+        text.pos += len(run)
+        if ch == "\ufeff":
+            if self._doom is None:
+                self._doom = text.error(_BOM if text.base + text.pos == 0 else "Expecting value")
+            text.pos += 1
+
+    def _first_line_ends(self, is_bulk_tree: bool) -> None:
+        """Settle the verdict at the end of the top-level value."""
+        self._past_first_line()
+        if not self._pending:
+            return
+        run, ch = self.text.line_rest()
+        if ch not in ("\n", ""):
+            self._settle("bulk")  # more than one value on the first line
+        self._doom_at_line_ws(run, "Extra data")
+        self._settle("bulk" if is_bulk_tree else "ndjson")
+
+    def _array(self, emit: bool, unwrap: bool) -> Iterator[object]:
+        """The elements of the array at the cursor; the cursor moves past it."""
+        text = self.text
+        text.pos += 1
+        if text.next_char() == "]":
+            text.pos += 1
+            return
+        while True:
+            if self._pending:
+                self._past_first_line()
+            value = text.token(_DECODER.raw_decode)
+            if emit:
+                self._handed_on = True
+                yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
+            ch = text.next_char()
+            text.pos += 1
+            if ch == "]":
+                return
+            if ch != ",":
+                raise text.fail("Expecting ',' delimiter", text.pos - 1)
+            text.next_char()
+
+    def _object(self) -> Iterator[object]:
+        """The rows of the object at the cursor; its other members go in ``self._fields``."""
+        text = self.text
+        fields = self._fields = {}
+        rows_seen = 0
+        text.pos += 1
+        ch = text.next_char()
+        if ch == "}":
+            text.pos += 1
+            return
+        while True:
+            if self._pending:
+                self._past_first_line()
+            if ch != '"':
+                raise text.fail("Expecting property name enclosed in double quotes")
+            key = text.token(_scan_key)
+            if text.next_char() != ":":
+                raise text.fail("Expecting ':' delimiter")
+            text.pos += 1
+            if key == "rows" and self._handed_on:
+                raise _Reread(rows_seen)  # the last "rows" key wins
+            if key == "rows" and text.next_char() == "[":
+                emit = self._rows_key is not None and rows_seen >= self._rows_key
+                yield from self._array(emit, unwrap=True)
+                fields[key] = _STREAMED
+            else:
+                text.next_char()
+                fields[key] = text.token(_DECODER.raw_decode)
+            rows_seen += key == "rows"
+            ch = text.next_char()
+            text.pos += 1
+            if ch == "}":
+                return
+            if ch != ",":
+                raise text.fail("Expecting ',' delimiter", text.pos - 1)
+            ch = text.next_char()
+
+    def items(self) -> Iterator[object]:
+        text = self.text
+        self._lead_in()
+        ch = text.next_char()
+        if ch == "{":
+            yield from self._object()
+            fields = self._fields
+            self._first_line_ends(_is_bulk_tree(fields))
+            rest = () if fields.get("rows") is _STREAMED else (fields,)
+        elif ch == "[":
+            yield from self._array(self._rows_key is not None, unwrap=False)
+            self._first_line_ends(False)
+            rest = ()
+        else:
+            rest = (text.token(_DECODER.raw_decode),)
+            self._first_line_ends(False)
+        if text.next_char():
+            raise text.fail("Extra data")
+        if text.surrogate:
+            raise text.surrogate
+        yield from rest
+
+
+# Stands in for a top-level "rows" list that was read row by row.
+_STREAMED = object()
+
+
+def _iter_ndjson(fh) -> Iterator[bytes]:
+    for line in fh:
+        line = line.strip()
+        if line:
+            yield line
 
 
 def _sha256_file(path: Path) -> str:
@@ -515,66 +848,67 @@ def snapshot_digest(source: Path, layout: str) -> str:
     return _sha256_file(source)
 
 
-def load_corpus(source: str | Path, layout: str | None = None, jobs: int | None = None) -> Corpus:
-    """Stream all documents from a snapshot into an immutable corpus.
-
-    Malformed documents are counted and skipped. Records are merged in
-    stable order by package name; the first occurrence of a duplicate name
-    wins and later ones are counted under "duplicate_name".
-    """
-    source = Path(source)
-    if not source.exists():
-        raise OSError(f"snapshot not found: {source}")
-    tree = None
-    if layout is None:
-        layout, tree = _sniff_layout(source)
-
+def _ingest(items: Iterable[object], leaves: _Leaves) -> tuple[dict[str, PackageRecord], IngestStats]:
     total = 0
     skipped = 0
     by_error: dict[str, int] = {}
     records: dict[str, PackageRecord] = {}
-
-    def ingest_one(item: object) -> PackageRecord | None:
+    for item in items:
+        total += 1
         try:
             # Anything already decoded (dict, list, null, scalar) is a tree;
             # document_from_tree rejects every non-object as malformed.
             doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
-            return select_latest(doc)
+            record = select_latest(doc, leaves)
         except ParseError as exc:
-            by_error[exc.reason] = by_error.get(exc.reason, 0) + 1
+            reason = exc.reason
         except NoVersionsError:
-            by_error["no_versions"] = by_error.get("no_versions", 0) + 1
-        return None
-
-    if layout == "dir":
-        paths = sorted(source.rglob("*.json"))
-        max_workers = max(1, jobs or 1)
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                blobs = list(pool.map(lambda p: p.read_bytes(), paths))
+            reason = "no_versions"
         else:
-            blobs = [p.read_bytes() for p in paths]
-        items: Iterable[object] = blobs
-    elif layout == "bulk":
-        items = _iter_bulk(source, tree)
-    elif layout == "ndjson":
-        items = _iter_ndjson(source)
-    else:
+            if record.name not in records:
+                records[record.name] = record
+                continue
+            reason = "duplicate_name"
+        skipped += 1
+        by_error[reason] = by_error.get(reason, 0) + 1
+    return records, IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
+
+
+def load_corpus(source: str | Path, layout: str | None = None) -> Corpus:
+    """Stream all documents from a snapshot into an immutable corpus.
+
+    One document is decoded at a time in every layout. Malformed documents
+    are counted and skipped. Records are merged in stable order by package
+    name; the first occurrence of a duplicate name wins and later ones are
+    counted under "duplicate_name".
+    """
+    source = Path(source)
+    if not source.exists():
+        raise OSError(f"snapshot not found: {source}")
+    if layout not in (None, "bulk", "ndjson", "dir"):
         raise ValueError(f"unknown layout: {layout}")
-
-    for item in items:
-        total += 1
-        record = ingest_one(item)
-        if record is None:
-            skipped += 1
-            continue
-        if record.name in records:
-            skipped += 1
-            by_error["duplicate_name"] = by_error.get("duplicate_name", 0) + 1
-            continue
-        records[record.name] = record
-
-    stats = IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
+    if layout is None:
+        # None: the layout of a UTF-8 file is settled while it is read.
+        layout = "dir" if source.is_dir() else _wide_text_verdict(source)
+    leaves = _Leaves()
+    rows_key = 0
+    while True:
+        try:
+            if layout == "dir":
+                records, stats = _ingest((path.read_bytes() for path in sorted(source.rglob("*.json"))), leaves)
+            else:
+                with open(source, "rb") as fh:
+                    if layout == "ndjson":
+                        items = _iter_ndjson(fh)
+                    else:
+                        items = _BulkReader(fh, autodetect=layout is None, rows_key=rows_key).items()
+                    records, stats = _ingest(items, leaves)
+            break
+        except _Verdict:  # autodetection: the file is ndjson after all
+            layout = "ndjson"
+        except _Reread as again:
+            rows_key = again.rows_key
+    layout = layout or "bulk"
     ordered = tuple(records[name] for name in sorted(records))
     logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)
     return Corpus(records=ordered, stats=stats, digest=snapshot_digest(source, layout))

@@ -49,6 +49,7 @@ from .signals import (
     analyze_w4,
     analyze_w5,
     analyze_w6,
+    canonical_json,
     is_inactive,
     mean_maintainers,
 )
@@ -72,7 +73,7 @@ class ScanOptions:
     rate_limit: float = 10.0
     downloads_base_url: str = "https://api.npmjs.example"
     dns_resolver: tuple[str, int] = ("8.8.8.8", 53)
-    jobs: int | None = None
+    jobs: int | None = None  # concurrent live downloads lookups
     unsafe_full_output: bool = False
 
 
@@ -109,7 +110,7 @@ def _make_providers(options: ScanOptions):
 
 
 def run_scan(options: ScanOptions) -> ScanResult:
-    corpus = load_corpus(options.input_path, layout=options.layout, jobs=options.jobs)
+    corpus = load_corpus(options.input_path, layout=options.layout)
     pre_index = build_dependents_index(corpus, options.dep_kinds)
     filtered, verdicts = apply_exclusions(corpus, pre_index, options.config.license_denylist)
 
@@ -318,16 +319,16 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
 
     paths["findings"] = out / "findings.jsonl"
     with open(paths["findings"], "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(findings_header(), sort_keys=True))
+        fh.write(canonical_json(findings_header()))
         fh.write("\n")
         for finding in result.findings:
-            fh.write(json.dumps(finding.to_dict(), sort_keys=True))
+            fh.write(canonical_json(finding.to_dict()))
             fh.write("\n")
 
     paths["exclusions"] = out / "exclusions.jsonl"
     with open(paths["exclusions"], "w", encoding="utf-8") as fh:
         for verdict in sorted(result.verdicts, key=lambda v: v.package_id):
-            fh.write(json.dumps(verdict.to_dict(), sort_keys=True))
+            fh.write(canonical_json(verdict.to_dict()))
             fh.write("\n")
 
     combo_payload = {
@@ -389,12 +390,12 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
         with open(paths["combination_members"], "w", encoding="utf-8") as fh:
             for combo in result.combinations:
                 for member in sorted(combo.members):
-                    fh.write(json.dumps({"id": combo.combination_id, "member": member}, sort_keys=True))
+                    fh.write(canonical_json({"id": combo.combination_id, "member": member}))
                     fh.write("\n")
         paths["popular_members"] = out / "popular_members.jsonl"
         with open(paths["popular_members"], "w", encoding="utf-8") as fh:
             for member in sorted(result.popular.members):
-                fh.write(json.dumps({"member": member}, sort_keys=True))
+                fh.write(canonical_json({"member": member}))
                 fh.write("\n")
     return paths
 

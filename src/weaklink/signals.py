@@ -32,6 +32,10 @@ from .reach import DependentsIndex, MaintainerIndex, maintainer_reach, top_perce
 if TYPE_CHECKING:
     from .providers import DomainStatusProvider
 
+# json.dumps(value, sort_keys=True) without building an encoder per call; the
+# report lines and the findings' sort key are written with it.
+canonical_json = json.JSONEncoder(sort_keys=True).encode
+
 DEFAULT_SUSPICIOUS_TOKENS = (
     "curl",
     "wget",
@@ -165,7 +169,7 @@ class WeakLinkFinding:
         # The tie-break is the serialized evidence: a tuple of the typed
         # values would order escaped characters (below '"', non-ASCII)
         # differently and change the report bytes.
-        return (self.signal, self.subject_id, json.dumps(self.evidence, sort_keys=True))
+        return (self.signal, self.subject_id, canonical_json(self.evidence))
 
 
 # --- script pattern classification -----------------------------------------

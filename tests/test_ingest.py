@@ -256,6 +256,17 @@ def test_email_domain_idempotent_under_lowercasing(email):
         assert domain == domain.lower()
 
 
+@given(st.text(alphabet=st.sampled_from("ab.@ \t\x1c\x1f\x85\xa0\u2028\u3000\u200b"), max_size=12))
+def test_email_domain_whitespace_rule_is_per_character(email):
+    # The domain is rejected when any of its characters is whitespace by
+    # str.isspace, the characters \x1c, \xa0, \u2028 and \u3000 included.
+    text = email.strip()
+    at = text.rfind("@")
+    domain = text[at + 1 :]
+    usable = 0 < at < len(text) - 1 and not any(ch.isspace() for ch in domain)
+    assert extract_email_domain(email) == (domain.lower() if usable else None)
+
+
 def test_parse_person_string_forms():
     p = parse_person("Ann Smith <Ann@X.io> (https://ann.example)")
     assert p.name == "Ann Smith"
@@ -399,37 +410,57 @@ def test_arbitrary_json_values_never_abort_a_load(layout, values):
     assert stats.total == len(values) == stats.parsed + stats.skipped
 
 
-def count_decodes(monkeypatch) -> list[int]:
-    calls: list[int] = []
-    decode = json.JSONDecoder.decode
+def record_decodes(monkeypatch) -> list[int]:
+    """The length of the text each JSON value decode covers."""
+    spans: list[int] = []
+    raw_decode = json.JSONDecoder.raw_decode
 
-    def counted(self, s, *args, **kwargs):
-        calls.append(len(s))
-        return decode(self, s, *args, **kwargs)
+    def recorded(self, s, idx=0):
+        value, end = raw_decode(self, s, idx)
+        spans.append(end - idx)
+        return value, end
 
-    monkeypatch.setattr(json.JSONDecoder, "decode", counted)
-    return calls
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", recorded)
+    return spans
 
 
-def test_one_line_bulk_export_is_decoded_once(tmp_path, monkeypatch):
-    path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(5)], "bulk")
-    calls = count_decodes(monkeypatch)
+@pytest.mark.parametrize("indent", [None, 2])
+def test_bulk_export_is_decoded_one_row_at_a_time(tmp_path, monkeypatch, indent):
+    rows = [json.dumps({"id": f"pkg-{i}", "doc": minimal_doc(name=f"pkg-{i}")}, indent=indent) for i in range(5)]
+    path = tmp_path / "snap.json"
+    path.write_text('{"total_rows": 5, "rows": [\n' + ",\n".join(rows) + "\n]}\n")
+    longest_row = max(len(row) for row in rows)
+    spans = record_decodes(monkeypatch)
     corpus = load_corpus(path)
-    assert len(calls) == 1
     assert len(corpus.records) == 5
+    assert spans and max(spans) <= longest_row
 
 
-def test_reused_bulk_tree_loads_the_same_corpus(tmp_path):
+def test_one_line_and_pretty_exports_load_the_same_corpus(tmp_path):
     docs = [minimal_doc(name=f"pkg-{i}", contributors=["A <a@x.io>"]) for i in range(5)]
     one_line = write_snapshot(tmp_path, docs, "bulk")
     one_line.write_text(one_line.read_text() + "\n \r\n\t\n")
     pretty = tmp_path / "pretty.json"
     pretty.write_text(json.dumps({"rows": [{"doc": d} for d in docs]}, indent=2))
     forced = load_corpus(one_line, layout="bulk")
+    assert len(forced.records) == 5
     for path in (one_line, pretty):
         corpus = load_corpus(path)
         assert [record_to_dict(r) for r in corpus.records] == [record_to_dict(r) for r in forced.records]
         assert corpus.stats == forced.stats
+
+
+def test_equal_maintainers_share_one_person(tmp_path):
+    person = {"name": "Ann", "email": "ann@x.io"}
+    docs = [minimal_doc(name=f"pkg-{i}", maintainers=[dict(person)], contributors=["Bob <bob@y.io>"]) for i in range(3)]
+    path = write_snapshot(tmp_path, docs, "ndjson")
+    records = load_corpus(path).records
+    assert records[0].maintainers[0] is records[1].maintainers[0] is records[2].maintainers[0]
+    alone = [record_to_dict(select_latest(parse_document(doc_bytes(doc)))) for doc in docs]
+    assert [record_to_dict(r) for r in records] == alone
+    assert alone[0]["maintainers"] == [
+        {"name": "Ann", "email": "ann@x.io", "email_domain": "x.io", "identity_key": "ann@x.io"}
+    ]
 
 
 def test_bulk_export_with_trailing_data_still_fails(tmp_path):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from weaklink import ingest
 from weaklink.cli import main
 from weaklink.synth import GenerationPlan, generate
 
@@ -45,17 +46,31 @@ def corpus_dir(tmp_path_factory) -> Path:
     return out
 
 
-@pytest.mark.parametrize("layout", sorted(SNAPSHOTS))
-def test_reports_match_committed_reference_digests(corpus_dir, tmp_path, layout):
+def scan(corpus_dir: Path, layout: str, out: Path) -> dict[str, str]:
     manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
     args = [
         "scan",
         "--input", str(corpus_dir / SNAPSHOTS[layout]),
-        "--out", str(tmp_path),
+        "--out", str(out),
         "--domains-fixture", str(corpus_dir / "domains_fixture.jsonl"),
         "--downloads-fixture", str(corpus_dir / "downloads_fixture.jsonl"),
         "--popular-n", str(manifest["counts"]["popular_n"]),
     ]
     assert main(args) == 0
-    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))["2000/1"]
-    assert report_digests(tmp_path) == reference
+    return report_digests(out)
+
+
+def reference_digests() -> dict[str, str]:
+    return json.loads(REFERENCE.read_text(encoding="utf-8"))["2000/1"]
+
+
+@pytest.mark.parametrize("layout", sorted(SNAPSHOTS))
+def test_reports_match_committed_reference_digests(corpus_dir, tmp_path, layout):
+    assert scan(corpus_dir, layout, tmp_path) == reference_digests()
+
+
+def test_bulk_export_read_in_small_chunks_matches_reference(corpus_dir, tmp_path, monkeypatch):
+    # At 61 bytes, chunk boundaries fall inside rows, keys, numbers,
+    # strings and multi-byte characters all through the export.
+    monkeypatch.setattr(ingest, "_CHUNK", 61)
+    assert scan(corpus_dir, "bulk", tmp_path) == reference_digests()
