@@ -128,8 +128,7 @@ def popular_sample(
     dep_top = top_n(dep_scores, n)
     # A provider with no data at all would rank everything at zero and the
     # closed cutoff would sweep in the whole corpus; skip that side instead.
-    has_data = len(downloads) > 0 if hasattr(downloads, "__len__") else True
-    if has_data:
+    if downloads.has_data:
         dl_scores = [(rec.name, downloads.downloads(rec.name) or 0) for rec in corpus.records]
         dl_top = top_n(dl_scores, n)
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ingest import Corpus, PackageRecord, SECURITY_HOLDING_PHRASE
+from .reach import DependentsIndex
 
 REASON_SECURITY_HOLDING = "SecurityHolding"
 REASON_DEPRECATED_UNUSED = "DeprecatedUnused"
@@ -20,7 +21,7 @@ REASON_NO_REPO_NO_LICENSE = "NoRepoNoLicense"
 DEFAULT_LICENSE_DENYLIST = ("UNLICENSED", "NONE", "XYZ", "PERSONAL USE", "N/A")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExclusionVerdict:
     package_id: str
     excluded: bool
@@ -81,7 +82,7 @@ def evaluate_reasons(rec: PackageRecord, denylist: tuple[str, ...] = DEFAULT_LIC
 
 def apply_exclusions(
     corpus: Corpus,
-    dependents: dict[str, set[str]],
+    dependents: DependentsIndex,
     denylist: tuple[str, ...] = DEFAULT_LICENSE_DENYLIST,
 ) -> tuple[Corpus, list[ExclusionVerdict]]:
     """Filter the corpus, emitting one verdict per package.

@@ -136,12 +136,19 @@ def parse_person(entry: object) -> PersonRef | None:
     return None
 
 
+# Every record without scripts or dependencies of a kind holds this one
+# dict, so no reader may write to a record's maps: a write to it would
+# reach all of those records.
+_EMPTY_MAP: dict[str, str] = {}
+
+
 class _Leaves:
     """Leaf values shared by the records of one load.
 
-    Registry documents repeat the same maintainers, dependency names and
-    ranges and script names across packages; each distinct one is kept once.
-    A ``PersonRef`` is frozen, so records can share it.
+    Registry documents repeat the same maintainers, versions, licenses,
+    dependency names and ranges and script names across packages; each
+    distinct one is kept once. A ``PersonRef`` is frozen, so records can
+    share it.
     """
 
     def __init__(self) -> None:
@@ -354,18 +361,20 @@ def _normalize_license(raw: object) -> str | None:
 
 def _normalize_scripts(raw: object, strings: dict[str, str]) -> dict[str, str]:
     if not isinstance(raw, dict):
-        return {}
+        return _EMPTY_MAP
     # Bodies are preserved byte-for-byte; empty keys and non-string bodies
     # are unrecognizable and dropped.
     intern = strings.setdefault
-    return {intern(k, k): v for k, v in raw.items() if isinstance(k, str) and k and isinstance(v, str)}
+    scripts = {intern(k, k): v for k, v in raw.items() if isinstance(k, str) and k and isinstance(v, str)}
+    return scripts or _EMPTY_MAP
 
 
 def _normalize_deps(raw: object, strings: dict[str, str]) -> dict[str, str]:
     if not isinstance(raw, dict):
-        return {}
+        return _EMPTY_MAP
     intern = strings.setdefault
-    return {intern(k, k): (intern(v, v) if isinstance(v, str) else "") for k, v in raw.items() if isinstance(k, str) and k}
+    deps = {intern(k, k): (intern(v, v) if isinstance(v, str) else "") for k, v in raw.items() if isinstance(k, str) and k}
+    return deps or _EMPTY_MAP
 
 
 def _non_negative_int(value: object) -> int | None:
@@ -422,6 +431,8 @@ def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> Packa
         description = None
 
     dist = vobj.get("dist") if isinstance(vobj.get("dist"), dict) else {}
+    license_value = _normalize_license(license_raw)
+    intern = leaves.strings.setdefault
 
     holding = bool(
         (description and SECURITY_HOLDING_PHRASE in description.lower())
@@ -431,7 +442,7 @@ def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> Packa
     return PackageRecord(
         package_id=f"{doc.name}@{version}",
         name=doc.name,
-        version=version,
+        version=intern(version, version),
         last_modified=last_modified,
         created=created,
         scripts=_normalize_scripts(vobj.get("scripts"), leaves.strings),
@@ -442,7 +453,7 @@ def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> Packa
         peer_dependencies=_normalize_deps(vobj.get("peerDependencies"), leaves.strings),
         optional_dependencies=_normalize_deps(vobj.get("optionalDependencies"), leaves.strings),
         repository_present=_normalize_repository(repository),
-        license_value=_normalize_license(license_raw),
+        license_value=license_value if license_value is None else intern(license_value, license_value),
         description=description,
         deprecated=deprecated,
         security_holding=holding,

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import requests
 
@@ -60,6 +60,10 @@ class DomainStatusProvider(Protocol):
 
 
 class DownloadsProvider(Protocol):
+    # False when the provider holds no count at all: ranking by its
+    # downloads would tie every package at zero.
+    has_data: bool
+
     def downloads(self, package: str) -> int | None: ...
 
 
@@ -84,33 +88,35 @@ class RateLimiter:
             time.sleep(wait)
 
 
-def _load_jsonl(path: str | Path) -> list[dict]:
-    path = Path(path)
+def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
+    """Yield ``(lineno, row)`` for each non-blank line, one line at a time."""
     if not path.exists():
         raise FixtureError(f"fixture not found: {path}")
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FixtureError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-    return rows
+            if not isinstance(row, dict):
+                raise FixtureError(f"{path}:{lineno}: fixture row is not an object: {row!r}")
+            yield lineno, row
 
 
 class FixtureDomainProvider:
     """Exact-match lookup in a JSONL fixture; misses come back unknown."""
 
     def __init__(self, path: str | Path):
+        path = Path(path)
         self._statuses: dict[str, str] = {}
-        for row in _load_jsonl(path):
+        for lineno, row in _iter_jsonl(path):
             domain = str(row.get("domain", "")).lower()
             status = str(row.get("status", "")).lower()
             if not domain or status not in (STATUS_AVAILABLE, STATUS_REGISTERED, STATUS_UNKNOWN):
-                raise FixtureError(f"bad domain fixture row: {row!r}")
+                raise FixtureError(f"{path}:{lineno}: bad domain fixture row: {row!r}")
             self._statuses[domain] = status
         self.warnings = 0
 
@@ -220,12 +226,13 @@ class FixtureDownloadsProvider:
     """JSONL map of package name to 12-month download count."""
 
     def __init__(self, path: str | Path):
+        path = Path(path)
         self._counts: dict[str, int] = {}
-        for row in _load_jsonl(path):
+        for lineno, row in _iter_jsonl(path):
             package = row.get("package")
             count = row.get("downloads")
             if not isinstance(package, str) or not isinstance(count, int) or count < 0:
-                raise FixtureError(f"bad downloads fixture row: {row!r}")
+                raise FixtureError(f"{path}:{lineno}: bad downloads fixture row: {row!r}")
             self._counts[package] = count
         self.warnings = 0
 
@@ -235,11 +242,16 @@ class FixtureDownloadsProvider:
     def __len__(self) -> int:
         return len(self._counts)
 
+    @property
+    def has_data(self) -> bool:
+        return bool(self._counts)
+
 
 class EmptyDownloadsProvider:
     """No data source configured: all counts unknown."""
 
     warnings = 0
+    has_data = False
 
     def __len__(self) -> int:
         return 0
@@ -251,6 +263,8 @@ class EmptyDownloadsProvider:
 class LiveDownloadsProvider:
     """One GET per package against the point-downloads endpoint shape,
     rate limited with bounded retries; failures come back unknown."""
+
+    has_data = True  # counts are unknown until fetched; rank by them
 
     def __init__(
         self,
@@ -320,6 +334,10 @@ class PrefetchedDownloads:
 
     def __len__(self) -> int:
         return sum(1 for v in self._counts.values() if v is not None)
+
+    @property
+    def has_data(self) -> bool:
+        return len(self) > 0
 
     def downloads(self, package: str) -> int | None:
         return self._counts.get(package)

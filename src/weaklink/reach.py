@@ -9,20 +9,22 @@ are out of scope; edges are name-level.
 
 from __future__ import annotations
 
-import json
 import math
+from collections.abc import Set
 from dataclasses import dataclass
 from datetime import datetime
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import EmptyInputError, UnknownMaintainerError
 from .ingest import Corpus
 
-DependentsIndex = dict[str, set[str]]
+DependentsIndex = dict[str, Set[str]]
+
+# The one value of every index entry with no dependents.
+NO_DEPENDENTS: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaintainerInfo:
     owned_packages: frozenset[str]
     last_activity: datetime
@@ -43,18 +45,23 @@ def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime"
     """Map each depended-upon name to the set of packages that declare it.
 
     Self-edges are dropped. Names not present in the corpus are still
-    indexed (a package may depend on something outside the snapshot), and
-    corpus packages nobody depends on get an empty entry.
+    indexed (a package may depend on something outside the snapshot). Corpus
+    packages nobody depends on map to the shared empty ``NO_DEPENDENTS``;
+    every other entry is a nonempty ``set``. Keys come in corpus order, then
+    external names in the order they are first declared.
     """
     if not dep_kinds:
         raise ValueError("dep_kinds must be nonempty")
-    index: DependentsIndex = {rec.name: set() for rec in corpus.records}
+    index: DependentsIndex = dict.fromkeys((rec.name for rec in corpus.records), NO_DEPENDENTS)
     for rec in corpus.records:
         for kind in dep_kinds:
             for dep_name in rec.dependency_map(kind):
                 if dep_name == rec.name:
                     continue
-                index.setdefault(dep_name, set()).add(rec.name)
+                deps = index.get(dep_name)
+                if not deps:  # absent, or still NO_DEPENDENTS
+                    deps = index[dep_name] = set()
+                deps.add(rec.name)
     return index
 
 
@@ -64,27 +71,33 @@ def without_packages(index: DependentsIndex, names: set[str]) -> DependentsIndex
     When no package outside ``names`` depends on one of them, as holds for
     excluded packages, this equals ``build_dependents_index`` over the
     corpus without ``names``, except that a name only they depended on
-    keeps an empty entry. Sets that lose no member are shared with ``index``.
+    keeps an empty entry. Sets that lose no member are shared with ``index``;
+    sets that lose every member become ``NO_DEPENDENTS``.
     """
     return {
-        name: deps if deps.isdisjoint(names) else deps - names for name, deps in index.items() if name not in names
+        name: deps if deps.isdisjoint(names) else (deps - names or NO_DEPENDENTS)
+        for name, deps in index.items()
+        if name not in names
     }
 
 
 def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     """Group packages by maintainer identity with each identity's last activity."""
-    owned: dict[str, set[str]] = {}
+    owned: dict[str, list[str]] = {}
     activity: dict[str, datetime] = {}
     for rec in corpus.records:
         for person in rec.maintainers:
             key = person.identity_key
-            owned.setdefault(key, set()).add(rec.name)
+            owned.setdefault(key, []).append(rec.name)
             prev = activity.get(key)
             if prev is None or rec.last_modified > prev:
                 activity[key] = rec.last_modified
+    # Each list is dropped as soon as it is frozen, so no maintainer's names
+    # are held twice. The dict between them sizes the frozenset's table
+    # once, which frozenset(list) would overgrow.
     return {
-        key: MaintainerInfo(owned_packages=frozenset(pkgs), last_activity=activity[key])
-        for key, pkgs in owned.items()
+        key: MaintainerInfo(owned_packages=frozenset(dict.fromkeys(owned.pop(key))), last_activity=activity[key])
+        for key in list(owned)
     }
 
 
@@ -155,23 +168,3 @@ def top_percent(subjects: Sequence[tuple[str, float]], percent: float) -> list[t
     # At least one: a tiny percent must not underflow to an empty ranking.
     k = max(1, math.ceil(len(subjects) * percent / 100.0))
     return top_n(subjects, k)
-
-
-def dump_dependents_index(index: DependentsIndex, path: str | Path) -> None:
-    """Write the index as sorted JSONL for incremental runs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name in sorted(index):
-            fh.write(json.dumps({"name": name, "dependents": sorted(index[name])}, sort_keys=True))
-            fh.write("\n")
-
-
-def load_dependents_index(path: str | Path) -> DependentsIndex:
-    index: DependentsIndex = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            index[row["name"]] = set(row["dependents"])
-    return index

@@ -139,7 +139,7 @@ class AnalyzerConfig:
         return cls(**known)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeakLinkFinding:
     subject_kind: str  # "package" | "maintainer"
     subject_id: str

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import timedelta
 
 import pytest
@@ -16,7 +17,13 @@ from weaklink.combinations import (
     popular_sample,
     signal_sets,
 )
-from weaklink.providers import DomainStatus, STATUS_AVAILABLE
+from weaklink.providers import (
+    STATUS_AVAILABLE,
+    DomainStatus,
+    EmptyDownloadsProvider,
+    FixtureDownloadsProvider,
+    PrefetchedDownloads,
+)
 from weaklink.reach import build_dependents_index, build_maintainer_index
 from weaklink.signals import AnalyzerConfig, ScriptCategory, analyze_w1, analyze_w2, analyze_w3, analyze_w6
 
@@ -30,8 +37,9 @@ class MapDownloads:
     def __init__(self, counts):
         self.counts = counts
 
-    def __len__(self):
-        return len(self.counts)
+    @property
+    def has_data(self):
+        return bool(self.counts)
 
     def downloads(self, package):
         return self.counts.get(package)
@@ -88,6 +96,33 @@ def test_popular_invariant_under_corpus_order():
     a = popular_sample(corpus, dindex, downloads, n=5)
     b = popular_sample(make_corpus(list(reversed(corpus.records))), dindex, downloads, n=5)
     assert a.members == b.members
+
+
+def _fixture_downloads(tmp_path, counts):
+    path = tmp_path / "downloads.jsonl"
+    path.write_text("".join(json.dumps({"package": k, "downloads": v}) + "\n" for k, v in counts.items()))
+    return FixtureDownloadsProvider(path)
+
+
+@pytest.mark.parametrize(
+    "make_provider, by_downloads",
+    [
+        (lambda tmp: _fixture_downloads(tmp, {"user00": 900, "user01": 800, "user02": 700}), 3),
+        (lambda tmp: _fixture_downloads(tmp, {}), 0),
+        (lambda tmp: EmptyDownloadsProvider(), 0),
+        (lambda tmp: PrefetchedDownloads({"user00": 900, "user01": 800, "user02": 700, "top0": None}), 3),
+        (lambda tmp: PrefetchedDownloads({"user00": None, "top0": None}), 0),
+    ],
+    ids=["fixture", "empty-fixture", "empty", "prefetched", "prefetched-all-unknown"],
+)
+def test_popular_downloads_side_follows_has_data(tmp_path, make_provider, by_downloads):
+    corpus = _ranked_corpus()
+    provider = make_provider(tmp_path)
+    assert provider.has_data is (by_downloads > 0)
+    sample = popular_sample(corpus, build_dependents_index(corpus), provider, n=3)
+    # A provider without data adds nothing instead of a 23-way tie at zero.
+    assert (sample.by_dependents, sample.by_downloads) == (3, by_downloads)
+    assert sample.union == 3 + by_downloads
 
 
 def test_popular_rejects_bad_n():

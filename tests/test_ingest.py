@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weaklink import ingest
 from weaklink.errors import NoVersionsError, ParseError
 from weaklink.ingest import (
     detect_layout,
@@ -461,6 +462,27 @@ def test_equal_maintainers_share_one_person(tmp_path):
     assert alone[0]["maintainers"] == [
         {"name": "Ann", "email": "ann@x.io", "email_domain": "x.io", "identity_key": "ann@x.io"}
     ]
+
+
+def test_records_share_empty_maps_and_equal_strings(tmp_path):
+    licenses = ["MIT", "MIT", {"type": "MIT"}]
+    scripts = [{}, {"": "x", "test": 1}, "not a map"]
+    docs = [minimal_doc(name=f"pkg-{i}", version="2.1.0", license=licenses[i]) for i in range(3)]
+    for doc, body in zip(docs, scripts):
+        doc["versions"]["2.1.0"].update(scripts=body, dependencies={}, devDependencies=[])
+    path = write_snapshot(tmp_path, docs, "ndjson")
+    records = load_corpus(path).records
+    kinds = ("runtime", "dev", "peer", "optional")
+    maps = [m for r in records for m in (r.scripts, *(r.dependency_map(kind) for kind in kinds))]
+    assert len(maps) == 15
+    assert all(m is ingest._EMPTY_MAP for m in maps)
+    assert ingest._EMPTY_MAP == {}
+    assert records[0].version is records[1].version is records[2].version
+    assert records[0].license_value is records[1].license_value is records[2].license_value
+    alone = [record_to_dict(select_latest(parse_document(doc_bytes(doc)))) for doc in docs]
+    assert [record_to_dict(r) for r in records] == alone
+    assert alone[0]["scripts"] == {} and alone[0]["dependencies"] == {}
+    assert [d["license_value"] for d in alone] == ["MIT"] * 3
 
 
 def test_bulk_export_with_trailing_data_still_fails(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import socket
 import struct
 import threading
@@ -62,6 +63,22 @@ def test_downloads_fixture_validation(tmp_path):
     path = write_jsonl(tmp_path / "dl.jsonl", [{"package": "x", "downloads": -3}])
     with pytest.raises(FixtureError):
         FixtureDownloadsProvider(path)
+
+
+@pytest.mark.parametrize("provider", [FixtureDomainProvider, FixtureDownloadsProvider])
+def test_fixture_errors_name_the_line(tmp_path, provider):
+    good = {"domain": "x.io", "status": "available", "package": "x", "downloads": 1}
+    path = tmp_path / "fixture.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(good) + "\n{not json\n")
+    with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:4: bad JSON: "):
+        provider(path)
+    # Rows are checked as they are read: a bad row before a bad line wins.
+    path.write_text(json.dumps(good) + "\n" + json.dumps({"domain": "", "downloads": -1}) + "\n{not json\n")
+    with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:2: bad .* fixture row: "):
+        provider(path)
+    path.write_text(json.dumps(good) + "\n[1, 2]\n")
+    with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:2: fixture row is not an object: \[1, 2\]$"):
+        provider(path)
 
 
 def test_empty_downloads_provider():

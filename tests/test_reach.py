@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from weaklink.errors import EmptyInputError, UnknownMaintainerError
 from weaklink.exclusions import apply_exclusions
 from weaklink.reach import (
+    NO_DEPENDENTS,
     build_dependents_index,
     build_maintainer_index,
-    dump_dependents_index,
-    load_dependents_index,
     maintainer_reach,
     package_reach,
     top_n,
@@ -68,6 +67,34 @@ def test_index_matches_brute_force_on_random_corpora():
     for seed in range(10):
         corpus = random_corpus(seed=seed, size=150)
         assert build_dependents_index(corpus) == brute_force_index(corpus)
+
+
+def test_entries_nobody_depends_on_share_one_empty_value():
+    for seed in range(10):
+        corpus = random_corpus(seed=seed, size=150)
+        index = build_dependents_index(corpus)
+        oracle = brute_force_index(corpus)
+        assert index == oracle
+        assert list(index) == list(oracle)
+        idle = [name for name, deps in oracle.items() if not deps]
+        assert idle
+        assert all(index[name] is NO_DEPENDENTS for name in idle)
+        assert all(type(deps) is set for deps in index.values() if deps)
+    assert NO_DEPENDENTS == frozenset()
+
+
+def test_without_packages_shares_the_empty_value():
+    corpus = make_corpus(
+        [
+            make_record("noise", deprecated=True, dependencies={"ext-lib": "*", "kept": "*"}),
+            make_record("kept"),
+            make_record("user", dependencies={"kept": "*"}),
+        ]
+    )
+    derived = without_packages(build_dependents_index(corpus), {"noise"})
+    assert derived == {"kept": {"user"}, "user": set(), "ext-lib": set()}
+    assert derived["user"] is NO_DEPENDENTS
+    assert derived["ext-lib"] is NO_DEPENDENTS
 
 
 def test_edge_count_invariant():
@@ -131,6 +158,14 @@ def test_maintainer_index_and_reach():
     dindex = build_dependents_index(corpus)
     assert mindex["m@x.io"].owned_packages == frozenset({"b"})
     assert maintainer_reach("m@x.io", mindex, dindex) == 2
+
+
+def test_maintainer_listed_twice_owns_each_package_once():
+    m = person(email="m@x.io")
+    corpus = make_corpus([make_record("a", maintainers=(m, m)), make_record("b", maintainers=(m,))])
+    info = build_maintainer_index(corpus)["m@x.io"]
+    assert info.owned_packages == frozenset({"a", "b"})
+    assert isinstance(info.owned_packages, frozenset)
 
 
 def test_reach_unique_union():
@@ -299,11 +334,3 @@ def test_top_percent_matches_brute_force_closed_cutoff(scores, percent):
     subjects = [(f"s{i:02d}", score) for i, score in enumerate(scores)]
     k = max(1, math.ceil(len(subjects) * percent / 100))
     assert top_percent(subjects, percent) == brute_force_top_n(subjects, k)
-
-
-def test_index_round_trip(tmp_path):
-    corpus = random_corpus(seed=11, size=60)
-    index = build_dependents_index(corpus)
-    path = tmp_path / "index.jsonl"
-    dump_dependents_index(index, path)
-    assert load_dependents_index(path) == index

@@ -74,3 +74,19 @@ def test_bulk_export_read_in_small_chunks_matches_reference(corpus_dir, tmp_path
     # strings and multi-byte characters all through the export.
     monkeypatch.setattr(ingest, "_CHUNK", 61)
     assert scan(corpus_dir, "bulk", tmp_path) == reference_digests()
+
+
+class _ReadOnlyDict(dict):
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("the shared empty map was mutated")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+
+def test_scan_leaves_the_shared_empty_map_empty(corpus_dir, tmp_path, monkeypatch):
+    # Every record without scripts or dependencies of a kind holds the one
+    # shared map; a scan that wrote to it would change every such record.
+    shared = _ReadOnlyDict()
+    monkeypatch.setattr(ingest, "_EMPTY_MAP", shared)
+    assert scan(corpus_dir, "ndjson", tmp_path) == reference_digests()
+    assert shared == {}
