@@ -198,7 +198,7 @@ def keyword_hunt(corpus: Corpus, cfg: AnalyzerConfig) -> list[KeywordHit]:
                         package=rec.name,
                         script_key=key,
                         tokens=tuple(tokens),
-                        pattern=classify_script(body, cfg),
+                        pattern=classify_script(body),
                     )
                 )
     return sorted(hits, key=lambda h: (h.package, h.script_key))
@@ -216,7 +216,8 @@ def attack_candidates(
     (a) hijackable: inactive packages with at least one expired-domain
         maintainer, listing the takeover emails.
     (b) takeover candidates: packages owned by overloaded maintainers whose
-        entire portfolio is inactive (evidence inactive_owned_share == 1).
+        entire portfolio is inactive (evidence inactive_owned_share == 1;
+        exact, since k / n == 1.0 only when k == n).
     """
     inactive = {f.subject_id for f in findings if f.signal == "W3_inactive_pkg" and f.subject_kind == "package"}
     w1_by_pkg: dict[str, list[WeakLinkFinding]] = {}
@@ -244,7 +245,7 @@ def attack_candidates(
     stale_overloaded = {
         f.subject_id: f
         for f in findings
-        if f.signal == "W6" and f.subject_kind == "maintainer" and f.evidence["inactive_owned_share"] == "1.0000"
+        if f.signal == "W6" and f.subject_kind == "maintainer" and f.evidence["inactive_owned_share"] == 1
     }
     takeover = []
     w6_pkgs = [f for f in findings if f.signal == "W6" and f.subject_kind == "package"]
@@ -262,7 +263,7 @@ def attack_candidates(
             TakeoverRow(
                 package=f.subject_id,
                 maintainer_key=key,
-                reach=int(stale_overloaded[key].evidence["reach"]),
+                reach=stale_overloaded[key].evidence["reach"],
                 dependents=len(dindex.get(f.subject_id, ())),
                 downloads=downloads.downloads(f.subject_id),
             )

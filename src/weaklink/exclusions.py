@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ingest import Corpus, PackageRecord, SECURITY_HOLDING_PHRASE
+from .ingest import Corpus, PackageRecord
 from .reach import DependentsIndex
 
 REASON_SECURITY_HOLDING = "SecurityHolding"
@@ -38,10 +38,8 @@ class ExclusionVerdict:
 
 
 def is_security_holding(rec: PackageRecord) -> bool:
-    """True for registry placeholder packages replacing removed malware."""
-    if rec.security_holding:
-        return True
-    return bool(rec.description and SECURITY_HOLDING_PHRASE in rec.description.lower())
+    """True for registry placeholders replacing removed malware, as ``select_latest`` marks them."""
+    return rec.security_holding
 
 
 def is_deprecated_latest(rec: PackageRecord) -> bool:

@@ -52,6 +52,7 @@ from .signals import (
     canonical_json,
     is_inactive,
     mean_maintainers,
+    sort_findings,
 )
 
 logger = logging.getLogger(__name__)
@@ -155,7 +156,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
     findings += analyze_w4(filtered, cfg)
     findings += analyze_w5(filtered, cfg)
     findings += analyze_w6(filtered, mindex, dindex, cfg)
-    findings.sort(key=WeakLinkFinding.sort_key)
+    sort_findings(findings)
 
     popular = popular_sample(filtered, dindex, downloads, options.popular_n)
     combos = combination_table(findings, scope=popular)

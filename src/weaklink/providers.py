@@ -47,14 +47,6 @@ class DomainStatus:
     method: str = ""
 
 
-@dataclass(frozen=True)
-class DownloadStats:
-    package: str
-    window: str
-    count: int | None
-    source: str
-
-
 class DomainStatusProvider(Protocol):
     def check(self, domain: str) -> DomainStatus: ...
 
@@ -239,9 +231,6 @@ class FixtureDownloadsProvider:
     def downloads(self, package: str) -> int | None:
         return self._counts.get(package)
 
-    def __len__(self) -> int:
-        return len(self._counts)
-
     @property
     def has_data(self) -> bool:
         return bool(self._counts)
@@ -252,9 +241,6 @@ class EmptyDownloadsProvider:
 
     warnings = 0
     has_data = False
-
-    def __len__(self) -> int:
-        return 0
 
     def downloads(self, package: str) -> int | None:
         return None
@@ -308,9 +294,6 @@ class LiveDownloadsProvider:
             self.warnings += 1
         return None
 
-    def fetch_stats(self, package: str) -> DownloadStats:
-        return DownloadStats(package=package, window=self._window, count=self.downloads(package), source="live")
-
     def fetch_many(self, packages: list[str], concurrency: int = 4) -> dict[str, int | None]:
         """Fetch counts for many packages with bounded in-flight requests.
 
@@ -332,12 +315,9 @@ class PrefetchedDownloads:
         self._counts = dict(counts)
         self.warnings = warnings
 
-    def __len__(self) -> int:
-        return sum(1 for v in self._counts.values() if v is not None)
-
     @property
     def has_data(self) -> bool:
-        return len(self) > 0
+        return any(count is not None for count in self._counts.values())
 
     def downloads(self, package: str) -> int | None:
         return self._counts.get(package)

@@ -1,10 +1,9 @@
 """Reverse indexes and popularity metrics.
 
 Builds the two indexes the analyzers share (package -> direct dependents,
-maintainer identity -> owned packages) and computes the popularity metrics:
-package reach (direct dependents + 12-month downloads) and maintainer reach
-(unique dependents across a maintainer's packages). Transitive dependents
-are out of scope; edges are name-level.
+maintainer identity -> owned packages), computes maintainer reach (unique
+dependents across a maintainer's packages) and ranks subjects by score.
+Transitive dependents are out of scope; edges are name-level.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import math
 from collections.abc import Set
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import EmptyInputError, UnknownMaintainerError
 from .ingest import Corpus
@@ -31,14 +30,6 @@ class MaintainerInfo:
 
 
 MaintainerIndex = dict[str, MaintainerInfo]
-
-
-@dataclass(frozen=True)
-class ReachMetrics:
-    subject: str
-    direct_dependents: int
-    downloads_12mo: int | None
-    maintainer_reach: int | None = None
 
 
 def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime",)) -> DependentsIndex:
@@ -101,34 +92,11 @@ def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     }
 
 
-def package_reach(
-    name: str,
-    index: DependentsIndex,
-    downloads: Callable[[str], int | None] | None = None,
-) -> ReachMetrics:
-    """Direct dependents plus 12-month downloads for one package.
-
-    Downloads come back as None (unknown, not zero) when the provider has
-    no data or fails.
-    """
-    count = len(index.get(name, ()))
-    dl: int | None = None
-    if downloads is not None:
-        dl = downloads(name)
-    return ReachMetrics(subject=name, direct_dependents=count, downloads_12mo=dl)
-
-
-def maintainer_reach(
-    key: str,
-    mindex: MaintainerIndex,
-    dindex: DependentsIndex,
-    exclude_own: bool = False,
-) -> int:
+def maintainer_reach(key: str, mindex: MaintainerIndex, dindex: DependentsIndex) -> int:
     """Unique dependents across all packages a maintainer owns.
 
-    By default dependents that happen to be the maintainer's own packages
-    are counted too (the literal reading of "unique dependents");
-    ``exclude_own`` drops them.
+    Dependents that happen to be the maintainer's own packages are counted
+    too (the literal reading of "unique dependents").
     """
     info = mindex.get(key)
     if info is None:
@@ -136,8 +104,6 @@ def maintainer_reach(
     union: set[str] = set()
     for pkg in info.owned_packages:
         union.update(dindex.get(pkg, ()))
-    if exclude_own:
-        union -= info.owned_packages
     return len(union)
 
 

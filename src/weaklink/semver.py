@@ -51,7 +51,3 @@ def max_version(versions: list[str]) -> str:
     if not versions:
         raise ValueError("max_version over empty list")
     return max(versions, key=sort_key)
-
-
-def is_valid(version: str) -> bool:
-    return _SEMVER_RE.match(version.strip()) is not None

@@ -3,9 +3,17 @@
 Each analyzer is a pure function over an immutable corpus plus shared
 indexes: same inputs give the same findings. Analyzers do not sort their
 findings (W2 and W3 still come out in sort-key order, because records are
-in name order); the pipeline sorts all findings once by
-``WeakLinkFinding.sort_key``. Thresholds are never hard-coded; everything
-tunable lives in ``AnalyzerConfig``.
+in name order); the pipeline sorts all findings once with
+``sort_findings``. Thresholds are never hard-coded; everything tunable
+lives in ``AnalyzerConfig``.
+
+Evidence is typed: counts are ``int``, shares, averages and ratios are
+unrounded ``float``, timestamps are the record's or the maintainer index's
+own ``datetime``, flags are ``bool`` and script keys a tuple. Only
+``WeakLinkFinding.to_dict`` and the sort tie-break turn it into strings,
+through ``EVIDENCE_FORMATS``: integers as decimal strings, shares and the
+average to 4 decimals, the W5 ratio to 6. Code that decides from evidence
+(the attack pipelines) reads the unrounded values.
 
 Signals:
   W1  maintainer email domain available for registration (account takeover)
@@ -20,10 +28,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable
 
 from .exclusions import DEFAULT_LICENSE_DENYLIST
 from .ingest import Corpus, extract_email_domain, format_timestamp, parse_timestamp
@@ -50,17 +60,6 @@ DEFAULT_SUSPICIOUS_TOKENS = (
     "/dev/tcp",
 )
 
-SIGNALS = (
-    "W1",
-    "W2",
-    "W3_inactive_pkg",
-    "W3_inactive_maintainer",
-    "W3_deprecated",
-    "W4",
-    "W5",
-    "W6",
-)
-
 # Fixed per-signal evidence schemas; findings with unknown keys are rejected.
 EVIDENCE_SCHEMAS: dict[str, frozenset[str]] = {
     "W1": frozenset({"domain", "maintainer_key"}),
@@ -71,6 +70,36 @@ EVIDENCE_SCHEMAS: dict[str, frozenset[str]] = {
     "W4": frozenset({"maintainer_count", "registry_avg"}),
     "W5": frozenset({"maintainers", "contributors", "ratio"}),
     "W6": frozenset({"owned_count", "reach", "inactive_owned_share", "dependency_using_share", "maintainer_key"}),
+}
+
+
+def _flag(value: bool | str) -> str:
+    # A deprecation message is written as is; a bare flag as JSON spells it.
+    if isinstance(value, str):
+        return value
+    return "true" if value else "false"
+
+
+# How the writer spells each evidence key. A key means the same thing in
+# every signal that carries it, so one table serves all of them.
+EVIDENCE_FORMATS: dict[str, Callable[[object], str]] = {
+    "domain": str,
+    "maintainer_key": str,
+    "script_key": ",".join,
+    "has_suspicious_tokens": _flag,
+    "deprecated": _flag,
+    "last_modified": format_timestamp,
+    "latest_maintainer_activity": format_timestamp,
+    "age_days": str,
+    "maintainer_count": str,
+    "maintainers": str,
+    "contributors": str,
+    "owned_count": str,
+    "reach": str,
+    "registry_avg": "{:.4f}".format,
+    "inactive_owned_share": "{:.4f}".format,
+    "dependency_using_share": "{:.4f}".format,
+    "ratio": "{:.6f}".format,
 }
 
 
@@ -144,7 +173,7 @@ class WeakLinkFinding:
     subject_kind: str  # "package" | "maintainer"
     subject_id: str
     signal: str
-    evidence: dict[str, str]
+    evidence: dict[str, object]  # typed values; see EVIDENCE_FORMATS
     observed_at: datetime
 
     def __post_init__(self):
@@ -156,20 +185,38 @@ class WeakLinkFinding:
         if self.subject_kind not in ("package", "maintainer"):
             raise ValueError(f"bad subject_kind: {self.subject_kind}")
 
+    def written_evidence(self) -> dict[str, str]:
+        """The evidence as the report spells it, in key order."""
+        return {key: EVIDENCE_FORMATS[key](value) for key, value in sorted(self.evidence.items())}
+
     def to_dict(self) -> dict:
         return {
             "subject_kind": self.subject_kind,
             "subject_id": self.subject_id,
             "signal": self.signal,
-            "evidence": dict(sorted(self.evidence.items())),
+            "evidence": self.written_evidence(),
             "observed_at": format_timestamp(self.observed_at),
         }
 
     def sort_key(self) -> tuple:
-        # The tie-break is the serialized evidence: a tuple of the typed
-        # values would order escaped characters (below '"', non-ASCII)
-        # differently and change the report bytes.
-        return (self.signal, self.subject_id, canonical_json(self.evidence))
+        # The tie-break is the serialized written evidence: a tuple of the
+        # typed values would order escaped characters (below '"',
+        # non-ASCII) differently and change the report bytes.
+        return (self.signal, self.subject_id, canonical_json(self.written_evidence()))
+
+
+def sort_findings(findings: list[WeakLinkFinding]) -> None:
+    """Sort in place by ``WeakLinkFinding.sort_key``.
+
+    Only findings that tie on (signal, subject_id) reach the evidence
+    tie-break, so only they have their evidence formatted here; the others
+    are formatted once, by the writer.
+    """
+    subject = attrgetter("signal", "subject_id")
+    tied = {key for key, count in Counter(map(subject, findings)).items() if count > 1}
+    # An untied finding's 2-tuple never meets a 3-tuple with the same
+    # (signal, subject_id), so the mixed key lengths order correctly.
+    findings.sort(key=lambda f: f.sort_key() if subject(f) in tied else subject(f))
 
 
 # --- script pattern classification -----------------------------------------
@@ -225,7 +272,7 @@ _RUN_LOCAL_RE = re.compile(r"(?:^|&&|\|\||[;&])\s*(?:\./\S+|(?:ba)?sh\s+\S+|node
 _RM_RF_RE = re.compile(r"(?<![\w-])rm\s+(?P<flags>(?:-{1,2}[A-Za-z]+\s+)+)(?P<target>[^\s;&|]+)")
 
 
-def classify_script(body: str, cfg: AnalyzerConfig | None = None) -> ScriptPattern:
+def classify_script(body: str) -> ScriptPattern:
     """Rule-based classification of a lifecycle script body.
 
     Rules are evaluated in severity order and the first satisfied rule
@@ -360,7 +407,7 @@ def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
                 subject_kind="package",
                 subject_id=rec.name,
                 signal="W2",
-                evidence={"script_key": ",".join(keys), "has_suspicious_tokens": "true" if has_tokens else "false"},
+                evidence={"script_key": tuple(keys), "has_suspicious_tokens": has_tokens},
                 observed_at=cfg.reference_time,
             )
         )
@@ -387,14 +434,13 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
     for rec in corpus.records:
         if not is_inactive(rec.last_modified, cfg):
             continue
-        last_modified = format_timestamp(rec.last_modified)
         age = (cfg.reference_time - rec.last_modified).days
         inactive_pkg.append(
             WeakLinkFinding(
                 subject_kind="package",
                 subject_id=rec.name,
                 signal="W3_inactive_pkg",
-                evidence={"last_modified": last_modified, "age_days": str(age)},
+                evidence={"last_modified": rec.last_modified, "age_days": age},
                 observed_at=cfg.reference_time,
             )
         )
@@ -406,21 +452,20 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                     subject_id=rec.name,
                     signal="W3_inactive_maintainer",
                     evidence={
-                        "last_modified": last_modified,
-                        "maintainer_count": str(len(rec.maintainers)),
-                        "latest_maintainer_activity": format_timestamp(max(mindex[k].last_activity for k in keys)),
+                        "last_modified": rec.last_modified,
+                        "maintainer_count": len(rec.maintainers),
+                        "latest_maintainer_activity": max(mindex[k].last_activity for k in keys),
                     },
                     observed_at=cfg.reference_time,
                 )
             )
         if is_deprecated_latest(rec):
-            message = rec.deprecated if isinstance(rec.deprecated, str) else "true"
             deprecated.append(
                 WeakLinkFinding(
                     subject_kind="package",
                     subject_id=rec.name,
                     signal="W3_deprecated",
-                    evidence={"deprecated": message, "last_modified": last_modified},
+                    evidence={"deprecated": rec.deprecated, "last_modified": rec.last_modified},
                     observed_at=cfg.reference_time,
                 )
             )
@@ -446,16 +491,15 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     registry_avg = mean_maintainers(corpus)
     scored = [(rec.name, len(rec.maintainers)) for rec in population]
     flagged = top_percent(scored, cfg.top_percent)
-    by_name = corpus.by_name
     findings = [
         WeakLinkFinding(
             subject_kind="package",
             subject_id=name,
             signal="W4",
-            evidence={"maintainer_count": str(len(by_name[name].maintainers)), "registry_avg": f"{registry_avg:.4f}"},
+            evidence={"maintainer_count": count, "registry_avg": registry_avg},
             observed_at=cfg.reference_time,
         )
-        for name, _count in flagged
+        for name, count in flagged
     ]
     return findings
 
@@ -476,16 +520,15 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     findings = []
     for name, _neg_ratio in flagged:
         rec = by_name[name]
-        ratio = len(rec.maintainers) / len(rec.contributors)
         findings.append(
             WeakLinkFinding(
                 subject_kind="package",
                 subject_id=name,
                 signal="W5",
                 evidence={
-                    "maintainers": str(len(rec.maintainers)),
-                    "contributors": str(len(rec.contributors)),
-                    "ratio": f"{ratio:.6f}",
+                    "maintainers": len(rec.maintainers),
+                    "contributors": len(rec.contributors),
+                    "ratio": len(rec.maintainers) / len(rec.contributors),
                 },
                 observed_at=cfg.reference_time,
             )
@@ -517,10 +560,10 @@ def analyze_w6(
         inactive_owned = sum(1 for pkg in owned if is_inactive(by_name[pkg].last_modified, cfg))
         with_deps = sum(1 for pkg in owned if by_name[pkg].dependencies)
         evidence = {
-            "owned_count": str(len(owned)),
-            "reach": str(reach),
-            "inactive_owned_share": f"{inactive_owned / len(owned):.4f}",
-            "dependency_using_share": f"{with_deps / len(owned):.4f}",
+            "owned_count": len(owned),
+            "reach": reach,
+            "inactive_owned_share": inactive_owned / len(owned),
+            "dependency_using_share": with_deps / len(owned),
             "maintainer_key": key,
         }
         findings.append(

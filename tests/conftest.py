@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from weaklink.ingest import Corpus, IngestStats, PackageRecord, PersonRef
+from weaklink.ingest import SECURITY_HOLDING_PHRASE, Corpus, IngestStats, PackageRecord, PersonRef
 
 REF = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -35,8 +35,11 @@ def make_record(
     license_value: str | None = "MIT",
     description: str | None = None,
     deprecated: object = None,
-    security_holding: bool = False,
+    security_holding: bool | None = None,
 ) -> PackageRecord:
+    if security_holding is None:
+        # As ingest marks it from the description.
+        security_holding = bool(description and SECURITY_HOLDING_PHRASE in description.lower())
     return PackageRecord(
         package_id=f"{name}@{version}",
         name=name,

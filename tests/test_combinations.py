@@ -270,6 +270,35 @@ def test_attack_pipeline_empty_without_w1():
     assert report.hijackable == ()
 
 
+@pytest.mark.parametrize(
+    "owned,inactive,takeover_rows",
+    [
+        # 20,000 / 20,001 is written "1.0000", but one package is active, so
+        # the portfolio is not wholly inactive.
+        (20_001, 20_000, 0),
+        (3, 3, 3),
+    ],
+)
+def test_takeover_needs_every_owned_package_inactive(owned, inactive, takeover_rows):
+    hoarder = person(email="hoard@busy.example")
+    records = [
+        make_record(f"p{i:05d}", maintainers=(hoarder,), last_modified=REF - timedelta(days=900 if i < inactive else 0))
+        for i in range(owned)
+    ]
+    records.append(make_record("anchor", last_modified=REF))
+    corpus = make_corpus(records)
+    cfg = AnalyzerConfig().resolved(corpus)
+    dindex = build_dependents_index(corpus)
+    findings = analyze_w6(corpus, build_maintainer_index(corpus), dindex, cfg)
+    maint = [f for f in findings if f.subject_kind == "maintainer"]
+    assert [f.subject_id for f in maint] == ["hoard@busy.example"]
+    assert maint[0].to_dict()["evidence"]["inactive_owned_share"] == "1.0000"
+
+    report = attack_candidates(corpus, findings, dindex, EmptyDownloadsProvider())
+    assert len(report.takeover_candidates) == takeover_rows
+    assert all(row.reach == 0 for row in report.takeover_candidates)
+
+
 # --- combination_table -----------------------------------------------------------------
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from weaklink.exclusions import (
@@ -11,6 +13,7 @@ from weaklink.exclusions import (
     is_security_holding,
     lacks_repo_and_license,
 )
+from weaklink.ingest import parse_document, select_latest
 from weaklink.reach import build_dependents_index
 
 from conftest import make_corpus, make_record, random_corpus
@@ -31,14 +34,25 @@ PHRASE_TABLE = [
 ]
 
 
+def ingested(description: str | None = None, latest: str = "1.0.0"):
+    """The record ingest makes of a one-version document."""
+    t0 = "2024-01-01T00:00:00.000Z"
+    tree = {"name": "x", "dist-tags": {"latest": latest}, "versions": {latest: {}}, "time": {"created": t0, "modified": t0}}
+    if description is not None:
+        tree["description"] = description
+    return select_latest(parse_document(json.dumps(tree).encode()))
+
+
 @pytest.mark.parametrize("description,expected", PHRASE_TABLE)
 def test_security_holding_phrase_rule(description, expected):
-    rec = make_record("x", description=description or None)
+    rec = ingested(description=description)
+    assert rec.security_holding is expected
     assert is_security_holding(rec) is expected
 
 
 def test_security_holding_placeholder_flag():
     assert is_security_holding(make_record("x", security_holding=True)) is True
+    assert is_security_holding(ingested(latest="0.0.1-security")) is True
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from weaklink.errors import NoVersionsError, ParseError
 from weaklink.ingest import (
     detect_layout,
     extract_email_domain,
+    format_timestamp,
     load_corpus,
     parse_document,
     parse_person,
@@ -215,6 +216,17 @@ def test_security_holding_marker_from_placeholder_dist_tag():
     }
     rec = select_latest(parse_document(doc_bytes(tree)))
     assert rec.security_holding is True
+
+
+@given(
+    st.datetimes(
+        min_value=datetime(2, 1, 1),
+        max_value=datetime(9998, 12, 31),
+        timezones=st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23))),
+    )
+)
+def test_format_timestamp_matches_strftime(dt):
+    assert format_timestamp(dt) == dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
 # --- extract_email_domain -----------------------------------------------------

@@ -15,7 +15,6 @@ from weaklink.reach import (
     build_dependents_index,
     build_maintainer_index,
     maintainer_reach,
-    package_reach,
     top_n,
     top_percent,
     without_packages,
@@ -182,7 +181,7 @@ def test_reach_unique_union():
     assert maintainer_reach("m@x.io", mindex, dindex) == 1
 
 
-def test_reach_exclude_own_flag():
+def test_reach_counts_own_dependents():
     m = person(email="m@x.io")
     corpus = make_corpus(
         [
@@ -194,7 +193,6 @@ def test_reach_exclude_own_flag():
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
     assert maintainer_reach("m@x.io", mindex, dindex) == 2
-    assert maintainer_reach("m@x.io", mindex, dindex, exclude_own=True) == 1
 
 
 def test_unknown_maintainer_raises():
@@ -232,16 +230,6 @@ def test_maintainer_last_activity_is_max():
     )
     mindex = build_maintainer_index(corpus)
     assert mindex["m@x.io"].last_activity == REF
-
-
-def test_package_reach_unknown_downloads():
-    corpus = make_corpus([make_record("a")])
-    index = build_dependents_index(corpus)
-    metrics = package_reach("a", index, downloads=lambda name: None)
-    assert metrics.direct_dependents == 0
-    assert metrics.downloads_12mo is None
-    metrics = package_reach("a", index, downloads=lambda name: 53_000)
-    assert metrics.downloads_12mo == 53_000
 
 
 # --- top_percent / top_n ------------------------------------------------------

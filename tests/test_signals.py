@@ -9,6 +9,7 @@ import pytest
 from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_REGISTERED, STATUS_UNKNOWN
 from weaklink.reach import build_dependents_index, build_maintainer_index
 from weaklink.signals import (
+    EVIDENCE_SCHEMAS,
     AnalyzerConfig,
     WeakLinkFinding,
     analyze_w1,
@@ -18,6 +19,7 @@ from weaklink.signals import (
     analyze_w5,
     analyze_w6,
     mean_maintainers,
+    sort_findings,
 )
 
 from conftest import REF, make_corpus, make_record, person
@@ -105,8 +107,9 @@ def test_w2_flags_install_keys_only():
     )
     cfg = cfg_for(corpus)
     findings = analyze_w2(corpus, cfg)
-    assert {f.subject_id: f.evidence["script_key"] for f in findings} == {"a": "postinstall", "c": "PreInstall"}
-    assert all(f.evidence["has_suspicious_tokens"] == "false" for f in findings)
+    assert {f.subject_id: f.evidence["script_key"] for f in findings} == {"a": ("postinstall",), "c": ("PreInstall",)}
+    assert all(f.evidence["has_suspicious_tokens"] is False for f in findings)
+    assert findings[0].to_dict()["evidence"] == {"has_suspicious_tokens": "false", "script_key": "postinstall"}
 
 
 def test_w2_token_scan_enriches_but_does_not_gate():
@@ -119,7 +122,8 @@ def test_w2_token_scan_enriches_but_does_not_gate():
     cfg = cfg_for(corpus)
     findings = analyze_w2(corpus, cfg)
     assert [f.subject_id for f in findings] == ["bad"]
-    assert findings[0].evidence["has_suspicious_tokens"] == "true"
+    assert findings[0].evidence["has_suspicious_tokens"] is True
+    assert findings[0].to_dict()["evidence"]["has_suspicious_tokens"] == "true"
 
 
 # --- W3 ------------------------------------------------------------------
@@ -238,9 +242,10 @@ def test_w4_flags_extreme_maintainer_count():
     cfg = cfg_for(corpus)
     findings = analyze_w4(corpus, cfg)
     assert [f.subject_id for f in findings] == ["crowded"]
-    assert findings[0].evidence["maintainer_count"] == "30"
+    assert findings[0].evidence["maintainer_count"] == 30
     expected_avg = (30 + 99) / 100
-    assert findings[0].evidence["registry_avg"] == f"{expected_avg:.4f}"
+    assert findings[0].evidence["registry_avg"] == expected_avg
+    assert findings[0].to_dict()["evidence"] == {"maintainer_count": "30", "registry_avg": f"{expected_avg:.4f}"}
     assert abs(mean_maintainers(corpus) - expected_avg) < 1e-12
 
 
@@ -276,8 +281,8 @@ def test_w5_low_ratio_flagged():
     cfg = cfg_for(corpus)
     findings = analyze_w5(corpus, cfg)
     assert [f.subject_id for f in findings] == ["imbalanced"]
-    assert findings[0].evidence.items() >= {"maintainers": "1", "contributors": "40"}.items()
-    assert findings[0].evidence["ratio"] == f"{1 / 40:.6f}"
+    assert findings[0].evidence == {"maintainers": 1, "contributors": 40, "ratio": 1 / 40}
+    assert findings[0].to_dict()["evidence"] == {"maintainers": "1", "contributors": "40", "ratio": f"{1 / 40:.6f}"}
 
 
 def test_w5_zero_contributor_packages_excluded():
@@ -322,10 +327,17 @@ def test_w6_flags_top_reach_and_evidence_shares():
     maint = [f for f in findings if f.subject_kind == "maintainer"]
     assert [f.subject_id for f in maint] == ["big@owner.example"]
     evidence = maint[0].evidence
-    assert evidence["owned_count"] == "5"
-    assert evidence["reach"] == "30"
-    assert evidence["inactive_owned_share"] == "0.6000"
-    assert evidence["dependency_using_share"] == "0.6000"
+    assert evidence["owned_count"] == 5
+    assert evidence["reach"] == 30
+    assert evidence["inactive_owned_share"] == 3 / 5
+    assert evidence["dependency_using_share"] == 3 / 5
+    assert maint[0].to_dict()["evidence"] == {
+        "owned_count": "5",
+        "reach": "30",
+        "inactive_owned_share": "0.6000",
+        "dependency_using_share": "0.6000",
+        "maintainer_key": "big@owner.example",
+    }
     pkg_findings = [f for f in findings if f.subject_kind == "package"]
     assert sorted(f.subject_id for f in pkg_findings) == [f"owned{i}" for i in range(5)]
 
@@ -355,6 +367,41 @@ def test_findings_reject_unknown_evidence_keys():
         WeakLinkFinding(subject_kind="package", subject_id="x", signal="W9", evidence={}, observed_at=REF)
 
 
+def test_written_evidence_is_strings_for_every_signal():
+    stale = person(email="stale@gone.example")
+    crowd = tuple(person(email=f"c{j}@crowd.example") for j in range(3))
+    helpers = tuple(person(email=f"h{j}@crowd.example") for j in range(5))
+    old = REF - timedelta(days=900)
+    corpus = make_corpus(
+        [
+            make_record("flagged", maintainers=(stale,), contributors=helpers, deprecated=True, last_modified=old,
+                        scripts={"install": "node x.js", "preinstall": "curl x"}),
+            make_record("message", maintainers=(stale,), deprecated="use y", last_modified=old,
+                        dependencies={"flagged": "*"}),
+            make_record("fresh", maintainers=crowd, contributors=helpers[:2], dependencies={"message": "*"}),
+        ]
+    )
+    cfg = cfg_for(corpus, top_percent=50.0)
+    mindex = build_maintainer_index(corpus)
+    dindex = build_dependents_index(corpus)
+    findings, _ = analyze_w1(corpus, mindex, MapDomainProvider({"gone.example": STATUS_AVAILABLE}), cfg)
+    findings += analyze_w2(corpus, cfg) + analyze_w3(corpus, mindex, cfg) + analyze_w4(corpus, cfg)
+    findings += analyze_w5(corpus, cfg) + analyze_w6(corpus, mindex, dindex, cfg)
+    assert {f.signal for f in findings} == set(EVIDENCE_SCHEMAS)
+    for f in findings:
+        written = f.to_dict()["evidence"]
+        assert set(written) == EVIDENCE_SCHEMAS[f.signal]
+        assert all(isinstance(value, str) for value in written.values()), written
+    deprecated = {f.subject_id: f.to_dict()["evidence"] for f in findings if f.signal == "W3_deprecated"}
+    assert deprecated == {
+        "flagged": {"deprecated": "true", "last_modified": "2021-11-27T12:00:00.000Z"},
+        "message": {"deprecated": "use y", "last_modified": "2021-11-27T12:00:00.000Z"},
+    }
+    w2 = next(f for f in findings if f.signal == "W2")
+    assert w2.evidence == {"script_key": ("install", "preinstall"), "has_suspicious_tokens": True}
+    assert w2.to_dict()["evidence"] == {"has_suspicious_tokens": "true", "script_key": "install,preinstall"}
+
+
 def test_analyzers_pure_and_sorted():
     corpus = _w6_corpus()
     cfg = cfg_for(corpus, top_percent=10.0)
@@ -367,6 +414,22 @@ def test_analyzers_pure_and_sorted():
     assert runs[0] == runs[1]
     w3 = analyze_w3(corpus, mindex, cfg)
     assert [f.sort_key() for f in w3] == sorted(f.sort_key() for f in w3)
+
+
+def test_sort_findings_breaks_ties_by_written_evidence():
+    def w1(pkg, key):
+        return WeakLinkFinding("package", pkg, "W1", {"domain": "d.io", "maintainer_key": key}, REF)
+
+    def w4(pkg, count):
+        return WeakLinkFinding("package", pkg, "W4", {"maintainer_count": count, "registry_avg": 1.5}, REF)
+
+    # '"' sorts before '#' as a character but after it once JSON escapes it;
+    # 9 sorts after 10 as a written string.
+    findings = [w4("p", 9), w1("b", "a#x@d.io"), w1("a", "z@d.io"), w4("p", 10), w1("b", 'a"x@d.io'), w4("q", 1)]
+    expected = sorted(findings, key=WeakLinkFinding.sort_key)
+    sort_findings(findings)
+    assert findings == expected
+    assert findings == [w1("a", "z@d.io"), w1("b", "a#x@d.io"), w1("b", 'a"x@d.io'), w4("p", 10), w4("p", 9), w4("q", 1)]
 
 
 def test_reference_time_defaults_to_corpus_max():
