@@ -8,10 +8,11 @@ class ScannerError(Exception):
 
 
 class ParseError(ScannerError):
-    """A registry document could not be turned into a RegistryDocument.
+    """A registry document could not be turned into a PackageRecord.
 
-    ``reason`` is one of "malformed" (unparseable bytes, or a dist-tags
-    "latest" pointing at a missing version) or "no_name".
+    ``reason`` is one of "malformed" (unparseable bytes, a dist-tags
+    "latest" pointing at a missing version, or no usable timestamp) or
+    "no_name".
     """
 
     def __init__(self, reason: str, message: str = ""):

@@ -38,7 +38,7 @@ class ExclusionVerdict:
 
 
 def is_security_holding(rec: PackageRecord) -> bool:
-    """True for registry placeholders replacing removed malware, as ``select_latest`` marks them."""
+    """True for registry placeholders replacing removed malware, as ``parse_record`` marks them."""
     return rec.security_holding
 
 

@@ -1,8 +1,8 @@
 """Registry snapshot ingestion.
 
-Parses npm-style registry documents (one JSON tree per package), selects the
-latest version of each, and normalizes the result into immutable
-``PackageRecord`` values. Three snapshot layouts are supported:
+Normalizes npm-style registry documents (one JSON tree per package) into
+immutable ``PackageRecord`` values, each holding the latest version's
+metadata that the analyzers read. Three snapshot layouts are supported:
 
   bulk    one JSON object in the registry bulk-export shape
           ``{"rows": [{"doc": {...}}, ...]}``
@@ -40,18 +40,20 @@ _PLACEHOLDER_VERSION_RE = re.compile(r"security", re.IGNORECASE)
 
 _PERSON_STRING_RE = re.compile(r"^(?P<name>[^<(]*)(?:<(?P<email>[^>]*)>)?\s*(?:\([^)]*\))?\s*$")
 
-DEP_KINDS = ("runtime", "dev", "peer", "optional")
-
-_DEP_FIELD_BY_KIND = {
+# The record field that holds the names of each dependency kind.
+DEPENDENCY_FIELDS = {
     "runtime": "dependencies",
-    "dev": "devDependencies",
-    "peer": "peerDependencies",
-    "optional": "optionalDependencies",
+    "dev": "dev_dependencies",
+    "peer": "peer_dependencies",
+    "optional": "optional_dependencies",
 }
 
 
-def parse_timestamp(value: str) -> datetime | None:
-    """Parse an ISO-8601 timestamp into an aware UTC datetime, or None."""
+def parse_timestamp(value: object) -> datetime | None:
+    """Parse an ISO-8601 timestamp into an aware UTC datetime, or None.
+
+    None also for a time whose UTC date falls outside years 1 to 9999.
+    """
     if not isinstance(value, str):
         return None
     text = value.strip()
@@ -59,11 +61,11 @@ def parse_timestamp(value: str) -> datetime | None:
         text = text[:-1] + "+00:00"
     try:
         dt = datetime.fromisoformat(text)
-    except ValueError:
+        if dt.tzinfo is None:
+            return dt.replace(tzinfo=timezone.utc)
+        return dt.astimezone(timezone.utc)
+    except (ValueError, OverflowError):
         return None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
 
 
 def format_timestamp(dt: datetime) -> str:
@@ -141,9 +143,8 @@ def parse_person(entry: object) -> PersonRef | None:
     return None
 
 
-# Every record without scripts or dependencies of a kind holds this one
-# dict, so no reader may write to a record's maps: a write to it would
-# reach all of those records.
+# Every record without scripts holds this one dict, so no reader may write
+# to a record's scripts: a write to it would reach all of those records.
 _EMPTY_MAP: dict[str, str] = {}
 
 
@@ -151,9 +152,8 @@ class _Leaves:
     """Leaf values shared by the records of one load.
 
     Registry documents repeat the same maintainers, versions, licenses,
-    dependency names and ranges and script names across packages; each
-    distinct one is kept once. A ``PersonRef`` is frozen, so records can
-    share it.
+    dependency names and script names across packages; each distinct one is
+    kept once. A ``PersonRef`` is frozen, so records can share it.
     """
 
     def __init__(self) -> None:
@@ -180,21 +180,6 @@ class _Leaves:
 
 
 @dataclass(frozen=True, slots=True)
-class RegistryDocument:
-    """Raw parsed tree of one package's registry document."""
-
-    name: str
-    dist_tags: dict[str, str]
-    versions: dict[str, dict]
-    time: dict[str, str]
-    description: str | None
-    maintainers: object
-    contributors: object
-    repository: object
-    license: object
-
-
-@dataclass(frozen=True, slots=True)
 class PackageRecord:
     """Normalized latest-version metadata of one package.
 
@@ -202,39 +187,32 @@ class PackageRecord:
     names keep their leading "@" because the version is appended with the
     final "@". ``security_holding`` records whether the document matched the
     registry's placeholder markers (description phrase or synthetic
-    "-security" dist-tag) at ingest time.
+    "-security" dist-tag) at ingest time. Dependencies are the names each
+    kind declares, in document order.
     """
 
     package_id: str
     name: str
     version: str
     last_modified: datetime
-    created: datetime
     scripts: dict[str, str]
     maintainers: tuple[PersonRef, ...]
-    contributors: tuple[PersonRef, ...]
-    dependencies: dict[str, str]
-    dev_dependencies: dict[str, str]
-    peer_dependencies: dict[str, str]
-    optional_dependencies: dict[str, str]
+    contributor_count: int
+    dependencies: tuple[str, ...]
+    dev_dependencies: tuple[str, ...]
+    peer_dependencies: tuple[str, ...]
+    optional_dependencies: tuple[str, ...]
     repository_present: bool
     license_value: str | None
-    description: str | None
     deprecated: object  # None, bool, or message string as given
     security_holding: bool
-    unpacked_size_bytes: int | None
-    file_count: int | None
 
-    def dependency_map(self, kind: str) -> dict[str, str]:
-        if kind == "runtime":
-            return self.dependencies
-        if kind == "dev":
-            return self.dev_dependencies
-        if kind == "peer":
-            return self.peer_dependencies
-        if kind == "optional":
-            return self.optional_dependencies
-        raise ValueError(f"unknown dependency kind: {kind}")
+    def dependency_names(self, kind: str) -> tuple[str, ...]:
+        try:
+            field = DEPENDENCY_FIELDS[kind]
+        except KeyError:
+            raise ValueError(f"unknown dependency kind: {kind}") from None
+        return getattr(self, field)
 
 
 @dataclass(frozen=True)
@@ -274,64 +252,6 @@ class Corpus:
 
     def replace_records(self, records: Iterable[PackageRecord]) -> "Corpus":
         return Corpus(records=tuple(sorted(records, key=lambda r: r.name)), stats=self.stats, digest=self.digest)
-
-
-def parse_document(data: bytes | str) -> RegistryDocument:
-    """Parse one registry document; raises ParseError on malformed input."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError("malformed", f"not UTF-8: {exc}") from exc
-    try:
-        tree = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError("malformed", f"not JSON: {exc}") from exc
-    return document_from_tree(tree)
-
-
-def document_from_tree(tree: object) -> RegistryDocument:
-    if not isinstance(tree, dict):
-        raise ParseError("malformed", "document is not a JSON object")
-    name = tree.get("name")
-    if not isinstance(name, str) or not name.strip():
-        raise ParseError("no_name", "missing or empty name")
-    name = name.strip()
-
-    dist_tags_raw = tree.get("dist-tags")
-    dist_tags: dict[str, str] = {}
-    if isinstance(dist_tags_raw, dict):
-        dist_tags = {k: v for k, v in dist_tags_raw.items() if isinstance(k, str) and isinstance(v, str)}
-
-    versions_raw = tree.get("versions")
-    versions: dict[str, dict] = {}
-    if isinstance(versions_raw, dict):
-        versions = {k: v for k, v in versions_raw.items() if isinstance(k, str) and isinstance(v, dict)}
-
-    latest = dist_tags.get("latest")
-    if latest is not None and latest not in versions:
-        raise ParseError("malformed", f"dist-tags latest {latest!r} not in versions")
-
-    time_raw = tree.get("time")
-    time_map: dict[str, str] = {}
-    if isinstance(time_raw, dict):
-        time_map = {k: v for k, v in time_raw.items() if isinstance(k, str) and isinstance(v, str)}
-
-    description = tree.get("description")
-    if not isinstance(description, str):
-        description = None
-
-    return RegistryDocument(
-        name=name,
-        dist_tags=dist_tags,
-        versions=versions,
-        time=time_map,
-        description=description,
-        maintainers=tree.get("maintainers"),
-        contributors=tree.get("contributors"),
-        repository=tree.get("repository"),
-        license=tree.get("license"),
-    )
 
 
 def _normalize_repository(raw: object) -> bool:
@@ -374,96 +294,105 @@ def _normalize_scripts(raw: object, strings: dict[str, str]) -> dict[str, str]:
     return scripts or _EMPTY_MAP
 
 
-def _normalize_deps(raw: object, strings: dict[str, str]) -> dict[str, str]:
-    if not isinstance(raw, dict):
-        return _EMPTY_MAP
+def _dependency_names(raw: object, strings: dict[str, str]) -> tuple[str, ...]:
+    if not raw or not isinstance(raw, dict):
+        return ()
     intern = strings.setdefault
-    deps = {intern(k, k): (intern(v, v) if isinstance(v, str) else "") for k, v in raw.items() if isinstance(k, str) and k}
-    return deps or _EMPTY_MAP
+    return tuple([intern(k, k) for k in raw if isinstance(k, str) and k])
 
 
-def _non_negative_int(value: object) -> int | None:
-    if isinstance(value, bool):
-        return None
-    if isinstance(value, int) and value >= 0:
-        return value
-    return None
+def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
+    """Normalize one registry document into the record of its latest version.
 
-
-def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> PackageRecord:
-    """Pick the document's latest version and normalize it into a record.
-
-    Prefers the "latest" dist-tag (the registry's own notion of latest),
-    falling back to the highest semver among version keys. ``leaves`` shares
-    equal people and strings with the other records of a load.
+    ``item`` is the document's bytes or text, or its decoded JSON tree. The
+    latest version is the "latest" dist-tag (the registry's own notion of
+    latest), or else the highest semver among the versions that are
+    objects. Raises ParseError for a malformed document and NoVersionsError
+    when no version is an object. ``leaves`` shares equal people and
+    strings with the other records of a load.
     """
+    if isinstance(item, (bytes, str)):
+        try:
+            text = item.decode("utf-8") if isinstance(item, bytes) else item
+        except UnicodeDecodeError as exc:
+            raise ParseError("malformed", f"not UTF-8: {exc}") from exc
+        try:
+            item = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError("malformed", f"not JSON: {exc}") from exc
+    if not isinstance(item, dict):
+        raise ParseError("malformed", "document is not a JSON object")
+    name = item.get("name")
+    if not isinstance(name, str) or not name.strip():
+        raise ParseError("no_name", "missing or empty name")
+    name = name.strip()
     if leaves is None:
         leaves = _Leaves()
-    if not doc.versions:
-        raise NoVersionsError(doc.name)
-    version = doc.dist_tags.get("latest")
-    if version is None:
-        version = semver.max_version(list(doc.versions.keys()))
-    vobj = doc.versions[version]
 
-    last_modified = parse_timestamp(doc.time.get("modified", ""))
-    created = parse_timestamp(doc.time.get("created", ""))
-    if last_modified is None or created is None:
-        version_times = [ts for key in doc.versions if (ts := parse_timestamp(doc.time.get(key, ""))) is not None]
-        if last_modified is None:
-            # Documents missing time["modified"] use the max per-version
-            # timestamp so every record has a defined last-modified.
-            last_modified = max(version_times) if version_times else None
-        if created is None:
-            created = min(version_times) if version_times else last_modified
+    versions = item.get("versions")
+    if not isinstance(versions, dict):
+        versions = {}
+    tags = item.get("dist-tags")
+    latest = tags.get("latest") if isinstance(tags, dict) else None
+    if isinstance(latest, str):
+        vobj = versions.get(latest)
+        if not isinstance(vobj, dict):
+            raise ParseError("malformed", f"dist-tags latest {latest!r} not in versions")
+        version = latest
+    else:
+        latest = None
+        candidates = [key for key, value in versions.items() if isinstance(value, dict)]
+        if not candidates:
+            raise NoVersionsError(name)
+        version = semver.max_version(candidates)
+        vobj = versions[version]
+
+    times = item.get("time")
+    if not isinstance(times, dict):
+        times = {}
+    last_modified = parse_timestamp(times.get("modified"))
     if last_modified is None:
-        raise ParseError("malformed", f"{doc.name}: no usable timestamp")
-    if created is None or created > last_modified:
-        created = last_modified
+        # Documents missing time["modified"] use the max per-version
+        # timestamp so every record has a defined last-modified.
+        version_times = [
+            ts
+            for key, value in versions.items()
+            if isinstance(value, dict) and (ts := parse_timestamp(times.get(key))) is not None
+        ]
+        if not version_times:
+            raise ParseError("malformed", f"{name}: no usable timestamp")
+        last_modified = max(version_times)
 
-    maintainers = leaves.people(vobj.get("maintainers")) or leaves.people(doc.maintainers)
-    contributors = leaves.people(vobj.get("contributors")) or leaves.people(doc.contributors)
-
-    repository = vobj.get("repository", doc.repository)
-    license_raw = vobj.get("license", doc.license)
-
+    maintainers = leaves.people(vobj.get("maintainers")) or leaves.people(item.get("maintainers"))
+    contributors = leaves.people(vobj.get("contributors")) or leaves.people(item.get("contributors"))
+    repository = vobj["repository"] if "repository" in vobj else item.get("repository")
+    license_value = _normalize_license(vobj["license"] if "license" in vobj else item.get("license"))
     deprecated = vobj.get("deprecated")
     if not isinstance(deprecated, (str, bool)):
         deprecated = None
-
-    description = doc.description
-    if not isinstance(description, str):
-        description = None
-
-    dist = vobj.get("dist") if isinstance(vobj.get("dist"), dict) else {}
-    license_value = _normalize_license(license_raw)
-    intern = leaves.strings.setdefault
-
+    description = item.get("description")
     holding = bool(
-        (description and SECURITY_HOLDING_PHRASE in description.lower())
-        or (doc.dist_tags.get("latest") and _PLACEHOLDER_VERSION_RE.search(doc.dist_tags["latest"]))
+        (isinstance(description, str) and SECURITY_HOLDING_PHRASE in description.lower())
+        or (latest and _PLACEHOLDER_VERSION_RE.search(latest))
     )
-
+    strings = leaves.strings
+    intern = strings.setdefault
     return PackageRecord(
-        package_id=f"{doc.name}@{version}",
-        name=doc.name,
+        package_id=f"{name}@{version}",
+        name=name,
         version=intern(version, version),
         last_modified=last_modified,
-        created=created,
-        scripts=_normalize_scripts(vobj.get("scripts"), leaves.strings),
+        scripts=_normalize_scripts(vobj.get("scripts"), strings),
         maintainers=maintainers,
-        contributors=contributors,
-        dependencies=_normalize_deps(vobj.get("dependencies"), leaves.strings),
-        dev_dependencies=_normalize_deps(vobj.get("devDependencies"), leaves.strings),
-        peer_dependencies=_normalize_deps(vobj.get("peerDependencies"), leaves.strings),
-        optional_dependencies=_normalize_deps(vobj.get("optionalDependencies"), leaves.strings),
+        contributor_count=len(contributors),
+        dependencies=_dependency_names(vobj.get("dependencies"), strings),
+        dev_dependencies=_dependency_names(vobj.get("devDependencies"), strings),
+        peer_dependencies=_dependency_names(vobj.get("peerDependencies"), strings),
+        optional_dependencies=_dependency_names(vobj.get("optionalDependencies"), strings),
         repository_present=_normalize_repository(repository),
         license_value=license_value if license_value is None else intern(license_value, license_value),
-        description=description,
         deprecated=deprecated,
         security_holding=holding,
-        unpacked_size_bytes=_non_negative_int(dist.get("unpackedSize")),
-        file_count=_non_negative_int(dist.get("fileCount")),
     )
 
 
@@ -748,6 +677,7 @@ class _BulkReader:
         run, ch = self.text.line_rest()
         if ch not in ("\n", ""):
             self._settle("bulk")  # more than one value on the first line
+            return
         self._doom_at_line_ws(run, "Extra data")
         self._settle("bulk" if is_bulk_tree else "ndjson")
 
@@ -873,9 +803,8 @@ def _ingest(items: Iterable[object], leaves: _Leaves) -> tuple[dict[str, Package
         total += 1
         try:
             # Anything already decoded (dict, list, null, scalar) is a tree;
-            # document_from_tree rejects every non-object as malformed.
-            doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
-            record = select_latest(doc, leaves)
+            # parse_record rejects every non-object as malformed.
+            record = parse_record(item, leaves)
         except ParseError as exc:
             reason = exc.reason
         except NoVersionsError:
@@ -928,32 +857,3 @@ def load_corpus(source: str | Path, layout: str | None = None) -> Corpus:
     ordered = tuple(records[name] for name in sorted(records))
     logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)
     return Corpus(records=ordered, stats=stats, digest=snapshot_digest(source, layout))
-
-
-def record_to_dict(rec: PackageRecord) -> dict:
-    """Canonical JSON-ready form of a record (stable field order via sort)."""
-
-    def person(p: PersonRef) -> dict:
-        return {"name": p.name, "email": p.email, "email_domain": p.email_domain, "identity_key": p.identity_key}
-
-    return {
-        "package_id": rec.package_id,
-        "name": rec.name,
-        "version": rec.version,
-        "created": format_timestamp(rec.created),
-        "last_modified": format_timestamp(rec.last_modified),
-        "scripts": dict(sorted(rec.scripts.items())),
-        "maintainers": [person(p) for p in rec.maintainers],
-        "contributors": [person(p) for p in rec.contributors],
-        "dependencies": dict(sorted(rec.dependencies.items())),
-        "dev_dependencies": dict(sorted(rec.dev_dependencies.items())),
-        "peer_dependencies": dict(sorted(rec.peer_dependencies.items())),
-        "optional_dependencies": dict(sorted(rec.optional_dependencies.items())),
-        "repository_present": rec.repository_present,
-        "license_value": rec.license_value,
-        "description": rec.description,
-        "deprecated": rec.deprecated,
-        "security_holding": rec.security_holding,
-        "unpacked_size_bytes": rec.unpacked_size_bytes,
-        "file_count": rec.file_count,
-    }

@@ -26,7 +26,7 @@ from .combinations import (
     popular_sample,
 )
 from .exclusions import ExclusionVerdict, apply_exclusions
-from .ingest import Corpus, load_corpus
+from .ingest import Corpus, format_timestamp, load_corpus
 from .providers import (
     CachingDomainProvider,
     EmptyDomainProvider,
@@ -222,7 +222,7 @@ def _build_summary(
     for f in findings:
         by_signal.setdefault(f.signal, []).append(f)
 
-    with_contrib = sum(1 for rec in filtered.records if rec.contributors)
+    with_contrib = sum(1 for rec in filtered.records if rec.contributor_count)
     with_maints = sum(1 for rec in filtered.records if rec.maintainers)
     maintainer_count = maintainer_stats.get("maintainers", 0)
 
@@ -322,8 +322,12 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     with open(paths["findings"], "w", encoding="utf-8") as fh:
         fh.write(canonical_json(findings_header()))
         fh.write("\n")
+        # Every finding of a scan is observed at the scan's reference time.
+        observed_at = format_timestamp(result.config.reference_time) if result.findings else None
         for finding in result.findings:
-            fh.write(canonical_json(finding.to_dict()))
+            line = finding.to_dict()
+            line["observed_at"] = observed_at
+            fh.write(canonical_json(line))
             fh.write("\n")
 
     paths["exclusions"] = out / "exclusions.jsonl"

@@ -46,7 +46,7 @@ def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime"
     index: DependentsIndex = dict.fromkeys((rec.name for rec in corpus.records), NO_DEPENDENTS)
     for rec in corpus.records:
         for kind in dep_kinds:
-            for dep_name in rec.dependency_map(kind):
+            for dep_name in rec.dependency_names(kind):
                 if dep_name == rec.name:
                     continue
                 deps = index.get(dep_name)

@@ -174,7 +174,6 @@ class WeakLinkFinding:
     subject_id: str
     signal: str
     evidence: dict[str, object]  # typed values; see EVIDENCE_FORMATS
-    observed_at: datetime
 
     def __post_init__(self):
         if self.signal not in EVIDENCE_SCHEMAS:
@@ -190,12 +189,12 @@ class WeakLinkFinding:
         return {key: EVIDENCE_FORMATS[key](value) for key, value in sorted(self.evidence.items())}
 
     def to_dict(self) -> dict:
+        """The report line, but for the scan's ``observed_at``, which the writer adds."""
         return {
             "subject_kind": self.subject_kind,
             "subject_id": self.subject_id,
             "signal": self.signal,
             "evidence": self.written_evidence(),
-            "observed_at": format_timestamp(self.observed_at),
         }
 
     def sort_key(self) -> tuple:
@@ -386,7 +385,6 @@ def analyze_w1(
                     subject_id=pkg,
                     signal="W1",
                     evidence={"domain": domain, "maintainer_key": key},
-                    observed_at=cfg.reference_time,
                 )
             )
     return findings, dict(sorted(histogram.items()))
@@ -408,7 +406,6 @@ def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
                 subject_id=rec.name,
                 signal="W2",
                 evidence={"script_key": tuple(keys), "has_suspicious_tokens": has_tokens},
-                observed_at=cfg.reference_time,
             )
         )
     return findings
@@ -441,7 +438,6 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                 subject_id=rec.name,
                 signal="W3_inactive_pkg",
                 evidence={"last_modified": rec.last_modified, "age_days": age},
-                observed_at=cfg.reference_time,
             )
         )
         keys = [p.identity_key for p in rec.maintainers if p.identity_key in mindex]
@@ -456,7 +452,6 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                         "maintainer_count": len(rec.maintainers),
                         "latest_maintainer_activity": max(mindex[k].last_activity for k in keys),
                     },
-                    observed_at=cfg.reference_time,
                 )
             )
         if is_deprecated_latest(rec):
@@ -466,7 +461,6 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                     subject_id=rec.name,
                     signal="W3_deprecated",
                     evidence={"deprecated": rec.deprecated, "last_modified": rec.last_modified},
-                    observed_at=cfg.reference_time,
                 )
             )
     # Concatenated in sub-signal name order, each list in record (name) order.
@@ -497,7 +491,6 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
             subject_id=name,
             signal="W4",
             evidence={"maintainer_count": count, "registry_avg": registry_avg},
-            observed_at=cfg.reference_time,
         )
         for name, count in flagged
     ]
@@ -511,10 +504,10 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     maintainers/contributors ratios are the riskiest, so the bottom
     percentile is selected.
     """
-    population = [rec for rec in corpus.records if rec.contributors]
+    population = [rec for rec in corpus.records if rec.contributor_count]
     if not population:
         return []
-    scored = [(rec.name, -(len(rec.maintainers) / len(rec.contributors))) for rec in population]
+    scored = [(rec.name, -(len(rec.maintainers) / rec.contributor_count)) for rec in population]
     flagged = top_percent(scored, cfg.top_percent)
     by_name = corpus.by_name
     findings = []
@@ -527,10 +520,9 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
                 signal="W5",
                 evidence={
                     "maintainers": len(rec.maintainers),
-                    "contributors": len(rec.contributors),
-                    "ratio": len(rec.maintainers) / len(rec.contributors),
+                    "contributors": rec.contributor_count,
+                    "ratio": len(rec.maintainers) / rec.contributor_count,
                 },
-                observed_at=cfg.reference_time,
             )
         )
     return findings
@@ -572,7 +564,6 @@ def analyze_w6(
                 subject_id=key,
                 signal="W6",
                 evidence=evidence,
-                observed_at=cfg.reference_time,
             )
         )
         for pkg in owned:
@@ -582,7 +573,6 @@ def analyze_w6(
                     subject_id=pkg,
                     signal="W6",
                     evidence=evidence,
-                    observed_at=cfg.reference_time,
                 )
             )
     return findings

@@ -7,7 +7,7 @@ from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from weaklink.ingest import SECURITY_HOLDING_PHRASE, Corpus, IngestStats, PackageRecord, PersonRef
+from weaklink.ingest import Corpus, IngestStats, PackageRecord, PersonRef
 
 REF = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -25,41 +25,32 @@ def make_record(
     *,
     version: str = "1.0.0",
     last_modified: datetime = REF,
-    created: datetime | None = None,
     scripts: dict | None = None,
     maintainers: tuple = (),
-    contributors: tuple = (),
-    dependencies: dict | None = None,
-    dev_dependencies: dict | None = None,
+    contributor_count: int = 0,
+    dependencies: tuple = (),
+    dev_dependencies: tuple = (),
     repository_present: bool = True,
     license_value: str | None = "MIT",
-    description: str | None = None,
     deprecated: object = None,
-    security_holding: bool | None = None,
+    security_holding: bool = False,
 ) -> PackageRecord:
-    if security_holding is None:
-        # As ingest marks it from the description.
-        security_holding = bool(description and SECURITY_HOLDING_PHRASE in description.lower())
     return PackageRecord(
         package_id=f"{name}@{version}",
         name=name,
         version=version,
         last_modified=last_modified,
-        created=created or (last_modified - timedelta(days=30)),
         scripts=scripts or {},
         maintainers=tuple(maintainers),
-        contributors=tuple(contributors),
-        dependencies=dependencies or {},
-        dev_dependencies=dev_dependencies or {},
-        peer_dependencies={},
-        optional_dependencies={},
+        contributor_count=contributor_count,
+        dependencies=tuple(dependencies),
+        dev_dependencies=tuple(dev_dependencies),
+        peer_dependencies=(),
+        optional_dependencies=(),
         repository_present=repository_present,
         license_value=license_value,
-        description=description,
         deprecated=deprecated,
         security_holding=security_holding,
-        unpacked_size_bytes=None,
-        file_count=None,
     )
 
 
@@ -82,12 +73,12 @@ def random_corpus(seed: int, size: int = 120) -> Corpus:
     maintainer_pool += [person(name=f"anon{j}") for j in range(3)]
     records = []
     for i, name in enumerate(names):
-        deps = {}
+        deps = {}  # a dict keeps each name once, in first-drawn order
         for _ in range(rng.randrange(0, 4)):
             target = rng.choice(names + ["external-dep", name])
-            deps[target] = "^1.0.0"
+            deps[target] = None
         maints = tuple(rng.sample(maintainer_pool, rng.randrange(0, 4)))
-        contribs = tuple(person(email=f"c{i}x{j}@people.example") for j in range(rng.choice((0, 0, 0, 1, 2, 40))))
+        contributor_count = rng.choice((0, 0, 0, 1, 2, 40))
         age_days = rng.randrange(0, 1600)
         deprecated = rng.choice((None, None, None, "old", True, ""))
         records.append(
@@ -96,11 +87,11 @@ def random_corpus(seed: int, size: int = 120) -> Corpus:
                 last_modified=REF - timedelta(days=age_days),
                 scripts={"postinstall": "node x.js"} if rng.random() < 0.1 else {},
                 maintainers=maints,
-                contributors=contribs,
-                dependencies=deps,
+                contributor_count=contributor_count,
+                dependencies=tuple(deps),
                 repository_present=rng.random() < 0.8,
                 license_value=rng.choice(("MIT", None, "", "UNLICENSED", "XYZ")),
-                description=rng.choice((None, "a tool", "security holding package")),
+                security_holding=rng.choice((False, False, True)),
                 deprecated=deprecated,
             )
         )

@@ -1,0 +1,260 @@
+"""The two-pass document normalization that ``ingest.parse_record`` replaced.
+
+``document_from_tree`` copied a document's versions, dist-tags and time
+entries into a ``RegistryDocument``; ``select_latest`` then picked the latest
+version and built a record with every field the scanner once kept. The copy
+below is that code, kept as the reference ``parse_record`` must agree with:
+``reference_record`` projects its record onto the fields a ``PackageRecord``
+keeps, in ``record_to_dict``'s shape.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from datetime import datetime
+
+from weaklink import semver
+from weaklink.errors import NoVersionsError, ParseError
+from weaklink.ingest import (
+    _PLACEHOLDER_VERSION_RE,
+    SECURITY_HOLDING_PHRASE,
+    PackageRecord,
+    PersonRef,
+    _Leaves,
+    _normalize_license,
+    _normalize_repository,
+    _normalize_scripts,
+    parse_timestamp,
+)
+
+
+def person_to_dict(p: PersonRef) -> dict:
+    return {"name": p.name, "email": p.email, "email_domain": p.email_domain, "identity_key": p.identity_key}
+
+
+def record_to_dict(rec: PackageRecord) -> dict:
+    """Canonical JSON-ready form of a record."""
+    return {
+        "package_id": rec.package_id,
+        "name": rec.name,
+        "version": rec.version,
+        "last_modified": rec.last_modified.isoformat(),
+        "scripts": dict(sorted(rec.scripts.items())),
+        "maintainers": [person_to_dict(p) for p in rec.maintainers],
+        "contributor_count": rec.contributor_count,
+        "dependencies": list(rec.dependencies),
+        "dev_dependencies": list(rec.dev_dependencies),
+        "peer_dependencies": list(rec.peer_dependencies),
+        "optional_dependencies": list(rec.optional_dependencies),
+        "repository_present": rec.repository_present,
+        "license_value": rec.license_value,
+        "deprecated": rec.deprecated,
+        "security_holding": rec.security_holding,
+    }
+
+
+# --- the reference: the two passes as they were -------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class RegistryDocument:
+    """Raw parsed tree of one package's registry document."""
+
+    name: str
+    dist_tags: dict[str, str]
+    versions: dict[str, dict]
+    time: dict[str, str]
+    description: str | None
+    maintainers: object
+    contributors: object
+    repository: object
+    license: object
+
+
+@dataclass(frozen=True, slots=True)
+class FullRecord:
+    """A record with every field ``select_latest`` filled."""
+
+    package_id: str
+    name: str
+    version: str
+    last_modified: datetime
+    created: datetime
+    scripts: dict[str, str]
+    maintainers: tuple[PersonRef, ...]
+    contributors: tuple[PersonRef, ...]
+    dependencies: dict[str, str]
+    dev_dependencies: dict[str, str]
+    peer_dependencies: dict[str, str]
+    optional_dependencies: dict[str, str]
+    repository_present: bool
+    license_value: str | None
+    description: str | None
+    deprecated: object
+    security_holding: bool
+    unpacked_size_bytes: int | None
+    file_count: int | None
+
+
+def parse_document(data: bytes | str) -> RegistryDocument:
+    """Parse one registry document; raises ParseError on malformed input."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("malformed", f"not UTF-8: {exc}") from exc
+    try:
+        tree = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise ParseError("malformed", f"not JSON: {exc}") from exc
+    return document_from_tree(tree)
+
+
+def document_from_tree(tree: object) -> RegistryDocument:
+    if not isinstance(tree, dict):
+        raise ParseError("malformed", "document is not a JSON object")
+    name = tree.get("name")
+    if not isinstance(name, str) or not name.strip():
+        raise ParseError("no_name", "missing or empty name")
+    name = name.strip()
+
+    dist_tags_raw = tree.get("dist-tags")
+    dist_tags: dict[str, str] = {}
+    if isinstance(dist_tags_raw, dict):
+        dist_tags = {k: v for k, v in dist_tags_raw.items() if isinstance(k, str) and isinstance(v, str)}
+
+    versions_raw = tree.get("versions")
+    versions: dict[str, dict] = {}
+    if isinstance(versions_raw, dict):
+        versions = {k: v for k, v in versions_raw.items() if isinstance(k, str) and isinstance(v, dict)}
+
+    latest = dist_tags.get("latest")
+    if latest is not None and latest not in versions:
+        raise ParseError("malformed", f"dist-tags latest {latest!r} not in versions")
+
+    time_raw = tree.get("time")
+    time_map: dict[str, str] = {}
+    if isinstance(time_raw, dict):
+        time_map = {k: v for k, v in time_raw.items() if isinstance(k, str) and isinstance(v, str)}
+
+    description = tree.get("description")
+    if not isinstance(description, str):
+        description = None
+
+    return RegistryDocument(
+        name=name,
+        dist_tags=dist_tags,
+        versions=versions,
+        time=time_map,
+        description=description,
+        maintainers=tree.get("maintainers"),
+        contributors=tree.get("contributors"),
+        repository=tree.get("repository"),
+        license=tree.get("license"),
+    )
+
+
+def _normalize_deps(raw: object) -> dict[str, str]:
+    if not isinstance(raw, dict):
+        return {}
+    return {k: (v if isinstance(v, str) else "") for k, v in raw.items() if isinstance(k, str) and k}
+
+
+def _non_negative_int(value: object) -> int | None:
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int) and value >= 0:
+        return value
+    return None
+
+
+def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> FullRecord:
+    """Pick the document's latest version and normalize it into a record.
+
+    Prefers the "latest" dist-tag (the registry's own notion of latest),
+    falling back to the highest semver among version keys.
+    """
+    if leaves is None:
+        leaves = _Leaves()
+    if not doc.versions:
+        raise NoVersionsError(doc.name)
+    version = doc.dist_tags.get("latest")
+    if version is None:
+        version = semver.max_version(list(doc.versions.keys()))
+    vobj = doc.versions[version]
+
+    last_modified = parse_timestamp(doc.time.get("modified", ""))
+    created = parse_timestamp(doc.time.get("created", ""))
+    if last_modified is None or created is None:
+        version_times = [ts for key in doc.versions if (ts := parse_timestamp(doc.time.get(key, ""))) is not None]
+        if last_modified is None:
+            last_modified = max(version_times) if version_times else None
+        if created is None:
+            created = min(version_times) if version_times else last_modified
+    if last_modified is None:
+        raise ParseError("malformed", f"{doc.name}: no usable timestamp")
+    if created is None or created > last_modified:
+        created = last_modified
+
+    maintainers = leaves.people(vobj.get("maintainers")) or leaves.people(doc.maintainers)
+    contributors = leaves.people(vobj.get("contributors")) or leaves.people(doc.contributors)
+
+    repository = vobj.get("repository", doc.repository)
+    license_raw = vobj.get("license", doc.license)
+
+    deprecated = vobj.get("deprecated")
+    if not isinstance(deprecated, (str, bool)):
+        deprecated = None
+
+    description = doc.description
+    dist = vobj.get("dist") if isinstance(vobj.get("dist"), dict) else {}
+    holding = bool(
+        (description and SECURITY_HOLDING_PHRASE in description.lower())
+        or (doc.dist_tags.get("latest") and _PLACEHOLDER_VERSION_RE.search(doc.dist_tags["latest"]))
+    )
+
+    return FullRecord(
+        package_id=f"{doc.name}@{version}",
+        name=doc.name,
+        version=version,
+        last_modified=last_modified,
+        created=created,
+        scripts=_normalize_scripts(vobj.get("scripts"), leaves.strings),
+        maintainers=maintainers,
+        contributors=contributors,
+        dependencies=_normalize_deps(vobj.get("dependencies")),
+        dev_dependencies=_normalize_deps(vobj.get("devDependencies")),
+        peer_dependencies=_normalize_deps(vobj.get("peerDependencies")),
+        optional_dependencies=_normalize_deps(vobj.get("optionalDependencies")),
+        repository_present=_normalize_repository(repository),
+        license_value=_normalize_license(license_raw),
+        description=description,
+        deprecated=deprecated,
+        security_holding=holding,
+        unpacked_size_bytes=_non_negative_int(dist.get("unpackedSize")),
+        file_count=_non_negative_int(dist.get("fileCount")),
+    )
+
+
+def reference_record(item: object) -> dict:
+    """The two passes over one document (bytes, text or tree), as ``record_to_dict`` spells a record."""
+    doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
+    full = select_latest(doc)
+    return {
+        "package_id": full.package_id,
+        "name": full.name,
+        "version": full.version,
+        "last_modified": full.last_modified.isoformat(),
+        "scripts": dict(sorted(full.scripts.items())),
+        "maintainers": [person_to_dict(p) for p in full.maintainers],
+        "contributor_count": len(full.contributors),
+        "dependencies": list(full.dependencies),
+        "dev_dependencies": list(full.dev_dependencies),
+        "peer_dependencies": list(full.peer_dependencies),
+        "optional_dependencies": list(full.optional_dependencies),
+        "repository_present": full.repository_present,
+        "license_value": full.license_value,
+        "deprecated": full.deprecated,
+        "security_holding": full.security_holding,
+    }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import weaklink
 from weaklink.combinations import combination_table, keyword_hunt, signal_sets
 from weaklink.exclusions import apply_exclusions, evaluate_reasons
 from weaklink.pipeline import ScanOptions, diff_findings, read_findings, run_scan, write_reports
@@ -81,12 +83,21 @@ class SeedRun:
     combinations: dict
 
 
+def _child_env() -> dict[str, str]:
+    """This environment, with the weaklink this suite imports first on the child's import path."""
+    env = dict(os.environ)
+    src = str(Path(weaklink.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def _scan_subprocess(args: list[str]) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", _SCAN_WRAPPER, *args],
         capture_output=True,
         text=True,
         timeout=200,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -430,6 +441,7 @@ def test_criterion_9_scale_smoke(tmp_path):
         capture_output=True,
         text=True,
         timeout=360,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -15,20 +15,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaklink import ingest
 from weaklink.errors import NoVersionsError, ParseError
-from weaklink.ingest import (
-    IngestStats,
-    detect_layout,
-    document_from_tree,
-    load_corpus,
-    parse_document,
-    record_to_dict,
-    select_latest,
-)
+from weaklink.ingest import IngestStats, detect_layout, load_corpus, parse_record
+
+from ingest_reference import record_to_dict
 
 # --- the oracle: the whole-tree reader --------------------------------------
 
@@ -87,8 +81,7 @@ def oracle_load(source: Path, layout: str | None) -> tuple[list[dict], IngestSta
     for item in oracle_items(source, layout):
         total += 1
         try:
-            doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
-            record = select_latest(doc)
+            record = parse_record(item)
         except ParseError as exc:
             reason = exc.reason
         except NoVersionsError:
@@ -222,6 +215,19 @@ DAMAGE = {
 }
 
 
+def first_line_example(text: str):
+    """An example whose file is ``text`` itself, autodetected: the "raw" style writes ``lines`` verbatim."""
+    return example(
+        top=("value", None), lines=[text], style="raw", ensure_ascii=True, damage="none", chunk=1 << 20, forced=False
+    )
+
+
+# First lines that hold more than one value: json.load fails with "Extra data".
+@first_line_example("0.")
+@first_line_example("12e")
+@first_line_example("1 2")
+@first_line_example('"a" "b"')
+@first_line_example('{"name": "a"} {"name": "b"}')
 @settings(max_examples=400, deadline=None)
 @given(
     top=top_level(),
@@ -233,7 +239,9 @@ DAMAGE = {
     forced=st.booleans(),
 )
 def test_streamed_load_matches_whole_tree_oracle(top, lines, style, ensure_ascii, damage, chunk, forced):
-    if style == "ndjson":
+    if style == "raw":
+        text = "".join(lines)
+    elif style == "ndjson":
         text = ndjson_text(lines, ensure_ascii)
     else:
         text = render(top, style, ensure_ascii)

@@ -63,7 +63,7 @@ class MapDomains:
 def _ranked_corpus():
     records = []
     for i in range(20):
-        deps = {f"top{j}": "*" for j in range(3)} if i >= 10 else {}
+        deps = tuple(f"top{j}" for j in range(3)) if i >= 10 else ()
         records.append(make_record(f"user{i:02d}", dependencies=deps))
     for j in range(3):
         records.append(make_record(f"top{j}"))
@@ -223,9 +223,9 @@ def _attack_scenario():
         records.append(make_record(f"hoard{i}", maintainers=(hoarder,), last_modified=REF - timedelta(days=800)))
     records.append(make_record("anchor", maintainers=(bulk,), last_modified=REF))
     for i in range(12):
-        deps = {f"hoard{i % 4}": "*"}
+        deps = (f"hoard{i % 4}",)
         if i < 3:
-            deps[f"hijack-a{i}"] = "*"
+            deps += (f"hijack-a{i}",)
         records.append(make_record(f"consumer{i}", maintainers=(bulk,), dependencies=deps))
     return make_corpus(records)
 

@@ -13,7 +13,7 @@ from weaklink.exclusions import (
     is_security_holding,
     lacks_repo_and_license,
 )
-from weaklink.ingest import parse_document, select_latest
+from weaklink.ingest import parse_record
 from weaklink.reach import build_dependents_index
 
 from conftest import make_corpus, make_record, random_corpus
@@ -40,7 +40,7 @@ def ingested(description: str | None = None, latest: str = "1.0.0"):
     tree = {"name": "x", "dist-tags": {"latest": latest}, "versions": {latest: {}}, "time": {"created": t0, "modified": t0}}
     if description is not None:
         tree["description"] = description
-    return select_latest(parse_document(json.dumps(tree).encode()))
+    return parse_record(json.dumps(tree).encode())
 
 
 @pytest.mark.parametrize("description,expected", PHRASE_TABLE)
@@ -83,8 +83,8 @@ def test_lacks_repo_and_license(repo, license_value, expected):
 
 
 def test_dependents_veto_exclusion():
-    holding = make_record("hold", description="security holding package")
-    user = make_record("user", dependencies={"hold": "^1.0.0"})
+    holding = make_record("hold", security_holding=True)
+    user = make_record("user", dependencies=("hold",))
     corpus = make_corpus([holding, user])
     index = build_dependents_index(corpus)
     filtered, verdicts = apply_exclusions(corpus, index)
@@ -108,7 +108,7 @@ def test_deprecated_unused_removed():
 
 def test_multi_reason_counted_once():
     rec = make_record(
-        "multi", description="security holding package", deprecated=True, repository_present=False, license_value=None
+        "multi", security_holding=True, deprecated=True, repository_present=False, license_value=None
     )
     corpus = make_corpus([rec])
     filtered, verdicts = apply_exclusions(corpus, build_dependents_index(corpus))

@@ -1,14 +1,15 @@
-"""Document parsing, latest-version selection and corpus loading."""
+"""Document normalization, latest-version selection and corpus loading."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaklink import ingest
@@ -18,11 +19,12 @@ from weaklink.ingest import (
     extract_email_domain,
     format_timestamp,
     load_corpus,
-    parse_document,
     parse_person,
-    record_to_dict,
-    select_latest,
+    parse_record,
+    snapshot_digest,
 )
+
+from ingest_reference import record_to_dict, reference_record
 
 T0 = "2024-01-01T00:00:00.000Z"
 
@@ -42,18 +44,19 @@ def minimal_doc(name="a", version="1.0.0", **extra) -> dict:
     return tree
 
 
-# --- parse_document ---------------------------------------------------------
+# --- parse_record: the document ---------------------------------------------
 
 
 def test_minimal_document():
-    doc = parse_document(doc_bytes(minimal_doc()))
-    assert doc.name == "a"
-    assert doc.dist_tags == {"latest": "1.0.0"}
+    rec = parse_record(doc_bytes(minimal_doc()))
+    assert rec.name == "a"
+    assert rec.version == "1.0.0"
+    assert parse_record(minimal_doc()) == parse_record(json.dumps(minimal_doc())) == rec
 
 
 def test_garbage_bytes_is_malformed():
     with pytest.raises(ParseError) as err:
-        parse_document(b"not-a-doc")
+        parse_record(b"not-a-doc")
     assert err.value.reason == "malformed"
 
 
@@ -61,17 +64,17 @@ def test_missing_name():
     tree = minimal_doc()
     del tree["name"]
     with pytest.raises(ParseError) as err:
-        parse_document(doc_bytes(tree))
+        parse_record(doc_bytes(tree))
     assert err.value.reason == "no_name"
     with pytest.raises(ParseError):
-        parse_document(doc_bytes(minimal_doc(name="   ")))
+        parse_record(doc_bytes(minimal_doc(name="   ")))
 
 
 def test_latest_tag_pointing_nowhere_is_malformed():
     tree = minimal_doc()
     tree["dist-tags"]["latest"] = "9.9.9"
     with pytest.raises(ParseError) as err:
-        parse_document(doc_bytes(tree))
+        parse_record(doc_bytes(tree))
     assert err.value.reason == "malformed"
 
 
@@ -83,32 +86,47 @@ def test_repository_shapes(repository, expected):
     tree = minimal_doc()
     if repository is not None:
         tree["repository"] = repository
-    rec = select_latest(parse_document(doc_bytes(tree)))
+    rec = parse_record(doc_bytes(tree))
     assert rec.repository_present is expected
 
 
 def test_contributor_shapes_normalized():
-    tree = minimal_doc(
-        contributors=[
-            {"name": "Ann", "email": "ann@x.io"},
-            "Bob <bob@y.io>",
-            "Plain Name",
-            "solo@z.io",
-        ]
-    )
-    rec = select_latest(parse_document(doc_bytes(tree)))
-    keys = [p.identity_key for p in rec.contributors]
+    people = [
+        {"name": "Ann", "email": "ann@x.io"},
+        "Bob <bob@y.io>",
+        "Plain Name",
+        "solo@z.io",
+        "",
+        {"email": "  "},
+        7,
+    ]
+    rec = parse_record(doc_bytes(minimal_doc(maintainers=people, contributors=people)))
+    keys = [p.identity_key for p in rec.maintainers]
     assert keys == ["ann@x.io", "bob@y.io", "name:plain name", "solo@z.io"]
+    assert rec.contributor_count == 4
 
 
-# --- select_latest -----------------------------------------------------------
+def test_people_of_the_latest_version_win_over_the_document():
+    tree = minimal_doc(maintainers=["Doc <doc@x.io>"], contributors=["A", "B", "C"])
+    tree["versions"]["1.0.0"].update(maintainers=[{"email": "v@x.io"}], contributors="Solo")
+    rec = parse_record(tree)
+    assert [p.identity_key for p in rec.maintainers] == ["v@x.io"]
+    assert rec.contributor_count == 1
+    # Lists with no usable entry fall back to the document's.
+    tree["versions"]["1.0.0"].update(maintainers=[""], contributors={"name": " "})
+    rec = parse_record(tree)
+    assert [p.identity_key for p in rec.maintainers] == ["doc@x.io"]
+    assert rec.contributor_count == 3
+
+
+# --- parse_record: the latest version -----------------------------------------
 
 
 def test_dist_tag_latest_wins():
     tree = minimal_doc(version="2.0.0")
     tree["versions"]["1.0.0"] = {"name": "a", "version": "1.0.0"}
     tree["time"]["1.0.0"] = T0
-    rec = select_latest(parse_document(doc_bytes(tree)))
+    rec = parse_record(doc_bytes(tree))
     assert rec.version == "2.0.0"
     assert rec.package_id == "a@2.0.0"
 
@@ -119,14 +137,14 @@ def test_semver_fallback_without_dist_tags():
         "versions": {v: {"name": "a", "version": v} for v in ("1.0.0", "1.10.0", "1.2.0")},
         "time": {"created": T0, "modified": T0},
     }
-    rec = select_latest(parse_document(doc_bytes(tree)))
+    rec = parse_record(doc_bytes(tree))
     assert rec.version == "1.10.0"
 
 
 def test_empty_versions_raises():
     tree = {"name": "a", "versions": {}, "time": {}}
     with pytest.raises(NoVersionsError):
-        select_latest(parse_document(doc_bytes(tree)))
+        parse_record(doc_bytes(tree))
 
 
 def test_version_key_order_permutation_invariant():
@@ -138,7 +156,7 @@ def test_version_key_order_permutation_invariant():
             "versions": {versions[i]: {"name": "a", "version": versions[i]} for i in order},
             "time": {"created": T0, "modified": T0},
         }
-        trees.append(record_to_dict(select_latest(parse_document(doc_bytes(tree)))))
+        trees.append(record_to_dict(parse_record(doc_bytes(tree))))
     assert trees[0] == trees[1] == trees[2]
 
 
@@ -149,9 +167,21 @@ def test_missing_modified_uses_max_version_time():
         "versions": {"1.0.0": {}, "2.0.0": {}},
         "time": {"created": T0, "1.0.0": T0, "2.0.0": "2024-03-05T10:00:00.000Z"},
     }
-    rec = select_latest(parse_document(doc_bytes(tree)))
+    rec = parse_record(doc_bytes(tree))
     assert rec.last_modified == datetime(2024, 3, 5, 10, 0, tzinfo=timezone.utc)
-    assert rec.created <= rec.last_modified
+
+
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-01:00"])
+def test_timestamp_out_of_range_in_utc_is_unusable(stamp):
+    # Such a time parses, but its UTC date is out of datetime's range.
+    assert ingest.parse_timestamp(stamp) is None
+    tree = minimal_doc()
+    tree["time"].update(created=stamp, modified=stamp)
+    assert parse_record(tree).last_modified == datetime(2024, 1, 1, tzinfo=timezone.utc)
+    del tree["time"]["1.0.0"]
+    with pytest.raises(ParseError) as err:
+        parse_record(tree)
+    assert err.value.reason == "malformed"
 
 
 def test_field_traceability_with_sentinels():
@@ -178,23 +208,20 @@ def test_field_traceability_with_sentinels():
         "repository": {"type": "git", "url": "git+https://sentinel.example/r.git"},
         "license": "SENTINEL-LICENSE-1.0",
     }
-    rec = select_latest(parse_document(doc_bytes(tree)))
+    rec = parse_record(doc_bytes(tree))
     assert rec.package_id == "sentinel-pkg@3.1.4"
     assert rec.scripts == {"postinstall": "SENTINEL_SCRIPT_BODY  spaced"}
-    assert rec.dependencies == {"sentinel-dep": "^9.9.9"}
-    assert rec.dev_dependencies == {"sentinel-dev": "1.x"}
+    assert rec.dependencies == ("sentinel-dep",)
+    assert rec.dev_dependencies == ("sentinel-dev",)
+    assert rec.peer_dependencies == rec.optional_dependencies == ()
     assert rec.deprecated == "SENTINEL_DEPRECATION"
-    assert rec.unpacked_size_bytes == 31415
-    assert rec.file_count == 42
-    assert rec.description == "SENTINEL_DESCRIPTION"
     assert rec.maintainers[0].name == "SENTINEL_MAINT"
     assert rec.maintainers[0].email == "Maint@Sentinel.IO"
     assert rec.maintainers[0].identity_key == "maint@sentinel.io"
     assert rec.maintainers[0].email_domain == "sentinel.io"
-    assert rec.contributors[0].name == "SENTINEL_CONTRIB"
+    assert rec.contributor_count == 1
     assert rec.repository_present is True
     assert rec.license_value == "SENTINEL-LICENSE-1.0"
-    assert rec.created == datetime(2020, 2, 2, 2, 2, 2, tzinfo=timezone.utc)
     assert rec.last_modified == datetime(2021, 3, 3, 3, 3, 3, tzinfo=timezone.utc)
 
 
@@ -202,7 +229,7 @@ def test_scoped_name_keeps_final_at_for_package_id():
     tree = minimal_doc(name="@scope/tool", version="2.1.0")
     tree["versions"] = {"2.1.0": {"name": "@scope/tool", "version": "2.1.0"}}
     tree["time"]["2.1.0"] = T0
-    rec = select_latest(parse_document(doc_bytes(tree)))
+    rec = parse_record(doc_bytes(tree))
     assert rec.package_id == "@scope/tool@2.1.0"
     assert rec.package_id.rsplit("@", 1) == ["@scope/tool", "2.1.0"]
 
@@ -214,7 +241,7 @@ def test_security_holding_marker_from_placeholder_dist_tag():
         "versions": {"0.0.1-security": {}},
         "time": {"created": T0, "modified": T0},
     }
-    rec = select_latest(parse_document(doc_bytes(tree)))
+    rec = parse_record(doc_bytes(tree))
     assert rec.security_holding is True
 
 
@@ -469,7 +496,7 @@ def test_equal_maintainers_share_one_person(tmp_path):
     path = write_snapshot(tmp_path, docs, "ndjson")
     records = load_corpus(path).records
     assert records[0].maintainers[0] is records[1].maintainers[0] is records[2].maintainers[0]
-    alone = [record_to_dict(select_latest(parse_document(doc_bytes(doc)))) for doc in docs]
+    alone = [record_to_dict(parse_record(doc_bytes(doc))) for doc in docs]
     assert [record_to_dict(r) for r in records] == alone
     assert alone[0]["maintainers"] == [
         {"name": "Ann", "email": "ann@x.io", "email_domain": "x.io", "identity_key": "ann@x.io"}
@@ -484,16 +511,14 @@ def test_records_share_empty_maps_and_equal_strings(tmp_path):
         doc["versions"]["2.1.0"].update(scripts=body, dependencies={}, devDependencies=[])
     path = write_snapshot(tmp_path, docs, "ndjson")
     records = load_corpus(path).records
-    kinds = ("runtime", "dev", "peer", "optional")
-    maps = [m for r in records for m in (r.scripts, *(r.dependency_map(kind) for kind in kinds))]
-    assert len(maps) == 15
-    assert all(m is ingest._EMPTY_MAP for m in maps)
+    assert all(r.scripts is ingest._EMPTY_MAP for r in records)
     assert ingest._EMPTY_MAP == {}
+    assert all(r.dependency_names(kind) == () for r in records for kind in ingest.DEPENDENCY_FIELDS)
     assert records[0].version is records[1].version is records[2].version
     assert records[0].license_value is records[1].license_value is records[2].license_value
-    alone = [record_to_dict(select_latest(parse_document(doc_bytes(doc)))) for doc in docs]
+    alone = [record_to_dict(parse_record(doc_bytes(doc))) for doc in docs]
     assert [record_to_dict(r) for r in records] == alone
-    assert alone[0]["scripts"] == {} and alone[0]["dependencies"] == {}
+    assert alone[0]["scripts"] == {} and alone[0]["dependencies"] == []
     assert [d["license_value"] for d in alone] == ["MIT"] * 3
 
 
@@ -523,3 +548,177 @@ def test_bulk_export_with_encoded_surrogate_still_fails(tmp_path):
     assert detect_layout(path) == "bulk"
     with pytest.raises(UnicodeDecodeError):
         load_corpus(path)
+
+
+def test_dependency_names_by_kind():
+    tree = minimal_doc()
+    tree["versions"]["1.0.0"].update(
+        dependencies={"run": "1", "": "2", "run-b": None},
+        devDependencies={"dev": "*"},
+        peerDependencies=["peer"],
+        optionalDependencies={"opt": "^1"},
+    )
+    rec = parse_record(tree)
+    assert [rec.dependency_names(kind) for kind in ("runtime", "dev", "peer", "optional")] == [
+        ("run", "run-b"), ("dev",), (), ("opt",)
+    ]
+    with pytest.raises(ValueError, match="unknown dependency kind"):
+        rec.dependency_names("bundled")
+
+
+# --- the snapshot digest ---------------------------------------------------------
+
+
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_ndjson_digest_is_the_sha256_of_the_file(tmp_path):
+    path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], "ndjson")
+    assert load_corpus(path).digest == sha256_hex(path.read_bytes())
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_bulk_digest_is_the_sha256_of_the_file(tmp_path, indent):
+    path = tmp_path / "snap.json"
+    path.write_text(json.dumps({"rows": [{"doc": minimal_doc(name=f"pkg-{i}")} for i in range(3)]}, indent=indent))
+    corpus = load_corpus(path)
+    assert len(corpus.records) == 3
+    assert corpus.digest == sha256_hex(path.read_bytes())
+
+
+def test_dir_digest_hashes_each_relative_path_and_file_digest(tmp_path):
+    path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], "dir")
+    (path / "sub").mkdir()
+    (path / "sub" / "deep.json").write_text(json.dumps(minimal_doc(name="deep")))
+    (path / "notes.txt").write_text("not a document")
+    lines = "".join(
+        f"{rel}:{sha256_hex((path / rel).read_bytes())}\n"
+        for rel in ("doc0.json", "doc1.json", "doc2.json", "sub/deep.json")
+    )
+    corpus = load_corpus(path)
+    assert len(corpus.records) == 4
+    assert corpus.digest == sha256_hex(lines.encode()) == snapshot_digest(path, "dir")
+
+
+# --- a first line with more than one value -----------------------------------------
+
+
+@pytest.mark.parametrize("data", [b"0.", b"12e", b"1 2", b'"a" "b"', b'{"name": "a"} {"name": "b"}'])
+def test_first_line_with_more_than_one_value_is_a_bulk_export_that_fails(tmp_path, data):
+    # json.load stops after the first value and finds extra data.
+    path = tmp_path / "snap.json"
+    path.write_bytes(data)
+    with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as expected:
+        json.load(fh)
+    assert detect_layout(path) == "bulk"
+    with pytest.raises(json.JSONDecodeError) as err:
+        load_corpus(path)
+    assert str(err.value) == str(expected.value)
+    assert str(err.value).startswith("Extra data")
+
+
+# --- parse_record against the two-pass reference ---------------------------------------
+
+JUNK = st.none() | st.booleans() | st.integers(-2, 2) | st.floats(allow_nan=False) | st.text(max_size=3)
+
+
+def mostly(good, odd):
+    """``good`` four times in five, else ``odd``."""
+    return st.integers(0, 4).flatmap(lambda n: odd if n == 4 else good)
+
+
+VERSION_KEYS = st.sampled_from(["1.0.0", "1.10.0", "1.2.0", "2.0.0-beta.1", "0.0.1-security", "9.0.0-security", "v3", "x", ""])
+STAMPS = mostly(
+    st.sampled_from([T0, "2024-03-05T10:00:00.000Z", "2023-12-31T23:59:59+05:00", "2021-06-01"]),
+    JUNK | st.sampled_from(["not a time", "0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-01:00"]),
+)
+PERSON = mostly(
+    st.sampled_from(["Ann <ann@x.io>", "Plain Name", "solo@z.io", "Bob <bob@y.io> (https://b.example)", " "])
+    | st.fixed_dictionaries(
+        {}, optional={"name": st.sampled_from(["Ann", " "]) | JUNK, "email": st.sampled_from(["ann@x.io", "A@X.IO", "x"]) | JUNK}
+    ),
+    JUNK,
+)
+PEOPLE = mostly(st.lists(PERSON, max_size=3), PERSON | JUNK)
+MAPS = mostly(
+    st.dictionaries(st.sampled_from(["left-pad", "", "a", "postinstall", "install"]), st.just("^1.0.0") | JUNK, max_size=3),
+    st.lists(st.text(max_size=3), max_size=2) | st.text(max_size=3),
+)
+REPOSITORY = st.sampled_from(["github:u/r", {"url": "git+https://x/y.git"}, {"type": "git"}, {}, "", None]) | JUNK
+LICENSE = JUNK | st.sampled_from(["MIT", " ", {"type": "ISC"}, {"name": "BSD"}, [{"type": "X"}, "MIT"], []])
+VERSION = st.fixed_dictionaries(
+    {},
+    optional={
+        "maintainers": PEOPLE,
+        "contributors": PEOPLE,
+        "scripts": MAPS,
+        "dependencies": MAPS,
+        "devDependencies": MAPS,
+        "peerDependencies": MAPS,
+        "optionalDependencies": MAPS,
+        "repository": REPOSITORY,
+        "license": LICENSE,
+        "deprecated": JUNK | st.sampled_from(["old", True]),
+        "dist": JUNK | st.fixed_dictionaries({}, optional={"unpackedSize": JUNK, "fileCount": JUNK}),
+    },
+)
+
+
+@st.composite
+def messy_documents(draw) -> object:
+    """A registry document with every field in odd shapes, or now and then no object at all."""
+    if draw(st.integers(0, 19)) == 19:
+        return draw(JUNK | st.lists(JUNK, max_size=2))
+    name = draw(mostly(st.sampled_from(["a", " b ", "@s/c", "security-x"]), JUNK))
+    tree = draw(
+        st.fixed_dictionaries(
+            {"name": st.just(name)},
+            optional={
+                "description": JUNK | st.sampled_from(["a tool", "Security Holding Package here"]),
+                "maintainers": PEOPLE,
+                "contributors": PEOPLE,
+                "repository": REPOSITORY,
+                "license": LICENSE,
+            },
+        )
+    )
+    version_values = mostly(VERSION, JUNK | st.lists(JUNK, max_size=2))
+    versions = draw(mostly(st.dictionaries(VERSION_KEYS, version_values, min_size=1, max_size=4), JUNK | st.just({})))
+    if draw(st.integers(0, 9)) != 9:
+        tree["versions"] = versions
+    keys = list(versions) if isinstance(versions, dict) else []
+    latest = draw(mostly(st.sampled_from(keys), VERSION_KEYS | JUNK) if keys else VERSION_KEYS | JUNK)
+    tags = draw(st.sampled_from(["latest"] * 5 + ["absent", "junk", "no_latest"]))
+    if tags == "junk":
+        tree["dist-tags"] = draw(JUNK | st.lists(JUNK, max_size=2))
+    elif tags != "absent":
+        tree["dist-tags"] = {"next": "9.9.9"} if tags == "no_latest" else {"latest": latest, "beta": "x"}
+    time = draw(st.sampled_from(["map"] * 14 + ["absent", "junk"]))
+    if time == "junk":
+        tree["time"] = draw(JUNK | st.lists(JUNK, max_size=2))
+    elif time == "map":
+        stamped = draw(st.lists(st.sampled_from(["created", *keys]), unique=True, max_size=4))
+        if draw(st.integers(0, 3)) != 3:
+            stamped.insert(draw(st.integers(0, len(stamped))), "modified")
+        tree["time"] = {key: draw(STAMPS) for key in stamped}
+    return tree
+
+
+def normalized(parse, item):
+    """``parse(item)`` as ``record_to_dict`` spells it, or its exception type and ParseError reason."""
+    try:
+        return parse(item)
+    except ParseError as exc:
+        return ParseError, exc.reason
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=messy_documents(), form=st.sampled_from(["tree", "bytes", "text"]))
+def test_parse_record_agrees_with_the_two_pass_reference(tree, form):
+    if form != "tree":
+        tree = json.dumps(tree)
+        tree = tree.encode() if form == "bytes" else tree
+    assert normalized(lambda item: record_to_dict(parse_record(item)), tree) == normalized(reference_record, tree)

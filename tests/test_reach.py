@@ -24,26 +24,26 @@ from conftest import make_corpus, make_record, person, random_corpus
 
 
 def test_single_edge():
-    corpus = make_corpus([make_record("a", dependencies={"b": "*"}), make_record("b")])
+    corpus = make_corpus([make_record("a", dependencies=("b",)), make_record("b")])
     index = build_dependents_index(corpus)
     assert index["b"] == {"a"}
     assert index["a"] == set()
 
 
 def test_self_edge_dropped():
-    corpus = make_corpus([make_record("a", dependencies={"a": "*"})])
+    corpus = make_corpus([make_record("a", dependencies=("a",))])
     index = build_dependents_index(corpus)
     assert index["a"] == set()
 
 
 def test_unknown_dependee_still_indexed():
-    corpus = make_corpus([make_record("a", dependencies={"ghost": "*"})])
+    corpus = make_corpus([make_record("a", dependencies=("ghost",))])
     index = build_dependents_index(corpus)
     assert index["ghost"] == {"a"}
 
 
 def test_dep_kinds_selectable():
-    corpus = make_corpus([make_record("a", dependencies={"b": "*"}, dev_dependencies={"c": "*"}), make_record("b"), make_record("c")])
+    corpus = make_corpus([make_record("a", dependencies=("b",), dev_dependencies=("c",)), make_record("b"), make_record("c")])
     runtime_only = build_dependents_index(corpus)
     assert runtime_only["c"] == set()
     both = build_dependents_index(corpus, dep_kinds=("runtime", "dev"))
@@ -56,7 +56,7 @@ def brute_force_index(corpus, kinds=("runtime",)):
     index = {rec.name: set() for rec in corpus.records}
     for rec in corpus.records:
         for kind in kinds:
-            for dep in rec.dependency_map(kind):
+            for dep in rec.dependency_names(kind):
                 if dep != rec.name:
                     index.setdefault(dep, set()).add(rec.name)
     return index
@@ -85,9 +85,9 @@ def test_entries_nobody_depends_on_share_one_empty_value():
 def test_without_packages_shares_the_empty_value():
     corpus = make_corpus(
         [
-            make_record("noise", deprecated=True, dependencies={"ext-lib": "*", "kept": "*"}),
+            make_record("noise", deprecated=True, dependencies=("ext-lib", "kept")),
             make_record("kept"),
-            make_record("user", dependencies={"kept": "*"}),
+            make_record("user", dependencies=("kept",)),
         ]
     )
     derived = without_packages(build_dependents_index(corpus), {"noise"})
@@ -124,9 +124,9 @@ def test_filtered_index_from_full_index_matches_rebuild():
     # external name that only "noise" depends on, so it keeps an empty entry.
     corpus = make_corpus(
         [
-            make_record("noise", deprecated=True, dependencies={"kept": "*", "ext-lib": "*"}),
-            make_record("kept", dependencies={"shared": "*"}),
-            make_record("user", dependencies={"kept": "*", "shared": "*"}, dev_dependencies={"noise-dev": "*"}),
+            make_record("noise", deprecated=True, dependencies=("kept", "ext-lib")),
+            make_record("kept", dependencies=("shared",)),
+            make_record("user", dependencies=("kept", "shared"), dev_dependencies=("noise-dev",)),
             make_record("noise-dev", deprecated=True),
         ]
     )
@@ -149,8 +149,8 @@ def test_maintainer_index_and_reach():
     corpus = make_corpus(
         [
             make_record("b", maintainers=(m,)),
-            make_record("a", dependencies={"b": "*"}),
-            make_record("c", dependencies={"b": "*"}),
+            make_record("a", dependencies=("b",)),
+            make_record("c", dependencies=("b",)),
         ]
     )
     mindex = build_maintainer_index(corpus)
@@ -173,7 +173,7 @@ def test_reach_unique_union():
         [
             make_record("b", maintainers=(m,)),
             make_record("d", maintainers=(m,)),
-            make_record("a", dependencies={"b": "*", "d": "*"}),
+            make_record("a", dependencies=("b", "d")),
         ]
     )
     mindex = build_maintainer_index(corpus)
@@ -186,8 +186,8 @@ def test_reach_counts_own_dependents():
     corpus = make_corpus(
         [
             make_record("b", maintainers=(m,)),
-            make_record("d", maintainers=(m,), dependencies={"b": "*"}),
-            make_record("a", dependencies={"b": "*"}),
+            make_record("d", maintainers=(m,), dependencies=("b",)),
+            make_record("a", dependencies=("b",)),
         ]
     )
     mindex = build_maintainer_index(corpus)
