@@ -102,7 +102,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
             downloads_base_url=args.downloads_url,
             dns_resolver=(resolver_host, int(resolver_port or 53)),
             jobs=args.jobs,
-            unsafe_full_output=args.unsafe_full_output,
         )
         result = run_scan(options)
         paths = write_reports(result, args.out, unsafe_full_output=args.unsafe_full_output)

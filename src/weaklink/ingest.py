@@ -396,35 +396,6 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     )
 
 
-def detect_layout(source: Path) -> str:
-    """Auto-detect a snapshot layout: "dir", "bulk" or "ndjson".
-
-    A file whose first line, stripped, is one JSON value other than a
-    ``{"rows": ...}`` object without a "name" key is ndjson; so is a file
-    whose first line is blank. Every other file is a bulk export. The first
-    line is decoded one token at a time, so a one-line export is never held
-    whole.
-    """
-    if source.is_dir():
-        return "dir"
-    verdict = _wide_text_verdict(source)
-    if verdict is not None:
-        return verdict
-    with open(source, "rb") as fh:
-        reader = _BulkReader(fh, autodetect=True, rows_key=None)
-        try:
-            for _ in reader.items():
-                pass
-        except _Verdict as verdict:
-            return verdict.layout
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            # The first line is not one JSON value. Only bytes in it that
-            # are not UTF-8 (encoded surrogates aside) make that an error.
-            if reader.text.invalid is not None and reader.text.first_nl is None:
-                raise reader.text.invalid from None
-    return "bulk"
-
-
 def _is_bulk_tree(tree: object) -> bool:
     return isinstance(tree, dict) and "rows" in tree and "name" not in tree
 
@@ -470,11 +441,7 @@ def _scan_key(text: str, idx: int) -> tuple[str, int]:
 
 
 class _Verdict(Exception):
-    """Autodetection settled the layout of the file being read."""
-
-    def __init__(self, layout: str):
-        super().__init__(layout)
-        self.layout = layout
+    """Autodetection found that the file being read is ndjson, not a bulk export."""
 
 
 class _Reread(Exception):
@@ -617,17 +584,15 @@ class _BulkReader:
     of a top-level list, or else the top-level value itself, and the same
     errors.
 
-    With ``autodetect``, the reader also settles ``detect_layout``'s
-    verdict from the first line and raises ``_Verdict("ndjson")`` when the
-    file is not a bulk export after all. Rows are handed on before the
-    verdict is in (for a one-line export it comes at the end), so that
-    exception voids them. ``rows_key`` is the index of the "rows" key whose
-    rows are handed on; a later "rows" key raises ``_Reread`` with its own
-    index. When ``rows_key`` is None the reader only decides the verdict and
-    raises ``_Verdict`` with it.
+    With ``autodetect``, the reader also settles the layout from the first
+    line and raises ``_Verdict`` when the file is not a bulk
+    export after all. Rows are handed on before the verdict is in (for a
+    one-line export it comes at the end), so that exception voids them.
+    ``rows_key`` is the index of the "rows" key whose rows are handed on; a
+    later "rows" key raises ``_Reread`` with its own index.
     """
 
-    def __init__(self, fh, autodetect: bool, rows_key: int | None):
+    def __init__(self, fh, autodetect: bool, rows_key: int):
         self.text = _JsonText(fh)
         self._pending = autodetect
         self._rows_key = rows_key
@@ -638,8 +603,8 @@ class _BulkReader:
 
     def _settle(self, layout: str) -> None:
         self._pending = False
-        if layout == "ndjson" or self._rows_key is None:
-            raise _Verdict(layout)
+        if layout == "ndjson":
+            raise _Verdict
         if self._doom is not None:
             raise self.text.first_error(self._doom)
 
@@ -725,8 +690,7 @@ class _BulkReader:
             if key == "rows" and self._handed_on:
                 raise _Reread(rows_seen)  # the last "rows" key wins
             if key == "rows" and text.next_char() == "[":
-                emit = self._rows_key is not None and rows_seen >= self._rows_key
-                yield from self._array(emit, unwrap=True)
+                yield from self._array(rows_seen >= self._rows_key, unwrap=True)
                 fields[key] = _STREAMED
             else:
                 text.next_char()
@@ -750,7 +714,7 @@ class _BulkReader:
             self._first_line_ends(_is_bulk_tree(fields))
             rest = () if fields.get("rows") is _STREAMED else (fields,)
         elif ch == "[":
-            yield from self._array(self._rows_key is not None, unwrap=False)
+            yield from self._array(True, unwrap=False)
             self._first_line_ends(False)
             rest = ()
         else:

@@ -28,7 +28,6 @@ from .combinations import (
 from .exclusions import ExclusionVerdict, apply_exclusions
 from .ingest import Corpus, format_timestamp, load_corpus
 from .providers import (
-    CachingDomainProvider,
     EmptyDomainProvider,
     EmptyDownloadsProvider,
     FixtureDomainProvider,
@@ -75,11 +74,11 @@ class ScanOptions:
     downloads_base_url: str = "https://api.npmjs.example"
     dns_resolver: tuple[str, int] = ("8.8.8.8", 53)
     jobs: int | None = None  # concurrent live downloads lookups
-    unsafe_full_output: bool = False
 
 
 @dataclass
 class ScanResult:
+    options: ScanOptions
     corpus: Corpus
     filtered: Corpus
     verdicts: list[ExclusionVerdict]
@@ -90,7 +89,8 @@ class ScanResult:
     combinations: list[Combination]
     keyword_hits: list[KeywordHit]
     attack: AttackReport
-    summary: dict
+    maintainers: int
+    stale_maintainers: int
     provider_warnings: int
 
 
@@ -107,7 +107,7 @@ def _make_providers(options: ScanOptions):
         downloads = LiveDownloadsProvider(options.downloads_base_url, rate_limit=options.rate_limit)
     else:
         downloads = EmptyDownloadsProvider()
-    return CachingDomainProvider(domains), downloads
+    return domains, downloads
 
 
 def run_scan(options: ScanOptions) -> ScanResult:
@@ -116,25 +116,6 @@ def run_scan(options: ScanOptions) -> ScanResult:
     filtered, verdicts = apply_exclusions(corpus, pre_index, options.config.license_denylist)
 
     domains, downloads = _make_providers(options)
-
-    if not filtered.records:
-        summary = _build_summary(
-            options, corpus, filtered, verdicts, options.config, [], {}, None, [], [], AttackReport((), ()), {}, 0
-        )
-        return ScanResult(
-            corpus=corpus,
-            filtered=filtered,
-            verdicts=verdicts,
-            config=options.config,
-            findings=[],
-            domain_histogram={},
-            popular=PopularSample(members=frozenset(), by_dependents=0, by_downloads=0),
-            combinations=[],
-            keyword_hits=[],
-            attack=AttackReport((), ()),
-            summary=summary,
-            provider_warnings=0,
-        )
 
     cfg = options.config.resolved(filtered)
     # Excluded packages have no dependents, so dropping them from the full
@@ -149,6 +130,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
         counts = downloads.fetch_many([rec.name for rec in filtered.records], concurrency=options.jobs or 4)
         downloads = PrefetchedDownloads(counts, warnings=downloads.warnings)
 
+    # W1 checks each distinct (lowercased) maintainer domain once.
     w1_findings, histogram = analyze_w1(filtered, mindex, domains, cfg)
     findings = list(w1_findings)
     findings += analyze_w2(filtered, cfg)
@@ -159,28 +141,8 @@ def run_scan(options: ScanOptions) -> ScanResult:
     sort_findings(findings)
 
     popular = popular_sample(filtered, dindex, downloads, options.popular_n)
-    combos = combination_table(findings, scope=popular)
-    hits = keyword_hunt(filtered, cfg)
-    attack = attack_candidates(filtered, findings, dindex, downloads, scope=None)
-
-    stale_maintainers = sum(1 for info in mindex.values() if is_inactive(info.last_activity, cfg))
-    warnings = domains.warnings + getattr(downloads, "warnings", 0)
-    summary = _build_summary(
-        options,
-        corpus,
-        filtered,
-        verdicts,
-        cfg,
-        findings,
-        histogram,
-        popular,
-        combos,
-        hits,
-        attack,
-        {"maintainers": len(mindex), "stale_maintainers": stale_maintainers},
-        warnings,
-    )
     return ScanResult(
+        options=options,
         corpus=corpus,
         filtered=filtered,
         verdicts=verdicts,
@@ -188,43 +150,39 @@ def run_scan(options: ScanOptions) -> ScanResult:
         findings=findings,
         domain_histogram=histogram,
         popular=popular,
-        combinations=combos,
-        keyword_hits=hits,
-        attack=attack,
-        summary=summary,
-        provider_warnings=warnings,
+        combinations=combination_table(findings, scope=popular),
+        keyword_hits=keyword_hunt(filtered, cfg),
+        attack=attack_candidates(filtered, findings, dindex, downloads, scope=None),
+        maintainers=len(mindex),
+        stale_maintainers=sum(1 for info in mindex.values() if is_inactive(info.last_activity, cfg)),
+        provider_warnings=domains.warnings + downloads.warnings,
     )
 
 
-def _build_summary(
-    options: ScanOptions,
-    corpus: Corpus,
-    filtered: Corpus,
-    verdicts: list[ExclusionVerdict],
-    cfg: AnalyzerConfig,
-    findings: list[WeakLinkFinding],
-    histogram: dict[str, int],
-    popular: PopularSample | None,
-    combos: list[Combination],
-    hits: list[KeywordHit],
-    attack: AttackReport,
-    maintainer_stats: dict,
-    warnings: int,
-) -> dict:
+# --- canonical writers ----------------------------------------------------
+
+
+def _dump_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _summary(result: ScanResult) -> dict:
+    """The summary report of a scan: counts, rates and the config echo."""
+    options, corpus, filtered = result.options, result.corpus, result.filtered
     n_filtered = len(filtered.records)
-    excluded = [v for v in verdicts if v.excluded]
+    excluded = [v for v in result.verdicts if v.excluded]
     by_reason: dict[str, int] = {}
     for v in excluded:
         for reason in v.reasons:
             by_reason[reason] = by_reason.get(reason, 0) + 1
 
     by_signal: dict[str, list[WeakLinkFinding]] = {}
-    for f in findings:
+    for f in result.findings:
         by_signal.setdefault(f.signal, []).append(f)
 
     with_contrib = sum(1 for rec in filtered.records if rec.contributor_count)
     with_maints = sum(1 for rec in filtered.records if rec.maintainers)
-    maintainer_count = maintainer_stats.get("maintainers", 0)
+    maintainer_count = result.maintainers
 
     def signal_entry(signal: str) -> dict:
         entries = by_signal.get(signal, [])
@@ -249,8 +207,9 @@ def _build_summary(
             entry["maintainer_subjects"] = len(maint_subjects)
         return entry
 
+    histogram = result.domain_histogram
     unique_domains = sum(1 for count in histogram.values() if count == 1)
-    summary = {
+    return {
         "tool": {"name": "weaklink", "version": __version__},
         "input": {
             "path": str(options.input_path),
@@ -258,7 +217,7 @@ def _build_summary(
             "ingest": corpus.stats.to_dict(),
         },
         "config": {
-            **cfg.to_dict(),
+            **result.config.to_dict(),
             "dep_kinds": list(options.dep_kinds),
             "popular_n": options.popular_n,
         },
@@ -274,30 +233,20 @@ def _build_summary(
             "contributor_listing_count": with_contrib,
             "inactive_package_share": signal_entry("W3_inactive_pkg")["rate"],
             "maintainer_count": maintainer_count,
-            "stale_maintainer_count": maintainer_stats.get("stale_maintainers", 0),
-            "inactive_maintainer_share": (
-                maintainer_stats.get("stale_maintainers", 0) / maintainer_count if maintainer_count else 0.0
-            ),
+            "stale_maintainer_count": result.stale_maintainers,
+            "inactive_maintainer_share": result.stale_maintainers / maintainer_count if maintainer_count else 0.0,
             "unique_domain_share": (unique_domains / len(histogram)) if histogram else 0.0,
         },
         "signals": {signal: signal_entry(signal) for signal in sorted(EVIDENCE_SCHEMAS)},
-        "popular_sample": popular.to_dict() if popular else None,
-        "combinations": {c.combination_id: c.count for c in combos},
+        "popular_sample": result.popular.to_dict(),
+        "combinations": {c.combination_id: c.count for c in result.combinations},
         "pipelines": {
-            "expired_domain_hijack": len(attack.hijackable),
-            "overloaded_inactive_takeover": len(attack.takeover_candidates),
+            "expired_domain_hijack": len(result.attack.hijackable),
+            "overloaded_inactive_takeover": len(result.attack.takeover_candidates),
         },
-        "keyword_hunt": {"packages": len({h.package for h in hits})},
-        "provider_warnings": warnings,
+        "keyword_hunt": {"packages": len({h.package for h in result.keyword_hits})},
+        "provider_warnings": result.provider_warnings,
     }
-    return summary
-
-
-# --- canonical writers ----------------------------------------------------
-
-
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def findings_header() -> dict:
@@ -316,7 +265,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     paths: dict[str, Path] = {}
 
     paths["summary"] = out / "summary.json"
-    _dump_json(paths["summary"], result.summary)
+    _dump_json(paths["summary"], _summary(result))
 
     paths["findings"] = out / "findings.jsonl"
     with open(paths["findings"], "w", encoding="utf-8") as fh:
@@ -385,7 +334,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
                 for h in result.keyword_hits[:MEMBER_SAMPLE_CAP]
             ],
         },
-        "popular_sample": result.popular.to_dict() if result.popular else None,
+        "popular_sample": result.popular.to_dict(),
     }
     paths["combinations"] = out / "combinations.json"
     _dump_json(paths["combinations"], combo_payload)

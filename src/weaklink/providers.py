@@ -48,6 +48,8 @@ class DomainStatus:
 
 
 class DomainStatusProvider(Protocol):
+    warnings: int  # lookups that degraded to unknown
+
     def check(self, domain: str) -> DomainStatus: ...
 
 
@@ -55,6 +57,7 @@ class DownloadsProvider(Protocol):
     # False when the provider holds no count at all: ranking by its
     # downloads would tie every package at zero.
     has_data: bool
+    warnings: int
 
     def downloads(self, package: str) -> int | None: ...
 
@@ -188,30 +191,6 @@ class LiveDnsDomainProvider:
             return DomainStatus(domain=domain, status=STATUS_UNKNOWN, checked_at=now, source="live", method="dns-ns-mx")
         status = STATUS_AVAILABLE if ns == 0 and mx == 0 else STATUS_REGISTERED
         return DomainStatus(domain=domain, status=status, checked_at=now, source="live", method="dns-ns-mx")
-
-
-class CachingDomainProvider:
-    """Per-run cache so a domain is queried at most once per scan."""
-
-    def __init__(self, inner: DomainStatusProvider):
-        self._inner = inner
-        self._cache: dict[str, DomainStatus] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def warnings(self) -> int:
-        return getattr(self._inner, "warnings", 0)
-
-    def check(self, domain: str) -> DomainStatus:
-        key = domain.lower()
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        status = self._inner.check(key)
-        with self._lock:
-            self._cache.setdefault(key, status)
-        return status
 
 
 class FixtureDownloadsProvider:

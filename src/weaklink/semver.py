@@ -13,16 +13,27 @@ from __future__ import annotations
 import re
 
 _SEMVER_RE = re.compile(
-    r"^v?(?P<major>\d+)(?:\.(?P<minor>\d+))?(?:\.(?P<patch>\d+))?"
+    r"^v?(?P<major>[0-9]+)(?:\.(?P<minor>[0-9]+))?(?:\.(?P<patch>[0-9]+))?"
     r"(?:-(?P<pre>[0-9A-Za-z.-]+))?"
     r"(?:\+[0-9A-Za-z.-]+)?$"
 )
 
 # Sort key shape: (valid, major, minor, patch, is_release, pre_ids, raw)
-# where pre_ids is a tuple of (1, "", n) for numeric identifiers and
-# (2, s, 0) for alphanumeric ones, so tuple comparison mirrors semver
-# precedence (numeric < alphanumeric, prefix < longer).
+# where each number is a _number() pair and pre_ids is a tuple of
+# (1, "", number) for numeric identifiers and (2, s, 0) for alphanumeric
+# ones, so tuple comparison mirrors semver precedence (numeric <
+# alphanumeric, prefix < longer).
 SortKey = tuple
+
+
+def _number(digits: str | None) -> tuple[int, str]:
+    """Order of an ASCII digit run as a pair that compares like its value.
+
+    Leading zeros are dropped, then a longer run is larger and runs of equal
+    length compare as strings. Unlike int(), this takes any number of digits.
+    """
+    n = (digits or "").lstrip("0") or "0"
+    return (len(n), n)
 
 
 def sort_key(version: str) -> SortKey:
@@ -30,9 +41,9 @@ def sort_key(version: str) -> SortKey:
     m = _SEMVER_RE.match(version.strip())
     if m is None:
         return (0, 0, 0, 0, 0, (), version)
-    major = int(m.group("major"))
-    minor = int(m.group("minor") or 0)
-    patch = int(m.group("patch") or 0)
+    major = _number(m.group("major"))
+    minor = _number(m.group("minor"))
+    patch = _number(m.group("patch"))
     pre = m.group("pre")
     if pre is None:
         # Releases outrank any pre-release of the same core.
@@ -40,7 +51,7 @@ def sort_key(version: str) -> SortKey:
     ids = []
     for ident in pre.split("."):
         if ident.isdigit():
-            ids.append((1, "", int(ident)))
+            ids.append((1, "", _number(ident)))
         else:
             ids.append((2, ident, 0))
     return (1, major, minor, patch, 0, tuple(ids), version)

@@ -129,11 +129,9 @@ class AnalyzerConfig:
         return timedelta(days=self.inactivity_days)
 
     def resolved(self, corpus: Corpus) -> "AnalyzerConfig":
-        """Fill in reference_time from the corpus when unset."""
-        if self.reference_time is not None:
+        """Fill in reference_time from the corpus when unset; an empty corpus leaves it None."""
+        if self.reference_time is not None or not corpus.records:
             return self
-        if not corpus.records:
-            raise ValueError("cannot resolve reference_time over an empty corpus")
         ref = max(rec.last_modified for rec in corpus.records)
         return replace(self, reference_time=ref)
 

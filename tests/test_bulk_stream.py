@@ -4,7 +4,7 @@
 the whole-tree reader it replaced: autodetection parses the first line with
 ``json.loads`` and a bulk export is read with one ``json.load``. For every
 generated file both must give the same records and stats, or the same
-exception type, and ``detect_layout`` the same verdict.
+exception type.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from weaklink import ingest
 from weaklink.errors import NoVersionsError, ParseError
-from weaklink.ingest import IngestStats, detect_layout, load_corpus, parse_record
+from weaklink.ingest import IngestStats, load_corpus, parse_record
 
 from ingest_reference import record_to_dict
 
@@ -250,7 +250,6 @@ def test_streamed_load_matches_whole_tree_oracle(top, lines, style, ensure_ascii
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK", chunk):
         path = Path(tmp) / "snap.json"
         path.write_bytes(data)
-        assert outcome(detect_layout, path) == outcome(oracle_layout, path)
         assert outcome(streamed_load, path, layout) == outcome(oracle_load, path, layout)
 
 
@@ -268,7 +267,7 @@ def test_contract_shapes_by_hand():
         path = Path(tmp) / "snap.json"
         for data, (layout, total) in cases.items():
             path.write_bytes(data)
-            assert detect_layout(path) == oracle_layout(path) == layout, data
+            assert oracle_layout(path) == layout, data
             assert streamed_load(path, None) == oracle_load(path, None), data
             assert load_corpus(path).stats.total == total, data
         for data, error in (

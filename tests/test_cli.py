@@ -311,3 +311,32 @@ def test_bulk_export_that_json_load_rejects_is_fatal(corpus_dir, tmp_path, varia
     else:
         snapshot.write_bytes(b"\xef\xbb\xbf" + export.encode() + b"\n")
     assert main(["scan", "--input", str(snapshot), "--out", str(tmp_path / "out")]) == 1
+
+
+# --- a scan whose filtered corpus is empty ---------------------------------------
+
+COMBINATION_IDS = ["W1+W3+W6", "W1+W6", "W2+W3", "W2+W3+W6", "W2+W6", "W3+W4", "W3+W4+W6", "W3+W6"]
+
+
+def unlicensed_doc(name: str) -> dict:
+    # No repository and no license, and nothing depends on it: excluded.
+    when = "2020-01-01T00:00:00.000Z"
+    version = {"name": name, "version": "1.0.0", "maintainers": [{"name": "m", "email": "m@gone.example"}]}
+    return {"name": name, "dist-tags": {"latest": "1.0.0"}, "versions": {"1.0.0": version}, "time": {"modified": when}}
+
+
+@pytest.mark.parametrize("docs", [[], [unlicensed_doc("a"), unlicensed_doc("b")]], ids=["empty-file", "all-excluded"])
+def test_scan_of_empty_filtered_corpus_writes_zero_rows(tmp_path, docs):
+    snapshot = tmp_path / "snapshot.ndjson"
+    snapshot.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    out = tmp_path / "report"
+    assert main(["scan", "--input", str(snapshot), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    combos = json.loads((out / "combinations.json").read_text())
+    assert summary["corpus"]["parsed"] == summary["corpus"]["excluded"]["total"] == len(docs)
+    assert summary["corpus"]["filtered"] == 0
+    assert summary["config"]["reference_time"] is None
+    assert summary["combinations"] == dict.fromkeys(COMBINATION_IDS, 0)
+    assert [(row["id"], row["count"]) for row in combos["combinations"]] == [(cid, 0) for cid in COMBINATION_IDS]
+    zero = {"by_dependents": 0, "by_downloads": 0, "union": 0}
+    assert summary["popular_sample"]["source_counts"] == combos["popular_sample"]["source_counts"] == zero

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from weaklink import ingest
 from weaklink.errors import NoVersionsError, ParseError
 from weaklink.ingest import (
-    detect_layout,
     extract_email_domain,
     format_timestamp,
     load_corpus,
@@ -139,6 +138,19 @@ def test_semver_fallback_without_dist_tags():
     }
     rec = parse_record(doc_bytes(tree))
     assert rec.version == "1.10.0"
+
+
+def test_semver_fallback_over_a_version_of_5001_digits(tmp_path):
+    # int() refuses more than 4,300 digits; the fallback never converts.
+    huge = "1" + "0" * 5000
+    tree = {
+        "name": "a",
+        "versions": {v: {"name": "a", "version": v} for v in ("2.0.0", huge, "9" * 4999)},
+        "time": {"created": T0, "modified": T0},
+    }
+    corpus = load_corpus(write_snapshot(tmp_path, [tree], "ndjson"))
+    assert corpus.stats.parsed == 1
+    assert corpus.records[0].version == huge
 
 
 def test_empty_versions_raises():
@@ -525,7 +537,6 @@ def test_records_share_empty_maps_and_equal_strings(tmp_path):
 def test_bulk_export_with_trailing_data_still_fails(tmp_path):
     path = write_snapshot(tmp_path, [minimal_doc()], "bulk")
     path.write_text(path.read_text() + "\n{}\n")
-    assert detect_layout(path) == "bulk"
     with pytest.raises(json.JSONDecodeError):
         load_corpus(path)
 
@@ -534,7 +545,6 @@ def test_bulk_export_with_trailing_data_still_fails(tmp_path):
 def test_bulk_export_with_bom_still_fails(tmp_path, indent):
     path = tmp_path / "snap.json"
     path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"rows": [{"doc": minimal_doc()}]}, indent=indent).encode())
-    assert detect_layout(path) == "bulk"
     with pytest.raises(json.JSONDecodeError):
         load_corpus(path)
 
@@ -545,7 +555,6 @@ def test_bulk_export_with_encoded_surrogate_still_fails(tmp_path):
     path = tmp_path / "snap.json"
     doc = json.dumps({"rows": [{"doc": minimal_doc(description="X")}]}).encode()
     path.write_bytes(doc.replace(b'"X"', b'"\xed\xa0\x80"'))
-    assert detect_layout(path) == "bulk"
     with pytest.raises(UnicodeDecodeError):
         load_corpus(path)
 
@@ -611,7 +620,6 @@ def test_first_line_with_more_than_one_value_is_a_bulk_export_that_fails(tmp_pat
     path.write_bytes(data)
     with open(path, encoding="utf-8") as fh, pytest.raises(json.JSONDecodeError) as expected:
         json.load(fh)
-    assert detect_layout(path) == "bulk"
     with pytest.raises(json.JSONDecodeError) as err:
         load_corpus(path)
     assert str(err.value) == str(expected.value)

@@ -1,4 +1,4 @@
-"""Provider behavior: fixtures, caching, rate limiting, live stubs."""
+"""Provider behavior: fixtures, one check per domain, rate limiting, live stubs."""
 
 from __future__ import annotations
 
@@ -8,13 +8,15 @@ import socket
 import struct
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from weaklink.errors import FixtureError
+from weaklink.ingest import parse_person
 from weaklink.providers import (
-    CachingDomainProvider,
+    DomainStatus,
     EmptyDownloadsProvider,
     FixtureDomainProvider,
     FixtureDownloadsProvider,
@@ -25,6 +27,10 @@ from weaklink.providers import (
     STATUS_REGISTERED,
     STATUS_UNKNOWN,
 )
+from weaklink.reach import build_maintainer_index
+from weaklink.signals import AnalyzerConfig, analyze_w1
+
+from conftest import REF, make_corpus, make_record
 
 
 def write_jsonl(path, rows):
@@ -88,28 +94,33 @@ def test_empty_downloads_provider():
 
 
 class CountingProvider:
+    warnings = 0
+
     def __init__(self):
-        self.calls = 0
+        self.calls = Counter()
 
     def check(self, domain):
-        from datetime import datetime, timezone
-
-        from weaklink.providers import DomainStatus
-
-        self.calls += 1
-        return DomainStatus(
-            domain=domain, status=STATUS_REGISTERED, checked_at=datetime.now(timezone.utc), source="fixture"
-        )
+        self.calls[domain] += 1
+        return DomainStatus(domain=domain, status=STATUS_AVAILABLE, checked_at=REF, source="fixture")
 
 
-def test_caching_provider_queries_once_per_domain():
-    inner = CountingProvider()
-    cached = CachingDomainProvider(inner)
-    for _ in range(5):
-        cached.check("x.example")
-        cached.check("X.EXAMPLE")
-    cached.check("y.example")
-    assert inner.calls == 2
+def test_w1_checks_each_lowercased_domain_once():
+    emails = [
+        ["ann@x.example", "Bob@X.Example"],
+        ["ANN@x.EXAMPLE", "cy@y.example"],
+        ["bob@x.example", "dee@Y.example", "eve@Z.Example"],
+        ["no-domain"],
+    ]
+    records = [
+        make_record(f"pkg-{i}", maintainers=[parse_person({"name": "p", "email": e}) for e in row])
+        for i, row in enumerate(emails)
+    ]
+    corpus = make_corpus(records)
+    provider = CountingProvider()
+    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, AnalyzerConfig(reference_time=REF))
+    assert provider.calls == {"x.example": 1, "y.example": 1, "z.example": 1}
+    assert histogram == {"x.example": 4, "y.example": 2, "z.example": 1}
+    assert {f.subject_id for f in findings} == {"pkg-0", "pkg-1", "pkg-2"}
 
 
 # --- rate limiter -------------------------------------------------------------

@@ -99,3 +99,18 @@ def test_invalid_versions_sort_below_valid():
 def test_build_metadata_ignored_for_precedence():
     # Equal on every precedence component; only the raw-string tiebreak differs.
     assert semver.sort_key("1.0.0+build.5")[:-1] == semver.sort_key("1.0.0")[:-1]
+
+
+def test_numbers_of_any_length_compare_by_value():
+    huge = "1" + "0" * 5000
+    assert semver.max_version(["2.0.0", huge, "9" * 4999]) == huge
+    assert semver.sort_key("1.0.0-" + "9" * 5000) < semver.sort_key("1.0.0-1" + "0" * 5000)
+    # Leading zeros do not count.
+    assert semver.sort_key("0" * 6000 + "7.1.2")[1:-1] == semver.sort_key("7.01.2")[1:-1]
+    assert semver.sort_key("07.0.0") < semver.sort_key("10.0.0")
+
+
+def test_non_ascii_digits_are_not_a_version():
+    # npm's grammar allows only 0-9; other Unicode digits sort with the invalid strings.
+    assert semver.sort_key("\u0661.0.0")[0] == 0
+    assert semver.max_version(["\u0661\u0662.0.0", "0.0.1"]) == "0.0.1"
