@@ -166,13 +166,12 @@ def intersect(signals: Sequence[SignalSet], scope: PopularSample | None = None) 
 def combination_table(
     findings: Sequence[WeakLinkFinding],
     scope: PopularSample | None = None,
-    combos: Sequence[tuple[str, ...]] = DEFAULT_COMBINATIONS,
 ) -> list[Combination]:
     """The canonical combination rows, scope-restricted, sorted by id."""
     sets = signal_sets(findings)
     empty = frozenset()
     rows = []
-    for combo in combos:
+    for combo in DEFAULT_COMBINATIONS:
         selected = [sets.get(signal, SignalSet(signal=signal, members=empty)) for signal in combo]
         rows.append(intersect(selected, scope))
     return sorted(rows, key=lambda row: row.combination_id)
@@ -209,7 +208,6 @@ def attack_candidates(
     findings: Sequence[WeakLinkFinding],
     dindex: DependentsIndex,
     downloads: DownloadsProvider,
-    scope: PopularSample | None = None,
 ) -> AttackReport:
     """The two narrative attack pipelines as first-class reports.
 
@@ -227,8 +225,6 @@ def attack_candidates(
 
     hijackable = []
     for pkg in sorted(set(w1_by_pkg) & inactive):
-        if scope is not None and pkg not in scope.members:
-            continue
         entries = w1_by_pkg[pkg]
         emails = tuple(sorted({f.evidence["maintainer_key"] for f in entries}))
         domains = tuple(sorted({f.evidence["domain"] for f in entries}))
@@ -253,8 +249,6 @@ def attack_candidates(
     for f in w6_pkgs:
         key = f.evidence["maintainer_key"]
         if key not in stale_overloaded:
-            continue
-        if scope is not None and f.subject_id not in scope.members:
             continue
         if (f.subject_id, key) in seen:
             continue

@@ -462,8 +462,9 @@ class _JsonText:
     autodetection must match, while a strict read of the file does not.
     """
 
-    def __init__(self, fh):
+    def __init__(self, fh, digest):
         self._fh = fh
+        self._digest = digest  # sees every byte read from the file
         self._undecoded = b""
         self._decoded = 0  # characters decoded so far
         self.buf = ""
@@ -497,6 +498,7 @@ class _JsonText:
         """The next decoded text, "" at the end of the file."""
         while not self.invalid:
             data = self._fh.read(size)
+            self._digest.update(data)
             text = self._decode(data)
             if text or not (data or self.invalid):
                 return text
@@ -592,8 +594,8 @@ class _BulkReader:
     later "rows" key raises ``_Reread`` with its own index.
     """
 
-    def __init__(self, fh, autodetect: bool, rows_key: int):
-        self.text = _JsonText(fh)
+    def __init__(self, fh, digest, autodetect: bool, rows_key: int):
+        self.text = _JsonText(fh, digest)
         self._pending = autodetect
         self._rows_key = rows_key
         self._handed_on = False
@@ -731,31 +733,20 @@ class _BulkReader:
 _STREAMED = object()
 
 
-def _iter_ndjson(fh) -> Iterator[bytes]:
+def _iter_ndjson(fh, digest) -> Iterator[bytes]:
     for line in fh:
+        digest.update(line)
         line = line.strip()
         if line:
             yield line
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def snapshot_digest(source: Path, layout: str) -> str:
-    if layout == "dir":
-        parts = hashlib.sha256()
-        for path in sorted(source.rglob("*.json")):
-            parts.update(str(path.relative_to(source)).encode())
-            parts.update(b":")
-            parts.update(_sha256_file(path).encode())
-            parts.update(b"\n")
-        return parts.hexdigest()
-    return _sha256_file(source)
+def _iter_dir(source: Path, digest) -> Iterator[bytes]:
+    """Each ``.json`` file under ``source`` in path order; ``digest`` gets a "relpath:sha256hex" line for each."""
+    for path in sorted(source.rglob("*.json")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(source)}:{hashlib.sha256(data).hexdigest()}\n".encode())
+        yield data
 
 
 def _ingest(items: Iterable[object], leaves: _Leaves) -> tuple[dict[str, PackageRecord], IngestStats]:
@@ -789,7 +780,7 @@ def load_corpus(source: str | Path, layout: str | None = None) -> Corpus:
     One document is decoded at a time in every layout. Malformed documents
     are counted and skipped. Records are merged in stable order by package
     name; the first occurrence of a duplicate name wins and later ones are
-    counted under "duplicate_name".
+    counted under "duplicate_name". The digest hashes the bytes this read parsed.
     """
     source = Path(source)
     if not source.exists():
@@ -802,15 +793,17 @@ def load_corpus(source: str | Path, layout: str | None = None) -> Corpus:
     leaves = _Leaves()
     rows_key = 0
     while True:
+        # Each attempt reads from the start, so it hashes from the start.
+        digest = hashlib.sha256()
         try:
             if layout == "dir":
-                records, stats = _ingest((path.read_bytes() for path in sorted(source.rglob("*.json"))), leaves)
+                records, stats = _ingest(_iter_dir(source, digest), leaves)
             else:
                 with open(source, "rb") as fh:
                     if layout == "ndjson":
-                        items = _iter_ndjson(fh)
+                        items = _iter_ndjson(fh, digest)
                     else:
-                        items = _BulkReader(fh, autodetect=layout is None, rows_key=rows_key).items()
+                        items = _BulkReader(fh, digest, autodetect=layout is None, rows_key=rows_key).items()
                     records, stats = _ingest(items, leaves)
             break
         except _Verdict:  # autodetection: the file is ndjson after all
@@ -820,4 +813,4 @@ def load_corpus(source: str | Path, layout: str | None = None) -> Corpus:
     layout = layout or "bulk"
     ordered = tuple(records[name] for name in sorted(records))
     logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)
-    return Corpus(records=ordered, stats=stats, digest=snapshot_digest(source, layout))
+    return Corpus(records=ordered, stats=stats, digest=digest.hexdigest())

@@ -152,7 +152,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
         popular=popular,
         combinations=combination_table(findings, scope=popular),
         keyword_hits=keyword_hunt(filtered, cfg),
-        attack=attack_candidates(filtered, findings, dindex, downloads, scope=None),
+        attack=attack_candidates(filtered, findings, dindex, downloads),
         maintainers=len(mindex),
         stale_maintainers=sum(1 for info in mindex.values() if is_inactive(info.last_activity, cfg)),
         provider_warnings=domains.warnings + downloads.warnings,

@@ -202,7 +202,7 @@ class FixtureDownloadsProvider:
         for lineno, row in _iter_jsonl(path):
             package = row.get("package")
             count = row.get("downloads")
-            if not isinstance(package, str) or not isinstance(count, int) or count < 0:
+            if not isinstance(package, str) or type(count) is not int or count < 0:  # bool is no count
                 raise FixtureError(f"{path}:{lineno}: bad downloads fixture row: {row!r}")
             self._counts[package] = count
         self.warnings = 0
@@ -264,10 +264,11 @@ class LiveDownloadsProvider:
             if resp.status_code != 200:
                 continue
             try:
-                count = resp.json().get("downloads")
+                body = resp.json()
             except ValueError:
                 continue
-            if isinstance(count, int) and count >= 0:
+            count = body.get("downloads") if isinstance(body, dict) else None
+            if type(count) is int and count >= 0:
                 return count
         with self._lock:
             self.warnings += 1

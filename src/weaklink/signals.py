@@ -36,7 +36,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from .exclusions import DEFAULT_LICENSE_DENYLIST
-from .ingest import Corpus, extract_email_domain, format_timestamp, parse_timestamp
+from .ingest import Corpus, format_timestamp, parse_timestamp
 from .reach import DependentsIndex, MaintainerIndex, maintainer_reach, top_percent
 
 if TYPE_CHECKING:
@@ -247,8 +247,6 @@ def _phrase(token: str) -> str:
 def token_regex(token: str) -> re.Pattern[str]:
     if " " in token:
         return re.compile(_phrase(token))
-    if token.startswith(("/", ".")):
-        return re.compile(rf"(?<![\w-]){re.escape(token)}(?![\w-])")
     return re.compile(_word(token))
 
 
@@ -360,10 +358,13 @@ def analyze_w1(
     each domain appears across (package, maintainer) entries.
     """
     histogram: dict[str, int] = {}
+    # A name-only maintainer has no domain, however its name reads.
+    key_domains: dict[str, str] = {}
     for rec in corpus.records:
         for person in rec.maintainers:
-            if person.email_domain:
-                histogram[person.email_domain] = histogram.get(person.email_domain, 0) + 1
+            if domain := person.email_domain:
+                histogram[domain] = histogram.get(domain, 0) + 1
+                key_domains[person.identity_key] = domain
 
     available: set[str] = set()
     for domain in sorted(histogram):
@@ -373,8 +374,8 @@ def analyze_w1(
 
     findings = []
     for key, info in mindex.items():
-        domain = extract_email_domain(key)
-        if domain is None or domain not in available:
+        domain = key_domains.get(key)
+        if domain not in available:
             continue
         for pkg in info.owned_packages:
             findings.append(

@@ -848,8 +848,10 @@ def generate(plan: GenerationPlan) -> SynthCorpus:
             packages[d].dependencies.append(i)
 
     # --- downloads ------------------------------------------------------------------------------
+    # The ramp stays above the random counts below for any popular_n.
+    step = min(1_000, 990_000 // popular_n)
     for r, i in enumerate(popular_dl):
-        packages[i].downloads = 1_000_000 - 1_000 * r
+        packages[i].downloads = 1_000_000 - step * r
     for i in retained:
         if packages[i].downloads == 0:
             packages[i].downloads = rng.randrange(0, 10_000)

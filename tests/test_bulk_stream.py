@@ -9,6 +9,7 @@ exception type.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -107,6 +108,8 @@ def outcome(load, *args):
 
 def streamed_load(source: Path, layout: str | None) -> tuple[list[dict], IngestStats]:
     corpus = load_corpus(source, layout=layout)
+    # However often the reader restarts, the digest is of the file it read.
+    assert corpus.digest == hashlib.sha256(source.read_bytes()).hexdigest()
     return [record_to_dict(r) for r in corpus.records], corpus.stats
 
 

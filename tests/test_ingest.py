@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -20,7 +22,6 @@ from weaklink.ingest import (
     load_corpus,
     parse_person,
     parse_record,
-    snapshot_digest,
 )
 
 from ingest_reference import record_to_dict, reference_record
@@ -607,7 +608,64 @@ def test_dir_digest_hashes_each_relative_path_and_file_digest(tmp_path):
     )
     corpus = load_corpus(path)
     assert len(corpus.records) == 4
-    assert corpus.digest == sha256_hex(lines.encode()) == snapshot_digest(path, "dir")
+    assert corpus.digest == sha256_hex(lines.encode())
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 20])
+def test_digest_restarts_when_autodetection_rereads_the_file_as_ndjson(tmp_path, monkeypatch, chunk):
+    # The bulk reader reads the first document before it finds the file is
+    # ndjson; the ndjson read starts again from byte 0.
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], "ndjson")
+    corpus = load_corpus(path)
+    assert len(corpus.records) == 3
+    assert corpus.digest == sha256_hex(path.read_bytes())
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 20])
+@pytest.mark.parametrize("layout", [None, "bulk"])
+def test_digest_restarts_when_a_later_rows_key_rereads_the_export(tmp_path, monkeypatch, chunk, layout):
+    # The rows of the first "rows" key are handed on before the second key
+    # voids them; the reread starts again from byte 0.
+    monkeypatch.setattr(ingest, "_CHUNK", chunk)
+    first = json.dumps([{"doc": minimal_doc(name="void")}])
+    last = json.dumps([{"doc": minimal_doc(name=f"pkg-{i}")} for i in range(2)])
+    path = tmp_path / "snap.json"
+    path.write_text(f'{{"rows": {first},\n "rows": {last}}}')
+    corpus = load_corpus(path, layout=layout)
+    assert [rec.name for rec in corpus.records] == ["pkg-0", "pkg-1"]
+    assert corpus.digest == sha256_hex(path.read_bytes())
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """How often each path is opened, by open() or by a Path method."""
+    counts: dict[str, int] = {}
+    real = io.open
+
+    def counting(file, *args, **kwargs):
+        counts[str(file)] = counts.get(str(file), 0) + 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    monkeypatch.setattr(io, "open", counting)
+    return counts
+
+
+@pytest.mark.parametrize("layout", ["ndjson", "bulk"])
+def test_a_snapshot_file_is_opened_once(tmp_path, opened, layout):
+    path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], layout)
+    opened.clear()
+    assert len(load_corpus(path, layout=layout).records) == 3
+    assert opened == {str(path): 1}
+
+
+@pytest.mark.parametrize("layout", [None, "dir"])
+def test_each_file_of_a_snapshot_directory_is_opened_once(tmp_path, opened, layout):
+    path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], "dir")
+    opened.clear()
+    assert len(load_corpus(path, layout=layout).records) == 3
+    assert opened == {str(path / f"doc{i}.json"): 1 for i in range(3)}
 
 
 # --- a first line with more than one value -----------------------------------------

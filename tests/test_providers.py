@@ -66,9 +66,12 @@ def test_downloads_fixture(tmp_path):
 
 
 def test_downloads_fixture_validation(tmp_path):
-    path = write_jsonl(tmp_path / "dl.jsonl", [{"package": "x", "downloads": -3}])
-    with pytest.raises(FixtureError):
-        FixtureDownloadsProvider(path)
+    # bool is a subclass of int, yet true is no download count.
+    for count in (-3, True, False, 1.0, "7", None):
+        rows = [{"package": "ok", "downloads": 1}, {"package": "x", "downloads": count}]
+        path = write_jsonl(tmp_path / "dl.jsonl", rows)
+        with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:2: bad downloads fixture row: "):
+            FixtureDownloadsProvider(path)
 
 
 @pytest.mark.parametrize("provider", [FixtureDomainProvider, FixtureDownloadsProvider])
@@ -254,7 +257,13 @@ class StubDownloads(BaseHTTPRequestHandler):
             self.send_response(500)
             self.end_headers()
             return
-        body = json.dumps({"downloads": 53_000, "package": self.path.rsplit("/", 1)[-1]}).encode()
+        if "boolean" in self.path:
+            reply = {"downloads": True}
+        elif "listed" in self.path:
+            reply = [53_000]
+        else:
+            reply = {"downloads": 53_000, "package": self.path.rsplit("/", 1)[-1]}
+        body = json.dumps(reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -292,6 +301,15 @@ def test_live_downloads_error_exhausts_retries(http_stub):
     assert provider.downloads("flaky-pkg") is None
     assert provider.warnings == 1
     assert len([h for h in StubDownloads.hits if "flaky" in h[1]]) == 3
+
+
+@pytest.mark.parametrize("package", ["boolean-pkg", "listed-pkg"])
+def test_live_downloads_reply_without_a_count_exhausts_retries(http_stub, package):
+    # {"downloads": true} and a JSON list are failed replies, never a count.
+    provider = LiveDownloadsProvider(http_stub, rate_limit=200, retries=2)
+    assert provider.downloads(package) is None
+    assert provider.warnings == 1
+    assert len([h for h in StubDownloads.hits if package in h[1]]) == 3
 
 
 def test_live_downloads_rate_limited(http_stub):

@@ -92,6 +92,16 @@ def test_w1_name_only_maintainers_have_no_domain():
     assert findings == []
     assert histogram == {}
     assert provider.calls == []
+    # A name that reads like an address is still only a name: once another
+    # maintainer makes its "domain" available, it has no account to take over.
+    named = person(name="x@dead.io")
+    corpus = make_corpus(
+        [make_record("a", maintainers=(named,)), make_record("b", maintainers=(person(email="y@dead.io"),))]
+    )
+    provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
+    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
+    assert [(f.subject_id, f.evidence["maintainer_key"]) for f in findings] == [("b", "y@dead.io")]
+    assert histogram == {"dead.io": 1}
 
 
 # --- W2 ------------------------------------------------------------------

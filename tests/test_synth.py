@@ -108,6 +108,13 @@ def test_plan_validation_errors():
         generate(GenerationPlan(package_count=30))  # too small for default plants
 
 
+def test_popular_download_ramp_clears_the_random_counts_above_990_members():
+    # 1,100 popular-by-downloads members: a ramp of 1,000 per rank would fall
+    # into the random 0-9,999 counts and break the separation.
+    manifest = generate(GenerationPlan(package_count=12_000, popular_divisor=10, w6_owned_per_maintainer=100)).manifest
+    assert manifest["popular"]["source_counts"]["by_downloads"] == 1_100
+
+
 def test_w2_count_without_exclusions_is_22_of_1000(tmp_path):
     plan = GenerationPlan(
         seed=7,
