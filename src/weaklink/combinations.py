@@ -226,8 +226,8 @@ def attack_candidates(
     hijackable = []
     for pkg in sorted(set(w1_by_pkg) & inactive):
         entries = w1_by_pkg[pkg]
-        emails = tuple(sorted({f.evidence["maintainer_key"] for f in entries}))
-        domains = tuple(sorted({f.evidence["domain"] for f in entries}))
+        emails = tuple(sorted({f.value("maintainer_key") for f in entries}))
+        domains = tuple(sorted({f.value("domain") for f in entries}))
         hijackable.append(
             HijackRow(
                 package=pkg,
@@ -241,13 +241,13 @@ def attack_candidates(
     stale_overloaded = {
         f.subject_id: f
         for f in findings
-        if f.signal == "W6" and f.subject_kind == "maintainer" and f.evidence["inactive_owned_share"] == 1
+        if f.signal == "W6" and f.subject_kind == "maintainer" and f.value("inactive_owned_share") == 1
     }
     takeover = []
     w6_pkgs = [f for f in findings if f.signal == "W6" and f.subject_kind == "package"]
     seen = set()
     for f in w6_pkgs:
-        key = f.evidence["maintainer_key"]
+        key = f.value("maintainer_key")
         if key not in stale_overloaded:
             continue
         if (f.subject_id, key) in seen:
@@ -257,7 +257,7 @@ def attack_candidates(
             TakeoverRow(
                 package=f.subject_id,
                 maintainer_key=key,
-                reach=stale_overloaded[key].evidence["reach"],
+                reach=stale_overloaded[key].value("reach"),
                 dependents=len(dindex.get(f.subject_id, ())),
                 downloads=downloads.downloads(f.subject_id),
             )

@@ -254,7 +254,7 @@ def findings_header() -> dict:
         "kind": "header",
         "schema_version": FINDINGS_SCHEMA_VERSION,
         "tool": "weaklink",
-        "evidence_schemas": {signal: sorted(keys) for signal, keys in EVIDENCE_SCHEMAS.items()},
+        "evidence_schemas": {signal: list(keys) for signal, keys in EVIDENCE_SCHEMAS.items()},
     }
 
 

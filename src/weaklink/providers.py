@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import secrets
 import socket
 import struct
 import threading
@@ -139,8 +140,13 @@ def _encode_dns_query(domain: str, qtype: int, txn_id: int) -> bytes:
 
 
 def _dns_answer_count(domain: str, qtype: int, server: tuple[str, int], timeout: float) -> int:
-    """Number of answer records for (domain, qtype); raises OSError on failure."""
-    txn_id = hash(domain) & 0xFFFF
+    """Number of answer records for (domain, qtype); raises OSError on failure.
+
+    A reply that cannot be trusted is a failure: a wrong transaction id, a
+    truncated reply (TC set), or a question section that is not the query's
+    own name, type and class.
+    """
+    txn_id = secrets.randbits(16)
     query = _encode_dns_query(domain, qtype, txn_id)
     with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         sock.settimeout(timeout)
@@ -148,9 +154,17 @@ def _dns_answer_count(domain: str, qtype: int, server: tuple[str, int], timeout:
         data, _addr = sock.recvfrom(4096)
     if len(data) < 12:
         raise OSError("short DNS response")
-    rid, flags, _qd, ancount, _ns, _ar = struct.unpack(">HHHHHH", data[:12])
+    rid, flags, qdcount, ancount, _ns, _ar = struct.unpack(">HHHHHH", data[:12])
     if rid != txn_id:
         raise OSError("DNS transaction id mismatch")
+    if flags & 0x0200:
+        raise OSError("truncated DNS response")
+    # The question follows the header: the name compares case-insensitively,
+    # the type and class (its last four bytes) exactly.
+    end = len(query)
+    name_matches = data[12 : end - 4].lower() == query[12 : end - 4].lower()
+    if qdcount != 1 or not name_matches or data[end - 4 : end] != query[end - 4 :]:
+        raise OSError("DNS response question does not match the query")
     rcode = flags & 0x000F
     if rcode == 3:  # NXDOMAIN: authoritatively no records
         return 0

@@ -8,8 +8,8 @@ Transitive dependents are out of scope; edges are name-level.
 
 from __future__ import annotations
 
+import heapq
 import math
-from collections.abc import Set
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Sequence
@@ -17,15 +17,15 @@ from typing import Sequence
 from .errors import EmptyInputError, UnknownMaintainerError
 from .ingest import Corpus
 
-DependentsIndex = dict[str, Set[str]]
+DependentsIndex = dict[str, tuple[str, ...]]
 
 # The one value of every index entry with no dependents.
-NO_DEPENDENTS: frozenset[str] = frozenset()
+NO_DEPENDENTS: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
 class MaintainerInfo:
-    owned_packages: frozenset[str]
+    owned_packages: tuple[str, ...]  # in name order, each once
     last_activity: datetime
 
 
@@ -33,26 +33,32 @@ MaintainerIndex = dict[str, MaintainerInfo]
 
 
 def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime",)) -> DependentsIndex:
-    """Map each depended-upon name to the set of packages that declare it.
+    """Map each depended-upon name to the packages that declare it.
 
+    Each value is a tuple of dependent names in corpus order, each once.
     Self-edges are dropped. Names not present in the corpus are still
     indexed (a package may depend on something outside the snapshot). Corpus
-    packages nobody depends on map to the shared empty ``NO_DEPENDENTS``;
-    every other entry is a nonempty ``set``. Keys come in corpus order, then
-    external names in the order they are first declared.
+    packages nobody depends on map to the shared empty ``NO_DEPENDENTS``.
+    Keys come in corpus order, then external names in the order they are
+    first declared.
     """
     if not dep_kinds:
         raise ValueError("dep_kinds must be nonempty")
-    index: DependentsIndex = dict.fromkeys((rec.name for rec in corpus.records), NO_DEPENDENTS)
+    index: dict[str, tuple[str, ...] | list[str]] = dict.fromkeys((rec.name for rec in corpus.records), NO_DEPENDENTS)
     for rec in corpus.records:
+        name = rec.name
         for kind in dep_kinds:
             for dep_name in rec.dependency_names(kind):
-                if dep_name == rec.name:
+                if dep_name == name:
                     continue
                 deps = index.get(dep_name)
                 if not deps:  # absent, or still NO_DEPENDENTS
-                    deps = index[dep_name] = set()
-                deps.add(rec.name)
+                    index[dep_name] = [name]
+                elif deps[-1] != name:  # records come in order: a repeat is the last one
+                    deps.append(name)
+    for dep_name, deps in index.items():
+        if deps:
+            index[dep_name] = tuple(deps)
     return index
 
 
@@ -62,11 +68,11 @@ def without_packages(index: DependentsIndex, names: set[str]) -> DependentsIndex
     When no package outside ``names`` depends on one of them, as holds for
     excluded packages, this equals ``build_dependents_index`` over the
     corpus without ``names``, except that a name only they depended on
-    keeps an empty entry. Sets that lose no member are shared with ``index``;
-    sets that lose every member become ``NO_DEPENDENTS``.
+    keeps an empty entry. Values that lose no member are shared with
+    ``index``; values that lose every member become ``NO_DEPENDENTS``.
     """
     return {
-        name: deps if deps.isdisjoint(names) else (deps - names or NO_DEPENDENTS)
+        name: deps if names.isdisjoint(deps) else (tuple(d for d in deps if d not in names) or NO_DEPENDENTS)
         for name, deps in index.items()
         if name not in names
     }
@@ -79,16 +85,18 @@ def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     for rec in corpus.records:
         for person in rec.maintainers:
             key = person.identity_key
-            owned.setdefault(key, []).append(rec.name)
+            names = owned.get(key)
+            if names is None:
+                owned[key] = [rec.name]
+            elif names[-1] != rec.name:  # a record may list one identity twice
+                names.append(rec.name)
             prev = activity.get(key)
             if prev is None or rec.last_modified > prev:
                 activity[key] = rec.last_modified
-    # Each list is dropped as soon as it is frozen, so no maintainer's names
-    # are held twice. The dict between them sizes the frozenset's table
-    # once, which frozenset(list) would overgrow.
+    # Each list is dropped as soon as it is copied, so no maintainer's names
+    # are held twice.
     return {
-        key: MaintainerInfo(owned_packages=frozenset(dict.fromkeys(owned.pop(key))), last_activity=activity[key])
-        for key in list(owned)
+        key: MaintainerInfo(owned_packages=tuple(owned.pop(key)), last_activity=activity[key]) for key in list(owned)
     }
 
 
@@ -112,17 +120,12 @@ def top_n(subjects: Sequence[tuple[str, float]], n: int) -> list[tuple[str, floa
 
     Ties are broken lexicographically on the subject id; every subject tied
     with the n-th score is included, so the result can be longer than n.
+    Only the subjects that reach the n-th score are sorted.
     """
     if not subjects:
         raise EmptyInputError("no subjects to rank")
-    ranked = sorted(subjects, key=lambda item: (-item[1], item[0]))
-    if n >= len(ranked):
-        return ranked
-    cutoff_score = ranked[n - 1][1]
-    end = n
-    while end < len(ranked) and ranked[end][1] == cutoff_score:
-        end += 1
-    return ranked[:end]
+    cutoff = heapq.nlargest(n, (score for _, score in subjects))[-1]
+    return sorted((item for item in subjects if item[1] >= cutoff), key=lambda item: (-item[1], item[0]))
 
 
 def top_percent(subjects: Sequence[tuple[str, float]], percent: float) -> list[tuple[str, float]]:

@@ -13,7 +13,9 @@ own ``datetime``, flags are ``bool`` and script keys a tuple. Only
 ``WeakLinkFinding.to_dict`` and the sort tie-break turn it into strings,
 through ``EVIDENCE_FORMATS``: integers as decimal strings, shares and the
 average to 4 decimals, the W5 ratio to 6. Code that decides from evidence
-(the attack pipelines) reads the unrounded values.
+(the attack pipelines) reads the unrounded values. A finding holds its
+evidence values as one tuple, in the key order of ``EVIDENCE_SCHEMAS``, and
+``WeakLinkFinding.value`` reads one of them by key.
 
 Signals:
   W1  maintainer email domain available for registration (account takeover)
@@ -60,16 +62,17 @@ DEFAULT_SUSPICIOUS_TOKENS = (
     "/dev/tcp",
 )
 
-# Fixed per-signal evidence schemas; findings with unknown keys are rejected.
-EVIDENCE_SCHEMAS: dict[str, frozenset[str]] = {
-    "W1": frozenset({"domain", "maintainer_key"}),
-    "W2": frozenset({"script_key", "has_suspicious_tokens"}),
-    "W3_inactive_pkg": frozenset({"last_modified", "age_days"}),
-    "W3_inactive_maintainer": frozenset({"last_modified", "maintainer_count", "latest_maintainer_activity"}),
-    "W3_deprecated": frozenset({"deprecated", "last_modified"}),
-    "W4": frozenset({"maintainer_count", "registry_avg"}),
-    "W5": frozenset({"maintainers", "contributors", "ratio"}),
-    "W6": frozenset({"owned_count", "reach", "inactive_owned_share", "dependency_using_share", "maintainer_key"}),
+# Fixed per-signal evidence keys, sorted: a finding holds its evidence
+# values in this order, and evidence with a missing or unknown key is rejected.
+EVIDENCE_SCHEMAS: dict[str, tuple[str, ...]] = {
+    "W1": ("domain", "maintainer_key"),
+    "W2": ("has_suspicious_tokens", "script_key"),
+    "W3_inactive_pkg": ("age_days", "last_modified"),
+    "W3_inactive_maintainer": ("last_modified", "latest_maintainer_activity", "maintainer_count"),
+    "W3_deprecated": ("deprecated", "last_modified"),
+    "W4": ("maintainer_count", "registry_avg"),
+    "W5": ("contributors", "maintainers", "ratio"),
+    "W6": ("dependency_using_share", "inactive_owned_share", "maintainer_key", "owned_count", "reach"),
 }
 
 
@@ -147,6 +150,8 @@ class AnalyzerConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AnalyzerConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {}
         if "inactivity_days" in data:
             known["inactivity_days"] = int(data["inactivity_days"])
@@ -159,10 +164,12 @@ class AnalyzerConfig:
             known["top_percent"] = float(data["top_percent"])
         if "install_key_pattern" in data:
             known["install_key_pattern"] = str(data["install_key_pattern"])
-        if "suspicious_tokens" in data:
-            known["suspicious_tokens"] = tuple(data["suspicious_tokens"])
-        if "license_denylist" in data:
-            known["license_denylist"] = tuple(data["license_denylist"])
+        for key in ("suspicious_tokens", "license_denylist"):
+            if key in data:
+                values = data[key]
+                if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+                    raise ValueError(f"{key} must be a list of strings, got {values!r}")
+                known[key] = tuple(values)
         return cls(**known)
 
 
@@ -171,20 +178,37 @@ class WeakLinkFinding:
     subject_kind: str  # "package" | "maintainer"
     subject_id: str
     signal: str
-    evidence: dict[str, object]  # typed values; see EVIDENCE_FORMATS
+    values: tuple  # typed evidence values in EVIDENCE_SCHEMAS[signal] order; see EVIDENCE_FORMATS
 
     def __post_init__(self):
-        if self.signal not in EVIDENCE_SCHEMAS:
+        schema = EVIDENCE_SCHEMAS.get(self.signal)
+        if schema is None:
             raise ValueError(f"unknown signal: {self.signal}")
-        unknown = set(self.evidence) - EVIDENCE_SCHEMAS[self.signal]
-        if unknown:
-            raise ValueError(f"unknown evidence keys for {self.signal}: {sorted(unknown)}")
+        if len(self.values) != len(schema):
+            raise ValueError(f"{self.signal} evidence needs {len(schema)} values, got {len(self.values)}")
         if self.subject_kind not in ("package", "maintainer"):
             raise ValueError(f"bad subject_kind: {self.subject_kind}")
 
+    @classmethod
+    def of(cls, subject_kind: str, subject_id: str, signal: str, evidence: dict[str, object]) -> "WeakLinkFinding":
+        """A finding whose evidence is given by key; every schema key, and no other, is required."""
+        schema = EVIDENCE_SCHEMAS.get(signal)
+        if schema is None:
+            raise ValueError(f"unknown signal: {signal}")
+        if evidence.keys() != set(schema):
+            raise ValueError(f"{signal} evidence keys must be {list(schema)}, got {sorted(evidence)}")
+        return cls(subject_kind, subject_id, signal, tuple(map(evidence.__getitem__, schema)))
+
+    def value(self, key: str) -> object:
+        """The typed evidence value under ``key``; a key outside the schema raises ``ValueError``."""
+        schema = EVIDENCE_SCHEMAS[self.signal]
+        if key not in schema:
+            raise ValueError(f"no evidence key {key!r} for {self.signal}")
+        return self.values[schema.index(key)]
+
     def written_evidence(self) -> dict[str, str]:
         """The evidence as the report spells it, in key order."""
-        return {key: EVIDENCE_FORMATS[key](value) for key, value in sorted(self.evidence.items())}
+        return {key: EVIDENCE_FORMATS[key](value) for key, value in zip(EVIDENCE_SCHEMAS[self.signal], self.values)}
 
     def to_dict(self) -> dict:
         """The report line, but for the scan's ``observed_at``, which the writer adds."""
@@ -377,15 +401,11 @@ def analyze_w1(
         domain = key_domains.get(key)
         if domain not in available:
             continue
-        for pkg in info.owned_packages:
-            findings.append(
-                WeakLinkFinding(
-                    subject_kind="package",
-                    subject_id=pkg,
-                    signal="W1",
-                    evidence={"domain": domain, "maintainer_key": key},
-                )
-            )
+        # Every package the maintainer owns shares the first finding's evidence tuple.
+        first, *rest = info.owned_packages
+        finding = WeakLinkFinding.of("package", first, "W1", {"domain": domain, "maintainer_key": key})
+        findings.append(finding)
+        findings.extend(WeakLinkFinding("package", pkg, "W1", finding.values) for pkg in rest)
     return findings, dict(sorted(histogram.items()))
 
 
@@ -400,7 +420,7 @@ def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
             continue
         has_tokens = any(find_suspicious_tokens(rec.scripts[k], cfg.suspicious_tokens) for k in keys)
         findings.append(
-            WeakLinkFinding(
+            WeakLinkFinding.of(
                 subject_kind="package",
                 subject_id=rec.name,
                 signal="W2",
@@ -432,7 +452,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
             continue
         age = (cfg.reference_time - rec.last_modified).days
         inactive_pkg.append(
-            WeakLinkFinding(
+            WeakLinkFinding.of(
                 subject_kind="package",
                 subject_id=rec.name,
                 signal="W3_inactive_pkg",
@@ -442,7 +462,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
         keys = [p.identity_key for p in rec.maintainers if p.identity_key in mindex]
         if keys and stale_maintainers.issuperset(keys):
             inactive_maintainer.append(
-                WeakLinkFinding(
+                WeakLinkFinding.of(
                     subject_kind="package",
                     subject_id=rec.name,
                     signal="W3_inactive_maintainer",
@@ -455,7 +475,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
             )
         if is_deprecated_latest(rec):
             deprecated.append(
-                WeakLinkFinding(
+                WeakLinkFinding.of(
                     subject_kind="package",
                     subject_id=rec.name,
                     signal="W3_deprecated",
@@ -485,7 +505,7 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     scored = [(rec.name, len(rec.maintainers)) for rec in population]
     flagged = top_percent(scored, cfg.top_percent)
     findings = [
-        WeakLinkFinding(
+        WeakLinkFinding.of(
             subject_kind="package",
             subject_id=name,
             signal="W4",
@@ -513,7 +533,7 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     for name, _neg_ratio in flagged:
         rec = by_name[name]
         findings.append(
-            WeakLinkFinding(
+            WeakLinkFinding.of(
                 subject_kind="package",
                 subject_id=name,
                 signal="W5",
@@ -546,8 +566,7 @@ def analyze_w6(
     flagged = top_percent(reaches, cfg.top_percent)
     findings = []
     for key, reach in flagged:
-        info = mindex[key]
-        owned = sorted(info.owned_packages)
+        owned = mindex[key].owned_packages
         inactive_owned = sum(1 for pkg in owned if is_inactive(by_name[pkg].last_modified, cfg))
         with_deps = sum(1 for pkg in owned if by_name[pkg].dependencies)
         evidence = {
@@ -557,21 +576,8 @@ def analyze_w6(
             "dependency_using_share": with_deps / len(owned),
             "maintainer_key": key,
         }
-        findings.append(
-            WeakLinkFinding(
-                subject_kind="maintainer",
-                subject_id=key,
-                signal="W6",
-                evidence=evidence,
-            )
-        )
-        for pkg in owned:
-            findings.append(
-                WeakLinkFinding(
-                    subject_kind="package",
-                    subject_id=pkg,
-                    signal="W6",
-                    evidence=evidence,
-                )
-            )
+        maintainer = WeakLinkFinding.of(subject_kind="maintainer", subject_id=key, signal="W6", evidence=evidence)
+        findings.append(maintainer)
+        # The package findings share the maintainer finding's evidence tuple.
+        findings.extend(WeakLinkFinding("package", pkg, "W6", maintainer.values) for pkg in owned)
     return findings

@@ -201,11 +201,12 @@ def test_criterion_2_oracle_equivalence():
         assert len(corpus.records) <= 500
         index = build_dependents_index(corpus)
 
-        brute_index = {rec.name: set() for rec in corpus.records}
+        # Dependents in corpus order, each once.
+        brute_index = {rec.name: () for rec in corpus.records}
         for rec in corpus.records:
-            for dep in rec.dependencies:
+            for dep in dict.fromkeys(rec.dependencies):
                 if dep != rec.name:
-                    brute_index.setdefault(dep, set()).add(rec.name)
+                    brute_index[dep] = brute_index.get(dep, ()) + (rec.name,)
         assert index == brute_index
 
         mindex = build_maintainer_index(corpus)
@@ -213,7 +214,7 @@ def test_criterion_2_oracle_equivalence():
         for key, info in mindex.items():
             union: set[str] = set()
             for pkg in info.owned_packages:
-                union |= dindex.get(pkg, set())
+                union |= set(dindex.get(pkg, ()))
             assert maintainer_reach(key, mindex, dindex) == len(union)
 
         filtered, verdicts = apply_exclusions(corpus, index)

@@ -91,6 +91,35 @@ def test_scan_bad_config_is_fatal(corpus_dir, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("text", ["[]", '"top_percent"', "5", "null"])
+def test_scan_config_that_is_not_an_object_is_fatal(corpus_dir, tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    rc = main(scan_args(corpus_dir, tmp_path / "out", extra=["--config", str(cfg)]))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"suspicious_tokens": "curl"},
+        {"license_denylist": "NONE"},
+        {"suspicious_tokens": ["curl", 7]},
+        {"license_denylist": {"NONE": True}},
+        {"suspicious_tokens": None},
+    ],
+)
+def test_scan_config_token_and_license_lists_must_be_lists_of_strings(corpus_dir, tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(scan_args(corpus_dir, tmp_path / "out", extra=["--config", str(cfg)]))
+    assert rc == 1
+    (key,) = config
+    assert capsys.readouterr().err.startswith(f"error: {key} must be a list of strings")
+
+
 def test_scan_config_file_and_flag_overrides(corpus_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"top_percent": 5.0, "inactivity_days": 365}))

@@ -171,10 +171,18 @@ def test_rate_limiter_under_concurrency():
 
 
 class StubResolver:
-    """Tiny UDP DNS server answering from a canned (name, qtype) -> count map."""
+    """Tiny UDP DNS server answering from a canned (name, qtype) -> count map.
 
-    def __init__(self, answers):
+    ``mode`` spoils every reply: "truncated" sets the TC bit, "other_name"
+    and "other_type" answer a question other than the one asked.
+    "upper_name" echoes the asked name in upper case, which spoils nothing.
+    Each query's transaction id is recorded in ``txn_ids``.
+    """
+
+    def __init__(self, answers, mode=None):
         self.answers = answers
+        self.mode = mode
+        self.txn_ids = []
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind(("127.0.0.1", 0))
         self.addr = self.sock.getsockname()
@@ -196,6 +204,7 @@ class StubResolver:
             except OSError:
                 return
             txn = data[:2]
+            self.txn_ids.append(txn)
             # Decode qname labels.
             labels = []
             pos = 12
@@ -208,10 +217,18 @@ class StubResolver:
             count = self.answers.get((name, qtype), 0)
             nxdomain = (name, "nxdomain") in self.answers
             flags = 0x8183 if nxdomain else 0x8180
-            header = txn + struct.pack(">HHHHH", flags, 1, count, 0, 0)
             # Echo the question section; answers are counted from the header
             # only, so no RR bodies are needed.
             question = data[12 : pos + 5]
+            if self.mode == "truncated":
+                flags |= 0x0200
+            elif self.mode == "other_name":
+                question = b"\x05other" + question[1 + data[12] :]
+            elif self.mode == "other_type":
+                question = question[:-4] + struct.pack(">HH", 1, 1)  # an A query
+            elif self.mode == "upper_name":
+                question = question[:-4].upper() + question[-4:]
+            header = txn + struct.pack(">HHHHH", flags, 1, count, 0, 0)
             self.sock.sendto(header + question, addr)
 
 
@@ -232,6 +249,32 @@ def test_live_dns_candidate_available():
         provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
         status = provider.check("lapsed.example")
     assert status.status == STATUS_AVAILABLE
+
+
+def test_live_dns_name_case_in_the_echoed_question_is_ignored():
+    with StubResolver({("lapsed.example", NS): 0, ("lapsed.example", MX): 0}, mode="upper_name") as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
+        assert provider.check("lapsed.example").status == STATUS_AVAILABLE
+    assert provider.warnings == 0
+
+
+@pytest.mark.parametrize("mode", ["truncated", "other_name", "other_type"])
+def test_live_dns_untrusted_reply_degrades_to_unknown(mode):
+    # Without the spoiling, these zero-answer replies would read "available".
+    with StubResolver({("lapsed.example", NS): 0, ("lapsed.example", MX): 0}, mode=mode) as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
+        status = provider.check("lapsed.example")
+    assert status.status == STATUS_UNKNOWN
+    assert provider.warnings == 1
+
+
+def test_live_dns_transaction_ids_are_not_derived_from_the_name():
+    with StubResolver({("solid.example", NS): 2, ("solid.example", MX): 1}) as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
+        for _ in range(4):
+            assert provider.check("solid.example").status == STATUS_REGISTERED
+    assert len(stub.txn_ids) == 8
+    assert len(set(stub.txn_ids)) > 1
 
 
 def test_live_dns_failure_degrades_to_unknown():

@@ -26,39 +26,53 @@ from conftest import make_corpus, make_record, person, random_corpus
 def test_single_edge():
     corpus = make_corpus([make_record("a", dependencies=("b",)), make_record("b")])
     index = build_dependents_index(corpus)
-    assert index["b"] == {"a"}
-    assert index["a"] == set()
+    assert index["b"] == ("a",)
+    assert index["a"] == ()
 
 
 def test_self_edge_dropped():
     corpus = make_corpus([make_record("a", dependencies=("a",))])
     index = build_dependents_index(corpus)
-    assert index["a"] == set()
+    assert index["a"] == ()
 
 
 def test_unknown_dependee_still_indexed():
     corpus = make_corpus([make_record("a", dependencies=("ghost",))])
     index = build_dependents_index(corpus)
-    assert index["ghost"] == {"a"}
+    assert index["ghost"] == ("a",)
 
 
 def test_dep_kinds_selectable():
     corpus = make_corpus([make_record("a", dependencies=("b",), dev_dependencies=("c",)), make_record("b"), make_record("c")])
     runtime_only = build_dependents_index(corpus)
-    assert runtime_only["c"] == set()
+    assert runtime_only["c"] == ()
     both = build_dependents_index(corpus, dep_kinds=("runtime", "dev"))
-    assert both["c"] == {"a"}
+    assert both["c"] == ("a",)
     with pytest.raises(ValueError):
         build_dependents_index(corpus, dep_kinds=())
 
 
+def test_a_name_declared_under_two_kinds_lists_its_dependent_once():
+    corpus = make_corpus(
+        [
+            make_record("a", dependencies=("lib", "b"), dev_dependencies=("b", "lib")),
+            make_record("b", dev_dependencies=("lib",)),
+            make_record("c", dependencies=("lib",), dev_dependencies=("lib",)),
+        ]
+    )
+    index = build_dependents_index(corpus, dep_kinds=("runtime", "dev"))
+    assert index == {"a": (), "b": ("a",), "c": (), "lib": ("a", "b", "c")}
+    assert index == brute_force_index(corpus, ("runtime", "dev"))
+
+
 def brute_force_index(corpus, kinds=("runtime",)):
-    index = {rec.name: set() for rec in corpus.records}
+    # Each value lists the dependents in corpus order, each once.
+    index = {rec.name: () for rec in corpus.records}
     for rec in corpus.records:
-        for kind in kinds:
-            for dep in rec.dependency_names(kind):
-                if dep != rec.name:
-                    index.setdefault(dep, set()).add(rec.name)
+        declared = dict.fromkeys(dep for kind in kinds for dep in rec.dependency_names(kind))
+        for dep in declared:
+            if dep != rec.name:
+                index[dep] = index.get(dep, ()) + (rec.name,)
     return index
 
 
@@ -66,6 +80,8 @@ def test_index_matches_brute_force_on_random_corpora():
     for seed in range(10):
         corpus = random_corpus(seed=seed, size=150)
         assert build_dependents_index(corpus) == brute_force_index(corpus)
+        both = ("runtime", "dev")
+        assert build_dependents_index(corpus, both) == brute_force_index(corpus, both)
 
 
 def test_entries_nobody_depends_on_share_one_empty_value():
@@ -78,8 +94,8 @@ def test_entries_nobody_depends_on_share_one_empty_value():
         idle = [name for name, deps in oracle.items() if not deps]
         assert idle
         assert all(index[name] is NO_DEPENDENTS for name in idle)
-        assert all(type(deps) is set for deps in index.values() if deps)
-    assert NO_DEPENDENTS == frozenset()
+        assert all(type(deps) is tuple for deps in index.values())
+    assert NO_DEPENDENTS == ()
 
 
 def test_without_packages_shares_the_empty_value():
@@ -91,9 +107,23 @@ def test_without_packages_shares_the_empty_value():
         ]
     )
     derived = without_packages(build_dependents_index(corpus), {"noise"})
-    assert derived == {"kept": {"user"}, "user": set(), "ext-lib": set()}
+    assert derived == {"kept": ("user",), "user": (), "ext-lib": ()}
     assert derived["user"] is NO_DEPENDENTS
     assert derived["ext-lib"] is NO_DEPENDENTS
+
+
+def test_without_packages_shares_untouched_values_and_keeps_order():
+    corpus = make_corpus(
+        [
+            make_record("a", dependencies=("lib", "other")),
+            make_record("b", dependencies=("lib",)),
+            make_record("c", dependencies=("lib", "other")),
+        ]
+    )
+    index = build_dependents_index(corpus)
+    derived = without_packages(index, {"b"})
+    assert derived == {"a": (), "c": (), "lib": ("a", "c"), "other": ("a", "c")}
+    assert derived["other"] is index["other"]
 
 
 def test_edge_count_invariant():
@@ -115,7 +145,7 @@ def _filtered_index_matches_rebuild(corpus, dep_kinds=("runtime",)):
     assert rebuilt.items() <= derived.items()
     extra = derived.keys() - rebuilt.keys()
     assert not extra & set(corpus.by_name)
-    assert all(derived[name] == set() for name in extra)
+    assert all(derived[name] is NO_DEPENDENTS for name in extra)
     return excluded, extra
 
 
@@ -155,7 +185,7 @@ def test_maintainer_index_and_reach():
     )
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
-    assert mindex["m@x.io"].owned_packages == frozenset({"b"})
+    assert mindex["m@x.io"].owned_packages == ("b",)
     assert maintainer_reach("m@x.io", mindex, dindex) == 2
 
 
@@ -163,8 +193,30 @@ def test_maintainer_listed_twice_owns_each_package_once():
     m = person(email="m@x.io")
     corpus = make_corpus([make_record("a", maintainers=(m, m)), make_record("b", maintainers=(m,))])
     info = build_maintainer_index(corpus)["m@x.io"]
-    assert info.owned_packages == frozenset({"a", "b"})
-    assert isinstance(info.owned_packages, frozenset)
+    assert info.owned_packages == ("a", "b")
+    assert type(info.owned_packages) is tuple
+
+
+def test_addresses_differing_in_case_own_a_package_once():
+    corpus = make_corpus(
+        [
+            make_record("b", maintainers=(person(email="A@dead.io"), person(email="a@dead.io"))),
+            make_record("a", maintainers=(person(email="a@dead.io"),)),
+        ]
+    )
+    assert build_maintainer_index(corpus)["a@dead.io"].owned_packages == ("a", "b")
+
+
+def test_maintainer_index_matches_brute_force_on_random_corpora():
+    for seed in range(10):
+        corpus = random_corpus(seed=seed, size=150)
+        oracle = {}
+        for rec in corpus.records:
+            for key in dict.fromkeys(p.identity_key for p in rec.maintainers):
+                oracle[key] = oracle.get(key, ()) + (rec.name,)
+        mindex = build_maintainer_index(corpus)
+        assert {key: info.owned_packages for key, info in mindex.items()} == oracle
+        assert list(mindex) == list(oracle)
 
 
 def test_reach_unique_union():
@@ -208,10 +260,10 @@ def test_reach_matches_brute_force_and_bounds():
         for key, info in mindex.items():
             union = set()
             for pkg in info.owned_packages:
-                union |= dindex.get(pkg, set())
+                union |= set(dindex.get(pkg, ()))
             got = maintainer_reach(key, mindex, dindex)
             assert got == len(union)
-            sizes = [len(dindex.get(pkg, set())) for pkg in info.owned_packages]
+            sizes = [len(dindex.get(pkg, ())) for pkg in info.owned_packages]
             assert got <= sum(sizes)
             assert got >= max(sizes)
 

@@ -48,6 +48,11 @@ def cfg_for(corpus, **kwargs) -> AnalyzerConfig:
     return AnalyzerConfig(**kwargs).resolved(corpus)
 
 
+def evidence_of(finding) -> dict:
+    # The typed evidence by key, read back from the finding's value tuple.
+    return dict(zip(EVIDENCE_SCHEMAS[finding.signal], finding.values, strict=True))
+
+
 # --- W1 ------------------------------------------------------------------
 
 
@@ -62,8 +67,20 @@ def test_w1_fan_out_per_owned_package():
     findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg)
     assert len(findings) == 3
     assert {f.subject_id for f in findings} == {"p0", "p1", "p2"}
-    assert all(f.evidence == {"domain": "oldsite.io", "maintainer_key": "m@oldsite.io"} for f in findings)
+    assert all(evidence_of(f) == {"domain": "oldsite.io", "maintainer_key": "m@oldsite.io"} for f in findings)
+    # The findings of one maintainer share one evidence tuple.
+    assert all(f.values is findings[0].values for f in findings)
     assert histogram == {"fine.example": 1, "oldsite.io": 3}
+
+
+def test_w1_one_finding_when_two_listed_addresses_share_an_identity():
+    corpus = make_corpus([make_record("p", maintainers=(person(email="A@dead.io"), person(email="a@dead.io")))])
+    mindex = build_maintainer_index(corpus)
+    assert mindex["a@dead.io"].owned_packages == ("p",)
+    provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
+    findings, histogram = analyze_w1(corpus, mindex, provider, cfg_for(corpus))
+    assert [(f.subject_id, f.values) for f in findings] == [("p", ("dead.io", "a@dead.io"))]
+    assert histogram == {"dead.io": 2}
 
 
 def test_w1_all_registered_yields_nothing():
@@ -100,7 +117,7 @@ def test_w1_name_only_maintainers_have_no_domain():
     )
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
     findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
-    assert [(f.subject_id, f.evidence["maintainer_key"]) for f in findings] == [("b", "y@dead.io")]
+    assert [(f.subject_id, f.value("maintainer_key")) for f in findings] == [("b", "y@dead.io")]
     assert histogram == {"dead.io": 1}
 
 
@@ -117,8 +134,8 @@ def test_w2_flags_install_keys_only():
     )
     cfg = cfg_for(corpus)
     findings = analyze_w2(corpus, cfg)
-    assert {f.subject_id: f.evidence["script_key"] for f in findings} == {"a": ("postinstall",), "c": ("PreInstall",)}
-    assert all(f.evidence["has_suspicious_tokens"] is False for f in findings)
+    assert {f.subject_id: f.value("script_key") for f in findings} == {"a": ("postinstall",), "c": ("PreInstall",)}
+    assert all(f.value("has_suspicious_tokens") is False for f in findings)
     assert findings[0].to_dict()["evidence"] == {"has_suspicious_tokens": "false", "script_key": "postinstall"}
 
 
@@ -132,7 +149,7 @@ def test_w2_token_scan_enriches_but_does_not_gate():
     cfg = cfg_for(corpus)
     findings = analyze_w2(corpus, cfg)
     assert [f.subject_id for f in findings] == ["bad"]
-    assert findings[0].evidence["has_suspicious_tokens"] is True
+    assert findings[0].value("has_suspicious_tokens") is True
     assert findings[0].to_dict()["evidence"]["has_suspicious_tokens"] == "true"
 
 
@@ -252,9 +269,9 @@ def test_w4_flags_extreme_maintainer_count():
     cfg = cfg_for(corpus)
     findings = analyze_w4(corpus, cfg)
     assert [f.subject_id for f in findings] == ["crowded"]
-    assert findings[0].evidence["maintainer_count"] == 30
+    assert findings[0].value("maintainer_count") == 30
     expected_avg = (30 + 99) / 100
-    assert findings[0].evidence["registry_avg"] == expected_avg
+    assert findings[0].value("registry_avg") == expected_avg
     assert findings[0].to_dict()["evidence"] == {"maintainer_count": "30", "registry_avg": f"{expected_avg:.4f}"}
     assert abs(mean_maintainers(corpus) - expected_avg) < 1e-12
 
@@ -290,7 +307,7 @@ def test_w5_low_ratio_flagged():
     cfg = cfg_for(corpus)
     findings = analyze_w5(corpus, cfg)
     assert [f.subject_id for f in findings] == ["imbalanced"]
-    assert findings[0].evidence == {"maintainers": 1, "contributors": 40, "ratio": 1 / 40}
+    assert evidence_of(findings[0]) == {"maintainers": 1, "contributors": 40, "ratio": 1 / 40}
     assert findings[0].to_dict()["evidence"] == {"maintainers": "1", "contributors": "40", "ratio": f"{1 / 40:.6f}"}
 
 
@@ -335,7 +352,7 @@ def test_w6_flags_top_reach_and_evidence_shares():
     findings = analyze_w6(corpus, mindex, dindex, cfg)
     maint = [f for f in findings if f.subject_kind == "maintainer"]
     assert [f.subject_id for f in maint] == ["big@owner.example"]
-    evidence = maint[0].evidence
+    evidence = evidence_of(maint[0])
     assert evidence["owned_count"] == 5
     assert evidence["reach"] == 30
     assert evidence["inactive_owned_share"] == 3 / 5
@@ -348,7 +365,8 @@ def test_w6_flags_top_reach_and_evidence_shares():
         "maintainer_key": "big@owner.example",
     }
     pkg_findings = [f for f in findings if f.subject_kind == "package"]
-    assert sorted(f.subject_id for f in pkg_findings) == [f"owned{i}" for i in range(5)]
+    assert [f.subject_id for f in pkg_findings] == [f"owned{i}" for i in range(5)]
+    assert all(f.values is maint[0].values for f in pkg_findings)
 
 
 def test_w6_zero_reach_not_flagged_unless_all_zero():
@@ -371,9 +389,30 @@ def test_w6_zero_reach_not_flagged_unless_all_zero():
 
 def test_findings_reject_unknown_evidence_keys():
     with pytest.raises(ValueError):
-        WeakLinkFinding(subject_kind="package", subject_id="x", signal="W2", evidence={"bogus": "1"})
+        WeakLinkFinding.of(subject_kind="package", subject_id="x", signal="W2", evidence={"bogus": "1"})
     with pytest.raises(ValueError):
-        WeakLinkFinding(subject_kind="package", subject_id="x", signal="W9", evidence={})
+        WeakLinkFinding.of(subject_kind="package", subject_id="x", signal="W9", evidence={})
+    with pytest.raises(ValueError):
+        WeakLinkFinding("package", "x", "W9", ())
+    # Every schema key is required, and no other: one missing, one extra, both.
+    for evidence in (
+        {"has_suspicious_tokens": True},
+        {"has_suspicious_tokens": True, "script_key": ("install",), "bogus": "1"},
+        {"script_key": ("install",), "bogus": True},
+    ):
+        with pytest.raises(ValueError):
+            WeakLinkFinding.of("package", "x", "W2", evidence)
+
+
+def test_finding_holds_values_in_schema_order():
+    assert all(list(keys) == sorted(keys) for keys in EVIDENCE_SCHEMAS.values())
+    f = WeakLinkFinding.of("package", "x", "W2", {"script_key": ("install",), "has_suspicious_tokens": False})
+    assert f.values == (False, ("install",))
+    assert f.value("script_key") == ("install",)
+    with pytest.raises(ValueError):
+        f.value("domain")
+    with pytest.raises(ValueError):
+        WeakLinkFinding("package", "x", "W2", (False,))
 
 
 def test_written_evidence_is_strings_for_every_signal():
@@ -398,7 +437,7 @@ def test_written_evidence_is_strings_for_every_signal():
     assert {f.signal for f in findings} == set(EVIDENCE_SCHEMAS)
     for f in findings:
         written = f.to_dict()["evidence"]
-        assert set(written) == EVIDENCE_SCHEMAS[f.signal]
+        assert list(written) == list(EVIDENCE_SCHEMAS[f.signal])
         assert all(isinstance(value, str) for value in written.values()), written
     deprecated = {f.subject_id: f.to_dict()["evidence"] for f in findings if f.signal == "W3_deprecated"}
     assert deprecated == {
@@ -406,7 +445,7 @@ def test_written_evidence_is_strings_for_every_signal():
         "message": {"deprecated": "use y", "last_modified": "2021-11-27T12:00:00.000Z"},
     }
     w2 = next(f for f in findings if f.signal == "W2")
-    assert w2.evidence == {"script_key": ("install", "preinstall"), "has_suspicious_tokens": True}
+    assert evidence_of(w2) == {"script_key": ("install", "preinstall"), "has_suspicious_tokens": True}
     assert w2.to_dict()["evidence"] == {"has_suspicious_tokens": "true", "script_key": "install,preinstall"}
 
 
@@ -426,10 +465,10 @@ def test_analyzers_pure_and_sorted():
 
 def test_sort_findings_breaks_ties_by_written_evidence():
     def w1(pkg, key):
-        return WeakLinkFinding("package", pkg, "W1", {"domain": "d.io", "maintainer_key": key})
+        return WeakLinkFinding.of("package", pkg, "W1", {"domain": "d.io", "maintainer_key": key})
 
     def w4(pkg, count):
-        return WeakLinkFinding("package", pkg, "W4", {"maintainer_count": count, "registry_avg": 1.5})
+        return WeakLinkFinding.of("package", pkg, "W4", {"maintainer_count": count, "registry_avg": 1.5})
 
     # '"' sorts before '#' as a character but after it once JSON escapes it;
     # 9 sorts after 10 as a written string.
