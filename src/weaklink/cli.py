@@ -11,8 +11,9 @@ import argparse
 import gc
 import json
 import logging
-import os
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -37,15 +38,15 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--domains-fixture", default=None, help="JSONL domain status fixture")
     scan.add_argument("--downloads-fixture", default=None, help="JSONL downloads fixture")
     scan.add_argument("--live", action="store_true", help="use live DNS/HTTP providers where no fixture is given")
-    scan.add_argument("--rate-limit", type=float, default=10.0, help="live requests per second")
-    scan.add_argument("--downloads-url", default="https://api.npmjs.org", help="base URL for the live downloads endpoint")
-    scan.add_argument("--dns-resolver", default="8.8.8.8:53", help="resolver host:port for live domain checks")
+    scan.add_argument("--rate-limit", type=float, default=ScanOptions.rate_limit, help="live requests per second")
+    scan.add_argument("--downloads-url", default=ScanOptions.downloads_base_url, help="base URL for the live downloads endpoint")
+    scan.add_argument("--dns-resolver", default="%s:%d" % ScanOptions.dns_resolver, help="resolver host:port for live domain checks")
     scan.add_argument("--top-percent", type=float, default=None, help="ranking percentile for W4/W5/W6")
     scan.add_argument("--inactivity-years", type=float, default=None, help="inactivity window in years")
-    scan.add_argument("--popular-n", type=int, default=10_000, help="popular sample size per ranking")
-    scan.add_argument("--dep-kinds", default="runtime", help="comma list of dependency kinds (runtime,dev,peer,optional)")
+    scan.add_argument("--popular-n", type=int, default=ScanOptions.popular_n, help="popular sample size per ranking")
+    scan.add_argument("--dep-kinds", default=",".join(ScanOptions.dep_kinds), help="comma list of dependency kinds (runtime,dev,peer,optional)")
     scan.add_argument("--unsafe-full-output", action="store_true", help="also write full member lists")
-    scan.add_argument("--jobs", type=int, default=os.cpu_count(), help="concurrent live downloads lookups")
+    scan.add_argument("--jobs", type=int, default=ScanOptions.jobs, help="concurrent live downloads lookups")
 
     gen = sub.add_parser("gen", help="generate a synthetic snapshot with a ground-truth manifest")
     gen.add_argument("--seed", type=int, default=7)
@@ -66,15 +67,12 @@ def _load_config(args: argparse.Namespace) -> AnalyzerConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     cfg = AnalyzerConfig.from_dict(data)
-    overrides: dict = {}
     if args.top_percent is not None:
-        overrides["top_percent"] = args.top_percent
+        cfg = replace(cfg, top_percent=args.top_percent)
     if args.inactivity_years is not None:
-        overrides["inactivity_days"] = round(args.inactivity_years * 365)
-    if overrides:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **overrides)
+        if not math.isfinite(args.inactivity_years):
+            raise ValueError(f"--inactivity-years must be a finite number, got {args.inactivity_years}")
+        cfg = replace(cfg, inactivity_days=round(args.inactivity_years * 365))
     return cfg
 
 
@@ -86,14 +84,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        cfg = _load_config(args)
-        dep_kinds = tuple(k.strip() for k in args.dep_kinds.split(",") if k.strip())
         resolver_host, _, resolver_port = args.dns_resolver.partition(":")
         options = ScanOptions(
             input_path=args.input,
             layout=args.format,
-            config=cfg,
-            dep_kinds=dep_kinds,
+            config=_load_config(args),
+            dep_kinds=tuple(k.strip() for k in args.dep_kinds.split(",") if k.strip()),
             popular_n=args.popular_n,
             domains_fixture=args.domains_fixture,
             downloads_fixture=args.downloads_fixture,

@@ -3,8 +3,8 @@
 A package is removed from analysis only when it has no direct dependents AND
 at least one of: it is a registry security-holding placeholder, its latest
 version is deprecated, or it has neither a repository nor a valid license.
-Dependents always veto exclusion, so the dependents index must be built over
-the full corpus before filtering.
+Dependents always veto exclusion, so the names with dependents
+(``reach.names_with_dependents``) are collected over the full corpus.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ingest import Corpus, PackageRecord
-from .reach import DependentsIndex
 
 REASON_SECURITY_HOLDING = "SecurityHolding"
 REASON_DEPRECATED_UNUSED = "DeprecatedUnused"
@@ -80,23 +79,23 @@ def evaluate_reasons(rec: PackageRecord, denylist: tuple[str, ...] = DEFAULT_LIC
 
 def apply_exclusions(
     corpus: Corpus,
-    dependents: DependentsIndex,
+    depended: set[str],
     denylist: tuple[str, ...] = DEFAULT_LICENSE_DENYLIST,
 ) -> tuple[Corpus, list[ExclusionVerdict]]:
-    """Filter the corpus, emitting one verdict per package.
+    """Filter the corpus, keeping its name order, and emit one verdict per package.
 
-    ``dependents`` must be the index built over the full pre-exclusion
+    ``depended`` must be ``names_with_dependents`` of the full pre-exclusion
     corpus: the "no dependents" test references the whole registry.
     """
     verdicts = []
     kept = []
     for rec in corpus.records:
         reasons = evaluate_reasons(rec, denylist)
-        had = bool(dependents.get(rec.name))
+        had = rec.name in depended
         excluded = bool(reasons) and not had
         verdicts.append(
             ExclusionVerdict(package_id=rec.package_id, excluded=excluded, reasons=reasons, had_dependents=had)
         )
         if not excluded:
             kept.append(rec)
-    return corpus.replace_records(kept), verdicts
+    return Corpus(records=tuple(kept), stats=corpus.stats, digest=corpus.digest), verdicts

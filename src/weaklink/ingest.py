@@ -239,9 +239,6 @@ class Corpus:
     stats: IngestStats
     digest: str = ""
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     @property
     def by_name(self) -> dict[str, PackageRecord]:
         cached = getattr(self, "_by_name", None)
@@ -249,9 +246,6 @@ class Corpus:
             cached = {rec.name: rec for rec in self.records}
             object.__setattr__(self, "_by_name", cached)
         return cached
-
-    def replace_records(self, records: Iterable[PackageRecord]) -> "Corpus":
-        return Corpus(records=tuple(sorted(records, key=lambda r: r.name)), stats=self.stats, digest=self.digest)
 
 
 def _normalize_repository(raw: object) -> bool:
@@ -495,14 +489,16 @@ class _JsonText:
         return text
 
     def _more(self, size: int) -> str:
-        """The next decoded text, "" at the end of the file."""
+        """The next decoded text, "" at the end of the file or at a byte that is not UTF-8."""
         while not self.invalid:
             data = self._fh.read(size)
             self._digest.update(data)
             text = self._decode(data)
             if text or not (data or self.invalid):
                 return text
-        raise self.invalid
+        if self.first_nl is None:  # as json.loads of the first line fails; after it, ``items`` raises
+            raise self.invalid
+        return ""
 
     def fill(self) -> None:
         """Drop the text before the cursor and append more; set ``eof`` at the end."""
@@ -724,8 +720,8 @@ class _BulkReader:
             self._first_line_ends(False)
         if text.next_char():
             raise text.fail("Extra data")
-        if text.surrogate:
-            raise text.surrogate
+        if text.surrogate or text.invalid:
+            raise text.surrogate or text.invalid
         yield from rest
 
 

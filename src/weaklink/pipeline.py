@@ -1,7 +1,7 @@
 """Scan orchestration and canonical report emission.
 
-Pipeline order: ingest -> full-corpus dependents index -> exclusions ->
-indexes over the filtered corpus -> analyzers -> combinations.
+Pipeline order: ingest -> names with dependents -> exclusions -> indexes
+over the filtered corpus, each built once -> analyzers -> combinations.
 All report files are canonical (sorted keys, sorted records, trailing
 newline) and contain no wall-clock values, so reruns over identical inputs
 and fixtures are byte-identical.
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +38,7 @@ from .providers import (
     PrefetchedDownloads,
     RateLimiter,
 )
-from .reach import build_dependents_index, build_maintainer_index, without_packages
+from .reach import build_dependents_index, build_maintainer_index, names_with_dependents
 from .signals import (
     EVIDENCE_SCHEMAS,
     AnalyzerConfig,
@@ -71,9 +72,9 @@ class ScanOptions:
     downloads_fixture: str | Path | None = None
     live: bool = False
     rate_limit: float = 10.0
-    downloads_base_url: str = "https://api.npmjs.example"
+    downloads_base_url: str = "https://api.npmjs.org"
     dns_resolver: tuple[str, int] = ("8.8.8.8", 53)
-    jobs: int | None = None  # concurrent live downloads lookups
+    jobs: int = os.cpu_count() or 1  # concurrent live downloads lookups
 
 
 @dataclass
@@ -112,22 +113,19 @@ def _make_providers(options: ScanOptions):
 
 def run_scan(options: ScanOptions) -> ScanResult:
     corpus = load_corpus(options.input_path, layout=options.layout)
-    pre_index = build_dependents_index(corpus, options.dep_kinds)
-    filtered, verdicts = apply_exclusions(corpus, pre_index, options.config.license_denylist)
+    kinds = options.dep_kinds
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus, kinds), options.config.license_denylist)
 
     domains, downloads = _make_providers(options)
 
     cfg = options.config.resolved(filtered)
-    # Excluded packages have no dependents, so dropping them from the full
-    # index gives the filtered one without a rebuild.
-    excluded = {rec.name for rec in corpus.records}.difference(filtered.by_name)
-    dindex = without_packages(pre_index, excluded)
+    dindex = build_dependents_index(filtered, kinds)
     mindex = build_maintainer_index(filtered)
 
     if isinstance(downloads, LiveDownloadsProvider):
         # One bounded-concurrency pass up front; every later lookup is a
         # lock-free map read and the per-run query count stays exact.
-        counts = downloads.fetch_many([rec.name for rec in filtered.records], concurrency=options.jobs or 4)
+        counts = downloads.fetch_many([rec.name for rec in filtered.records], concurrency=options.jobs)
         downloads = PrefetchedDownloads(counts, warnings=downloads.warnings)
 
     # W1 checks each distinct (lowercased) maintainer domain once.

@@ -131,12 +131,15 @@ class EmptyDomainProvider:
 
 
 def _encode_dns_query(domain: str, qtype: int, txn_id: int) -> bytes:
-    header = struct.pack(">HHHHHH", txn_id, 0x0100, 1, 0, 0, 0)
-    qname = b""
-    for label in domain.strip(".").split("."):
-        raw = label.encode("idna") if not label.isascii() else label.encode("ascii")
-        qname += struct.pack("B", len(raw)) + raw
-    return header + qname + b"\x00" + struct.pack(">HH", qtype, 1)
+    """The query's wire form; raises OSError, before anything is sent, for a name DNS cannot carry."""
+    try:  # the IDNA codec rejects an empty label, a label over 63 octets and one it cannot encode
+        labels = domain.strip(".").encode("idna").split(b".")
+    except UnicodeError as exc:
+        raise OSError(f"name not encodable for DNS: {exc}") from None
+    qname = b"".join(bytes((len(label),)) + label for label in labels) + b"\x00"
+    if not labels[0] or len(qname) > 255:
+        raise OSError(f"DNS name empty or over 255 octets: {domain!r}")
+    return struct.pack(">HHHHHH", txn_id, 0x0100, 1, 0, 0, 0) + qname + struct.pack(">HH", qtype, 1)
 
 
 def _dns_answer_count(domain: str, qtype: int, server: tuple[str, int], timeout: float) -> int:
@@ -185,7 +188,7 @@ class LiveDnsDomainProvider:
     QTYPE_NS = 2
     QTYPE_MX = 15
 
-    def __init__(self, resolver: tuple[str, int] = ("8.8.8.8", 53), timeout: float = 3.0, limiter: RateLimiter | None = None):
+    def __init__(self, resolver: tuple[str, int], timeout: float = 3.0, limiter: RateLimiter | None = None):
         self._resolver = resolver
         self._timeout = timeout
         self._limiter = limiter
@@ -248,8 +251,8 @@ class LiveDownloadsProvider:
     def __init__(
         self,
         base_url: str,
+        rate_limit: float,
         window: str = "last-year",
-        rate_limit: float = 10.0,
         timeout: float = 10.0,
         retries: int = 2,
         session: requests.Session | None = None,
@@ -288,7 +291,7 @@ class LiveDownloadsProvider:
             self.warnings += 1
         return None
 
-    def fetch_many(self, packages: list[str], concurrency: int = 4) -> dict[str, int | None]:
+    def fetch_many(self, packages: list[str], concurrency: int) -> dict[str, int | None]:
         """Fetch counts for many packages with bounded in-flight requests.
 
         The shared rate limiter still applies across workers, so concurrency

@@ -32,6 +32,18 @@ class MaintainerInfo:
 MaintainerIndex = dict[str, MaintainerInfo]
 
 
+def names_with_dependents(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime",)) -> set[str]:
+    """The names some other record declares: the non-empty keys of ``build_dependents_index``."""
+    if not dep_kinds:
+        raise ValueError("dep_kinds must be nonempty")
+    names: set[str] = set()
+    for rec in corpus.records:
+        for kind in dep_kinds:
+            declared = rec.dependency_names(kind)
+            names.update(declared if rec.name not in declared else (dep for dep in declared if dep != rec.name))
+    return names
+
+
 def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime",)) -> DependentsIndex:
     """Map each depended-upon name to the packages that declare it.
 
@@ -60,22 +72,6 @@ def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime"
         if deps:
             index[dep_name] = tuple(deps)
     return index
-
-
-def without_packages(index: DependentsIndex, names: set[str]) -> DependentsIndex:
-    """The dependents index with ``names`` dropped as keys and as dependents.
-
-    When no package outside ``names`` depends on one of them, as holds for
-    excluded packages, this equals ``build_dependents_index`` over the
-    corpus without ``names``, except that a name only they depended on
-    keeps an empty entry. Values that lose no member are shared with
-    ``index``; values that lose every member become ``NO_DEPENDENTS``.
-    """
-    return {
-        name: deps if names.isdisjoint(deps) else (tuple(d for d in deps if d not in names) or NO_DEPENDENTS)
-        for name, deps in index.items()
-        if name not in names
-    }
 
 
 def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:

@@ -122,8 +122,8 @@ class AnalyzerConfig:
     license_denylist: tuple[str, ...] = DEFAULT_LICENSE_DENYLIST
 
     def __post_init__(self):
-        if self.inactivity_days <= 0:
-            raise ValueError("inactivity_days must be positive")
+        if not 0 < self.inactivity_days <= timedelta.max.days:  # the longest window a timedelta holds
+            raise ValueError(f"inactivity_days must be in [1, {timedelta.max.days}]")
         if not 0 < self.top_percent <= 100:
             raise ValueError("top_percent must be in (0, 100]")
 
@@ -154,16 +154,24 @@ class AnalyzerConfig:
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {}
         if "inactivity_days" in data:
-            known["inactivity_days"] = int(data["inactivity_days"])
-        if data.get("reference_time"):
+            days = data["inactivity_days"]
+            if not (type(days) is int or type(days) is float and days.is_integer()):  # a bool is no number
+                raise ValueError(f"inactivity_days must be an integral number, got {days!r}")
+            known["inactivity_days"] = int(days)
+        if data.get("reference_time") is not None:  # null leaves it unset
             ref = parse_timestamp(data["reference_time"])
             if ref is None:
                 raise ValueError(f"bad reference_time: {data['reference_time']!r}")
             known["reference_time"] = ref
         if "top_percent" in data:
-            known["top_percent"] = float(data["top_percent"])
+            percent = data["top_percent"]
+            if type(percent) not in (int, float) or not 0 < percent <= 100:  # exact for any int; fails NaN
+                raise ValueError(f"top_percent must be a finite number in (0, 100], got {percent!r}")
+            known["top_percent"] = float(percent)
         if "install_key_pattern" in data:
-            known["install_key_pattern"] = str(data["install_key_pattern"])
+            if not isinstance(data["install_key_pattern"], str):
+                raise ValueError(f"install_key_pattern must be a string, got {data['install_key_pattern']!r}")
+            known["install_key_pattern"] = data["install_key_pattern"]
         for key in ("suspicious_tokens", "license_denylist"):
             if key in data:
                 values = data[key]

@@ -24,7 +24,7 @@ from weaklink.combinations import combination_table, keyword_hunt, signal_sets
 from weaklink.exclusions import apply_exclusions, evaluate_reasons
 from weaklink.pipeline import ScanOptions, diff_findings, read_findings, run_scan, write_reports
 from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_UNKNOWN
-from weaklink.reach import build_dependents_index, build_maintainer_index, maintainer_reach
+from weaklink.reach import build_dependents_index, build_maintainer_index, maintainer_reach, names_with_dependents
 from weaklink.signals import (
     AnalyzerConfig,
     analyze_w1,
@@ -217,7 +217,7 @@ def test_criterion_2_oracle_equivalence():
                 union |= set(dindex.get(pkg, ()))
             assert maintainer_reach(key, mindex, dindex) == len(union)
 
-        filtered, verdicts = apply_exclusions(corpus, index)
+        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
         for rec, verdict in zip(corpus.records, verdicts):
             reasons = evaluate_reasons(rec)
             had = bool(brute_index.get(rec.name))
@@ -383,8 +383,7 @@ def test_criterion_8_threshold_monotonicity(seed_runs):
 
     run = seed_runs[7]
     corpus = load_corpus(run.corpus_dir / "snapshot.ndjson")
-    pre = build_dependents_index(corpus)
-    filtered, _ = apply_exclusions(corpus, pre)
+    filtered, _ = apply_exclusions(corpus, names_with_dependents(corpus))
     mindex = build_maintainer_index(filtered)
     dindex = build_dependents_index(filtered)
 

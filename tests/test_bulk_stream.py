@@ -265,6 +265,9 @@ def test_contract_shapes_by_hand():
         b"[1, 2]": ("ndjson", 1),
         b"[1,\n 2]": ("bulk", 2),
         b"7": ("ndjson", 1),
+        # A byte that is not UTF-8 after the first line spoils only its own line.
+        b'{"name": "a"}\n{"name": "\xff"}\n': ("ndjson", 2),
+        b'7\n{"\xc2': ("ndjson", 2),
     }
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "snap.json"
@@ -277,6 +280,8 @@ def test_contract_shapes_by_hand():
             (b'{"rows": []}\n{}\n', json.JSONDecodeError),
             (b'\xef\xbb\xbf{"rows": []}', json.JSONDecodeError),
             (b'{"rows": [{"doc": "\xed\xa0\x80"}]}', UnicodeDecodeError),
+            (b'{"rows": [\n{"doc": 1}\xff]}', UnicodeDecodeError),
+            (b'{"rows": [\n{"doc": 1}]}\xff', UnicodeDecodeError),
         ):
             path.write_bytes(data)
             assert outcome(streamed_load, path, None) is outcome(oracle_load, path, None) is error, data

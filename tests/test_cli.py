@@ -9,7 +9,7 @@ import pytest
 
 from weaklink import cli
 from weaklink.cli import main
-from weaklink.pipeline import read_findings
+from weaklink.pipeline import ScanOptions, read_findings
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +118,41 @@ def test_scan_config_token_and_license_lists_must_be_lists_of_strings(corpus_dir
     assert rc == 1
     (key,) = config
     assert capsys.readouterr().err.startswith(f"error: {key} must be a list of strings")
+
+
+@pytest.mark.parametrize(
+    "config,extra",
+    [
+        ('{"inactivity_days": null}', []),
+        ('{"top_percent": [1]}', []),
+        ('{"inactivity_days": 1e400}', []),
+        ('{"install_key_pattern": null}', []),
+        ('{"inactivity_days": 1000000000}', []),
+        ('{"reference_time": 0}', []),
+        ("{}", ["--inactivity-years", "inf"]),
+    ],
+    ids=["days_null", "percent_list", "days_overflow", "pattern_null", "days_beyond_timedelta", "time_zero", "years_inf"],
+)
+def test_scan_config_values_are_type_checked(corpus_dir, tmp_path, capsys, config, extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    rc = main(scan_args(corpus_dir, tmp_path / "out", extra=["--config", str(cfg), *extra]))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_parser_defaults_are_the_scan_option_defaults(monkeypatch, capsys):
+    seen = []
+
+    def capture(options):
+        seen.append(options)
+        raise ValueError("captured")
+
+    monkeypatch.setattr(cli, "run_scan", capture)
+    assert main(["scan", "--input", "snapshot.ndjson"]) == 1
+    assert capsys.readouterr().err == "error: captured\n"
+    assert seen == [ScanOptions(input_path="snapshot.ndjson")]
 
 
 def test_scan_config_file_and_flag_overrides(corpus_dir, tmp_path):

@@ -14,7 +14,7 @@ from weaklink.exclusions import (
     lacks_repo_and_license,
 )
 from weaklink.ingest import parse_record
-from weaklink.reach import build_dependents_index
+from weaklink.reach import names_with_dependents
 
 from conftest import make_corpus, make_record, random_corpus
 
@@ -86,8 +86,7 @@ def test_dependents_veto_exclusion():
     holding = make_record("hold", security_holding=True)
     user = make_record("user", dependencies=("hold",))
     corpus = make_corpus([holding, user])
-    index = build_dependents_index(corpus)
-    filtered, verdicts = apply_exclusions(corpus, index)
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
     by_id = {v.package_id: v for v in verdicts}
     assert by_id["hold@1.0.0"].excluded is False
     assert by_id["hold@1.0.0"].had_dependents is True
@@ -99,7 +98,7 @@ def test_deprecated_unused_removed():
     dead = make_record("dead", deprecated="gone")
     other = make_record("other")
     corpus = make_corpus([dead, other])
-    filtered, verdicts = apply_exclusions(corpus, build_dependents_index(corpus))
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
     by_id = {v.package_id: v for v in verdicts}
     assert by_id["dead@1.0.0"].excluded is True
     assert by_id["dead@1.0.0"].reasons == ("DeprecatedUnused",)
@@ -111,16 +110,25 @@ def test_multi_reason_counted_once():
         "multi", security_holding=True, deprecated=True, repository_present=False, license_value=None
     )
     corpus = make_corpus([rec])
-    filtered, verdicts = apply_exclusions(corpus, build_dependents_index(corpus))
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
     assert verdicts[0].reasons == ("SecurityHolding", "DeprecatedUnused", "NoRepoNoLicense")
     assert verdicts[0].excluded is True
     assert len(filtered.records) == 0
 
 
+def test_listing_only_itself_does_not_veto_exclusion():
+    loner = make_record("loner", deprecated=True, dependencies=("loner",))
+    corpus = make_corpus([loner, make_record("other")])
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+    by_id = {v.package_id: v for v in verdicts}
+    assert by_id["loner@1.0.0"].had_dependents is False
+    assert by_id["loner@1.0.0"].excluded is True
+    assert [rec.name for rec in filtered.records] == ["other"]
+
+
 def test_partition_and_verdict_invariants():
     corpus = random_corpus(seed=99, size=200)
-    index = build_dependents_index(corpus)
-    filtered, verdicts = apply_exclusions(corpus, index)
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
     excluded = [v for v in verdicts if v.excluded]
     assert len(filtered.records) + len(excluded) == len(corpus.records)
     for v in verdicts:
@@ -130,14 +138,11 @@ def test_partition_and_verdict_invariants():
 def test_monotonicity_adding_dependent_never_excludes():
     # Adding a dependent edge can only flip excluded -> retained.
     base = random_corpus(seed=5, size=80)
-    index = build_dependents_index(base)
-    _, before = apply_exclusions(base, index)
+    _, before = apply_exclusions(base, names_with_dependents(base))
     excluded_before = {v.package_id for v in before if v.excluded}
 
-    with_edges = dict(index)
-    for rec in base.records:
-        with_edges[rec.name] = set(with_edges.get(rec.name, set())) | {"new-dependent"}
-    _, after = apply_exclusions(base, with_edges)
+    # A new package that depends on every name gives each one a dependent.
+    _, after = apply_exclusions(base, set(base.by_name))
     excluded_after = {v.package_id for v in after if v.excluded}
     assert excluded_after == set()
     assert excluded_after <= excluded_before
@@ -147,8 +152,7 @@ def test_brute_force_oracle_equivalence():
     # Straight re-evaluation of the three predicates plus dependents count.
     for seed in range(8):
         corpus = random_corpus(seed=seed, size=150)
-        index = build_dependents_index(corpus)
-        filtered, verdicts = apply_exclusions(corpus, index)
+        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
         for rec, verdict in zip(corpus.records, verdicts):
             reasons = evaluate_reasons(rec)
             has_dep = any(rec.name in other.dependencies and other.name != rec.name for other in corpus.records)
@@ -160,10 +164,10 @@ def test_brute_force_oracle_equivalence():
 
 def test_order_independence():
     corpus = random_corpus(seed=3, size=60)
-    index = build_dependents_index(corpus)
-    _, verdicts = apply_exclusions(corpus, index)
+    depended = names_with_dependents(corpus)
+    _, verdicts = apply_exclusions(corpus, depended)
     reversed_corpus = make_corpus(list(corpus.records))  # make_corpus re-sorts
-    _, verdicts_again = apply_exclusions(reversed_corpus, index)
+    _, verdicts_again = apply_exclusions(reversed_corpus, depended)
     assert sorted(v.to_dict()["package_id"] for v in verdicts) == sorted(
         v.to_dict()["package_id"] for v in verdicts_again
     )

@@ -277,6 +277,33 @@ def test_live_dns_transaction_ids_are_not_derived_from_the_name():
     assert len(set(stub.txn_ids)) > 1
 
 
+# With its length octets and the root's zero, this name is 255 octets on the
+# wire, the most DNS carries; one more octet is too long.
+LONGEST_NAME = ".".join(["a" * 63] * 3 + ["a" * 61])
+
+
+@pytest.mark.parametrize(
+    "domain",
+    ["x" * 300 + ".com", "\u00e9" * 70 + ".com", "\udcff.com", "ex..com", LONGEST_NAME + "a"],
+    ids=["long_label", "idna_too_long", "lone_surrogate", "empty_label", "long_name"],
+)
+def test_live_dns_unencodable_name_degrades_to_unknown(domain):
+    with StubResolver({}) as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
+        status = provider.check(domain)
+    assert status.status == STATUS_UNKNOWN
+    assert provider.warnings == 1
+    assert stub.txn_ids == []
+
+
+def test_live_dns_longest_name_is_queried():
+    with StubResolver({}) as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
+        assert provider.check(LONGEST_NAME).status == STATUS_AVAILABLE
+    assert provider.warnings == 0
+    assert len(stub.txn_ids) == 2
+
+
 def test_live_dns_failure_degrades_to_unknown():
     provider = LiveDnsDomainProvider(resolver=("127.0.0.1", 1), timeout=0.2)
     status = provider.check("whatever.example")

@@ -15,9 +15,9 @@ from weaklink.reach import (
     build_dependents_index,
     build_maintainer_index,
     maintainer_reach,
+    names_with_dependents,
     top_n,
     top_percent,
-    without_packages,
 )
 
 from conftest import make_corpus, make_record, person, random_corpus
@@ -98,34 +98,6 @@ def test_entries_nobody_depends_on_share_one_empty_value():
     assert NO_DEPENDENTS == ()
 
 
-def test_without_packages_shares_the_empty_value():
-    corpus = make_corpus(
-        [
-            make_record("noise", deprecated=True, dependencies=("ext-lib", "kept")),
-            make_record("kept"),
-            make_record("user", dependencies=("kept",)),
-        ]
-    )
-    derived = without_packages(build_dependents_index(corpus), {"noise"})
-    assert derived == {"kept": ("user",), "user": (), "ext-lib": ()}
-    assert derived["user"] is NO_DEPENDENTS
-    assert derived["ext-lib"] is NO_DEPENDENTS
-
-
-def test_without_packages_shares_untouched_values_and_keeps_order():
-    corpus = make_corpus(
-        [
-            make_record("a", dependencies=("lib", "other")),
-            make_record("b", dependencies=("lib",)),
-            make_record("c", dependencies=("lib", "other")),
-        ]
-    )
-    index = build_dependents_index(corpus)
-    derived = without_packages(index, {"b"})
-    assert derived == {"a": (), "c": (), "lib": ("a", "c"), "other": ("a", "c")}
-    assert derived["other"] is index["other"]
-
-
 def test_edge_count_invariant():
     for seed in (2, 7):
         corpus = random_corpus(seed=seed, size=100)
@@ -134,24 +106,35 @@ def test_edge_count_invariant():
         assert sum(len(v) for v in index.values()) == edges
 
 
-def _filtered_index_matches_rebuild(corpus, dep_kinds=("runtime",)):
-    pre = build_dependents_index(corpus, dep_kinds)
-    filtered, _verdicts = apply_exclusions(corpus, pre)
-    excluded = {rec.name for rec in corpus.records} - set(filtered.by_name)
-    derived = without_packages(pre, excluded)
-    rebuilt = build_dependents_index(filtered, dep_kinds)
-    for rec in filtered.records:
-        assert derived[rec.name] == rebuilt[rec.name], rec.name
-    assert rebuilt.items() <= derived.items()
-    extra = derived.keys() - rebuilt.keys()
-    assert not extra & set(corpus.by_name)
-    assert all(derived[name] is NO_DEPENDENTS for name in extra)
-    return excluded, extra
+ALL_KINDS = ("runtime", "dev", "peer", "optional")
 
 
-def test_filtered_index_from_full_index_matches_rebuild():
-    # "noise" is excluded (deprecated, no dependents); "ext-lib" is an
-    # external name that only "noise" depends on, so it keeps an empty entry.
+def test_names_with_dependents_are_the_nonempty_index_keys():
+    for seed in range(10):
+        corpus = random_corpus(seed=seed, size=150)
+        for kinds in (("runtime",), ("runtime", "dev"), ALL_KINDS):
+            index = build_dependents_index(corpus, kinds)
+            names = names_with_dependents(corpus, kinds)
+            assert names == {name for name, deps in index.items() if deps}, (seed, kinds)
+            assert names
+
+
+def test_names_with_dependents_rejects_empty_and_unknown_kinds():
+    corpus = make_corpus([make_record("a", dependencies=("b",))])
+    with pytest.raises(ValueError, match="nonempty"):
+        names_with_dependents(corpus, ())
+    with pytest.raises(ValueError, match="unknown dependency kind"):
+        names_with_dependents(corpus, ("runtime", "build"))
+
+
+def test_a_name_only_its_own_record_lists_has_no_dependents():
+    corpus = make_corpus([make_record("a", dependencies=("a", "b")), make_record("b", dev_dependencies=("b",))])
+    assert names_with_dependents(corpus, ALL_KINDS) == {"b"}
+
+
+def test_exclusions_read_names_declared_under_the_scanned_kinds():
+    # "noise" is deprecated and nobody depends on it; "noise-dev" is
+    # deprecated and only a dev dependency of "user".
     corpus = make_corpus(
         [
             make_record("noise", deprecated=True, dependencies=("kept", "ext-lib")),
@@ -160,18 +143,10 @@ def test_filtered_index_from_full_index_matches_rebuild():
             make_record("noise-dev", deprecated=True),
         ]
     )
-    excluded, extra = _filtered_index_matches_rebuild(corpus)
-    assert excluded == {"noise", "noise-dev"}
-    assert extra == {"ext-lib"}
-    # Counting dev edges, "noise-dev" has a dependent and is kept.
-    excluded, extra = _filtered_index_matches_rebuild(corpus, dep_kinds=("runtime", "dev"))
-    assert excluded == {"noise"}
-
-
-def test_filtered_index_matches_rebuild_on_random_corpora():
-    for seed in range(10):
-        excluded, _extra = _filtered_index_matches_rebuild(random_corpus(seed=seed, size=150))
-        assert excluded
+    for kinds, excluded in ((("runtime",), {"noise", "noise-dev"}), (("runtime", "dev"), {"noise"})):
+        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus, kinds))
+        assert {v.package_id.split("@")[0] for v in verdicts if v.excluded} == excluded
+        assert [rec.name for rec in filtered.records] == sorted(corpus.by_name.keys() - excluded)
 
 
 def test_maintainer_index_and_reach():
