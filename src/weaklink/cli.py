@@ -20,7 +20,6 @@ from . import __version__
 from .errors import FixtureError, PlanError, ScannerError
 from .pipeline import ScanOptions, diff_findings, run_scan, write_reports
 from .signals import AnalyzerConfig
-from .synth import GenerationPlan, generate
 
 logger = logging.getLogger(__name__)
 
@@ -85,6 +84,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     gc.disable()
     try:
         resolver_host, _, resolver_port = args.dns_resolver.partition(":")
+        port = int(resolver_port or 53)
+        if not 0 <= port <= 65535:
+            raise ValueError(f"--dns-resolver port must be in 0-65535, got {port}")
         options = ScanOptions(
             input_path=args.input,
             layout=args.format,
@@ -96,12 +98,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
             live=args.live,
             rate_limit=args.rate_limit,
             downloads_base_url=args.downloads_url,
-            dns_resolver=(resolver_host, int(resolver_port or 53)),
+            dns_resolver=(resolver_host, port),
             jobs=args.jobs,
         )
         result = run_scan(options)
         paths = write_reports(result, args.out, unsafe_full_output=args.unsafe_full_output)
-    except (OSError, ValueError, FixtureError, ScannerError, json.JSONDecodeError) as exc:
+    # RecursionError: a bulk export with a row nested too deeply to decode,
+    # which json.load of the whole file raises too.
+    except (OSError, ValueError, FixtureError, ScannerError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -117,6 +121,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .synth import GenerationPlan, generate  # a scan never needs the generator
+
     try:
         overrides: dict = {}
         if args.plan:

@@ -22,10 +22,14 @@ DEFAULT_LICENSE_DENYLIST = ("UNLICENSED", "NONE", "XYZ", "PERSONAL USE", "N/A")
 
 @dataclass(frozen=True, slots=True)
 class ExclusionVerdict:
-    package_id: str
+    record: PackageRecord
     excluded: bool
     reasons: tuple[str, ...]
     had_dependents: bool
+
+    @property
+    def package_id(self) -> str:
+        return self.record.package_id
 
     def to_dict(self) -> dict:
         return {
@@ -93,9 +97,7 @@ def apply_exclusions(
         reasons = evaluate_reasons(rec, denylist)
         had = rec.name in depended
         excluded = bool(reasons) and not had
-        verdicts.append(
-            ExclusionVerdict(package_id=rec.package_id, excluded=excluded, reasons=reasons, had_dependents=had)
-        )
+        verdicts.append(ExclusionVerdict(record=rec, excluded=excluded, reasons=reasons, had_dependents=had))
         if not excluded:
             kept.append(rec)
     return Corpus(records=tuple(kept), stats=corpus.stats, digest=corpus.digest), verdicts

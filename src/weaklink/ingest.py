@@ -40,13 +40,18 @@ _PLACEHOLDER_VERSION_RE = re.compile(r"security", re.IGNORECASE)
 
 _PERSON_STRING_RE = re.compile(r"^(?P<name>[^<(]*)(?:<(?P<email>[^>]*)>)?\s*(?:\([^)]*\))?\s*$")
 
-# The record field that holds the names of each dependency kind.
-DEPENDENCY_FIELDS = {
+# The version-object key that declares each dependency kind.
+_DEPENDENCY_KEYS = {
     "runtime": "dependencies",
-    "dev": "dev_dependencies",
-    "peer": "peer_dependencies",
-    "optional": "optional_dependencies",
+    "dev": "devDependencies",
+    "peer": "peerDependencies",
+    "optional": "optionalDependencies",
 }
+
+
+def is_install_key(key: str, pattern: str) -> bool:
+    """True iff the script key names an install hook: it contains ``pattern``, ignoring case."""
+    return pattern.lower() in key.lower()
 
 
 def parse_timestamp(value: object) -> datetime | None:
@@ -149,15 +154,28 @@ _EMPTY_MAP: dict[str, str] = {}
 
 
 class _Leaves:
-    """Leaf values shared by the records of one load.
+    """What the records of one load share: the scan's scope and leaf values.
 
-    Registry documents repeat the same maintainers, versions, licenses,
-    dependency names and script names across packages; each distinct one is
-    kept once. A ``PersonRef`` is frozen, so records can share it.
+    The scope is the dependency kinds and the install-key pattern the scan
+    reads; a record keeps nothing else of a document's dependencies and
+    scripts. Registry documents repeat the same maintainers, maintainer
+    lists, versions, licenses, dependency names and script names across
+    packages; each distinct one is kept once. A ``PersonRef`` is frozen, so
+    records can share it. Raises ``ValueError`` for an empty or unknown
+    dependency kind.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dep_kinds: Iterable[str] = ("runtime",), install_key_pattern: str = "install") -> None:
+        kinds = tuple(dep_kinds)
+        if not kinds:
+            raise ValueError("dep_kinds must be nonempty")
+        unknown = [kind for kind in kinds if kind not in _DEPENDENCY_KEYS]
+        if unknown:
+            raise ValueError(f"unknown dependency kind: {unknown[0]}")
+        self.dep_keys = tuple(dict.fromkeys(_DEPENDENCY_KEYS[kind] for kind in kinds))
+        self.install_key_pattern = install_key_pattern
         self._people: dict[tuple[str | None, str | None], PersonRef | None] = {}
+        self._lists: dict[tuple[PersonRef, ...], tuple[PersonRef, ...]] = {}
         self.strings: dict[str, str] = {}
 
     def person(self, entry: object) -> PersonRef | None:
@@ -178,20 +196,36 @@ class _Leaves:
             return ()
         return tuple(person for entry in raw if (person := self.person(entry)) is not None)
 
+    def maintainers(self, version: dict, document: dict) -> tuple[PersonRef, ...]:
+        """The version's maintainers, or else the document's; equal lists share one tuple."""
+        people = self.people(version.get("maintainers")) or self.people(document.get("maintainers"))
+        return self._lists.setdefault(people, people)
+
+    def dependencies(self, vobj: dict, name: str) -> tuple[str, ...]:
+        """The names the scan's kinds declare, merged in first-declared order, each once, without ``name``."""
+        declared: dict = {}
+        for key in self.dep_keys:
+            raw = vobj.get(key)
+            if raw and isinstance(raw, dict):
+                declared.update(raw)  # a name declared before keeps its place
+        intern = self.strings.setdefault
+        return tuple([intern(k, k) for k in declared if isinstance(k, str) and k and k != name])
+
 
 @dataclass(frozen=True, slots=True)
 class PackageRecord:
-    """Normalized latest-version metadata of one package.
+    """Normalized latest-version metadata of one package, as one scan reads it.
 
-    ``package_id`` is the registry's unique identifier "name@version"; scoped
-    names keep their leading "@" because the version is appended with the
-    final "@". ``security_holding`` records whether the document matched the
-    registry's placeholder markers (description phrase or synthetic
-    "-security" dist-tag) at ingest time. Dependencies are the names each
-    kind declares, in document order.
+    ``dependencies`` are the names that the scan's dependency kinds declare,
+    merged in first-declared order, each once, without the package itself.
+    ``has_runtime_dependencies`` records whether the runtime kind declares
+    any name, whichever kinds the scan reads. ``scripts`` holds only the
+    scripts whose key matches the scan's install pattern
+    (``is_install_key``). ``security_holding`` records whether the document
+    matched the registry's placeholder markers (description phrase or
+    synthetic "-security" dist-tag) at ingest time.
     """
 
-    package_id: str
     name: str
     version: str
     last_modified: datetime
@@ -199,20 +233,20 @@ class PackageRecord:
     maintainers: tuple[PersonRef, ...]
     contributor_count: int
     dependencies: tuple[str, ...]
-    dev_dependencies: tuple[str, ...]
-    peer_dependencies: tuple[str, ...]
-    optional_dependencies: tuple[str, ...]
+    has_runtime_dependencies: bool
     repository_present: bool
     license_value: str | None
     deprecated: object  # None, bool, or message string as given
     security_holding: bool
 
-    def dependency_names(self, kind: str) -> tuple[str, ...]:
-        try:
-            field = DEPENDENCY_FIELDS[kind]
-        except KeyError:
-            raise ValueError(f"unknown dependency kind: {kind}") from None
-        return getattr(self, field)
+    @property
+    def package_id(self) -> str:
+        """The registry's unique identifier "name@version".
+
+        Scoped names keep their leading "@" because the version is appended
+        with the final "@".
+        """
+        return f"{self.name}@{self.version}"
 
 
 @dataclass(frozen=True)
@@ -278,21 +312,18 @@ def _normalize_license(raw: object) -> str | None:
     return None
 
 
-def _normalize_scripts(raw: object, strings: dict[str, str]) -> dict[str, str]:
-    if not isinstance(raw, dict):
+def _install_scripts(raw: object, strings: dict[str, str], pattern: str) -> dict[str, str]:
+    if not raw or not isinstance(raw, dict):
         return _EMPTY_MAP
     # Bodies are preserved byte-for-byte; empty keys and non-string bodies
     # are unrecognizable and dropped.
     intern = strings.setdefault
-    scripts = {intern(k, k): v for k, v in raw.items() if isinstance(k, str) and k and isinstance(v, str)}
+    scripts = {
+        intern(k, k): v
+        for k, v in raw.items()
+        if isinstance(k, str) and k and isinstance(v, str) and is_install_key(k, pattern)
+    }
     return scripts or _EMPTY_MAP
-
-
-def _dependency_names(raw: object, strings: dict[str, str]) -> tuple[str, ...]:
-    if not raw or not isinstance(raw, dict):
-        return ()
-    intern = strings.setdefault
-    return tuple([intern(k, k) for k in raw if isinstance(k, str) and k])
 
 
 def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
@@ -301,8 +332,10 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     ``item`` is the document's bytes or text, or its decoded JSON tree. The
     latest version is the "latest" dist-tag (the registry's own notion of
     latest), or else the highest semver among the versions that are
-    objects. Raises ParseError for a malformed document and NoVersionsError
-    when no version is an object. ``leaves`` shares equal people and
+    objects. Raises ParseError for a malformed document, one nested too
+    deeply to decode among them, and NoVersionsError when no version is an
+    object. ``leaves`` holds the scan's dependency kinds and install
+    pattern (default: runtime and "install"), and shares equal people and
     strings with the other records of a load.
     """
     if isinstance(item, (bytes, str)):
@@ -312,7 +345,7 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
             raise ParseError("malformed", f"not UTF-8: {exc}") from exc
         try:
             item = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError("malformed", f"not JSON: {exc}") from exc
     if not isinstance(item, dict):
         raise ParseError("malformed", "document is not a JSON object")
@@ -357,7 +390,7 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
             raise ParseError("malformed", f"{name}: no usable timestamp")
         last_modified = max(version_times)
 
-    maintainers = leaves.people(vobj.get("maintainers")) or leaves.people(item.get("maintainers"))
+    maintainers = leaves.maintainers(vobj, item)
     contributors = leaves.people(vobj.get("contributors")) or leaves.people(item.get("contributors"))
     repository = vobj["repository"] if "repository" in vobj else item.get("repository")
     license_value = _normalize_license(vobj["license"] if "license" in vobj else item.get("license"))
@@ -371,18 +404,16 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     )
     strings = leaves.strings
     intern = strings.setdefault
+    runtime = vobj.get("dependencies")
     return PackageRecord(
-        package_id=f"{name}@{version}",
         name=name,
         version=intern(version, version),
         last_modified=last_modified,
-        scripts=_normalize_scripts(vobj.get("scripts"), strings),
+        scripts=_install_scripts(vobj.get("scripts"), strings, leaves.install_key_pattern),
         maintainers=maintainers,
         contributor_count=len(contributors),
-        dependencies=_dependency_names(vobj.get("dependencies"), strings),
-        dev_dependencies=_dependency_names(vobj.get("devDependencies"), strings),
-        peer_dependencies=_dependency_names(vobj.get("peerDependencies"), strings),
-        optional_dependencies=_dependency_names(vobj.get("optionalDependencies"), strings),
+        dependencies=leaves.dependencies(vobj, name),
+        has_runtime_dependencies=isinstance(runtime, dict) and any(isinstance(k, str) and k for k in runtime),
         repository_present=_normalize_repository(repository),
         license_value=license_value if license_value is None else intern(license_value, license_value),
         deprecated=deprecated,
@@ -565,7 +596,7 @@ class _JsonText:
         exc.args = (f"{msg}: line {exc.lineno} column {exc.colno} (char {exc.pos})",)
         return exc
 
-    def first_error(self, exc: json.JSONDecodeError) -> ValueError:
+    def first_error(self, exc: Exception) -> Exception:
         try:
             while self._more(_CHUNK):
                 pass
@@ -703,6 +734,16 @@ class _BulkReader:
             ch = text.next_char()
 
     def items(self) -> Iterator[object]:
+        try:
+            yield from self._items()
+        except RecursionError as exc:
+            # json.load raises this for a value nested too deeply to decode.
+            # While autodetection is pending that value is on the first
+            # line, which then makes the file a bulk export, as a first line
+            # json.loads cannot decode does; only an earlier strict error wins.
+            raise self.text.first_error(self._doom or exc) from None
+
+    def _items(self) -> Iterator[object]:
         text = self.text
         self._lead_in()
         ch = text.next_char()
@@ -770,14 +811,25 @@ def _ingest(items: Iterable[object], leaves: _Leaves) -> tuple[dict[str, Package
     return records, IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
 
 
-def load_corpus(source: str | Path, layout: str | None = None) -> Corpus:
+def load_corpus(
+    source: str | Path,
+    layout: str | None = None,
+    *,
+    dep_kinds: Iterable[str] = ("runtime",),
+    install_key_pattern: str = "install",
+) -> Corpus:
     """Stream all documents from a snapshot into an immutable corpus.
 
     One document is decoded at a time in every layout. Malformed documents
     are counted and skipped. Records are merged in stable order by package
     name; the first occurrence of a duplicate name wins and later ones are
     counted under "duplicate_name". The digest hashes the bytes this read parsed.
+
+    Each record keeps the dependencies of ``dep_kinds`` and the scripts
+    whose key matches ``install_key_pattern``, and no others. An empty or
+    unknown kind raises ``ValueError`` before anything is read.
     """
+    leaves = _Leaves(dep_kinds, install_key_pattern)
     source = Path(source)
     if not source.exists():
         raise OSError(f"snapshot not found: {source}")
@@ -786,7 +838,6 @@ def load_corpus(source: str | Path, layout: str | None = None) -> Corpus:
     if layout is None:
         # None: the layout of a UTF-8 file is settled while it is read.
         layout = "dir" if source.is_dir() else _wide_text_verdict(source)
-    leaves = _Leaves()
     rows_key = 0
     while True:
         # Each attempt reads from the start, so it hashes from the start.

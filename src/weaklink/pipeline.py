@@ -35,7 +35,6 @@ from .providers import (
     FixtureDownloadsProvider,
     LiveDnsDomainProvider,
     LiveDownloadsProvider,
-    PrefetchedDownloads,
     RateLimiter,
 )
 from .reach import build_dependents_index, build_maintainer_index, names_with_dependents
@@ -95,7 +94,8 @@ class ScanResult:
     provider_warnings: int
 
 
-def _make_providers(options: ScanOptions):
+def _make_providers(options: ScanOptions, names: list[str]):
+    """The domain provider and the downloads counts of ``names``, fetched once in live mode."""
     if options.domains_fixture:
         domains = FixtureDomainProvider(options.domains_fixture)
     elif options.live:
@@ -103,30 +103,32 @@ def _make_providers(options: ScanOptions):
     else:
         domains = EmptyDomainProvider()
     if options.downloads_fixture:
-        downloads = FixtureDownloadsProvider(options.downloads_fixture)
+        downloads = FixtureDownloadsProvider(options.downloads_fixture, names)
     elif options.live:
-        downloads = LiveDownloadsProvider(options.downloads_base_url, rate_limit=options.rate_limit)
+        # One bounded-concurrency pass up front; every later lookup reads
+        # the fetched counts and the per-run query count stays exact.
+        live = LiveDownloadsProvider(options.downloads_base_url, rate_limit=options.rate_limit)
+        downloads = live.fetch_many(names, concurrency=options.jobs)
     else:
         downloads = EmptyDownloadsProvider()
     return domains, downloads
 
 
 def run_scan(options: ScanOptions) -> ScanResult:
-    corpus = load_corpus(options.input_path, layout=options.layout)
-    kinds = options.dep_kinds
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus, kinds), options.config.license_denylist)
+    # Records keep only the dependency kinds and install scripts this scan reads.
+    corpus = load_corpus(
+        options.input_path,
+        layout=options.layout,
+        dep_kinds=options.dep_kinds,
+        install_key_pattern=options.config.install_key_pattern,
+    )
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus), options.config.license_denylist)
 
-    domains, downloads = _make_providers(options)
+    domains, downloads = _make_providers(options, [rec.name for rec in filtered.records])
 
     cfg = options.config.resolved(filtered)
-    dindex = build_dependents_index(filtered, kinds)
+    dindex = build_dependents_index(filtered)
     mindex = build_maintainer_index(filtered)
-
-    if isinstance(downloads, LiveDownloadsProvider):
-        # One bounded-concurrency pass up front; every later lookup is a
-        # lock-free map read and the per-run query count stays exact.
-        counts = downloads.fetch_many([rec.name for rec in filtered.records], concurrency=options.jobs)
-        downloads = PrefetchedDownloads(counts, warnings=downloads.warnings)
 
     # W1 checks each distinct (lowercased) maintainer domain once.
     w1_findings, histogram = analyze_w1(filtered, mindex, domains, cfg)

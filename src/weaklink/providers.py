@@ -19,14 +19,17 @@ import socket
 import struct
 import threading
 import time
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
 
 from .errors import FixtureError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -210,26 +213,55 @@ class LiveDnsDomainProvider:
         return DomainStatus(domain=domain, status=status, checked_at=now, source="live", method="dns-ns-mx")
 
 
-class FixtureDownloadsProvider:
-    """JSONL map of package name to 12-month download count."""
+# The largest count an ``array('q')`` holds; a larger one is no count.
+_MAX_COUNT = (1 << 63) - 1
 
-    def __init__(self, path: str | Path):
+
+class DownloadCounts:
+    """Download counts of sorted, distinct names, in an ``array('q')`` aligned with them.
+
+    A lookup is a binary search of the names. An unknown count is stored
+    as -1 and reads None.
+    """
+
+    def __init__(self, names: list[str], counts: array, has_data: bool, warnings: int = 0):
+        self._names = names
+        self._counts = counts
+        self.has_data = has_data
+        self.warnings = warnings
+
+    def downloads(self, package: str) -> int | None:
+        names = self._names
+        i = bisect_left(names, package)
+        if i < len(names) and names[i] == package and (count := self._counts[i]) >= 0:
+            return count
+        return None
+
+
+class FixtureDownloadsProvider(DownloadCounts):
+    """The 12-month download counts of ``names`` from a JSONL fixture, read once.
+
+    Every row is validated, also one for a name outside ``names``, and the
+    last row for a name wins. ``has_data`` is True when the fixture has at
+    least one row.
+    """
+
+    def __init__(self, path: str | Path, names: Iterable[str]):
         path = Path(path)
-        self._counts: dict[str, int] = {}
+        names = sorted(names)
+        counts = array("q", [-1]) * len(names)
+        rows = 0
         for lineno, row in _iter_jsonl(path):
             package = row.get("package")
             count = row.get("downloads")
-            if not isinstance(package, str) or type(count) is not int or count < 0:  # bool is no count
+            # A bool is no count, and neither is one the store cannot hold.
+            if not isinstance(package, str) or type(count) is not int or not 0 <= count <= _MAX_COUNT:
                 raise FixtureError(f"{path}:{lineno}: bad downloads fixture row: {row!r}")
-            self._counts[package] = count
-        self.warnings = 0
-
-    def downloads(self, package: str) -> int | None:
-        return self._counts.get(package)
-
-    @property
-    def has_data(self) -> bool:
-        return bool(self._counts)
+            rows += 1
+            i = bisect_left(names, package)
+            if i < len(names) and names[i] == package:
+                counts[i] = count
+        super().__init__(names, counts, has_data=rows > 0)
 
 
 class EmptyDownloadsProvider:
@@ -244,7 +276,11 @@ class EmptyDownloadsProvider:
 
 class LiveDownloadsProvider:
     """One GET per package against the point-downloads endpoint shape,
-    rate limited with bounded retries; failures come back unknown."""
+    rate limited with bounded retries; failures come back unknown.
+
+    Only this provider imports ``requests``: a scan without live downloads
+    never loads it.
+    """
 
     has_data = True  # counts are unknown until fetched; rank by them
 
@@ -257,6 +293,8 @@ class LiveDownloadsProvider:
         retries: int = 2,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self._base_url = base_url.rstrip("/")
         self._window = window
         self._limiter = RateLimiter(rate_limit)
@@ -268,6 +306,8 @@ class LiveDownloadsProvider:
         self._lock = threading.Lock()
 
     def downloads(self, package: str) -> int | None:
+        import requests
+
         url = f"{self._base_url}/downloads/point/{self._window}/{package}"
         for _attempt in range(self._retries + 1):
             self._limiter.acquire()
@@ -285,36 +325,22 @@ class LiveDownloadsProvider:
             except ValueError:
                 continue
             count = body.get("downloads") if isinstance(body, dict) else None
-            if type(count) is int and count >= 0:
+            if type(count) is int and 0 <= count <= _MAX_COUNT:
                 return count
         with self._lock:
             self.warnings += 1
         return None
 
-    def fetch_many(self, packages: list[str], concurrency: int) -> dict[str, int | None]:
-        """Fetch counts for many packages with bounded in-flight requests.
+    def fetch_many(self, packages: Iterable[str], concurrency: int) -> DownloadCounts:
+        """Fetch the counts of many packages with bounded in-flight requests.
 
         The shared rate limiter still applies across workers, so concurrency
-        raises overlap, never the request rate.
+        raises overlap, never the request rate. The counts come back as one
+        store; its ``has_data`` is True when any count is known.
         """
         from concurrent.futures import ThreadPoolExecutor
 
         ordered = sorted(set(packages))
         with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-            counts = list(pool.map(self.downloads, ordered))
-        return dict(zip(ordered, counts))
-
-
-class PrefetchedDownloads:
-    """Immutable map of already-fetched counts; lock-free reads."""
-
-    def __init__(self, counts: dict[str, int | None], warnings: int = 0):
-        self._counts = dict(counts)
-        self.warnings = warnings
-
-    @property
-    def has_data(self) -> bool:
-        return any(count is not None for count in self._counts.values())
-
-    def downloads(self, package: str) -> int | None:
-        return self._counts.get(package)
+            counts = array("q", [-1 if count is None else count for count in pool.map(self.downloads, ordered)])
+        return DownloadCounts(ordered, counts, has_data=max(counts, default=-1) >= 0, warnings=self.warnings)

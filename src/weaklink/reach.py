@@ -32,42 +32,33 @@ class MaintainerInfo:
 MaintainerIndex = dict[str, MaintainerInfo]
 
 
-def names_with_dependents(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime",)) -> set[str]:
+def names_with_dependents(corpus: Corpus) -> set[str]:
     """The names some other record declares: the non-empty keys of ``build_dependents_index``."""
-    if not dep_kinds:
-        raise ValueError("dep_kinds must be nonempty")
     names: set[str] = set()
     for rec in corpus.records:
-        for kind in dep_kinds:
-            declared = rec.dependency_names(kind)
-            names.update(declared if rec.name not in declared else (dep for dep in declared if dep != rec.name))
+        names.update(rec.dependencies)
     return names
 
 
-def build_dependents_index(corpus: Corpus, dep_kinds: Sequence[str] = ("runtime",)) -> DependentsIndex:
+def build_dependents_index(corpus: Corpus) -> DependentsIndex:
     """Map each depended-upon name to the packages that declare it.
 
-    Each value is a tuple of dependent names in corpus order, each once.
-    Self-edges are dropped. Names not present in the corpus are still
-    indexed (a package may depend on something outside the snapshot). Corpus
-    packages nobody depends on map to the shared empty ``NO_DEPENDENTS``.
-    Keys come in corpus order, then external names in the order they are
-    first declared.
+    Each value is a tuple of dependent names in corpus order, each once:
+    a record lists each dependency once and never itself. Names not present
+    in the corpus are still indexed (a package may depend on something
+    outside the snapshot). Corpus packages nobody depends on map to the
+    shared empty ``NO_DEPENDENTS``. Keys come in corpus order, then external
+    names in the order they are first declared.
     """
-    if not dep_kinds:
-        raise ValueError("dep_kinds must be nonempty")
     index: dict[str, tuple[str, ...] | list[str]] = dict.fromkeys((rec.name for rec in corpus.records), NO_DEPENDENTS)
     for rec in corpus.records:
         name = rec.name
-        for kind in dep_kinds:
-            for dep_name in rec.dependency_names(kind):
-                if dep_name == name:
-                    continue
-                deps = index.get(dep_name)
-                if not deps:  # absent, or still NO_DEPENDENTS
-                    index[dep_name] = [name]
-                elif deps[-1] != name:  # records come in order: a repeat is the last one
-                    deps.append(name)
+        for dep_name in rec.dependencies:
+            deps = index.get(dep_name)
+            if deps:
+                deps.append(name)
+            else:  # absent, or still NO_DEPENDENTS
+                index[dep_name] = [name]
     for dep_name, deps in index.items():
         if deps:
             index[dep_name] = tuple(deps)

@@ -38,7 +38,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from .exclusions import DEFAULT_LICENSE_DENYLIST
-from .ingest import Corpus, format_timestamp, parse_timestamp
+from .ingest import Corpus, format_timestamp, is_install_key, parse_timestamp
 from .reach import DependentsIndex, MaintainerIndex, maintainer_reach, top_percent
 
 if TYPE_CHECKING:
@@ -373,8 +373,8 @@ def find_suspicious_tokens(body: str, tokens: tuple[str, ...]) -> list[str]:
 
 
 def install_script_keys(scripts: dict[str, str], pattern: str) -> list[str]:
-    needle = pattern.lower()
-    return sorted(key for key in scripts if needle in key.lower())
+    """The install-hook keys of ``scripts`` in sorted order, by the test ingest keeps them by."""
+    return sorted(key for key in scripts if is_install_key(key, pattern))
 
 
 def analyze_w1(
@@ -576,7 +576,7 @@ def analyze_w6(
     for key, reach in flagged:
         owned = mindex[key].owned_packages
         inactive_owned = sum(1 for pkg in owned if is_inactive(by_name[pkg].last_modified, cfg))
-        with_deps = sum(1 for pkg in owned if by_name[pkg].dependencies)
+        with_deps = sum(1 for pkg in owned if by_name[pkg].has_runtime_dependencies)
         evidence = {
             "owned_count": len(owned),
             "reach": reach,

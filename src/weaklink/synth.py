@@ -821,7 +821,10 @@ def generate(plan: GenerationPlan) -> SynthCorpus:
     for i in retained:
         pkg = packages[i]
         if i in popular_rank:
-            pkg.quota = plan.dependents_base + popular_n - popular_rank[i]
+            # The ramp descends by one per rank up to 1,000 members and is
+            # scaled to 1,000 steps beyond, so popular edges grow linearly
+            # with popular_n instead of as popular_n squared.
+            pkg.quota = plan.dependents_base + (popular_n - popular_rank[i]) * min(popular_n, 1_000) // popular_n
         elif pkg.maintainers and pkg.maintainers[0] in w6_key_set:
             pkg.quota = 4
         elif i in depr_or_sh:

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import random
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 
-from weaklink.ingest import Corpus, IngestStats, PackageRecord, PersonRef
+from weaklink.ingest import Corpus, IngestStats, PackageRecord, PersonRef, load_corpus
 
 REF = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
+DEPENDENCY_KEYS = ("dependencies", "devDependencies", "peerDependencies", "optionalDependencies")
 
 
 def person(email: str | None = None, name: str | None = None) -> PersonRef:
@@ -30,23 +33,29 @@ def make_record(
     contributor_count: int = 0,
     dependencies: tuple = (),
     dev_dependencies: tuple = (),
+    dep_kinds: tuple = ("runtime",),
     repository_present: bool = True,
     license_value: str | None = "MIT",
     deprecated: object = None,
     security_holding: bool = False,
 ) -> PackageRecord:
+    """A record as a scan of ``dep_kinds`` keeps it.
+
+    ``dependencies`` and ``dev_dependencies`` are the names the runtime and
+    dev kinds declare; the record holds those of ``dep_kinds`` merged, each
+    once, without ``name``, as ingest merges them.
+    """
+    declared = {"runtime": dependencies, "dev": dev_dependencies}
+    merged = dict.fromkeys(dep for kind in dep_kinds for dep in declared.get(kind, ()) if dep != name)
     return PackageRecord(
-        package_id=f"{name}@{version}",
         name=name,
         version=version,
         last_modified=last_modified,
         scripts=scripts or {},
         maintainers=tuple(maintainers),
         contributor_count=contributor_count,
-        dependencies=tuple(dependencies),
-        dev_dependencies=tuple(dev_dependencies),
-        peer_dependencies=(),
-        optional_dependencies=(),
+        dependencies=tuple(merged),
+        has_runtime_dependencies=bool(dependencies),
         repository_present=repository_present,
         license_value=license_value,
         deprecated=deprecated,
@@ -60,14 +69,40 @@ def make_corpus(records) -> Corpus:
     return Corpus(records=records, stats=stats, digest="test")
 
 
-def random_corpus(seed: int, size: int = 120) -> Corpus:
+def load_documents(directory: Path, versions: dict[str, dict], **load_kwargs) -> Corpus:
+    """The corpus ``load_corpus`` reads from one ndjson document per name.
+
+    ``versions[name]`` is the latest version object of that name's
+    document, but that a list of dependency names stands for the object
+    that maps each of them to a range.
+    """
+    lines = []
+    for name, vobj in versions.items():
+        vobj = {key: dict.fromkeys(value, "^1.0.0") if key in DEPENDENCY_KEYS else value for key, value in vobj.items()}
+        tree = {
+            "name": name,
+            "dist-tags": {"latest": "1.0.0"},
+            "versions": {"1.0.0": vobj},
+            "time": {"modified": "2024-01-01T00:00:00.000Z"},
+            "repository": "github:example/" + name,
+        }
+        lines.append(json.dumps(tree) + "\n")
+    snapshot = directory / "snapshot.ndjson"
+    snapshot.write_text("".join(lines), encoding="utf-8")
+    return load_corpus(snapshot, layout="ndjson", **load_kwargs)
+
+
+def random_corpus(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) -> Corpus:
     """A messy random corpus for brute-force oracle equivalence tests.
 
     Includes self-dependencies, dependencies on unknown names, shared and
     name-only maintainers, zero-maintainer packages and assorted exclusion
-    triggers.
+    triggers. Dev dependencies, which overlap the runtime ones, are drawn
+    from a second generator, so a corpus differs across ``dep_kinds`` only
+    in what its records keep of them.
     """
     rng = random.Random(seed)
+    dev_rng = random.Random(-1 - seed)
     names = [f"r{seed}-pkg-{i}" for i in range(size)]
     maintainer_pool = [person(email=f"m{j}@pool{j % 7}.example") for j in range(max(3, size // 4))]
     maintainer_pool += [person(name=f"anon{j}") for j in range(3)]
@@ -77,6 +112,7 @@ def random_corpus(seed: int, size: int = 120) -> Corpus:
         for _ in range(rng.randrange(0, 4)):
             target = rng.choice(names + ["external-dep", name])
             deps[target] = None
+        dev_deps = dev_rng.sample([*deps, *names[:8], "external-dev", name], dev_rng.randrange(0, 3))
         maints = tuple(rng.sample(maintainer_pool, rng.randrange(0, 4)))
         contributor_count = rng.choice((0, 0, 0, 1, 2, 40))
         age_days = rng.randrange(0, 1600)
@@ -89,6 +125,8 @@ def random_corpus(seed: int, size: int = 120) -> Corpus:
                 maintainers=maints,
                 contributor_count=contributor_count,
                 dependencies=tuple(deps),
+                dev_dependencies=tuple(dev_deps),
+                dep_kinds=dep_kinds,
                 repository_present=rng.random() < 0.8,
                 license_value=rng.choice(("MIT", None, "", "UNLICENSED", "XYZ")),
                 security_holding=rng.choice((False, False, True)),

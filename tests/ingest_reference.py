@@ -2,10 +2,11 @@
 
 ``document_from_tree`` copied a document's versions, dist-tags and time
 entries into a ``RegistryDocument``; ``select_latest`` then picked the latest
-version and built a record with every field the scanner once kept. The copy
-below is that code, kept as the reference ``parse_record`` must agree with:
-``reference_record`` projects its record onto the fields a ``PackageRecord``
-keeps, in ``record_to_dict``'s shape.
+version and built a record with every field the scanner once kept, every
+dependency kind and every script among them. The copy below is that code,
+kept as the reference ``parse_record`` must agree with: ``reference_record``
+projects its record onto what a ``PackageRecord`` of one scan keeps, in
+``record_to_dict``'s shape.
 """
 
 from __future__ import annotations
@@ -24,9 +25,16 @@ from weaklink.ingest import (
     _Leaves,
     _normalize_license,
     _normalize_repository,
-    _normalize_scripts,
     parse_timestamp,
 )
+
+# The ``FullRecord`` field that holds each dependency kind.
+KIND_FIELDS = {
+    "runtime": "dependencies",
+    "dev": "dev_dependencies",
+    "peer": "peer_dependencies",
+    "optional": "optional_dependencies",
+}
 
 
 def person_to_dict(p: PersonRef) -> dict:
@@ -44,9 +52,7 @@ def record_to_dict(rec: PackageRecord) -> dict:
         "maintainers": [person_to_dict(p) for p in rec.maintainers],
         "contributor_count": rec.contributor_count,
         "dependencies": list(rec.dependencies),
-        "dev_dependencies": list(rec.dev_dependencies),
-        "peer_dependencies": list(rec.peer_dependencies),
-        "optional_dependencies": list(rec.optional_dependencies),
+        "has_runtime_dependencies": rec.has_runtime_dependencies,
         "repository_present": rec.repository_present,
         "license_value": rec.license_value,
         "deprecated": rec.deprecated,
@@ -155,6 +161,12 @@ def document_from_tree(tree: object) -> RegistryDocument:
     )
 
 
+def _normalize_scripts(raw: object) -> dict[str, str]:
+    if not isinstance(raw, dict):
+        return {}
+    return {k: v for k, v in raw.items() if isinstance(k, str) and k and isinstance(v, str)}
+
+
 def _normalize_deps(raw: object) -> dict[str, str]:
     if not isinstance(raw, dict):
         return {}
@@ -220,7 +232,7 @@ def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> FullR
         version=version,
         last_modified=last_modified,
         created=created,
-        scripts=_normalize_scripts(vobj.get("scripts"), leaves.strings),
+        scripts=_normalize_scripts(vobj.get("scripts")),
         maintainers=maintainers,
         contributors=contributors,
         dependencies=_normalize_deps(vobj.get("dependencies")),
@@ -237,22 +249,29 @@ def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> FullR
     )
 
 
-def reference_record(item: object) -> dict:
-    """The two passes over one document (bytes, text or tree), as ``record_to_dict`` spells a record."""
+def reference_record(item: object, dep_kinds=("runtime",), install_key_pattern: str = "install") -> dict:
+    """The two passes over one document (bytes, text or tree), as ``record_to_dict`` spells a record.
+
+    The record keeps the names ``dep_kinds`` declare, in kind order and then
+    document order, each once and without the package itself, and the
+    scripts whose key contains the pattern in any case.
+    """
     doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
     full = select_latest(doc)
+    declared: list[str] = []
+    for kind in dep_kinds:
+        declared += [dep for dep in getattr(full, KIND_FIELDS[kind]) if dep not in declared and dep != full.name]
+    needle = install_key_pattern.lower()
     return {
         "package_id": full.package_id,
         "name": full.name,
         "version": full.version,
         "last_modified": full.last_modified.isoformat(),
-        "scripts": dict(sorted(full.scripts.items())),
+        "scripts": {key: body for key, body in sorted(full.scripts.items()) if needle in key.lower()},
         "maintainers": [person_to_dict(p) for p in full.maintainers],
         "contributor_count": len(full.contributors),
-        "dependencies": list(full.dependencies),
-        "dev_dependencies": list(full.dev_dependencies),
-        "peer_dependencies": list(full.peer_dependencies),
-        "optional_dependencies": list(full.optional_dependencies),
+        "dependencies": declared,
+        "has_runtime_dependencies": bool(full.dependencies),
         "repository_present": full.repository_present,
         "license_value": full.license_value,
         "deprecated": full.deprecated,

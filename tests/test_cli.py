@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import gc
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weaklink
 from weaklink import cli
 from weaklink.cli import main
 from weaklink.pipeline import ScanOptions, read_findings
@@ -404,3 +410,80 @@ def test_scan_of_empty_filtered_corpus_writes_zero_rows(tmp_path, docs):
     assert [(row["id"], row["count"]) for row in combos["combinations"]] == [(cid, 0) for cid in COMBINATION_IDS]
     zero = {"by_dependents": 0, "by_downloads": 0, "union": 0}
     assert summary["popular_sample"]["source_counts"] == combos["popular_sample"]["source_counts"] == zero
+
+
+# --- documents nested too deeply to decode ----------------------------------------
+
+# json.loads raises RecursionError for this value, not JSONDecodeError.
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "layout,first",
+    [("ndjson", False), ("ndjson", True), ("dir", True)],
+    ids=["ndjson", "ndjson-first-line", "dir"],
+)
+def test_scan_counts_a_too_deeply_nested_document_as_malformed(tmp_path, layout, first):
+    good = json.dumps(unlicensed_doc("a"))
+    if layout == "dir":
+        snapshot = tmp_path / "snapshot"
+        snapshot.mkdir()
+        (snapshot / "a.json").write_text(good)
+        (snapshot / "b.json").write_text(TOO_DEEP)
+    else:
+        snapshot = tmp_path / "snapshot.ndjson"
+        lines = [TOO_DEEP, good] if first else [good, TOO_DEEP]
+        snapshot.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report"
+    # Autodetection reads a first line it cannot decode as a bulk export.
+    layout_args = ["--format", "ndjson"] if first and layout == "ndjson" else []
+    assert main(["scan", "--input", str(snapshot), "--out", str(out), *layout_args]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["input"]["ingest"] == {"total": 2, "parsed": 1, "skipped": 1, "by_error": {"malformed": 1}}
+
+
+@pytest.mark.parametrize("layout_args", [[], ["--format", "bulk"]], ids=["autodetected", "bulk"])
+@pytest.mark.parametrize("shape", ["row", "first-line"])
+def test_bulk_export_with_a_too_deeply_nested_row_is_fatal(tmp_path, capsys, layout_args, shape):
+    rows = [json.dumps({"doc": unlicensed_doc("a")}), TOO_DEEP]
+    text = '{"rows": [' + ", ".join(rows) + "]}\n"
+    if shape == "first-line":  # as an ndjson file whose first line is too deep
+        text = TOO_DEEP + "\n" + rows[0] + "\n"
+    snapshot = tmp_path / "snapshot.json"
+    snapshot.write_text(text)
+    with pytest.raises(RecursionError):
+        json.loads(text)  # so does json.load of the whole file
+    assert main(["scan", "--input", str(snapshot), "--out", str(tmp_path / "out"), *layout_args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: maximum recursion depth exceeded while decoding a JSON array")
+    assert err.count("\n") == 1
+
+
+# --- live provider settings -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("resolver", ["127.0.0.1:70000", "127.0.0.1:-1"])
+def test_scan_rejects_a_resolver_port_outside_0_to_65535(corpus_dir, tmp_path, capsys, monkeypatch, resolver):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("the scan opened a socket")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    out = tmp_path / "report"
+    args = scan_args(corpus_dir, out, extra=["--live", "--dns-resolver", resolver, "--downloads-url", "http://127.0.0.1:9"])
+    args.remove("--domains-fixture")
+    args.remove(str(corpus_dir / "domains_fixture.jsonl"))
+    assert main(args) == 1
+    port = resolver.rsplit(":", 1)[1]
+    assert capsys.readouterr().err == f"error: --dns-resolver port must be in 0-65535, got {port}\n"
+    assert not out.exists()
+
+
+# --- what a scan imports ------------------------------------------------------------------
+
+
+def test_importing_the_cli_leaves_out_requests_and_the_generator():
+    src = Path(weaklink.__file__).resolve().parent.parent
+    probe = "import sys, weaklink.cli; print(sorted({'requests', 'weaklink.synth'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from datetime import timedelta
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +23,7 @@ from weaklink.providers import (
     DomainStatus,
     EmptyDownloadsProvider,
     FixtureDownloadsProvider,
-    PrefetchedDownloads,
+    LiveDownloadsProvider,
 )
 from weaklink.reach import build_dependents_index, build_maintainer_index
 from weaklink.signals import AnalyzerConfig, ScriptCategory, analyze_w1, analyze_w2, analyze_w3, analyze_w6
@@ -101,7 +102,24 @@ def test_popular_invariant_under_corpus_order():
 def _fixture_downloads(tmp_path, counts):
     path = tmp_path / "downloads.jsonl"
     path.write_text("".join(json.dumps({"package": k, "downloads": v}) + "\n" for k, v in counts.items()))
-    return FixtureDownloadsProvider(path)
+    return FixtureDownloadsProvider(path, [rec.name for rec in _ranked_corpus().records])
+
+
+class _StubSession:
+    """Answers each point-downloads GET from ``counts``; a None count is a 404."""
+
+    def __init__(self, counts):
+        self.counts = counts
+        self.headers = {}
+
+    def get(self, url, timeout):
+        count = self.counts[url.rsplit("/", 1)[1]]
+        return SimpleNamespace(status_code=200 if count is not None else 404, json=lambda: {"downloads": count})
+
+
+def _fetched_downloads(counts):
+    live = LiveDownloadsProvider("http://downloads.invalid", rate_limit=1e6, session=_StubSession(counts))
+    return live.fetch_many(list(counts), concurrency=2)
 
 
 @pytest.mark.parametrize(
@@ -110,8 +128,8 @@ def _fixture_downloads(tmp_path, counts):
         (lambda tmp: _fixture_downloads(tmp, {"user00": 900, "user01": 800, "user02": 700}), 3),
         (lambda tmp: _fixture_downloads(tmp, {}), 0),
         (lambda tmp: EmptyDownloadsProvider(), 0),
-        (lambda tmp: PrefetchedDownloads({"user00": 900, "user01": 800, "user02": 700, "top0": None}), 3),
-        (lambda tmp: PrefetchedDownloads({"user00": None, "top0": None}), 0),
+        (lambda tmp: _fetched_downloads({"user00": 900, "user01": 800, "user02": 700, "top0": None}), 3),
+        (lambda tmp: _fetched_downloads({"user00": None, "top0": None}), 0),
     ],
     ids=["fixture", "empty-fixture", "empty", "prefetched", "prefetched-all-unknown"],
 )

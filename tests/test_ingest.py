@@ -5,6 +5,7 @@ from __future__ import annotations
 import builtins
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 from datetime import datetime, timedelta, timezone
@@ -27,6 +28,7 @@ from weaklink.ingest import (
 from ingest_reference import record_to_dict, reference_record
 
 T0 = "2024-01-01T00:00:00.000Z"
+ALL_KINDS = ("runtime", "dev", "peer", "optional")
 
 
 def doc_bytes(tree: dict) -> bytes:
@@ -225,8 +227,9 @@ def test_field_traceability_with_sentinels():
     assert rec.package_id == "sentinel-pkg@3.1.4"
     assert rec.scripts == {"postinstall": "SENTINEL_SCRIPT_BODY  spaced"}
     assert rec.dependencies == ("sentinel-dep",)
-    assert rec.dev_dependencies == ("sentinel-dev",)
-    assert rec.peer_dependencies == rec.optional_dependencies == ()
+    assert rec.has_runtime_dependencies is True
+    assert parse_record(doc_bytes(tree), ingest._Leaves(("dev", "runtime"))).dependencies == ("sentinel-dev", "sentinel-dep")
+    assert parse_record(doc_bytes(tree), ingest._Leaves(("peer", "optional"))).dependencies == ()
     assert rec.deprecated == "SENTINEL_DEPRECATION"
     assert rec.maintainers[0].name == "SENTINEL_MAINT"
     assert rec.maintainers[0].email == "Maint@Sentinel.IO"
@@ -523,10 +526,10 @@ def test_records_share_empty_maps_and_equal_strings(tmp_path):
     for doc, body in zip(docs, scripts):
         doc["versions"]["2.1.0"].update(scripts=body, dependencies={}, devDependencies=[])
     path = write_snapshot(tmp_path, docs, "ndjson")
-    records = load_corpus(path).records
+    records = load_corpus(path, dep_kinds=ALL_KINDS, install_key_pattern="").records
     assert all(r.scripts is ingest._EMPTY_MAP for r in records)
     assert ingest._EMPTY_MAP == {}
-    assert all(r.dependency_names(kind) == () for r in records for kind in ingest.DEPENDENCY_FIELDS)
+    assert all(r.dependencies == () and r.has_runtime_dependencies is False for r in records)
     assert records[0].version is records[1].version is records[2].version
     assert records[0].license_value is records[1].license_value is records[2].license_value
     alone = [record_to_dict(parse_record(doc_bytes(doc))) for doc in docs]
@@ -568,12 +571,46 @@ def test_dependency_names_by_kind():
         peerDependencies=["peer"],
         optionalDependencies={"opt": "^1"},
     )
-    rec = parse_record(tree)
-    assert [rec.dependency_names(kind) for kind in ("runtime", "dev", "peer", "optional")] == [
+    assert [parse_record(tree, ingest._Leaves((kind,))).dependencies for kind in ALL_KINDS] == [
         ("run", "run-b"), ("dev",), (), ("opt",)
     ]
+    assert parse_record(tree, ingest._Leaves(ALL_KINDS)).dependencies == ("run", "run-b", "dev", "opt")
     with pytest.raises(ValueError, match="unknown dependency kind"):
-        rec.dependency_names("bundled")
+        ingest._Leaves(("runtime", "bundled"))
+
+
+def test_load_corpus_rejects_empty_and_unknown_kinds(tmp_path):
+    # Before anything is read: the snapshot does not even exist.
+    missing = tmp_path / "absent.ndjson"
+    with pytest.raises(ValueError, match="nonempty"):
+        load_corpus(missing, dep_kinds=())
+    with pytest.raises(ValueError, match="unknown dependency kind: build"):
+        load_corpus(missing, dep_kinds=("runtime", "build"))
+    with pytest.raises(OSError):
+        load_corpus(missing, dep_kinds=("runtime", "dev"))
+
+
+def test_a_self_edge_and_a_repeat_across_kinds_are_dropped():
+    tree = minimal_doc(name="self")
+    tree["versions"]["1.0.0"].update(
+        dependencies={"self": "1", "lib": "1"}, devDependencies={"lib": "2", "self": "3", "tool": "4"}
+    )
+    assert parse_record(tree, ingest._Leaves(("runtime", "dev"))).dependencies == ("lib", "tool")
+    assert parse_record(tree, ingest._Leaves(("dev", "runtime"))).dependencies == ("lib", "tool")
+    only_self = minimal_doc(name="self")
+    only_self["versions"]["1.0.0"]["dependencies"] = {"self": "1"}
+    rec = parse_record(only_self)
+    # W6 reads the runtime flag: listing only itself still declares a dependency.
+    assert rec.dependencies == () and rec.has_runtime_dependencies is True
+
+
+def test_records_keep_only_install_scripts():
+    tree = minimal_doc()
+    tree["versions"]["1.0.0"]["scripts"] = {"test": "jest", "preInstall": "a", "POSTINSTALL": "b", "build": "tsc"}
+    assert parse_record(tree).scripts == {"preInstall": "a", "POSTINSTALL": "b"}
+    assert parse_record(tree, ingest._Leaves(install_key_pattern="BUILD")).scripts == {"build": "tsc"}
+    assert parse_record(tree, ingest._Leaves(install_key_pattern="")).scripts == tree["versions"]["1.0.0"]["scripts"]
+    assert parse_record(tree, ingest._Leaves(install_key_pattern="deploy")).scripts is ingest._EMPTY_MAP
 
 
 # --- the snapshot digest ---------------------------------------------------------
@@ -708,7 +745,11 @@ PERSON = mostly(
 )
 PEOPLE = mostly(st.lists(PERSON, max_size=3), PERSON | JUNK)
 MAPS = mostly(
-    st.dictionaries(st.sampled_from(["left-pad", "", "a", "postinstall", "install"]), st.just("^1.0.0") | JUNK, max_size=3),
+    st.dictionaries(
+        st.sampled_from(["left-pad", "", "a", "b", "postinstall", "install", "preInstall", "INSTALL:ci"]),
+        st.just("^1.0.0") | JUNK,
+        max_size=3,
+    ),
     st.lists(st.text(max_size=3), max_size=2) | st.text(max_size=3),
 )
 REPOSITORY = st.sampled_from(["github:u/r", {"url": "git+https://x/y.git"}, {"type": "git"}, {}, "", None]) | JUNK
@@ -788,3 +829,27 @@ def test_parse_record_agrees_with_the_two_pass_reference(tree, form):
         tree = json.dumps(tree)
         tree = tree.encode() if form == "bytes" else tree
     assert normalized(lambda item: record_to_dict(parse_record(item)), tree) == normalized(reference_record, tree)
+
+
+KIND_SETS = [kinds for size in range(1, 5) for kinds in itertools.combinations(ALL_KINDS, size)]
+
+
+@pytest.mark.parametrize("kinds", KIND_SETS, ids=["+".join(kinds) for kinds in KIND_SETS])
+@settings(max_examples=40, deadline=None)
+@given(tree=messy_documents())
+def test_dependencies_merge_the_scanned_kinds_as_the_reference_does(kinds, tree):
+    for order in (kinds, kinds[::-1]):
+        got = normalized(lambda item: record_to_dict(parse_record(item, ingest._Leaves(order))), tree)
+        assert got == normalized(lambda item: reference_record(item, dep_kinds=order), tree)
+        if isinstance(got, dict):
+            assert len(set(got["dependencies"])) == len(got["dependencies"])
+            assert got["name"] not in got["dependencies"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=messy_documents(), pattern=st.sampled_from(["install", "INSTALL", "Inst", "pre", "", "left"]))
+def test_scripts_are_the_reference_install_keys(tree, pattern):
+    got = normalized(lambda item: record_to_dict(parse_record(item, ingest._Leaves(install_key_pattern=pattern))), tree)
+    assert got == normalized(lambda item: reference_record(item, install_key_pattern=pattern), tree)
+    if isinstance(got, dict):
+        assert all(pattern.lower() in key.lower() for key in got["scripts"])

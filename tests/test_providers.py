@@ -59,22 +59,56 @@ def test_domain_fixture_validation(tmp_path):
 
 def test_downloads_fixture(tmp_path):
     path = write_jsonl(tmp_path / "dl.jsonl", [{"package": "left-pad", "downloads": 1_000_000}])
-    provider = FixtureDownloadsProvider(path)
+    provider = FixtureDownloadsProvider(path, ["left-pad", "ghost"])
     assert provider.downloads("left-pad") == 1_000_000
     assert provider.downloads("ghost") is None
+    assert provider.downloads("not-a-name") is None
     assert provider.has_data is True
 
 
+def test_downloads_fixture_store(tmp_path):
+    rows = [
+        {"package": "b", "downloads": 5},
+        {"package": "outside", "downloads": 9},
+        {"package": "b", "downloads": 0},  # the last row for a name wins
+        {"package": "a", "downloads": 2**63 - 1},
+    ]
+    path = write_jsonl(tmp_path / "dl.jsonl", rows)
+    names = ["d", "b", "c", "a"]  # the names come in any order
+    provider = FixtureDownloadsProvider(path, names)
+    assert [provider.downloads(name) for name in names] == [None, 0, None, 2**63 - 1]
+    assert provider.downloads("outside") is None
+    assert provider.downloads("") is provider.downloads("zzz") is None
+    # A row for a name outside the names is still read: it sets has_data ...
+    path = write_jsonl(tmp_path / "dl.jsonl", [{"package": "outside", "downloads": 1}])
+    provider = FixtureDownloadsProvider(path, names)
+    assert provider.has_data is True
+    assert [provider.downloads(name) for name in names] == [None] * 4
+    # ... and is validated.
+    path = write_jsonl(tmp_path / "dl.jsonl", [{"package": "outside", "downloads": -1}])
+    with pytest.raises(FixtureError, match=":1: bad downloads fixture row: "):
+        FixtureDownloadsProvider(path, names)
+    path.write_text("\n")
+    provider = FixtureDownloadsProvider(path, names)
+    assert provider.has_data is False
+    assert FixtureDownloadsProvider(path, []).downloads("a") is None
+
+
 def test_downloads_fixture_validation(tmp_path):
-    # bool is a subclass of int, yet true is no download count.
-    for count in (-3, True, False, 1.0, "7", None):
+    # bool is a subclass of int, yet true is no download count; a count
+    # must fit the store's signed 64 bits.
+    for count in (-3, True, False, 1.0, "7", None, 2**63):
         rows = [{"package": "ok", "downloads": 1}, {"package": "x", "downloads": count}]
         path = write_jsonl(tmp_path / "dl.jsonl", rows)
         with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:2: bad downloads fixture row: "):
-            FixtureDownloadsProvider(path)
+            FixtureDownloadsProvider(path, ["ok", "x"])
 
 
-@pytest.mark.parametrize("provider", [FixtureDomainProvider, FixtureDownloadsProvider])
+@pytest.mark.parametrize(
+    "provider",
+    [FixtureDomainProvider, lambda path: FixtureDownloadsProvider(path, ["x"])],
+    ids=["FixtureDomainProvider", "FixtureDownloadsProvider"],
+)
 def test_fixture_errors_name_the_line(tmp_path, provider):
     good = {"domain": "x.io", "status": "available", "package": "x", "downloads": 1}
     path = tmp_path / "fixture.jsonl"
@@ -395,9 +429,23 @@ def test_fetch_many_bounded_and_rate_limited(http_stub):
     start = time.monotonic()
     counts = provider.fetch_many([f"pkg{i}" for i in range(10)] + ["pkg0"], concurrency=4)
     elapsed = time.monotonic() - start
-    assert counts == {f"pkg{i}": 53_000 for i in range(10)}
+    assert [counts.downloads(f"pkg{i}") for i in range(10)] == [53_000] * 10
+    assert counts.downloads("pkg10") is None
+    assert counts.has_data is True and counts.warnings == 0
     # Deduplicated to 10 requests, still spaced by the shared limiter.
     assert elapsed >= 9 / 100 - 0.005
+    assert len(StubDownloads.hits) == 10
+
+
+def test_fetch_many_keeps_unknown_counts_unknown(http_stub):
+    provider = LiveDownloadsProvider(http_stub, rate_limit=200, retries=0)
+    counts = provider.fetch_many(["missing-pkg", "left-pad", "flaky-pkg"], concurrency=2)
+    assert [counts.downloads(name) for name in ("flaky-pkg", "left-pad", "missing-pkg")] == [None, 53_000, None]
+    assert counts.has_data is True
+    assert counts.warnings == 1  # the flaky reply; a 404 is an answer
+    counts = provider.fetch_many(["missing-pkg", "flaky-pkg"], concurrency=2)
+    assert counts.has_data is False
+    assert counts.downloads("missing-pkg") is None
 
 
 def test_live_downloads_sends_agent_string(http_stub):

@@ -20,7 +20,7 @@ from weaklink.reach import (
     top_percent,
 )
 
-from conftest import make_corpus, make_record, person, random_corpus
+from conftest import load_documents, make_corpus, make_record, person, random_corpus
 
 
 def test_single_edge():
@@ -42,46 +42,44 @@ def test_unknown_dependee_still_indexed():
     assert index["ghost"] == ("a",)
 
 
-def test_dep_kinds_selectable():
-    corpus = make_corpus([make_record("a", dependencies=("b",), dev_dependencies=("c",)), make_record("b"), make_record("c")])
-    runtime_only = build_dependents_index(corpus)
+def test_dep_kinds_selectable(tmp_path):
+    versions = {"a": {"dependencies": ["b"], "devDependencies": ["c"]}, "b": {}, "c": {}}
+    runtime_only = build_dependents_index(load_documents(tmp_path, versions))
     assert runtime_only["c"] == ()
-    both = build_dependents_index(corpus, dep_kinds=("runtime", "dev"))
+    both = build_dependents_index(load_documents(tmp_path, versions, dep_kinds=("runtime", "dev")))
     assert both["c"] == ("a",)
-    with pytest.raises(ValueError):
-        build_dependents_index(corpus, dep_kinds=())
 
 
-def test_a_name_declared_under_two_kinds_lists_its_dependent_once():
-    corpus = make_corpus(
-        [
-            make_record("a", dependencies=("lib", "b"), dev_dependencies=("b", "lib")),
-            make_record("b", dev_dependencies=("lib",)),
-            make_record("c", dependencies=("lib",), dev_dependencies=("lib",)),
-        ]
-    )
-    index = build_dependents_index(corpus, dep_kinds=("runtime", "dev"))
+def test_a_name_declared_under_two_kinds_lists_its_dependent_once(tmp_path):
+    versions = {
+        "a": {"dependencies": ["lib", "b"], "devDependencies": ["b", "lib"]},
+        "b": {"devDependencies": ["lib"]},
+        "c": {"dependencies": ["lib"], "devDependencies": ["lib"]},
+    }
+    corpus = load_documents(tmp_path, versions, dep_kinds=("runtime", "dev"))
+    index = build_dependents_index(corpus)
     assert index == {"a": (), "b": ("a",), "c": (), "lib": ("a", "b", "c")}
-    assert index == brute_force_index(corpus, ("runtime", "dev"))
+    assert index == brute_force_index(corpus)
 
 
-def brute_force_index(corpus, kinds=("runtime",)):
+def brute_force_index(corpus):
     # Each value lists the dependents in corpus order, each once.
     index = {rec.name: () for rec in corpus.records}
     for rec in corpus.records:
-        declared = dict.fromkeys(dep for kind in kinds for dep in rec.dependency_names(kind))
-        for dep in declared:
+        for dep in dict.fromkeys(rec.dependencies):
             if dep != rec.name:
                 index[dep] = index.get(dep, ()) + (rec.name,)
     return index
 
 
+ALL_KINDS = ("runtime", "dev", "peer", "optional")
+
+
 def test_index_matches_brute_force_on_random_corpora():
     for seed in range(10):
-        corpus = random_corpus(seed=seed, size=150)
-        assert build_dependents_index(corpus) == brute_force_index(corpus)
-        both = ("runtime", "dev")
-        assert build_dependents_index(corpus, both) == brute_force_index(corpus, both)
+        for kinds in (("runtime",), ("runtime", "dev")):
+            corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
+            assert build_dependents_index(corpus) == brute_force_index(corpus)
 
 
 def test_entries_nobody_depends_on_share_one_empty_value():
@@ -106,45 +104,33 @@ def test_edge_count_invariant():
         assert sum(len(v) for v in index.values()) == edges
 
 
-ALL_KINDS = ("runtime", "dev", "peer", "optional")
-
-
 def test_names_with_dependents_are_the_nonempty_index_keys():
     for seed in range(10):
-        corpus = random_corpus(seed=seed, size=150)
         for kinds in (("runtime",), ("runtime", "dev"), ALL_KINDS):
-            index = build_dependents_index(corpus, kinds)
-            names = names_with_dependents(corpus, kinds)
+            corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
+            index = build_dependents_index(corpus)
+            names = names_with_dependents(corpus)
             assert names == {name for name, deps in index.items() if deps}, (seed, kinds)
             assert names
 
 
-def test_names_with_dependents_rejects_empty_and_unknown_kinds():
-    corpus = make_corpus([make_record("a", dependencies=("b",))])
-    with pytest.raises(ValueError, match="nonempty"):
-        names_with_dependents(corpus, ())
-    with pytest.raises(ValueError, match="unknown dependency kind"):
-        names_with_dependents(corpus, ("runtime", "build"))
+def test_a_name_only_its_own_record_lists_has_no_dependents(tmp_path):
+    versions = {"a": {"dependencies": ["a", "b"]}, "b": {"devDependencies": ["b"], "peerDependencies": ["b"]}}
+    assert names_with_dependents(load_documents(tmp_path, versions, dep_kinds=ALL_KINDS)) == {"b"}
 
 
-def test_a_name_only_its_own_record_lists_has_no_dependents():
-    corpus = make_corpus([make_record("a", dependencies=("a", "b")), make_record("b", dev_dependencies=("b",))])
-    assert names_with_dependents(corpus, ALL_KINDS) == {"b"}
-
-
-def test_exclusions_read_names_declared_under_the_scanned_kinds():
+def test_exclusions_read_names_declared_under_the_scanned_kinds(tmp_path):
     # "noise" is deprecated and nobody depends on it; "noise-dev" is
     # deprecated and only a dev dependency of "user".
-    corpus = make_corpus(
-        [
-            make_record("noise", deprecated=True, dependencies=("kept", "ext-lib")),
-            make_record("kept", dependencies=("shared",)),
-            make_record("user", dependencies=("kept", "shared"), dev_dependencies=("noise-dev",)),
-            make_record("noise-dev", deprecated=True),
-        ]
-    )
+    versions = {
+        "noise": {"deprecated": "gone", "dependencies": ["kept", "ext-lib"]},
+        "kept": {"dependencies": ["shared"]},
+        "user": {"dependencies": ["kept", "shared"], "devDependencies": ["noise-dev"]},
+        "noise-dev": {"deprecated": "gone"},
+    }
     for kinds, excluded in ((("runtime",), {"noise", "noise-dev"}), (("runtime", "dev"), {"noise"})):
-        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus, kinds))
+        corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
+        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
         assert {v.package_id.split("@")[0] for v in verdicts if v.excluded} == excluded
         assert [rec.name for rec in filtered.records] == sorted(corpus.by_name.keys() - excluded)
 

@@ -22,7 +22,7 @@ from weaklink.signals import (
     sort_findings,
 )
 
-from conftest import REF, make_corpus, make_record, person
+from conftest import REF, load_documents, make_corpus, make_record, person
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -382,6 +382,29 @@ def test_w6_zero_reach_not_flagged_unless_all_zero():
     findings = analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg)
     maints = {f.subject_id for f in findings if f.subject_kind == "maintainer"}
     assert maints == {"a@one.example"}
+
+
+@pytest.mark.parametrize("kinds", [("runtime",), ("runtime", "dev"), ("dev",)])
+def test_w6_dependency_using_share_reads_runtime_dependencies_whatever_the_kinds(tmp_path, kinds):
+    # "owner" owns four packages: one with runtime dependencies, one that
+    # lists only itself at runtime, one with dev dependencies only and one
+    # with none. Two of the four declare runtime dependencies under every
+    # scan, as the share counted them before records kept only the scan's kinds.
+    owner = [{"name": "Owner", "email": "owner@x.example"}]
+    versions = {
+        "uses-lib": {"maintainers": owner, "dependencies": ["lib"]},
+        "self-only": {"maintainers": owner, "dependencies": ["self-only"]},
+        "dev-only": {"maintainers": owner, "devDependencies": ["tool"]},
+        "bare": {"maintainers": owner},
+        "lib": {"dependencies": ["uses-lib"], "devDependencies": ["bare"]},
+    }
+    corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
+    assert [rec.has_runtime_dependencies for rec in corpus.records] == [False, False, True, True, True]
+    cfg = cfg_for(corpus, top_percent=100.0)
+    findings = analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg)
+    (owner_finding,) = [f for f in findings if f.subject_id == "owner@x.example"]
+    assert owner_finding.value("dependency_using_share") == 2 / 4
+    assert owner_finding.value("owned_count") == 4
 
 
 # --- shared contracts -------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -113,6 +114,34 @@ def test_popular_download_ramp_clears_the_random_counts_above_990_members():
     # into the random 0-9,999 counts and break the separation.
     manifest = generate(GenerationPlan(package_count=12_000, popular_divisor=10, w6_owned_per_maintainer=100)).manifest
     assert manifest["popular"]["source_counts"]["by_downloads"] == 1_100
+
+
+def test_popular_dependents_quota_is_capped_above_1000_members():
+    # 1,100 popular members. The quota ramp falls by 1,000/1,100 per rank
+    # instead of by one, so no package has more than dependents_base + 1,000
+    # dependents and the popular edges grow as popular_n * 500, not as
+    # popular_n**2 / 2. generate() raises PlanError on a separation violation.
+    plan = GenerationPlan(package_count=12_000, popular_divisor=10, w6_owned_per_maintainer=100)
+    corpus = generate(plan)
+    counts = corpus.manifest["counts"]
+    assert counts["popular_n"] == 1_100
+    assert corpus.manifest["popular"]["source_counts"]["by_dependents"] == 1_100
+    dependents = Counter(dep for pkg in corpus._packages for dep in pkg.dependencies)
+    assert max(dependents.values()) == plan.dependents_base + 1_000
+    # The popular ramp averages at most 501 above the base; every other
+    # package has at most 4 dependents, and 2 on average is ample.
+    edges = sum(dependents.values())
+    assert edges <= counts["popular_n"] * (plan.dependents_base + 501) + 2 * counts["retained"]
+
+
+def test_popular_quota_below_1000_members_is_unchanged():
+    # Up to 1,000 popular members the capped ramp is the old one: base + popular_n - rank.
+    corpus = generate(GenerationPlan(package_count=12_000, popular_divisor=12, w6_owned_per_maintainer=100))
+    popular_n = corpus.manifest["counts"]["popular_n"]
+    assert 100 < popular_n <= 1_000
+    dependents = Counter(dep for pkg in corpus._packages for dep in pkg.dependencies)
+    base = GenerationPlan().dependents_base
+    assert sorted(dependents.values(), reverse=True)[:popular_n] == [base + popular_n - r for r in range(popular_n)]
 
 
 def test_w2_count_without_exclusions_is_22_of_1000(tmp_path):
