@@ -8,7 +8,9 @@ scripts, signal-set intersections, and the two attack-candidate pipelines
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 from .ingest import Corpus
@@ -116,24 +118,28 @@ def popular_sample(
 ) -> PopularSample:
     """Top-n by direct dependents union top-n by downloads, deduped.
 
-    Ranking ties at the n-th position are included on both sides. Unknown
-    downloads rank as zero; a provider with no data at all contributes
-    nothing to the union.
+    Both sides rank the record positions: the dependent counts of the
+    index, and the provider's ``counts``, which are aligned with the
+    records. Ranking ties at the n-th position are included on both sides.
+    Unknown downloads rank as zero; a provider with no data at all
+    contributes nothing to the union.
     """
     if n < 1:
         raise ValueError("popular sample size must be >= 1")
-    if not corpus.records:
+    records = corpus.records
+    if not records:
         return PopularSample(members=frozenset(), by_dependents=0, by_downloads=0)
-    dep_scores = [(rec.name, len(dindex.get(rec.name, ()))) for rec in corpus.records]
-    dep_top = top_n(dep_scores, n)
+    positions = range(len(records))
+    dep_top = top_n(positions, dindex.counts(), n)
     # A provider with no data at all would rank everything at zero and the
     # closed cutoff would sweep in the whole corpus; skip that side instead.
     if downloads.has_data:
-        dl_scores = [(rec.name, downloads.downloads(rec.name) or 0) for rec in corpus.records]
-        dl_top = top_n(dl_scores, n)
+        if len(downloads.counts) != len(records):
+            raise ValueError(f"{len(downloads.counts)} download counts for {len(records)} packages")
+        dl_top = top_n(positions, array("q", map(max, downloads.counts, repeat(0))), n)  # unknown (-1) ranks as 0
     else:
         dl_top = []
-    members = frozenset(name for name, _ in dep_top) | frozenset(name for name, _ in dl_top)
+    members = frozenset(records[pos].name for pos, _ in chain(dep_top, dl_top))
     return PopularSample(members=members, by_dependents=len(dep_top), by_downloads=len(dl_top))
 
 
@@ -233,7 +239,7 @@ def attack_candidates(
                 package=pkg,
                 maintainer_emails=emails,
                 domains=domains,
-                dependents=len(dindex.get(pkg, ())),
+                dependents=dindex.count(corpus.position(pkg)),
                 downloads=downloads.downloads(pkg),
             )
         )
@@ -258,7 +264,7 @@ def attack_candidates(
                 package=f.subject_id,
                 maintainer_key=key,
                 reach=stale_overloaded[key].value("reach"),
-                dependents=len(dindex.get(f.subject_id, ())),
+                dependents=dindex.count(corpus.position(f.subject_id)),
                 downloads=downloads.downloads(f.subject_id),
             )
         )

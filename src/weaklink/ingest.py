@@ -23,9 +23,11 @@ import hashlib
 import json
 import logging
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 
 from . import semver
@@ -160,9 +162,10 @@ class _Leaves:
     reads; a record keeps nothing else of a document's dependencies and
     scripts. Registry documents repeat the same maintainers, maintainer
     lists, versions, licenses, dependency names and script names across
-    packages; each distinct one is kept once. A ``PersonRef`` is frozen, so
-    records can share it. Raises ``ValueError`` for an empty or unknown
-    dependency kind.
+    packages, and a package's name is a dependency name of the packages
+    that declare it; each distinct one is kept once. A ``PersonRef`` is
+    frozen, so records can share it. Raises ``ValueError`` for an empty or
+    unknown dependency kind.
     """
 
     def __init__(self, dep_kinds: Iterable[str] = ("runtime",), install_key_pattern: str = "install") -> None:
@@ -267,19 +270,25 @@ class IngestStats:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Immutable set of PackageRecords in stable name order."""
+    """Immutable set of PackageRecords in stable name order.
+
+    A record's position is its index in ``records``, so position order is
+    name order. The indexes over a corpus hold positions, not names, and no
+    name-keyed map of the records is kept: ``position`` finds a name by
+    binary search.
+    """
 
     records: tuple[PackageRecord, ...]
     stats: IngestStats
     digest: str = ""
 
-    @property
-    def by_name(self) -> dict[str, PackageRecord]:
-        cached = getattr(self, "_by_name", None)
-        if cached is None:
-            cached = {rec.name: rec for rec in self.records}
-            object.__setattr__(self, "_by_name", cached)
-        return cached
+    def position(self, name: str) -> int:
+        """The position of the record named ``name``; raises ``KeyError`` for a name outside the corpus."""
+        records = self.records
+        i = bisect_left(records, name, key=attrgetter("name"))
+        if i == len(records) or records[i].name != name:
+            raise KeyError(name)
+        return i
 
 
 def _normalize_repository(raw: object) -> bool:
@@ -406,7 +415,7 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     intern = strings.setdefault
     runtime = vobj.get("dependencies")
     return PackageRecord(
-        name=name,
+        name=intern(name, name),
         version=intern(version, version),
         last_modified=last_modified,
         scripts=_install_scripts(vobj.get("scripts"), strings, leaves.install_key_pattern),

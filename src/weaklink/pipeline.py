@@ -1,7 +1,8 @@
 """Scan orchestration and canonical report emission.
 
 Pipeline order: ingest -> names with dependents -> exclusions -> indexes
-over the filtered corpus, each built once -> analyzers -> combinations.
+over the filtered corpus, each built once and keyed by record position ->
+analyzers, each one's findings sorted as they come -> combinations.
 All report files are canonical (sorted keys, sorted records, trailing
 newline) and contain no wall-clock values, so reruns over identical inputs
 and fixtures are byte-identical.
@@ -131,14 +132,21 @@ def run_scan(options: ScanOptions) -> ScanResult:
     mindex = build_maintainer_index(filtered)
 
     # W1 checks each distinct (lowercased) maintainer domain once.
-    w1_findings, histogram = analyze_w1(filtered, mindex, domains, cfg)
-    findings = list(w1_findings)
-    findings += analyze_w2(filtered, cfg)
-    findings += analyze_w3(filtered, mindex, cfg)
-    findings += analyze_w4(filtered, cfg)
-    findings += analyze_w5(filtered, cfg)
-    findings += analyze_w6(filtered, mindex, dindex, cfg)
+    findings, histogram = analyze_w1(filtered, mindex, domains, cfg)
+    # The signal is the first sort key, and each analyzer's signals sort
+    # after the previous one's: sorting each analyzer's findings as they
+    # come and joining them in this order puts them all in report order.
     sort_findings(findings)
+    for analyze, args in (
+        (analyze_w2, (filtered, cfg)),
+        (analyze_w3, (filtered, mindex, cfg)),
+        (analyze_w4, (filtered, cfg)),
+        (analyze_w5, (filtered, cfg)),
+        (analyze_w6, (filtered, mindex, dindex, cfg)),
+    ):
+        part = analyze(*args)
+        sort_findings(part)
+        findings += part
 
     popular = popular_sample(filtered, dindex, downloads, options.popular_n)
     return ScanResult(

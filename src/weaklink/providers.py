@@ -3,11 +3,11 @@
 Each provider has a fixture-replay mode (deterministic, offline; the whole
 scan pipeline passes acceptance with no network access) and a live mode.
 
-Live domain checks use a DNS NS/MX-evidence heuristic: a domain with neither
-NS nor MX records is reported as a candidate for registration. That verdict
-is advisory; registrar truth requires manual verification, so the method is
-recorded alongside the status and provider errors always degrade to
-"unknown", never to "available".
+Live domain checks use a DNS NS/MX-evidence heuristic: a domain that DNS
+says does not exist (NXDOMAIN) is reported as a candidate for
+registration. That verdict is advisory; registrar truth requires manual
+verification, so the method is recorded alongside the status and provider
+errors always degrade to "unknown", never to "available".
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
 from .errors import FixtureError
 
@@ -62,6 +62,8 @@ class DownloadsProvider(Protocol):
     # downloads would tie every package at zero.
     has_data: bool
     warnings: int
+    # The count of each package it was built for, in name order; -1 unknown.
+    counts: Sequence[int]
 
     def downloads(self, package: str) -> int | None: ...
 
@@ -145,12 +147,16 @@ def _encode_dns_query(domain: str, qtype: int, txn_id: int) -> bytes:
     return struct.pack(">HHHHHH", txn_id, 0x0100, 1, 0, 0, 0) + qname + struct.pack(">HH", qtype, 1)
 
 
-def _dns_answer_count(domain: str, qtype: int, server: tuple[str, int], timeout: float) -> int:
-    """Number of answer records for (domain, qtype); raises OSError on failure.
+RCODE_NOERROR = 0
+RCODE_NXDOMAIN = 3
+
+
+def _dns_query(domain: str, qtype: int, server: tuple[str, int], timeout: float) -> tuple[int, int]:
+    """The RCODE and answer count of the reply for (domain, qtype); raises OSError on failure.
 
     A reply that cannot be trusted is a failure: a wrong transaction id, a
     truncated reply (TC set), or a question section that is not the query's
-    own name, type and class.
+    own name, type and class. So is any RCODE but NOERROR and NXDOMAIN.
     """
     txn_id = secrets.randbits(16)
     query = _encode_dns_query(domain, qtype, txn_id)
@@ -172,20 +178,20 @@ def _dns_answer_count(domain: str, qtype: int, server: tuple[str, int], timeout:
     if qdcount != 1 or not name_matches or data[end - 4 : end] != query[end - 4 :]:
         raise OSError("DNS response question does not match the query")
     rcode = flags & 0x000F
-    if rcode == 3:  # NXDOMAIN: authoritatively no records
-        return 0
-    if rcode != 0:
+    if rcode not in (RCODE_NOERROR, RCODE_NXDOMAIN):
         raise OSError(f"DNS rcode {rcode}")
-    return ancount
+    return rcode, ancount
 
 
 class LiveDnsDomainProvider:
     """DNS-evidence heuristic for domain availability.
 
-    No NS and no MX records means the domain is a candidate for
-    registration (status "available", method "dns-ns-mx") -- an advisory
-    signal, not registrar ground truth. Any lookup failure yields
-    "unknown".
+    A domain whose NS and MX queries both come back NXDOMAIN, with no
+    answers, does not exist, so it is a candidate for registration (status
+    "available", method "dns-ns-mx") -- an advisory signal, not registrar
+    ground truth. Any other trusted reply means the name exists, so it is
+    "registered": NOERROR with no answers (NODATA) is what a subdomain of
+    a registered domain gets. Any lookup failure yields "unknown".
     """
 
     QTYPE_NS = 2
@@ -203,13 +209,14 @@ class LiveDnsDomainProvider:
         try:
             if self._limiter is not None:
                 self._limiter.acquire()
-            ns = _dns_answer_count(domain, self.QTYPE_NS, self._resolver, self._timeout)
-            mx = _dns_answer_count(domain, self.QTYPE_MX, self._resolver, self._timeout)
+            ns = _dns_query(domain, self.QTYPE_NS, self._resolver, self._timeout)
+            mx = _dns_query(domain, self.QTYPE_MX, self._resolver, self._timeout)
         except OSError as exc:
             logger.warning("DNS lookup failed for %s: %s", domain, exc)
             self.warnings += 1
             return DomainStatus(domain=domain, status=STATUS_UNKNOWN, checked_at=now, source="live", method="dns-ns-mx")
-        status = STATUS_AVAILABLE if ns == 0 and mx == 0 else STATUS_REGISTERED
+        nonexistent = (RCODE_NXDOMAIN, 0)
+        status = STATUS_AVAILABLE if ns == mx == nonexistent else STATUS_REGISTERED
         return DomainStatus(domain=domain, status=status, checked_at=now, source="live", method="dns-ns-mx")
 
 
@@ -221,19 +228,20 @@ class DownloadCounts:
     """Download counts of sorted, distinct names, in an ``array('q')`` aligned with them.
 
     A lookup is a binary search of the names. An unknown count is stored
-    as -1 and reads None.
+    as -1 and reads None. Built for the names of a corpus's records,
+    ``counts`` is aligned with the record positions too.
     """
 
     def __init__(self, names: list[str], counts: array, has_data: bool, warnings: int = 0):
         self._names = names
-        self._counts = counts
+        self.counts = counts
         self.has_data = has_data
         self.warnings = warnings
 
     def downloads(self, package: str) -> int | None:
         names = self._names
         i = bisect_left(names, package)
-        if i < len(names) and names[i] == package and (count := self._counts[i]) >= 0:
+        if i < len(names) and names[i] == package and (count := self.counts[i]) >= 0:
             return count
         return None
 
@@ -269,6 +277,7 @@ class EmptyDownloadsProvider:
 
     warnings = 0
     has_data = False
+    counts = ()
 
     def downloads(self, package: str) -> int | None:
         return None

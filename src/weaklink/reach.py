@@ -3,29 +3,55 @@
 Builds the two indexes the analyzers share (package -> direct dependents,
 maintainer identity -> owned packages), computes maintainer reach (unique
 dependents across a maintainer's packages) and ranks subjects by score.
-Transitive dependents are out of scope; edges are name-level.
+Both indexes hold record positions (indexes into ``Corpus.records``), not
+names, and position order is name order. Only the corpus's own records are indexed: a
+dependency on a name outside the corpus (excluded, or not in the snapshot)
+is no edge. Transitive dependents are out of scope; edges are name-level.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Sequence
+from itertools import accumulate, compress, islice, repeat
+from operator import attrgetter, ge, sub
+from typing import Collection, Sequence
 
 from .errors import EmptyInputError, UnknownMaintainerError
 from .ingest import Corpus
 
-DependentsIndex = dict[str, tuple[str, ...]]
 
-# The one value of every index entry with no dependents.
-NO_DEPENDENTS: tuple[str, ...] = ()
+@dataclass(frozen=True, slots=True)
+class DependentsIndex:
+    """The direct dependents of each record of a corpus, as compressed sparse rows of positions.
+
+    The dependents of the record at position ``p`` are
+    ``targets[offsets[p]:offsets[p + 1]]``: ascending, each once.
+    ``offsets`` has one entry per record and one more. Both are
+    ``array("i")``, so an index holds fewer than 2**31 edges.
+    """
+
+    offsets: array
+    targets: array
+
+    def dependents(self, pos: int) -> array:
+        return self.targets[self.offsets[pos] : self.offsets[pos + 1]]
+
+    def count(self, pos: int) -> int:
+        return self.offsets[pos + 1] - self.offsets[pos]
+
+    def counts(self) -> array:
+        """The number of dependents of each record, by position."""
+        offsets = self.offsets
+        return array("i", map(sub, islice(offsets, 1, None), offsets))
 
 
 @dataclass(frozen=True, slots=True)
 class MaintainerInfo:
-    owned_packages: tuple[str, ...]  # in name order, each once
+    owned_packages: tuple[int, ...]  # record positions, ascending, each once
     last_activity: datetime
 
 
@@ -33,7 +59,7 @@ MaintainerIndex = dict[str, MaintainerInfo]
 
 
 def names_with_dependents(corpus: Corpus) -> set[str]:
-    """The names some other record declares: the non-empty keys of ``build_dependents_index``."""
+    """The names some other record declares; over a whole snapshot, names outside it too."""
     names: set[str] = set()
     for rec in corpus.records:
         names.update(rec.dependencies)
@@ -41,47 +67,52 @@ def names_with_dependents(corpus: Corpus) -> set[str]:
 
 
 def build_dependents_index(corpus: Corpus) -> DependentsIndex:
-    """Map each depended-upon name to the packages that declare it.
+    """Index the records that declare each record's name.
 
-    Each value is a tuple of dependent names in corpus order, each once:
-    a record lists each dependency once and never itself. Names not present
-    in the corpus are still indexed (a package may depend on something
-    outside the snapshot). Corpus packages nobody depends on map to the
-    shared empty ``NO_DEPENDENTS``. Keys come in corpus order, then external
-    names in the order they are first declared.
+    A record lists each dependency once and never itself, so each dependent
+    is listed once. A dependency on a name outside the corpus is no edge:
+    only the corpus's records are indexed. Each edge is looked up once, in
+    a map of the corpus's names to the dependents collected so far, which
+    is then flattened in position order. Raises ``ValueError`` when two
+    records share a name.
     """
-    index: dict[str, tuple[str, ...] | list[str]] = dict.fromkeys((rec.name for rec in corpus.records), NO_DEPENDENTS)
-    for rec in corpus.records:
-        name = rec.name
-        for dep_name in rec.dependencies:
-            deps = index.get(dep_name)
-            if deps:
-                deps.append(name)
-            else:  # absent, or still NO_DEPENDENTS
-                index[dep_name] = [name]
-    for dep_name, deps in index.items():
-        if deps:
-            index[dep_name] = tuple(deps)
-    return index
+    rows: dict[str, tuple | list[int]] = dict.fromkeys(map(attrgetter("name"), corpus.records), ())
+    if len(rows) != len(corpus.records):
+        raise ValueError("corpus records must have distinct names")
+    for src, rec in enumerate(corpus.records):
+        for dep in rec.dependencies:
+            row = rows.get(dep)
+            if row:
+                row.append(src)
+            elif row is not None:  # the first dependent of a corpus name
+                rows[dep] = [src]
+    offsets = array("i", accumulate(map(len, rows.values()), initial=0))
+    targets = array("i")
+    for row in filter(None, rows.values()):
+        targets.fromlist(row)
+    return DependentsIndex(offsets, targets)
 
 
 def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
-    """Group packages by maintainer identity with each identity's last activity."""
-    owned: dict[str, list[str]] = {}
+    """Group packages by maintainer identity with each identity's last activity.
+
+    Identities come in the order they are first listed.
+    """
+    owned: dict[str, list[int]] = {}
     activity: dict[str, datetime] = {}
-    for rec in corpus.records:
+    for pos, rec in enumerate(corpus.records):
         for person in rec.maintainers:
             key = person.identity_key
-            names = owned.get(key)
-            if names is None:
-                owned[key] = [rec.name]
-            elif names[-1] != rec.name:  # a record may list one identity twice
-                names.append(rec.name)
+            packages = owned.get(key)
+            if packages is None:
+                owned[key] = [pos]
+            elif packages[-1] != pos:  # a record may list one identity twice
+                packages.append(pos)
             prev = activity.get(key)
             if prev is None or rec.last_modified > prev:
                 activity[key] = rec.last_modified
-    # Each list is dropped as soon as it is copied, so no maintainer's names
-    # are held twice.
+    # Each list is dropped as soon as it is copied, so no maintainer's
+    # packages are held twice.
     return {
         key: MaintainerInfo(owned_packages=tuple(owned.pop(key)), last_activity=activity[key]) for key in list(owned)
     }
@@ -96,31 +127,36 @@ def maintainer_reach(key: str, mindex: MaintainerIndex, dindex: DependentsIndex)
     info = mindex.get(key)
     if info is None:
         raise UnknownMaintainerError(key)
-    union: set[str] = set()
-    for pkg in info.owned_packages:
-        union.update(dindex.get(pkg, ()))
+    union: set[int] = set()
+    for pos in info.owned_packages:
+        union.update(dindex.dependents(pos))
     return len(union)
 
 
-def top_n(subjects: Sequence[tuple[str, float]], n: int) -> list[tuple[str, float]]:
-    """Top n by numeric score, descending, with a closed cutoff.
+def top_n(subjects: Collection, scores: Sequence[float], n: int) -> list[tuple]:
+    """The (subject, score) pairs of the top n scores, best first, with a closed cutoff.
 
-    Ties are broken lexicographically on the subject id; every subject tied
-    with the n-th score is included, so the result can be longer than n.
-    Only the subjects that reach the n-th score are sorted.
+    ``scores[i]`` is the score of the i-th subject. Ties are broken on the
+    subject: a name, or a position, whose order is name order. Every
+    subject tied with the n-th score is included, so the result can be
+    longer than n. Only the subjects that reach the n-th score are paired
+    and sorted.
     """
-    if not subjects:
+    if len(subjects) != len(scores):
+        raise ValueError(f"{len(subjects)} subjects but {len(scores)} scores")
+    if not scores:
         raise EmptyInputError("no subjects to rank")
-    cutoff = heapq.nlargest(n, (score for _, score in subjects))[-1]
-    return sorted((item for item in subjects if item[1] >= cutoff), key=lambda item: (-item[1], item[0]))
+    cutoff = heapq.nlargest(n, scores)[-1]
+    winners = compress(zip(subjects, scores), map(ge, scores, repeat(cutoff)))
+    return sorted(winners, key=lambda item: (-item[1], item[0]))
 
 
-def top_percent(subjects: Sequence[tuple[str, float]], percent: float) -> list[tuple[str, float]]:
+def top_percent(subjects: Collection, scores: Sequence[float], percent: float) -> list[tuple]:
     """Top ``percent`` of subjects by score with closed-cutoff tie handling."""
     if not 0 < percent <= 100:
         raise ValueError(f"percent must be in (0, 100], got {percent}")
-    if not subjects:
+    if not scores:
         raise EmptyInputError("no subjects to rank")
     # At least one: a tiny percent must not underflow to an empty ranking.
-    k = max(1, math.ceil(len(subjects) * percent / 100.0))
-    return top_n(subjects, k)
+    k = max(1, math.ceil(len(scores) * percent / 100.0))
+    return top_n(subjects, scores, k)

@@ -3,9 +3,11 @@
 Each analyzer is a pure function over an immutable corpus plus shared
 indexes: same inputs give the same findings. Analyzers do not sort their
 findings (W2 and W3 still come out in sort-key order, because records are
-in name order); the pipeline sorts all findings once with
-``sort_findings``. Thresholds are never hard-coded; everything tunable
-lives in ``AnalyzerConfig``.
+in name order). The signal is the first key of ``WeakLinkFinding.sort_key``
+and each analyzer's signals sort after the previous one's, so the pipeline
+sorts each analyzer's findings with ``sort_findings`` and joins them in
+analyzer order. Thresholds are never hard-coded; everything tunable lives
+in ``AnalyzerConfig``.
 
 Evidence is typed: counts are ``int``, shares, averages and ratios are
 unrounded ``float``, timestamps are the record's or the maintainer index's
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
+from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
@@ -237,15 +239,25 @@ class WeakLinkFinding:
 def sort_findings(findings: list[WeakLinkFinding]) -> None:
     """Sort in place by ``WeakLinkFinding.sort_key``.
 
-    Only findings that tie on (signal, subject_id) reach the evidence
-    tie-break, so only they have their evidence formatted here; the others
-    are formatted once, by the writer.
+    Two stable sorts, by subject and then by signal, order the findings by
+    (signal, subject_id) and key them only by strings they already hold.
+    Only runs of findings that tie on both reach the evidence tie-break, so
+    only they have their evidence formatted here; the others are formatted
+    once, by the writer.
     """
-    subject = attrgetter("signal", "subject_id")
-    tied = {key for key, count in Counter(map(subject, findings)).items() if count > 1}
-    # An untied finding's 2-tuple never meets a 3-tuple with the same
-    # (signal, subject_id), so the mixed key lengths order correctly.
-    findings.sort(key=lambda f: f.sort_key() if subject(f) in tied else subject(f))
+    findings.sort(key=attrgetter("subject_id"))
+    findings.sort(key=attrgetter("signal"))
+    tied = []  # (start, end) of each run longer than one
+    start, current = 0, None
+    for i, key in enumerate(map(attrgetter("signal", "subject_id"), findings)):
+        if key != current:
+            if i - start > 1:
+                tied.append((start, i))
+            start, current = i, key
+    if len(findings) - start > 1:
+        tied.append((start, len(findings)))
+    for start, end in tied:
+        findings[start:end] = sorted(findings[start:end], key=WeakLinkFinding.sort_key)
 
 
 # --- script pattern classification -----------------------------------------
@@ -404,6 +416,7 @@ def analyze_w1(
         if status.status == "available":
             available.add(domain)
 
+    records = corpus.records
     findings = []
     for key, info in mindex.items():
         domain = key_domains.get(key)
@@ -411,9 +424,9 @@ def analyze_w1(
             continue
         # Every package the maintainer owns shares the first finding's evidence tuple.
         first, *rest = info.owned_packages
-        finding = WeakLinkFinding.of("package", first, "W1", {"domain": domain, "maintainer_key": key})
+        finding = WeakLinkFinding.of("package", records[first].name, "W1", {"domain": domain, "maintainer_key": key})
         findings.append(finding)
-        findings.extend(WeakLinkFinding("package", pkg, "W1", finding.values) for pkg in rest)
+        findings.extend(WeakLinkFinding("package", records[pos].name, "W1", finding.values) for pos in rest)
     return findings, dict(sorted(histogram.items()))
 
 
@@ -506,22 +519,21 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     Ranked over packages that list maintainers at all; a degenerate ranking
     (every count equal) still emits, by the closed-tie rule.
     """
-    population = [rec for rec in corpus.records if rec.maintainers]
+    records = corpus.records
+    population = array("i", (pos for pos, rec in enumerate(records) if rec.maintainers))
     if not population:
         return []
     registry_avg = mean_maintainers(corpus)
-    scored = [(rec.name, len(rec.maintainers)) for rec in population]
-    flagged = top_percent(scored, cfg.top_percent)
-    findings = [
+    counts = array("i", (len(records[pos].maintainers) for pos in population))
+    return [
         WeakLinkFinding.of(
             subject_kind="package",
-            subject_id=name,
+            subject_id=records[pos].name,
             signal="W4",
             evidence={"maintainer_count": count, "registry_avg": registry_avg},
         )
-        for name, count in flagged
+        for pos, count in top_percent(population, counts, cfg.top_percent)
     ]
-    return findings
 
 
 def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
@@ -531,19 +543,18 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     maintainers/contributors ratios are the riskiest, so the bottom
     percentile is selected.
     """
-    population = [rec for rec in corpus.records if rec.contributor_count]
+    records = corpus.records
+    population = array("i", (pos for pos, rec in enumerate(records) if rec.contributor_count))
     if not population:
         return []
-    scored = [(rec.name, -(len(rec.maintainers) / rec.contributor_count)) for rec in population]
-    flagged = top_percent(scored, cfg.top_percent)
-    by_name = corpus.by_name
+    neg_ratios = array("d", (-(len(records[pos].maintainers) / records[pos].contributor_count) for pos in population))
     findings = []
-    for name, _neg_ratio in flagged:
-        rec = by_name[name]
+    for pos, _neg_ratio in top_percent(population, neg_ratios, cfg.top_percent):
+        rec = records[pos]
         findings.append(
             WeakLinkFinding.of(
                 subject_kind="package",
-                subject_id=name,
+                subject_id=rec.name,
                 signal="W5",
                 evidence={
                     "maintainers": len(rec.maintainers),
@@ -569,14 +580,13 @@ def analyze_w6(
     """
     if not mindex:
         return []
-    by_name = corpus.by_name
-    reaches = [(key, maintainer_reach(key, mindex, dindex)) for key in mindex]
-    flagged = top_percent(reaches, cfg.top_percent)
+    records = corpus.records
+    reaches = array("q", (maintainer_reach(key, mindex, dindex) for key in mindex))
     findings = []
-    for key, reach in flagged:
+    for key, reach in top_percent(mindex.keys(), reaches, cfg.top_percent):
         owned = mindex[key].owned_packages
-        inactive_owned = sum(1 for pkg in owned if is_inactive(by_name[pkg].last_modified, cfg))
-        with_deps = sum(1 for pkg in owned if by_name[pkg].has_runtime_dependencies)
+        inactive_owned = sum(1 for pos in owned if is_inactive(records[pos].last_modified, cfg))
+        with_deps = sum(1 for pos in owned if records[pos].has_runtime_dependencies)
         evidence = {
             "owned_count": len(owned),
             "reach": reach,
@@ -587,5 +597,5 @@ def analyze_w6(
         maintainer = WeakLinkFinding.of(subject_kind="maintainer", subject_id=key, signal="W6", evidence=evidence)
         findings.append(maintainer)
         # The package findings share the maintainer finding's evidence tuple.
-        findings.extend(WeakLinkFinding("package", pkg, "W6", maintainer.values) for pkg in owned)
+        findings.extend(WeakLinkFinding("package", records[pos].name, "W6", maintainer.values) for pos in owned)
     return findings

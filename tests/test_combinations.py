@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from array import array
 from datetime import timedelta
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from weaklink.combinations import (
 from weaklink.providers import (
     STATUS_AVAILABLE,
     DomainStatus,
+    DownloadCounts,
     EmptyDownloadsProvider,
     FixtureDownloadsProvider,
     LiveDownloadsProvider,
@@ -35,15 +37,21 @@ EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 class MapDownloads:
-    def __init__(self, counts):
-        self.counts = counts
+    def __init__(self, by_name):
+        self.by_name = by_name
 
     @property
     def has_data(self):
-        return bool(self.counts)
+        return bool(self.by_name)
 
     def downloads(self, package):
-        return self.counts.get(package)
+        return self.by_name.get(package)
+
+
+def corpus_downloads(corpus, by_name):
+    """The counts of ``by_name`` aligned with the corpus's records, as a scan's provider holds them."""
+    names = [rec.name for rec in corpus.records]
+    return DownloadCounts(names, array("q", [by_name.get(name, -1) for name in names]), has_data=bool(by_name))
 
 
 class MapDomains:
@@ -74,7 +82,7 @@ def _ranked_corpus():
 def test_popular_identical_rankings_union_equals_n():
     corpus = _ranked_corpus()
     dindex = build_dependents_index(corpus)
-    downloads = MapDownloads({f"top{j}": 1000 - j for j in range(3)})
+    downloads = corpus_downloads(corpus, {f"top{j}": 1000 - j for j in range(3)})
     sample = popular_sample(corpus, dindex, downloads, n=3)
     assert sample.members == frozenset({"top0", "top1", "top2"})
     assert sample.union == 3
@@ -84,7 +92,7 @@ def test_popular_disjoint_rankings_union_is_2n():
     corpus = _ranked_corpus()
     dindex = build_dependents_index(corpus)
     # Download leaders are packages with zero dependents.
-    downloads = MapDownloads({"user00": 900, "user01": 800, "user02": 700})
+    downloads = corpus_downloads(corpus, {"user00": 900, "user01": 800, "user02": 700})
     sample = popular_sample(corpus, dindex, downloads, n=3)
     assert sample.union == 6
     assert {"top0", "user00"} <= set(sample.members)
@@ -93,7 +101,7 @@ def test_popular_disjoint_rankings_union_is_2n():
 def test_popular_invariant_under_corpus_order():
     corpus = random_corpus(seed=21, size=80)
     dindex = build_dependents_index(corpus)
-    downloads = MapDownloads({rec.name: i for i, rec in enumerate(corpus.records)})
+    downloads = corpus_downloads(corpus, {rec.name: i for i, rec in enumerate(corpus.records)})
     a = popular_sample(corpus, dindex, downloads, n=5)
     b = popular_sample(make_corpus(list(reversed(corpus.records))), dindex, downloads, n=5)
     assert a.members == b.members
@@ -106,20 +114,21 @@ def _fixture_downloads(tmp_path, counts):
 
 
 class _StubSession:
-    """Answers each point-downloads GET from ``counts``; a None count is a 404."""
+    """Answers each point-downloads GET from ``counts``; a None or missing count is a 404."""
 
     def __init__(self, counts):
         self.counts = counts
         self.headers = {}
 
     def get(self, url, timeout):
-        count = self.counts[url.rsplit("/", 1)[1]]
+        count = self.counts.get(url.rsplit("/", 1)[1])
         return SimpleNamespace(status_code=200 if count is not None else 404, json=lambda: {"downloads": count})
 
 
 def _fetched_downloads(counts):
+    # A scan fetches the counts of every package it ranks.
     live = LiveDownloadsProvider("http://downloads.invalid", rate_limit=1e6, session=_StubSession(counts))
-    return live.fetch_many(list(counts), concurrency=2)
+    return live.fetch_many([rec.name for rec in _ranked_corpus().records], concurrency=2)
 
 
 @pytest.mark.parametrize(

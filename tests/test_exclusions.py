@@ -142,7 +142,7 @@ def test_monotonicity_adding_dependent_never_excludes():
     excluded_before = {v.package_id for v in before if v.excluded}
 
     # A new package that depends on every name gives each one a dependent.
-    _, after = apply_exclusions(base, set(base.by_name))
+    _, after = apply_exclusions(base, {rec.name for rec in base.records})
     excluded_after = {v.package_id for v in after if v.excluded}
     assert excluded_after == set()
     assert excluded_after <= excluded_before

@@ -278,15 +278,39 @@ def test_live_dns_registered_domain():
     assert status.method == "dns-ns-mx"
 
 
-def test_live_dns_candidate_available():
-    with StubResolver({("lapsed.example", NS): 0, ("lapsed.example", MX): 0}) as stub:
+# The stub answers NXDOMAIN for a name mapped to "nxdomain".
+LAPSED = {("lapsed.example", "nxdomain"): True}
+
+
+def test_live_dns_nxdomain_is_available():
+    with StubResolver(LAPSED) as stub:
         provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
         status = provider.check("lapsed.example")
     assert status.status == STATUS_AVAILABLE
+    assert provider.warnings == 0
+    assert len(stub.txn_ids) == 2
+
+
+def test_live_dns_nodata_is_registered():
+    # NOERROR with no NS and no MX answers: the name exists, as a mail
+    # subdomain of a registered domain does, so it cannot be registered.
+    with StubResolver({("mail.solid.example", NS): 0, ("mail.solid.example", MX): 0}) as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
+        status = provider.check("mail.solid.example")
+    assert status.status == STATUS_REGISTERED
+    assert provider.warnings == 0
+
+
+def test_live_dns_nxdomain_with_an_answer_is_registered():
+    # An NXDOMAIN reply that carries an answer (an alias whose target does
+    # not exist) names a record that exists.
+    with StubResolver({("alias.example", "nxdomain"): True, ("alias.example", NS): 1}) as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
+        assert provider.check("alias.example").status == STATUS_REGISTERED
 
 
 def test_live_dns_name_case_in_the_echoed_question_is_ignored():
-    with StubResolver({("lapsed.example", NS): 0, ("lapsed.example", MX): 0}, mode="upper_name") as stub:
+    with StubResolver(LAPSED, mode="upper_name") as stub:
         provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
         assert provider.check("lapsed.example").status == STATUS_AVAILABLE
     assert provider.warnings == 0
@@ -294,8 +318,8 @@ def test_live_dns_name_case_in_the_echoed_question_is_ignored():
 
 @pytest.mark.parametrize("mode", ["truncated", "other_name", "other_type"])
 def test_live_dns_untrusted_reply_degrades_to_unknown(mode):
-    # Without the spoiling, these zero-answer replies would read "available".
-    with StubResolver({("lapsed.example", NS): 0, ("lapsed.example", MX): 0}, mode=mode) as stub:
+    # Without the spoiling, these NXDOMAIN replies would read "available".
+    with StubResolver(LAPSED, mode=mode) as stub:
         provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
         status = provider.check("lapsed.example")
     assert status.status == STATUS_UNKNOWN
@@ -331,7 +355,7 @@ def test_live_dns_unencodable_name_degrades_to_unknown(domain):
 
 
 def test_live_dns_longest_name_is_queried():
-    with StubResolver({}) as stub:
+    with StubResolver({(LONGEST_NAME, "nxdomain"): True}) as stub:
         provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=2.0)
         assert provider.check(LONGEST_NAME).status == STATUS_AVAILABLE
     assert provider.warnings == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 
 import pytest
 from hypothesis import example, given
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from weaklink.errors import EmptyInputError, UnknownMaintainerError
 from weaklink.exclusions import apply_exclusions
+from weaklink.signals import AnalyzerConfig, analyze_w6
 from weaklink.reach import (
-    NO_DEPENDENTS,
     build_dependents_index,
     build_maintainer_index,
     maintainer_reach,
@@ -23,31 +24,57 @@ from weaklink.reach import (
 from conftest import load_documents, make_corpus, make_record, person, random_corpus
 
 
+def dependents_by_name(corpus, index):
+    """The index as the brute-force oracles spell it: each corpus name to its dependents' names."""
+    names = [rec.name for rec in corpus.records]
+    return {name: tuple(names[dep] for dep in index.dependents(pos)) for pos, name in enumerate(names)}
+
+
+def owned_names(corpus, info):
+    return tuple(corpus.records[pos].name for pos in info.owned_packages)
+
+
 def test_single_edge():
     corpus = make_corpus([make_record("a", dependencies=("b",)), make_record("b")])
-    index = build_dependents_index(corpus)
+    index = dependents_by_name(corpus, build_dependents_index(corpus))
     assert index["b"] == ("a",)
     assert index["a"] == ()
 
 
 def test_self_edge_dropped():
     corpus = make_corpus([make_record("a", dependencies=("a",))])
-    index = build_dependents_index(corpus)
+    index = dependents_by_name(corpus, build_dependents_index(corpus))
     assert index["a"] == ()
 
 
-def test_unknown_dependee_still_indexed():
+def test_unknown_dependee_is_not_indexed():
     corpus = make_corpus([make_record("a", dependencies=("ghost",))])
     index = build_dependents_index(corpus)
-    assert index["ghost"] == ("a",)
+    assert dependents_by_name(corpus, index) == {"a": ()}
+    assert list(index.offsets) == [0, 0]
+    assert len(index.targets) == 0
+
+
+def test_corpus_position_is_the_index_of_a_name():
+    corpus = random_corpus(seed=3, size=150)
+    for pos, rec in enumerate(corpus.records):
+        assert corpus.position(rec.name) == pos
+    for name in ("external-dep", "", "zzz", corpus.records[0].name + "-"):
+        with pytest.raises(KeyError):
+            corpus.position(name)
+
+
+def test_index_rejects_a_corpus_with_a_repeated_name():
+    with pytest.raises(ValueError, match="distinct names"):
+        build_dependents_index(make_corpus([make_record("a"), make_record("a", dependencies=("b",))]))
 
 
 def test_dep_kinds_selectable(tmp_path):
     versions = {"a": {"dependencies": ["b"], "devDependencies": ["c"]}, "b": {}, "c": {}}
-    runtime_only = build_dependents_index(load_documents(tmp_path, versions))
-    assert runtime_only["c"] == ()
-    both = build_dependents_index(load_documents(tmp_path, versions, dep_kinds=("runtime", "dev")))
-    assert both["c"] == ("a",)
+    runtime = load_documents(tmp_path, versions)
+    assert dependents_by_name(runtime, build_dependents_index(runtime))["c"] == ()
+    both = load_documents(tmp_path, versions, dep_kinds=("runtime", "dev"))
+    assert dependents_by_name(both, build_dependents_index(both))["c"] == ("a",)
 
 
 def test_a_name_declared_under_two_kinds_lists_its_dependent_once(tmp_path):
@@ -55,20 +82,22 @@ def test_a_name_declared_under_two_kinds_lists_its_dependent_once(tmp_path):
         "a": {"dependencies": ["lib", "b"], "devDependencies": ["b", "lib"]},
         "b": {"devDependencies": ["lib"]},
         "c": {"dependencies": ["lib"], "devDependencies": ["lib"]},
+        "lib": {},
     }
     corpus = load_documents(tmp_path, versions, dep_kinds=("runtime", "dev"))
-    index = build_dependents_index(corpus)
+    index = dependents_by_name(corpus, build_dependents_index(corpus))
     assert index == {"a": (), "b": ("a",), "c": (), "lib": ("a", "b", "c")}
     assert index == brute_force_index(corpus)
 
 
 def brute_force_index(corpus):
-    # Each value lists the dependents in corpus order, each once.
+    # Each corpus name maps to the names of the records that declare it, in
+    # corpus order, each once; a declared name outside the corpus is no key.
     index = {rec.name: () for rec in corpus.records}
     for rec in corpus.records:
         for dep in dict.fromkeys(rec.dependencies):
-            if dep != rec.name:
-                index[dep] = index.get(dep, ()) + (rec.name,)
+            if dep != rec.name and dep in index:
+                index[dep] += (rec.name,)
     return index
 
 
@@ -79,39 +108,75 @@ def test_index_matches_brute_force_on_random_corpora():
     for seed in range(10):
         for kinds in (("runtime",), ("runtime", "dev")):
             corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
-            assert build_dependents_index(corpus) == brute_force_index(corpus)
+            assert dependents_by_name(corpus, build_dependents_index(corpus)) == brute_force_index(corpus)
 
 
-def test_entries_nobody_depends_on_share_one_empty_value():
+def test_index_rows_are_compact_and_aligned_with_positions():
     for seed in range(10):
         corpus = random_corpus(seed=seed, size=150)
         index = build_dependents_index(corpus)
-        oracle = brute_force_index(corpus)
-        assert index == oracle
-        assert list(index) == list(oracle)
-        idle = [name for name, deps in oracle.items() if not deps]
-        assert idle
-        assert all(index[name] is NO_DEPENDENTS for name in idle)
-        assert all(type(deps) is tuple for deps in index.values())
-    assert NO_DEPENDENTS == ()
+        offsets, targets = index.offsets, index.targets
+        assert (offsets.typecode, targets.typecode) == ("i", "i")
+        assert len(offsets) == len(corpus.records) + 1
+        assert offsets[0] == 0 and offsets[-1] == len(targets)
+        counts = index.counts()
+        assert list(counts) == [index.count(pos) for pos in range(len(corpus.records))]
+        assert all(count >= 0 for count in counts)
+        for pos in range(len(corpus.records)):
+            row = list(index.dependents(pos))
+            assert row == sorted(set(row)), (seed, pos)  # ascending, each once
+        assert 0 in counts  # some record nobody depends on
+
+
+def test_dependencies_outside_the_filtered_corpus_are_no_edges():
+    # Random corpora declare names outside the snapshot ("external-dep",
+    # "external-dev") and names that exclusions drop.
+    dropped = 0
+    for seed in range(10):
+        for kinds in (("runtime",), ("runtime", "dev")):
+            corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
+            filtered, _ = apply_exclusions(corpus, names_with_dependents(corpus))
+            kept = {rec.name for rec in filtered.records}
+            index = build_dependents_index(filtered)
+            assert dependents_by_name(filtered, index) == brute_force_index(filtered)
+            declared = [dep for rec in filtered.records for dep in rec.dependencies]
+            assert len(index.targets) == sum(dep in kept for dep in declared)
+            dropped += sum(dep not in kept for dep in declared)
+    assert dropped  # the corpora do declare such names
+
+
+def test_self_edges_are_never_indexed(tmp_path):
+    versions = {"a": {"dependencies": ["a", "b"]}, "b": {"dependencies": ["b"], "devDependencies": ["a", "b"]}}
+    corpus = load_documents(tmp_path, versions, dep_kinds=ALL_KINDS)
+    assert dependents_by_name(corpus, build_dependents_index(corpus)) == {"a": ("b",), "b": ("a",)}
+    for seed in range(10):
+        corpus = random_corpus(seed=seed, size=150, dep_kinds=("runtime", "dev"))
+        index = build_dependents_index(corpus)
+        assert not any(pos in index.dependents(pos) for pos in range(len(corpus.records))), seed
 
 
 def test_edge_count_invariant():
     for seed in (2, 7):
         corpus = random_corpus(seed=seed, size=100)
         index = build_dependents_index(corpus)
-        edges = sum(1 for rec in corpus.records for dep in rec.dependencies if dep != rec.name)
-        assert sum(len(v) for v in index.values()) == edges
+        names = {rec.name for rec in corpus.records}
+        edges = sum(1 for rec in corpus.records for dep in rec.dependencies if dep != rec.name and dep in names)
+        assert len(index.targets) == edges
+        assert sum(index.counts()) == edges
 
 
 def test_names_with_dependents_are_the_nonempty_index_keys():
+    outside = set()
     for seed in range(10):
         for kinds in (("runtime",), ("runtime", "dev"), ALL_KINDS):
             corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
-            index = build_dependents_index(corpus)
+            index = dependents_by_name(corpus, build_dependents_index(corpus))
             names = names_with_dependents(corpus)
-            assert names == {name for name, deps in index.items() if deps}, (seed, kinds)
-            assert names
+            assert names & index.keys() == {name for name, deps in index.items() if deps}, (seed, kinds)
+            # Over a whole snapshot the names outside it count too.
+            assert names == {dep for rec in corpus.records for dep in rec.dependencies}
+            outside |= names - index.keys()
+    assert outside == {"external-dep", "external-dev"}
 
 
 def test_a_name_only_its_own_record_lists_has_no_dependents(tmp_path):
@@ -132,7 +197,7 @@ def test_exclusions_read_names_declared_under_the_scanned_kinds(tmp_path):
         corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
         filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
         assert {v.package_id.split("@")[0] for v in verdicts if v.excluded} == excluded
-        assert [rec.name for rec in filtered.records] == sorted(corpus.by_name.keys() - excluded)
+        assert [rec.name for rec in filtered.records] == sorted({rec.name for rec in corpus.records} - excluded)
 
 
 def test_maintainer_index_and_reach():
@@ -146,7 +211,7 @@ def test_maintainer_index_and_reach():
     )
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
-    assert mindex["m@x.io"].owned_packages == ("b",)
+    assert owned_names(corpus, mindex["m@x.io"]) == ("b",)
     assert maintainer_reach("m@x.io", mindex, dindex) == 2
 
 
@@ -154,7 +219,7 @@ def test_maintainer_listed_twice_owns_each_package_once():
     m = person(email="m@x.io")
     corpus = make_corpus([make_record("a", maintainers=(m, m)), make_record("b", maintainers=(m,))])
     info = build_maintainer_index(corpus)["m@x.io"]
-    assert info.owned_packages == ("a", "b")
+    assert info.owned_packages == (0, 1)
     assert type(info.owned_packages) is tuple
 
 
@@ -165,7 +230,7 @@ def test_addresses_differing_in_case_own_a_package_once():
             make_record("a", maintainers=(person(email="a@dead.io"),)),
         ]
     )
-    assert build_maintainer_index(corpus)["a@dead.io"].owned_packages == ("a", "b")
+    assert owned_names(corpus, build_maintainer_index(corpus)["a@dead.io"]) == ("a", "b")
 
 
 def test_maintainer_index_matches_brute_force_on_random_corpora():
@@ -176,7 +241,7 @@ def test_maintainer_index_matches_brute_force_on_random_corpora():
             for key in dict.fromkeys(p.identity_key for p in rec.maintainers):
                 oracle[key] = oracle.get(key, ()) + (rec.name,)
         mindex = build_maintainer_index(corpus)
-        assert {key: info.owned_packages for key, info in mindex.items()} == oracle
+        assert {key: owned_names(corpus, info) for key, info in mindex.items()} == oracle
         assert list(mindex) == list(oracle)
 
 
@@ -209,8 +274,19 @@ def test_reach_counts_own_dependents():
 
 
 def test_unknown_maintainer_raises():
+    corpus = make_corpus([make_record("a")])
     with pytest.raises(UnknownMaintainerError):
-        maintainer_reach("nobody@x.io", {}, {})
+        maintainer_reach("nobody@x.io", {}, build_dependents_index(corpus))
+
+
+def brute_force_reach(corpus):
+    # Name-level: the unique dependent names across each identity's packages.
+    index = brute_force_index(corpus)
+    owners = {}
+    for rec in corpus.records:
+        for person_ in rec.maintainers:
+            owners.setdefault(person_.identity_key, set()).add(rec.name)
+    return {key: len({dep for pkg in pkgs for dep in index[pkg]}) for key, pkgs in owners.items()}
 
 
 def test_reach_matches_brute_force_and_bounds():
@@ -218,15 +294,31 @@ def test_reach_matches_brute_force_and_bounds():
         corpus = random_corpus(seed=seed, size=150)
         mindex = build_maintainer_index(corpus)
         dindex = build_dependents_index(corpus)
+        index = brute_force_index(corpus)
+        oracle = brute_force_reach(corpus)
+        assert mindex.keys() == oracle.keys()
         for key, info in mindex.items():
-            union = set()
-            for pkg in info.owned_packages:
-                union |= set(dindex.get(pkg, ()))
             got = maintainer_reach(key, mindex, dindex)
-            assert got == len(union)
-            sizes = [len(dindex.get(pkg, ())) for pkg in info.owned_packages]
+            assert got == oracle[key]
+            sizes = [len(index[pkg]) for pkg in owned_names(corpus, info)]
             assert got <= sum(sizes)
             assert got >= max(sizes)
+
+
+def test_w6_ties_between_maintainer_keys_break_on_the_key():
+    # At 50% most flagged maintainers tie (many reach nothing), so the
+    # string tie-break orders much of the ranking.
+    tied = 0
+    for seed in range(10):
+        corpus = random_corpus(seed=seed, size=150)
+        for percent in (10.0, 50.0):
+            cfg = AnalyzerConfig(top_percent=percent).resolved(corpus)
+            findings = analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg)
+            flagged = [(f.subject_id, f.value("reach")) for f in findings if f.subject_kind == "maintainer"]
+            reaches = brute_force_reach(corpus)
+            assert flagged == independent_top_percent(list(reaches.items()), percent), (seed, percent)
+            tied += len(flagged) - len({reach for _, reach in flagged})
+    assert tied
 
 
 def test_maintainer_last_activity_is_max():
@@ -246,32 +338,51 @@ def test_maintainer_last_activity_is_max():
 
 
 # --- top_percent / top_n ------------------------------------------------------
+#
+# The rankings take subjects and the scores aligned with them; the oracles
+# below rank (subject, score) pairs.
+
+
+def split(pairs):
+    return [subject for subject, _ in pairs], [score for _, score in pairs]
 
 
 def test_top_percent_distinct_scores():
     subjects = [(f"s{i:03d}", i) for i in range(100)]
-    flagged = top_percent(subjects, 1)
+    flagged = top_percent(*split(subjects), 1)
     assert [name for name, _ in flagged] == ["s099"]
 
 
 def test_top_percent_closed_ties():
     subjects = [("a", 5), ("b", 5), ("c", 5)] + [(f"x{i}", 1) for i in range(97)]
-    flagged = top_percent(subjects, 1)
+    flagged = top_percent(*split(subjects), 1)
     assert sorted(name for name, _ in flagged) == ["a", "b", "c"]
 
 
 def test_top_percent_validation():
     with pytest.raises(EmptyInputError):
-        top_percent([], 1)
+        top_percent([], array("q"), 1)
     with pytest.raises(ValueError):
-        top_percent([("a", 1)], 0)
+        top_percent(["a"], [1], 0)
     with pytest.raises(ValueError):
-        top_percent([("a", 1)], 101)
+        top_percent(["a"], [1], 101)
+    with pytest.raises(ValueError):
+        top_n(["a", "b"], [1], 1)  # the scores are not aligned with the subjects
 
 
 def test_top_n_tie_break_lexicographic():
     subjects = [("b", 2), ("a", 2), ("c", 1)]
-    assert [name for name, _ in top_n(subjects, 1)] == ["a", "b"]
+    assert [name for name, _ in top_n(*split(subjects), 1)] == ["a", "b"]
+
+
+def test_top_n_ranks_positions_in_name_order():
+    # Position subjects break ties as their names would, since position
+    # order is name order.
+    corpus = make_corpus([make_record(name) for name in ("b", "a", "d", "c")])
+    scores = array("q", [3, 5, 5, 1])  # a, b, c, d
+    winners = top_n(range(4), scores, 2)
+    assert winners == [(1, 5), (2, 5)]
+    assert [corpus.records[pos].name for pos, _ in winners] == ["b", "c"]
 
 
 def independent_top_percent(subjects, percent):
@@ -296,10 +407,10 @@ def independent_top_percent(subjects, percent):
 )
 def test_top_percent_matches_oracle_and_permutation_invariant(items, percent):
     subjects = [(f"{name}-{i}", score) for i, (name, score) in enumerate(items)]
-    got = top_percent(subjects, percent)
+    got = top_percent(*split(subjects), percent)
     assert got == independent_top_percent(subjects, percent)
     shuffled = list(reversed(subjects))
-    assert top_percent(shuffled, percent) == got
+    assert top_percent(*split(shuffled), percent) == got
 
 
 def brute_force_top_n(subjects, n):
@@ -325,8 +436,8 @@ SCORES = st.one_of(
 def test_top_n_matches_brute_force_closed_cutoff(scores, n):
     subjects = [(f"s{i:02d}", score) for i, score in enumerate(scores)]
     want = brute_force_top_n(subjects, n)
-    assert top_n(subjects, n) == want
-    assert top_n(subjects[::-1], n) == want
+    assert top_n(*split(subjects), n) == want
+    assert top_n(*split(subjects[::-1]), n) == want
 
 
 @given(st.lists(SCORES, min_size=1, max_size=40), st.floats(0, 100, exclude_min=True))
@@ -334,4 +445,30 @@ def test_top_n_matches_brute_force_closed_cutoff(scores, n):
 def test_top_percent_matches_brute_force_closed_cutoff(scores, percent):
     subjects = [(f"s{i:02d}", score) for i, score in enumerate(scores)]
     k = max(1, math.ceil(len(subjects) * percent / 100))
-    assert top_percent(subjects, percent) == brute_force_top_n(subjects, k)
+    assert top_percent(*split(subjects), percent) == brute_force_top_n(subjects, k)
+
+
+# The pipeline's rankings: position subjects (a range or an int array) with
+# scores in an array, as W4, W5 and popular_sample pass them.
+ARRAY_SCORES = st.one_of(
+    st.lists(st.integers(-3, 3), min_size=1, max_size=40).map(lambda xs: array("q", xs)),
+    st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=40).map(lambda xs: array("i", xs)),
+    st.lists(st.sampled_from([-1.0, -0.5, -1 / 3, -0.0, 0.0, 2.5]), min_size=1, max_size=40).map(lambda xs: array("d", xs)),
+)
+
+
+@given(ARRAY_SCORES, st.integers(1, 45), st.booleans())
+@example(array("d", [-0.0, 0.0, -0.5]), 1, True)  # -0.0 and 0.0 tie
+def test_aligned_top_n_matches_brute_force_on_positions(scores, n, as_range):
+    subjects = range(len(scores)) if as_range else array("i", range(len(scores)))
+    assert top_n(subjects, scores, n) == brute_force_top_n(list(zip(range(len(scores)), scores)), n)
+
+
+@given(ARRAY_SCORES, st.floats(0, 100, exclude_min=True))
+def test_aligned_top_percent_matches_oracle_on_positions(scores, percent):
+    pairs = list(zip(range(len(scores)), scores))
+    got = top_percent(range(len(scores)), scores, percent)
+    k = max(1, math.ceil(len(pairs) * percent / 100))
+    assert got == brute_force_top_n(pairs, k)
+    if math.ceil(len(pairs) * percent / 100) >= 1:
+        assert got == independent_top_percent(pairs, percent)

@@ -22,7 +22,7 @@ from weaklink.signals import (
     sort_findings,
 )
 
-from conftest import REF, load_documents, make_corpus, make_record, person
+from conftest import REF, load_documents, make_corpus, make_record, person, random_corpus
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -76,7 +76,7 @@ def test_w1_fan_out_per_owned_package():
 def test_w1_one_finding_when_two_listed_addresses_share_an_identity():
     corpus = make_corpus([make_record("p", maintainers=(person(email="A@dead.io"), person(email="a@dead.io")))])
     mindex = build_maintainer_index(corpus)
-    assert mindex["a@dead.io"].owned_packages == ("p",)
+    assert mindex["a@dead.io"].owned_packages == (0,)
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
     findings, histogram = analyze_w1(corpus, mindex, provider, cfg_for(corpus))
     assert [(f.subject_id, f.values) for f in findings] == [("p", ("dead.io", "a@dead.io"))]
@@ -500,6 +500,31 @@ def test_sort_findings_breaks_ties_by_written_evidence():
     sort_findings(findings)
     assert findings == expected
     assert findings == [w1("a", "z@d.io"), w1("b", "a#x@d.io"), w1("b", 'a"x@d.io'), w4("p", 10), w4("p", 9), w4("q", 1)]
+
+
+def test_each_analyzer_sorted_and_joined_in_analyzer_order_is_report_order():
+    # What the pipeline does in place of one sort over all findings.
+    domains = MapDomainProvider({f"pool{i}.example": STATUS_AVAILABLE for i in range(3)})
+    for seed in range(8):
+        corpus = random_corpus(seed=seed, size=150)
+        cfg = cfg_for(corpus, top_percent=10.0)
+        mindex = build_maintainer_index(corpus)
+        dindex = build_dependents_index(corpus)
+        parts = [
+            analyze_w1(corpus, mindex, domains, cfg)[0],
+            analyze_w2(corpus, cfg),
+            analyze_w3(corpus, mindex, cfg),
+            analyze_w4(corpus, cfg),
+            analyze_w5(corpus, cfg),
+            analyze_w6(corpus, mindex, dindex, cfg),
+        ]
+        everything = sorted((f for part in parts for f in part), key=WeakLinkFinding.sort_key)
+        joined = []
+        for part in parts:
+            sort_findings(part)
+            joined += part
+        assert [f.to_dict() for f in joined] == [f.to_dict() for f in everything], seed
+        assert len({f.signal for f in joined}) >= 6
 
 
 def test_reference_time_defaults_to_corpus_max():
