@@ -2,8 +2,9 @@
 
 Reproduces the case-study computations: popular-package sampling (top-n by
 dependents union top-n by downloads), keyword hunting inside install
-scripts, signal-set intersections, and the two attack-candidate pipelines
-(expired-domain hijack and overloaded-inactive takeover).
+scripts, the combination table (the popular packages that several signals
+flag at once), and the two attack-candidate pipelines (expired-domain
+hijack and overloaded-inactive takeover).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence
+from operator import attrgetter
 
 from .ingest import Corpus
 from .providers import DownloadsProvider
@@ -22,11 +23,10 @@ from .signals import (
     WeakLinkFinding,
     classify_script,
     find_suspicious_tokens,
-    install_script_keys,
 )
 
-# Signal ids used for combination sets. "W3" at combination level means the
-# inactive-package set; the W3 sub-signals stay available under their own ids.
+# "W3" at combination level means the inactive-package signal; the other W3
+# sub-signals are in no combination.
 COMBINATION_W3 = "W3_inactive_pkg"
 
 # The canonical combination table rows (ids in canonical sorted form).
@@ -40,6 +40,8 @@ DEFAULT_COMBINATIONS = (
     ("W1", "W6"),
     ("W2", "W6"),
 )
+# Each combination-level signal's bit in a package's flags.
+_SIGNAL_BITS = {signal: 1 << i for i, signal in enumerate(sorted(set(chain.from_iterable(DEFAULT_COMBINATIONS))))}
 
 
 @dataclass(frozen=True)
@@ -60,12 +62,6 @@ class PopularSample:
                 "union": self.union,
             },
         }
-
-
-@dataclass(frozen=True)
-class SignalSet:
-    signal: str
-    members: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -143,44 +139,25 @@ def popular_sample(
     return PopularSample(members=members, by_dependents=len(dep_top), by_downloads=len(dl_top))
 
 
-def signal_sets(findings: Sequence[WeakLinkFinding]) -> dict[str, SignalSet]:
-    """Package-subject member sets per signal, with combination-level W1..W6 ids."""
-    members: dict[str, set[str]] = {}
-    for finding in findings:
-        if finding.subject_kind != "package":
-            continue
-        members.setdefault(finding.signal, set()).add(finding.subject_id)
-    sets = {signal: SignalSet(signal=signal, members=frozenset(ids)) for signal, ids in members.items()}
-    if COMBINATION_W3 in sets:
-        sets["W3"] = SignalSet(signal="W3", members=sets[COMBINATION_W3].members)
-    return sets
+def combination_table(findings: list[WeakLinkFinding], scope: PopularSample) -> list[Combination]:
+    """The canonical combination rows over the popular sample, sorted by id.
 
-
-def intersect(signals: Sequence[SignalSet], scope: PopularSample | None = None) -> Combination:
-    """Set intersection under a canonical sorted combination id."""
-    if len(signals) < 2:
-        raise ValueError("need at least two signal sets to intersect")
-    ids = sorted(s.signal for s in signals)
-    members: frozenset[str] = signals[0].members
-    for s in signals[1:]:
-        members &= s.members
-    if scope is not None:
-        members &= scope.members
-    return Combination(combination_id="+".join(ids), members=members)
-
-
-def combination_table(
-    findings: Sequence[WeakLinkFinding],
-    scope: PopularSample | None = None,
-) -> list[Combination]:
-    """The canonical combination rows, scope-restricted, sorted by id."""
-    sets = signal_sets(findings)
-    empty = frozenset()
+    One pass over the findings gives each sampled package a bit for every
+    combination-level signal that flags it; a row's members are the sampled
+    packages that hold every bit of the row. No signal's full member set is
+    built.
+    """
+    members = scope.members
+    flags: dict[str, int] = {}
+    for f in findings:
+        bit = _SIGNAL_BITS.get("W3" if f.signal == COMBINATION_W3 else f.signal)
+        if bit and f.subject_kind == "package" and f.subject_id in members:
+            flags[f.subject_id] = flags.get(f.subject_id, 0) | bit
     rows = []
     for combo in DEFAULT_COMBINATIONS:
-        selected = [sets.get(signal, SignalSet(signal=signal, members=empty)) for signal in combo]
-        rows.append(intersect(selected, scope))
-    return sorted(rows, key=lambda row: row.combination_id)
+        mask = sum(_SIGNAL_BITS[signal] for signal in combo)
+        rows.append(Combination("+".join(combo), frozenset(pkg for pkg, held in flags.items() if held & mask == mask)))
+    return sorted(rows, key=attrgetter("combination_id"))
 
 
 def keyword_hunt(corpus: Corpus, cfg: AnalyzerConfig) -> list[KeywordHit]:
@@ -193,8 +170,7 @@ def keyword_hunt(corpus: Corpus, cfg: AnalyzerConfig) -> list[KeywordHit]:
     """
     hits = []
     for rec in corpus.records:
-        keys = install_script_keys(rec.scripts, cfg.install_key_pattern)
-        for key in keys:
+        for key in sorted(rec.scripts):
             body = rec.scripts[key]
             tokens = find_suspicious_tokens(body, cfg.suspicious_tokens)
             if tokens:
@@ -211,7 +187,7 @@ def keyword_hunt(corpus: Corpus, cfg: AnalyzerConfig) -> list[KeywordHit]:
 
 def attack_candidates(
     corpus: Corpus,
-    findings: Sequence[WeakLinkFinding],
+    findings: list[WeakLinkFinding],
     dindex: DependentsIndex,
     downloads: DownloadsProvider,
 ) -> AttackReport:
@@ -223,14 +199,19 @@ def attack_candidates(
         entire portfolio is inactive (evidence inactive_owned_share == 1;
         exact, since k / n == 1.0 only when k == n).
     """
-    inactive = {f.subject_id for f in findings if f.signal == "W3_inactive_pkg" and f.subject_kind == "package"}
     w1_by_pkg: dict[str, list[WeakLinkFinding]] = {}
     for f in findings:
         if f.signal == "W1" and f.subject_kind == "package":
             w1_by_pkg.setdefault(f.subject_id, []).append(f)
+    # The inactive packages among the W1 ones; no set of every inactive package is built.
+    inactive = {
+        f.subject_id
+        for f in findings
+        if f.signal == COMBINATION_W3 and f.subject_kind == "package" and f.subject_id in w1_by_pkg
+    }
 
     hijackable = []
-    for pkg in sorted(set(w1_by_pkg) & inactive):
+    for pkg in sorted(inactive):
         entries = w1_by_pkg[pkg]
         emails = tuple(sorted({f.value("maintainer_key") for f in entries}))
         domains = tuple(sorted({f.value("domain") for f in entries}))
@@ -249,24 +230,18 @@ def attack_candidates(
         for f in findings
         if f.signal == "W6" and f.subject_kind == "maintainer" and f.value("inactive_owned_share") == 1
     }
-    takeover = []
-    w6_pkgs = [f for f in findings if f.signal == "W6" and f.subject_kind == "package"]
-    seen = set()
-    for f in w6_pkgs:
-        key = f.value("maintainer_key")
-        if key not in stale_overloaded:
-            continue
-        if (f.subject_id, key) in seen:
-            continue
-        seen.add((f.subject_id, key))
-        takeover.append(
-            TakeoverRow(
-                package=f.subject_id,
-                maintainer_key=key,
-                reach=stale_overloaded[key].value("reach"),
-                dependents=dindex.count(corpus.position(f.subject_id)),
-                downloads=downloads.downloads(f.subject_id),
-            )
+    # analyze_w6 emits each (package, maintainer) pair once: an identity
+    # lists each of its packages once.
+    takeover = [
+        TakeoverRow(
+            package=f.subject_id,
+            maintainer_key=key,
+            reach=stale_overloaded[key].value("reach"),
+            dependents=dindex.count(corpus.position(f.subject_id)),
+            downloads=downloads.downloads(f.subject_id),
         )
+        for f in findings
+        if f.signal == "W6" and f.subject_kind == "package" and (key := f.value("maintainer_key")) in stale_overloaded
+    ]
     takeover.sort(key=lambda row: (row.package, row.maintainer_key))
     return AttackReport(hijackable=tuple(hijackable), takeover_candidates=tuple(takeover))

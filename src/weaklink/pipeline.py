@@ -215,6 +215,7 @@ def _summary(result: ScanResult) -> dict:
             entry["maintainer_subjects"] = len(maint_subjects)
         return entry
 
+    signals = {signal: signal_entry(signal) for signal in sorted(EVIDENCE_SCHEMAS)}
     histogram = result.domain_histogram
     unique_domains = sum(1 for count in histogram.values() if count == 1)
     return {
@@ -239,13 +240,13 @@ def _summary(result: ScanResult) -> dict:
             "mean_maintainers_per_package": mean_maintainers(filtered),
             "contributor_listing_share": (with_contrib / n_filtered) if n_filtered else 0.0,
             "contributor_listing_count": with_contrib,
-            "inactive_package_share": signal_entry("W3_inactive_pkg")["rate"],
+            "inactive_package_share": signals["W3_inactive_pkg"]["rate"],
             "maintainer_count": maintainer_count,
             "stale_maintainer_count": result.stale_maintainers,
             "inactive_maintainer_share": result.stale_maintainers / maintainer_count if maintainer_count else 0.0,
             "unique_domain_share": (unique_domains / len(histogram)) if histogram else 0.0,
         },
-        "signals": {signal: signal_entry(signal) for signal in sorted(EVIDENCE_SCHEMAS)},
+        "signals": signals,
         "popular_sample": result.popular.to_dict(),
         "combinations": {c.combination_id: c.count for c in result.combinations},
         "pipelines": {

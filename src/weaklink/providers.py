@@ -149,6 +149,8 @@ def _encode_dns_query(domain: str, qtype: int, txn_id: int) -> bytes:
 
 RCODE_NOERROR = 0
 RCODE_NXDOMAIN = 3
+# A DNS query whose reply timed out is sent again at most this many times.
+DNS_TIMEOUT_RETRIES = 2
 
 
 def _dns_query(domain: str, qtype: int, server: tuple[str, int], timeout: float) -> tuple[int, int]:
@@ -191,7 +193,11 @@ class LiveDnsDomainProvider:
     "available", method "dns-ns-mx") -- an advisory signal, not registrar
     ground truth. Any other trusted reply means the name exists, so it is
     "registered": NOERROR with no answers (NODATA) is what a subdomain of
-    a registered domain gets. Any lookup failure yields "unknown".
+    a registered domain gets. A query whose reply does not come in time is
+    sent again, at most ``DNS_TIMEOUT_RETRIES`` times; each attempt waits
+    for the rate limiter and has a fresh transaction id. Any other lookup
+    failure, and a query still unanswered after its retries, yields
+    "unknown".
     """
 
     QTYPE_NS = 2
@@ -203,14 +209,23 @@ class LiveDnsDomainProvider:
         self._limiter = limiter
         self.warnings = 0
 
+    def _query(self, domain: str, qtype: int) -> tuple[int, int]:
+        for attempt in range(DNS_TIMEOUT_RETRIES + 1):
+            if self._limiter is not None:
+                self._limiter.acquire()
+            try:
+                return _dns_query(domain, qtype, self._resolver, self._timeout)
+            except TimeoutError:
+                if attempt == DNS_TIMEOUT_RETRIES:
+                    raise
+                logger.info("DNS query for %s timed out; retrying", domain)
+
     def check(self, domain: str) -> DomainStatus:
         domain = domain.lower()
         now = datetime.now(timezone.utc)
         try:
-            if self._limiter is not None:
-                self._limiter.acquire()
-            ns = _dns_query(domain, self.QTYPE_NS, self._resolver, self._timeout)
-            mx = _dns_query(domain, self.QTYPE_MX, self._resolver, self._timeout)
+            ns = self._query(domain, self.QTYPE_NS)
+            mx = self._query(domain, self.QTYPE_MX)
         except OSError as exc:
             logger.warning("DNS lookup failed for %s: %s", domain, exc)
             self.warnings += 1

@@ -40,7 +40,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
 from .exclusions import DEFAULT_LICENSE_DENYLIST
-from .ingest import Corpus, format_timestamp, is_install_key, parse_timestamp
+from .ingest import Corpus, format_timestamp, parse_timestamp
 from .reach import DependentsIndex, MaintainerIndex, maintainer_reach, top_percent
 
 if TYPE_CHECKING:
@@ -384,11 +384,6 @@ def find_suspicious_tokens(body: str, tokens: tuple[str, ...]) -> list[str]:
 # --- per-signal analyzers ---------------------------------------------------
 
 
-def install_script_keys(scripts: dict[str, str], pattern: str) -> list[str]:
-    """The install-hook keys of ``scripts`` in sorted order, by the test ingest keeps them by."""
-    return sorted(key for key in scripts if is_install_key(key, pattern))
-
-
 def analyze_w1(
     corpus: Corpus,
     mindex: MaintainerIndex,
@@ -432,11 +427,12 @@ def analyze_w1(
 
 def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     """Install scripts: flag any package with a script key containing the
-    install pattern. The token scan enriches evidence but never gates the
+    install pattern. Records keep only those scripts (ingest applies the
+    scan's pattern). The token scan enriches evidence but never gates the
     flag."""
     findings = []
     for rec in corpus.records:
-        keys = install_script_keys(rec.scripts, cfg.install_key_pattern)
+        keys = sorted(rec.scripts)
         if not keys:
             continue
         has_tokens = any(find_suspicious_tokens(rec.scripts[k], cfg.suspicious_tokens) for k in keys)

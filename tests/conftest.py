@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from weaklink.ingest import Corpus, IngestStats, PackageRecord, PersonRef, load_corpus
+from weaklink.ingest import Corpus, IngestStats, PackageRecord, PersonRef, is_install_key, load_corpus
 
 REF = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
 DEPENDENCY_KEYS = ("dependencies", "devDependencies", "peerDependencies", "optionalDependencies")
@@ -43,7 +43,9 @@ def make_record(
 
     ``dependencies`` and ``dev_dependencies`` are the names the runtime and
     dev kinds declare; the record holds those of ``dep_kinds`` merged, each
-    once, without ``name``, as ingest merges them.
+    once, without ``name``, as ingest merges them. Of ``scripts`` it keeps
+    the install hooks, the keys that contain "install", as ingest does by
+    the default pattern.
     """
     declared = {"runtime": dependencies, "dev": dev_dependencies}
     merged = dict.fromkeys(dep for kind in dep_kinds for dep in declared.get(kind, ()) if dep != name)
@@ -51,7 +53,7 @@ def make_record(
         name=name,
         version=version,
         last_modified=last_modified,
-        scripts=scripts or {},
+        scripts={key: body for key, body in (scripts or {}).items() if is_install_key(key, "install")},
         maintainers=tuple(maintainers),
         contributor_count=contributor_count,
         dependencies=tuple(merged),

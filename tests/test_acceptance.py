@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import weaklink
-from weaklink.combinations import combination_table, keyword_hunt, signal_sets
+from weaklink.combinations import PopularSample, combination_table, keyword_hunt
 from weaklink.exclusions import apply_exclusions, evaluate_reasons
 from weaklink.pipeline import ScanOptions, diff_findings, read_findings, run_scan, write_reports
 from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_UNKNOWN
@@ -194,6 +194,16 @@ class _AcceptanceDomains:
         return DomainStatus(domain=domain, status=status, checked_at=self._now, source="fixture")
 
 
+def _whole_corpus(corpus) -> PopularSample:
+    """A popular sample of every package of ``corpus``."""
+    names = frozenset(rec.name for rec in corpus.records)
+    return PopularSample(members=names, by_dependents=len(names), by_downloads=0)
+
+
+def _package_subjects(findings, signal: str) -> set[str]:
+    return {f.subject_id for f in findings if f.signal == signal and f.subject_kind == "package"}
+
+
 @criterion(2, "oracle equivalence")
 def test_criterion_2_oracle_equivalence():
     for seed in range(50):
@@ -239,19 +249,11 @@ def test_criterion_2_oracle_equivalence():
         findings += analyze_w3(filtered, f_mindex, cfg)
         findings += analyze_w4(filtered, cfg)
         findings += analyze_w6(filtered, f_mindex, f_dindex, cfg)
-        sets = signal_sets(findings)
-        ids = sorted(sets)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                brute = {m for m in sets[a].members if m in sets[b].members}
-                got = sets[a].members & sets[b].members
-                assert got == frozenset(brute), (seed, a, b)
-        for combo in combination_table(findings):
-            parts = combo.combination_id.split("+")
-            brute = set(sets[parts[0]].members) if parts[0] in sets else set()
-            for part in parts[1:]:
-                brute &= sets[part].members if part in sets else set()
-            assert combo.members == frozenset(brute)
+        for combo in combination_table(findings, _whole_corpus(filtered)):
+            brute = {rec.name for rec in filtered.records}
+            for part in combo.combination_id.split("+"):
+                brute &= _package_subjects(findings, "W3_inactive_pkg" if part == "W3" else part)
+            assert combo.members == frozenset(brute), (seed, combo.combination_id)
 
 
 @criterion(3, "rate reproduction")
@@ -309,7 +311,7 @@ def test_criterion_5_combination_laws(seed_runs):
         assert combo_counts["W3+W4+W6"] <= combo_counts["W3+W6"]
         assert combo_counts["W3+W6"] <= min(len(w3), len(w6))
 
-    # The law also holds unscoped on random corpora.
+    # The law also holds over every package of random corpora.
     for seed in range(5):
         corpus = random_corpus(seed=seed, size=200)
         cfg = AnalyzerConfig(top_percent=10.0).resolved(corpus)
@@ -318,10 +320,9 @@ def test_criterion_5_combination_laws(seed_runs):
         findings = analyze_w3(corpus, mindex, cfg) + analyze_w4(corpus, cfg) + analyze_w6(
             corpus, mindex, dindex, cfg
         )
-        rows = {c.combination_id: c for c in combination_table(findings)}
-        sets = signal_sets(findings)
-        w3m = sets.get("W3").members if "W3" in sets else frozenset()
-        w6m = sets.get("W6").members if "W6" in sets else frozenset()
+        rows = {c.combination_id: c for c in combination_table(findings, _whole_corpus(corpus))}
+        w3m = _package_subjects(findings, "W3_inactive_pkg")
+        w6m = _package_subjects(findings, "W6")
         assert len(rows["W3+W4+W6"].members) <= len(rows["W3+W6"].members)
         assert len(rows["W3+W6"].members) <= min(len(w3m), len(w6m))
 

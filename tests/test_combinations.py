@@ -1,7 +1,8 @@
-"""Popular sampling, set intersections and the attack pipelines."""
+"""Popular sampling, the combination table, keyword hunting and the attack pipelines."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from array import array
 from datetime import timedelta
@@ -10,14 +11,12 @@ from types import SimpleNamespace
 import pytest
 
 from weaklink.combinations import (
+    DEFAULT_COMBINATIONS,
     PopularSample,
-    SignalSet,
     attack_candidates,
     combination_table,
-    intersect,
     keyword_hunt,
     popular_sample,
-    signal_sets,
 )
 from weaklink.providers import (
     STATUS_AVAILABLE,
@@ -28,7 +27,16 @@ from weaklink.providers import (
     LiveDownloadsProvider,
 )
 from weaklink.reach import build_dependents_index, build_maintainer_index
-from weaklink.signals import AnalyzerConfig, ScriptCategory, analyze_w1, analyze_w2, analyze_w3, analyze_w6
+from weaklink.signals import (
+    EVIDENCE_SCHEMAS,
+    AnalyzerConfig,
+    ScriptCategory,
+    WeakLinkFinding,
+    analyze_w1,
+    analyze_w2,
+    analyze_w3,
+    analyze_w6,
+)
 
 from conftest import REF, make_corpus, make_record, person, random_corpus
 from datetime import datetime, timezone
@@ -158,47 +166,79 @@ def test_popular_rejects_bad_n():
         popular_sample(corpus, {}, MapDownloads({}), n=0)
 
 
-# --- intersect ------------------------------------------------------------------
+# --- combination_table over hand-made findings ----------------------------------
 
 
-def test_intersect_canonical_id_and_scope():
-    a = SignalSet("W6", frozenset({"x", "y", "z"}))
-    b = SignalSet("W3", frozenset({"y", "z"}))
-    combo = intersect([a, b])
-    assert combo.combination_id == "W3+W6"
-    assert combo.members == {"y", "z"}
-    scoped = intersect([a, b], scope=PopularSample(members=frozenset({"z"}), by_dependents=1, by_downloads=0))
-    assert scoped.members == {"z"}
+def _finding(signal, subject, kind="package"):
+    # The table reads signal, subject and kind only.
+    return WeakLinkFinding(kind, subject, signal, (None,) * len(EVIDENCE_SCHEMAS[signal]))
 
 
-def test_intersect_empty_and_subset_laws():
-    a = SignalSet("W6", frozenset({"x"}))
-    empty = SignalSet("W3", frozenset())
-    assert intersect([a, empty]).members == frozenset()
-    with pytest.raises(ValueError):
-        intersect([a])
+def _sample(names):
+    members = frozenset(names)
+    return PopularSample(members=members, by_dependents=len(members), by_downloads=0)
 
 
-def test_intersections_match_brute_force_on_random_sets():
+CANONICAL_IDS = sorted("+".join(combo) for combo in DEFAULT_COMBINATIONS)
+
+
+def test_combination_table_canonical_ids_and_scope():
+    findings = [_finding("W6", pkg) for pkg in "xyz"] + [_finding("W3_inactive_pkg", pkg) for pkg in "yz"]
+    # Only W3_inactive_pkg stands for W3, and W6 counts its package subjects only.
+    findings += [_finding("W3_inactive_maintainer", "x"), _finding("W3_deprecated", "x")]
+    findings.append(_finding("W6", "w", "maintainer"))
+    rows = combination_table(findings, _sample("wxyz"))
+    assert [row.combination_id for row in rows] == CANONICAL_IDS
+    assert all(row.combination_id.split("+") == sorted(row.combination_id.split("+")) for row in rows)
+    by_id = {row.combination_id: row for row in rows}
+    assert by_id["W3+W6"].members == {"y", "z"}
+    assert by_id["W3+W6"].count == 2
+    scoped = {row.combination_id: row for row in combination_table(findings, _sample("z"))}
+    assert scoped["W3+W6"].members == {"z"}
+
+
+def test_combination_table_empty_signals_and_scope():
+    findings = [_finding("W6", "x"), _finding("W4", "x"), _finding("W2", "x")]
+    rows = {row.combination_id: row.members for row in combination_table(findings, _sample("x"))}
+    # No W3 finding: every row that needs W3 is empty, the others are not.
+    assert {cid for cid, members in rows.items() if members} == {"W2+W6"}
+    # An empty sample empties every row.
+    assert [row.count for row in combination_table(findings, _sample(""))] == [0] * len(DEFAULT_COMBINATIONS)
+    assert [row.count for row in combination_table([], _sample("x"))] == [0] * len(DEFAULT_COMBINATIONS)
+
+
+def test_combination_table_matches_brute_force_on_random_findings():
     import random
 
-    for seed in range(12):
+    signals = sorted(EVIDENCE_SCHEMAS)
+    for seed in range(40):
         rng = random.Random(seed)
-        universe = [f"pkg{i}" for i in range(60)]
-        sets = [
-            SignalSet(signal, frozenset(rng.sample(universe, rng.randrange(0, 40))))
-            for signal in ("W1", "W2", "W3", "W4", "W6")
+        pool = [f"pkg{i}" for i in range(rng.randrange(1, 30))]
+        findings = [
+            _finding(rng.choice(signals), rng.choice(pool), rng.choice(("package", "package", "maintainer")))
+            for _ in range(rng.randrange(0, 120))
         ]
-        for i in range(len(sets)):
-            for j in range(i + 1, len(sets)):
-                combo = intersect([sets[i], sets[j]])
-                brute = {m for m in universe if m in sets[i].members and m in sets[j].members}
-                assert combo.members == frozenset(brute)
-        triple = intersect(sets[:3])
-        brute3 = sets[0].members & sets[1].members & sets[2].members
-        assert triple.members == brute3
-        # Subset law: adding a set never grows the intersection.
-        assert intersect(sets[:3]).members <= intersect(sets[:2]).members
+        rng.shuffle(findings)
+        scope = rng.sample(pool, rng.randrange(0, len(pool) + 1))
+
+        def members(signal):
+            wanted = "W3_inactive_pkg" if signal == "W3" else signal
+            return {f.subject_id for f in findings if f.signal == wanted and f.subject_kind == "package"}
+
+        rows = combination_table(findings, _sample(scope))
+        assert [row.combination_id for row in rows] == CANONICAL_IDS
+        by_id = {}
+        for row in rows:
+            brute = set(scope)
+            for signal in row.combination_id.split("+"):
+                brute &= members(signal)
+            assert row.members == frozenset(brute), (seed, row.combination_id)
+            by_id[row.combination_id] = row.members
+        # Subset law: a row with one more signal never has more members.
+        for cid, row_members in by_id.items():
+            for other, other_members in by_id.items():
+                if set(other.split("+")) < set(cid.split("+")):
+                    assert row_members <= other_members, (seed, cid, other)
 
 
 # --- keyword_hunt ------------------------------------------------------------------
@@ -326,6 +366,29 @@ def test_takeover_needs_every_owned_package_inactive(owned, inactive, takeover_r
     assert all(row.reach == 0 for row in report.takeover_candidates)
 
 
+def test_w6_package_maintainer_pairs_are_unique_on_random_corpora():
+    # attack_candidates relies on this: it emits one takeover row per W6 pair.
+    for seed in range(8):
+        records = []
+        for i, rec in enumerate(random_corpus(seed=seed, size=150).records):
+            if i % 3 == 0:  # a record that lists one identity twice
+                rec = dataclasses.replace(rec, maintainers=rec.maintainers + rec.maintainers[:1])
+            records.append(rec)
+        corpus = make_corpus(records)
+        cfg = AnalyzerConfig(top_percent=30.0).resolved(corpus)
+        mindex = build_maintainer_index(corpus)
+        dindex = build_dependents_index(corpus)
+        findings = analyze_w6(corpus, mindex, dindex, cfg)
+        pairs = [(f.subject_id, f.value("maintainer_key")) for f in findings if f.subject_kind == "package"]
+        assert pairs
+        assert len(pairs) == len(set(pairs)), seed
+
+        findings += analyze_w3(corpus, mindex, cfg)
+        report = attack_candidates(corpus, findings, dindex, MapDownloads({}))
+        rows = [(row.package, row.maintainer_key) for row in report.takeover_candidates]
+        assert len(rows) == len(set(rows)), seed
+
+
 # --- combination_table -----------------------------------------------------------------
 
 
@@ -338,12 +401,14 @@ def test_combination_table_ids_and_signal_sets():
     findings, _ = analyze_w1(corpus, mindex, domains, cfg)
     findings = list(findings) + analyze_w3(corpus, mindex, cfg) + analyze_w6(corpus, mindex, dindex, cfg)
 
-    sets = signal_sets(findings)
-    assert sets["W3"].members == sets["W3_inactive_pkg"].members
+    def members(signal):
+        return {f.subject_id for f in findings if f.signal == signal and f.subject_kind == "package"}
 
-    rows = combination_table(findings)
-    ids = [row.combination_id for row in rows]
-    assert ids == sorted(ids)
+    rows = combination_table(findings, _sample(rec.name for rec in corpus.records))
+    assert [row.combination_id for row in rows] == CANONICAL_IDS
     by_id = {row.combination_id: row for row in rows}
+    # "W3" is the inactive-package signal.
+    assert by_id["W3+W6"].members == members("W3_inactive_pkg") & members("W6")
+    assert by_id["W1+W3+W6"].members == members("W1") & members("W3_inactive_pkg") & members("W6")
+    assert by_id["W3+W6"].members
     assert by_id["W3+W4+W6"].members <= by_id["W3+W6"].members
-    assert len(by_id["W3+W6"].members) <= min(len(sets["W3"].members), len(sets["W6"].members))

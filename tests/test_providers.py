@@ -13,6 +13,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from weaklink import providers
 from weaklink.errors import FixtureError
 from weaklink.ingest import parse_person
 from weaklink.providers import (
@@ -210,12 +211,14 @@ class StubResolver:
     ``mode`` spoils every reply: "truncated" sets the TC bit, "other_name"
     and "other_type" answer a question other than the one asked.
     "upper_name" echoes the asked name in upper case, which spoils nothing.
-    Each query's transaction id is recorded in ``txn_ids``.
+    The first ``drop`` queries get no reply at all. Each query's
+    transaction id is recorded in ``txn_ids``.
     """
 
-    def __init__(self, answers, mode=None):
+    def __init__(self, answers, mode=None, drop=0):
         self.answers = answers
         self.mode = mode
+        self.drop = drop
         self.txn_ids = []
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self.sock.bind(("127.0.0.1", 0))
@@ -239,6 +242,8 @@ class StubResolver:
                 return
             txn = data[:2]
             self.txn_ids.append(txn)
+            if len(self.txn_ids) <= self.drop:
+                continue
             # Decode qname labels.
             labels = []
             pos = 12
@@ -324,6 +329,50 @@ def test_live_dns_untrusted_reply_degrades_to_unknown(mode):
         status = provider.check("lapsed.example")
     assert status.status == STATUS_UNKNOWN
     assert provider.warnings == 1
+    assert len(stub.txn_ids) == 1  # only a timed-out query is sent again
+
+
+class CountingLimiter:
+    def __init__(self):
+        self.acquired = 0
+
+    def acquire(self):
+        self.acquired += 1
+
+
+def _dns_run(answers, domain, monkeypatch, drop=0):
+    """The verdict, warnings, transaction ids seen and limiter waits of one check."""
+    ids = iter(range(1, 100))
+    monkeypatch.setattr(providers.secrets, "randbits", lambda bits: next(ids))
+    limiter = CountingLimiter()
+    with StubResolver(answers, drop=drop) as stub:
+        provider = LiveDnsDomainProvider(resolver=stub.addr, timeout=0.3, limiter=limiter)
+        status = provider.check(domain)
+    txn_ids = [struct.unpack(">H", txn)[0] for txn in stub.txn_ids]
+    return status.status, provider.warnings, txn_ids, limiter.acquired
+
+
+@pytest.mark.parametrize(
+    "answers, domain, verdict",
+    [
+        (LAPSED, "lapsed.example", STATUS_AVAILABLE),
+        ({("solid.example", NS): 2, ("solid.example", MX): 1}, "solid.example", STATUS_REGISTERED),
+    ],
+    ids=["available", "registered"],
+)
+def test_live_dns_query_that_timed_out_is_sent_again(answers, domain, verdict, monkeypatch):
+    assert _dns_run(answers, domain, monkeypatch) == (verdict, 0, [1, 2], 2)
+    # The dropped NS query is sent again; the retry waits for the limiter
+    # and carries a fresh transaction id.
+    assert _dns_run(answers, domain, monkeypatch, drop=1) == (verdict, 0, [1, 2, 3], 3)
+
+
+def test_live_dns_gives_up_after_the_retries(monkeypatch):
+    status, warnings, txn_ids, acquired = _dns_run(LAPSED, "lapsed.example", monkeypatch, drop=99)
+    assert (status, warnings) == (STATUS_UNKNOWN, 1)
+    # The NS query is sent 1 + DNS_TIMEOUT_RETRIES times; the MX query never.
+    assert txn_ids == list(range(1, providers.DNS_TIMEOUT_RETRIES + 2))
+    assert acquired == providers.DNS_TIMEOUT_RETRIES + 1
 
 
 def test_live_dns_transaction_ids_are_not_derived_from_the_name():
