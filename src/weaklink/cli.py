@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weaklink", description="Registry-metadata weak link scanner")
     parser.add_argument("--version", action="version", version=f"weaklink {__version__}")
+    parser.set_defaults(log_level="WARNING")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="scan a registry snapshot and write reports")
@@ -46,6 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--dep-kinds", default=",".join(ScanOptions.dep_kinds), help="comma list of dependency kinds (runtime,dev,peer,optional)")
     scan.add_argument("--unsafe-full-output", action="store_true", help="also write full member lists")
     scan.add_argument("--jobs", type=int, default=ScanOptions.jobs, help="concurrent live downloads lookups")
+    scan.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="WARNING", help="log verbosity on stderr")
+    scan.add_argument("-v", dest="log_level", action="store_const", const="INFO", help="same as --log-level INFO")
 
     gen = sub.add_parser("gen", help="generate a synthetic snapshot with a ground-truth manifest")
     gen.add_argument("--seed", type=int, default=7)
@@ -160,9 +163,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")  # on stderr
     if args.command == "scan":
         return cmd_scan(args)
     if args.command == "gen":

@@ -9,7 +9,10 @@ Dependents always veto exclusion, so the names with dependents
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import index
 
 from .ingest import Corpus, PackageRecord
 
@@ -18,6 +21,13 @@ REASON_DEPRECATED_UNUSED = "DeprecatedUnused"
 REASON_NO_REPO_NO_LICENSE = "NoRepoNoLicense"
 
 DEFAULT_LICENSE_DENYLIST = ("UNLICENSED", "NONE", "XYZ", "PERSONAL USE", "N/A")
+
+# A record's verdict is one byte: the index of its reasons in _REASON_SETS,
+# plus _HAD_DEPENDENTS when some record declares its name.
+_REASONS = (REASON_SECURITY_HOLDING, REASON_DEPRECATED_UNUSED, REASON_NO_REPO_NO_LICENSE)
+_REASON_SETS = tuple(tuple(compress(_REASONS, (i & 1, i & 2, i & 4))) for i in range(8))
+_REASON_FLAGS = {reasons: i for i, reasons in enumerate(_REASON_SETS)}
+_HAD_DEPENDENTS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,23 +91,65 @@ def evaluate_reasons(rec: PackageRecord, denylist: tuple[str, ...] = DEFAULT_LIC
     return tuple(reasons)
 
 
+class ExclusionVerdicts(Sequence):
+    """The verdict of each record of a corpus, by position, built when read.
+
+    ``flags[p]`` is the verdict byte of ``records[p]``, so the sequence
+    holds one byte per record and no verdict object.
+    """
+
+    # A plain class: building a slotted dataclass adds ~1.5 ms to importing the CLI.
+    __slots__ = ("records", "flags")
+
+    def __init__(self, records: tuple[PackageRecord, ...], flags: bytes) -> None:
+        self.records = records
+        self.flags = flags
+
+    def __len__(self) -> int:
+        return len(self.flags)
+
+    def __getitem__(self, pos: int) -> ExclusionVerdict:
+        pos = index(pos)  # one position; a slice is a TypeError
+        return _verdict(self.records[pos], self.flags[pos])
+
+    def __iter__(self) -> Iterator[ExclusionVerdict]:
+        return map(_verdict, self.records, self.flags)
+
+    def excluded_counts(self) -> dict[tuple[str, ...], int]:
+        """The number of excluded records with each set of reasons, for the sets that excluded any."""
+        return {_REASON_SETS[flag]: n for flag in range(1, _HAD_DEPENDENTS) if (n := self.flags.count(flag))}
+
+
+def _verdict(rec: PackageRecord, flag: int) -> ExclusionVerdict:
+    return ExclusionVerdict(
+        record=rec,
+        excluded=0 < flag < _HAD_DEPENDENTS,
+        reasons=_REASON_SETS[flag & ~_HAD_DEPENDENTS],
+        had_dependents=flag >= _HAD_DEPENDENTS,
+    )
+
+
 def apply_exclusions(
     corpus: Corpus,
     depended: set[str],
     denylist: tuple[str, ...] = DEFAULT_LICENSE_DENYLIST,
-) -> tuple[Corpus, list[ExclusionVerdict]]:
-    """Filter the corpus, keeping its name order, and emit one verdict per package.
+) -> tuple[Corpus, ExclusionVerdicts]:
+    """Filter the corpus, keeping its name order, and return the verdicts aligned with its records.
 
-    ``depended`` must be ``names_with_dependents`` of the full pre-exclusion
-    corpus: the "no dependents" test references the whole registry.
+    A record is kept unless it has a reason and no dependents. The verdicts
+    are one byte per record; each ``ExclusionVerdict`` is built when it is
+    read. ``depended`` must be ``names_with_dependents`` of the full
+    pre-exclusion corpus: the "no dependents" test references the whole
+    registry.
     """
-    verdicts = []
+    flags = bytearray()
     kept = []
     for rec in corpus.records:
-        reasons = evaluate_reasons(rec, denylist)
-        had = rec.name in depended
-        excluded = bool(reasons) and not had
-        verdicts.append(ExclusionVerdict(record=rec, excluded=excluded, reasons=reasons, had_dependents=had))
-        if not excluded:
+        flag = _REASON_FLAGS[evaluate_reasons(rec, denylist)]
+        if rec.name in depended:
+            flag |= _HAD_DEPENDENTS
+        flags.append(flag)
+        if not 0 < flag < _HAD_DEPENDENTS:  # no reason, or dependents
             kept.append(rec)
+    verdicts = ExclusionVerdicts(corpus.records, bytes(flags))
     return Corpus(records=tuple(kept), stats=corpus.stats, digest=corpus.digest), verdicts

@@ -10,9 +10,11 @@ and fixtures are byte-identical.
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,8 +29,8 @@ from .combinations import (
     keyword_hunt,
     popular_sample,
 )
-from .exclusions import ExclusionVerdict, apply_exclusions
-from .ingest import Corpus, format_timestamp, load_corpus
+from .exclusions import ExclusionVerdicts, apply_exclusions
+from .ingest import Corpus, PackageRecord, format_timestamp, load_corpus
 from .providers import (
     EmptyDomainProvider,
     EmptyDownloadsProvider,
@@ -82,7 +84,7 @@ class ScanResult:
     options: ScanOptions
     corpus: Corpus
     filtered: Corpus
-    verdicts: list[ExclusionVerdict]
+    verdicts: ExclusionVerdicts  # aligned with corpus.records
     config: AnalyzerConfig
     findings: list[WeakLinkFinding]
     domain_histogram: dict[str, int]
@@ -178,11 +180,11 @@ def _summary(result: ScanResult) -> dict:
     """The summary report of a scan: counts, rates and the config echo."""
     options, corpus, filtered = result.options, result.corpus, result.filtered
     n_filtered = len(filtered.records)
-    excluded = [v for v in result.verdicts if v.excluded]
+    excluded_sets = result.verdicts.excluded_counts()
     by_reason: dict[str, int] = {}
-    for v in excluded:
-        for reason in v.reasons:
-            by_reason[reason] = by_reason.get(reason, 0) + 1
+    for reasons, count in excluded_sets.items():
+        for reason in reasons:
+            by_reason[reason] = by_reason.get(reason, 0) + count
 
     by_signal: dict[str, list[WeakLinkFinding]] = {}
     for f in result.findings:
@@ -233,7 +235,7 @@ def _summary(result: ScanResult) -> dict:
         "corpus": {
             "raw": corpus.stats.total,
             "parsed": len(corpus.records),
-            "excluded": {"total": len(excluded), "by_reason": dict(sorted(by_reason.items()))},
+            "excluded": {"total": sum(excluded_sets.values()), "by_reason": dict(sorted(by_reason.items()))},
             "filtered": n_filtered,
         },
         "registry_stats": {
@@ -267,8 +269,30 @@ def findings_header() -> dict:
     }
 
 
+def _package_id_order(records: Sequence[PackageRecord]) -> Iterator[int]:
+    """The positions of name-ordered records in the order of their package ids, ties by position.
+
+    An id extends its record's name and names ascend, so an id that sorts
+    before the next record's name sorts before every later id, and is
+    yielded then. The ids still held are those of names that are prefixes
+    of the next name ("a@1" waits for "a-b@1"), so the ids of a whole
+    corpus are never held at once.
+    """
+    held: list[tuple[str, int]] = []
+    for pos, rec in enumerate(records):
+        while held and held[0][0] < rec.name:
+            yield heapq.heappop(held)[1]
+        heapq.heappush(held, (rec.package_id, pos))
+    while held:
+        yield heapq.heappop(held)[1]
+
+
 def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: bool = False) -> dict[str, Path]:
-    """Write summary, findings, exclusions and the combination report."""
+    """Write summary, findings, exclusions and the combination report.
+
+    ``exclusions.jsonl`` holds one verdict per ingested record in package-id
+    order; each verdict is built as its line is written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -290,8 +314,9 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
 
     paths["exclusions"] = out / "exclusions.jsonl"
     with open(paths["exclusions"], "w", encoding="utf-8") as fh:
-        for verdict in sorted(result.verdicts, key=lambda v: v.package_id):
-            fh.write(canonical_json(verdict.to_dict()))
+        verdicts = result.verdicts
+        for pos in _package_id_order(result.corpus.records):
+            fh.write(canonical_json(verdicts[pos].to_dict()))
             fh.write("\n")
 
     combo_payload = {

@@ -51,7 +51,13 @@ class DependentsIndex:
 
 @dataclass(frozen=True, slots=True)
 class MaintainerInfo:
-    owned_packages: tuple[int, ...]  # record positions, ascending, each once
+    """A maintainer identity's packages and the latest modification among them.
+
+    ``owned_packages`` is an ``array("i")`` of record positions, ascending,
+    each once, so a position costs 4 bytes and no int object.
+    """
+
+    owned_packages: array
     last_activity: datetime
 
 
@@ -114,7 +120,7 @@ def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     # Each list is dropped as soon as it is copied, so no maintainer's
     # packages are held twice.
     return {
-        key: MaintainerInfo(owned_packages=tuple(owned.pop(key)), last_activity=activity[key]) for key in list(owned)
+        key: MaintainerInfo(owned_packages=array("i", owned.pop(key)), last_activity=activity[key]) for key in list(owned)
     }
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -83,6 +84,20 @@ def test_scan_outputs_and_rerun_byte_identical(corpus_dir, tmp_path):
     assert main(scan_args(corpus_dir, out2)) == 0
     for name in ("summary.json", "findings.jsonl", "exclusions.jsonl", "combinations.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_verbose_scan_logs_on_stderr_and_writes_the_same_reports(corpus_dir, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(weaklink.__file__).resolve().parent.parent)}
+    runs = {}
+    for label, extra in (("default", ()), ("verbose", ("-v",))):
+        command = [sys.executable, "-m", "weaklink.cli", *scan_args(corpus_dir, tmp_path / label, extra)]
+        runs[label] = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        assert runs[label].returncode == 0, runs[label].stderr
+    assert runs["default"].stderr == ""
+    assert re.search(r"^INFO weaklink\.ingest: ingested \d+/\d+ documents", runs["verbose"].stderr, re.M)
+    assert "INFO" not in runs["verbose"].stdout
+    for name in ("summary.json", "findings.jsonl", "exclusions.jsonl", "combinations.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "verbose" / name).read_bytes(), name
 
 
 def test_scan_missing_input_is_fatal(tmp_path):

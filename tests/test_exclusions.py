@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weaklink.exclusions import (
+    DEFAULT_LICENSE_DENYLIST,
+    ExclusionVerdict,
     apply_exclusions,
     evaluate_reasons,
     is_deprecated_latest,
@@ -172,3 +178,60 @@ def test_order_independence():
         v.to_dict()["package_id"] for v in verdicts_again
     )
     assert {v.package_id: v.excluded for v in verdicts} == {v.package_id: v.excluded for v in verdicts_again}
+
+
+# --- the verdict sequence -----------------------------------------------------------------
+
+
+@st.composite
+def exclusion_corpora(draw):
+    """A small corpus with every mix of exclusion reasons and dependents."""
+    names = [f"p{i}" for i in range(draw(st.integers(0, 10)))]
+    records = [
+        make_record(
+            name,
+            dependencies=tuple(draw(st.lists(st.sampled_from([*names, "outside"]), unique=True, max_size=3))),
+            repository_present=draw(st.booleans()),
+            license_value=draw(st.sampled_from(("MIT", None, "", " unlicensed ", "XYZ"))),
+            deprecated=draw(st.sampled_from((None, "", "old", True, False))),
+            security_holding=draw(st.booleans()),
+        )
+        for name in names
+    ]
+    return make_corpus(records)
+
+
+@given(exclusion_corpora(), st.sampled_from((DEFAULT_LICENSE_DENYLIST, ("MIT",), ())))
+def test_verdicts_equal_the_eager_computation_by_position(corpus, denylist):
+    depended = names_with_dependents(corpus)
+    eager = []
+    for rec in corpus.records:
+        reasons = evaluate_reasons(rec, denylist)
+        had = rec.name in depended
+        eager.append(ExclusionVerdict(record=rec, excluded=bool(reasons) and not had, reasons=reasons, had_dependents=had))
+    filtered, verdicts = apply_exclusions(corpus, depended, denylist)
+    n = len(eager)
+    assert len(verdicts) == n
+    assert list(verdicts) == eager
+    assert [verdicts[pos] for pos in range(n)] == eager
+    assert [verdicts[pos] for pos in range(-n, 0)] == eager
+    assert filtered.records == tuple(v.record for v in eager if not v.excluded)
+    assert verdicts.excluded_counts() == Counter(v.reasons for v in eager if v.excluded)
+    for pos in (n, -n - 1):
+        with pytest.raises(IndexError):
+            verdicts[pos]
+
+
+def test_verdict_state_costs_at_most_16_bytes_per_record():
+    corpus = random_corpus(seed=15, size=5_000)
+    depended = names_with_dependents(corpus)
+    tracemalloc.start()
+    try:
+        filtered, verdicts = apply_exclusions(corpus, depended)
+        with_verdicts = tracemalloc.get_traced_memory()[0]
+        del verdicts
+        verdict_bytes = with_verdicts - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < len(filtered.records) < len(corpus.records)
+    assert verdict_bytes <= 16 * len(corpus.records)

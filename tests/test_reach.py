@@ -219,8 +219,8 @@ def test_maintainer_listed_twice_owns_each_package_once():
     m = person(email="m@x.io")
     corpus = make_corpus([make_record("a", maintainers=(m, m)), make_record("b", maintainers=(m,))])
     info = build_maintainer_index(corpus)["m@x.io"]
-    assert info.owned_packages == (0, 1)
-    assert type(info.owned_packages) is tuple
+    assert tuple(info.owned_packages) == (0, 1)
+    assert info.owned_packages.typecode == "i"
 
 
 def test_addresses_differing_in_case_own_a_package_once():

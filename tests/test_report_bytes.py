@@ -11,13 +11,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weaklink import ingest
 from weaklink.cli import main
+from weaklink.pipeline import _package_id_order
 from weaklink.synth import GenerationPlan, generate
+
+from conftest import make_corpus, make_record, random_corpus
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference_digests.json"
 SNAPSHOTS = {"ndjson": "snapshot.ndjson", "bulk": "snapshot.json", "dir": "snapshot"}
@@ -90,3 +98,33 @@ def test_scan_leaves_the_shared_empty_map_empty(corpus_dir, tmp_path, monkeypatc
     monkeypatch.setattr(ingest, "_EMPTY_MAP", shared)
     assert scan(corpus_dir, "ndjson", tmp_path) == reference_digests()
     assert shared == {}
+
+
+# --- the order of exclusions.jsonl --------------------------------------------------------
+
+# Stems that are prefixes of each other, and what may follow a stem: "-",
+# ".", digits and letters sort below or above the "@" that ends a name in
+# its package id, and a name may hold an "@" of its own.
+STEMS = ("a", "ab", "a-b", "react", "@s/a", "@scope/react")
+NAMES = st.builds(str.__add__, st.sampled_from(STEMS), st.text(alphabet="-.09@aZz_/", max_size=4))
+VERSIONS = st.sampled_from(("1.0.0", "0.1.0", "10.0.0", "1.0.0-beta.1", "b"))
+
+
+@given(st.lists(st.tuples(NAMES, VERSIONS), max_size=30))
+def test_exclusion_order_is_package_id_order(pairs):
+    records = make_corpus(make_record(name, version=version) for name, version in pairs).records
+    expected = sorted(range(len(records)), key=lambda pos: records[pos].package_id)
+    assert list(_package_id_order(records)) == expected
+
+
+def test_ordering_the_exclusions_holds_few_package_ids():
+    # Numbered names make long prefix families: "r15-pkg-1" prefixes 1,111 of them.
+    records = random_corpus(seed=15, size=5_000).records
+    id_bytes = sum(sys.getsizeof(rec.package_id) for rec in records)
+    tracemalloc.start()
+    try:
+        deque(_package_id_order(records), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < id_bytes / 10

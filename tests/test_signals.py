@@ -76,7 +76,7 @@ def test_w1_fan_out_per_owned_package():
 def test_w1_one_finding_when_two_listed_addresses_share_an_identity():
     corpus = make_corpus([make_record("p", maintainers=(person(email="A@dead.io"), person(email="a@dead.io")))])
     mindex = build_maintainer_index(corpus)
-    assert mindex["a@dead.io"].owned_packages == (0,)
+    assert tuple(mindex["a@dead.io"].owned_packages) == (0,)
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
     findings, histogram = analyze_w1(corpus, mindex, provider, cfg_for(corpus))
     assert [(f.subject_id, f.values) for f in findings] == [("p", ("dead.io", "a@dead.io"))]
