@@ -3,13 +3,11 @@
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
-    EmptyInputError,
     FixtureError,
     NoVersionsError,
     ParseError,
     PlanError,
     ScannerError,
-    UnknownMaintainerError,
 )
 from .ingest import Corpus, PackageRecord, PersonRef, extract_email_domain, load_corpus  # noqa: F401
 from .signals import AnalyzerConfig, ScriptCategory, ScriptPattern, WeakLinkFinding, classify_script  # noqa: F401

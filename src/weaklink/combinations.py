@@ -123,8 +123,6 @@ def popular_sample(
     if n < 1:
         raise ValueError("popular sample size must be >= 1")
     records = corpus.records
-    if not records:
-        return PopularSample(members=frozenset(), by_dependents=0, by_downloads=0)
     positions = range(len(records))
     dep_top = top_n(positions, dindex.counts(), n)
     # A provider with no data at all would rank everything at zero and the

@@ -24,14 +24,6 @@ class NoVersionsError(ScannerError):
     """Document has an empty versions map; no latest version can be chosen."""
 
 
-class UnknownMaintainerError(ScannerError):
-    """Maintainer identity key not present in the maintainer index."""
-
-
-class EmptyInputError(ScannerError):
-    """Ranking requested over an empty subject list."""
-
-
 class PlanError(ScannerError):
     """Synthetic-corpus generation plan is invalid or infeasible."""
 

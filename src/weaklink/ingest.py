@@ -37,6 +37,13 @@ logger = logging.getLogger(__name__)
 
 SECURITY_HOLDING_PHRASE = "security holding package"
 
+DEFAULT_LICENSE_DENYLIST = ("UNLICENSED", "NONE", "XYZ", "PERSONAL USE", "N/A")
+
+# The reasons a record without dependents is excluded for. A record holds
+# its reasons as one int, bit i for EXCLUSION_REASONS[i].
+EXCLUSION_REASONS = ("SecurityHolding", "DeprecatedUnused", "NoRepoNoLicense")
+SECURITY_HOLDING, DEPRECATED, NO_REPO_NO_LICENSE = 1, 2, 4
+
 # Registry placeholder packages carry a synthetic version like "0.0.1-security".
 _PLACEHOLDER_VERSION_RE = re.compile(r"security", re.IGNORECASE)
 
@@ -159,16 +166,22 @@ class _Leaves:
     """What the records of one load share: the scan's scope and leaf values.
 
     The scope is the dependency kinds and the install-key pattern the scan
-    reads; a record keeps nothing else of a document's dependencies and
-    scripts. Registry documents repeat the same maintainers, maintainer
-    lists, versions, licenses, dependency names and script names across
+    reads, and the license denylist its exclusions apply; a record keeps
+    nothing else of a document's dependencies, scripts, repository and
+    license. Registry documents repeat the same maintainers, maintainer
+    lists, versions, dependency names and script names across
     packages, and a package's name is a dependency name of the packages
     that declare it; each distinct one is kept once. A ``PersonRef`` is
     frozen, so records can share it. Raises ``ValueError`` for an empty or
     unknown dependency kind.
     """
 
-    def __init__(self, dep_kinds: Iterable[str] = ("runtime",), install_key_pattern: str = "install") -> None:
+    def __init__(
+        self,
+        dep_kinds: Iterable[str] = ("runtime",),
+        install_key_pattern: str = "install",
+        license_denylist: Iterable[str] = DEFAULT_LICENSE_DENYLIST,
+    ) -> None:
         kinds = tuple(dep_kinds)
         if not kinds:
             raise ValueError("dep_kinds must be nonempty")
@@ -177,6 +190,7 @@ class _Leaves:
             raise ValueError(f"unknown dependency kind: {unknown[0]}")
         self.dep_keys = tuple(dict.fromkeys(_DEPENDENCY_KEYS[kind] for kind in kinds))
         self.install_key_pattern = install_key_pattern
+        self.license_denylist = frozenset(entry.strip().upper() for entry in license_denylist)
         self._people: dict[tuple[str | None, str | None], PersonRef | None] = {}
         self._lists: dict[tuple[PersonRef, ...], tuple[PersonRef, ...]] = {}
         self.strings: dict[str, str] = {}
@@ -224,9 +238,9 @@ class PackageRecord:
     ``has_runtime_dependencies`` records whether the runtime kind declares
     any name, whichever kinds the scan reads. ``scripts`` holds only the
     scripts whose key matches the scan's install pattern
-    (``is_install_key``). ``security_holding`` records whether the document
-    matched the registry's placeholder markers (description phrase or
-    synthetic "-security" dist-tag) at ingest time.
+    (``is_install_key``). ``exclusion_reasons`` holds the record's
+    exclusion reasons as ``EXCLUSION_REASONS`` bits, decided by
+    ``parse_record`` under the scan's license denylist.
     """
 
     name: str
@@ -237,10 +251,8 @@ class PackageRecord:
     contributor_count: int
     dependencies: tuple[str, ...]
     has_runtime_dependencies: bool
-    repository_present: bool
-    license_value: str | None
     deprecated: object  # None, bool, or message string as given
-    security_holding: bool
+    exclusion_reasons: int
 
     @property
     def package_id(self) -> str:
@@ -343,9 +355,10 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     latest), or else the highest semver among the versions that are
     objects. Raises ParseError for a malformed document, one nested too
     deeply to decode among them, and NoVersionsError when no version is an
-    object. ``leaves`` holds the scan's dependency kinds and install
-    pattern (default: runtime and "install"), and shares equal people and
-    strings with the other records of a load.
+    object. ``leaves`` holds the scan's dependency kinds, install pattern
+    and license denylist (default: runtime, "install" and
+    ``DEFAULT_LICENSE_DENYLIST``), and shares equal people and strings with
+    the other records of a load.
     """
     if isinstance(item, (bytes, str)):
         try:
@@ -401,16 +414,22 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
 
     maintainers = leaves.maintainers(vobj, item)
     contributors = leaves.people(vobj.get("contributors")) or leaves.people(item.get("contributors"))
-    repository = vobj["repository"] if "repository" in vobj else item.get("repository")
-    license_value = _normalize_license(vobj["license"] if "license" in vobj else item.get("license"))
     deprecated = vobj.get("deprecated")
     if not isinstance(deprecated, (str, bool)):
         deprecated = None
+    # The exclusion reasons: a placeholder's description phrase or synthetic
+    # "-security" "latest" tag; True or a deprecation message (an empty one
+    # un-deprecates); no repository, and a license absent, blank or denylisted.
+    reasons = DEPRECATED if deprecated else 0
     description = item.get("description")
-    holding = bool(
-        (isinstance(description, str) and SECURITY_HOLDING_PHRASE in description.lower())
-        or (latest and _PLACEHOLDER_VERSION_RE.search(latest))
-    )
+    if (isinstance(description, str) and SECURITY_HOLDING_PHRASE in description.lower()) or (
+        latest and _PLACEHOLDER_VERSION_RE.search(latest)
+    ):
+        reasons |= SECURITY_HOLDING
+    if not _normalize_repository(vobj["repository"] if "repository" in vobj else item.get("repository")):
+        license_value = _normalize_license(vobj["license"] if "license" in vobj else item.get("license"))
+        if license_value is None or license_value.strip().upper() in leaves.license_denylist:
+            reasons |= NO_REPO_NO_LICENSE
     strings = leaves.strings
     intern = strings.setdefault
     runtime = vobj.get("dependencies")
@@ -423,10 +442,8 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
         contributor_count=len(contributors),
         dependencies=leaves.dependencies(vobj, name),
         has_runtime_dependencies=isinstance(runtime, dict) and any(isinstance(k, str) and k for k in runtime),
-        repository_present=_normalize_repository(repository),
-        license_value=license_value if license_value is None else intern(license_value, license_value),
         deprecated=deprecated,
-        security_holding=holding,
+        exclusion_reasons=reasons,
     )
 
 
@@ -826,6 +843,7 @@ def load_corpus(
     *,
     dep_kinds: Iterable[str] = ("runtime",),
     install_key_pattern: str = "install",
+    license_denylist: Iterable[str] = DEFAULT_LICENSE_DENYLIST,
 ) -> Corpus:
     """Stream all documents from a snapshot into an immutable corpus.
 
@@ -835,10 +853,11 @@ def load_corpus(
     counted under "duplicate_name". The digest hashes the bytes this read parsed.
 
     Each record keeps the dependencies of ``dep_kinds`` and the scripts
-    whose key matches ``install_key_pattern``, and no others. An empty or
-    unknown kind raises ``ValueError`` before anything is read.
+    whose key matches ``install_key_pattern``, and no others, and its
+    exclusion reasons under ``license_denylist``. An empty or unknown kind
+    raises ``ValueError`` before anything is read.
     """
-    leaves = _Leaves(dep_kinds, install_key_pattern)
+    leaves = _Leaves(dep_kinds, install_key_pattern, license_denylist)
     source = Path(source)
     if not source.exists():
         raise OSError(f"snapshot not found: {source}")

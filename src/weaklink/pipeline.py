@@ -118,14 +118,16 @@ def _make_providers(options: ScanOptions, names: list[str]):
 
 
 def run_scan(options: ScanOptions) -> ScanResult:
-    # Records keep only the dependency kinds and install scripts this scan reads.
+    # Records keep only the dependency kinds and install scripts this scan
+    # reads, and their exclusion reasons under its license denylist.
     corpus = load_corpus(
         options.input_path,
         layout=options.layout,
         dep_kinds=options.dep_kinds,
         install_key_pattern=options.config.install_key_pattern,
+        license_denylist=options.config.license_denylist,
     )
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus), options.config.license_denylist)
+    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
 
     domains, downloads = _make_providers(options, [rec.name for rec in filtered.records])
 
@@ -291,7 +293,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     """Write summary, findings, exclusions and the combination report.
 
     ``exclusions.jsonl`` holds one verdict per ingested record in package-id
-    order; each verdict is built as its line is written.
+    order; each line is built from the record and its verdict byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -316,7 +318,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     with open(paths["exclusions"], "w", encoding="utf-8") as fh:
         verdicts = result.verdicts
         for pos in _package_id_order(result.corpus.records):
-            fh.write(canonical_json(verdicts[pos].to_dict()))
+            fh.write(canonical_json(verdicts.report_line(pos)))
             fh.write("\n")
 
     combo_payload = {

@@ -20,7 +20,6 @@ from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, ge, sub
 from typing import Collection, Sequence
 
-from .errors import EmptyInputError, UnknownMaintainerError
 from .ingest import Corpus
 
 
@@ -124,17 +123,14 @@ def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     }
 
 
-def maintainer_reach(key: str, mindex: MaintainerIndex, dindex: DependentsIndex) -> int:
-    """Unique dependents across all packages a maintainer owns.
+def maintainer_reach(owned: Sequence[int], dindex: DependentsIndex) -> int:
+    """Unique dependents across all packages a maintainer owns, given by position.
 
     Dependents that happen to be the maintainer's own packages are counted
     too (the literal reading of "unique dependents").
     """
-    info = mindex.get(key)
-    if info is None:
-        raise UnknownMaintainerError(key)
     union: set[int] = set()
-    for pos in info.owned_packages:
+    for pos in owned:
         union.update(dindex.dependents(pos))
     return len(union)
 
@@ -146,12 +142,12 @@ def top_n(subjects: Collection, scores: Sequence[float], n: int) -> list[tuple]:
     subject: a name, or a position, whose order is name order. Every
     subject tied with the n-th score is included, so the result can be
     longer than n. Only the subjects that reach the n-th score are paired
-    and sorted.
+    and sorted. No subjects rank as ``[]``.
     """
     if len(subjects) != len(scores):
         raise ValueError(f"{len(subjects)} subjects but {len(scores)} scores")
     if not scores:
-        raise EmptyInputError("no subjects to rank")
+        return []
     cutoff = heapq.nlargest(n, scores)[-1]
     winners = compress(zip(subjects, scores), map(ge, scores, repeat(cutoff)))
     return sorted(winners, key=lambda item: (-item[1], item[0]))
@@ -161,8 +157,6 @@ def top_percent(subjects: Collection, scores: Sequence[float], percent: float) -
     """Top ``percent`` of subjects by score with closed-cutoff tie handling."""
     if not 0 < percent <= 100:
         raise ValueError(f"percent must be in (0, 100], got {percent}")
-    if not scores:
-        raise EmptyInputError("no subjects to rank")
     # At least one: a tiny percent must not underflow to an empty ranking.
     k = max(1, math.ceil(len(scores) * percent / 100.0))
     return top_n(subjects, scores, k)

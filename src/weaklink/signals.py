@@ -39,8 +39,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
-from .exclusions import DEFAULT_LICENSE_DENYLIST
-from .ingest import Corpus, format_timestamp, parse_timestamp
+from .ingest import DEFAULT_LICENSE_DENYLIST, DEPRECATED, Corpus, format_timestamp, parse_timestamp
 from .reach import DependentsIndex, MaintainerIndex, maintainer_reach, top_percent
 
 if TYPE_CHECKING:
@@ -460,8 +459,6 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
     W3_deprecated: retained deprecated packages whose deprecation predates
     the window, using last-modified as the deprecation time.
     """
-    from .exclusions import is_deprecated_latest
-
     stale_maintainers = {key for key, info in mindex.items() if is_inactive(info.last_activity, cfg)}
     inactive_pkg, inactive_maintainer, deprecated = [], [], []
     for rec in corpus.records:
@@ -490,7 +487,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                     },
                 )
             )
-        if is_deprecated_latest(rec):
+        if rec.exclusion_reasons & DEPRECATED:
             deprecated.append(
                 WeakLinkFinding.of(
                     subject_kind="package",
@@ -517,8 +514,6 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     """
     records = corpus.records
     population = array("i", (pos for pos, rec in enumerate(records) if rec.maintainers))
-    if not population:
-        return []
     registry_avg = mean_maintainers(corpus)
     counts = array("i", (len(records[pos].maintainers) for pos in population))
     return [
@@ -541,8 +536,6 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     """
     records = corpus.records
     population = array("i", (pos for pos, rec in enumerate(records) if rec.contributor_count))
-    if not population:
-        return []
     neg_ratios = array("d", (-(len(records[pos].maintainers) / records[pos].contributor_count) for pos in population))
     findings = []
     for pos, _neg_ratio in top_percent(population, neg_ratios, cfg.top_percent):
@@ -574,10 +567,8 @@ def analyze_w6(
     package-subject finding per owned package, all carrying the same
     ownership evidence.
     """
-    if not mindex:
-        return []
     records = corpus.records
-    reaches = array("q", (maintainer_reach(key, mindex, dindex) for key in mindex))
+    reaches = array("q", (maintainer_reach(info.owned_packages, dindex) for info in mindex.values()))
     findings = []
     for key, reach in top_percent(mindex.keys(), reaches, cfg.top_percent):
         owned = mindex[key].owned_packages

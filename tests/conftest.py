@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from weaklink.ingest import Corpus, IngestStats, PackageRecord, PersonRef, is_install_key, load_corpus
+from weaklink.ingest import DEFAULT_LICENSE_DENYLIST, Corpus, IngestStats, PackageRecord, PersonRef, is_install_key, load_corpus
+
+from ingest_reference import reason_mask, reference_reasons
 
 REF = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
 DEPENDENCY_KEYS = ("dependencies", "devDependencies", "peerDependencies", "optionalDependencies")
@@ -38,6 +40,7 @@ def make_record(
     license_value: str | None = "MIT",
     deprecated: object = None,
     security_holding: bool = False,
+    license_denylist: tuple = DEFAULT_LICENSE_DENYLIST,
 ) -> PackageRecord:
     """A record as a scan of ``dep_kinds`` keeps it.
 
@@ -45,7 +48,9 @@ def make_record(
     dev kinds declare; the record holds those of ``dep_kinds`` merged, each
     once, without ``name``, as ingest merges them. Of ``scripts`` it keeps
     the install hooks, the keys that contain "install", as ingest does by
-    the default pattern.
+    the default pattern. Its exclusion reasons are those the reference
+    predicates (``ingest_reference.reference_reasons``) give the
+    repository, license, deprecation and security-holding arguments.
     """
     declared = {"runtime": dependencies, "dev": dev_dependencies}
     merged = dict.fromkeys(dep for kind in dep_kinds for dep in declared.get(kind, ()) if dep != name)
@@ -58,10 +63,16 @@ def make_record(
         contributor_count=contributor_count,
         dependencies=tuple(merged),
         has_runtime_dependencies=bool(dependencies),
-        repository_present=repository_present,
-        license_value=license_value,
         deprecated=deprecated,
-        security_holding=security_holding,
+        exclusion_reasons=reason_mask(
+            reference_reasons(
+                repository_present=repository_present,
+                license_value=license_value,
+                deprecated=deprecated,
+                security_holding=security_holding,
+                denylist=license_denylist,
+            )
+        ),
     )
 
 

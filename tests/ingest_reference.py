@@ -7,6 +7,10 @@ dependency kind and every script among them. The copy below is that code,
 kept as the reference ``parse_record`` must agree with: ``reference_record``
 projects its record onto what a ``PackageRecord`` of one scan keeps, in
 ``record_to_dict``'s shape.
+
+``reference_reasons`` is the exclusion predicates as they were before
+``parse_record`` decided a record's reasons: they read the repository,
+license, deprecation and security-holding fields of the full record.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from weaklink import semver
 from weaklink.errors import NoVersionsError, ParseError
 from weaklink.ingest import (
     _PLACEHOLDER_VERSION_RE,
+    DEFAULT_LICENSE_DENYLIST,
+    EXCLUSION_REASONS,
     SECURITY_HOLDING_PHRASE,
     PackageRecord,
     PersonRef,
     _Leaves,
-    _normalize_license,
-    _normalize_repository,
     parse_timestamp,
 )
 
@@ -53,11 +57,60 @@ def record_to_dict(rec: PackageRecord) -> dict:
         "contributor_count": rec.contributor_count,
         "dependencies": list(rec.dependencies),
         "has_runtime_dependencies": rec.has_runtime_dependencies,
-        "repository_present": rec.repository_present,
-        "license_value": rec.license_value,
         "deprecated": rec.deprecated,
-        "security_holding": rec.security_holding,
+        "exclusion_reasons": rec.exclusion_reasons,
     }
+
+
+# --- the exclusion predicates as they were ------------------------------------
+
+
+def is_deprecated_latest(deprecated: object) -> bool:
+    """True iff the latest version carries a deprecation flag; an empty message un-deprecates."""
+    if deprecated is True:
+        return True
+    if isinstance(deprecated, str) and deprecated != "":
+        return True
+    return False
+
+
+def lacks_repo_and_license(repository_present: bool, license_value: str | None, denylist=DEFAULT_LICENSE_DENYLIST) -> bool:
+    """True iff no repository AND the license is absent, blank or denylisted."""
+    if repository_present:
+        return False
+    if license_value is None or not license_value.strip():
+        return True
+    normalized = license_value.strip().upper()
+    return any(normalized == entry.strip().upper() for entry in denylist)
+
+
+def reference_reasons(
+    *,
+    repository_present: bool,
+    license_value: str | None,
+    deprecated: object,
+    security_holding: bool,
+    denylist=DEFAULT_LICENSE_DENYLIST,
+) -> tuple[str, ...]:
+    """All applicable exclusion reasons, computed independently, in ``EXCLUSION_REASONS`` order."""
+    reasons = []
+    if security_holding:
+        reasons.append("SecurityHolding")
+    if is_deprecated_latest(deprecated):
+        reasons.append("DeprecatedUnused")
+    if lacks_repo_and_license(repository_present, license_value, denylist):
+        reasons.append("NoRepoNoLicense")
+    return tuple(reasons)
+
+
+def reason_mask(reasons: tuple[str, ...]) -> int:
+    """The ``PackageRecord.exclusion_reasons`` int of a set of reasons: bit i for ``EXCLUSION_REASONS[i]``."""
+    return sum(1 << EXCLUSION_REASONS.index(reason) for reason in reasons)
+
+
+def reason_names(mask: int) -> tuple[str, ...]:
+    """The reasons a ``PackageRecord.exclusion_reasons`` int holds."""
+    return tuple(reason for bit, reason in enumerate(EXCLUSION_REASONS) if mask & 1 << bit)
 
 
 # --- the reference: the two passes as they were -------------------------------
@@ -161,6 +214,36 @@ def document_from_tree(tree: object) -> RegistryDocument:
     )
 
 
+def _normalize_repository(raw: object) -> bool:
+    if isinstance(raw, str):
+        return bool(raw.strip())
+    if isinstance(raw, dict):
+        url = raw.get("url")
+        if isinstance(url, str) and url.strip():
+            return True
+        # An object without a recognizable url still asserts a repository
+        # exists if it is non-empty.
+        return bool(raw)
+    return False
+
+
+def _normalize_license(raw: object) -> str | None:
+    if isinstance(raw, str):
+        return raw if raw.strip() else None
+    if isinstance(raw, dict):
+        for key in ("type", "name"):
+            value = raw.get(key)
+            if isinstance(value, str) and value.strip():
+                return value
+        return None
+    if isinstance(raw, list):
+        for entry in raw:
+            value = _normalize_license(entry)
+            if value is not None:
+                return value
+    return None
+
+
 def _normalize_scripts(raw: object) -> dict[str, str]:
     if not isinstance(raw, dict):
         return {}
@@ -249,12 +332,18 @@ def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> FullR
     )
 
 
-def reference_record(item: object, dep_kinds=("runtime",), install_key_pattern: str = "install") -> dict:
+def reference_record(
+    item: object,
+    dep_kinds=("runtime",),
+    install_key_pattern: str = "install",
+    license_denylist=DEFAULT_LICENSE_DENYLIST,
+) -> dict:
     """The two passes over one document (bytes, text or tree), as ``record_to_dict`` spells a record.
 
     The record keeps the names ``dep_kinds`` declare, in kind order and then
-    document order, each once and without the package itself, and the
-    scripts whose key contains the pattern in any case.
+    document order, each once and without the package itself, the scripts
+    whose key contains the pattern in any case, and the exclusion reasons
+    of ``reference_reasons`` under ``license_denylist``.
     """
     doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
     full = select_latest(doc)
@@ -272,8 +361,14 @@ def reference_record(item: object, dep_kinds=("runtime",), install_key_pattern: 
         "contributor_count": len(full.contributors),
         "dependencies": declared,
         "has_runtime_dependencies": bool(full.dependencies),
-        "repository_present": full.repository_present,
-        "license_value": full.license_value,
         "deprecated": full.deprecated,
-        "security_holding": full.security_holding,
+        "exclusion_reasons": reason_mask(
+            reference_reasons(
+                repository_present=full.repository_present,
+                license_value=full.license_value,
+                deprecated=full.deprecated,
+                security_holding=full.security_holding,
+                denylist=license_denylist,
+            )
+        ),
     }

@@ -21,7 +21,7 @@ import pytest
 
 import weaklink
 from weaklink.combinations import PopularSample, combination_table, keyword_hunt
-from weaklink.exclusions import apply_exclusions, evaluate_reasons
+from weaklink.exclusions import apply_exclusions
 from weaklink.pipeline import ScanOptions, diff_findings, read_findings, run_scan, write_reports
 from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_UNKNOWN
 from weaklink.reach import build_dependents_index, build_maintainer_index, maintainer_reach, names_with_dependents
@@ -37,6 +37,7 @@ from weaklink.signals import (
 from weaklink.synth import GenerationPlan, generate
 
 from conftest import random_corpus
+from ingest_reference import reason_names
 from test_classify import SUITE as CLASSIFY_SUITE
 
 SEEDS = (1, 7, 42)
@@ -228,11 +229,11 @@ def test_criterion_2_oracle_equivalence():
             union: set[str] = set()
             for pos in info.owned_packages:
                 union |= set(brute_index[names[pos]])
-            assert maintainer_reach(key, mindex, index) == len(union)
+            assert maintainer_reach(info.owned_packages, index) == len(union)
 
         filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
         for rec, verdict in zip(corpus.records, verdicts):
-            reasons = evaluate_reasons(rec)
+            reasons = reason_names(rec.exclusion_reasons)
             had = bool(brute_index.get(rec.name))
             assert verdict.reasons == tuple(reasons)
             assert verdict.had_dependents == had

@@ -1,4 +1,4 @@
-"""Exclusion predicates and the filter, checked against brute force."""
+"""Exclusion reasons as ingest decides them, and the filter, checked against brute force."""
 
 from __future__ import annotations
 
@@ -10,19 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weaklink.exclusions import (
-    DEFAULT_LICENSE_DENYLIST,
-    ExclusionVerdict,
-    apply_exclusions,
-    evaluate_reasons,
-    is_deprecated_latest,
-    is_security_holding,
-    lacks_repo_and_license,
-)
-from weaklink.ingest import parse_record
+from weaklink.exclusions import ExclusionVerdict, apply_exclusions
+from weaklink.ingest import DEFAULT_LICENSE_DENYLIST, DEPRECATED, NO_REPO_NO_LICENSE, SECURITY_HOLDING, parse_record
 from weaklink.reach import names_with_dependents
 
 from conftest import make_corpus, make_record, random_corpus
+from ingest_reference import reason_names, reference_reasons
 
 
 # Hand table for the phrase-match rule.
@@ -40,33 +33,31 @@ PHRASE_TABLE = [
 ]
 
 
-def ingested(description: str | None = None, latest: str = "1.0.0"):
-    """The record ingest makes of a one-version document."""
+def ingested(description: str | None = None, latest: str = "1.0.0", **version) -> int:
+    """The exclusion reasons ingest gives a one-version document."""
     t0 = "2024-01-01T00:00:00.000Z"
-    tree = {"name": "x", "dist-tags": {"latest": latest}, "versions": {latest: {}}, "time": {"created": t0, "modified": t0}}
+    tree = {"name": "x", "dist-tags": {"latest": latest}, "versions": {latest: version}, "time": {"created": t0, "modified": t0}}
     if description is not None:
         tree["description"] = description
-    return parse_record(json.dumps(tree).encode())
+    return parse_record(json.dumps(tree).encode()).exclusion_reasons
 
 
 @pytest.mark.parametrize("description,expected", PHRASE_TABLE)
 def test_security_holding_phrase_rule(description, expected):
-    rec = ingested(description=description)
-    assert rec.security_holding is expected
-    assert is_security_holding(rec) is expected
+    assert bool(ingested(description=description) & SECURITY_HOLDING) is expected
 
 
 def test_security_holding_placeholder_flag():
-    assert is_security_holding(make_record("x", security_holding=True)) is True
-    assert is_security_holding(ingested(latest="0.0.1-security")) is True
+    assert ingested(latest="0.0.1-security") & SECURITY_HOLDING
+    assert reason_names(make_record("x", security_holding=True).exclusion_reasons) == ("SecurityHolding",)
 
 
 @pytest.mark.parametrize(
     "deprecated,expected",
-    [("use pkg-x instead", True), (True, True), (False, False), (None, False), ("", False)],
+    [("use pkg-x instead", True), (True, True), (False, False), (None, False), ("", False), (1, False)],
 )
 def test_deprecated_latest(deprecated, expected):
-    assert is_deprecated_latest(make_record("x", deprecated=deprecated)) is expected
+    assert bool(ingested(deprecated=deprecated) & DEPRECATED) is expected
 
 
 @pytest.mark.parametrize(
@@ -84,8 +75,10 @@ def test_deprecated_latest(deprecated, expected):
     ],
 )
 def test_lacks_repo_and_license(repo, license_value, expected):
-    rec = make_record("x", repository_present=repo, license_value=license_value)
-    assert lacks_repo_and_license(rec) is expected
+    version = {"repository": "github:u/r"} if repo else {}
+    if license_value is not None:
+        version["license"] = license_value
+    assert bool(ingested(**version) & NO_REPO_NO_LICENSE) is expected
 
 
 def test_dependents_veto_exclusion():
@@ -155,12 +148,12 @@ def test_monotonicity_adding_dependent_never_excludes():
 
 
 def test_brute_force_oracle_equivalence():
-    # Straight re-evaluation of the three predicates plus dependents count.
+    # The reasons of each record's bits plus a straight dependents count.
     for seed in range(8):
         corpus = random_corpus(seed=seed, size=150)
         filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
         for rec, verdict in zip(corpus.records, verdicts):
-            reasons = evaluate_reasons(rec)
+            reasons = reason_names(rec.exclusion_reasons)
             has_dep = any(rec.name in other.dependencies and other.name != rec.name for other in corpus.records)
             assert verdict.package_id == rec.package_id
             assert tuple(reasons) == verdict.reasons
@@ -185,31 +178,33 @@ def test_order_independence():
 
 @st.composite
 def exclusion_corpora(draw):
-    """A small corpus with every mix of exclusion reasons and dependents."""
+    """A small corpus with every mix of exclusion reasons and dependents, and each record's reference reasons."""
+    denylist = draw(st.sampled_from((DEFAULT_LICENSE_DENYLIST, ("MIT",), ())))
     names = [f"p{i}" for i in range(draw(st.integers(0, 10)))]
-    records = [
-        make_record(
-            name,
-            dependencies=tuple(draw(st.lists(st.sampled_from([*names, "outside"]), unique=True, max_size=3))),
-            repository_present=draw(st.booleans()),
-            license_value=draw(st.sampled_from(("MIT", None, "", " unlicensed ", "XYZ"))),
-            deprecated=draw(st.sampled_from((None, "", "old", True, False))),
-            security_holding=draw(st.booleans()),
-        )
-        for name in names
-    ]
-    return make_corpus(records)
+    records, reasons = [], {}
+    for name in names:
+        fields = {
+            "repository_present": draw(st.booleans()),
+            "license_value": draw(st.sampled_from(("MIT", None, "", " unlicensed ", "XYZ"))),
+            "deprecated": draw(st.sampled_from((None, "", "old", True, False))),
+            "security_holding": draw(st.booleans()),
+        }
+        dependencies = tuple(draw(st.lists(st.sampled_from([*names, "outside"]), unique=True, max_size=3)))
+        records.append(make_record(name, dependencies=dependencies, license_denylist=denylist, **fields))
+        reasons[name] = reference_reasons(**fields, denylist=denylist)
+    return make_corpus(records), reasons
 
 
-@given(exclusion_corpora(), st.sampled_from((DEFAULT_LICENSE_DENYLIST, ("MIT",), ())))
-def test_verdicts_equal_the_eager_computation_by_position(corpus, denylist):
+@given(exclusion_corpora())
+def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
+    corpus, reasons_by_name = corpus_and_reasons
     depended = names_with_dependents(corpus)
     eager = []
     for rec in corpus.records:
-        reasons = evaluate_reasons(rec, denylist)
+        reasons = reasons_by_name[rec.name]
         had = rec.name in depended
         eager.append(ExclusionVerdict(record=rec, excluded=bool(reasons) and not had, reasons=reasons, had_dependents=had))
-    filtered, verdicts = apply_exclusions(corpus, depended, denylist)
+    filtered, verdicts = apply_exclusions(corpus, depended)
     n = len(eager)
     assert len(verdicts) == n
     assert list(verdicts) == eager
@@ -217,6 +212,7 @@ def test_verdicts_equal_the_eager_computation_by_position(corpus, denylist):
     assert [verdicts[pos] for pos in range(-n, 0)] == eager
     assert filtered.records == tuple(v.record for v in eager if not v.excluded)
     assert verdicts.excluded_counts() == Counter(v.reasons for v in eager if v.excluded)
+    assert [verdicts.report_line(pos) for pos in range(n)] == [v.to_dict() for v in eager]
     for pos in (n, -n - 1):
         with pytest.raises(IndexError):
             verdicts[pos]

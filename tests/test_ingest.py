@@ -88,8 +88,8 @@ def test_repository_shapes(repository, expected):
     tree = minimal_doc()
     if repository is not None:
         tree["repository"] = repository
-    rec = parse_record(doc_bytes(tree))
-    assert rec.repository_present is expected
+    rec = parse_record(doc_bytes(tree))  # no license: a record without a repository lacks both
+    assert rec.exclusion_reasons == (0 if expected else ingest.NO_REPO_NO_LICENSE)
 
 
 def test_contributor_shapes_normalized():
@@ -236,8 +236,11 @@ def test_field_traceability_with_sentinels():
     assert rec.maintainers[0].identity_key == "maint@sentinel.io"
     assert rec.maintainers[0].email_domain == "sentinel.io"
     assert rec.contributor_count == 1
-    assert rec.repository_present is True
-    assert rec.license_value == "SENTINEL-LICENSE-1.0"
+    assert rec.exclusion_reasons == ingest.DEPRECATED  # the repository is present
+    del tree["repository"]
+    for denylist, reasons in ((["MIT", " sentinel-license-1.0"], ingest.NO_REPO_NO_LICENSE), (["MIT"], 0)):
+        rec_without_repository = parse_record(doc_bytes(tree), ingest._Leaves(license_denylist=denylist))
+        assert rec_without_repository.exclusion_reasons == ingest.DEPRECATED | reasons
     assert rec.last_modified == datetime(2021, 3, 3, 3, 3, 3, tzinfo=timezone.utc)
 
 
@@ -258,7 +261,7 @@ def test_security_holding_marker_from_placeholder_dist_tag():
         "time": {"created": T0, "modified": T0},
     }
     rec = parse_record(doc_bytes(tree))
-    assert rec.security_holding is True
+    assert rec.exclusion_reasons == ingest.SECURITY_HOLDING | ingest.NO_REPO_NO_LICENSE
 
 
 @given(
@@ -531,11 +534,10 @@ def test_records_share_empty_maps_and_equal_strings(tmp_path):
     assert ingest._EMPTY_MAP == {}
     assert all(r.dependencies == () and r.has_runtime_dependencies is False for r in records)
     assert records[0].version is records[1].version is records[2].version
-    assert records[0].license_value is records[1].license_value is records[2].license_value
     alone = [record_to_dict(parse_record(doc_bytes(doc))) for doc in docs]
     assert [record_to_dict(r) for r in records] == alone
     assert alone[0]["scripts"] == {} and alone[0]["dependencies"] == []
-    assert [d["license_value"] for d in alone] == ["MIT"] * 3
+    assert [d["exclusion_reasons"] for d in alone] == [0] * 3  # each license reads "MIT"
 
 
 def test_bulk_export_with_trailing_data_still_fails(tmp_path):
@@ -853,3 +855,69 @@ def test_scripts_are_the_reference_install_keys(tree, pattern):
     assert got == normalized(lambda item: reference_record(item, install_key_pattern=pattern), tree)
     if isinstance(got, dict):
         assert all(pattern.lower() in key.lower() for key in got["scripts"])
+
+
+# --- exclusion reasons against the reference predicates ---------------------------------
+
+
+def any_case(texts):
+    """Each of ``texts`` with each letter in upper or lower case."""
+    return st.sampled_from(texts).flatmap(
+        lambda text: st.lists(st.booleans(), min_size=len(text), max_size=len(text)).map(
+            lambda upper: "".join(c.upper() if up else c.lower() for c, up in zip(text, upper))
+        )
+    )
+
+
+DESCRIPTIONS = any_case(["security holding package", "a Security Holding Package now", "security  holding package",
+                         "security-holding package", "package holding security", ""]) | JUNK
+LATEST_TAGS = any_case(["1.0.0", "0.0.1-security", "2.0.0-security.1", "1.0.0-securityx", "3.0.0-secure"])
+DEPRECATIONS = st.sampled_from([True, False, "", " ", "use x instead"]) | JUNK | st.lists(JUNK, max_size=1)
+REPOSITORIES = (
+    st.sampled_from(["github:u/r", "", "  ", {"url": "git+https://x/y.git"}, {"url": " "}, {"type": "git"}, {}, None])
+    | JUNK
+    | st.lists(JUNK, max_size=1)
+)
+LICENSE_TEXTS = any_case(["MIT", "unlicensed", " UNLICENSED ", "none", "xyz ", "personal use", " n/a", "personal  use"])
+LICENSES = (
+    LICENSE_TEXTS
+    | st.sampled_from(["", "   ", {}, {"type": " "}, [], [" ", None]])
+    | st.fixed_dictionaries({}, optional={"type": LICENSE_TEXTS | JUNK, "name": LICENSE_TEXTS | JUNK})
+    | st.lists(LICENSE_TEXTS | st.fixed_dictionaries({"type": LICENSE_TEXTS}) | JUNK, max_size=2)
+    | JUNK
+)
+DENYLISTS = st.lists(
+    any_case(["UNLICENSED", " none ", "XYZ", "personal use", "n/a", "MIT"]) | st.sampled_from(["", "  "]) | st.text(max_size=3),
+    max_size=4,
+).map(tuple)
+
+
+@st.composite
+def reason_documents(draw) -> dict:
+    """A document that parses, with odd shapes in each field an exclusion reason reads."""
+    latest = draw(LATEST_TAGS)
+    vobj = draw(st.fixed_dictionaries({}, optional={"deprecated": DEPRECATIONS, "repository": REPOSITORIES, "license": LICENSES}))
+    tree = draw(
+        st.fixed_dictionaries(
+            {"name": st.just("pkg"), "versions": st.just({latest: vobj}), "time": st.just({"modified": T0})},
+            optional={"description": DESCRIPTIONS, "repository": REPOSITORIES, "license": LICENSES},
+        )
+    )
+    if draw(st.booleans()):  # else the version is the only one, chosen without a "latest" tag
+        tree["dist-tags"] = {"latest": latest}
+    return tree
+
+
+def load_corpus_of(tree: dict, denylist: tuple) -> ingest.Corpus:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.ndjson"
+        path.write_text(json.dumps(tree) + "\n", encoding="utf-8")
+        return load_corpus(path, license_denylist=denylist)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=reason_documents(), denylist=st.just(()) | st.just(ingest.DEFAULT_LICENSE_DENYLIST) | DENYLISTS)
+def test_exclusion_reasons_are_the_reference_predicates(tree, denylist):
+    rec = parse_record(tree, ingest._Leaves(license_denylist=denylist))
+    assert rec.exclusion_reasons == reference_record(tree, license_denylist=denylist)["exclusion_reasons"]
+    assert load_corpus_of(tree, denylist).records == (rec,)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from collections import deque
@@ -27,7 +29,8 @@ from weaklink.synth import GenerationPlan, generate
 
 from conftest import make_corpus, make_record, random_corpus
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference_digests.json"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "perfbench" / "reference_digests.json"
 SNAPSHOTS = {"ndjson": "snapshot.ndjson", "bulk": "snapshot.json", "dir": "snapshot"}
 
 
@@ -54,9 +57,9 @@ def corpus_dir(tmp_path_factory) -> Path:
     return out
 
 
-def scan(corpus_dir: Path, layout: str, out: Path) -> dict[str, str]:
+def scan_args(corpus_dir: Path, layout: str, out: Path) -> list[str]:
     manifest = json.loads((corpus_dir / "manifest.json").read_text(encoding="utf-8"))
-    args = [
+    return [
         "scan",
         "--input", str(corpus_dir / SNAPSHOTS[layout]),
         "--out", str(out),
@@ -64,7 +67,10 @@ def scan(corpus_dir: Path, layout: str, out: Path) -> dict[str, str]:
         "--downloads-fixture", str(corpus_dir / "downloads_fixture.jsonl"),
         "--popular-n", str(manifest["counts"]["popular_n"]),
     ]
-    assert main(args) == 0
+
+
+def scan(corpus_dir: Path, layout: str, out: Path) -> dict[str, str]:
+    assert main(scan_args(corpus_dir, layout, out)) == 0
     return report_digests(out)
 
 
@@ -82,6 +88,23 @@ def test_bulk_export_read_in_small_chunks_matches_reference(corpus_dir, tmp_path
     # strings and multi-byte characters all through the export.
     monkeypatch.setattr(ingest, "_CHUNK", 61)
     assert scan(corpus_dir, "bulk", tmp_path) == reference_digests()
+
+
+def test_traced_scan_matches_reference_and_counts_what_it_wrote(corpus_dir, tmp_path):
+    # The benchmark's tracer wraps the pipeline's stages and reads what two
+    # of them return; a change to those results fails here, not only in
+    # the benchmark's own self-test.
+    spans_out, out = tmp_path / "spans.json", tmp_path / "reports"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans_out), "t", "--", *scan_args(corpus_dir, "ndjson", out)]
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert report_digests(out) == reference_digests()
+    spans = {span["name"]: span for span in json.loads(spans_out.read_text(encoding="utf-8"))["spans"]}
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    assert spans["exclusions.apply_exclusions"]["excluded"] == summary["corpus"]["excluded"]["total"] > 0
+    findings = (out / "findings.jsonl").read_text(encoding="utf-8").splitlines()[1:]  # after the header
+    assert spans["pipeline.run_scan"]["findings"] == len(findings) > 0
 
 
 class _ReadOnlyDict(dict):
