@@ -9,5 +9,5 @@ from .errors import (  # noqa: F401
     PlanError,
     ScannerError,
 )
-from .ingest import Corpus, PackageRecord, PersonRef, extract_email_domain, load_corpus  # noqa: F401
+from .ingest import Corpus, PackageRecord, extract_email_domain, load_corpus  # noqa: F401
 from .signals import AnalyzerConfig, ScriptCategory, ScriptPattern, WeakLinkFinding, classify_script  # noqa: F401

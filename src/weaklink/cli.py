@@ -72,9 +72,10 @@ def _load_config(args: argparse.Namespace) -> AnalyzerConfig:
     if args.top_percent is not None:
         cfg = replace(cfg, top_percent=args.top_percent)
     if args.inactivity_years is not None:
-        if not math.isfinite(args.inactivity_years):
-            raise ValueError(f"--inactivity-years must be a finite number, got {args.inactivity_years}")
-        cfg = replace(cfg, inactivity_days=round(args.inactivity_years * 365))
+        days = args.inactivity_years * 365
+        if not math.isfinite(days):
+            raise ValueError(f"--inactivity-years must give a finite number of days, got {args.inactivity_years}")
+        cfg = replace(cfg, inactivity_days=round(days))
     return cfg
 
 
@@ -127,13 +128,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
     from .synth import GenerationPlan, generate  # a scan never needs the generator
 
     try:
-        overrides: dict = {}
+        overrides: object = {}
         if args.plan:
             with open(args.plan, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
-        overrides["seed"] = args.seed
-        overrides["package_count"] = args.packages
-        plan = GenerationPlan.from_dict(overrides)
+        plan = replace(GenerationPlan.from_dict(overrides), seed=args.seed, package_count=args.packages)
         corpus = generate(plan)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

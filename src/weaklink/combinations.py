@@ -180,7 +180,7 @@ def keyword_hunt(corpus: Corpus, cfg: AnalyzerConfig) -> list[KeywordHit]:
                         pattern=classify_script(body),
                     )
                 )
-    return sorted(hits, key=lambda h: (h.package, h.script_key))
+    return hits  # records come in name order, each one's script keys sorted
 
 
 def attack_candidates(

@@ -11,7 +11,7 @@ the full corpus.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import index
 
@@ -27,24 +27,12 @@ _VERDICT_FIELDS = tuple(
 )
 
 
-def _report_line(package_id: str, excluded: bool, reasons: tuple[str, ...], had_dependents: bool) -> dict:
-    """One record's line of ``exclusions.jsonl``."""
-    return {"package_id": package_id, "excluded": excluded, "reasons": list(reasons), "had_dependents": had_dependents}
-
-
 @dataclass(frozen=True, slots=True)
 class ExclusionVerdict:
     record: PackageRecord
     excluded: bool
     reasons: tuple[str, ...]
     had_dependents: bool
-
-    @property
-    def package_id(self) -> str:
-        return self.record.package_id
-
-    def to_dict(self) -> dict:
-        return _report_line(self.package_id, self.excluded, self.reasons, self.had_dependents)
 
 
 class ExclusionVerdicts(Sequence):
@@ -73,7 +61,13 @@ class ExclusionVerdicts(Sequence):
 
     def report_line(self, pos: int) -> dict:
         """The ``exclusions.jsonl`` line of the record at ``pos``, built without a verdict object."""
-        return _report_line(self.records[pos].package_id, *_VERDICT_FIELDS[self.flags[pos]])
+        excluded, reasons, had_dependents = _VERDICT_FIELDS[self.flags[pos]]
+        return {
+            "package_id": self.records[pos].package_id,
+            "excluded": excluded,
+            "reasons": list(reasons),
+            "had_dependents": had_dependents,
+        }
 
     def excluded_counts(self) -> dict[tuple[str, ...], int]:
         """The number of excluded records with each set of reasons, for the sets that excluded any."""
@@ -85,7 +79,7 @@ def _verdict(rec: PackageRecord, flag: int) -> ExclusionVerdict:
 
 
 def apply_exclusions(corpus: Corpus, depended: set[str]) -> tuple[Corpus, ExclusionVerdicts]:
-    """Filter the corpus, keeping its name order, and return the verdicts aligned with its records.
+    """Filter the corpus, keeping its name order and email domains, and return the verdicts aligned with its records.
 
     A record is kept unless it has a reason and no dependents. The verdicts
     are one byte per record; each ``ExclusionVerdict`` is built when it is
@@ -96,4 +90,4 @@ def apply_exclusions(corpus: Corpus, depended: set[str]) -> tuple[Corpus, Exclus
     records = corpus.records
     flags = bytes(rec.exclusion_reasons | (_HAD_DEPENDENTS if rec.name in depended else 0) for rec in records)
     kept = tuple(compress(records, (not 0 < flag < _HAD_DEPENDENTS for flag in flags)))  # no reason, or dependents
-    return Corpus(records=kept, stats=corpus.stats, digest=corpus.digest), ExclusionVerdicts(records, flags)
+    return replace(corpus, records=kept), ExclusionVerdicts(records, flags)

@@ -109,51 +109,34 @@ def extract_email_domain(email: str) -> str | None:
     return domain.lower()
 
 
-@dataclass(frozen=True, slots=True)
-class PersonRef:
-    """One maintainer or contributor entry, normalized.
+def parse_person(entry: object) -> tuple[str, str | None] | None:
+    """The identity key and email domain of one person entry (dict or "Name <email> (url)" string).
 
-    ``identity_key`` is the lowercase email when one is given, otherwise the
-    lowercase name prefixed "name:". Email is the attack-relevant identity:
-    registry accounts are keyed and reset by email address.
+    The key is the lowercase email when one is given, otherwise the
+    lowercase name prefixed "name:"; only an email has a domain
+    (``extract_email_domain``). Email is the attack-relevant identity:
+    registry accounts are keyed and reset by email address. None for an
+    entry with neither.
     """
-
-    name: str | None
-    email: str | None
-    email_domain: str | None
-    identity_key: str
-
-
-def _make_person(name: str | None, email: str | None) -> PersonRef | None:
-    name = name.strip() if isinstance(name, str) else None
-    email = email.strip() if isinstance(email, str) else None
-    if not name:
-        name = None
-    if not email:
-        email = None
-    if email is not None:
-        key = email.lower()
-    elif name is not None:
-        key = "name:" + name.lower()
-    else:
-        return None
-    return PersonRef(name=name, email=email, email_domain=extract_email_domain(email) if email else None, identity_key=key)
-
-
-def parse_person(entry: object) -> PersonRef | None:
-    """Normalize one person entry (dict or "Name <email> (url)" string)."""
     if isinstance(entry, dict):
-        return _make_person(entry.get("name"), entry.get("email"))
-    if isinstance(entry, str):
+        name, email = entry.get("name"), entry.get("email")
+    elif isinstance(entry, str):
         text = entry.strip()
-        if not text:
-            return None
         m = _PERSON_STRING_RE.match(text)
         if m and m.group("email"):
-            return _make_person(m.group("name"), m.group("email"))
-        if "@" in text and " " not in text and "<" not in text:
-            return _make_person(None, text)
-        return _make_person(text.split("(")[0], None)
+            name, email = m.group("name"), m.group("email")
+        elif "@" in text and " " not in text and "<" not in text:
+            name, email = None, text
+        else:
+            name, email = text.split("(")[0], None
+    else:
+        return None
+    email = email.strip() if isinstance(email, str) else ""
+    if email:
+        return email.lower(), extract_email_domain(email)
+    name = name.strip() if isinstance(name, str) else ""
+    if name:
+        return "name:" + name.lower(), None
     return None
 
 
@@ -171,9 +154,9 @@ class _Leaves:
     license. Registry documents repeat the same maintainers, maintainer
     lists, versions, dependency names and script names across
     packages, and a package's name is a dependency name of the packages
-    that declare it; each distinct one is kept once. A ``PersonRef`` is
-    frozen, so records can share it. Raises ``ValueError`` for an empty or
-    unknown dependency kind.
+    that declare it; each distinct one is kept once. ``email_domains``
+    maps each maintainer identity that has an email domain to it. Raises
+    ``ValueError`` for an empty or unknown dependency kind.
     """
 
     def __init__(
@@ -191,11 +174,12 @@ class _Leaves:
         self.dep_keys = tuple(dict.fromkeys(_DEPENDENCY_KEYS[kind] for kind in kinds))
         self.install_key_pattern = install_key_pattern
         self.license_denylist = frozenset(entry.strip().upper() for entry in license_denylist)
-        self._people: dict[tuple[str | None, str | None], PersonRef | None] = {}
-        self._lists: dict[tuple[PersonRef, ...], tuple[PersonRef, ...]] = {}
+        self._people: dict[tuple[str | None, str | None], tuple[str, str | None] | None] = {}
+        self._lists: dict[tuple[str, ...], tuple[str, ...]] = {}
+        self.email_domains: dict[str, str] = {}
         self.strings: dict[str, str] = {}
 
-    def person(self, entry: object) -> PersonRef | None:
+    def person(self, entry: object) -> tuple[str, str | None] | None:
         if not isinstance(entry, dict):
             return parse_person(entry)
         name, email = entry.get("name"), entry.get("email")
@@ -203,20 +187,25 @@ class _Leaves:
         try:
             return self._people[key]
         except KeyError:
-            person = self._people[key] = _make_person(*key)
+            person = self._people[key] = parse_person(entry)
             return person
 
-    def people(self, raw: object) -> tuple[PersonRef, ...]:
+    def people(self, raw: object) -> list[tuple[str, str | None]]:
         if isinstance(raw, dict) or isinstance(raw, str):
             raw = [raw]
         if not isinstance(raw, list):
-            return ()
-        return tuple(person for entry in raw if (person := self.person(entry)) is not None)
+            return []
+        return [person for entry in raw if (person := self.person(entry)) is not None]
 
-    def maintainers(self, version: dict, document: dict) -> tuple[PersonRef, ...]:
-        """The version's maintainers, or else the document's; equal lists share one tuple."""
+    def maintainers(self, version: dict, document: dict) -> tuple[str, ...]:
+        """The identity keys of the version's maintainers, or else the document's; equal lists share one tuple."""
         people = self.people(version.get("maintainers")) or self.people(document.get("maintainers"))
-        return self._lists.setdefault(people, people)
+        domains, intern = self.email_domains, self.strings.setdefault
+        for key, domain in people:
+            if domain and key not in domains:
+                domains[key] = intern(domain, domain)
+        keys = tuple([key for key, _ in people])
+        return self._lists.setdefault(keys, keys)
 
     def dependencies(self, vobj: dict, name: str) -> tuple[str, ...]:
         """The names the scan's kinds declare, merged in first-declared order, each once, without ``name``."""
@@ -247,7 +236,7 @@ class PackageRecord:
     version: str
     last_modified: datetime
     scripts: dict[str, str]
-    maintainers: tuple[PersonRef, ...]
+    maintainers: tuple[str, ...]
     contributor_count: int
     dependencies: tuple[str, ...]
     has_runtime_dependencies: bool
@@ -287,11 +276,13 @@ class Corpus:
     A record's position is its index in ``records``, so position order is
     name order. The indexes over a corpus hold positions, not names, and no
     name-keyed map of the records is kept: ``position`` finds a name by
-    binary search.
+    binary search. ``email_domains`` maps each maintainer identity key
+    with an email domain to that domain, decided once at ingest.
     """
 
     records: tuple[PackageRecord, ...]
     stats: IngestStats
+    email_domains: dict[str, str]
     digest: str = ""
 
     def position(self, name: str) -> int:
@@ -357,8 +348,9 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     deeply to decode among them, and NoVersionsError when no version is an
     object. ``leaves`` holds the scan's dependency kinds, install pattern
     and license denylist (default: runtime, "install" and
-    ``DEFAULT_LICENSE_DENYLIST``), and shares equal people and strings with
-    the other records of a load.
+    ``DEFAULT_LICENSE_DENYLIST``), shares equal maintainer lists and strings
+    with the other records of a load, and collects their maintainers' email
+    domains.
     """
     if isinstance(item, (bytes, str)):
         try:
@@ -888,4 +880,4 @@ def load_corpus(
     layout = layout or "bulk"
     ordered = tuple(records[name] for name in sorted(records))
     logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)
-    return Corpus(records=ordered, stats=stats, digest=digest.hexdigest())
+    return Corpus(records=ordered, stats=stats, email_domains=leaves.email_domains, digest=digest.hexdigest())

@@ -106,8 +106,7 @@ def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     owned: dict[str, list[int]] = {}
     activity: dict[str, datetime] = {}
     for pos, rec in enumerate(corpus.records):
-        for person in rec.maintainers:
-            key = person.identity_key
+        for key in rec.maintainers:
             packages = owned.get(key)
             if packages is None:
                 owned[key] = [pos]

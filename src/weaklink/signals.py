@@ -393,16 +393,16 @@ def analyze_w1(
 
     Emits one package finding per (available-domain maintainer, owned
     package) pair, plus a domain-frequency histogram counting how often
-    each domain appears across (package, maintainer) entries.
+    each domain appears across (package, maintainer) entries. An identity's
+    domain is the one ingest decided (``Corpus.email_domains``): a
+    name-only maintainer has none, however its name reads.
     """
+    email_domains = corpus.email_domains
     histogram: dict[str, int] = {}
-    # A name-only maintainer has no domain, however its name reads.
-    key_domains: dict[str, str] = {}
     for rec in corpus.records:
-        for person in rec.maintainers:
-            if domain := person.email_domain:
+        for key in rec.maintainers:
+            if domain := email_domains.get(key):
                 histogram[domain] = histogram.get(domain, 0) + 1
-                key_domains[person.identity_key] = domain
 
     available: set[str] = set()
     for domain in sorted(histogram):
@@ -413,7 +413,7 @@ def analyze_w1(
     records = corpus.records
     findings = []
     for key, info in mindex.items():
-        domain = key_domains.get(key)
+        domain = email_domains.get(key)
         if domain not in available:
             continue
         # Every package the maintainer owns shares the first finding's evidence tuple.
@@ -473,7 +473,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                 evidence={"last_modified": rec.last_modified, "age_days": age},
             )
         )
-        keys = [p.identity_key for p in rec.maintainers if p.identity_key in mindex]
+        keys = rec.maintainers  # each one is in the index, built over the same corpus
         if keys and stale_maintainers.issuperset(keys):
             inactive_maintainer.append(
                 WeakLinkFinding.of(

@@ -143,12 +143,32 @@ class GenerationPlan:
         )
 
     @classmethod
-    def from_dict(cls, data: dict) -> "GenerationPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+    def from_dict(cls, data: object) -> "GenerationPlan":
+        """The plan whose fields a JSON object overrides.
+
+        Raises ``PlanError`` for anything but an object, for an unknown field,
+        and for a value that is not a number of its field's kind: an int for
+        an int field, a finite number (read as a float) for a float field.
+        A bool is neither.
+        """
+        if not isinstance(data, dict):
+            raise PlanError(f"a plan must be a JSON object, got {type(data).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise PlanError(f"unknown plan fields: {sorted(unknown)}")
-        return cls(**data)
+        plan = {}
+        for name, value in data.items():
+            kind = type(defaults[name])
+            if kind is float and type(value) is int:
+                try:
+                    value = float(value)
+                except OverflowError:  # an int past the float range
+                    value = math.inf
+            if type(value) is not kind or kind is float and not math.isfinite(value):
+                raise PlanError(f"{name} must be a finite {kind.__name__}, got {data[name]!r}")
+            plan[name] = value
+        return cls(**plan)
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from weaklink.ingest import DEFAULT_LICENSE_DENYLIST, Corpus, IngestStats, PackageRecord, PersonRef, is_install_key, load_corpus
+from weaklink.ingest import (
+    DEFAULT_LICENSE_DENYLIST,
+    Corpus,
+    IngestStats,
+    PackageRecord,
+    extract_email_domain,
+    is_install_key,
+    load_corpus,
+)
 
 from ingest_reference import reason_mask, reference_reasons
 
@@ -17,12 +25,12 @@ REF = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
 DEPENDENCY_KEYS = ("dependencies", "devDependencies", "peerDependencies", "optionalDependencies")
 
 
-def person(email: str | None = None, name: str | None = None) -> PersonRef:
+def person(email: str | None = None, name: str | None = None) -> str:
+    """The identity key ingest gives a maintainer with this email, or with only this name."""
     if email:
-        domain = email.rsplit("@", 1)[1].lower() if "@" in email else None
-        return PersonRef(name=name, email=email, email_domain=domain, identity_key=email.lower())
+        return email.lower()
     assert name
-    return PersonRef(name=name, email=None, email_domain=None, identity_key="name:" + name.lower())
+    return "name:" + name.lower()
 
 
 def make_record(
@@ -76,10 +84,18 @@ def make_record(
     )
 
 
-def make_corpus(records) -> Corpus:
+def make_corpus(records, email_domains: dict[str, str] | None = None) -> Corpus:
+    """A corpus of ``records`` in name order.
+
+    Its ``email_domains`` default to the domain of each listed key that
+    ``person`` made from an email: every key but the "name:" ones.
+    """
     records = tuple(sorted(records, key=lambda r: r.name))
+    if email_domains is None:
+        keys = {key for rec in records for key in rec.maintainers if not key.startswith("name:")}
+        email_domains = {key: domain for key in keys if (domain := extract_email_domain(key))}
     stats = IngestStats(total=len(records), parsed=len(records), skipped=0, by_error={})
-    return Corpus(records=records, stats=stats, digest="test")
+    return Corpus(records=records, stats=stats, email_domains=email_domains, digest="test")
 
 
 def load_documents(directory: Path, versions: dict[str, dict], **load_kwargs) -> Corpus:

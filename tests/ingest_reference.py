@@ -11,11 +11,16 @@ projects its record onto what a ``PackageRecord`` of one scan keeps, in
 ``reference_reasons`` is the exclusion predicates as they were before
 ``parse_record`` decided a record's reasons: they read the repository,
 license, deprecation and security-holding fields of the full record.
+
+``reference_person`` is person entries as records held them before a
+record kept only its maintainers' identity keys: a ``PersonRef`` of name,
+email, email domain and identity key.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -27,8 +32,7 @@ from weaklink.ingest import (
     EXCLUSION_REASONS,
     SECURITY_HOLDING_PHRASE,
     PackageRecord,
-    PersonRef,
-    _Leaves,
+    extract_email_domain,
     parse_timestamp,
 )
 
@@ -41,8 +45,65 @@ KIND_FIELDS = {
 }
 
 
-def person_to_dict(p: PersonRef) -> dict:
-    return {"name": p.name, "email": p.email, "email_domain": p.email_domain, "identity_key": p.identity_key}
+# --- people as they were ---------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class PersonRef:
+    """One maintainer or contributor entry, as records once held it.
+
+    ``identity_key`` is the lowercase email when one is given, otherwise the
+    lowercase name prefixed "name:".
+    """
+
+    name: str | None
+    email: str | None
+    email_domain: str | None
+    identity_key: str
+
+
+_PERSON_STRING_RE = re.compile(r"^(?P<name>[^<(]*)(?:<(?P<email>[^>]*)>)?\s*(?:\([^)]*\))?\s*$")
+
+
+def _make_person(name: str | None, email: str | None) -> PersonRef | None:
+    name = name.strip() if isinstance(name, str) else None
+    email = email.strip() if isinstance(email, str) else None
+    if not name:
+        name = None
+    if not email:
+        email = None
+    if email is not None:
+        key = email.lower()
+    elif name is not None:
+        key = "name:" + name.lower()
+    else:
+        return None
+    return PersonRef(name=name, email=email, email_domain=extract_email_domain(email) if email else None, identity_key=key)
+
+
+def reference_person(entry: object) -> PersonRef | None:
+    """Normalize one person entry (dict or "Name <email> (url)" string)."""
+    if isinstance(entry, dict):
+        return _make_person(entry.get("name"), entry.get("email"))
+    if isinstance(entry, str):
+        text = entry.strip()
+        if not text:
+            return None
+        m = _PERSON_STRING_RE.match(text)
+        if m and m.group("email"):
+            return _make_person(m.group("name"), m.group("email"))
+        if "@" in text and " " not in text and "<" not in text:
+            return _make_person(None, text)
+        return _make_person(text.split("(")[0], None)
+    return None
+
+
+def reference_people(raw: object) -> tuple[PersonRef, ...]:
+    if isinstance(raw, (dict, str)):
+        raw = [raw]
+    if not isinstance(raw, list):
+        return ()
+    return tuple(person for entry in raw if (person := reference_person(entry)) is not None)
 
 
 def record_to_dict(rec: PackageRecord) -> dict:
@@ -53,7 +114,7 @@ def record_to_dict(rec: PackageRecord) -> dict:
         "version": rec.version,
         "last_modified": rec.last_modified.isoformat(),
         "scripts": dict(sorted(rec.scripts.items())),
-        "maintainers": [person_to_dict(p) for p in rec.maintainers],
+        "maintainers": list(rec.maintainers),
         "contributor_count": rec.contributor_count,
         "dependencies": list(rec.dependencies),
         "has_runtime_dependencies": rec.has_runtime_dependencies,
@@ -264,14 +325,12 @@ def _non_negative_int(value: object) -> int | None:
     return None
 
 
-def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> FullRecord:
+def select_latest(doc: RegistryDocument) -> FullRecord:
     """Pick the document's latest version and normalize it into a record.
 
     Prefers the "latest" dist-tag (the registry's own notion of latest),
     falling back to the highest semver among version keys.
     """
-    if leaves is None:
-        leaves = _Leaves()
     if not doc.versions:
         raise NoVersionsError(doc.name)
     version = doc.dist_tags.get("latest")
@@ -292,8 +351,8 @@ def select_latest(doc: RegistryDocument, leaves: _Leaves | None = None) -> FullR
     if created is None or created > last_modified:
         created = last_modified
 
-    maintainers = leaves.people(vobj.get("maintainers")) or leaves.people(doc.maintainers)
-    contributors = leaves.people(vobj.get("contributors")) or leaves.people(doc.contributors)
+    maintainers = reference_people(vobj.get("maintainers")) or reference_people(doc.maintainers)
+    contributors = reference_people(vobj.get("contributors")) or reference_people(doc.contributors)
 
     repository = vobj.get("repository", doc.repository)
     license_raw = vobj.get("license", doc.license)
@@ -357,7 +416,7 @@ def reference_record(
         "version": full.version,
         "last_modified": full.last_modified.isoformat(),
         "scripts": {key: body for key, body in sorted(full.scripts.items()) if needle in key.lower()},
-        "maintainers": [person_to_dict(p) for p in full.maintainers],
+        "maintainers": [p.identity_key for p in full.maintainers],
         "contributor_count": len(full.contributors),
         "dependencies": declared,
         "has_runtime_dependencies": bool(full.dependencies),
@@ -372,3 +431,9 @@ def reference_record(
             )
         ),
     }
+
+
+def reference_email_domains(item: object) -> dict[str, str]:
+    """The email domain of each maintainer identity of one document (bytes, text or tree) that has one."""
+    doc = parse_document(item) if isinstance(item, (bytes, str)) else document_from_tree(item)
+    return {p.identity_key: p.email_domain for p in select_latest(doc).maintainers if p.email_domain}

@@ -54,7 +54,7 @@ def test_gen_rejects_zero_packages(tmp_path):
     assert main(["gen", "--packages", "0", "--out", str(tmp_path)]) == 1
 
 
-def test_gen_plan_file_overrides(tmp_path):
+def test_gen_plan_file_overrides(tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     plan_file.write_text(json.dumps({"install_script_rate": 0.05}))
     out = tmp_path / "custom"
@@ -65,8 +65,21 @@ def test_gen_plan_file_overrides(tmp_path):
     assert len(manifest["signals"]["W2"]["packages"]) == expected
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"no_such_knob": 1}))
-    assert main(["gen", "--out", str(tmp_path / "x"), "--plan", str(bad)]) == 1
+    for plan in (
+        '{"no_such_knob": 1}',
+        "[1]",
+        '{"inactive_rate": "high"}',
+        '{"expired_maintainers": 2.5}',
+        '{"mean_maintainers": 1e400}',
+        '{"mean_maintainers": 1' + "0" * 400 + "}",
+        '{"expired_maintainers": "12"}',
+        '{"malicious_scripts": true}',
+        '{"inactive_rate": false}',
+    ):
+        bad.write_text(plan)
+        assert main(["gen", "--out", str(tmp_path / "x"), "--plan", str(bad)]) == 1, plan
+        assert capsys.readouterr().err.startswith("error: "), plan
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_same_seed_identical_manifest(tmp_path):
@@ -151,8 +164,18 @@ def test_scan_config_token_and_license_lists_must_be_lists_of_strings(corpus_dir
         ('{"inactivity_days": 1000000000}', []),
         ('{"reference_time": 0}', []),
         ("{}", ["--inactivity-years", "inf"]),
+        ("{}", ["--inactivity-years", "1e307"]),
     ],
-    ids=["days_null", "percent_list", "days_overflow", "pattern_null", "days_beyond_timedelta", "time_zero", "years_inf"],
+    ids=[
+        "days_null",
+        "percent_list",
+        "days_overflow",
+        "pattern_null",
+        "days_beyond_timedelta",
+        "time_zero",
+        "years_inf",
+        "years_overflow",
+    ],
 )
 def test_scan_config_values_are_type_checked(corpus_dir, tmp_path, capsys, config, extra):
     cfg = tmp_path / "cfg.json"

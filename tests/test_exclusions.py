@@ -86,7 +86,7 @@ def test_dependents_veto_exclusion():
     user = make_record("user", dependencies=("hold",))
     corpus = make_corpus([holding, user])
     filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
-    by_id = {v.package_id: v for v in verdicts}
+    by_id = {v.record.package_id: v for v in verdicts}
     assert by_id["hold@1.0.0"].excluded is False
     assert by_id["hold@1.0.0"].had_dependents is True
     assert by_id["hold@1.0.0"].reasons == ("SecurityHolding",)
@@ -98,7 +98,7 @@ def test_deprecated_unused_removed():
     other = make_record("other")
     corpus = make_corpus([dead, other])
     filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
-    by_id = {v.package_id: v for v in verdicts}
+    by_id = {v.record.package_id: v for v in verdicts}
     assert by_id["dead@1.0.0"].excluded is True
     assert by_id["dead@1.0.0"].reasons == ("DeprecatedUnused",)
     assert [rec.name for rec in filtered.records] == ["other"]
@@ -119,7 +119,7 @@ def test_listing_only_itself_does_not_veto_exclusion():
     loner = make_record("loner", deprecated=True, dependencies=("loner",))
     corpus = make_corpus([loner, make_record("other")])
     filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
-    by_id = {v.package_id: v for v in verdicts}
+    by_id = {v.record.package_id: v for v in verdicts}
     assert by_id["loner@1.0.0"].had_dependents is False
     assert by_id["loner@1.0.0"].excluded is True
     assert [rec.name for rec in filtered.records] == ["other"]
@@ -138,11 +138,11 @@ def test_monotonicity_adding_dependent_never_excludes():
     # Adding a dependent edge can only flip excluded -> retained.
     base = random_corpus(seed=5, size=80)
     _, before = apply_exclusions(base, names_with_dependents(base))
-    excluded_before = {v.package_id for v in before if v.excluded}
+    excluded_before = {v.record.package_id for v in before if v.excluded}
 
     # A new package that depends on every name gives each one a dependent.
     _, after = apply_exclusions(base, {rec.name for rec in base.records})
-    excluded_after = {v.package_id for v in after if v.excluded}
+    excluded_after = {v.record.package_id for v in after if v.excluded}
     assert excluded_after == set()
     assert excluded_after <= excluded_before
 
@@ -155,7 +155,7 @@ def test_brute_force_oracle_equivalence():
         for rec, verdict in zip(corpus.records, verdicts):
             reasons = reason_names(rec.exclusion_reasons)
             has_dep = any(rec.name in other.dependencies and other.name != rec.name for other in corpus.records)
-            assert verdict.package_id == rec.package_id
+            assert verdict.record is rec
             assert tuple(reasons) == verdict.reasons
             assert verdict.had_dependents == has_dep
             assert verdict.excluded == (bool(reasons) and not has_dep)
@@ -167,10 +167,9 @@ def test_order_independence():
     _, verdicts = apply_exclusions(corpus, depended)
     reversed_corpus = make_corpus(list(corpus.records))  # make_corpus re-sorts
     _, verdicts_again = apply_exclusions(reversed_corpus, depended)
-    assert sorted(v.to_dict()["package_id"] for v in verdicts) == sorted(
-        v.to_dict()["package_id"] for v in verdicts_again
-    )
-    assert {v.package_id: v.excluded for v in verdicts} == {v.package_id: v.excluded for v in verdicts_again}
+    assert sorted(v.record.package_id for v in verdicts) == sorted(v.record.package_id for v in verdicts_again)
+    excluded = {v.record.package_id: v.excluded for v in verdicts}
+    assert excluded == {v.record.package_id: v.excluded for v in verdicts_again}
 
 
 # --- the verdict sequence -----------------------------------------------------------------
@@ -212,7 +211,16 @@ def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
     assert [verdicts[pos] for pos in range(-n, 0)] == eager
     assert filtered.records == tuple(v.record for v in eager if not v.excluded)
     assert verdicts.excluded_counts() == Counter(v.reasons for v in eager if v.excluded)
-    assert [verdicts.report_line(pos) for pos in range(n)] == [v.to_dict() for v in eager]
+    assert [verdicts.report_line(pos) for pos in range(n)] == [
+        {
+            "package_id": v.record.package_id,
+            "excluded": v.excluded,
+            "reasons": list(v.reasons),
+            "had_dependents": v.had_dependents,
+        }
+        for v in eager
+    ]
+    assert filtered.email_domains is corpus.email_domains
     for pos in (n, -n - 1):
         with pytest.raises(IndexError):
             verdicts[pos]

@@ -149,11 +149,9 @@ def test_w1_checks_each_lowercased_domain_once():
         ["bob@x.example", "dee@Y.example", "eve@Z.Example"],
         ["no-domain"],
     ]
-    records = [
-        make_record(f"pkg-{i}", maintainers=[parse_person({"name": "p", "email": e}) for e in row])
-        for i, row in enumerate(emails)
-    ]
-    corpus = make_corpus(records)
+    people = [[parse_person({"name": "p", "email": e}) for e in row] for row in emails]
+    records = [make_record(f"pkg-{i}", maintainers=[key for key, _ in row]) for i, row in enumerate(people)]
+    corpus = make_corpus(records, email_domains={key: domain for row in people for key, domain in row if domain})
     provider = CountingProvider()
     findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, AnalyzerConfig(reference_time=REF))
     assert provider.calls == {"x.example": 1, "y.example": 1, "z.example": 1}

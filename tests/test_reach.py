@@ -195,7 +195,7 @@ def test_exclusions_read_names_declared_under_the_scanned_kinds(tmp_path):
     for kinds, excluded in ((("runtime",), {"noise", "noise-dev"}), (("runtime", "dev"), {"noise"})):
         corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
         filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
-        assert {v.package_id.split("@")[0] for v in verdicts if v.excluded} == excluded
+        assert {v.record.package_id.split("@")[0] for v in verdicts if v.excluded} == excluded
         assert [rec.name for rec in filtered.records] == sorted({rec.name for rec in corpus.records} - excluded)
 
 
@@ -237,7 +237,7 @@ def test_maintainer_index_matches_brute_force_on_random_corpora():
         corpus = random_corpus(seed=seed, size=150)
         oracle = {}
         for rec in corpus.records:
-            for key in dict.fromkeys(p.identity_key for p in rec.maintainers):
+            for key in dict.fromkeys(rec.maintainers):
                 oracle[key] = oracle.get(key, ()) + (rec.name,)
         mindex = build_maintainer_index(corpus)
         assert {key: owned_names(corpus, info) for key, info in mindex.items()} == oracle
@@ -277,8 +277,8 @@ def brute_force_reach(corpus):
     index = brute_force_index(corpus)
     owners = {}
     for rec in corpus.records:
-        for person_ in rec.maintainers:
-            owners.setdefault(person_.identity_key, set()).add(rec.name)
+        for key in rec.maintainers:
+            owners.setdefault(key, set()).add(rec.name)
     return {key: len({dep for pkg in pkgs for dep in index[pkg]}) for key, pkgs in owners.items()}
 
 

@@ -121,6 +121,23 @@ def test_w1_name_only_maintainers_have_no_domain():
     assert histogram == {"dead.io": 1}
 
 
+def test_w1_counts_the_name_only_entries_of_a_key_an_email_spells(tmp_path):
+    # Name-only keys ("name:" + name) and email keys share one namespace: the
+    # email "Name:X@dead.io" and the name "x@dead.io" are one identity. Its
+    # domain is counted for each entry that lists it, the name-only one too.
+    versions = {"a": {"maintainers": [{"name": "x@dead.io"}]}, "b": {"maintainers": [{"email": "Name:X@dead.io"}]}}
+    corpus = load_documents(tmp_path, versions)
+    assert [rec.maintainers for rec in corpus.records] == [("name:x@dead.io",)] * 2
+    assert corpus.email_domains == {"name:x@dead.io": "dead.io"}
+    provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
+    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
+    assert [(f.subject_id, f.value("maintainer_key")) for f in findings] == [
+        ("a", "name:x@dead.io"),
+        ("b", "name:x@dead.io"),
+    ]
+    assert histogram == {"dead.io": 2}
+
+
 # --- W2 ------------------------------------------------------------------
 
 

@@ -1,9 +1,9 @@
 """Every name a program module imports is used.
 
 No linter runs over the sources, so this parses each ``weaklink`` module
-(``__init__.py`` re-exports, so it is left out) and fails on an imported
-name that neither code nor a string annotation reads. ``from __future__``
-imports are directives, not names.
+(``__init__.py`` re-exports, so it is left out) and each test module, and
+fails on an imported name that neither code nor a string annotation reads.
+``from __future__`` imports are directives, not names.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 import weaklink
 
 MODULES = sorted(p for p in Path(weaklink.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
