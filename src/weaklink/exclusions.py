@@ -3,9 +3,9 @@
 A package is removed from analysis only when it has no direct dependents AND
 at least one exclusion reason: ``ingest.parse_record`` decides each record's
 reasons (security-holding placeholder, deprecated latest version, neither a
-repository nor a valid license). Dependents always veto exclusion, so the
-names with dependents (``reach.names_with_dependents``) are collected over
-the full corpus.
+repository nor a valid license). Dependents always veto exclusion, so
+``apply_exclusions`` collects the names with dependents
+(``reach.names_with_dependents``) over the full corpus it is given.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from itertools import compress
 from operator import index
 
 from .ingest import EXCLUSION_REASONS, Corpus, PackageRecord
+from .reach import names_with_dependents
 
 # A record's verdict is one byte: its exclusion-reason bits, plus
 # _HAD_DEPENDENTS when some record declares its name.
@@ -78,15 +79,16 @@ def _verdict(rec: PackageRecord, flag: int) -> ExclusionVerdict:
     return ExclusionVerdict(rec, *_VERDICT_FIELDS[flag])
 
 
-def apply_exclusions(corpus: Corpus, depended: set[str]) -> tuple[Corpus, ExclusionVerdicts]:
+def apply_exclusions(corpus: Corpus) -> tuple[Corpus, ExclusionVerdicts]:
     """Filter the corpus, keeping its name order and email domains, and return the verdicts aligned with its records.
 
-    A record is kept unless it has a reason and no dependents. The verdicts
-    are one byte per record; each ``ExclusionVerdict`` is built when it is
-    read. ``depended`` must be ``names_with_dependents`` of the full
-    pre-exclusion corpus: the "no dependents" test references the whole
-    registry.
+    A record is kept unless it has a reason and no dependents. The
+    dependents are those in ``corpus`` itself, the full pre-exclusion
+    corpus: the "no dependents" test references the whole registry. The
+    verdicts are one byte per record; each ``ExclusionVerdict`` is built
+    when it is read.
     """
+    depended = names_with_dependents(corpus)
     records = corpus.records
     flags = bytes(rec.exclusion_reasons | (_HAD_DEPENDENTS if rec.name in depended else 0) for rec in records)
     kept = tuple(compress(records, (not 0 < flag < _HAD_DEPENDENTS for flag in flags)))  # no reason, or dependents

@@ -151,12 +151,13 @@ class _Leaves:
     The scope is the dependency kinds and the install-key pattern the scan
     reads, and the license denylist its exclusions apply; a record keeps
     nothing else of a document's dependencies, scripts, repository and
-    license. Registry documents repeat the same maintainers, maintainer
-    lists, versions, dependency names and script names across
-    packages, and a package's name is a dependency name of the packages
-    that declare it; each distinct one is kept once. ``email_domains``
-    maps each maintainer identity that has an email domain to it. Raises
-    ``ValueError`` for an empty or unknown dependency kind.
+    license. Registry documents repeat the same maintainers (however an
+    entry spells them), maintainer lists, versions, dependency names and
+    script names across packages, and a package's name is a dependency
+    name of the packages that declare it; each distinct one is kept once.
+    ``email_domains`` maps each maintainer identity that has an email
+    domain to it. Raises ``ValueError`` for an empty or unknown dependency
+    kind.
     """
 
     def __init__(
@@ -198,13 +199,13 @@ class _Leaves:
         return [person for entry in raw if (person := self.person(entry)) is not None]
 
     def maintainers(self, version: dict, document: dict) -> tuple[str, ...]:
-        """The identity keys of the version's maintainers, or else the document's; equal lists share one tuple."""
+        """The identity keys of the version's maintainers, or else the document's; equal keys and lists are shared."""
         people = self.people(version.get("maintainers")) or self.people(document.get("maintainers"))
         domains, intern = self.email_domains, self.strings.setdefault
-        for key, domain in people:
+        keys = tuple([intern(key, key) for key, _ in people])
+        for key, (_, domain) in zip(keys, people):
             if domain and key not in domains:
                 domains[key] = intern(domain, domain)
-        keys = tuple([key for key, _ in people])
         return self._lists.setdefault(keys, keys)
 
     def dependencies(self, vobj: dict, name: str) -> tuple[str, ...]:

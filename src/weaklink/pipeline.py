@@ -1,8 +1,8 @@
 """Scan orchestration and canonical report emission.
 
-Pipeline order: ingest -> names with dependents -> exclusions -> indexes
-over the filtered corpus, each built once and keyed by record position ->
-analyzers, each one's findings sorted as they come -> combinations.
+Pipeline order: ingest -> exclusions -> indexes over the filtered corpus,
+each built once and keyed by record position -> analyzers, whose findings
+are sorted into report order once -> combinations.
 All report files are canonical (sorted keys, sorted records, trailing
 newline) and contain no wall-clock values, so reruns over identical inputs
 and fixtures are byte-identical.
@@ -14,6 +14,7 @@ import heapq
 import json
 import logging
 import os
+from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,15 +33,15 @@ from .combinations import (
 from .exclusions import ExclusionVerdicts, apply_exclusions
 from .ingest import Corpus, PackageRecord, format_timestamp, load_corpus
 from .providers import (
+    DownloadCounts,
     EmptyDomainProvider,
-    EmptyDownloadsProvider,
     FixtureDomainProvider,
     FixtureDownloadsProvider,
     LiveDnsDomainProvider,
     LiveDownloadsProvider,
     RateLimiter,
 )
-from .reach import build_dependents_index, build_maintainer_index, names_with_dependents
+from .reach import build_dependents_index, build_maintainer_index
 from .signals import (
     EVIDENCE_SCHEMAS,
     AnalyzerConfig,
@@ -113,7 +114,7 @@ def _make_providers(options: ScanOptions, names: list[str]):
         live = LiveDownloadsProvider(options.downloads_base_url, rate_limit=options.rate_limit)
         downloads = live.fetch_many(names, concurrency=options.jobs)
     else:
-        downloads = EmptyDownloadsProvider()
+        downloads = DownloadCounts([], array("q"), has_data=False)  # no data source: all counts unknown
     return domains, downloads
 
 
@@ -127,7 +128,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
         install_key_pattern=options.config.install_key_pattern,
         license_denylist=options.config.license_denylist,
     )
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+    filtered, verdicts = apply_exclusions(corpus)
 
     domains, downloads = _make_providers(options, [rec.name for rec in filtered.records])
 
@@ -137,20 +138,12 @@ def run_scan(options: ScanOptions) -> ScanResult:
 
     # W1 checks each distinct (lowercased) maintainer domain once.
     findings, histogram = analyze_w1(filtered, mindex, domains, cfg)
-    # The signal is the first sort key, and each analyzer's signals sort
-    # after the previous one's: sorting each analyzer's findings as they
-    # come and joining them in this order puts them all in report order.
-    sort_findings(findings)
-    for analyze, args in (
-        (analyze_w2, (filtered, cfg)),
-        (analyze_w3, (filtered, mindex, cfg)),
-        (analyze_w4, (filtered, cfg)),
-        (analyze_w5, (filtered, cfg)),
-        (analyze_w6, (filtered, mindex, dindex, cfg)),
-    ):
-        part = analyze(*args)
-        sort_findings(part)
-        findings += part
+    findings += analyze_w2(filtered, cfg)
+    findings += analyze_w3(filtered, mindex, cfg)
+    findings += analyze_w4(filtered, cfg)
+    findings += analyze_w5(filtered, cfg)
+    findings += analyze_w6(filtered, mindex, dindex, cfg)
+    sort_findings(findings)  # report order
 
     popular = popular_sample(filtered, dindex, downloads, options.popular_n)
     return ScanResult(

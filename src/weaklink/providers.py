@@ -72,8 +72,8 @@ class RateLimiter:
     """Min-interval limiter: callers never exceed ``per_second`` requests/s."""
 
     def __init__(self, per_second: float):
-        if per_second <= 0:
-            raise ValueError("rate must be positive")
+        if not per_second > 0:  # fails NaN too
+            raise ValueError(f"rate must be positive, got {per_second!r}")
         self._interval = 1.0 / per_second
         self._lock = threading.Lock()
         self._next_at = 0.0
@@ -285,17 +285,6 @@ class FixtureDownloadsProvider(DownloadCounts):
             if i < len(names) and names[i] == package:
                 counts[i] = count
         super().__init__(names, counts, has_data=rows > 0)
-
-
-class EmptyDownloadsProvider:
-    """No data source configured: all counts unknown."""
-
-    warnings = 0
-    has_data = False
-    counts = ()
-
-    def downloads(self, package: str) -> int | None:
-        return None
 
 
 class LiveDownloadsProvider:

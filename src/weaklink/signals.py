@@ -1,13 +1,10 @@
 """The six weak-link signal analyzers.
 
 Each analyzer is a pure function over an immutable corpus plus shared
-indexes: same inputs give the same findings. Analyzers do not sort their
-findings (W2 and W3 still come out in sort-key order, because records are
-in name order). The signal is the first key of ``WeakLinkFinding.sort_key``
-and each analyzer's signals sort after the previous one's, so the pipeline
-sorts each analyzer's findings with ``sort_findings`` and joins them in
-analyzer order. Thresholds are never hard-coded; everything tunable lives
-in ``AnalyzerConfig``.
+indexes: same inputs give the same findings. Analyzers promise no order;
+the pipeline sorts all findings once, with ``sort_findings``, into report
+order (``WeakLinkFinding.sort_key``). Thresholds are never hard-coded;
+everything tunable lives in ``AnalyzerConfig``.
 
 Evidence is typed: counts are ``int``, shares, averages and ratios are
 unrounded ``float``, timestamps are the record's or the maintainer index's
@@ -127,6 +124,12 @@ class AnalyzerConfig:
             raise ValueError(f"inactivity_days must be in [1, {timedelta.max.days}]")
         if not 0 < self.top_percent <= 100:
             raise ValueError("top_percent must be in (0, 100]")
+        # A blank pattern is in every script key, and a blank token matches between any two non-word characters.
+        if not self.install_key_pattern.strip():
+            raise ValueError(f"install_key_pattern must not be blank, got {self.install_key_pattern!r}")
+        for token in self.suspicious_tokens:
+            if not token.strip():
+                raise ValueError(f"suspicious_tokens must not hold a blank token, got {token!r}")
 
     @property
     def inactivity_window(self) -> timedelta:
@@ -392,10 +395,11 @@ def analyze_w1(
     """Expired maintainer domains.
 
     Emits one package finding per (available-domain maintainer, owned
-    package) pair, plus a domain-frequency histogram counting how often
-    each domain appears across (package, maintainer) entries. An identity's
-    domain is the one ingest decided (``Corpus.email_domains``): a
-    name-only maintainer has none, however its name reads.
+    package) pair, plus an unordered domain-frequency histogram counting
+    how often each domain appears across (package, maintainer) entries.
+    An identity's domain is the one ingest decided
+    (``Corpus.email_domains``): a name-only maintainer has none, however
+    its name reads.
     """
     email_domains = corpus.email_domains
     histogram: dict[str, int] = {}
@@ -421,7 +425,7 @@ def analyze_w1(
         finding = WeakLinkFinding.of("package", records[first].name, "W1", {"domain": domain, "maintainer_key": key})
         findings.append(finding)
         findings.extend(WeakLinkFinding("package", records[pos].name, "W1", finding.values) for pos in rest)
-    return findings, dict(sorted(histogram.items()))
+    return findings, histogram
 
 
 def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
@@ -460,12 +464,12 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
     the window, using last-modified as the deprecation time.
     """
     stale_maintainers = {key for key, info in mindex.items() if is_inactive(info.last_activity, cfg)}
-    inactive_pkg, inactive_maintainer, deprecated = [], [], []
+    findings = []
     for rec in corpus.records:
         if not is_inactive(rec.last_modified, cfg):
             continue
         age = (cfg.reference_time - rec.last_modified).days
-        inactive_pkg.append(
+        findings.append(
             WeakLinkFinding.of(
                 subject_kind="package",
                 subject_id=rec.name,
@@ -475,7 +479,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
         )
         keys = rec.maintainers  # each one is in the index, built over the same corpus
         if keys and stale_maintainers.issuperset(keys):
-            inactive_maintainer.append(
+            findings.append(
                 WeakLinkFinding.of(
                     subject_kind="package",
                     subject_id=rec.name,
@@ -488,7 +492,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                 )
             )
         if rec.exclusion_reasons & DEPRECATED:
-            deprecated.append(
+            findings.append(
                 WeakLinkFinding.of(
                     subject_kind="package",
                     subject_id=rec.name,
@@ -496,8 +500,7 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
                     evidence={"deprecated": rec.deprecated, "last_modified": rec.last_modified},
                 )
             )
-    # Concatenated in sub-signal name order, each list in record (name) order.
-    return deprecated + inactive_maintainer + inactive_pkg
+    return findings
 
 
 def mean_maintainers(corpus: Corpus) -> float:

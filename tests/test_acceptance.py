@@ -24,7 +24,7 @@ from weaklink.combinations import PopularSample, combination_table, keyword_hunt
 from weaklink.exclusions import apply_exclusions
 from weaklink.pipeline import ScanOptions, diff_findings, read_findings, run_scan, write_reports
 from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_UNKNOWN
-from weaklink.reach import build_dependents_index, build_maintainer_index, maintainer_reach, names_with_dependents
+from weaklink.reach import build_dependents_index, build_maintainer_index, maintainer_reach
 from weaklink.signals import (
     AnalyzerConfig,
     analyze_w1,
@@ -231,7 +231,7 @@ def test_criterion_2_oracle_equivalence():
                 union |= set(brute_index[names[pos]])
             assert maintainer_reach(info.owned_packages, index) == len(union)
 
-        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+        filtered, verdicts = apply_exclusions(corpus)
         for rec, verdict in zip(corpus.records, verdicts):
             reasons = reason_names(rec.exclusion_reasons)
             had = bool(brute_index.get(rec.name))
@@ -388,7 +388,7 @@ def test_criterion_8_threshold_monotonicity(seed_runs):
 
     run = seed_runs[7]
     corpus = load_corpus(run.corpus_dir / "snapshot.ndjson")
-    filtered, _ = apply_exclusions(corpus, names_with_dependents(corpus))
+    filtered, _ = apply_exclusions(corpus)
     mindex = build_maintainer_index(filtered)
     dindex = build_dependents_index(filtered)
 

@@ -165,6 +165,9 @@ def test_scan_config_token_and_license_lists_must_be_lists_of_strings(corpus_dir
         ('{"reference_time": 0}', []),
         ("{}", ["--inactivity-years", "inf"]),
         ("{}", ["--inactivity-years", "1e307"]),
+        ('{"install_key_pattern": " "}', []),
+        ('{"suspicious_tokens": ["curl", ""]}', []),
+        ('{"suspicious_tokens": ["  "]}', []),
     ],
     ids=[
         "days_null",
@@ -175,6 +178,9 @@ def test_scan_config_token_and_license_lists_must_be_lists_of_strings(corpus_dir
         "time_zero",
         "years_inf",
         "years_overflow",
+        "pattern_blank",
+        "token_empty",
+        "token_blank",
     ],
 )
 def test_scan_config_values_are_type_checked(corpus_dir, tmp_path, capsys, config, extra):
@@ -513,6 +519,21 @@ def test_scan_rejects_a_resolver_port_outside_0_to_65535(corpus_dir, tmp_path, c
     assert main(args) == 1
     port = resolver.rsplit(":", 1)[1]
     assert capsys.readouterr().err == f"error: --dns-resolver port must be in 0-65535, got {port}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "0"])
+def test_scan_rejects_a_rate_limit_that_is_not_positive(corpus_dir, tmp_path, capsys, monkeypatch, rate):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("the scan opened a socket")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    out = tmp_path / "report"
+    args = scan_args(corpus_dir, out, extra=["--live", "--rate-limit", rate, "--downloads-url", "http://127.0.0.1:9"])
+    args.remove("--domains-fixture")
+    args.remove(str(corpus_dir / "domains_fixture.jsonl"))
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: rate must be positive")
     assert not out.exists()
 
 

@@ -22,7 +22,6 @@ from weaklink.providers import (
     STATUS_AVAILABLE,
     DomainStatus,
     DownloadCounts,
-    EmptyDownloadsProvider,
     FixtureDownloadsProvider,
     LiveDownloadsProvider,
 )
@@ -42,6 +41,8 @@ from conftest import REF, make_corpus, make_record, person, random_corpus
 from datetime import datetime, timezone
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+# The store a scan without a downloads source ranks by.
+NO_DOWNLOADS = DownloadCounts([], array("q"), has_data=False)
 
 
 class MapDownloads:
@@ -144,7 +145,7 @@ def _fetched_downloads(counts):
     [
         (lambda tmp: _fixture_downloads(tmp, {"user00": 900, "user01": 800, "user02": 700}), 3),
         (lambda tmp: _fixture_downloads(tmp, {}), 0),
-        (lambda tmp: EmptyDownloadsProvider(), 0),
+        (lambda tmp: NO_DOWNLOADS, 0),
         (lambda tmp: _fetched_downloads({"user00": 900, "user01": 800, "user02": 700, "top0": None}), 3),
         (lambda tmp: _fetched_downloads({"user00": None, "top0": None}), 0),
     ],
@@ -376,7 +377,7 @@ def test_takeover_needs_every_owned_package_inactive(owned, inactive, takeover_r
     assert [f.subject_id for f in maint] == ["hoard@busy.example"]
     assert maint[0].to_dict()["evidence"]["inactive_owned_share"] == "1.0000"
 
-    report = attack_candidates(corpus, findings, dindex, EmptyDownloadsProvider())
+    report = attack_candidates(corpus, findings, dindex, NO_DOWNLOADS)
     assert len(report.takeover_candidates) == takeover_rows
     assert all(row.reach == 0 for row in report.takeover_candidates)
 

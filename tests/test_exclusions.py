@@ -85,7 +85,7 @@ def test_dependents_veto_exclusion():
     holding = make_record("hold", security_holding=True)
     user = make_record("user", dependencies=("hold",))
     corpus = make_corpus([holding, user])
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+    filtered, verdicts = apply_exclusions(corpus)
     by_id = {v.record.package_id: v for v in verdicts}
     assert by_id["hold@1.0.0"].excluded is False
     assert by_id["hold@1.0.0"].had_dependents is True
@@ -97,7 +97,7 @@ def test_deprecated_unused_removed():
     dead = make_record("dead", deprecated="gone")
     other = make_record("other")
     corpus = make_corpus([dead, other])
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+    filtered, verdicts = apply_exclusions(corpus)
     by_id = {v.record.package_id: v for v in verdicts}
     assert by_id["dead@1.0.0"].excluded is True
     assert by_id["dead@1.0.0"].reasons == ("DeprecatedUnused",)
@@ -109,7 +109,7 @@ def test_multi_reason_counted_once():
         "multi", security_holding=True, deprecated=True, repository_present=False, license_value=None
     )
     corpus = make_corpus([rec])
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+    filtered, verdicts = apply_exclusions(corpus)
     assert verdicts[0].reasons == ("SecurityHolding", "DeprecatedUnused", "NoRepoNoLicense")
     assert verdicts[0].excluded is True
     assert len(filtered.records) == 0
@@ -118,7 +118,7 @@ def test_multi_reason_counted_once():
 def test_listing_only_itself_does_not_veto_exclusion():
     loner = make_record("loner", deprecated=True, dependencies=("loner",))
     corpus = make_corpus([loner, make_record("other")])
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+    filtered, verdicts = apply_exclusions(corpus)
     by_id = {v.record.package_id: v for v in verdicts}
     assert by_id["loner@1.0.0"].had_dependents is False
     assert by_id["loner@1.0.0"].excluded is True
@@ -127,7 +127,7 @@ def test_listing_only_itself_does_not_veto_exclusion():
 
 def test_partition_and_verdict_invariants():
     corpus = random_corpus(seed=99, size=200)
-    filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+    filtered, verdicts = apply_exclusions(corpus)
     excluded = [v for v in verdicts if v.excluded]
     assert len(filtered.records) + len(excluded) == len(corpus.records)
     for v in verdicts:
@@ -137,11 +137,12 @@ def test_partition_and_verdict_invariants():
 def test_monotonicity_adding_dependent_never_excludes():
     # Adding a dependent edge can only flip excluded -> retained.
     base = random_corpus(seed=5, size=80)
-    _, before = apply_exclusions(base, names_with_dependents(base))
+    _, before = apply_exclusions(base)
     excluded_before = {v.record.package_id for v in before if v.excluded}
 
     # A new package that depends on every name gives each one a dependent.
-    _, after = apply_exclusions(base, {rec.name for rec in base.records})
+    user = make_record("zz-user", dependencies=tuple(rec.name for rec in base.records))
+    _, after = apply_exclusions(make_corpus([*base.records, user]))
     excluded_after = {v.record.package_id for v in after if v.excluded}
     assert excluded_after == set()
     assert excluded_after <= excluded_before
@@ -151,7 +152,7 @@ def test_brute_force_oracle_equivalence():
     # The reasons of each record's bits plus a straight dependents count.
     for seed in range(8):
         corpus = random_corpus(seed=seed, size=150)
-        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+        filtered, verdicts = apply_exclusions(corpus)
         for rec, verdict in zip(corpus.records, verdicts):
             reasons = reason_names(rec.exclusion_reasons)
             has_dep = any(rec.name in other.dependencies and other.name != rec.name for other in corpus.records)
@@ -163,10 +164,9 @@ def test_brute_force_oracle_equivalence():
 
 def test_order_independence():
     corpus = random_corpus(seed=3, size=60)
-    depended = names_with_dependents(corpus)
-    _, verdicts = apply_exclusions(corpus, depended)
+    _, verdicts = apply_exclusions(corpus)
     reversed_corpus = make_corpus(list(corpus.records))  # make_corpus re-sorts
-    _, verdicts_again = apply_exclusions(reversed_corpus, depended)
+    _, verdicts_again = apply_exclusions(reversed_corpus)
     assert sorted(v.record.package_id for v in verdicts) == sorted(v.record.package_id for v in verdicts_again)
     excluded = {v.record.package_id: v.excluded for v in verdicts}
     assert excluded == {v.record.package_id: v.excluded for v in verdicts_again}
@@ -203,7 +203,7 @@ def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
         reasons = reasons_by_name[rec.name]
         had = rec.name in depended
         eager.append(ExclusionVerdict(record=rec, excluded=bool(reasons) and not had, reasons=reasons, had_dependents=had))
-    filtered, verdicts = apply_exclusions(corpus, depended)
+    filtered, verdicts = apply_exclusions(corpus)
     n = len(eager)
     assert len(verdicts) == n
     assert list(verdicts) == eager
@@ -228,10 +228,9 @@ def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
 
 def test_verdict_state_costs_at_most_16_bytes_per_record():
     corpus = random_corpus(seed=15, size=5_000)
-    depended = names_with_dependents(corpus)
     tracemalloc.start()
     try:
-        filtered, verdicts = apply_exclusions(corpus, depended)
+        filtered, verdicts = apply_exclusions(corpus)
         with_verdicts = tracemalloc.get_traced_memory()[0]
         del verdicts
         verdict_bytes = with_verdicts - tracemalloc.get_traced_memory()[0]

@@ -528,6 +528,18 @@ def test_equal_maintainers_share_one_person(tmp_path):
     assert [record_to_dict(r) for r in records] == alone
     assert alone[0]["maintainers"] == ["ann@x.io"]
 
+    # One email spelled as a string and as an object, in lists that differ, is one key string.
+    docs = [
+        minimal_doc(name="one", maintainers=["Ann <ann@x.io>"]),
+        minimal_doc(name="two", maintainers=["Ann <ann@x.io>", "Cy <cy@z.io>"]),
+        minimal_doc(name="three", maintainers=[{"name": "A.", "email": "ANN@x.io"}, {"email": "cy@z.io"}]),
+    ]
+    corpus = load_corpus(write_snapshot(tmp_path, docs, "ndjson"))
+    ann, ann_too, cy, ann_again, cy_too = [key for rec in corpus.records for key in rec.maintainers]  # one, three, two
+    assert ann == "ann@x.io" and cy == "cy@z.io"
+    assert ann is ann_too is ann_again and cy is cy_too
+    assert {key: key for key in corpus.email_domains}["ann@x.io"] is ann
+
 
 def test_records_share_empty_maps_and_equal_strings(tmp_path):
     licenses = ["MIT", "MIT", {"type": "MIT"}]

@@ -16,9 +16,10 @@ import pytest
 from weaklink import providers
 from weaklink.errors import FixtureError
 from weaklink.ingest import parse_person
+from weaklink.pipeline import ScanOptions, _make_providers
 from weaklink.providers import (
     DomainStatus,
-    EmptyDownloadsProvider,
+    DownloadCounts,
     FixtureDomainProvider,
     FixtureDownloadsProvider,
     LiveDnsDomainProvider,
@@ -126,9 +127,13 @@ def test_fixture_errors_name_the_line(tmp_path, provider):
 
 
 def test_empty_downloads_provider():
-    provider = EmptyDownloadsProvider()
+    # A scan with no downloads source holds the empty store.
+    _domains, provider = _make_providers(ScanOptions(input_path="snapshot.ndjson"), ["a", "b"])
+    assert type(provider) is DownloadCounts
     assert provider.downloads("anything") is None
     assert provider.has_data is False
+    assert provider.warnings == 0
+    assert len(provider.counts) == 0
 
 
 class CountingProvider:
@@ -196,8 +201,9 @@ def test_rate_limiter_under_concurrency():
     gaps = [b - a for a, b in zip(stamps, stamps[1:])]
     assert min(gaps) >= 0.0
 
-    with pytest.raises(ValueError):
-        RateLimiter(0)
+    for rate in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^rate must be positive"):
+            RateLimiter(rate)
 
 
 # --- live DNS against a local stub resolver ---------------------------------------

@@ -134,7 +134,7 @@ def test_dependencies_outside_the_filtered_corpus_are_no_edges():
     for seed in range(10):
         for kinds in (("runtime",), ("runtime", "dev")):
             corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
-            filtered, _ = apply_exclusions(corpus, names_with_dependents(corpus))
+            filtered, _ = apply_exclusions(corpus)
             kept = {rec.name for rec in filtered.records}
             index = build_dependents_index(filtered)
             assert dependents_by_name(filtered, index) == brute_force_index(filtered)
@@ -194,7 +194,7 @@ def test_exclusions_read_names_declared_under_the_scanned_kinds(tmp_path):
     }
     for kinds, excluded in ((("runtime",), {"noise", "noise-dev"}), (("runtime", "dev"), {"noise"})):
         corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
-        filtered, verdicts = apply_exclusions(corpus, names_with_dependents(corpus))
+        filtered, verdicts = apply_exclusions(corpus)
         assert {v.record.package_id.split("@")[0] for v in verdicts if v.excluded} == excluded
         assert [rec.name for rec in filtered.records] == sorted({rec.name for rec in corpus.records} - excluded)
 

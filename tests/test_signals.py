@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from datetime import timedelta, timezone, datetime
 
 import pytest
@@ -500,7 +501,9 @@ def test_analyzers_pure_and_sorted():
         runs.append([f.to_dict() for f in findings])
     assert runs[0] == runs[1]
     w3 = analyze_w3(corpus, mindex, cfg)
-    assert [f.sort_key() for f in w3] == sorted(f.sort_key() for f in w3)
+    expected = sorted(w3, key=WeakLinkFinding.sort_key)
+    sort_findings(w3)
+    assert w3 == expected
 
 
 def test_sort_findings_breaks_ties_by_written_evidence():
@@ -519,9 +522,10 @@ def test_sort_findings_breaks_ties_by_written_evidence():
     assert findings == [w1("a", "z@d.io"), w1("b", "a#x@d.io"), w1("b", 'a"x@d.io'), w4("p", 10), w4("p", 9), w4("q", 1)]
 
 
-def test_each_analyzer_sorted_and_joined_in_analyzer_order_is_report_order():
-    # What the pipeline does in place of one sort over all findings.
+def test_sort_findings_over_all_analyzers_joined_in_any_order_is_report_order():
+    # The pipeline joins the six analyzers' findings and sorts them once.
     domains = MapDomainProvider({f"pool{i}.example": STATUS_AVAILABLE for i in range(3)})
+    rng = random.Random(0)
     for seed in range(8):
         corpus = random_corpus(seed=seed, size=150)
         cfg = cfg_for(corpus, top_percent=10.0)
@@ -536,12 +540,12 @@ def test_each_analyzer_sorted_and_joined_in_analyzer_order_is_report_order():
             analyze_w6(corpus, mindex, dindex, cfg),
         ]
         everything = sorted((f for part in parts for f in part), key=WeakLinkFinding.sort_key)
-        joined = []
-        for part in parts:
-            sort_findings(part)
-            joined += part
-        assert [f.to_dict() for f in joined] == [f.to_dict() for f in everything], seed
-        assert len({f.signal for f in joined}) >= 6
+        assert len({f.signal for f in everything}) >= 6
+        shuffled = [f for part in parts for f in part]
+        rng.shuffle(shuffled)
+        for joined in ([f for part in parts for f in part], [f for part in parts[::-1] for f in part], shuffled):
+            sort_findings(joined)
+            assert [f.to_dict() for f in joined] == [f.to_dict() for f in everything], seed
 
 
 def test_reference_time_defaults_to_corpus_max():
