@@ -122,18 +122,18 @@ def popular_sample(
     """
     if n < 1:
         raise ValueError("popular sample size must be >= 1")
-    records = corpus.records
-    positions = range(len(records))
+    names = corpus.names
+    positions = range(len(names))
     dep_top = top_n(positions, dindex.counts(), n)
     # A provider with no data at all would rank everything at zero and the
     # closed cutoff would sweep in the whole corpus; skip that side instead.
     if downloads.has_data:
-        if len(downloads.counts) != len(records):
-            raise ValueError(f"{len(downloads.counts)} download counts for {len(records)} packages")
+        if len(downloads.counts) != len(names):
+            raise ValueError(f"{len(downloads.counts)} download counts for {len(names)} packages")
         dl_top = top_n(positions, array("q", map(max, downloads.counts, repeat(0))), n)  # unknown (-1) ranks as 0
     else:
         dl_top = []
-    members = frozenset(records[pos].name for pos, _ in chain(dep_top, dl_top))
+    members = frozenset(names[pos] for pos, _ in chain(dep_top, dl_top))
     return PopularSample(members=members, by_dependents=len(dep_top), by_downloads=len(dl_top))
 
 
@@ -167,20 +167,20 @@ def keyword_hunt(corpus: Corpus, cfg: AnalyzerConfig) -> list[KeywordHit]:
     W2 member set.
     """
     hits = []
-    for rec in corpus.records:
-        for key in sorted(rec.scripts):
-            body = rec.scripts[key]
+    for pos, scripts in corpus.scripts.items():
+        for key in sorted(scripts):
+            body = scripts[key]
             tokens = find_suspicious_tokens(body, cfg.suspicious_tokens)
             if tokens:
                 hits.append(
                     KeywordHit(
-                        package=rec.name,
+                        package=corpus.names[pos],
                         script_key=key,
                         tokens=tuple(tokens),
                         pattern=classify_script(body),
                     )
                 )
-    return hits  # records come in name order, each one's script keys sorted
+    return hits  # scripts come in position order, so name order, each one's keys sorted
 
 
 def attack_candidates(

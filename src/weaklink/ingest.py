@@ -1,8 +1,9 @@
 """Registry snapshot ingestion.
 
-Normalizes npm-style registry documents (one JSON tree per package) into
-immutable ``PackageRecord`` values, each holding the latest version's
-metadata that the analyzers read. Three snapshot layouts are supported:
+Normalizes npm-style registry documents (one JSON tree per package) into an
+immutable ``Corpus``: position-aligned columns of the latest version's
+metadata that the analyzers read, from which a ``PackageRecord`` is built
+when one is read. Three snapshot layouts are supported:
 
   bulk    one JSON object in the registry bulk-export shape
           ``{"rows": [{"doc": {...}}, ...]}``
@@ -23,11 +24,13 @@ import hashlib
 import json
 import logging
 import re
+from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
-from operator import attrgetter
+from datetime import datetime, timedelta, timezone
+from itertools import accumulate, chain, compress, islice
+from operator import index, ne, sub
 from pathlib import Path
 
 from . import semver
@@ -91,6 +94,26 @@ def format_timestamp(dt: datetime) -> str:
     )
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+US_PER_DAY = 86_400_000_000
+
+
+def epoch_us(dt: datetime) -> int:
+    """An aware datetime as UTC epoch microseconds, exactly: a datetime holds whole microseconds."""
+    return (dt - _EPOCH) // _MICROSECOND
+
+
+def from_epoch_us(us: int) -> datetime:
+    """The aware UTC datetime ``us`` UTC epoch microseconds name."""
+    return _EPOCH + timedelta(microseconds=us)
+
+
+def format_epoch_us(us: int) -> str:
+    """``format_timestamp`` of the time ``us`` UTC epoch microseconds name."""
+    return format_timestamp(_EPOCH + timedelta(microseconds=us))
+
+
 def extract_email_domain(email: str) -> str | None:
     """Domain after the last "@", lowercased; None when no usable split.
 
@@ -146,18 +169,18 @@ _EMPTY_MAP: dict[str, str] = {}
 
 
 class _Leaves:
-    """What the records of one load share: the scan's scope and leaf values.
+    """What the records of one load share: the scan's scope and the load's tables.
 
     The scope is the dependency kinds and the install-key pattern the scan
     reads, and the license denylist its exclusions apply; a record keeps
     nothing else of a document's dependencies, scripts, repository and
     license. Registry documents repeat the same maintainers (however an
-    entry spells them), maintainer lists, versions, dependency names and
-    script names across packages, and a package's name is a dependency
-    name of the packages that declare it; each distinct one is kept once.
-    ``email_domains`` maps each maintainer identity that has an email
-    domain to it. Raises ``ValueError`` for an empty or unknown dependency
-    kind.
+    entry spells them), versions, dependency names and script names across
+    packages; each distinct one is kept once. ``names`` numbers each package
+    and dependency name in the order it is first seen. ``identity_keys``
+    numbers each maintainer identity, and ``identity_domains`` holds its
+    email domain, or None, at the same index. Raises ``ValueError`` for an
+    empty or unknown dependency kind.
     """
 
     def __init__(
@@ -176,8 +199,10 @@ class _Leaves:
         self.install_key_pattern = install_key_pattern
         self.license_denylist = frozenset(entry.strip().upper() for entry in license_denylist)
         self._people: dict[tuple[str | None, str | None], tuple[str, str | None] | None] = {}
-        self._lists: dict[tuple[str, ...], tuple[str, ...]] = {}
-        self.email_domains: dict[str, str] = {}
+        self.names: dict[str, int] = {}
+        self._identities: dict[str, int] = {}
+        self.identity_keys: list[str] = []
+        self.identity_domains: list[str | None] = []
         self.strings: dict[str, str] = {}
 
     def person(self, entry: object) -> tuple[str, str | None] | None:
@@ -198,25 +223,37 @@ class _Leaves:
             return []
         return [person for entry in raw if (person := self.person(entry)) is not None]
 
-    def maintainers(self, version: dict, document: dict) -> tuple[str, ...]:
-        """The identity keys of the version's maintainers, or else the document's; equal keys and lists are shared."""
-        people = self.people(version.get("maintainers")) or self.people(document.get("maintainers"))
-        domains, intern = self.email_domains, self.strings.setdefault
-        keys = tuple([intern(key, key) for key, _ in people])
-        for key, (_, domain) in zip(keys, people):
-            if domain and key not in domains:
-                domains[key] = intern(domain, domain)
-        return self._lists.setdefault(keys, keys)
+    def identity(self, key: str, domain: str | None) -> int:
+        """The id of the identity ``key``; it keeps the first domain given for it."""
+        ident = self._identities.get(key)
+        if ident is None:
+            ident = self._identities[key] = len(self.identity_keys)
+            self.identity_keys.append(key)
+            self.identity_domains.append(domain and self.strings.setdefault(domain, domain))
+        elif domain and self.identity_domains[ident] is None:
+            self.identity_domains[ident] = self.strings.setdefault(domain, domain)
+        return ident
 
-    def dependencies(self, vobj: dict, name: str) -> tuple[str, ...]:
+    def close(self) -> None:
+        """Drop the lookup tables once the load is done; the columns hold what they number."""
+        self._people.clear()
+        self.names.clear()
+        self._identities.clear()
+        self.strings.clear()
+
+    def maintainers(self, version: dict, document: dict) -> list[int]:
+        """The identity ids of the version's maintainers, or else the document's, as listed."""
+        people = self.people(version.get("maintainers")) or self.people(document.get("maintainers"))
+        return [self.identity(key, domain) for key, domain in people]
+
+    def dependencies(self, vobj: dict, name: str) -> list[str]:
         """The names the scan's kinds declare, merged in first-declared order, each once, without ``name``."""
         declared: dict = {}
         for key in self.dep_keys:
             raw = vobj.get(key)
             if raw and isinstance(raw, dict):
                 declared.update(raw)  # a name declared before keeps its place
-        intern = self.strings.setdefault
-        return tuple([intern(k, k) for k in declared if isinstance(k, str) and k and k != name])
+        return [k for k in declared if isinstance(k, str) and k and k != name]
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +261,8 @@ class PackageRecord:
     """Normalized latest-version metadata of one package, as one scan reads it.
 
     ``dependencies`` are the names that the scan's dependency kinds declare,
-    merged in first-declared order, each once, without the package itself.
+    merged in first-declared order, each once, without the package itself;
+    a corpus's record lists only the names in that corpus.
     ``has_runtime_dependencies`` records whether the runtime kind declares
     any name, whichever kinds the scan reads. ``scripts`` holds only the
     scripts whose key matches the scan's install pattern
@@ -270,29 +308,250 @@ class IngestStats:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Corpus:
-    """Immutable set of PackageRecords in stable name order.
+    """An immutable corpus in stable name order, held as position-aligned columns.
 
-    A record's position is its index in ``records``, so position order is
-    name order. The indexes over a corpus hold positions, not names, and no
-    name-keyed map of the records is kept: ``position`` finds a name by
-    binary search. ``email_domains`` maps each maintainer identity key
-    with an email domain to that domain, decided once at ingest.
+    A record's position is its index in ``names``, so position order is
+    name order, and each column holds the value of position ``p`` at index
+    ``p``: ``versions``; ``last_modified`` as UTC epoch microseconds
+    (``epoch_us``); ``contributor_counts``; ``exclusion_reasons``, one
+    byte of ``EXCLUSION_REASONS`` bits each; and ``runtime_flags``, 1 where
+    the runtime kind declares a name. The dependencies of ``p`` are the
+    positions ``dep_targets[dep_offsets[p]:dep_offsets[p + 1]]``: a name
+    outside the corpus is no dependency. Its maintainers are the identity
+    ids ``maint_ids[maint_offsets[p]:maint_offsets[p + 1]]``, as listed;
+    identity ``i`` has the key ``identity_keys[i]`` and the email domain
+    ``identity_domains[i]`` (None without one), decided once at ingest. The
+    ids number only the identities that some record lists, in the order
+    the records first list them. ``scripts`` and ``deprecated`` hold values
+    only for the positions that have one, in position order. No name-keyed
+    map is kept: ``position`` finds a name by binary search, and
+    ``records`` builds each ``PackageRecord`` when it is read.
     """
 
-    records: tuple[PackageRecord, ...]
+    names: tuple[str, ...]
+    versions: tuple[str, ...]
+    last_modified: array
+    dep_offsets: array
+    dep_targets: array
+    maint_offsets: array
+    maint_ids: array
+    identity_keys: tuple[str, ...]
+    identity_domains: tuple[str | None, ...]
+    contributor_counts: array
+    exclusion_reasons: bytes
+    runtime_flags: bytes
+    scripts: dict[int, dict[str, str]]
+    deprecated: dict[int, object]
     stats: IngestStats
-    email_domains: dict[str, str]
     digest: str = ""
+
+    @property
+    def records(self) -> CorpusRecords:
+        return CorpusRecords(self)
 
     def position(self, name: str) -> int:
         """The position of the record named ``name``; raises ``KeyError`` for a name outside the corpus."""
-        records = self.records
-        i = bisect_left(records, name, key=attrgetter("name"))
-        if i == len(records) or records[i].name != name:
+        names = self.names
+        i = bisect_left(names, name)
+        if i == len(names) or names[i] != name:
             raise KeyError(name)
         return i
+
+    def maintainer_counts(self) -> array:
+        """The number of maintainers each record lists, repeats counted, by position."""
+        offsets = self.maint_offsets
+        return array("i", map(sub, islice(offsets, 1, None), offsets))
+
+    def subset(self, keep: Iterable[object]) -> Corpus:
+        """The corpus of the records whose ``keep`` entry is true, in name order.
+
+        A dependency on a record left out is dropped, and so is an identity
+        that no kept record lists.
+        """
+        rows = array("i", compress(range(len(self.names)), keep))
+        position = array("i", [-1]) * len(self.names)
+        for new, old in enumerate(rows):
+            position[old] = new
+        return _gather(self, rows, position, position, tuple(map(self.names.__getitem__, rows)), self.stats, self.digest)
+
+
+class CorpusRecords(Sequence):
+    """The records of a corpus, by position, each built when it is read."""
+
+    __slots__ = ("corpus",)
+
+    def __init__(self, corpus: Corpus) -> None:
+        self.corpus = corpus
+
+    def __len__(self) -> int:
+        return len(self.corpus.names)
+
+    def __getitem__(self, pos: int) -> PackageRecord:
+        c = self.corpus
+        pos = range(len(c.names))[index(pos)]  # one position; a slice is a TypeError
+        deps, people = c.dep_offsets, c.maint_offsets
+        return PackageRecord(
+            name=c.names[pos],
+            version=c.versions[pos],
+            last_modified=from_epoch_us(c.last_modified[pos]),
+            scripts=c.scripts.get(pos, _EMPTY_MAP),
+            maintainers=tuple(map(c.identity_keys.__getitem__, c.maint_ids[people[pos] : people[pos + 1]])),
+            contributor_count=c.contributor_counts[pos],
+            dependencies=tuple(map(c.names.__getitem__, c.dep_targets[deps[pos] : deps[pos + 1]])),
+            has_runtime_dependencies=bool(c.runtime_flags[pos]),
+            deprecated=c.deprecated.get(pos),
+            exclusion_reasons=c.exclusion_reasons[pos],
+        )
+
+    def __iter__(self) -> Iterator[PackageRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+
+class _Columns:
+    """The columns of one load, one row per document, filled in file order.
+
+    They have the names of the ``Corpus`` columns, but that a row's name,
+    ``row_names``, and its dependencies, ``dep_targets``, are ids of
+    ``leaves.names``. ``corpus`` sorts the rows by name and turns those ids
+    into positions.
+    """
+
+    def __init__(self, leaves: _Leaves) -> None:
+        self.leaves = leaves
+        self.identity_keys = leaves.identity_keys
+        self.identity_domains = leaves.identity_domains
+        self.row_names = array("i")
+        self.versions: list[str] = []
+        self.last_modified = array("q")
+        self.dep_offsets = array("i", [0])
+        self.dep_targets = array("i")
+        self.maint_offsets = array("i", [0])
+        self.maint_ids = array("i")
+        self.contributor_counts = array("i")
+        self.exclusion_reasons = bytearray()
+        self.runtime_flags = bytearray()
+        self.scripts: dict[int, dict[str, str]] = {}
+        self.deprecated: dict[int, object] = {}
+        self._held = bytearray()  # 1 at the id of each name a row has
+        self._repeated = False
+
+    def holds(self, name: str) -> bool:
+        """Whether a row has the name ``name``."""
+        name_id = self.leaves.names.get(name)
+        return name_id is not None and name_id < len(self._held) and self._held[name_id] == 1
+
+    def append(self, fields: tuple) -> None:
+        """Add the row of one ``_parse`` result."""
+        name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = fields
+        ids = self.leaves.names
+        number = ids.setdefault
+        name_id = number(name, len(ids))
+        held = self._held
+        if name_id >= len(held):
+            held.extend(bytes(name_id + 1024 - len(held)))  # grown in steps, not per row
+        self._repeated = self._repeated or held[name_id] == 1
+        held[name_id] = 1
+        row = len(self.row_names)
+        self.row_names.append(name_id)
+        self.versions.append(version)
+        self.last_modified.append(last_modified)
+        targets = self.dep_targets
+        targets.extend([number(dep, len(ids)) for dep in dependencies])
+        self.dep_offsets.append(len(targets))
+        listed = self.maint_ids
+        listed.extend(maintainers)
+        self.maint_offsets.append(len(listed))
+        self.contributor_counts.append(contributors)
+        self.exclusion_reasons.append(reasons)
+        self.runtime_flags.append(runtime)
+        if scripts:
+            self.scripts[row] = scripts
+        if deprecated is not None:
+            self.deprecated[row] = deprecated
+
+    def corpus(self, stats: IngestStats, digest: str) -> Corpus:
+        """The corpus of the rows, sorted by name; raises ``ValueError`` when two rows share a name."""
+        if self._repeated:
+            raise ValueError("corpus records must have distinct names")
+        ids = self.leaves.names
+        table = list(ids)
+        names = tuple(sorted(map(table.__getitem__, self.row_names)))
+        del table
+        position = array("i", [-1]) * len(ids)  # of each name id
+        for pos, name in enumerate(names):
+            position[ids[name]] = pos
+        self.leaves.close()
+        new_row = array("i", map(position.__getitem__, self.row_names))
+        rows = array("i", bytes(new_row.itemsize * len(new_row)))
+        for row, pos in enumerate(new_row):
+            rows[pos] = row
+        return _gather(self, rows, new_row, position, names, stats, digest)
+
+
+def _gather(src, rows: array, new_row: array, new_target: array, names: tuple, stats: IngestStats, digest: str) -> Corpus:
+    """The corpus of the rows ``rows`` of ``src``'s columns, in that order, named ``names``.
+
+    ``new_row[r]`` is the position that row ``r`` takes, or -1, and
+    ``new_target[t]`` the position of dependency ``t`` of ``src``, or -1
+    to drop it. Identities are numbered again in the order the rows first
+    list them; one that no row lists is dropped.
+    """
+    dep_offsets, targets = _rows(src.dep_offsets, src.dep_targets, rows)
+    dep_targets = array("i", map(new_target.__getitem__, targets))
+    del targets
+    maint_offsets, maint_ids = _rows(src.maint_offsets, src.maint_ids, rows)
+    if -1 in dep_targets:  # drop each dependency on a name outside the corpus
+        dropped = array("i", accumulate(map((-1).__eq__, dep_targets), initial=0))
+        dep_offsets = array("i", map(sub, dep_offsets, map(dropped.__getitem__, dep_offsets)))
+        dep_targets = array("i", filter((-1).__ne__, dep_targets))
+        del dropped
+    kept = list(dict.fromkeys(maint_ids))  # the listed identities, in the order first listed
+    renumbered = array("i", [-1]) * len(src.identity_keys)
+    for new, ident in enumerate(kept):
+        renumbered[ident] = new
+    maint_ids = array("i", map(renumbered.__getitem__, maint_ids))
+    return Corpus(
+        names=names,
+        versions=tuple(map(src.versions.__getitem__, rows)),
+        last_modified=array("q", map(src.last_modified.__getitem__, rows)),
+        dep_offsets=dep_offsets,
+        dep_targets=dep_targets,
+        maint_offsets=maint_offsets,
+        maint_ids=maint_ids,
+        identity_keys=tuple(map(src.identity_keys.__getitem__, kept)),
+        identity_domains=tuple(map(src.identity_domains.__getitem__, kept)),
+        contributor_counts=array("i", map(src.contributor_counts.__getitem__, rows)),
+        exclusion_reasons=bytes(map(src.exclusion_reasons.__getitem__, rows)),
+        runtime_flags=bytes(map(src.runtime_flags.__getitem__, rows)),
+        scripts=_sparse(src.scripts, new_row),
+        deprecated=_sparse(src.deprecated, new_row),
+        stats=stats,
+        digest=digest,
+    )
+
+
+def _rows(offsets: array, values: array, rows: array) -> tuple[array, array]:
+    """The offsets and the values of the rows ``rows`` of compressed sparse rows, in that order.
+
+    Each run of consecutive rows is copied as one slice: a subset of rows
+    in order, or rows read in nearly sorted order, make few runs.
+    """
+    # A run starts at each row that does not follow the row before it.
+    runs = [*compress(range(len(rows)), map(ne, rows, chain((-1,), map((1).__add__, rows)))), len(rows)]
+    new_offsets, new_values = array("i", [0]), array("i")
+    for start, end in zip(runs, islice(runs, 1, None)):
+        first, last = rows[start], rows[end - 1] + 1
+        shift = len(new_values) - offsets[first]
+        new_values.extend(values[offsets[first] : offsets[last]])
+        new_offsets.extend(map(shift.__add__, offsets[first + 1 : last + 1]))
+    return new_offsets, new_values
+
+
+def _sparse(values: dict[int, object], new_row: array) -> dict[int, object]:
+    """``values`` keyed by the positions their rows take, in position order; a row without one is dropped."""
+    return dict(sorted((new_row[row], value) for row, value in values.items() if new_row[row] >= 0))
 
 
 def _normalize_repository(raw: object) -> bool:
@@ -349,9 +608,34 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     deeply to decode among them, and NoVersionsError when no version is an
     object. ``leaves`` holds the scan's dependency kinds, install pattern
     and license denylist (default: runtime, "install" and
-    ``DEFAULT_LICENSE_DENYLIST``), shares equal maintainer lists and strings
-    with the other records of a load, and collects their maintainers' email
-    domains.
+    ``DEFAULT_LICENSE_DENYLIST``), shares equal strings with the other
+    records of a load, and numbers their maintainers' identities with their
+    email domains.
+    """
+    if leaves is None:
+        leaves = _Leaves()
+    name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = _parse(
+        item, leaves
+    )
+    return PackageRecord(
+        name=name,
+        version=version,
+        last_modified=from_epoch_us(last_modified),
+        scripts=scripts,
+        maintainers=tuple(map(leaves.identity_keys.__getitem__, maintainers)),
+        contributor_count=contributors,
+        dependencies=tuple(dependencies),
+        has_runtime_dependencies=runtime,
+        deprecated=deprecated,
+        exclusion_reasons=reasons,
+    )
+
+
+def _parse(item: object, leaves: _Leaves) -> tuple:
+    """The fields of ``parse_record``'s record, in its field order, as a load keeps them.
+
+    The load keeps the last modification as UTC epoch microseconds and the
+    maintainers as identity ids of ``leaves``; the dependencies are names.
     """
     if isinstance(item, (bytes, str)):
         try:
@@ -368,8 +652,6 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
     if not isinstance(name, str) or not name.strip():
         raise ParseError("no_name", "missing or empty name")
     name = name.strip()
-    if leaves is None:
-        leaves = _Leaves()
 
     versions = item.get("versions")
     if not isinstance(versions, dict):
@@ -423,20 +705,19 @@ def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
         license_value = _normalize_license(vobj["license"] if "license" in vobj else item.get("license"))
         if license_value is None or license_value.strip().upper() in leaves.license_denylist:
             reasons |= NO_REPO_NO_LICENSE
-    strings = leaves.strings
-    intern = strings.setdefault
+    intern = leaves.strings.setdefault
     runtime = vobj.get("dependencies")
-    return PackageRecord(
-        name=intern(name, name),
-        version=intern(version, version),
-        last_modified=last_modified,
-        scripts=_install_scripts(vobj.get("scripts"), strings, leaves.install_key_pattern),
-        maintainers=maintainers,
-        contributor_count=len(contributors),
-        dependencies=leaves.dependencies(vobj, name),
-        has_runtime_dependencies=isinstance(runtime, dict) and any(isinstance(k, str) and k for k in runtime),
-        deprecated=deprecated,
-        exclusion_reasons=reasons,
+    return (
+        name,
+        intern(version, version),
+        epoch_us(last_modified),
+        _install_scripts(vobj.get("scripts"), leaves.strings, leaves.install_key_pattern),
+        maintainers,
+        len(contributors),
+        leaves.dependencies(vobj, name),
+        isinstance(runtime, dict) and any(isinstance(k, str) and k for k in runtime),
+        deprecated,
+        reasons,
     )
 
 
@@ -805,29 +1086,29 @@ def _iter_dir(source: Path, digest) -> Iterator[bytes]:
         yield data
 
 
-def _ingest(items: Iterable[object], leaves: _Leaves) -> tuple[dict[str, PackageRecord], IngestStats]:
+def _ingest(items: Iterable[object], leaves: _Leaves) -> tuple[_Columns, IngestStats]:
     total = 0
     skipped = 0
     by_error: dict[str, int] = {}
-    records: dict[str, PackageRecord] = {}
+    columns = _Columns(leaves)
     for item in items:
         total += 1
         try:
             # Anything already decoded (dict, list, null, scalar) is a tree;
-            # parse_record rejects every non-object as malformed.
-            record = parse_record(item, leaves)
+            # _parse rejects every non-object as malformed.
+            fields = _parse(item, leaves)
         except ParseError as exc:
             reason = exc.reason
         except NoVersionsError:
             reason = "no_versions"
         else:
-            if record.name not in records:
-                records[record.name] = record
+            if not columns.holds(fields[0]):
+                columns.append(fields)
                 continue
             reason = "duplicate_name"
         skipped += 1
         by_error[reason] = by_error.get(reason, 0) + 1
-    return records, IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
+    return columns, IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
 
 
 def load_corpus(
@@ -840,15 +1121,17 @@ def load_corpus(
 ) -> Corpus:
     """Stream all documents from a snapshot into an immutable corpus.
 
-    One document is decoded at a time in every layout. Malformed documents
-    are counted and skipped. Records are merged in stable order by package
-    name; the first occurrence of a duplicate name wins and later ones are
-    counted under "duplicate_name". The digest hashes the bytes this read parsed.
+    One document is decoded at a time in every layout, and its fields go
+    straight into the load's columns. Malformed documents are counted and
+    skipped. The rows are sorted by package name once all are read; the
+    first occurrence of a duplicate name in file order wins and later ones
+    are counted under "duplicate_name". The digest hashes the bytes this
+    read parsed.
 
-    Each record keeps the dependencies of ``dep_kinds`` and the scripts
-    whose key matches ``install_key_pattern``, and no others, and its
-    exclusion reasons under ``license_denylist``. An empty or unknown kind
-    raises ``ValueError`` before anything is read.
+    The corpus keeps the dependencies of ``dep_kinds`` on names in the
+    corpus and the scripts whose key matches ``install_key_pattern``, and no
+    others, and the exclusion reasons under ``license_denylist``. An empty
+    or unknown kind raises ``ValueError`` before anything is read.
     """
     leaves = _Leaves(dep_kinds, install_key_pattern, license_denylist)
     source = Path(source)
@@ -865,20 +1148,19 @@ def load_corpus(
         digest = hashlib.sha256()
         try:
             if layout == "dir":
-                records, stats = _ingest(_iter_dir(source, digest), leaves)
+                columns, stats = _ingest(_iter_dir(source, digest), leaves)
             else:
                 with open(source, "rb") as fh:
                     if layout == "ndjson":
                         items = _iter_ndjson(fh, digest)
                     else:
                         items = _BulkReader(fh, digest, autodetect=layout is None, rows_key=rows_key).items()
-                    records, stats = _ingest(items, leaves)
+                    columns, stats = _ingest(items, leaves)
             break
         except _Verdict:  # autodetection: the file is ndjson after all
             layout = "ndjson"
         except _Reread as again:
             rows_key = again.rows_key
     layout = layout or "bulk"
-    ordered = tuple(records[name] for name in sorted(records))
     logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)
-    return Corpus(records=ordered, stats=stats, email_domains=leaves.email_domains, digest=digest.hexdigest())
+    return columns.corpus(stats, digest.hexdigest())

@@ -31,7 +31,7 @@ from .combinations import (
     popular_sample,
 )
 from .exclusions import ExclusionVerdicts, apply_exclusions
-from .ingest import Corpus, PackageRecord, format_timestamp, load_corpus
+from .ingest import Corpus, format_timestamp, load_corpus
 from .providers import (
     DownloadCounts,
     EmptyDomainProvider,
@@ -98,7 +98,7 @@ class ScanResult:
     provider_warnings: int
 
 
-def _make_providers(options: ScanOptions, names: list[str]):
+def _make_providers(options: ScanOptions, names: Sequence[str]):
     """The domain provider and the downloads counts of ``names``, fetched once in live mode."""
     if options.domains_fixture:
         domains = FixtureDomainProvider(options.domains_fixture)
@@ -119,8 +119,8 @@ def _make_providers(options: ScanOptions, names: list[str]):
 
 
 def run_scan(options: ScanOptions) -> ScanResult:
-    # Records keep only the dependency kinds and install scripts this scan
-    # reads, and their exclusion reasons under its license denylist.
+    # The corpus keeps only the dependency kinds and install scripts this
+    # scan reads, and the exclusion reasons under its license denylist.
     corpus = load_corpus(
         options.input_path,
         layout=options.layout,
@@ -130,7 +130,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
     )
     filtered, verdicts = apply_exclusions(corpus)
 
-    domains, downloads = _make_providers(options, [rec.name for rec in filtered.records])
+    domains, downloads = _make_providers(options, filtered.names)
 
     cfg = options.config.resolved(filtered)
     dindex = build_dependents_index(filtered)
@@ -159,7 +159,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
         keyword_hits=keyword_hunt(filtered, cfg),
         attack=attack_candidates(filtered, findings, dindex, downloads),
         maintainers=len(mindex),
-        stale_maintainers=sum(1 for info in mindex.values() if is_inactive(info.last_activity, cfg)),
+        stale_maintainers=sum(1 for last in mindex.last_activity if is_inactive(last, cfg)),
         provider_warnings=domains.warnings + downloads.warnings,
     )
 
@@ -174,7 +174,7 @@ def _dump_json(path: Path, payload: dict) -> None:
 def _summary(result: ScanResult) -> dict:
     """The summary report of a scan: counts, rates and the config echo."""
     options, corpus, filtered = result.options, result.corpus, result.filtered
-    n_filtered = len(filtered.records)
+    n_filtered = len(filtered.names)
     excluded_sets = result.verdicts.excluded_counts()
     by_reason: dict[str, int] = {}
     for reasons, count in excluded_sets.items():
@@ -185,8 +185,8 @@ def _summary(result: ScanResult) -> dict:
     for f in result.findings:
         by_signal.setdefault(f.signal, []).append(f)
 
-    with_contrib = sum(1 for rec in filtered.records if rec.contributor_count)
-    with_maints = sum(1 for rec in filtered.records if rec.maintainers)
+    with_contrib = n_filtered - filtered.contributor_counts.count(0)
+    with_maints = n_filtered - filtered.maintainer_counts().count(0)
     maintainer_count = result.maintainers
 
     def signal_entry(signal: str) -> dict:
@@ -229,7 +229,7 @@ def _summary(result: ScanResult) -> dict:
         },
         "corpus": {
             "raw": corpus.stats.total,
-            "parsed": len(corpus.records),
+            "parsed": len(corpus.names),
             "excluded": {"total": sum(excluded_sets.values()), "by_reason": dict(sorted(by_reason.items()))},
             "filtered": n_filtered,
         },
@@ -264,7 +264,7 @@ def findings_header() -> dict:
     }
 
 
-def _package_id_order(records: Sequence[PackageRecord]) -> Iterator[int]:
+def _package_id_order(names: Sequence[str], versions: Sequence[str]) -> Iterator[int]:
     """The positions of name-ordered records in the order of their package ids, ties by position.
 
     An id extends its record's name and names ascend, so an id that sorts
@@ -274,10 +274,10 @@ def _package_id_order(records: Sequence[PackageRecord]) -> Iterator[int]:
     corpus are never held at once.
     """
     held: list[tuple[str, int]] = []
-    for pos, rec in enumerate(records):
-        while held and held[0][0] < rec.name:
+    for pos, (name, version) in enumerate(zip(names, versions)):
+        while held and held[0][0] < name:
             yield heapq.heappop(held)[1]
-        heapq.heappush(held, (rec.package_id, pos))
+        heapq.heappush(held, (f"{name}@{version}", pos))
     while held:
         yield heapq.heappop(held)[1]
 
@@ -286,7 +286,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     """Write summary, findings, exclusions and the combination report.
 
     ``exclusions.jsonl`` holds one verdict per ingested record in package-id
-    order; each line is built from the record and its verdict byte.
+    order; each line is built from the corpus's columns and the verdict byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,7 +310,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     paths["exclusions"] = out / "exclusions.jsonl"
     with open(paths["exclusions"], "w", encoding="utf-8") as fh:
         verdicts = result.verdicts
-        for pos in _package_id_order(result.corpus.records):
+        for pos in _package_id_order(result.corpus.names, result.corpus.versions):
             fh.write(canonical_json(verdicts.report_line(pos)))
             fh.write("\n")
 

@@ -3,10 +3,12 @@
 Builds the two indexes the analyzers share (package -> direct dependents,
 maintainer identity -> owned packages), computes maintainer reach (unique
 dependents across a maintainer's packages) and ranks subjects by score.
-Both indexes hold record positions (indexes into ``Corpus.records``), not
-names, and position order is name order. Only the corpus's own records are indexed: a
-dependency on a name outside the corpus (excluded, or not in the snapshot)
-is no edge. Transitive dependents are out of scope; edges are name-level.
+Both indexes hold record positions (indexes into ``Corpus.names``), not
+names, and position order is name order, and both are counting sorts of
+the corpus's own compressed sparse rows. Only the corpus's own records are
+indexed: a dependency on a name outside the corpus (excluded, or not in
+the snapshot) is no edge. Transitive dependents are out of scope; edges
+are name-level.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from datetime import datetime
 from itertools import accumulate, compress, islice, repeat
-from operator import attrgetter, ge, sub
+from operator import ge, sub
 from typing import Collection, Sequence
 
 from .ingest import Corpus
@@ -49,77 +50,76 @@ class DependentsIndex:
 
 
 @dataclass(frozen=True, slots=True)
-class MaintainerInfo:
-    """A maintainer identity's packages and the latest modification among them.
+class MaintainerIndex:
+    """The packages of each maintainer identity of a corpus, as compressed sparse rows by identity id.
 
-    ``owned_packages`` is an ``array("i")`` of record positions, ascending,
-    each once, so a position costs 4 bytes and no int object.
+    The ids are the corpus's (``Corpus.identity_keys``), so the index has a
+    row for each identity the corpus lists. Identity ``i`` owns the
+    positions ``packages[offsets[i]:offsets[i + 1]]``, ascending, each
+    once, and ``last_activity[i]`` is the latest last modification among
+    them, in UTC epoch microseconds.
     """
 
-    owned_packages: array
-    last_activity: datetime
+    offsets: array
+    packages: array
+    last_activity: array
+
+    def owned(self, ident: int) -> array:
+        return self.packages[self.offsets[ident] : self.offsets[ident + 1]]
+
+    def __len__(self) -> int:
+        return len(self.last_activity)
 
 
-MaintainerIndex = dict[str, MaintainerInfo]
+def _transpose(offsets: array, values: array, width: int) -> tuple[array, array]:
+    """The rows that list each value below ``width``, by a counting sort, as compressed sparse rows.
 
-
-def names_with_dependents(corpus: Corpus) -> set[str]:
-    """The names some other record declares; over a whole snapshot, names outside it too."""
-    names: set[str] = set()
-    for rec in corpus.records:
-        names.update(rec.dependencies)
-    return names
+    Row ``r`` lists ``values[offsets[r]:offsets[r + 1]]``, each value at
+    most once. The rows that list value ``v`` are
+    ``rows[starts[v]:starts[v + 1]]``, ascending.
+    """
+    counts = array("i", bytes(4 * width))
+    for value in values:
+        counts[value] += 1
+    starts = array("i", accumulate(counts, initial=0))
+    del counts
+    cursor = starts[:-1]
+    rows = array("i", bytes(4 * len(values)))
+    for row in range(len(offsets) - 1):
+        for value in values[offsets[row] : offsets[row + 1]]:
+            at = cursor[value]
+            rows[at] = row
+            cursor[value] = at + 1
+    return starts, rows
 
 
 def build_dependents_index(corpus: Corpus) -> DependentsIndex:
     """Index the records that declare each record's name.
 
-    A record lists each dependency once and never itself, so each dependent
-    is listed once. A dependency on a name outside the corpus is no edge:
-    only the corpus's records are indexed. Each edge is looked up once, in
-    a map of the corpus's names to the dependents collected so far, which
-    is then flattened in position order. Raises ``ValueError`` when two
-    records share a name.
+    A corpus holds each record's dependencies as positions, each once,
+    never its own and none outside the corpus, so the index is their
+    transpose.
     """
-    rows: dict[str, tuple | list[int]] = dict.fromkeys(map(attrgetter("name"), corpus.records), ())
-    if len(rows) != len(corpus.records):
-        raise ValueError("corpus records must have distinct names")
-    for src, rec in enumerate(corpus.records):
-        for dep in rec.dependencies:
-            row = rows.get(dep)
-            if row:
-                row.append(src)
-            elif row is not None:  # the first dependent of a corpus name
-                rows[dep] = [src]
-    offsets = array("i", accumulate(map(len, rows.values()), initial=0))
-    targets = array("i")
-    for row in filter(None, rows.values()):
-        targets.fromlist(row)
-    return DependentsIndex(offsets, targets)
+    return DependentsIndex(*_transpose(corpus.dep_offsets, corpus.dep_targets, len(corpus.names)))
 
 
 def build_maintainer_index(corpus: Corpus) -> MaintainerIndex:
     """Group packages by maintainer identity with each identity's last activity.
 
-    Identities come in the order they are first listed.
+    A record that lists one identity twice is one of its packages once.
     """
-    owned: dict[str, list[int]] = {}
-    activity: dict[str, datetime] = {}
-    for pos, rec in enumerate(corpus.records):
-        for key in rec.maintainers:
-            packages = owned.get(key)
-            if packages is None:
-                owned[key] = [pos]
-            elif packages[-1] != pos:  # a record may list one identity twice
-                packages.append(pos)
-            prev = activity.get(key)
-            if prev is None or rec.last_modified > prev:
-                activity[key] = rec.last_modified
-    # Each list is dropped as soon as it is copied, so no maintainer's
-    # packages are held twice.
-    return {
-        key: MaintainerInfo(owned_packages=array("i", owned.pop(key)), last_activity=activity[key]) for key in list(owned)
-    }
+    listed, ids = corpus.maint_offsets, corpus.maint_ids
+    offsets, distinct = array("i", [0]), array("i")  # each record's identities, each once
+    for pos in range(len(corpus.names)):
+        row = ids[listed[pos] : listed[pos + 1]]
+        distinct.extend(row if len(row) < 2 else dict.fromkeys(row))
+        offsets.append(len(distinct))
+    width = len(corpus.identity_keys)
+    starts, packages = _transpose(offsets, distinct, width)
+    del offsets, distinct
+    times = corpus.last_modified.__getitem__
+    last_activity = array("q", (max(map(times, packages[starts[i] : starts[i + 1]])) for i in range(width)))
+    return MaintainerIndex(starts, packages, last_activity)
 
 
 def maintainer_reach(owned: Sequence[int], dindex: DependentsIndex) -> int:

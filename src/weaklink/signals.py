@@ -7,9 +7,9 @@ order (``WeakLinkFinding.sort_key``). Thresholds are never hard-coded;
 everything tunable lives in ``AnalyzerConfig``.
 
 Evidence is typed: counts are ``int``, shares, averages and ratios are
-unrounded ``float``, timestamps are the record's or the maintainer index's
-own ``datetime``, flags are ``bool`` and script keys a tuple. Only
-``WeakLinkFinding.to_dict`` and the sort tie-break turn it into strings,
+unrounded ``float``, timestamps are the corpus's or the maintainer index's
+own UTC epoch microseconds (``int``), flags are ``bool`` and script keys a
+tuple. Only ``WeakLinkFinding.to_dict`` and the sort tie-break turn it into strings,
 through ``EVIDENCE_FORMATS``: integers as decimal strings, shares and the
 average to 4 decimals, the W5 ratio to 6. Code that decides from evidence
 (the attack pipelines) reads the unrounded values. A finding holds its
@@ -33,10 +33,22 @@ from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
+from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, Callable
 
-from .ingest import DEFAULT_LICENSE_DENYLIST, DEPRECATED, Corpus, format_timestamp, parse_timestamp
+from .ingest import (
+    DEFAULT_LICENSE_DENYLIST,
+    DEPRECATED,
+    US_PER_DAY,
+    Corpus,
+    epoch_us,
+    format_epoch_us,
+    format_timestamp,
+    from_epoch_us,
+    parse_timestamp,
+)
 from .reach import DependentsIndex, MaintainerIndex, maintainer_reach, top_percent
 
 if TYPE_CHECKING:
@@ -89,8 +101,8 @@ EVIDENCE_FORMATS: dict[str, Callable[[object], str]] = {
     "script_key": ",".join,
     "has_suspicious_tokens": _flag,
     "deprecated": _flag,
-    "last_modified": format_timestamp,
-    "latest_maintainer_activity": format_timestamp,
+    "last_modified": format_epoch_us,
+    "latest_maintainer_activity": format_epoch_us,
     "age_days": str,
     "maintainer_count": str,
     "maintainers": str,
@@ -135,12 +147,20 @@ class AnalyzerConfig:
     def inactivity_window(self) -> timedelta:
         return timedelta(days=self.inactivity_days)
 
+    @cached_property
+    def inactive_before(self) -> int:
+        """The UTC epoch microsecond before which a last modification is inactive.
+
+        A time ``t`` is before it exactly when ``reference_time - t``
+        exceeds ``inactivity_window``, since both count whole microseconds.
+        """
+        return epoch_us(self.reference_time) - self.inactivity_days * US_PER_DAY
+
     def resolved(self, corpus: Corpus) -> "AnalyzerConfig":
         """Fill in reference_time from the corpus when unset; an empty corpus leaves it None."""
-        if self.reference_time is not None or not corpus.records:
+        if self.reference_time is not None or not corpus.names:
             return self
-        ref = max(rec.last_modified for rec in corpus.records)
-        return replace(self, reference_time=ref)
+        return replace(self, reference_time=from_epoch_us(max(corpus.last_modified)))
 
     def to_dict(self) -> dict:
         return {
@@ -398,15 +418,14 @@ def analyze_w1(
     package) pair, plus an unordered domain-frequency histogram counting
     how often each domain appears across (package, maintainer) entries.
     An identity's domain is the one ingest decided
-    (``Corpus.email_domains``): a name-only maintainer has none, however
+    (``Corpus.identity_domains``): a name-only maintainer has none, however
     its name reads.
     """
-    email_domains = corpus.email_domains
+    identity_domains = corpus.identity_domains
     histogram: dict[str, int] = {}
-    for rec in corpus.records:
-        for key in rec.maintainers:
-            if domain := email_domains.get(key):
-                histogram[domain] = histogram.get(domain, 0) + 1
+    for ident in corpus.maint_ids:
+        if domain := identity_domains[ident]:
+            histogram[domain] = histogram.get(domain, 0) + 1
 
     available: set[str] = set()
     for domain in sorted(histogram):
@@ -414,17 +433,17 @@ def analyze_w1(
         if status.status == "available":
             available.add(domain)
 
-    records = corpus.records
+    names = corpus.names
     findings = []
-    for key, info in mindex.items():
-        domain = email_domains.get(key)
+    for ident, domain in enumerate(identity_domains):
         if domain not in available:
             continue
         # Every package the maintainer owns shares the first finding's evidence tuple.
-        first, *rest = info.owned_packages
-        finding = WeakLinkFinding.of("package", records[first].name, "W1", {"domain": domain, "maintainer_key": key})
+        first, *rest = mindex.owned(ident)
+        key = corpus.identity_keys[ident]
+        finding = WeakLinkFinding.of("package", names[first], "W1", {"domain": domain, "maintainer_key": key})
         findings.append(finding)
-        findings.extend(WeakLinkFinding("package", records[pos].name, "W1", finding.values) for pos in rest)
+        findings.extend(WeakLinkFinding("package", names[pos], "W1", finding.values) for pos in rest)
     return findings, histogram
 
 
@@ -434,15 +453,13 @@ def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     scan's pattern). The token scan enriches evidence but never gates the
     flag."""
     findings = []
-    for rec in corpus.records:
-        keys = sorted(rec.scripts)
-        if not keys:
-            continue
-        has_tokens = any(find_suspicious_tokens(rec.scripts[k], cfg.suspicious_tokens) for k in keys)
+    for pos, scripts in corpus.scripts.items():
+        keys = sorted(scripts)
+        has_tokens = any(find_suspicious_tokens(scripts[k], cfg.suspicious_tokens) for k in keys)
         findings.append(
             WeakLinkFinding.of(
                 subject_kind="package",
-                subject_id=rec.name,
+                subject_id=corpus.names[pos],
                 signal="W2",
                 evidence={"script_key": tuple(keys), "has_suspicious_tokens": has_tokens},
             )
@@ -450,8 +467,9 @@ def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     return findings
 
 
-def is_inactive(last_modified: datetime, cfg: AnalyzerConfig) -> bool:
-    return (cfg.reference_time - last_modified) > cfg.inactivity_window
+def is_inactive(last_modified: int, cfg: AnalyzerConfig) -> bool:
+    """Whether a last modification, in UTC epoch microseconds, is older than the window allows."""
+    return last_modified < cfg.inactive_before
 
 
 def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
@@ -463,50 +481,56 @@ def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> 
     W3_deprecated: retained deprecated packages whose deprecation predates
     the window, using last-modified as the deprecation time.
     """
-    stale_maintainers = {key for key, info in mindex.items() if is_inactive(info.last_activity, cfg)}
+    if not corpus.names:
+        return []  # without records the reference time may be unset
+    before, reference = cfg.inactive_before, epoch_us(cfg.reference_time)
+    activity = mindex.last_activity  # each listed identity is in the index, built over the same corpus
+    stale = bytes(last < before for last in activity)
+    names, listed, ids, reasons = corpus.names, corpus.maint_offsets, corpus.maint_ids, corpus.exclusion_reasons
     findings = []
-    for rec in corpus.records:
-        if not is_inactive(rec.last_modified, cfg):
+    for pos, last_modified in enumerate(corpus.last_modified):
+        if last_modified >= before:
             continue
-        age = (cfg.reference_time - rec.last_modified).days
+        name = names[pos]
+        age = (reference - last_modified) // US_PER_DAY
         findings.append(
             WeakLinkFinding.of(
                 subject_kind="package",
-                subject_id=rec.name,
+                subject_id=name,
                 signal="W3_inactive_pkg",
-                evidence={"last_modified": rec.last_modified, "age_days": age},
+                evidence={"last_modified": last_modified, "age_days": age},
             )
         )
-        keys = rec.maintainers  # each one is in the index, built over the same corpus
-        if keys and stale_maintainers.issuperset(keys):
+        maintainers = ids[listed[pos] : listed[pos + 1]]
+        if maintainers and all(map(stale.__getitem__, maintainers)):
             findings.append(
                 WeakLinkFinding.of(
                     subject_kind="package",
-                    subject_id=rec.name,
+                    subject_id=name,
                     signal="W3_inactive_maintainer",
                     evidence={
-                        "last_modified": rec.last_modified,
-                        "maintainer_count": len(rec.maintainers),
-                        "latest_maintainer_activity": max(mindex[k].last_activity for k in keys),
+                        "last_modified": last_modified,
+                        "maintainer_count": len(maintainers),
+                        "latest_maintainer_activity": max(map(activity.__getitem__, maintainers)),
                     },
                 )
             )
-        if rec.exclusion_reasons & DEPRECATED:
+        if reasons[pos] & DEPRECATED:
             findings.append(
                 WeakLinkFinding.of(
                     subject_kind="package",
-                    subject_id=rec.name,
+                    subject_id=name,
                     signal="W3_deprecated",
-                    evidence={"deprecated": rec.deprecated, "last_modified": rec.last_modified},
+                    evidence={"deprecated": corpus.deprecated[pos], "last_modified": last_modified},
                 )
             )
     return findings
 
 
 def mean_maintainers(corpus: Corpus) -> float:
-    if not corpus.records:
+    if not corpus.names:
         return 0.0
-    return sum(len(rec.maintainers) for rec in corpus.records) / len(corpus.records)
+    return len(corpus.maint_ids) / len(corpus.names)
 
 
 def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
@@ -515,14 +539,14 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     Ranked over packages that list maintainers at all; a degenerate ranking
     (every count equal) still emits, by the closed-tie rule.
     """
-    records = corpus.records
-    population = array("i", (pos for pos, rec in enumerate(records) if rec.maintainers))
+    counts = corpus.maintainer_counts()
+    population = array("i", compress(range(len(counts)), counts))
     registry_avg = mean_maintainers(corpus)
-    counts = array("i", (len(records[pos].maintainers) for pos in population))
+    counts = array("i", filter(None, counts))
     return [
         WeakLinkFinding.of(
             subject_kind="package",
-            subject_id=records[pos].name,
+            subject_id=corpus.names[pos],
             signal="W4",
             evidence={"maintainer_count": count, "registry_avg": registry_avg},
         )
@@ -537,21 +561,21 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     maintainers/contributors ratios are the riskiest, so the bottom
     percentile is selected.
     """
-    records = corpus.records
-    population = array("i", (pos for pos, rec in enumerate(records) if rec.contributor_count))
-    neg_ratios = array("d", (-(len(records[pos].maintainers) / records[pos].contributor_count) for pos in population))
+    contributors = corpus.contributor_counts
+    maintainers = corpus.maintainer_counts()
+    population = array("i", compress(range(len(contributors)), contributors))
+    neg_ratios = array("d", (-(maintainers[pos] / contributors[pos]) for pos in population))
     findings = []
     for pos, _neg_ratio in top_percent(population, neg_ratios, cfg.top_percent):
-        rec = records[pos]
         findings.append(
             WeakLinkFinding.of(
                 subject_kind="package",
-                subject_id=rec.name,
+                subject_id=corpus.names[pos],
                 signal="W5",
                 evidence={
-                    "maintainers": len(rec.maintainers),
-                    "contributors": rec.contributor_count,
-                    "ratio": len(rec.maintainers) / rec.contributor_count,
+                    "maintainers": maintainers[pos],
+                    "contributors": contributors[pos],
+                    "ratio": maintainers[pos] / contributors[pos],
                 },
             )
         )
@@ -568,24 +592,30 @@ def analyze_w6(
 
     Emits one maintainer-subject finding per flagged identity plus one
     package-subject finding per owned package, all carrying the same
-    ownership evidence.
+    ownership evidence. Flagged identities come in ranking order, ties
+    broken on the identity key.
     """
-    records = corpus.records
-    reaches = array("q", (maintainer_reach(info.owned_packages, dindex) for info in mindex.values()))
+    names, keys = corpus.names, corpus.identity_keys
+    if not keys:
+        return []  # without records the reference time may be unset
+    before, last_modified, runtime = cfg.inactive_before, corpus.last_modified, corpus.runtime_flags
+    reaches = array("q", (maintainer_reach(mindex.owned(ident), dindex) for ident in range(len(keys))))
+    flagged = top_percent(range(len(keys)), reaches, cfg.top_percent)
+    flagged.sort(key=lambda item: (-item[1], keys[item[0]]))
     findings = []
-    for key, reach in top_percent(mindex.keys(), reaches, cfg.top_percent):
-        owned = mindex[key].owned_packages
-        inactive_owned = sum(1 for pos in owned if is_inactive(records[pos].last_modified, cfg))
-        with_deps = sum(1 for pos in owned if records[pos].has_runtime_dependencies)
+    for ident, reach in flagged:
+        owned = mindex.owned(ident)
+        inactive_owned = sum(1 for pos in owned if last_modified[pos] < before)
+        with_deps = sum(map(runtime.__getitem__, owned))
         evidence = {
             "owned_count": len(owned),
             "reach": reach,
             "inactive_owned_share": inactive_owned / len(owned),
             "dependency_using_share": with_deps / len(owned),
-            "maintainer_key": key,
+            "maintainer_key": keys[ident],
         }
-        maintainer = WeakLinkFinding.of(subject_kind="maintainer", subject_id=key, signal="W6", evidence=evidence)
+        maintainer = WeakLinkFinding.of(subject_kind="maintainer", subject_id=keys[ident], signal="W6", evidence=evidence)
         findings.append(maintainer)
         # The package findings share the maintainer finding's evidence tuple.
-        findings.extend(WeakLinkFinding("package", records[pos].name, "W6", maintainer.values) for pos in owned)
+        findings.extend(WeakLinkFinding("package", names[pos], "W6", maintainer.values) for pos in owned)
     return findings

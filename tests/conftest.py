@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from weaklink import ingest
 from weaklink.ingest import (
     DEFAULT_LICENSE_DENYLIST,
     Corpus,
     IngestStats,
     PackageRecord,
+    epoch_us,
     extract_email_domain,
     is_install_key,
     load_corpus,
@@ -85,17 +87,47 @@ def make_record(
 
 
 def make_corpus(records, email_domains: dict[str, str] | None = None) -> Corpus:
-    """A corpus of ``records`` in name order.
+    """A corpus of ``records`` in name order, built from the columns ``load_corpus`` fills.
 
     Its ``email_domains`` default to the domain of each listed key that
-    ``person`` made from an email: every key but the "name:" ones.
+    ``person`` made from an email: every key but the "name:" ones. As in a
+    loaded corpus, a dependency on a name outside ``records`` is dropped.
+    Raises ``ValueError`` when two records share a name.
     """
-    records = tuple(sorted(records, key=lambda r: r.name))
+    records = list(records)
     if email_domains is None:
         keys = {key for rec in records for key in rec.maintainers if not key.startswith("name:")}
         email_domains = {key: domain for key in keys if (domain := extract_email_domain(key))}
+    leaves = ingest._Leaves()
+    columns = ingest._Columns(leaves)
+    for rec in records:
+        maintainers = [leaves.identity(key, email_domains.get(key)) for key in rec.maintainers]
+        columns.append(
+            (
+                rec.name,
+                rec.version,
+                epoch_us(rec.last_modified),
+                rec.scripts,
+                maintainers,
+                rec.contributor_count,
+                rec.dependencies,
+                rec.has_runtime_dependencies,
+                rec.deprecated,
+                rec.exclusion_reasons,
+            )
+        )
     stats = IngestStats(total=len(records), parsed=len(records), skipped=0, by_error={})
-    return Corpus(records=records, stats=stats, email_domains=email_domains, digest="test")
+    return columns.corpus(stats, "test")
+
+
+def email_domains(table) -> dict[str, str]:
+    """The identity keys of a corpus, or of a load's ``ingest._Leaves``, that have an email domain, mapped to it."""
+    return {key: domain for key, domain in zip(table.identity_keys, table.identity_domains) if domain}
+
+
+def owned_by_key(corpus: Corpus, mindex) -> dict:
+    """The positions the maintainer index of ``corpus`` gives each identity key, in id order."""
+    return {key: mindex.owned(ident) for ident, key in enumerate(corpus.identity_keys)}
 
 
 def load_documents(directory: Path, versions: dict[str, dict], **load_kwargs) -> Corpus:
@@ -122,7 +154,12 @@ def load_documents(directory: Path, versions: dict[str, dict], **load_kwargs) ->
 
 
 def random_corpus(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) -> Corpus:
-    """A messy random corpus for brute-force oracle equivalence tests.
+    """A messy random corpus for brute-force oracle equivalence tests: ``make_corpus`` of ``random_records``."""
+    return make_corpus(random_records(seed, size, dep_kinds))
+
+
+def random_records(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) -> list[PackageRecord]:
+    """The records of a messy random corpus, before a corpus drops their dependencies outside it.
 
     Includes self-dependencies, dependencies on unknown names, shared and
     name-only maintainers, zero-maintainer packages and assorted exclusion
@@ -162,7 +199,7 @@ def random_corpus(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) -
                 deprecated=deprecated,
             )
         )
-    return make_corpus(records)
+    return records
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from weaklink.signals import (
 )
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import random_corpus
+from conftest import owned_by_key, random_corpus
 from ingest_reference import reason_names
 from test_classify import SUITE as CLASSIFY_SUITE
 
@@ -225,11 +225,11 @@ def test_criterion_2_oracle_equivalence():
         }
 
         mindex = build_maintainer_index(corpus)
-        for key, info in mindex.items():
+        for owned in owned_by_key(corpus, mindex).values():
             union: set[str] = set()
-            for pos in info.owned_packages:
+            for pos in owned:
                 union |= set(brute_index[names[pos]])
-            assert maintainer_reach(info.owned_packages, index) == len(union)
+            assert maintainer_reach(owned, index) == len(union)
 
         filtered, verdicts = apply_exclusions(corpus)
         for rec, verdict in zip(corpus.records, verdicts):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -95,7 +96,11 @@ def oracle_load(source: Path, layout: str | None) -> tuple[list[dict], IngestSta
         skipped += 1
         by_error[reason] = by_error.get(reason, 0) + 1
     stats = IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
-    return [record_to_dict(records[name]) for name in sorted(records)], stats
+    # A corpus's record lists only the dependencies in that corpus.
+    return [
+        record_to_dict(replace(rec, dependencies=tuple(dep for dep in rec.dependencies if dep in records)))
+        for rec in map(records.__getitem__, sorted(records))
+    ], stats
 
 
 def outcome(load, *args):

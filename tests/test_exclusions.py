@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 import tracemalloc
 from collections import Counter
 
@@ -11,10 +13,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weaklink.exclusions import ExclusionVerdict, apply_exclusions
-from weaklink.ingest import DEFAULT_LICENSE_DENYLIST, DEPRECATED, NO_REPO_NO_LICENSE, SECURITY_HOLDING, parse_record
-from weaklink.reach import names_with_dependents
+from weaklink.ingest import (
+    DEFAULT_LICENSE_DENYLIST,
+    DEPRECATED,
+    NO_REPO_NO_LICENSE,
+    SECURITY_HOLDING,
+    load_corpus,
+    parse_record,
+)
+from weaklink.synth import GenerationPlan, generate
 
-from conftest import make_corpus, make_record, random_corpus
+from conftest import email_domains, make_corpus, make_record, person, random_corpus, random_records
 from ingest_reference import reason_names, reference_reasons
 
 
@@ -156,20 +165,78 @@ def test_brute_force_oracle_equivalence():
         for rec, verdict in zip(corpus.records, verdicts):
             reasons = reason_names(rec.exclusion_reasons)
             has_dep = any(rec.name in other.dependencies and other.name != rec.name for other in corpus.records)
-            assert verdict.record is rec
+            assert verdict.record == rec
             assert tuple(reasons) == verdict.reasons
             assert verdict.had_dependents == has_dep
             assert verdict.excluded == (bool(reasons) and not has_dep)
 
 
-def test_order_independence():
-    corpus = random_corpus(seed=3, size=60)
-    _, verdicts = apply_exclusions(corpus)
-    reversed_corpus = make_corpus(list(corpus.records))  # make_corpus re-sorts
-    _, verdicts_again = apply_exclusions(reversed_corpus)
-    assert sorted(v.record.package_id for v in verdicts) == sorted(v.record.package_id for v in verdicts_again)
-    excluded = {v.record.package_id: v.excluded for v in verdicts}
-    assert excluded == {v.record.package_id: v.excluded for v in verdicts_again}
+def shuffled_loads(tmp_path, lines: list[bytes], seeds=range(3)):
+    """The corpus ``load_corpus`` reads from ``lines`` as given, and from each shuffle of them."""
+    for seed in (None, *seeds):
+        order = list(lines)
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        path = tmp_path / f"order-{seed}.ndjson"
+        path.write_bytes(b"".join(order))
+        yield order, load_corpus(path)
+
+
+def test_order_independence(tmp_path):
+    snapshot = generate(GenerationPlan(seed=3, package_count=600)).write_snapshot(tmp_path / "snapshot.ndjson", layout="ndjson")
+    lines = snapshot.read_bytes().splitlines(keepends=True)
+    results = []
+    for _, corpus in shuffled_loads(tmp_path, lines):
+        filtered, verdicts = apply_exclusions(corpus)
+        # Only the digest of the file's bytes depends on the order.
+        results.append((dataclasses.replace(filtered, digest=""), verdicts.flags))
+    filtered, flags = results[0]
+    assert 0 < len(filtered.names) < len(flags)  # the corpus does exclude records
+    assert any(flag >= 8 for flag in flags)  # and some records have dependents
+    assert all(result == (filtered, flags) for result in results)
+
+
+def test_the_first_of_a_repeated_name_in_file_order_wins(tmp_path):
+    def document(name: str, version: str, dependencies: dict) -> bytes:
+        t0 = "2024-01-01T00:00:00.000Z"
+        tree = {"name": name, "dist-tags": {"latest": version}, "time": {"modified": t0}, "repository": "github:u/r"}
+        tree["versions"] = {version: {"dependencies": dependencies, "deprecated": "gone"}}
+        return (json.dumps(tree) + "\n").encode()
+
+    lines = [
+        document("dup", "1.0.0", {"lib": "^1"}),
+        document("dup", "2.0.0", {}),
+        document("lib", "1.0.0", {}),
+        document("other", "1.0.0", {}),
+    ]
+    versions = set()
+    for order, corpus in shuffled_loads(tmp_path, lines, seeds=range(6)):
+        first = next(line for line in order if b'"dup"' in line)
+        version = json.loads(first)["dist-tags"]["latest"]
+        versions.add(version)
+        assert corpus.stats.by_error == {"duplicate_name": 1}
+        assert [rec.package_id for rec in corpus.records] == [f"dup@{version}", "lib@1.0.0", "other@1.0.0"]
+        # Only the first "dup" declares "lib", which its dependent keeps from exclusion.
+        filtered, verdicts = apply_exclusions(corpus)
+        assert [rec.name for rec in filtered.records] == (["lib"] if version == "1.0.0" else [])
+        assert verdicts.flags[1] == (DEPRECATED | 8 if version == "1.0.0" else DEPRECATED)
+    assert versions == {"1.0.0", "2.0.0"}  # the shuffles put each one first
+
+
+def test_the_filtered_corpus_keeps_one_domain_for_each_identity_a_kept_record_lists():
+    # "zz-gone" is excluded, and it alone lists "only@gone.io".
+    gone = make_record("zz-gone", deprecated=True, maintainers=(person(email="only@gone.io"),))
+    for seed in range(8):
+        corpus = make_corpus([*random_records(seed=seed, size=150), gone])
+        filtered, _ = apply_exclusions(corpus)
+        first_listed = list(dict.fromkeys(key for rec in filtered.records for key in rec.maintainers))
+        assert list(filtered.identity_keys) == first_listed
+        assert len(filtered.identity_domains) == len(first_listed)
+        domains = email_domains(corpus)
+        assert filtered.identity_domains == tuple(domains.get(key) for key in first_listed)
+        assert domains["only@gone.io"] == "gone.io"
+        assert "only@gone.io" not in filtered.identity_keys
+        assert "gone.io" not in filtered.identity_domains
 
 
 # --- the verdict sequence -----------------------------------------------------------------
@@ -197,11 +264,10 @@ def exclusion_corpora(draw):
 @given(exclusion_corpora())
 def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
     corpus, reasons_by_name = corpus_and_reasons
-    depended = names_with_dependents(corpus)
     eager = []
     for rec in corpus.records:
         reasons = reasons_by_name[rec.name]
-        had = rec.name in depended
+        had = any(rec.name in other.dependencies for other in corpus.records if other.name != rec.name)
         eager.append(ExclusionVerdict(record=rec, excluded=bool(reasons) and not had, reasons=reasons, had_dependents=had))
     filtered, verdicts = apply_exclusions(corpus)
     n = len(eager)
@@ -209,7 +275,7 @@ def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
     assert list(verdicts) == eager
     assert [verdicts[pos] for pos in range(n)] == eager
     assert [verdicts[pos] for pos in range(-n, 0)] == eager
-    assert filtered.records == tuple(v.record for v in eager if not v.excluded)
+    assert tuple(filtered.records) == tuple(v.record for v in eager if not v.excluded)
     assert verdicts.excluded_counts() == Counter(v.reasons for v in eager if v.excluded)
     assert [verdicts.report_line(pos) for pos in range(n)] == [
         {
@@ -220,7 +286,9 @@ def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
         }
         for v in eager
     ]
-    assert filtered.email_domains is corpus.email_domains
+    listed = {key for rec in filtered.records for key in rec.maintainers}
+    assert set(filtered.identity_keys) == listed
+    assert email_domains(filtered) == {key: domain for key, domain in email_domains(corpus).items() if key in listed}
     for pos in (n, -n - 1):
         with pytest.raises(IndexError):
             verdicts[pos]

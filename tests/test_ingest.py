@@ -28,6 +28,7 @@ from weaklink.ingest import (
 )
 from weaklink.synth import GenerationPlan, generate
 
+from conftest import email_domains
 from ingest_reference import record_to_dict, reference_email_domains, reference_record
 
 T0 = "2024-01-01T00:00:00.000Z"
@@ -108,7 +109,7 @@ def test_contributor_shapes_normalized():
     leaves = ingest._Leaves()
     rec = parse_record(doc_bytes(minimal_doc(maintainers=people, contributors=people)), leaves)
     assert rec.maintainers == ("ann@x.io", "bob@y.io", "name:plain name", "solo@z.io")
-    assert leaves.email_domains == {"ann@x.io": "x.io", "bob@y.io": "y.io", "solo@z.io": "z.io"}
+    assert email_domains(leaves) == {"ann@x.io": "x.io", "bob@y.io": "y.io", "solo@z.io": "z.io"}
     assert rec.contributor_count == 4
 
 
@@ -119,7 +120,7 @@ def test_people_of_the_latest_version_win_over_the_document():
     rec = parse_record(tree, leaves)
     assert rec.maintainers == ("v@x.io",)
     assert rec.contributor_count == 1
-    assert leaves.email_domains == {"v@x.io": "x.io"}  # the document's maintainers are not read
+    assert email_domains(leaves) == {"v@x.io": "x.io"}  # the document's maintainers are not read
     # Lists with no usable entry fall back to the document's.
     tree["versions"]["1.0.0"].update(maintainers=[""], contributors={"name": " "})
     rec = parse_record(tree)
@@ -239,7 +240,7 @@ def test_field_traceability_with_sentinels():
     assert parse_record(doc_bytes(tree), ingest._Leaves(("peer", "optional"))).dependencies == ()
     assert rec.deprecated == "SENTINEL_DEPRECATION"
     assert rec.maintainers == ("maint@sentinel.io",)
-    assert leaves.email_domains == {"maint@sentinel.io": "sentinel.io"}
+    assert email_domains(leaves) == {"maint@sentinel.io": "sentinel.io"}
     assert rec.contributor_count == 1
     assert rec.exclusion_reasons == ingest.DEPRECATED  # the repository is present
     del tree["repository"]
@@ -522,8 +523,9 @@ def test_equal_maintainers_share_one_person(tmp_path):
     path = write_snapshot(tmp_path, docs, "ndjson")
     corpus = load_corpus(path)
     records = corpus.records
-    assert records[0].maintainers is records[1].maintainers is records[2].maintainers
-    assert corpus.email_domains == {"ann@x.io": "x.io"}
+    assert list(corpus.maint_ids) == [0, 0, 0]  # one identity, listed by each record
+    assert corpus.identity_keys == ("ann@x.io",)
+    assert email_domains(corpus) == {"ann@x.io": "x.io"}
     alone = [record_to_dict(parse_record(doc_bytes(doc))) for doc in docs]
     assert [record_to_dict(r) for r in records] == alone
     assert alone[0]["maintainers"] == ["ann@x.io"]
@@ -538,7 +540,7 @@ def test_equal_maintainers_share_one_person(tmp_path):
     ann, ann_too, cy, ann_again, cy_too = [key for rec in corpus.records for key in rec.maintainers]  # one, three, two
     assert ann == "ann@x.io" and cy == "cy@z.io"
     assert ann is ann_too is ann_again and cy is cy_too
-    assert {key: key for key in corpus.email_domains}["ann@x.io"] is ann
+    assert {key: key for key in email_domains(corpus)}["ann@x.io"] is ann
 
 
 def test_records_share_empty_maps_and_equal_strings(tmp_path):
@@ -559,11 +561,10 @@ def test_records_share_empty_maps_and_equal_strings(tmp_path):
     assert [d["exclusion_reasons"] for d in alone] == [0] * 3  # each license reads "MIT"
 
 
-def test_the_loaded_corpus_retains_at_most_410_bytes_per_record(tmp_path):
-    # Records keep maintainers as shared identity-key strings and the load
-    # keeps one domain per identity: 372 B per record under Python 3.11 and
-    # 385 B under 3.10, against 430 B and 439 B with a person object per
-    # spelling.
+def test_the_loaded_corpus_retains_at_most_200_bytes_per_record(tmp_path):
+    # The corpus is position-aligned columns: 186 B per record under Python
+    # 3.11, against 372 B with one record object per package holding a
+    # tuple of identity-key strings and one of dependency names.
     snapshot = generate(GenerationPlan(seed=1, package_count=5_000)).write_snapshot(
         tmp_path / "snapshot.ndjson", layout="ndjson"
     )
@@ -574,8 +575,8 @@ def test_the_loaded_corpus_retains_at_most_410_bytes_per_record(tmp_path):
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert all(type(key) is str for rec in corpus.records for key in rec.maintainers)
-    assert retained <= 410 * len(corpus.records)
+    assert all(type(key) is str for key in corpus.identity_keys)
+    assert retained <= 200 * len(corpus.records)
 
 
 def test_bulk_export_with_trailing_data_still_fails(tmp_path):
@@ -908,7 +909,7 @@ def test_email_domains_are_the_reference_domains_of_the_maintainers(trees):
     for tree in trees:
         if isinstance(normalized(lambda item: parse_record(item, leaves), tree), ingest.PackageRecord):
             expected.update(reference_email_domains(tree))
-    assert leaves.email_domains == expected
+    assert email_domains(leaves) == expected
 
 
 # --- exclusion reasons against the reference predicates ---------------------------------
@@ -974,4 +975,4 @@ def load_corpus_of(tree: dict, denylist: tuple) -> ingest.Corpus:
 def test_exclusion_reasons_are_the_reference_predicates(tree, denylist):
     rec = parse_record(tree, ingest._Leaves(license_denylist=denylist))
     assert rec.exclusion_reasons == reference_record(tree, license_denylist=denylist)["exclusion_reasons"]
-    assert load_corpus_of(tree, denylist).records == (rec,)
+    assert tuple(load_corpus_of(tree, denylist).records) == (rec,)

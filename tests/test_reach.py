@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 from array import array
 
 import pytest
@@ -10,17 +12,18 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weaklink.exclusions import apply_exclusions
+from weaklink.ingest import from_epoch_us, load_corpus
+from weaklink.synth import GenerationPlan, generate
 from weaklink.signals import AnalyzerConfig, analyze_w6
 from weaklink.reach import (
     build_dependents_index,
     build_maintainer_index,
     maintainer_reach,
-    names_with_dependents,
     top_n,
     top_percent,
 )
 
-from conftest import load_documents, make_corpus, make_record, person, random_corpus
+from conftest import load_documents, make_corpus, make_record, owned_by_key, person, random_corpus, random_records
 
 
 def dependents_by_name(corpus, index):
@@ -29,8 +32,8 @@ def dependents_by_name(corpus, index):
     return {name: tuple(names[dep] for dep in index.dependents(pos)) for pos, name in enumerate(names)}
 
 
-def owned_names(corpus, info):
-    return tuple(corpus.records[pos].name for pos in info.owned_packages)
+def owned_names(corpus, owned):
+    return tuple(corpus.names[pos] for pos in owned)
 
 
 def test_single_edge():
@@ -133,15 +136,38 @@ def test_dependencies_outside_the_filtered_corpus_are_no_edges():
     dropped = 0
     for seed in range(10):
         for kinds in (("runtime",), ("runtime", "dev")):
-            corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
-            filtered, _ = apply_exclusions(corpus)
+            records = random_records(seed=seed, size=150, dep_kinds=kinds)
+            filtered, _ = apply_exclusions(make_corpus(records))
             kept = {rec.name for rec in filtered.records}
             index = build_dependents_index(filtered)
             assert dependents_by_name(filtered, index) == brute_force_index(filtered)
-            declared = [dep for rec in filtered.records for dep in rec.dependencies]
+            declared = [dep for rec in records if rec.name in kept for dep in rec.dependencies]
             assert len(index.targets) == sum(dep in kept for dep in declared)
             dropped += sum(dep not in kept for dep in declared)
-    assert dropped  # the corpora do declare such names
+    assert dropped  # the records do declare such names
+
+
+def test_the_dependents_index_peaks_at_a_few_bytes_per_edge_and_record(tmp_path):
+    # A counting sort over the corpus's int arrays: the result holds 4 B per
+    # edge and per record, and the fill adds 4 B per record of counts and 4
+    # of cursors. A map from each name to a list of its dependents held
+    # several times that.
+    snapshot = generate(GenerationPlan(seed=1, package_count=5_000)).write_snapshot(
+        tmp_path / "snapshot.ndjson", layout="ndjson"
+    )
+    corpus = load_corpus(snapshot)
+    records, edges = len(corpus.names), len(corpus.dep_targets)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        index = build_dependents_index(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges > records // 2
+    assert len(index.targets) == edges
+    assert peak - start <= 4 * edges + 16 * records
 
 
 def test_self_edges_are_never_indexed(tmp_path):
@@ -164,23 +190,27 @@ def test_edge_count_invariant():
         assert sum(index.counts()) == edges
 
 
-def test_names_with_dependents_are_the_nonempty_index_keys():
+def test_the_dependents_bit_marks_the_nonempty_index_rows():
     outside = set()
     for seed in range(10):
         for kinds in (("runtime",), ("runtime", "dev"), ALL_KINDS):
-            corpus = random_corpus(seed=seed, size=150, dep_kinds=kinds)
+            records = random_records(seed=seed, size=150, dep_kinds=kinds)
+            corpus = make_corpus(records)
             index = dependents_by_name(corpus, build_dependents_index(corpus))
-            names = names_with_dependents(corpus)
-            assert names & index.keys() == {name for name, deps in index.items() if deps}, (seed, kinds)
-            # Over a whole snapshot the names outside it count too.
-            assert names == {dep for rec in corpus.records for dep in rec.dependencies}
-            outside |= names - index.keys()
+            _, verdicts = apply_exclusions(corpus)
+            marked = {verdict.record.name for verdict in verdicts if verdict.had_dependents}
+            assert marked == {name for name, deps in index.items() if deps}, (seed, kinds)
+            # A name outside the corpus has no position, so nothing marks it.
+            declared = {dep for rec in records for dep in rec.dependencies}
+            assert marked == declared & index.keys()
+            outside |= declared - index.keys()
     assert outside == {"external-dep", "external-dev"}
 
 
 def test_a_name_only_its_own_record_lists_has_no_dependents(tmp_path):
     versions = {"a": {"dependencies": ["a", "b"]}, "b": {"devDependencies": ["b"], "peerDependencies": ["b"]}}
-    assert names_with_dependents(load_documents(tmp_path, versions, dep_kinds=ALL_KINDS)) == {"b"}
+    _, verdicts = apply_exclusions(load_documents(tmp_path, versions, dep_kinds=ALL_KINDS))
+    assert [verdict.record.name for verdict in verdicts if verdict.had_dependents] == ["b"]
 
 
 def test_exclusions_read_names_declared_under_the_scanned_kinds(tmp_path):
@@ -208,18 +238,18 @@ def test_maintainer_index_and_reach():
             make_record("c", dependencies=("b",)),
         ]
     )
-    mindex = build_maintainer_index(corpus)
+    owned = owned_by_key(corpus, build_maintainer_index(corpus))
     dindex = build_dependents_index(corpus)
-    assert owned_names(corpus, mindex["m@x.io"]) == ("b",)
-    assert maintainer_reach(mindex["m@x.io"].owned_packages, dindex) == 2
+    assert owned_names(corpus, owned["m@x.io"]) == ("b",)
+    assert maintainer_reach(owned["m@x.io"], dindex) == 2
 
 
 def test_maintainer_listed_twice_owns_each_package_once():
     m = person(email="m@x.io")
     corpus = make_corpus([make_record("a", maintainers=(m, m)), make_record("b", maintainers=(m,))])
-    info = build_maintainer_index(corpus)["m@x.io"]
-    assert tuple(info.owned_packages) == (0, 1)
-    assert info.owned_packages.typecode == "i"
+    owned = owned_by_key(corpus, build_maintainer_index(corpus))["m@x.io"]
+    assert tuple(owned) == (0, 1)
+    assert owned.typecode == "i"
 
 
 def test_addresses_differing_in_case_own_a_package_once():
@@ -229,7 +259,7 @@ def test_addresses_differing_in_case_own_a_package_once():
             make_record("a", maintainers=(person(email="a@dead.io"),)),
         ]
     )
-    assert owned_names(corpus, build_maintainer_index(corpus)["a@dead.io"]) == ("a", "b")
+    assert owned_names(corpus, owned_by_key(corpus, build_maintainer_index(corpus))["a@dead.io"]) == ("a", "b")
 
 
 def test_maintainer_index_matches_brute_force_on_random_corpora():
@@ -239,9 +269,9 @@ def test_maintainer_index_matches_brute_force_on_random_corpora():
         for rec in corpus.records:
             for key in dict.fromkeys(rec.maintainers):
                 oracle[key] = oracle.get(key, ()) + (rec.name,)
-        mindex = build_maintainer_index(corpus)
-        assert {key: owned_names(corpus, info) for key, info in mindex.items()} == oracle
-        assert list(mindex) == list(oracle)
+        owned = owned_by_key(corpus, build_maintainer_index(corpus))
+        assert {key: owned_names(corpus, positions) for key, positions in owned.items()} == oracle
+        assert list(owned) == list(oracle)
 
 
 def test_reach_unique_union():
@@ -253,9 +283,9 @@ def test_reach_unique_union():
             make_record("a", dependencies=("b", "d")),
         ]
     )
-    mindex = build_maintainer_index(corpus)
+    owned = owned_by_key(corpus, build_maintainer_index(corpus))
     dindex = build_dependents_index(corpus)
-    assert maintainer_reach(mindex["m@x.io"].owned_packages, dindex) == 1
+    assert maintainer_reach(owned["m@x.io"], dindex) == 1
 
 
 def test_reach_counts_own_dependents():
@@ -267,9 +297,9 @@ def test_reach_counts_own_dependents():
             make_record("a", dependencies=("b",)),
         ]
     )
-    mindex = build_maintainer_index(corpus)
+    owned = owned_by_key(corpus, build_maintainer_index(corpus))
     dindex = build_dependents_index(corpus)
-    assert maintainer_reach(mindex["m@x.io"].owned_packages, dindex) == 2
+    assert maintainer_reach(owned["m@x.io"], dindex) == 2
 
 
 def brute_force_reach(corpus):
@@ -285,15 +315,15 @@ def brute_force_reach(corpus):
 def test_reach_matches_brute_force_and_bounds():
     for seed in range(10):
         corpus = random_corpus(seed=seed, size=150)
-        mindex = build_maintainer_index(corpus)
+        owned = owned_by_key(corpus, build_maintainer_index(corpus))
         dindex = build_dependents_index(corpus)
         index = brute_force_index(corpus)
         oracle = brute_force_reach(corpus)
-        assert mindex.keys() == oracle.keys()
-        for key, info in mindex.items():
-            got = maintainer_reach(info.owned_packages, dindex)
+        assert owned.keys() == oracle.keys()
+        for key, positions in owned.items():
+            got = maintainer_reach(positions, dindex)
             assert got == oracle[key]
-            sizes = [len(index[pkg]) for pkg in owned_names(corpus, info)]
+            sizes = [len(index[pkg]) for pkg in owned_names(corpus, positions)]
             assert got <= sum(sizes)
             assert got >= max(sizes)
 
@@ -327,7 +357,8 @@ def test_maintainer_last_activity_is_max():
         ]
     )
     mindex = build_maintainer_index(corpus)
-    assert mindex["m@x.io"].last_activity == REF
+    assert len(mindex) == 1 and corpus.identity_keys == ("m@x.io",)
+    assert from_epoch_us(mindex.last_activity[0]) == REF
 
 
 # --- top_percent / top_n ------------------------------------------------------

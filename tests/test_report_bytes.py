@@ -27,7 +27,7 @@ from weaklink.cli import main
 from weaklink.pipeline import _package_id_order
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import make_corpus, make_record, random_corpus
+from conftest import random_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference_digests.json"
@@ -135,18 +135,19 @@ VERSIONS = st.sampled_from(("1.0.0", "0.1.0", "10.0.0", "1.0.0-beta.1", "b"))
 
 @given(st.lists(st.tuples(NAMES, VERSIONS), max_size=30))
 def test_exclusion_order_is_package_id_order(pairs):
-    records = make_corpus(make_record(name, version=version) for name, version in pairs).records
-    expected = sorted(range(len(records)), key=lambda pos: records[pos].package_id)
-    assert list(_package_id_order(records)) == expected
+    pairs.sort(key=lambda pair: pair[0])  # position order is name order; a name may repeat
+    names, versions = [name for name, _ in pairs], [version for _, version in pairs]
+    expected = sorted(range(len(pairs)), key=lambda pos: f"{names[pos]}@{versions[pos]}")
+    assert list(_package_id_order(names, versions)) == expected
 
 
 def test_ordering_the_exclusions_holds_few_package_ids():
     # Numbered names make long prefix families: "r15-pkg-1" prefixes 1,111 of them.
-    records = random_corpus(seed=15, size=5_000).records
-    id_bytes = sum(sys.getsizeof(rec.package_id) for rec in records)
+    corpus = random_corpus(seed=15, size=5_000)
+    id_bytes = sum(sys.getsizeof(rec.package_id) for rec in corpus.records)
     tracemalloc.start()
     try:
-        deque(_package_id_order(records), maxlen=0)
+        deque(_package_id_order(corpus.names, corpus.versions), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -6,7 +6,10 @@ import random
 from datetime import timedelta, timezone, datetime
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from weaklink.ingest import US_PER_DAY, epoch_us, format_epoch_us, format_timestamp, from_epoch_us
 from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_REGISTERED, STATUS_UNKNOWN
 from weaklink.reach import build_dependents_index, build_maintainer_index
 from weaklink.signals import (
@@ -19,11 +22,12 @@ from weaklink.signals import (
     analyze_w4,
     analyze_w5,
     analyze_w6,
+    is_inactive,
     mean_maintainers,
     sort_findings,
 )
 
-from conftest import REF, load_documents, make_corpus, make_record, person, random_corpus
+from conftest import REF, email_domains, load_documents, make_corpus, make_record, owned_by_key, person, random_corpus
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -77,7 +81,7 @@ def test_w1_fan_out_per_owned_package():
 def test_w1_one_finding_when_two_listed_addresses_share_an_identity():
     corpus = make_corpus([make_record("p", maintainers=(person(email="A@dead.io"), person(email="a@dead.io")))])
     mindex = build_maintainer_index(corpus)
-    assert tuple(mindex["a@dead.io"].owned_packages) == (0,)
+    assert {key: tuple(owned) for key, owned in owned_by_key(corpus, mindex).items()} == {"a@dead.io": (0,)}
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
     findings, histogram = analyze_w1(corpus, mindex, provider, cfg_for(corpus))
     assert [(f.subject_id, f.values) for f in findings] == [("p", ("dead.io", "a@dead.io"))]
@@ -129,7 +133,7 @@ def test_w1_counts_the_name_only_entries_of_a_key_an_email_spells(tmp_path):
     versions = {"a": {"maintainers": [{"name": "x@dead.io"}]}, "b": {"maintainers": [{"email": "Name:X@dead.io"}]}}
     corpus = load_documents(tmp_path, versions)
     assert [rec.maintainers for rec in corpus.records] == [("name:x@dead.io",)] * 2
-    assert corpus.email_domains == {"name:x@dead.io": "dead.io"}
+    assert email_domains(corpus) == {"name:x@dead.io": "dead.io"}
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
     findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
     assert [(f.subject_id, f.value("maintainer_key")) for f in findings] == [
@@ -274,6 +278,36 @@ def test_w3_threshold_monotonicity():
         findings = analyze_w3(corpus, mindex, cfg)
         counts.append(sum(1 for f in findings if f.signal == "W3_inactive_pkg"))
     assert counts[0] >= counts[1] >= counts[2]
+
+
+# Any UTC time a corpus can hold: parse_timestamp keeps years 1 to 9999 in UTC.
+UTC_TIMES = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999)).map(
+    lambda dt: dt.replace(tzinfo=timezone.utc)
+)
+
+
+@given(UTC_TIMES)
+@example(datetime(1, 1, 1, tzinfo=timezone.utc))
+@example(datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc))
+@example(datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc))
+def test_epoch_microseconds_format_as_the_datetime(dt):
+    us = epoch_us(dt)
+    assert from_epoch_us(us) == dt
+    assert format_epoch_us(us) == format_timestamp(dt)
+
+
+@given(UTC_TIMES, UTC_TIMES, st.integers(1, timedelta.max.days))
+@example(  # one microsecond before the window's edge, before 1970
+    datetime(1960, 1, 1, tzinfo=timezone.utc), datetime(1957, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc), 731
+)
+@example(datetime(1960, 1, 1, tzinfo=timezone.utc), datetime(1958, 1, 1, tzinfo=timezone.utc), 730)  # on the edge
+@example(datetime(1, 1, 1, tzinfo=timezone.utc), datetime(9999, 12, 31, tzinfo=timezone.utc), 1)  # a future time
+def test_epoch_microsecond_arithmetic_is_the_datetime_arithmetic(reference, last_modified, days):
+    cfg = AnalyzerConfig(inactivity_days=days, reference_time=reference)
+    ref_us, lm_us = epoch_us(reference), epoch_us(last_modified)
+    assert is_inactive(lm_us, cfg) == (reference - last_modified > cfg.inactivity_window)
+    # Floor division floors a negative age as timedelta.days does.
+    assert (ref_us - lm_us) // US_PER_DAY == (reference - last_modified).days
 
 
 # --- W4 ------------------------------------------------------------------
