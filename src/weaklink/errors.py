@@ -8,7 +8,7 @@ class ScannerError(Exception):
 
 
 class ParseError(ScannerError):
-    """A registry document could not be turned into a PackageRecord.
+    """A registry document could not be normalized into a corpus's columns.
 
     ``reason`` is one of "malformed" (unparseable bytes, a dist-tags
     "latest" pointing at a missing version, or no usable timestamp) or

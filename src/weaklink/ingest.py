@@ -2,8 +2,8 @@
 
 Normalizes npm-style registry documents (one JSON tree per package) into an
 immutable ``Corpus``: position-aligned columns of the latest version's
-metadata that the analyzers read, from which a ``PackageRecord`` is built
-when one is read. Three snapshot layouts are supported:
+metadata that the analyzers read. The columns are the whole contract; no
+per-package object is built. Three snapshot layouts are supported:
 
   bulk    one JSON object in the registry bulk-export shape
           ``{"rows": [{"doc": {...}}, ...]}``
@@ -26,11 +26,11 @@ import logging
 import re
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import accumulate, chain, compress, islice
-from operator import index, ne, sub
+from operator import ne, sub
 from pathlib import Path
 
 from . import semver
@@ -163,8 +163,8 @@ def parse_person(entry: object) -> tuple[str, str | None] | None:
     return None
 
 
-# Every record without scripts holds this one dict, so no reader may write
-# to a record's scripts: a write to it would reach all of those records.
+# A document without install scripts parses to this one dict, so no reader
+# may write to parsed scripts: a write to it would reach all of those.
 _EMPTY_MAP: dict[str, str] = {}
 
 
@@ -198,7 +198,7 @@ class _Leaves:
         self.dep_keys = tuple(dict.fromkeys(_DEPENDENCY_KEYS[kind] for kind in kinds))
         self.install_key_pattern = install_key_pattern
         self.license_denylist = frozenset(entry.strip().upper() for entry in license_denylist)
-        self._people: dict[tuple[str | None, str | None], tuple[str, str | None] | None] = {}
+        self._people: dict[str, tuple[str, str | None]] = {}
         self.names: dict[str, int] = {}
         self._identities: dict[str, int] = {}
         self.identity_keys: list[str] = []
@@ -206,15 +206,24 @@ class _Leaves:
         self.strings: dict[str, str] = {}
 
     def person(self, entry: object) -> tuple[str, str | None] | None:
-        if not isinstance(entry, dict):
+        """``parse_person(entry)``, kept once for each email of an object entry.
+
+        An email decides the identity whatever the name, so the email string
+        is the cache key, and the identity key is that string when it is
+        already its own lowercase form. Other entries are parsed each time.
+        """
+        email = entry.get("email") if isinstance(entry, dict) else None
+        if not isinstance(email, str):
             return parse_person(entry)
-        name, email = entry.get("name"), entry.get("email")
-        key = (name if isinstance(name, str) else None, email if isinstance(email, str) else None)
-        try:
-            return self._people[key]
-        except KeyError:
-            person = self._people[key] = parse_person(entry)
-            return person
+        person = self._people.get(email)
+        if person is None:
+            person = parse_person(entry)
+            if person is None or not email.strip():  # the name decides
+                return person
+            key, domain = person
+            domain = domain and self.strings.setdefault(domain, domain)
+            person = self._people[email] = (email if key == email else key, domain)
+        return person
 
     def people(self, raw: object) -> list[tuple[str, str | None]]:
         if isinstance(raw, dict) or isinstance(raw, str):
@@ -256,42 +265,6 @@ class _Leaves:
         return [k for k in declared if isinstance(k, str) and k and k != name]
 
 
-@dataclass(frozen=True, slots=True)
-class PackageRecord:
-    """Normalized latest-version metadata of one package, as one scan reads it.
-
-    ``dependencies`` are the names that the scan's dependency kinds declare,
-    merged in first-declared order, each once, without the package itself;
-    a corpus's record lists only the names in that corpus.
-    ``has_runtime_dependencies`` records whether the runtime kind declares
-    any name, whichever kinds the scan reads. ``scripts`` holds only the
-    scripts whose key matches the scan's install pattern
-    (``is_install_key``). ``exclusion_reasons`` holds the record's
-    exclusion reasons as ``EXCLUSION_REASONS`` bits, decided by
-    ``parse_record`` under the scan's license denylist.
-    """
-
-    name: str
-    version: str
-    last_modified: datetime
-    scripts: dict[str, str]
-    maintainers: tuple[str, ...]
-    contributor_count: int
-    dependencies: tuple[str, ...]
-    has_runtime_dependencies: bool
-    deprecated: object  # None, bool, or message string as given
-    exclusion_reasons: int
-
-    @property
-    def package_id(self) -> str:
-        """The registry's unique identifier "name@version".
-
-        Scoped names keep their leading "@" because the version is appended
-        with the final "@".
-        """
-        return f"{self.name}@{self.version}"
-
-
 @dataclass(frozen=True)
 class IngestStats:
     total: int
@@ -326,8 +299,7 @@ class Corpus:
     ids number only the identities that some record lists, in the order
     the records first list them. ``scripts`` and ``deprecated`` hold values
     only for the positions that have one, in position order. No name-keyed
-    map is kept: ``position`` finds a name by binary search, and
-    ``records`` builds each ``PackageRecord`` when it is read.
+    map is kept: ``position`` finds a name by binary search.
     """
 
     names: tuple[str, ...]
@@ -347,10 +319,6 @@ class Corpus:
     stats: IngestStats
     digest: str = ""
 
-    @property
-    def records(self) -> CorpusRecords:
-        return CorpusRecords(self)
-
     def position(self, name: str) -> int:
         """The position of the record named ``name``; raises ``KeyError`` for a name outside the corpus."""
         names = self.names
@@ -368,45 +336,13 @@ class Corpus:
         """The corpus of the records whose ``keep`` entry is true, in name order.
 
         A dependency on a record left out is dropped, and so is an identity
-        that no kept record lists.
+        that no kept record lists. The stats and digest stay those of the load.
         """
         rows = array("i", compress(range(len(self.names)), keep))
         position = array("i", [-1]) * len(self.names)
         for new, old in enumerate(rows):
             position[old] = new
         return _gather(self, rows, position, position, tuple(map(self.names.__getitem__, rows)), self.stats, self.digest)
-
-
-class CorpusRecords(Sequence):
-    """The records of a corpus, by position, each built when it is read."""
-
-    __slots__ = ("corpus",)
-
-    def __init__(self, corpus: Corpus) -> None:
-        self.corpus = corpus
-
-    def __len__(self) -> int:
-        return len(self.corpus.names)
-
-    def __getitem__(self, pos: int) -> PackageRecord:
-        c = self.corpus
-        pos = range(len(c.names))[index(pos)]  # one position; a slice is a TypeError
-        deps, people = c.dep_offsets, c.maint_offsets
-        return PackageRecord(
-            name=c.names[pos],
-            version=c.versions[pos],
-            last_modified=from_epoch_us(c.last_modified[pos]),
-            scripts=c.scripts.get(pos, _EMPTY_MAP),
-            maintainers=tuple(map(c.identity_keys.__getitem__, c.maint_ids[people[pos] : people[pos + 1]])),
-            contributor_count=c.contributor_counts[pos],
-            dependencies=tuple(map(c.names.__getitem__, c.dep_targets[deps[pos] : deps[pos + 1]])),
-            has_runtime_dependencies=bool(c.runtime_flags[pos]),
-            deprecated=c.deprecated.get(pos),
-            exclusion_reasons=c.exclusion_reasons[pos],
-        )
-
-    def __iter__(self) -> Iterator[PackageRecord]:
-        return map(self.__getitem__, range(len(self)))
 
 
 class _Columns:
@@ -598,44 +534,24 @@ def _install_scripts(raw: object, strings: dict[str, str], pattern: str) -> dict
     return scripts or _EMPTY_MAP
 
 
-def parse_record(item: object, leaves: _Leaves | None = None) -> PackageRecord:
-    """Normalize one registry document into the record of its latest version.
+def _parse(item: object, leaves: _Leaves) -> tuple:
+    """Normalize one registry document into the fields of its latest version, as a load's row.
 
     ``item`` is the document's bytes or text, or its decoded JSON tree. The
     latest version is the "latest" dist-tag (the registry's own notion of
     latest), or else the highest semver among the versions that are
     objects. Raises ParseError for a malformed document, one nested too
     deeply to decode among them, and NoVersionsError when no version is an
-    object. ``leaves`` holds the scan's dependency kinds, install pattern
-    and license denylist (default: runtime, "install" and
-    ``DEFAULT_LICENSE_DENYLIST``), shares equal strings with the other
-    records of a load, and numbers their maintainers' identities with their
-    email domains.
-    """
-    if leaves is None:
-        leaves = _Leaves()
-    name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = _parse(
-        item, leaves
-    )
-    return PackageRecord(
-        name=name,
-        version=version,
-        last_modified=from_epoch_us(last_modified),
-        scripts=scripts,
-        maintainers=tuple(map(leaves.identity_keys.__getitem__, maintainers)),
-        contributor_count=contributors,
-        dependencies=tuple(dependencies),
-        has_runtime_dependencies=runtime,
-        deprecated=deprecated,
-        exclusion_reasons=reasons,
-    )
-
-
-def _parse(item: object, leaves: _Leaves) -> tuple:
-    """The fields of ``parse_record``'s record, in its field order, as a load keeps them.
-
-    The load keeps the last modification as UTC epoch microseconds and the
-    maintainers as identity ids of ``leaves``; the dependencies are names.
+    object. The fields are: the trimmed name; the version; the last
+    modification as UTC epoch microseconds; the scripts whose key matches
+    the install pattern (``is_install_key``); the maintainers' identity ids
+    of ``leaves``, as listed; the number of usable contributor entries; the
+    names the scan's kinds declare, merged in first-declared order, each
+    once, without the package itself; whether the runtime kind declares a
+    name, whichever kinds the scan reads; the deprecation (None, a bool or
+    the message as given); and the ``EXCLUSION_REASONS`` bits under the
+    license denylist. ``leaves`` holds the scan's scope and shares equal
+    strings with the other documents of a load.
     """
     if isinstance(item, (bytes, str)):
         try:

@@ -83,9 +83,8 @@ class ScanOptions:
 @dataclass
 class ScanResult:
     options: ScanOptions
-    corpus: Corpus
-    filtered: Corpus
-    verdicts: ExclusionVerdicts  # aligned with corpus.records
+    filtered: Corpus  # its stats and digest are the load's
+    verdicts: ExclusionVerdicts  # one per loaded record, by load position
     config: AnalyzerConfig
     findings: list[WeakLinkFinding]
     domain_histogram: dict[str, int]
@@ -129,6 +128,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
         license_denylist=options.config.license_denylist,
     )
     filtered, verdicts = apply_exclusions(corpus)
+    del corpus  # the filtered corpus and the verdicts keep what the reports read of it
 
     domains, downloads = _make_providers(options, filtered.names)
 
@@ -148,7 +148,6 @@ def run_scan(options: ScanOptions) -> ScanResult:
     popular = popular_sample(filtered, dindex, downloads, options.popular_n)
     return ScanResult(
         options=options,
-        corpus=corpus,
         filtered=filtered,
         verdicts=verdicts,
         config=cfg,
@@ -173,7 +172,7 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 def _summary(result: ScanResult) -> dict:
     """The summary report of a scan: counts, rates and the config echo."""
-    options, corpus, filtered = result.options, result.corpus, result.filtered
+    options, filtered = result.options, result.filtered
     n_filtered = len(filtered.names)
     excluded_sets = result.verdicts.excluded_counts()
     by_reason: dict[str, int] = {}
@@ -219,8 +218,8 @@ def _summary(result: ScanResult) -> dict:
         "tool": {"name": "weaklink", "version": __version__},
         "input": {
             "path": str(options.input_path),
-            "digest": corpus.digest,
-            "ingest": corpus.stats.to_dict(),
+            "digest": filtered.digest,
+            "ingest": filtered.stats.to_dict(),
         },
         "config": {
             **result.config.to_dict(),
@@ -228,8 +227,8 @@ def _summary(result: ScanResult) -> dict:
             "popular_n": options.popular_n,
         },
         "corpus": {
-            "raw": corpus.stats.total,
-            "parsed": len(corpus.names),
+            "raw": filtered.stats.total,
+            "parsed": len(result.verdicts),
             "excluded": {"total": sum(excluded_sets.values()), "by_reason": dict(sorted(by_reason.items()))},
             "filtered": n_filtered,
         },
@@ -286,7 +285,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     """Write summary, findings, exclusions and the combination report.
 
     ``exclusions.jsonl`` holds one verdict per ingested record in package-id
-    order; each line is built from the corpus's columns and the verdict byte.
+    order; each line is built from the verdicts' names, versions and bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -310,7 +309,7 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
     paths["exclusions"] = out / "exclusions.jsonl"
     with open(paths["exclusions"], "w", encoding="utf-8") as fh:
         verdicts = result.verdicts
-        for pos in _package_id_order(result.corpus.names, result.corpus.versions):
+        for pos in _package_id_order(verdicts.names, verdicts.versions):
             fh.write(canonical_json(verdicts.report_line(pos)))
             fh.write("\n")
 

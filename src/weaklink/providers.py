@@ -23,6 +23,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
+from operator import lt
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Protocol, Sequence
 
@@ -247,7 +249,7 @@ class DownloadCounts:
     ``counts`` is aligned with the record positions too.
     """
 
-    def __init__(self, names: list[str], counts: array, has_data: bool, warnings: int = 0):
+    def __init__(self, names: Sequence[str], counts: array, has_data: bool, warnings: int = 0):
         self._names = names
         self.counts = counts
         self.has_data = has_data
@@ -266,12 +268,14 @@ class FixtureDownloadsProvider(DownloadCounts):
 
     Every row is validated, also one for a name outside ``names``, and the
     last row for a name wins. ``has_data`` is True when the fixture has at
-    least one row.
+    least one row. A sequence of strictly ascending names, such as
+    ``Corpus.names``, is kept as given; other names are sorted first.
     """
 
     def __init__(self, path: str | Path, names: Iterable[str]):
         path = Path(path)
-        names = sorted(names)
+        if not isinstance(names, Sequence) or not all(map(lt, names, islice(names, 1, None))):
+            names = sorted(names)
         counts = array("q", [-1]) * len(names)
         rows = 0
         for lineno, row in _iter_jsonl(path):

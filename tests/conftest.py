@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -14,9 +15,9 @@ from weaklink.ingest import (
     DEFAULT_LICENSE_DENYLIST,
     Corpus,
     IngestStats,
-    PackageRecord,
     epoch_us,
     extract_email_domain,
+    from_epoch_us,
     is_install_key,
     load_corpus,
 )
@@ -25,6 +26,70 @@ from ingest_reference import reason_mask, reference_reasons
 
 REF = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
 DEPENDENCY_KEYS = ("dependencies", "devDependencies", "peerDependencies", "optionalDependencies")
+
+
+@dataclass(frozen=True, slots=True)
+class Record:
+    """The fields of one package's latest version as a scan keeps them, one value each.
+
+    A hand-made corpus is built from these, and a test reads a corpus back
+    as these (``corpus_records``) or parses one document into one
+    (``parse_record``). ``maintainers`` are identity keys, as listed, and
+    ``last_modified`` is an aware UTC datetime; the other fields are those
+    of ``ingest._parse``.
+    """
+
+    name: str
+    version: str
+    last_modified: datetime
+    scripts: dict[str, str]
+    maintainers: tuple[str, ...]
+    contributor_count: int
+    dependencies: tuple[str, ...]
+    has_runtime_dependencies: bool
+    deprecated: object
+    exclusion_reasons: int
+
+    @property
+    def package_id(self) -> str:
+        return f"{self.name}@{self.version}"
+
+
+def parse_record(item: object, leaves: ingest._Leaves | None = None) -> Record:
+    """The record of one document, as ingest parses it: every name it declares is a dependency.
+
+    ``leaves`` holds the scan's scope (default: runtime, "install" and
+    ``DEFAULT_LICENSE_DENYLIST``) and numbers the maintainers' identities.
+    """
+    if leaves is None:
+        leaves = ingest._Leaves()
+    name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = (
+        ingest._parse(item, leaves)
+    )
+    keys = tuple(map(leaves.identity_keys.__getitem__, maintainers))
+    return Record(
+        name, version, from_epoch_us(last_modified), scripts, keys, contributors, tuple(dependencies), runtime, deprecated, reasons
+    )
+
+
+def corpus_records(corpus: Corpus) -> list[Record]:
+    """The record at each position of ``corpus``, read from its columns."""
+    deps, people = corpus.dep_offsets, corpus.maint_offsets
+    return [
+        Record(
+            name=corpus.names[pos],
+            version=corpus.versions[pos],
+            last_modified=from_epoch_us(corpus.last_modified[pos]),
+            scripts=corpus.scripts.get(pos, ingest._EMPTY_MAP),
+            maintainers=tuple(map(corpus.identity_keys.__getitem__, corpus.maint_ids[people[pos] : people[pos + 1]])),
+            contributor_count=corpus.contributor_counts[pos],
+            dependencies=tuple(map(corpus.names.__getitem__, corpus.dep_targets[deps[pos] : deps[pos + 1]])),
+            has_runtime_dependencies=bool(corpus.runtime_flags[pos]),
+            deprecated=corpus.deprecated.get(pos),
+            exclusion_reasons=corpus.exclusion_reasons[pos],
+        )
+        for pos in range(len(corpus.names))
+    ]
 
 
 def person(email: str | None = None, name: str | None = None) -> str:
@@ -51,7 +116,7 @@ def make_record(
     deprecated: object = None,
     security_holding: bool = False,
     license_denylist: tuple = DEFAULT_LICENSE_DENYLIST,
-) -> PackageRecord:
+) -> Record:
     """A record as a scan of ``dep_kinds`` keeps it.
 
     ``dependencies`` and ``dev_dependencies`` are the names the runtime and
@@ -64,7 +129,7 @@ def make_record(
     """
     declared = {"runtime": dependencies, "dev": dev_dependencies}
     merged = dict.fromkeys(dep for kind in dep_kinds for dep in declared.get(kind, ()) if dep != name)
-    return PackageRecord(
+    return Record(
         name=name,
         version=version,
         last_modified=last_modified,
@@ -158,7 +223,7 @@ def random_corpus(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) -
     return make_corpus(random_records(seed, size, dep_kinds))
 
 
-def random_records(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) -> list[PackageRecord]:
+def random_records(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) -> list[Record]:
     """The records of a messy random corpus, before a corpus drops their dependencies outside it.
 
     Includes self-dependencies, dependencies on unknown names, shared and

@@ -1,15 +1,15 @@
-"""The two-pass document normalization that ``ingest.parse_record`` replaced.
+"""The two-pass document normalization that ingest's one-pass ``_parse`` replaced.
 
 ``document_from_tree`` copied a document's versions, dist-tags and time
 entries into a ``RegistryDocument``; ``select_latest`` then picked the latest
 version and built a record with every field the scanner once kept, every
 dependency kind and every script among them. The copy below is that code,
-kept as the reference ``parse_record`` must agree with: ``reference_record``
-projects its record onto what a ``PackageRecord`` of one scan keeps, in
+kept as the reference ``_parse`` must agree with: ``reference_record``
+projects its record onto what one scan keeps of a document, in
 ``record_to_dict``'s shape.
 
 ``reference_reasons`` is the exclusion predicates as they were before
-``parse_record`` decided a record's reasons: they read the repository,
+ingest decided a record's reasons: they read the repository,
 license, deprecation and security-holding fields of the full record.
 
 ``reference_person`` is person entries as records held them before a
@@ -31,7 +31,6 @@ from weaklink.ingest import (
     DEFAULT_LICENSE_DENYLIST,
     EXCLUSION_REASONS,
     SECURITY_HOLDING_PHRASE,
-    PackageRecord,
     extract_email_domain,
     parse_timestamp,
 )
@@ -106,8 +105,8 @@ def reference_people(raw: object) -> tuple[PersonRef, ...]:
     return tuple(person for entry in raw if (person := reference_person(entry)) is not None)
 
 
-def record_to_dict(rec: PackageRecord) -> dict:
-    """Canonical JSON-ready form of a record."""
+def record_to_dict(rec) -> dict:
+    """Canonical JSON-ready form of a record (``conftest.Record``)."""
     return {
         "package_id": rec.package_id,
         "name": rec.name,
@@ -165,12 +164,12 @@ def reference_reasons(
 
 
 def reason_mask(reasons: tuple[str, ...]) -> int:
-    """The ``PackageRecord.exclusion_reasons`` int of a set of reasons: bit i for ``EXCLUSION_REASONS[i]``."""
+    """The ``exclusion_reasons`` value of a set of reasons: bit i for ``EXCLUSION_REASONS[i]``."""
     return sum(1 << EXCLUSION_REASONS.index(reason) for reason in reasons)
 
 
 def reason_names(mask: int) -> tuple[str, ...]:
-    """The reasons a ``PackageRecord.exclusion_reasons`` int holds."""
+    """The reasons an ``exclusion_reasons`` value holds."""
     return tuple(reason for bit, reason in enumerate(EXCLUSION_REASONS) if mask & 1 << bit)
 
 

@@ -36,7 +36,7 @@ from weaklink.signals import (
 )
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import owned_by_key, random_corpus
+from conftest import corpus_records, owned_by_key, random_corpus
 from ingest_reference import reason_names
 from test_classify import SUITE as CLASSIFY_SUITE
 
@@ -197,7 +197,7 @@ class _AcceptanceDomains:
 
 def _whole_corpus(corpus) -> PopularSample:
     """A popular sample of every package of ``corpus``."""
-    names = frozenset(rec.name for rec in corpus.records)
+    names = frozenset(corpus.names)
     return PopularSample(members=names, by_dependents=len(names), by_downloads=0)
 
 
@@ -209,17 +209,17 @@ def _package_subjects(findings, signal: str) -> set[str]:
 def test_criterion_2_oracle_equivalence():
     for seed in range(50):
         corpus = random_corpus(seed=seed, size=100 + (seed * 37) % 401)
-        assert len(corpus.records) <= 500
+        assert len(corpus.names) <= 500
         index = build_dependents_index(corpus)
 
         # Dependents in corpus order, each once.
-        brute_index = {rec.name: () for rec in corpus.records}
-        for rec in corpus.records:
+        brute_index = dict.fromkeys(corpus.names, ())
+        for rec in corpus_records(corpus):
             for dep in dict.fromkeys(rec.dependencies):
                 if dep != rec.name:
                     brute_index[dep] = brute_index.get(dep, ()) + (rec.name,)
         # The index holds positions of the corpus's own records only.
-        names = [rec.name for rec in corpus.records]
+        names = list(corpus.names)
         assert {name: tuple(names[d] for d in index.dependents(pos)) for pos, name in enumerate(names)} == {
             name: brute_index[name] for name in names
         }
@@ -232,14 +232,14 @@ def test_criterion_2_oracle_equivalence():
             assert maintainer_reach(owned, index) == len(union)
 
         filtered, verdicts = apply_exclusions(corpus)
-        for rec, verdict in zip(corpus.records, verdicts):
+        for rec, verdict in zip(corpus_records(corpus), verdicts):
             reasons = reason_names(rec.exclusion_reasons)
             had = bool(brute_index.get(rec.name))
             assert verdict.reasons == tuple(reasons)
             assert verdict.had_dependents == had
             assert verdict.excluded == (bool(reasons) and not had)
 
-        if not filtered.records:
+        if not filtered.names:
             continue
         cfg = AnalyzerConfig(top_percent=10.0).resolved(filtered)
         f_mindex = build_maintainer_index(filtered)
@@ -251,7 +251,7 @@ def test_criterion_2_oracle_equivalence():
         findings += analyze_w4(filtered, cfg)
         findings += analyze_w6(filtered, f_mindex, f_dindex, cfg)
         for combo in combination_table(findings, _whole_corpus(filtered)):
-            brute = {rec.name for rec in filtered.records}
+            brute = set(filtered.names)
             for part in combo.combination_id.split("+"):
                 brute &= _package_subjects(findings, "W3_inactive_pkg" if part == "W3" else part)
             assert combo.members == frozenset(brute), (seed, combo.combination_id)

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from weaklink import ingest
 from weaklink.errors import NoVersionsError, ParseError
-from weaklink.ingest import IngestStats, load_corpus, parse_record
+from weaklink.ingest import IngestStats, load_corpus
 
+from conftest import corpus_records, parse_record
 from ingest_reference import record_to_dict
 
 # --- the oracle: the whole-tree reader --------------------------------------
@@ -115,7 +116,7 @@ def streamed_load(source: Path, layout: str | None) -> tuple[list[dict], IngestS
     corpus = load_corpus(source, layout=layout)
     # However often the reader restarts, the digest is of the file it read.
     assert corpus.digest == hashlib.sha256(source.read_bytes()).hexdigest()
-    return [record_to_dict(r) for r in corpus.records], corpus.stats
+    return [record_to_dict(r) for r in corpus_records(corpus)], corpus.stats
 
 
 # --- generated exports --------------------------------------------------------

@@ -37,7 +37,7 @@ from weaklink.signals import (
     analyze_w6,
 )
 
-from conftest import REF, make_corpus, make_record, person, random_corpus
+from conftest import REF, corpus_records, make_corpus, make_record, person, random_corpus
 from datetime import datetime, timezone
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -59,7 +59,7 @@ class MapDownloads:
 
 def corpus_downloads(corpus, by_name):
     """The counts of ``by_name`` aligned with the corpus's records, as a scan's provider holds them."""
-    names = [rec.name for rec in corpus.records]
+    names = list(corpus.names)
     return DownloadCounts(names, array("q", [by_name.get(name, -1) for name in names]), has_data=bool(by_name))
 
 
@@ -110,16 +110,16 @@ def test_popular_disjoint_rankings_union_is_2n():
 def test_popular_invariant_under_corpus_order():
     corpus = random_corpus(seed=21, size=80)
     dindex = build_dependents_index(corpus)
-    downloads = corpus_downloads(corpus, {rec.name: i for i, rec in enumerate(corpus.records)})
+    downloads = corpus_downloads(corpus, {name: i for i, name in enumerate(corpus.names)})
     a = popular_sample(corpus, dindex, downloads, n=5)
-    b = popular_sample(make_corpus(list(reversed(corpus.records))), dindex, downloads, n=5)
+    b = popular_sample(make_corpus(list(reversed(corpus_records(corpus)))), dindex, downloads, n=5)
     assert a.members == b.members
 
 
 def _fixture_downloads(tmp_path, counts):
     path = tmp_path / "downloads.jsonl"
     path.write_text("".join(json.dumps({"package": k, "downloads": v}) + "\n" for k, v in counts.items()))
-    return FixtureDownloadsProvider(path, [rec.name for rec in _ranked_corpus().records])
+    return FixtureDownloadsProvider(path, list(_ranked_corpus().names))
 
 
 class _StubSession:
@@ -137,7 +137,7 @@ class _StubSession:
 def _fetched_downloads(counts):
     # A scan fetches the counts of every package it ranks.
     live = LiveDownloadsProvider("http://downloads.invalid", rate_limit=1e6, session=_StubSession(counts))
-    return live.fetch_many([rec.name for rec in _ranked_corpus().records], concurrency=2)
+    return live.fetch_many(list(_ranked_corpus().names), concurrency=2)
 
 
 @pytest.mark.parametrize(
@@ -319,7 +319,7 @@ def test_attack_pipelines():
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
     domains = MapDomains({"lapsed-a.example": STATUS_AVAILABLE, "lapsed-b.example": STATUS_AVAILABLE})
-    downloads = MapDownloads({rec.name: 100 for rec in corpus.records})
+    downloads = MapDownloads(dict.fromkeys(corpus.names, 100))
 
     findings, _ = analyze_w1(corpus, mindex, domains, cfg)
     findings = list(findings)
@@ -386,7 +386,7 @@ def test_w6_package_maintainer_pairs_are_unique_on_random_corpora():
     # attack_candidates relies on this: it emits one takeover row per W6 pair.
     for seed in range(8):
         records = []
-        for i, rec in enumerate(random_corpus(seed=seed, size=150).records):
+        for i, rec in enumerate(corpus_records(random_corpus(seed=seed, size=150))):
             if i % 3 == 0:  # a record that lists one identity twice
                 rec = dataclasses.replace(rec, maintainers=rec.maintainers + rec.maintainers[:1])
             records.append(rec)
@@ -420,7 +420,7 @@ def test_combination_table_ids_and_signal_sets():
     def members(signal):
         return {f.subject_id for f in findings if f.signal == signal and f.subject_kind == "package"}
 
-    rows = combination_table(findings, _sample(rec.name for rec in corpus.records))
+    rows = combination_table(findings, _sample(corpus.names))
     assert [row.combination_id for row in rows] == CANONICAL_IDS
     by_id = {row.combination_id: row for row in rows}
     # "W3" is the inactive-package signal.

@@ -6,24 +6,25 @@ import dataclasses
 import json
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weaklink.exclusions import ExclusionVerdict, apply_exclusions
+from weaklink import pipeline
+from weaklink.exclusions import Verdict, apply_exclusions
 from weaklink.ingest import (
     DEFAULT_LICENSE_DENYLIST,
     DEPRECATED,
     NO_REPO_NO_LICENSE,
     SECURITY_HOLDING,
     load_corpus,
-    parse_record,
 )
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import email_domains, make_corpus, make_record, person, random_corpus, random_records
+from conftest import corpus_records, email_domains, make_corpus, make_record, parse_record, person, random_corpus, random_records
 from ingest_reference import reason_names, reference_reasons
 
 
@@ -90,16 +91,21 @@ def test_lacks_repo_and_license(repo, license_value, expected):
     assert bool(ingested(**version) & NO_REPO_NO_LICENSE) is expected
 
 
+def by_package_id(verdicts) -> dict:
+    """Each verdict under the package id of its record."""
+    return {f"{name}@{version}": v for name, version, v in zip(verdicts.names, verdicts.versions, verdicts)}
+
+
 def test_dependents_veto_exclusion():
     holding = make_record("hold", security_holding=True)
     user = make_record("user", dependencies=("hold",))
     corpus = make_corpus([holding, user])
     filtered, verdicts = apply_exclusions(corpus)
-    by_id = {v.record.package_id: v for v in verdicts}
+    by_id = by_package_id(verdicts)
     assert by_id["hold@1.0.0"].excluded is False
     assert by_id["hold@1.0.0"].had_dependents is True
     assert by_id["hold@1.0.0"].reasons == ("SecurityHolding",)
-    assert len(filtered.records) == 2
+    assert len(filtered.names) == 2
 
 
 def test_deprecated_unused_removed():
@@ -107,10 +113,10 @@ def test_deprecated_unused_removed():
     other = make_record("other")
     corpus = make_corpus([dead, other])
     filtered, verdicts = apply_exclusions(corpus)
-    by_id = {v.record.package_id: v for v in verdicts}
+    by_id = by_package_id(verdicts)
     assert by_id["dead@1.0.0"].excluded is True
     assert by_id["dead@1.0.0"].reasons == ("DeprecatedUnused",)
-    assert [rec.name for rec in filtered.records] == ["other"]
+    assert list(filtered.names) == ["other"]
 
 
 def test_multi_reason_counted_once():
@@ -121,24 +127,24 @@ def test_multi_reason_counted_once():
     filtered, verdicts = apply_exclusions(corpus)
     assert verdicts[0].reasons == ("SecurityHolding", "DeprecatedUnused", "NoRepoNoLicense")
     assert verdicts[0].excluded is True
-    assert len(filtered.records) == 0
+    assert len(filtered.names) == 0
 
 
 def test_listing_only_itself_does_not_veto_exclusion():
     loner = make_record("loner", deprecated=True, dependencies=("loner",))
     corpus = make_corpus([loner, make_record("other")])
     filtered, verdicts = apply_exclusions(corpus)
-    by_id = {v.record.package_id: v for v in verdicts}
+    by_id = by_package_id(verdicts)
     assert by_id["loner@1.0.0"].had_dependents is False
     assert by_id["loner@1.0.0"].excluded is True
-    assert [rec.name for rec in filtered.records] == ["other"]
+    assert list(filtered.names) == ["other"]
 
 
 def test_partition_and_verdict_invariants():
     corpus = random_corpus(seed=99, size=200)
     filtered, verdicts = apply_exclusions(corpus)
     excluded = [v for v in verdicts if v.excluded]
-    assert len(filtered.records) + len(excluded) == len(corpus.records)
+    assert len(filtered.names) + len(excluded) == len(corpus.names)
     for v in verdicts:
         assert v.excluded == (bool(v.reasons) and not v.had_dependents)
 
@@ -147,12 +153,12 @@ def test_monotonicity_adding_dependent_never_excludes():
     # Adding a dependent edge can only flip excluded -> retained.
     base = random_corpus(seed=5, size=80)
     _, before = apply_exclusions(base)
-    excluded_before = {v.record.package_id for v in before if v.excluded}
+    excluded_before = {package_id for package_id, v in by_package_id(before).items() if v.excluded}
 
     # A new package that depends on every name gives each one a dependent.
-    user = make_record("zz-user", dependencies=tuple(rec.name for rec in base.records))
-    _, after = apply_exclusions(make_corpus([*base.records, user]))
-    excluded_after = {v.record.package_id for v in after if v.excluded}
+    user = make_record("zz-user", dependencies=base.names)
+    _, after = apply_exclusions(make_corpus([*corpus_records(base), user]))
+    excluded_after = {package_id for package_id, v in by_package_id(after).items() if v.excluded}
     assert excluded_after == set()
     assert excluded_after <= excluded_before
 
@@ -162,10 +168,11 @@ def test_brute_force_oracle_equivalence():
     for seed in range(8):
         corpus = random_corpus(seed=seed, size=150)
         filtered, verdicts = apply_exclusions(corpus)
-        for rec, verdict in zip(corpus.records, verdicts):
+        loaded = corpus_records(corpus)
+        for pos, (rec, verdict) in enumerate(zip(loaded, verdicts)):
             reasons = reason_names(rec.exclusion_reasons)
-            has_dep = any(rec.name in other.dependencies and other.name != rec.name for other in corpus.records)
-            assert verdict.record == rec
+            has_dep = any(rec.name in other.dependencies and other.name != rec.name for other in loaded)
+            assert (verdicts.names[pos], verdicts.versions[pos]) == (rec.name, rec.version)
             assert tuple(reasons) == verdict.reasons
             assert verdict.had_dependents == has_dep
             assert verdict.excluded == (bool(reasons) and not has_dep)
@@ -215,10 +222,10 @@ def test_the_first_of_a_repeated_name_in_file_order_wins(tmp_path):
         version = json.loads(first)["dist-tags"]["latest"]
         versions.add(version)
         assert corpus.stats.by_error == {"duplicate_name": 1}
-        assert [rec.package_id for rec in corpus.records] == [f"dup@{version}", "lib@1.0.0", "other@1.0.0"]
+        assert [rec.package_id for rec in corpus_records(corpus)] == [f"dup@{version}", "lib@1.0.0", "other@1.0.0"]
         # Only the first "dup" declares "lib", which its dependent keeps from exclusion.
         filtered, verdicts = apply_exclusions(corpus)
-        assert [rec.name for rec in filtered.records] == (["lib"] if version == "1.0.0" else [])
+        assert list(filtered.names) == (["lib"] if version == "1.0.0" else [])
         assert verdicts.flags[1] == (DEPRECATED | 8 if version == "1.0.0" else DEPRECATED)
     assert versions == {"1.0.0", "2.0.0"}  # the shuffles put each one first
 
@@ -229,7 +236,7 @@ def test_the_filtered_corpus_keeps_one_domain_for_each_identity_a_kept_record_li
     for seed in range(8):
         corpus = make_corpus([*random_records(seed=seed, size=150), gone])
         filtered, _ = apply_exclusions(corpus)
-        first_listed = list(dict.fromkeys(key for rec in filtered.records for key in rec.maintainers))
+        first_listed = list(dict.fromkeys(key for rec in corpus_records(filtered) for key in rec.maintainers))
         assert list(filtered.identity_keys) == first_listed
         assert len(filtered.identity_domains) == len(first_listed)
         domains = email_domains(corpus)
@@ -265,33 +272,49 @@ def exclusion_corpora(draw):
 def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
     corpus, reasons_by_name = corpus_and_reasons
     eager = []
-    for rec in corpus.records:
+    loaded = corpus_records(corpus)
+    for rec in loaded:
         reasons = reasons_by_name[rec.name]
-        had = any(rec.name in other.dependencies for other in corpus.records if other.name != rec.name)
-        eager.append(ExclusionVerdict(record=rec, excluded=bool(reasons) and not had, reasons=reasons, had_dependents=had))
+        had = any(rec.name in other.dependencies for other in loaded if other.name != rec.name)
+        eager.append(Verdict(excluded=bool(reasons) and not had, reasons=reasons, had_dependents=had))
     filtered, verdicts = apply_exclusions(corpus)
     n = len(eager)
     assert len(verdicts) == n
     assert list(verdicts) == eager
     assert [verdicts[pos] for pos in range(n)] == eager
     assert [verdicts[pos] for pos in range(-n, 0)] == eager
-    assert tuple(filtered.records) == tuple(v.record for v in eager if not v.excluded)
+    assert tuple(corpus_records(filtered)) == tuple(rec for rec, v in zip(loaded, eager) if not v.excluded)
     assert verdicts.excluded_counts() == Counter(v.reasons for v in eager if v.excluded)
     assert [verdicts.report_line(pos) for pos in range(n)] == [
         {
-            "package_id": v.record.package_id,
+            "package_id": rec.package_id,
             "excluded": v.excluded,
             "reasons": list(v.reasons),
             "had_dependents": v.had_dependents,
         }
-        for v in eager
+        for rec, v in zip(loaded, eager)
     ]
-    listed = {key for rec in filtered.records for key in rec.maintainers}
+    listed = {key for rec in corpus_records(filtered) for key in rec.maintainers}
     assert set(filtered.identity_keys) == listed
     assert email_domains(filtered) == {key: domain for key, domain in email_domains(corpus).items() if key in listed}
     for pos in (n, -n - 1):
         with pytest.raises(IndexError):
             verdicts[pos]
+
+
+def test_a_scan_frees_the_loaded_corpus_once_exclusions_return(tmp_path, monkeypatch):
+    snapshot = generate(GenerationPlan(seed=3, package_count=600)).write_snapshot(tmp_path / "snapshot.ndjson", layout="ndjson")
+    loaded = []
+
+    def load_and_watch(*args, **kwargs):
+        corpus = load_corpus(*args, **kwargs)
+        loaded.append(weakref.ref(corpus.dep_targets))
+        return corpus
+
+    monkeypatch.setattr(pipeline, "load_corpus", load_and_watch)
+    result = pipeline.run_scan(pipeline.ScanOptions(input_path=snapshot))
+    assert 0 < len(result.filtered.names) < len(result.verdicts)
+    assert len(loaded) == 1 and loaded[0]() is None
 
 
 def test_verdict_state_costs_at_most_16_bytes_per_record():
@@ -304,5 +327,5 @@ def test_verdict_state_costs_at_most_16_bytes_per_record():
         verdict_bytes = with_verdicts - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert 0 < len(filtered.records) < len(corpus.records)
-    assert verdict_bytes <= 16 * len(corpus.records)
+    assert 0 < len(filtered.names) < len(corpus.names)
+    assert verdict_bytes <= 16 * len(corpus.names)

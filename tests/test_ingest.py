@@ -24,11 +24,10 @@ from weaklink.ingest import (
     format_timestamp,
     load_corpus,
     parse_person,
-    parse_record,
 )
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import email_domains
+from conftest import Record, corpus_records, email_domains, parse_record
 from ingest_reference import record_to_dict, reference_email_domains, reference_record
 
 T0 = "2024-01-01T00:00:00.000Z"
@@ -160,7 +159,7 @@ def test_semver_fallback_over_a_version_of_5001_digits(tmp_path):
     }
     corpus = load_corpus(write_snapshot(tmp_path, [tree], "ndjson"))
     assert corpus.stats.parsed == 1
-    assert corpus.records[0].version == huge
+    assert corpus.versions[0] == huge
 
 
 def test_empty_versions_raises():
@@ -365,7 +364,7 @@ def test_layouts_autodetected_and_equivalent(tmp_path, layout):
     docs = [minimal_doc(name=f"pkg-{i}") for i in range(4)]
     path = write_snapshot(tmp_path, docs, layout)
     corpus = load_corpus(path)
-    assert [rec.name for rec in corpus.records] == [f"pkg-{i}" for i in range(4)]
+    assert list(corpus.names) == [f"pkg-{i}" for i in range(4)]
     assert corpus.stats.parsed == 4
     assert corpus.stats.skipped == 0
 
@@ -376,7 +375,7 @@ def test_skip_and_count_contract(tmp_path):
     lines.insert(1, "garbage not json")
     path.write_text("\n".join(lines) + "\n")
     corpus = load_corpus(path)
-    assert len(corpus.records) == 3
+    assert len(corpus.names) == 3
     assert corpus.stats.skipped == 1
     assert corpus.stats.by_error == {"malformed": 1}
 
@@ -388,7 +387,7 @@ def test_directory_with_garbage_file(tmp_path):
         (snap / f"p{i}.json").write_text(json.dumps(minimal_doc(name=f"p{i}")))
     (snap / "broken.json").write_text("not-a-doc")
     corpus = load_corpus(snap)
-    assert len(corpus.records) == 3
+    assert len(corpus.names) == 3
     assert corpus.stats.skipped == 1
     assert corpus.stats.total == 4
 
@@ -397,7 +396,7 @@ def test_empty_directory(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     corpus = load_corpus(empty, layout="dir")
-    assert len(corpus.records) == 0
+    assert len(corpus.names) == 0
     assert corpus.stats.total == 0
 
 
@@ -405,8 +404,8 @@ def test_duplicate_names_keep_first(tmp_path):
     docs = [minimal_doc(name="dup", version="1.0.0"), minimal_doc(name="dup", version="2.0.0")]
     path = write_snapshot(tmp_path, docs, "ndjson")
     corpus = load_corpus(path)
-    assert len(corpus.records) == 1
-    assert corpus.records[0].version == "1.0.0"
+    assert len(corpus.names) == 1
+    assert corpus.versions[0] == "1.0.0"
     assert corpus.stats.by_error == {"duplicate_name": 1}
 
 
@@ -420,8 +419,8 @@ def test_idempotent_load_canonical_serialization(tmp_path):
     path = write_snapshot(tmp_path, docs, "ndjson")
     first = load_corpus(path)
     second = load_corpus(path)
-    ser_a = json.dumps([record_to_dict(r) for r in first.records], sort_keys=True)
-    ser_b = json.dumps([record_to_dict(r) for r in second.records], sort_keys=True)
+    ser_a = json.dumps([record_to_dict(r) for r in corpus_records(first)], sort_keys=True)
+    ser_b = json.dumps([record_to_dict(r) for r in corpus_records(second)], sort_keys=True)
     assert ser_a == ser_b
     assert first.digest == second.digest
 
@@ -499,7 +498,7 @@ def test_bulk_export_is_decoded_one_row_at_a_time(tmp_path, monkeypatch, indent)
     longest_row = max(len(row) for row in rows)
     spans = record_decodes(monkeypatch)
     corpus = load_corpus(path)
-    assert len(corpus.records) == 5
+    assert len(corpus.names) == 5
     assert spans and max(spans) <= longest_row
 
 
@@ -510,10 +509,10 @@ def test_one_line_and_pretty_exports_load_the_same_corpus(tmp_path):
     pretty = tmp_path / "pretty.json"
     pretty.write_text(json.dumps({"rows": [{"doc": d} for d in docs]}, indent=2))
     forced = load_corpus(one_line, layout="bulk")
-    assert len(forced.records) == 5
+    assert len(forced.names) == 5
     for path in (one_line, pretty):
         corpus = load_corpus(path)
-        assert [record_to_dict(r) for r in corpus.records] == [record_to_dict(r) for r in forced.records]
+        assert [record_to_dict(r) for r in corpus_records(corpus)] == [record_to_dict(r) for r in corpus_records(forced)]
         assert corpus.stats == forced.stats
 
 
@@ -522,12 +521,12 @@ def test_equal_maintainers_share_one_person(tmp_path):
     docs = [minimal_doc(name=f"pkg-{i}", maintainers=[dict(person)], contributors=["Bob <bob@y.io>"]) for i in range(3)]
     path = write_snapshot(tmp_path, docs, "ndjson")
     corpus = load_corpus(path)
-    records = corpus.records
+    loaded = corpus_records(corpus)
     assert list(corpus.maint_ids) == [0, 0, 0]  # one identity, listed by each record
     assert corpus.identity_keys == ("ann@x.io",)
     assert email_domains(corpus) == {"ann@x.io": "x.io"}
     alone = [record_to_dict(parse_record(doc_bytes(doc))) for doc in docs]
-    assert [record_to_dict(r) for r in records] == alone
+    assert [record_to_dict(r) for r in loaded] == alone
     assert alone[0]["maintainers"] == ["ann@x.io"]
 
     # One email spelled as a string and as an object, in lists that differ, is one key string.
@@ -537,10 +536,18 @@ def test_equal_maintainers_share_one_person(tmp_path):
         minimal_doc(name="three", maintainers=[{"name": "A.", "email": "ANN@x.io"}, {"email": "cy@z.io"}]),
     ]
     corpus = load_corpus(write_snapshot(tmp_path, docs, "ndjson"))
-    ann, ann_too, cy, ann_again, cy_too = [key for rec in corpus.records for key in rec.maintainers]  # one, three, two
+    ann, ann_too, cy, ann_again, cy_too = [key for rec in corpus_records(corpus) for key in rec.maintainers]  # one, three, two
     assert ann == "ann@x.io" and cy == "cy@z.io"
     assert ann is ann_too is ann_again and cy is cy_too
     assert {key: key for key in email_domains(corpus)}["ann@x.io"] is ann
+
+    # A blank email leaves the name to decide, so equal blank emails are not one person.
+    docs = [
+        minimal_doc(name="one", maintainers=[{"name": "Ann", "email": " "}]),
+        minimal_doc(name="two", maintainers=[{"name": "Bob", "email": " "}, {"name": "Cy", "email": ""}]),
+    ]
+    corpus = load_corpus(write_snapshot(tmp_path, docs, "ndjson"))
+    assert corpus.identity_keys == ("name:ann", "name:bob", "name:cy")
 
 
 def test_records_share_empty_maps_and_equal_strings(tmp_path):
@@ -550,13 +557,13 @@ def test_records_share_empty_maps_and_equal_strings(tmp_path):
     for doc, body in zip(docs, scripts):
         doc["versions"]["2.1.0"].update(scripts=body, dependencies={}, devDependencies=[])
     path = write_snapshot(tmp_path, docs, "ndjson")
-    records = load_corpus(path, dep_kinds=ALL_KINDS, install_key_pattern="").records
-    assert all(r.scripts is ingest._EMPTY_MAP for r in records)
+    loaded = corpus_records(load_corpus(path, dep_kinds=ALL_KINDS, install_key_pattern=""))
+    assert all(r.scripts is ingest._EMPTY_MAP for r in loaded)
     assert ingest._EMPTY_MAP == {}
-    assert all(r.dependencies == () and r.has_runtime_dependencies is False for r in records)
-    assert records[0].version is records[1].version is records[2].version
+    assert all(r.dependencies == () and r.has_runtime_dependencies is False for r in loaded)
+    assert loaded[0].version is loaded[1].version is loaded[2].version
     alone = [record_to_dict(parse_record(doc_bytes(doc))) for doc in docs]
-    assert [record_to_dict(r) for r in records] == alone
+    assert [record_to_dict(r) for r in loaded] == alone
     assert alone[0]["scripts"] == {} and alone[0]["dependencies"] == []
     assert [d["exclusion_reasons"] for d in alone] == [0] * 3  # each license reads "MIT"
 
@@ -576,7 +583,25 @@ def test_the_loaded_corpus_retains_at_most_200_bytes_per_record(tmp_path):
     finally:
         tracemalloc.stop()
     assert all(type(key) is str for key in corpus.identity_keys)
-    assert retained <= 200 * len(corpus.records)
+    assert retained <= 200 * len(corpus.names)
+
+
+def test_the_load_peaks_at_most_118_bytes_per_record_over_what_it_keeps(tmp_path):
+    # 107 B per record under Python 3.11 (188 B when the person cache held
+    # each (name, email) spelling and a domain string per email). The
+    # layout is given: autodetection first reads a 1 MiB chunk, which sets
+    # the peak of a load this small.
+    snapshot = generate(GenerationPlan(seed=1, package_count=5_000)).write_snapshot(
+        tmp_path / "snapshot.ndjson", layout="ndjson"
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = load_corpus(snapshot, layout="ndjson")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - retained <= 118 * len(corpus.names)
 
 
 def test_bulk_export_with_trailing_data_still_fails(tmp_path):
@@ -671,7 +696,7 @@ def test_bulk_digest_is_the_sha256_of_the_file(tmp_path, indent):
     path = tmp_path / "snap.json"
     path.write_text(json.dumps({"rows": [{"doc": minimal_doc(name=f"pkg-{i}")} for i in range(3)]}, indent=indent))
     corpus = load_corpus(path)
-    assert len(corpus.records) == 3
+    assert len(corpus.names) == 3
     assert corpus.digest == sha256_hex(path.read_bytes())
 
 
@@ -685,7 +710,7 @@ def test_dir_digest_hashes_each_relative_path_and_file_digest(tmp_path):
         for rel in ("doc0.json", "doc1.json", "doc2.json", "sub/deep.json")
     )
     corpus = load_corpus(path)
-    assert len(corpus.records) == 4
+    assert len(corpus.names) == 4
     assert corpus.digest == sha256_hex(lines.encode())
 
 
@@ -696,7 +721,7 @@ def test_digest_restarts_when_autodetection_rereads_the_file_as_ndjson(tmp_path,
     monkeypatch.setattr(ingest, "_CHUNK", chunk)
     path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], "ndjson")
     corpus = load_corpus(path)
-    assert len(corpus.records) == 3
+    assert len(corpus.names) == 3
     assert corpus.digest == sha256_hex(path.read_bytes())
 
 
@@ -711,7 +736,7 @@ def test_digest_restarts_when_a_later_rows_key_rereads_the_export(tmp_path, monk
     path = tmp_path / "snap.json"
     path.write_text(f'{{"rows": {first},\n "rows": {last}}}')
     corpus = load_corpus(path, layout=layout)
-    assert [rec.name for rec in corpus.records] == ["pkg-0", "pkg-1"]
+    assert list(corpus.names) == ["pkg-0", "pkg-1"]
     assert corpus.digest == sha256_hex(path.read_bytes())
 
 
@@ -734,7 +759,7 @@ def opened(monkeypatch):
 def test_a_snapshot_file_is_opened_once(tmp_path, opened, layout):
     path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], layout)
     opened.clear()
-    assert len(load_corpus(path, layout=layout).records) == 3
+    assert len(load_corpus(path, layout=layout).names) == 3
     assert opened == {str(path): 1}
 
 
@@ -742,7 +767,7 @@ def test_a_snapshot_file_is_opened_once(tmp_path, opened, layout):
 def test_each_file_of_a_snapshot_directory_is_opened_once(tmp_path, opened, layout):
     path = write_snapshot(tmp_path, [minimal_doc(name=f"pkg-{i}") for i in range(3)], "dir")
     opened.clear()
-    assert len(load_corpus(path, layout=layout).records) == 3
+    assert len(load_corpus(path, layout=layout).names) == 3
     assert opened == {str(path / f"doc{i}.json"): 1 for i in range(3)}
 
 
@@ -907,7 +932,7 @@ def test_email_domains_are_the_reference_domains_of_the_maintainers(trees):
     leaves = ingest._Leaves()
     expected = {}
     for tree in trees:
-        if isinstance(normalized(lambda item: parse_record(item, leaves), tree), ingest.PackageRecord):
+        if isinstance(normalized(lambda item: parse_record(item, leaves), tree), Record):
             expected.update(reference_email_domains(tree))
     assert email_domains(leaves) == expected
 
@@ -975,4 +1000,4 @@ def load_corpus_of(tree: dict, denylist: tuple) -> ingest.Corpus:
 def test_exclusion_reasons_are_the_reference_predicates(tree, denylist):
     rec = parse_record(tree, ingest._Leaves(license_denylist=denylist))
     assert rec.exclusion_reasons == reference_record(tree, license_denylist=denylist)["exclusion_reasons"]
-    assert tuple(load_corpus_of(tree, denylist).records) == (rec,)
+    assert tuple(corpus_records(load_corpus_of(tree, denylist))) == (rec,)

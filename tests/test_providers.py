@@ -81,6 +81,12 @@ def test_downloads_fixture_store(tmp_path):
     assert [provider.downloads(name) for name in names] == [None, 0, None, 2**63 - 1]
     assert provider.downloads("outside") is None
     assert provider.downloads("") is provider.downloads("zzz") is None
+    # Strictly ascending names, as a corpus holds them, are kept as given, not copied.
+    ordered = ("a", "b", "c", "d")
+    for given in (ordered, iter(names), ["a", "b", "b", "d"]):
+        provider = FixtureDownloadsProvider(path, given)
+        assert [provider.downloads(name) for name in names] == [None, 0, None, 2**63 - 1]
+    assert FixtureDownloadsProvider(path, ordered)._names is ordered
     # A row for a name outside the names is still read: it sets has_data ...
     path = write_jsonl(tmp_path / "dl.jsonl", [{"package": "outside", "downloads": 1}])
     provider = FixtureDownloadsProvider(path, names)

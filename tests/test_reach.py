@@ -23,12 +23,12 @@ from weaklink.reach import (
     top_percent,
 )
 
-from conftest import load_documents, make_corpus, make_record, owned_by_key, person, random_corpus, random_records
+from conftest import corpus_records, load_documents, make_corpus, make_record, owned_by_key, person, random_corpus, random_records
 
 
 def dependents_by_name(corpus, index):
     """The index as the brute-force oracles spell it: each corpus name to its dependents' names."""
-    names = [rec.name for rec in corpus.records]
+    names = list(corpus.names)
     return {name: tuple(names[dep] for dep in index.dependents(pos)) for pos, name in enumerate(names)}
 
 
@@ -59,9 +59,9 @@ def test_unknown_dependee_is_not_indexed():
 
 def test_corpus_position_is_the_index_of_a_name():
     corpus = random_corpus(seed=3, size=150)
-    for pos, rec in enumerate(corpus.records):
+    for pos, rec in enumerate(corpus_records(corpus)):
         assert corpus.position(rec.name) == pos
-    for name in ("external-dep", "", "zzz", corpus.records[0].name + "-"):
+    for name in ("external-dep", "", "zzz", corpus.names[0] + "-"):
         with pytest.raises(KeyError):
             corpus.position(name)
 
@@ -95,8 +95,8 @@ def test_a_name_declared_under_two_kinds_lists_its_dependent_once(tmp_path):
 def brute_force_index(corpus):
     # Each corpus name maps to the names of the records that declare it, in
     # corpus order, each once; a declared name outside the corpus is no key.
-    index = {rec.name: () for rec in corpus.records}
-    for rec in corpus.records:
+    index = dict.fromkeys(corpus.names, ())
+    for rec in corpus_records(corpus):
         for dep in dict.fromkeys(rec.dependencies):
             if dep != rec.name and dep in index:
                 index[dep] += (rec.name,)
@@ -119,12 +119,12 @@ def test_index_rows_are_compact_and_aligned_with_positions():
         index = build_dependents_index(corpus)
         offsets, targets = index.offsets, index.targets
         assert (offsets.typecode, targets.typecode) == ("i", "i")
-        assert len(offsets) == len(corpus.records) + 1
+        assert len(offsets) == len(corpus.names) + 1
         assert offsets[0] == 0 and offsets[-1] == len(targets)
         counts = index.counts()
-        assert list(counts) == [index.count(pos) for pos in range(len(corpus.records))]
+        assert list(counts) == [index.count(pos) for pos in range(len(corpus.names))]
         assert all(count >= 0 for count in counts)
-        for pos in range(len(corpus.records)):
+        for pos in range(len(corpus.names)):
             row = list(index.dependents(pos))
             assert row == sorted(set(row)), (seed, pos)  # ascending, each once
         assert 0 in counts  # some record nobody depends on
@@ -138,7 +138,7 @@ def test_dependencies_outside_the_filtered_corpus_are_no_edges():
         for kinds in (("runtime",), ("runtime", "dev")):
             records = random_records(seed=seed, size=150, dep_kinds=kinds)
             filtered, _ = apply_exclusions(make_corpus(records))
-            kept = {rec.name for rec in filtered.records}
+            kept = set(filtered.names)
             index = build_dependents_index(filtered)
             assert dependents_by_name(filtered, index) == brute_force_index(filtered)
             declared = [dep for rec in records if rec.name in kept for dep in rec.dependencies]
@@ -177,15 +177,15 @@ def test_self_edges_are_never_indexed(tmp_path):
     for seed in range(10):
         corpus = random_corpus(seed=seed, size=150, dep_kinds=("runtime", "dev"))
         index = build_dependents_index(corpus)
-        assert not any(pos in index.dependents(pos) for pos in range(len(corpus.records))), seed
+        assert not any(pos in index.dependents(pos) for pos in range(len(corpus.names))), seed
 
 
 def test_edge_count_invariant():
     for seed in (2, 7):
         corpus = random_corpus(seed=seed, size=100)
         index = build_dependents_index(corpus)
-        names = {rec.name for rec in corpus.records}
-        edges = sum(1 for rec in corpus.records for dep in rec.dependencies if dep != rec.name and dep in names)
+        names = set(corpus.names)
+        edges = sum(1 for rec in corpus_records(corpus) for dep in rec.dependencies if dep != rec.name and dep in names)
         assert len(index.targets) == edges
         assert sum(index.counts()) == edges
 
@@ -198,7 +198,7 @@ def test_the_dependents_bit_marks_the_nonempty_index_rows():
             corpus = make_corpus(records)
             index = dependents_by_name(corpus, build_dependents_index(corpus))
             _, verdicts = apply_exclusions(corpus)
-            marked = {verdict.record.name for verdict in verdicts if verdict.had_dependents}
+            marked = {name for name, verdict in zip(verdicts.names, verdicts) if verdict.had_dependents}
             assert marked == {name for name, deps in index.items() if deps}, (seed, kinds)
             # A name outside the corpus has no position, so nothing marks it.
             declared = {dep for rec in records for dep in rec.dependencies}
@@ -210,7 +210,7 @@ def test_the_dependents_bit_marks_the_nonempty_index_rows():
 def test_a_name_only_its_own_record_lists_has_no_dependents(tmp_path):
     versions = {"a": {"dependencies": ["a", "b"]}, "b": {"devDependencies": ["b"], "peerDependencies": ["b"]}}
     _, verdicts = apply_exclusions(load_documents(tmp_path, versions, dep_kinds=ALL_KINDS))
-    assert [verdict.record.name for verdict in verdicts if verdict.had_dependents] == ["b"]
+    assert [name for name, verdict in zip(verdicts.names, verdicts) if verdict.had_dependents] == ["b"]
 
 
 def test_exclusions_read_names_declared_under_the_scanned_kinds(tmp_path):
@@ -225,8 +225,8 @@ def test_exclusions_read_names_declared_under_the_scanned_kinds(tmp_path):
     for kinds, excluded in ((("runtime",), {"noise", "noise-dev"}), (("runtime", "dev"), {"noise"})):
         corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
         filtered, verdicts = apply_exclusions(corpus)
-        assert {v.record.package_id.split("@")[0] for v in verdicts if v.excluded} == excluded
-        assert [rec.name for rec in filtered.records] == sorted({rec.name for rec in corpus.records} - excluded)
+        assert {name for name, v in zip(verdicts.names, verdicts) if v.excluded} == excluded
+        assert list(filtered.names) == sorted(set(corpus.names) - excluded)
 
 
 def test_maintainer_index_and_reach():
@@ -266,7 +266,7 @@ def test_maintainer_index_matches_brute_force_on_random_corpora():
     for seed in range(10):
         corpus = random_corpus(seed=seed, size=150)
         oracle = {}
-        for rec in corpus.records:
+        for rec in corpus_records(corpus):
             for key in dict.fromkeys(rec.maintainers):
                 oracle[key] = oracle.get(key, ()) + (rec.name,)
         owned = owned_by_key(corpus, build_maintainer_index(corpus))
@@ -306,7 +306,7 @@ def brute_force_reach(corpus):
     # Name-level: the unique dependent names across each identity's packages.
     index = brute_force_index(corpus)
     owners = {}
-    for rec in corpus.records:
+    for rec in corpus_records(corpus):
         for key in rec.maintainers:
             owners.setdefault(key, set()).add(rec.name)
     return {key: len({dep for pkg in pkgs for dep in index[pkg]}) for key, pkgs in owners.items()}
@@ -406,7 +406,7 @@ def test_top_n_ranks_positions_in_name_order():
     scores = array("q", [3, 5, 5, 1])  # a, b, c, d
     winners = top_n(range(4), scores, 2)
     assert winners == [(1, 5), (2, 5)]
-    assert [corpus.records[pos].name for pos, _ in winners] == ["b", "c"]
+    assert [corpus.names[pos] for pos, _ in winners] == ["b", "c"]
 
 
 def independent_top_percent(subjects, percent):

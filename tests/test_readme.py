@@ -21,5 +21,5 @@ def test_library_example_runs_on_a_synthetic_snapshot(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scope: dict = {}
     exec(compile(library_example(), str(README), "exec"), scope)
-    assert len(scope["verdicts"]) == len(scope["corpus"].records) == 2_000
+    assert len(scope["verdicts"]) == len(scope["corpus"].names) == 2_000
     assert scope["findings"]

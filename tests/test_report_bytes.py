@@ -27,7 +27,7 @@ from weaklink.cli import main
 from weaklink.pipeline import _package_id_order
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import random_corpus
+from conftest import corpus_records, random_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference_digests.json"
@@ -144,7 +144,7 @@ def test_exclusion_order_is_package_id_order(pairs):
 def test_ordering_the_exclusions_holds_few_package_ids():
     # Numbered names make long prefix families: "r15-pkg-1" prefixes 1,111 of them.
     corpus = random_corpus(seed=15, size=5_000)
-    id_bytes = sum(sys.getsizeof(rec.package_id) for rec in corpus.records)
+    id_bytes = sum(sys.getsizeof(rec.package_id) for rec in corpus_records(corpus))
     tracemalloc.start()
     try:
         deque(_package_id_order(corpus.names, corpus.versions), maxlen=0)

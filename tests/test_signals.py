@@ -27,7 +27,7 @@ from weaklink.signals import (
     sort_findings,
 )
 
-from conftest import REF, email_domains, load_documents, make_corpus, make_record, owned_by_key, person, random_corpus
+from conftest import REF, corpus_records, email_domains, load_documents, make_corpus, make_record, owned_by_key, person, random_corpus
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -132,7 +132,7 @@ def test_w1_counts_the_name_only_entries_of_a_key_an_email_spells(tmp_path):
     # domain is counted for each entry that lists it, the name-only one too.
     versions = {"a": {"maintainers": [{"name": "x@dead.io"}]}, "b": {"maintainers": [{"email": "Name:X@dead.io"}]}}
     corpus = load_documents(tmp_path, versions)
-    assert [rec.maintainers for rec in corpus.records] == [("name:x@dead.io",)] * 2
+    assert [rec.maintainers for rec in corpus_records(corpus)] == [("name:x@dead.io",)] * 2
     assert email_domains(corpus) == {"name:x@dead.io": "dead.io"}
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
     findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
@@ -451,7 +451,7 @@ def test_w6_dependency_using_share_reads_runtime_dependencies_whatever_the_kinds
         "lib": {"dependencies": ["uses-lib"], "devDependencies": ["bare"]},
     }
     corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
-    assert [rec.has_runtime_dependencies for rec in corpus.records] == [False, False, True, True, True]
+    assert [rec.has_runtime_dependencies for rec in corpus_records(corpus)] == [False, False, True, True, True]
     cfg = cfg_for(corpus, top_percent=100.0)
     findings = analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg)
     (owner_finding,) = [f for f in findings if f.subject_id == "owner@x.example"]
