@@ -168,103 +168,6 @@ def parse_person(entry: object) -> tuple[str, str | None] | None:
 _EMPTY_MAP: dict[str, str] = {}
 
 
-class _Leaves:
-    """What the records of one load share: the scan's scope and the load's tables.
-
-    The scope is the dependency kinds and the install-key pattern the scan
-    reads, and the license denylist its exclusions apply; a record keeps
-    nothing else of a document's dependencies, scripts, repository and
-    license. Registry documents repeat the same maintainers (however an
-    entry spells them), versions, dependency names and script names across
-    packages; each distinct one is kept once. ``names`` numbers each package
-    and dependency name in the order it is first seen. ``identity_keys``
-    numbers each maintainer identity, and ``identity_domains`` holds its
-    email domain, or None, at the same index. Raises ``ValueError`` for an
-    empty or unknown dependency kind.
-    """
-
-    def __init__(
-        self,
-        dep_kinds: Iterable[str] = ("runtime",),
-        install_key_pattern: str = "install",
-        license_denylist: Iterable[str] = DEFAULT_LICENSE_DENYLIST,
-    ) -> None:
-        kinds = tuple(dep_kinds)
-        if not kinds:
-            raise ValueError("dep_kinds must be nonempty")
-        unknown = [kind for kind in kinds if kind not in _DEPENDENCY_KEYS]
-        if unknown:
-            raise ValueError(f"unknown dependency kind: {unknown[0]}")
-        self.dep_keys = tuple(dict.fromkeys(_DEPENDENCY_KEYS[kind] for kind in kinds))
-        self.install_key_pattern = install_key_pattern
-        self.license_denylist = frozenset(entry.strip().upper() for entry in license_denylist)
-        self._people: dict[str, tuple[str, str | None]] = {}
-        self.names: dict[str, int] = {}
-        self._identities: dict[str, int] = {}
-        self.identity_keys: list[str] = []
-        self.identity_domains: list[str | None] = []
-        self.strings: dict[str, str] = {}
-
-    def person(self, entry: object) -> tuple[str, str | None] | None:
-        """``parse_person(entry)``, kept once for each email of an object entry.
-
-        An email decides the identity whatever the name, so the email string
-        is the cache key, and the identity key is that string when it is
-        already its own lowercase form. Other entries are parsed each time.
-        """
-        email = entry.get("email") if isinstance(entry, dict) else None
-        if not isinstance(email, str):
-            return parse_person(entry)
-        person = self._people.get(email)
-        if person is None:
-            person = parse_person(entry)
-            if person is None or not email.strip():  # the name decides
-                return person
-            key, domain = person
-            domain = domain and self.strings.setdefault(domain, domain)
-            person = self._people[email] = (email if key == email else key, domain)
-        return person
-
-    def people(self, raw: object) -> list[tuple[str, str | None]]:
-        if isinstance(raw, dict) or isinstance(raw, str):
-            raw = [raw]
-        if not isinstance(raw, list):
-            return []
-        return [person for entry in raw if (person := self.person(entry)) is not None]
-
-    def identity(self, key: str, domain: str | None) -> int:
-        """The id of the identity ``key``; it keeps the first domain given for it."""
-        ident = self._identities.get(key)
-        if ident is None:
-            ident = self._identities[key] = len(self.identity_keys)
-            self.identity_keys.append(key)
-            self.identity_domains.append(domain and self.strings.setdefault(domain, domain))
-        elif domain and self.identity_domains[ident] is None:
-            self.identity_domains[ident] = self.strings.setdefault(domain, domain)
-        return ident
-
-    def close(self) -> None:
-        """Drop the lookup tables once the load is done; the columns hold what they number."""
-        self._people.clear()
-        self.names.clear()
-        self._identities.clear()
-        self.strings.clear()
-
-    def maintainers(self, version: dict, document: dict) -> list[int]:
-        """The identity ids of the version's maintainers, or else the document's, as listed."""
-        people = self.people(version.get("maintainers")) or self.people(document.get("maintainers"))
-        return [self.identity(key, domain) for key, domain in people]
-
-    def dependencies(self, vobj: dict, name: str) -> list[str]:
-        """The names the scan's kinds declare, merged in first-declared order, each once, without ``name``."""
-        declared: dict = {}
-        for key in self.dep_keys:
-            raw = vobj.get(key)
-            if raw and isinstance(raw, dict):
-                declared.update(raw)  # a name declared before keeps its place
-        return [k for k in declared if isinstance(k, str) and k and k != name]
-
-
 @dataclass(frozen=True)
 class IngestStats:
     total: int
@@ -345,19 +248,48 @@ class Corpus:
         return _gather(self, rows, position, position, tuple(map(self.names.__getitem__, rows)), self.stats, self.digest)
 
 
-class _Columns:
-    """The columns of one load, one row per document, filled in file order.
+class _Load:
+    """One read of a snapshot: the scan's scope, the load's lookup tables and its rows in file order.
 
-    They have the names of the ``Corpus`` columns, but that a row's name,
-    ``row_names``, and its dependencies, ``dep_targets``, are ids of
-    ``leaves.names``. ``corpus`` sorts the rows by name and turns those ids
-    into positions.
+    The scope is the dependency kinds and the install-key pattern the scan
+    reads, and the license denylist its exclusions apply; a row keeps
+    nothing else of a document's dependencies, scripts, repository and
+    license. Raises ``ValueError`` for an empty or unknown dependency kind.
+
+    Registry documents repeat the same maintainers (however an entry spells
+    them), versions, dependency names and script names across packages; the
+    tables keep each distinct one once. ``names`` numbers each package and
+    dependency name in the order it is first seen. ``identity_keys``
+    numbers each maintainer identity, and ``identity_domains`` holds its
+    email domain, or None, at the same index.
+
+    The rows have the names of the ``Corpus`` columns, but that a row's
+    name, ``row_names``, and its dependencies, ``dep_targets``, are ids of
+    ``names``. ``corpus`` sorts the rows by name and turns those ids into
+    positions.
     """
 
-    def __init__(self, leaves: _Leaves) -> None:
-        self.leaves = leaves
-        self.identity_keys = leaves.identity_keys
-        self.identity_domains = leaves.identity_domains
+    def __init__(
+        self,
+        dep_kinds: Iterable[str] = ("runtime",),
+        install_key_pattern: str = "install",
+        license_denylist: Iterable[str] = DEFAULT_LICENSE_DENYLIST,
+    ) -> None:
+        kinds = tuple(dep_kinds)
+        if not kinds:
+            raise ValueError("dep_kinds must be nonempty")
+        unknown = [kind for kind in kinds if kind not in _DEPENDENCY_KEYS]
+        if unknown:
+            raise ValueError(f"unknown dependency kind: {unknown[0]}")
+        self.dep_keys = tuple(dict.fromkeys(_DEPENDENCY_KEYS[kind] for kind in kinds))
+        self.install_key_pattern = install_key_pattern
+        self.license_denylist = frozenset(entry.strip().upper() for entry in license_denylist)
+        self._people: dict[str, tuple[str, str | None]] = {}
+        self.names: dict[str, int] = {}
+        self._identities: dict[str, int] = {}
+        self.identity_keys: list[str] = []
+        self.identity_domains: list[str | None] = []
+        self.strings: dict[str, str] = {}
         self.row_names = array("i")
         self.versions: list[str] = []
         self.last_modified = array("q")
@@ -371,23 +303,70 @@ class _Columns:
         self.scripts: dict[int, dict[str, str]] = {}
         self.deprecated: dict[int, object] = {}
         self._held = bytearray()  # 1 at the id of each name a row has
-        self._repeated = False
 
-    def holds(self, name: str) -> bool:
-        """Whether a row has the name ``name``."""
-        name_id = self.leaves.names.get(name)
-        return name_id is not None and name_id < len(self._held) and self._held[name_id] == 1
+    def person(self, entry: object) -> tuple[str, str | None] | None:
+        """``parse_person(entry)``, kept once for each email of an object entry.
 
-    def append(self, fields: tuple) -> None:
-        """Add the row of one ``_parse`` result."""
+        An email decides the identity whatever the name, so the email string
+        is the cache key, and the identity key is that string when it is
+        already its own lowercase form. Other entries are parsed each time.
+        """
+        email = entry.get("email") if isinstance(entry, dict) else None
+        if not isinstance(email, str):
+            return parse_person(entry)
+        person = self._people.get(email)
+        if person is None:
+            person = parse_person(entry)
+            if person is None or not email.strip():  # the name decides
+                return person
+            key, domain = person
+            domain = domain and self.strings.setdefault(domain, domain)
+            person = self._people[email] = (email if key == email else key, domain)
+        return person
+
+    def people(self, raw: object) -> list[tuple[str, str | None]]:
+        if isinstance(raw, dict) or isinstance(raw, str):
+            raw = [raw]
+        if not isinstance(raw, list):
+            return []
+        return [person for entry in raw if (person := self.person(entry)) is not None]
+
+    def identity(self, key: str, domain: str | None) -> int:
+        """The id of the identity ``key``; it keeps the first domain given for it."""
+        ident = self._identities.get(key)
+        if ident is None:
+            ident = self._identities[key] = len(self.identity_keys)
+            self.identity_keys.append(key)
+            self.identity_domains.append(domain and self.strings.setdefault(domain, domain))
+        elif domain and self.identity_domains[ident] is None:
+            self.identity_domains[ident] = self.strings.setdefault(domain, domain)
+        return ident
+
+    def maintainers(self, version: dict, document: dict) -> list[int]:
+        """The identity ids of the version's maintainers, or else the document's, as listed."""
+        people = self.people(version.get("maintainers")) or self.people(document.get("maintainers"))
+        return [self.identity(key, domain) for key, domain in people]
+
+    def dependencies(self, vobj: dict, name: str) -> list[str]:
+        """The names the scan's kinds declare, merged in first-declared order, each once, without ``name``."""
+        declared: dict = {}
+        for key in self.dep_keys:
+            raw = vobj.get(key)
+            if raw and isinstance(raw, dict):
+                declared.update(raw)  # a name declared before keeps its place
+        return [k for k in declared if isinstance(k, str) and k and k != name]
+
+    def append(self, fields: tuple) -> bool:
+        """Add the row of one ``_parse`` result; False, adding nothing, when a row already has its name."""
         name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = fields
-        ids = self.leaves.names
+        ids = self.names
         number = ids.setdefault
         name_id = number(name, len(ids))
         held = self._held
         if name_id >= len(held):
             held.extend(bytes(name_id + 1024 - len(held)))  # grown in steps, not per row
-        self._repeated = self._repeated or held[name_id] == 1
+        elif held[name_id]:
+            return False
         held[name_id] = 1
         row = len(self.row_names)
         self.row_names.append(name_id)
@@ -406,19 +385,19 @@ class _Columns:
             self.scripts[row] = scripts
         if deprecated is not None:
             self.deprecated[row] = deprecated
+        return True
 
     def corpus(self, stats: IngestStats, digest: str) -> Corpus:
-        """The corpus of the rows, sorted by name; raises ``ValueError`` when two rows share a name."""
-        if self._repeated:
-            raise ValueError("corpus records must have distinct names")
-        ids = self.leaves.names
+        """The corpus of the rows, sorted by name; the lookup tables are emptied, as the columns hold what they number."""
+        ids = self.names
         table = list(ids)
         names = tuple(sorted(map(table.__getitem__, self.row_names)))
         del table
         position = array("i", [-1]) * len(ids)  # of each name id
         for pos, name in enumerate(names):
             position[ids[name]] = pos
-        self.leaves.close()
+        for lookup in (self._people, ids, self._identities, self.strings):
+            lookup.clear()
         new_row = array("i", map(position.__getitem__, self.row_names))
         rows = array("i", bytes(new_row.itemsize * len(new_row)))
         for row, pos in enumerate(new_row):
@@ -534,7 +513,7 @@ def _install_scripts(raw: object, strings: dict[str, str], pattern: str) -> dict
     return scripts or _EMPTY_MAP
 
 
-def _parse(item: object, leaves: _Leaves) -> tuple:
+def _parse(item: object, load: _Load) -> tuple:
     """Normalize one registry document into the fields of its latest version, as a load's row.
 
     ``item`` is the document's bytes or text, or its decoded JSON tree. The
@@ -545,13 +524,13 @@ def _parse(item: object, leaves: _Leaves) -> tuple:
     object. The fields are: the trimmed name; the version; the last
     modification as UTC epoch microseconds; the scripts whose key matches
     the install pattern (``is_install_key``); the maintainers' identity ids
-    of ``leaves``, as listed; the number of usable contributor entries; the
+    of ``load``, as listed; the number of usable contributor entries; the
     names the scan's kinds declare, merged in first-declared order, each
     once, without the package itself; whether the runtime kind declares a
     name, whichever kinds the scan reads; the deprecation (None, a bool or
     the message as given); and the ``EXCLUSION_REASONS`` bits under the
-    license denylist. ``leaves`` holds the scan's scope and shares equal
-    strings with the other documents of a load.
+    license denylist. ``load`` holds the scan's scope and shares equal
+    strings with the other documents it reads.
     """
     if isinstance(item, (bytes, str)):
         try:
@@ -603,8 +582,8 @@ def _parse(item: object, leaves: _Leaves) -> tuple:
             raise ParseError("malformed", f"{name}: no usable timestamp")
         last_modified = max(version_times)
 
-    maintainers = leaves.maintainers(vobj, item)
-    contributors = leaves.people(vobj.get("contributors")) or leaves.people(item.get("contributors"))
+    maintainers = load.maintainers(vobj, item)
+    contributors = load.people(vobj.get("contributors")) or load.people(item.get("contributors"))
     deprecated = vobj.get("deprecated")
     if not isinstance(deprecated, (str, bool)):
         deprecated = None
@@ -619,18 +598,18 @@ def _parse(item: object, leaves: _Leaves) -> tuple:
         reasons |= SECURITY_HOLDING
     if not _normalize_repository(vobj["repository"] if "repository" in vobj else item.get("repository")):
         license_value = _normalize_license(vobj["license"] if "license" in vobj else item.get("license"))
-        if license_value is None or license_value.strip().upper() in leaves.license_denylist:
+        if license_value is None or license_value.strip().upper() in load.license_denylist:
             reasons |= NO_REPO_NO_LICENSE
-    intern = leaves.strings.setdefault
+    intern = load.strings.setdefault
     runtime = vobj.get("dependencies")
     return (
         name,
         intern(version, version),
         epoch_us(last_modified),
-        _install_scripts(vobj.get("scripts"), leaves.strings, leaves.install_key_pattern),
+        _install_scripts(vobj.get("scripts"), load.strings, load.install_key_pattern),
         maintainers,
         len(contributors),
-        leaves.dependencies(vobj, name),
+        load.dependencies(vobj, name),
         isinstance(runtime, dict) and any(isinstance(k, str) and k for k in runtime),
         deprecated,
         reasons,
@@ -1002,29 +981,27 @@ def _iter_dir(source: Path, digest) -> Iterator[bytes]:
         yield data
 
 
-def _ingest(items: Iterable[object], leaves: _Leaves) -> tuple[_Columns, IngestStats]:
+def _ingest(items: Iterable[object], load: _Load) -> IngestStats:
     total = 0
     skipped = 0
     by_error: dict[str, int] = {}
-    columns = _Columns(leaves)
     for item in items:
         total += 1
         try:
             # Anything already decoded (dict, list, null, scalar) is a tree;
             # _parse rejects every non-object as malformed.
-            fields = _parse(item, leaves)
+            fields = _parse(item, load)
         except ParseError as exc:
             reason = exc.reason
         except NoVersionsError:
             reason = "no_versions"
         else:
-            if not columns.holds(fields[0]):
-                columns.append(fields)
+            if load.append(fields):
                 continue
             reason = "duplicate_name"
         skipped += 1
         by_error[reason] = by_error.get(reason, 0) + 1
-    return columns, IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
+    return IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
 
 
 def load_corpus(
@@ -1038,7 +1015,7 @@ def load_corpus(
     """Stream all documents from a snapshot into an immutable corpus.
 
     One document is decoded at a time in every layout, and its fields go
-    straight into the load's columns. Malformed documents are counted and
+    straight into the load's rows. Malformed documents are counted and
     skipped. The rows are sorted by package name once all are read; the
     first occurrence of a duplicate name in file order wins and later ones
     are counted under "duplicate_name". The digest hashes the bytes this
@@ -1049,7 +1026,9 @@ def load_corpus(
     others, and the exclusion reasons under ``license_denylist``. An empty
     or unknown kind raises ``ValueError`` before anything is read.
     """
-    leaves = _Leaves(dep_kinds, install_key_pattern, license_denylist)
+    # Tuples, so that a restarted read can build its load from a generator's items again.
+    scope = (tuple(dep_kinds), install_key_pattern, tuple(license_denylist))
+    load = _Load(*scope)
     source = Path(source)
     if not source.exists():
         raise OSError(f"snapshot not found: {source}")
@@ -1064,19 +1043,20 @@ def load_corpus(
         digest = hashlib.sha256()
         try:
             if layout == "dir":
-                columns, stats = _ingest(_iter_dir(source, digest), leaves)
+                stats = _ingest(_iter_dir(source, digest), load)
             else:
                 with open(source, "rb") as fh:
                     if layout == "ndjson":
                         items = _iter_ndjson(fh, digest)
                     else:
                         items = _BulkReader(fh, digest, autodetect=layout is None, rows_key=rows_key).items()
-                    columns, stats = _ingest(items, leaves)
+                    stats = _ingest(items, load)
             break
         except _Verdict:  # autodetection: the file is ndjson after all
             layout = "ndjson"
         except _Reread as again:
             rows_key = again.rows_key
+        load = _Load(*scope)  # no table or row of a voided attempt is kept
     layout = layout or "bulk"
     logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)
-    return columns.corpus(stats, digest.hexdigest())
+    return load.corpus(stats, digest.hexdigest())

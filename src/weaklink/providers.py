@@ -36,6 +36,8 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 USER_AGENT = "weaklink-scanner/0.1 (registry metadata research)"
+# The period each point-downloads query counts downloads over.
+DOWNLOADS_WINDOW = "last-year"
 
 STATUS_AVAILABLE = "available"
 STATUS_REGISTERED = "registered"
@@ -305,7 +307,6 @@ class LiveDownloadsProvider:
         self,
         base_url: str,
         rate_limit: float,
-        window: str = "last-year",
         timeout: float = 10.0,
         retries: int = 2,
         session: requests.Session | None = None,
@@ -313,7 +314,6 @@ class LiveDownloadsProvider:
         import requests
 
         self._base_url = base_url.rstrip("/")
-        self._window = window
         self._limiter = RateLimiter(rate_limit)
         self._timeout = timeout
         self._retries = retries
@@ -325,7 +325,7 @@ class LiveDownloadsProvider:
     def downloads(self, package: str) -> int | None:
         import requests
 
-        url = f"{self._base_url}/downloads/point/{self._window}/{package}"
+        url = f"{self._base_url}/downloads/point/{DOWNLOADS_WINDOW}/{package}"
         for _attempt in range(self._retries + 1):
             self._limiter.acquire()
             try:

@@ -143,16 +143,12 @@ class AnalyzerConfig:
             if not token.strip():
                 raise ValueError(f"suspicious_tokens must not hold a blank token, got {token!r}")
 
-    @property
-    def inactivity_window(self) -> timedelta:
-        return timedelta(days=self.inactivity_days)
-
     @cached_property
     def inactive_before(self) -> int:
         """The UTC epoch microsecond before which a last modification is inactive.
 
         A time ``t`` is before it exactly when ``reference_time - t``
-        exceeds ``inactivity_window``, since both count whole microseconds.
+        exceeds ``inactivity_days`` days, since both count whole microseconds.
         """
         return epoch_us(self.reference_time) - self.inactivity_days * US_PER_DAY
 
@@ -592,18 +588,15 @@ def analyze_w6(
 
     Emits one maintainer-subject finding per flagged identity plus one
     package-subject finding per owned package, all carrying the same
-    ownership evidence. Flagged identities come in ranking order, ties
-    broken on the identity key.
+    ownership evidence.
     """
     names, keys = corpus.names, corpus.identity_keys
     if not keys:
         return []  # without records the reference time may be unset
     before, last_modified, runtime = cfg.inactive_before, corpus.last_modified, corpus.runtime_flags
     reaches = array("q", (maintainer_reach(mindex.owned(ident), dindex) for ident in range(len(keys))))
-    flagged = top_percent(range(len(keys)), reaches, cfg.top_percent)
-    flagged.sort(key=lambda item: (-item[1], keys[item[0]]))
     findings = []
-    for ident, reach in flagged:
+    for ident, reach in top_percent(range(len(keys)), reaches, cfg.top_percent):
         owned = mindex.owned(ident)
         inactive_owned = sum(1 for pos in owned if last_modified[pos] < before)
         with_deps = sum(map(runtime.__getitem__, owned))

@@ -112,37 +112,6 @@ class GenerationPlan:
     combo_w2_inactive_popular: int = 8
 
     @classmethod
-    def zero(cls, seed: int = 7, package_count: int = 1000) -> "GenerationPlan":
-        """A plan with every rate and plant zeroed: nothing to find."""
-        return cls(
-            seed=seed,
-            package_count=package_count,
-            security_holding_rate=0.0,
-            deprecated_unused_rate=0.0,
-            no_repo_no_license_rate=0.0,
-            multi_reason_overlap=0,
-            security_holding_retained=0,
-            install_script_rate=0.0,
-            inactive_rate=0.0,
-            inactive_maintainer_pkg_rate=0.0,
-            deprecated_retained_rate=0.0,
-            contributor_rate=0.0,
-            mean_maintainers=0.0,
-            expired_maintainers=0,
-            expired_stale_maintainers=0,
-            expired_stale_packages=0,
-            expired_packages=0,
-            malicious_scripts=0,
-            w6_owned_per_maintainer=0,
-            w6_stale_maintainers=0,
-            combo_w6_w4=0,
-            combo_w6_w2_inactive=0,
-            combo_w6_w1_inactive=0,
-            combo_w6_w1_active=0,
-            combo_w2_inactive_popular=0,
-        )
-
-    @classmethod
     def from_dict(cls, data: object) -> "GenerationPlan":
         """The plan whose fields a JSON object overrides.
 

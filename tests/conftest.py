@@ -55,18 +55,19 @@ class Record:
         return f"{self.name}@{self.version}"
 
 
-def parse_record(item: object, leaves: ingest._Leaves | None = None) -> Record:
+def parse_record(item: object, load: ingest._Load | None = None) -> Record:
     """The record of one document, as ingest parses it: every name it declares is a dependency.
 
-    ``leaves`` holds the scan's scope (default: runtime, "install" and
-    ``DEFAULT_LICENSE_DENYLIST``) and numbers the maintainers' identities.
+    ``load`` is an ``ingest._Load``: it holds the scan's scope (default:
+    runtime, "install" and ``DEFAULT_LICENSE_DENYLIST``) and numbers the
+    maintainers' identities. The record is not added to its rows.
     """
-    if leaves is None:
-        leaves = ingest._Leaves()
+    if load is None:
+        load = ingest._Load()
     name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = (
-        ingest._parse(item, leaves)
+        ingest._parse(item, load)
     )
-    keys = tuple(map(leaves.identity_keys.__getitem__, maintainers))
+    keys = tuple(map(load.identity_keys.__getitem__, maintainers))
     return Record(
         name, version, from_epoch_us(last_modified), scripts, keys, contributors, tuple(dependencies), runtime, deprecated, reasons
     )
@@ -163,11 +164,10 @@ def make_corpus(records, email_domains: dict[str, str] | None = None) -> Corpus:
     if email_domains is None:
         keys = {key for rec in records for key in rec.maintainers if not key.startswith("name:")}
         email_domains = {key: domain for key in keys if (domain := extract_email_domain(key))}
-    leaves = ingest._Leaves()
-    columns = ingest._Columns(leaves)
+    load = ingest._Load()
     for rec in records:
-        maintainers = [leaves.identity(key, email_domains.get(key)) for key in rec.maintainers]
-        columns.append(
+        maintainers = [load.identity(key, email_domains.get(key)) for key in rec.maintainers]
+        appended = load.append(
             (
                 rec.name,
                 rec.version,
@@ -181,12 +181,14 @@ def make_corpus(records, email_domains: dict[str, str] | None = None) -> Corpus:
                 rec.exclusion_reasons,
             )
         )
+        if not appended:
+            raise ValueError("corpus records must have distinct names")
     stats = IngestStats(total=len(records), parsed=len(records), skipped=0, by_error={})
-    return columns.corpus(stats, "test")
+    return load.corpus(stats, "test")
 
 
 def email_domains(table) -> dict[str, str]:
-    """The identity keys of a corpus, or of a load's ``ingest._Leaves``, that have an email domain, mapped to it."""
+    """The identity keys of a corpus, or of an ``ingest._Load``, that have an email domain, mapped to it."""
     return {key: domain for key, domain in zip(table.identity_keys, table.identity_domains) if domain}
 
 

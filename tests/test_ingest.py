@@ -105,21 +105,21 @@ def test_contributor_shapes_normalized():
         {"email": "  "},
         7,
     ]
-    leaves = ingest._Leaves()
-    rec = parse_record(doc_bytes(minimal_doc(maintainers=people, contributors=people)), leaves)
+    load = ingest._Load()
+    rec = parse_record(doc_bytes(minimal_doc(maintainers=people, contributors=people)), load)
     assert rec.maintainers == ("ann@x.io", "bob@y.io", "name:plain name", "solo@z.io")
-    assert email_domains(leaves) == {"ann@x.io": "x.io", "bob@y.io": "y.io", "solo@z.io": "z.io"}
+    assert email_domains(load) == {"ann@x.io": "x.io", "bob@y.io": "y.io", "solo@z.io": "z.io"}
     assert rec.contributor_count == 4
 
 
 def test_people_of_the_latest_version_win_over_the_document():
     tree = minimal_doc(maintainers=["Doc <doc@x.io>"], contributors=["A", "B", "C"])
     tree["versions"]["1.0.0"].update(maintainers=[{"email": "v@x.io"}], contributors="Solo")
-    leaves = ingest._Leaves()
-    rec = parse_record(tree, leaves)
+    load = ingest._Load()
+    rec = parse_record(tree, load)
     assert rec.maintainers == ("v@x.io",)
     assert rec.contributor_count == 1
-    assert email_domains(leaves) == {"v@x.io": "x.io"}  # the document's maintainers are not read
+    assert email_domains(load) == {"v@x.io": "x.io"}  # the document's maintainers are not read
     # Lists with no usable entry fall back to the document's.
     tree["versions"]["1.0.0"].update(maintainers=[""], contributors={"name": " "})
     rec = parse_record(tree)
@@ -229,22 +229,22 @@ def test_field_traceability_with_sentinels():
         "repository": {"type": "git", "url": "git+https://sentinel.example/r.git"},
         "license": "SENTINEL-LICENSE-1.0",
     }
-    leaves = ingest._Leaves()
-    rec = parse_record(doc_bytes(tree), leaves)
+    load = ingest._Load()
+    rec = parse_record(doc_bytes(tree), load)
     assert rec.package_id == "sentinel-pkg@3.1.4"
     assert rec.scripts == {"postinstall": "SENTINEL_SCRIPT_BODY  spaced"}
     assert rec.dependencies == ("sentinel-dep",)
     assert rec.has_runtime_dependencies is True
-    assert parse_record(doc_bytes(tree), ingest._Leaves(("dev", "runtime"))).dependencies == ("sentinel-dev", "sentinel-dep")
-    assert parse_record(doc_bytes(tree), ingest._Leaves(("peer", "optional"))).dependencies == ()
+    assert parse_record(doc_bytes(tree), ingest._Load(("dev", "runtime"))).dependencies == ("sentinel-dev", "sentinel-dep")
+    assert parse_record(doc_bytes(tree), ingest._Load(("peer", "optional"))).dependencies == ()
     assert rec.deprecated == "SENTINEL_DEPRECATION"
     assert rec.maintainers == ("maint@sentinel.io",)
-    assert email_domains(leaves) == {"maint@sentinel.io": "sentinel.io"}
+    assert email_domains(load) == {"maint@sentinel.io": "sentinel.io"}
     assert rec.contributor_count == 1
     assert rec.exclusion_reasons == ingest.DEPRECATED  # the repository is present
     del tree["repository"]
     for denylist, reasons in ((["MIT", " sentinel-license-1.0"], ingest.NO_REPO_NO_LICENSE), (["MIT"], 0)):
-        rec_without_repository = parse_record(doc_bytes(tree), ingest._Leaves(license_denylist=denylist))
+        rec_without_repository = parse_record(doc_bytes(tree), ingest._Load(license_denylist=denylist))
         assert rec_without_repository.exclusion_reasons == ingest.DEPRECATED | reasons
     assert rec.last_modified == datetime(2021, 3, 3, 3, 3, 3, tzinfo=timezone.utc)
 
@@ -637,12 +637,12 @@ def test_dependency_names_by_kind():
         peerDependencies=["peer"],
         optionalDependencies={"opt": "^1"},
     )
-    assert [parse_record(tree, ingest._Leaves((kind,))).dependencies for kind in ALL_KINDS] == [
+    assert [parse_record(tree, ingest._Load((kind,))).dependencies for kind in ALL_KINDS] == [
         ("run", "run-b"), ("dev",), (), ("opt",)
     ]
-    assert parse_record(tree, ingest._Leaves(ALL_KINDS)).dependencies == ("run", "run-b", "dev", "opt")
+    assert parse_record(tree, ingest._Load(ALL_KINDS)).dependencies == ("run", "run-b", "dev", "opt")
     with pytest.raises(ValueError, match="unknown dependency kind"):
-        ingest._Leaves(("runtime", "bundled"))
+        ingest._Load(("runtime", "bundled"))
 
 
 def test_load_corpus_rejects_empty_and_unknown_kinds(tmp_path):
@@ -656,13 +656,25 @@ def test_load_corpus_rejects_empty_and_unknown_kinds(tmp_path):
         load_corpus(missing, dep_kinds=("runtime", "dev"))
 
 
+def test_a_restarted_read_keeps_a_scope_given_as_one_pass_iterators(tmp_path):
+    # Autodetection reads an ndjson file as a bulk export first, and the
+    # read that starts over builds its load from the same scope.
+    tree = minimal_doc(name="a", license="MIT")
+    tree["versions"]["1.0.0"].update(dependencies={"b": "1"}, devDependencies={"c": "1"})
+    path = write_snapshot(tmp_path, [tree, minimal_doc(name="b"), minimal_doc(name="c")], "ndjson")
+    corpus = load_corpus(path, dep_kinds=iter(("runtime", "dev")), license_denylist=iter(("MIT",)))
+    assert [(rec.dependencies, rec.exclusion_reasons) for rec in corpus_records(corpus)] == [
+        (("b", "c"), ingest.NO_REPO_NO_LICENSE), ((), ingest.NO_REPO_NO_LICENSE), ((), ingest.NO_REPO_NO_LICENSE)
+    ]
+
+
 def test_a_self_edge_and_a_repeat_across_kinds_are_dropped():
     tree = minimal_doc(name="self")
     tree["versions"]["1.0.0"].update(
         dependencies={"self": "1", "lib": "1"}, devDependencies={"lib": "2", "self": "3", "tool": "4"}
     )
-    assert parse_record(tree, ingest._Leaves(("runtime", "dev"))).dependencies == ("lib", "tool")
-    assert parse_record(tree, ingest._Leaves(("dev", "runtime"))).dependencies == ("lib", "tool")
+    assert parse_record(tree, ingest._Load(("runtime", "dev"))).dependencies == ("lib", "tool")
+    assert parse_record(tree, ingest._Load(("dev", "runtime"))).dependencies == ("lib", "tool")
     only_self = minimal_doc(name="self")
     only_self["versions"]["1.0.0"]["dependencies"] = {"self": "1"}
     rec = parse_record(only_self)
@@ -674,9 +686,9 @@ def test_records_keep_only_install_scripts():
     tree = minimal_doc()
     tree["versions"]["1.0.0"]["scripts"] = {"test": "jest", "preInstall": "a", "POSTINSTALL": "b", "build": "tsc"}
     assert parse_record(tree).scripts == {"preInstall": "a", "POSTINSTALL": "b"}
-    assert parse_record(tree, ingest._Leaves(install_key_pattern="BUILD")).scripts == {"build": "tsc"}
-    assert parse_record(tree, ingest._Leaves(install_key_pattern="")).scripts == tree["versions"]["1.0.0"]["scripts"]
-    assert parse_record(tree, ingest._Leaves(install_key_pattern="deploy")).scripts is ingest._EMPTY_MAP
+    assert parse_record(tree, ingest._Load(install_key_pattern="BUILD")).scripts == {"build": "tsc"}
+    assert parse_record(tree, ingest._Load(install_key_pattern="")).scripts == tree["versions"]["1.0.0"]["scripts"]
+    assert parse_record(tree, ingest._Load(install_key_pattern="deploy")).scripts is ingest._EMPTY_MAP
 
 
 # --- the snapshot digest ---------------------------------------------------------
@@ -909,7 +921,7 @@ KIND_SETS = [kinds for size in range(1, 5) for kinds in itertools.combinations(A
 @given(tree=messy_documents())
 def test_dependencies_merge_the_scanned_kinds_as_the_reference_does(kinds, tree):
     for order in (kinds, kinds[::-1]):
-        got = normalized(lambda item: record_to_dict(parse_record(item, ingest._Leaves(order))), tree)
+        got = normalized(lambda item: record_to_dict(parse_record(item, ingest._Load(order))), tree)
         assert got == normalized(lambda item: reference_record(item, dep_kinds=order), tree)
         if isinstance(got, dict):
             assert len(set(got["dependencies"])) == len(got["dependencies"])
@@ -919,7 +931,7 @@ def test_dependencies_merge_the_scanned_kinds_as_the_reference_does(kinds, tree)
 @settings(max_examples=200, deadline=None)
 @given(tree=messy_documents(), pattern=st.sampled_from(["install", "INSTALL", "Inst", "pre", "", "left"]))
 def test_scripts_are_the_reference_install_keys(tree, pattern):
-    got = normalized(lambda item: record_to_dict(parse_record(item, ingest._Leaves(install_key_pattern=pattern))), tree)
+    got = normalized(lambda item: record_to_dict(parse_record(item, ingest._Load(install_key_pattern=pattern))), tree)
     assert got == normalized(lambda item: reference_record(item, install_key_pattern=pattern), tree)
     if isinstance(got, dict):
         assert all(pattern.lower() in key.lower() for key in got["scripts"])
@@ -929,12 +941,12 @@ def test_scripts_are_the_reference_install_keys(tree, pattern):
 @given(trees=st.lists(messy_documents(), max_size=4))
 def test_email_domains_are_the_reference_domains_of_the_maintainers(trees):
     # One load's records share maintainer lists; each record's domains count.
-    leaves = ingest._Leaves()
+    load = ingest._Load()
     expected = {}
     for tree in trees:
-        if isinstance(normalized(lambda item: parse_record(item, leaves), tree), Record):
+        if isinstance(normalized(lambda item: parse_record(item, load), tree), Record):
             expected.update(reference_email_domains(tree))
-    assert email_domains(leaves) == expected
+    assert email_domains(load) == expected
 
 
 # --- exclusion reasons against the reference predicates ---------------------------------
@@ -998,6 +1010,6 @@ def load_corpus_of(tree: dict, denylist: tuple) -> ingest.Corpus:
 @settings(max_examples=400, deadline=None)
 @given(tree=reason_documents(), denylist=st.just(()) | st.just(ingest.DEFAULT_LICENSE_DENYLIST) | DENYLISTS)
 def test_exclusion_reasons_are_the_reference_predicates(tree, denylist):
-    rec = parse_record(tree, ingest._Leaves(license_denylist=denylist))
+    rec = parse_record(tree, ingest._Load(license_denylist=denylist))
     assert rec.exclusion_reasons == reference_record(tree, license_denylist=denylist)["exclusion_reasons"]
     assert tuple(corpus_records(load_corpus_of(tree, denylist))) == (rec,)

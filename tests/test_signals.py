@@ -305,7 +305,7 @@ def test_epoch_microseconds_format_as_the_datetime(dt):
 def test_epoch_microsecond_arithmetic_is_the_datetime_arithmetic(reference, last_modified, days):
     cfg = AnalyzerConfig(inactivity_days=days, reference_time=reference)
     ref_us, lm_us = epoch_us(reference), epoch_us(last_modified)
-    assert is_inactive(lm_us, cfg) == (reference - last_modified > cfg.inactivity_window)
+    assert is_inactive(lm_us, cfg) == (reference - last_modified > timedelta(days=cfg.inactivity_days))
     # Floor division floors a negative age as timedelta.days does.
     assert (ref_us - lm_us) // US_PER_DAY == (reference - last_modified).days
 

@@ -63,8 +63,39 @@ def test_different_seeds_same_counts():
     assert a["signals"]["W2"]["packages"] != b["signals"]["W2"]["packages"]
 
 
+def zero_plan(seed: int, package_count: int) -> GenerationPlan:
+    """A plan with every rate and plant zeroed: nothing to find."""
+    return GenerationPlan(
+        seed=seed,
+        package_count=package_count,
+        security_holding_rate=0.0,
+        deprecated_unused_rate=0.0,
+        no_repo_no_license_rate=0.0,
+        multi_reason_overlap=0,
+        security_holding_retained=0,
+        install_script_rate=0.0,
+        inactive_rate=0.0,
+        inactive_maintainer_pkg_rate=0.0,
+        deprecated_retained_rate=0.0,
+        contributor_rate=0.0,
+        mean_maintainers=0.0,
+        expired_maintainers=0,
+        expired_stale_maintainers=0,
+        expired_stale_packages=0,
+        expired_packages=0,
+        malicious_scripts=0,
+        w6_owned_per_maintainer=0,
+        w6_stale_maintainers=0,
+        combo_w6_w4=0,
+        combo_w6_w2_inactive=0,
+        combo_w6_w1_inactive=0,
+        combo_w6_w1_active=0,
+        combo_w2_inactive_popular=0,
+    )
+
+
 def test_zero_plan_scanner_emits_zero_findings(tmp_path):
-    corpus = generate(GenerationPlan.zero(seed=9, package_count=400))
+    corpus = generate(zero_plan(seed=9, package_count=400))
     snap = corpus.write_snapshot(tmp_path / "zero.ndjson", "ndjson")
     dom, dl = corpus.write_fixtures(tmp_path)
     result = run_scan(
