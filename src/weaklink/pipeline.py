@@ -77,7 +77,9 @@ class ScanOptions:
     rate_limit: float = 10.0
     downloads_base_url: str = "https://api.npmjs.org"
     dns_resolver: tuple[str, int] = ("8.8.8.8", 53)
-    jobs: int = os.cpu_count() or 1  # concurrent live downloads lookups
+    # Ingest's worker processes, and concurrent live downloads lookups; by
+    # default the CPUs this process may use.
+    jobs: int = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass
@@ -126,6 +128,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
         dep_kinds=options.dep_kinds,
         install_key_pattern=options.config.install_key_pattern,
         license_denylist=options.config.license_denylist,
+        jobs=options.jobs,
     )
     filtered, verdicts = apply_exclusions(corpus)
     del corpus  # the filtered corpus and the verdicts keep what the reports read of it

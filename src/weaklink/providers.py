@@ -265,19 +265,27 @@ class DownloadCounts:
         return None
 
 
+def _ascending(names: Iterable[str]) -> Sequence[str]:
+    """``names`` when it is a sequence of strictly ascending names, such as
+    ``Corpus.names``; otherwise its distinct names, sorted."""
+    if isinstance(names, Sequence) and all(map(lt, names, islice(names, 1, None))):
+        return names
+    return sorted(set(names))
+
+
 class FixtureDownloadsProvider(DownloadCounts):
     """The 12-month download counts of ``names`` from a JSONL fixture, read once.
 
     Every row is validated, also one for a name outside ``names``, and the
     last row for a name wins. ``has_data`` is True when the fixture has at
     least one row. A sequence of strictly ascending names, such as
-    ``Corpus.names``, is kept as given; other names are sorted first.
+    ``Corpus.names``, is kept as given; other names are deduplicated and
+    sorted first.
     """
 
     def __init__(self, path: str | Path, names: Iterable[str]):
         path = Path(path)
-        if not isinstance(names, Sequence) or not all(map(lt, names, islice(names, 1, None))):
-            names = sorted(names)
+        names = _ascending(names)
         counts = array("q", [-1]) * len(names)
         rows = 0
         for lineno, row in _iter_jsonl(path):
@@ -353,11 +361,14 @@ class LiveDownloadsProvider:
 
         The shared rate limiter still applies across workers, so concurrency
         raises overlap, never the request rate. The counts come back as one
-        store; its ``has_data`` is True when any count is known.
+        store; its ``has_data`` is True when any count is known. Strictly
+        ascending names, such as ``Corpus.names``, are fetched and kept as
+        given; other names are deduplicated and sorted first. A
+        ``concurrency`` below 1 raises ``ValueError``.
         """
         from concurrent.futures import ThreadPoolExecutor
 
-        ordered = sorted(set(packages))
-        with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
+        ordered = _ascending(packages)
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
             counts = array("q", [-1 if count is None else count for count in pool.map(self.downloads, ordered)])
         return DownloadCounts(ordered, counts, has_data=max(counts, default=-1) >= 0, warnings=self.warnings)

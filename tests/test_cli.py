@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import weaklink
-from weaklink import cli
+from weaklink import cli, ingest
 from weaklink.cli import main
-from weaklink.pipeline import ScanOptions, read_findings
+from weaklink.pipeline import ScanOptions, read_findings, run_scan
 
 
 @pytest.fixture(scope="module")
@@ -537,12 +537,36 @@ def test_scan_rejects_a_rate_limit_that_is_not_positive(corpus_dir, tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_scan_rejects_jobs_below_1(corpus_dir, tmp_path, capsys, monkeypatch, jobs):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the scan read the snapshot")
+
+    monkeypatch.setattr(ingest, "open", no_read, raising=False)
+    out = tmp_path / "report"
+    assert main(scan_args(corpus_dir, out, extra=["--jobs", jobs])) == 1
+    assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        run_scan(ScanOptions(input_path=corpus_dir / "snapshot.ndjson", jobs=int(jobs)))
+
+
 # --- what a scan imports ------------------------------------------------------------------
 
 
 def test_importing_the_cli_leaves_out_requests_and_the_generator():
     src = Path(weaklink.__file__).resolve().parent.parent
     probe = "import sys, weaklink.cli; print(sorted({'requests', 'weaklink.synth'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a snapshot read in more than one range starts worker processes,
+    # so only that read imports the pool, and no scan's start-up pays for it.
+    src = Path(weaklink.__file__).resolve().parent.parent
+    probe = "import sys, weaklink.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & sys.modules.keys()))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"

@@ -588,20 +588,20 @@ def test_the_loaded_corpus_retains_at_most_200_bytes_per_record(tmp_path):
 
 def test_the_load_peaks_at_most_118_bytes_per_record_over_what_it_keeps(tmp_path):
     # 107 B per record under Python 3.11 (188 B when the person cache held
-    # each (name, email) spelling and a domain string per email). The
-    # layout is given: autodetection first reads a 1 MiB chunk, which sets
-    # the peak of a load this small.
+    # each (name, email) spelling and a domain string per email), with the
+    # layout given or autodetected.
     snapshot = generate(GenerationPlan(seed=1, package_count=5_000)).write_snapshot(
         tmp_path / "snapshot.ndjson", layout="ndjson"
     )
-    gc.collect()
-    tracemalloc.start()
-    try:
-        corpus = load_corpus(snapshot, layout="ndjson")
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - retained <= 118 * len(corpus.names)
+    for layout in ("ndjson", None):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(snapshot, layout=layout)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - retained <= 118 * len(corpus.names), layout
 
 
 def test_bulk_export_with_trailing_data_still_fails(tmp_path):
@@ -654,6 +654,12 @@ def test_load_corpus_rejects_empty_and_unknown_kinds(tmp_path):
         load_corpus(missing, dep_kinds=("runtime", "build"))
     with pytest.raises(OSError):
         load_corpus(missing, dep_kinds=("runtime", "dev"))
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_load_corpus_rejects_jobs_below_1(tmp_path, jobs):
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        load_corpus(tmp_path / "absent.ndjson", jobs=jobs)  # before anything is read
 
 
 def test_a_restarted_read_keeps_a_scope_given_as_one_pass_iterators(tmp_path):
@@ -1013,3 +1019,47 @@ def test_exclusion_reasons_are_the_reference_predicates(tree, denylist):
     rec = parse_record(tree, ingest._Load(license_denylist=denylist))
     assert rec.exclusion_reasons == reference_record(tree, license_denylist=denylist)["exclusion_reasons"]
     assert tuple(corpus_records(load_corpus_of(tree, denylist))) == (rec,)
+
+
+# --- an ndjson snapshot read in ranges -------------------------------------------------
+
+# Documents in odd shapes, whose few names repeat across ranges, and lines
+# that are malformed or blank.
+SNAPSHOT_LINES = st.lists(
+    messy_documents().map(lambda tree: json.dumps(tree, ensure_ascii=False))
+    | st.sampled_from(["", " \t", "{", "not json", json.dumps(minimal_doc(name="a", version="2.0.0"))]),
+    max_size=6,
+)
+SPLIT_SCOPE = (ALL_KINDS, "install", ingest.DEFAULT_LICENSE_DENYLIST)
+
+
+def load_in_ranges(path: Path, cuts: list[int]) -> tuple:
+    """The identity tables, stats, digest and corpus of the ranges between ``cuts``, folded in this process."""
+    digest = hashlib.sha256()
+    load, stats = ingest._fold_ranges(path, cuts, SPLIT_SCOPE, digest)
+    tables = (tuple(load.identity_keys), tuple(load.identity_domains))
+    return tables, stats, digest.hexdigest(), load.corpus(stats, "")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=SNAPSHOT_LINES,
+    endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=6, max_size=6),
+    final_newline=st.booleans(),
+)
+def test_folding_the_loads_of_ranges_gives_the_load_of_the_file(lines, endings, final_newline):
+    endings = endings[: len(lines)]
+    if endings and not final_newline:
+        endings[-1] = ""
+    data = "".join(map(str.__add__, lines, endings)).encode()
+    line_ends = sorted({0, len(data), *(i + 1 for i, byte in enumerate(data) if byte == ord("\n"))})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "snapshot.ndjson"
+        path.write_bytes(data)
+        whole = load_in_ranges(path, [0, len(data)])
+        assert whole[2] == sha256_hex(data)
+        # Every cut into two and three ranges, empty ranges among them.
+        for inner in itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(line_ends, k) for k in (1, 2)
+        ):
+            assert load_in_ranges(path, [0, *inner, len(data)]) == whole, inner

@@ -241,14 +241,21 @@ class StubResolver:
         return self
 
     def __exit__(self, *exc):
+        # Closing the socket does not wake a thread blocked reading it; a
+        # datagram does, and the thread then sees the stop flag and ends.
         self._stop = True
+        self.sock.sendto(b"", self.addr)
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
         self.sock.close()
 
     def _serve(self):
-        while not self._stop:
+        while True:
             try:
                 data, addr = self.sock.recvfrom(4096)
             except OSError:
+                return
+            if self._stop:
                 return
             txn = data[:2]
             self.txn_ids.append(txn)
@@ -518,6 +525,9 @@ def test_fetch_many_bounded_and_rate_limited(http_stub):
     # Deduplicated to 10 requests, still spaced by the shared limiter.
     assert elapsed >= 9 / 100 - 0.005
     assert len(StubDownloads.hits) == 10
+    # Strictly ascending names, as a corpus holds them, are kept as given.
+    ordered = ("pkg0", "pkg1", "pkg2")
+    assert provider.fetch_many(ordered, concurrency=2)._names is ordered
 
 
 def test_fetch_many_keeps_unknown_counts_unknown(http_stub):

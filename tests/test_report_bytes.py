@@ -9,13 +9,16 @@ running the benchmark.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,33 @@ def test_bulk_export_read_in_small_chunks_matches_reference(corpus_dir, tmp_path
     # strings and multi-byte characters all through the export.
     monkeypatch.setattr(ingest, "_CHUNK", 61)
     assert scan(corpus_dir, "bulk", tmp_path) == reference_digests()
+
+
+@pytest.mark.parametrize("jobs,threaded", [(1, False), (2, False), (3, False), (2, True)])
+def test_ndjson_read_in_ranges_by_worker_processes_matches_reference(corpus_dir, tmp_path, monkeypatch, jobs, threaded):
+    # With ranges this small the snapshot is read in ``jobs`` ranges, each
+    # but the first in a worker process: forked, or spawned while another
+    # thread runs. One job starts none.
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            pools.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1 << 16)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    release = threading.Event()
+    if threaded:
+        threading.Thread(target=release.wait, daemon=True).start()
+    try:
+        assert main([*scan_args(corpus_dir, "ndjson", tmp_path), "--jobs", str(jobs)]) == 0
+    finally:
+        release.set()
+    assert report_digests(tmp_path) == reference_digests()
+    assert pools == ([(jobs - 1, "spawn" if threaded else "fork")] if jobs > 1 else [])
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["input"]["digest"] == hashlib.sha256((corpus_dir / SNAPSHOTS["ndjson"]).read_bytes()).hexdigest()
 
 
 def test_traced_scan_matches_reference_and_counts_what_it_wrote(corpus_dir, tmp_path):
