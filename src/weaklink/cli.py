@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--popular-n", type=int, default=ScanOptions.popular_n, help="popular sample size per ranking")
     scan.add_argument("--dep-kinds", default=",".join(ScanOptions.dep_kinds), help="comma list of dependency kinds (runtime,dev,peer,optional)")
     scan.add_argument("--unsafe-full-output", action="store_true", help="also write full member lists")
-    scan.add_argument("--jobs", type=int, default=ScanOptions.jobs, help="ingest worker processes, and concurrent live downloads lookups (default: the CPUs this process may use)")
+    scan.add_argument("--jobs", type=int, default=ScanOptions.jobs, help="ranges an ndjson snapshot or a bulk export is read in, one process each, and concurrent live downloads lookups (default: the CPUs this process may use)")
     scan.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="WARNING", help="log verbosity on stderr")
     scan.add_argument("-v", dest="log_level", action="store_const", const="INFO", help="same as --log-level INFO")
 

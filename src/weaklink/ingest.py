@@ -23,6 +23,7 @@ import codecs
 import hashlib
 import json
 import logging
+import math
 import re
 import sys
 import threading
@@ -30,6 +31,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from functools import partial
@@ -769,10 +771,12 @@ class _JsonText:
     autodetection must match, while a strict read of the file does not.
     """
 
-    def __init__(self, fh, digest, first_read: int | None = None):
+    def __init__(self, fh, digest=None, first_read: int | None = None, size: int | None = None):
         self._fh = fh
-        self._digest = digest  # sees every byte read from the file
+        self._digest = digest  # when given, sees every byte read from the file
         self._first_read = first_read  # bytes of the first read, or None for ``_CHUNK``
+        self._size = size  # bytes to read from the file's position, or None to its end
+        self._read = 0  # bytes read so far
         self._undecoded = b""
         self._decoded = 0  # characters decoded so far
         self.buf = ""
@@ -784,19 +788,28 @@ class _JsonText:
         self._last_nl = -1  # file position of the last newline before buf
         self.surrogate: UnicodeDecodeError | None = None
         self.invalid: UnicodeDecodeError | None = None  # no text after this
+        # The byte offset whose text position ``mark`` is noted once decoded.
+        self.mark_byte: int | None = None
+        self.mark = math.inf
 
     def _decode(self, data: bytes) -> str:
         raw = self._undecoded + data
         try:
             text, used = codecs.utf_8_decode(raw, "strict", not data)
+            valid = used
         except UnicodeDecodeError as exc:
             try:
                 text, used = codecs.utf_8_decode(raw, "surrogatepass", not data)
+                valid = used
                 self.surrogate = self.surrogate or exc
             except UnicodeDecodeError as bad:
                 text, used = codecs.utf_8_decode(raw[: bad.start], "surrogatepass", True)[0], len(raw)
+                valid = bad.start
                 self.invalid = bad
         self._undecoded = raw[used:]
+        if self.mark_byte is not None and 0 <= (at := self.mark_byte - self._read + len(raw)) <= valid:
+            self.mark = self._decoded + len(codecs.utf_8_decode(raw[:at], "surrogatepass", True)[0])
+            self.mark_byte = None
         if self.first_nl is None and (nl := text.find("\n")) >= 0:
             self.first_nl = self._decoded + nl
         self._decoded += len(text)
@@ -805,8 +818,12 @@ class _JsonText:
     def _more(self, size: int) -> str:
         """The next decoded text, "" at the end of the file or at a byte that is not UTF-8."""
         while not self.invalid:
+            if self._size is not None:
+                size = min(size, self._size - self._read)
             data = self._fh.read(size)
-            self._digest.update(data)
+            self._read += len(data)
+            if self._digest is not None:
+                self._digest.update(data)
             text = self._decode(data)
             if text or not (data or self.invalid):
                 return text
@@ -861,6 +878,66 @@ class _JsonText:
                     return value
             self.fill()
 
+    def place(self, offset: int) -> None:
+        """Note the text position of byte ``offset`` of the file in ``mark``: now if it is decoded, else once it is."""
+        if self.invalid:  # no text reaches past it
+            return
+        decoded = self._read - len(self._undecoded)
+        if offset > decoded:
+            self.mark_byte = offset
+            return
+        here = self._fh.tell()
+        self._fh.seek(offset)
+        rest = self._fh.read(decoded - offset)
+        self._fh.seek(here)
+        self.mark = self._decoded - len(codecs.utf_8_decode(rest, "surrogatepass", True)[0])
+
+    def headroom(self) -> int:
+        """The deepest nesting ``token`` decodes when called from the caller's frame.
+
+        It probes upward from shallow values, so it never nests much deeper
+        than decoding a row that deep would.
+        """
+        low, high = 0, 64
+        while high <= sys.getrecursionlimit():
+            try:
+                _DECODER.raw_decode("[" * high + "]" * high)
+            except RecursionError:
+                break
+            low, high = high, high * 2
+        while high - low > 1:  # ``low`` decodes; ``high`` fails, or exceeds the limit
+            mid = (low + high) // 2
+            try:
+                _DECODER.raw_decode("[" * mid + "]" * mid)
+            except RecursionError:
+                high = mid
+            else:
+                low = mid
+        return low
+
+    def skip(self, at: int, starts: array, ends: array) -> None:
+        """Move the cursor to the end of the value at text position ``at + ends[-1]``.
+
+        ``at + starts[i]`` and ``at + ends[i]`` bound each value from the
+        cursor on, valid JSON that others decoded. The file is read as
+        ``token`` and ``next_char`` read it on their way over those values,
+        in reads of the same sizes, so what follows is decoded, placed and
+        hashed as if they had been decoded here. A read grows past
+        ``_CHUNK`` only for a value that reaches near the end of the text
+        when its decoding starts; it then keeps the text from that value's
+        start.
+        """
+        k = 0
+        while not self.eof:
+            end = self.base + len(self.buf) - at
+            k = bisect_left(ends, end - _CUT, k)  # the first value ``token`` reads more text for
+            if k == len(ends):
+                break
+            # ``next_char`` reaches the end of the text before that value starts, or ``token`` starts at it.
+            self.pos = min(at + starts[k] - self.base, len(self.buf))
+            self.fill()
+        self.pos = at + ends[-1] - self.base
+
     def fail(self, msg: str, pos: int | None = None) -> ValueError:
         """The error a strict read of the whole file raises for a JSON error at ``pos`` of the buffer.
 
@@ -903,9 +980,13 @@ class _BulkReader:
     one-line export it comes at the end), so that exception voids them.
     ``rows_key`` is the index of the "rows" key whose rows are handed on; a
     later "rows" key raises ``_Reread`` with its own index.
+
+    With a ``split``, the rows from its first cut on may be read by worker
+    processes, and their loads folded into the split's load in place of
+    the rows they read (``_Split.join``).
     """
 
-    def __init__(self, fh, digest, autodetect: bool, rows_key: int):
+    def __init__(self, fh, digest, autodetect: bool, rows_key: int, split: _Split | None = None):
         # Autodetection reads little first: a first line settles an ndjson
         # snapshot, and what the read decoded is then dropped.
         self.text = _JsonText(fh, digest, min(_PROBE, _CHUNK) if autodetect else None)
@@ -915,6 +996,7 @@ class _BulkReader:
         # The error a strict read raises on a file autodetection reads
         # leniently, as json.loads does the first line.
         self._doom: json.JSONDecodeError | None = None
+        self._split = split
 
     def _settle(self, layout: str) -> None:
         self._pending = False
@@ -968,13 +1050,29 @@ class _BulkReader:
         if text.next_char() == "]":
             text.pos += 1
             return
+        split = None
+        if emit and self._split is not None:
+            split, self._split = self._split, None
+            # A doomed first line fails the read wherever it is settled.
+            frames = 0 if self._doom is not None else _frames_above_ingest()
+            if frames and split.pick():
+                text.place(split.cuts[0])
+                split.start(unwrap, text.headroom(), frames)
+            else:
+                split = None
         while True:
             if self._pending:
                 self._past_first_line()
-            value = text.token(_DECODER.raw_decode)
-            if emit:
-                self._handed_on = True
-                yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
+            joined = False
+            if split is not None and text.base + text.pos >= text.mark:
+                # At the first cut a row starts; past it, the cut fell inside a row.
+                joined = text.base + text.pos == text.mark and split.join(text)
+                split = None
+            if not joined:
+                value = text.token(_DECODER.raw_decode)
+                if emit:
+                    self._handed_on = True
+                    yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
             ch = text.next_char()
             text.pos += 1
             if ch == "]":
@@ -1169,21 +1267,30 @@ def _fold_ranges(source: Path, cuts: list[int], scope: tuple, digest, map_ranges
     return load, stats
 
 
-# An ndjson snapshot is read in ranges of at least this many bytes: a
-# second range costs a worker process, its rows crossing a pipe and the
-# fold. Loading seed-7 synth snapshots with 2 forked jobs against 1 on a
-# 2-CPU host (medians of 15), the split read lost at 1.9 MB (0.120 s
-# against 0.098 s) and won at 3.9 MB (0.151 s against 0.212 s) and 7.9 MB
-# (0.234 s against 0.320 s). Spawned workers break even later, at 12-16 MB.
+# An ndjson snapshot or a bulk export is read in ranges of at least this
+# many bytes: a second range costs a worker process, its rows crossing a
+# pipe and the fold, and for a bulk export the second pass over the folded
+# rows' bytes. Loading seed-7 synth ndjson snapshots with 2 forked jobs
+# against 1 on a 2-CPU host (medians of 15), the split read lost at 1.9 MB
+# (0.120 s against 0.098 s) and won at 3.9 MB (0.151 s against 0.212 s) and
+# 7.9 MB (0.234 s against 0.320 s). Spawned workers break even later, at
+# 12-16 MB. Measured again later on the same host, interleaved, both
+# layouts broke even between 5 and 8 MB: the bulk export lost at 4.1 MB
+# (0.166 s against 0.153 s), was even at 5.0 MB and 6.7 MB, and won at
+# 5.8 MB and 8.4 MB (0.310 s against 0.326 s), while the ndjson snapshot
+# lost at every size from 3.1 to 6.3 MB (0.222 s against 0.209 s at
+# 6.3 MB). As the layouts break even alike, one bound serves both.
 _MIN_RANGE_BYTES = 2 << 20
 
 
-def _read_ndjson(source: Path, scope: tuple, jobs: int, digest) -> tuple[_Load, IngestStats]:
-    """The load of an ndjson snapshot read in up to ``jobs`` ranges of at least ``_MIN_RANGE_BYTES``, and its stats."""
-    size = source.stat().st_size
-    n = max(1, min(jobs, size // _MIN_RANGE_BYTES))
-    if n == 1:
-        return _load_range(source, 0, size, scope, digest)
+def _ranges(size: int, jobs: int) -> int:
+    """How many ranges a snapshot of ``size`` bytes is read in: up to ``jobs``, each of at least ``_MIN_RANGE_BYTES``."""
+    return max(1, min(jobs, size // _MIN_RANGE_BYTES))
+
+
+@contextmanager
+def _workers(n: int) -> Iterator:
+    """The ``map`` of a pool of ``n`` worker processes, which the block's end waits for."""
     import multiprocessing  # only a split read starts processes
     from concurrent.futures import ProcessPoolExecutor
 
@@ -1192,8 +1299,241 @@ def _read_ndjson(source: Path, scope: tuple, jobs: int, digest) -> tuple[_Load, 
     # forking a process that runs other threads is unsafe, so then, and off
     # Linux, workers are spawned.
     method = "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
-    with ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context(method)) as pool:
-        return _fold_ranges(source, _cuts(source, size, n), scope, digest, pool.map)
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context(method)) as pool:
+        yield pool.map
+
+
+def _read_ndjson(source: Path, scope: tuple, jobs: int, digest) -> tuple[_Load, IngestStats]:
+    """The load of an ndjson snapshot read in up to ``jobs`` ranges of at least ``_MIN_RANGE_BYTES``, and its stats."""
+    size = source.stat().st_size
+    n = _ranges(size, jobs)
+    if n == 1:
+        return _load_range(source, 0, size, scope, digest)
+    with _workers(n - 1) as map_ranges:
+        return _fold_ranges(source, _cuts(source, size, n), scope, digest, map_ranges)
+
+
+# A bulk export is cut where a row may start: after a comma and JSON
+# whitespace, at an object. The bytes are ASCII, so a match in UTF-8 bytes
+# is one in the text. Each cut is the first of at most _CUT_TRIES such
+# places that holds a row of at most _CHUNK bytes: a row is searched for
+# only so long, as a large document nests many objects.
+_CUT_RE = re.compile(rb",[ \t\n\r]*\{")
+_CUT_TAIL_RE = re.compile(rb",[ \t\n\r]*\Z")
+_CUT_TRIES = 256
+
+
+def _is_row_at(fh, offset: int) -> bool:
+    """True iff the value at byte ``offset`` of ``fh`` decodes, within ``_CHUNK`` bytes, to a row: an object with "doc", or with "name" and "versions"."""
+    size = 1 << 12
+    while True:
+        fh.seek(offset)
+        data = fh.read(size)
+        text = codecs.utf_8_decode(data, "replace", False)[0]
+        try:
+            value = _DECODER.raw_decode(text)[0]
+        except RecursionError:
+            return False
+        except json.JSONDecodeError as exc:
+            # Decoded again with more text only when it may have been cut short, as ``_JsonText.token`` does.
+            if len(data) < size or size >= _CHUNK or not (exc.msg.startswith("Unterminated string") or exc.pos >= len(text) - _CUT):
+                return False
+            size *= 4
+            continue
+        return isinstance(value, dict) and ("doc" in value or ("name" in value and "versions" in value))
+
+
+def _next_cut(fh, start: int, end: int) -> int | None:
+    """The first byte offset in ``start`` to ``end`` of ``fh`` that follows a comma and JSON whitespace and holds a row (``_is_row_at``); None without one."""
+    offset, block = start, b""  # block: the bytes from offset not yet searched to the end
+    tries = 0
+    while offset + len(block) < end:
+        fh.seek(offset + len(block))
+        block += fh.read(min(_PROBE, end - offset - len(block)))
+        for match in _CUT_RE.finditer(block):
+            if _is_row_at(fh, offset + match.end() - 1):
+                return offset + match.end() - 1
+            tries += 1
+            if tries == _CUT_TRIES:
+                return None
+        # A comma and whitespace at the end may precede a cut in the next block.
+        keep = tail.start() if (tail := _CUT_TAIL_RE.search(block)) else len(block)
+        offset, block = offset + keep, block[keep:]
+    return None
+
+
+def _row_cuts(source: Path, size: int, n: int) -> list[int]:
+    """Up to ``n - 1`` ascending byte offsets of ``source`` where a row of a bulk export may start.
+
+    Cut ``i`` is the first after byte ``size * i // n`` and after the cut
+    before it, and before byte ``size * (i + 1) // n`` (``_next_cut``).
+    Nothing is known yet of what holds it: it may be an object nested in a
+    row, or text in a string of a malformed file; the read verifies it
+    (``_Split``).
+    """
+    cuts: list[int] = []
+    with open(source, "rb") as fh:
+        for i in range(1, n):
+            cut = _next_cut(fh, max(size * i // n, cuts[-1] + 1 if cuts else 0), size * (i + 1) // n)
+            if cut is not None:
+                cuts.append(cut)
+    return cuts
+
+
+def _frames_above_ingest() -> int:
+    """The number of frames from the caller's, counted, down to the ``_ingest`` that reads what it hands on; 0 without one."""
+    frame, frames = sys._getframe(1), 1
+    while (frame := frame.f_back) is not None:
+        if frame.f_code is _ingest.__code__:
+            return frames
+        frames += 1
+    return 0
+
+
+def _nested(items: Iterator, frames: int) -> Iterator:
+    """``items`` handed on through ``frames`` generator frames, each inside the one before."""
+    yield from (_nested(items, frames - 1) if frames > 1 else items)
+
+
+def _range_rows(text: _JsonText, unwrap: bool, last: bool, headroom: int, starts: array, ends: array) -> Iterator[object]:
+    """The rows of ``text`` from the cursor: values and commas to the end of the text, or for the ``last`` range to "]".
+
+    A row is handed on as ``_BulkReader._array`` hands it on, and decoded
+    no deeper than ``headroom`` allows (``_JsonText.headroom``): the
+    recursion limit is moved so that it allows as much here. ``starts`` and
+    ``ends`` get the text positions where each row starts and ends. Raises
+    ``ValueError`` or ``RecursionError`` where that read would not read
+    these rows to the end.
+    """
+    if (room := text.headroom()) != headroom:
+        sys.setrecursionlimit(sys.getrecursionlimit() + headroom - room)
+        if text.headroom() != headroom:
+            raise RecursionError("recursion headroom differs from the reader's")
+    while True:
+        starts.append(text.base + text.pos)
+        value = text.token(_DECODER.raw_decode)
+        ends.append(text.base + text.pos)
+        yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
+        ch = text.next_char()
+        if last and ch == "]":
+            return
+        if ch != ",":
+            raise text.error("Expecting ',' delimiter")
+        text.pos += 1
+        if not text.next_char() and not last:
+            return  # at the end of the range, where the next row starts
+
+
+def _load_rows(source: Path, start: int, end: int | None, scope: tuple, unwrap: bool, headroom: int, frames: int) -> tuple | None:
+    """What a worker reads of the rows of a bulk export from byte ``start`` of ``source`` to byte ``end``; None where a read of the whole file would not read them so.
+
+    ``end`` is the next range's start, after a comma; None for the last
+    range, which ends at the rows' "]". The rows are decoded as
+    ``_range_rows`` decodes them, ``frames`` generator frames above
+    ``_ingest``, as the reader's own rows are. Returns the ``part()`` of
+    their new load, its stats, the range's characters and two
+    ``array("q")`` of the text positions in the range where each row starts
+    and ends. None when a row is not JSON or is nested deeper than
+    ``headroom``, or the rows do not end where the range does; a byte that
+    is not UTF-8 ends the text, and so the rows, before that. Encoded
+    surrogates are read as ``_JsonText`` reads them: the scan's process
+    decodes the range again (``_JsonText.skip``), so its read fails for
+    them where one read fails. A split read runs this in worker processes,
+    so its arguments pickle.
+    """
+    load = _Load(*scope)
+    starts, ends = array("q"), array("q")
+    limit = sys.getrecursionlimit()
+    try:
+        with open(source, "rb") as fh:
+            fh.seek(start)
+            text = _JsonText(fh, size=None if end is None else end - start)
+            rows = _range_rows(text, unwrap, end is None, headroom, starts, ends)
+            stats = _ingest(_nested(rows, frames - 1) if frames > 1 else rows, load)
+    except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        return None
+    finally:
+        sys.setrecursionlimit(limit)
+    return load.part(), stats, text.base + text.pos, starts, ends
+
+
+class _Split:
+    """The rows of a bulk export from its first cut on, read in the ranges between its cuts by worker processes.
+
+    The cuts are guesses (``_row_cuts``), picked when the reader reaches
+    its first row (``pick``), which starts the ranges (``start``) in a pool
+    that ``workers`` closes. The reader joins them at the first cut, when
+    its cursor is at a row's start there: the range that starts at a row
+    and reads its rows to the next cut verifies that cut as well. ``join``
+    folds the loads of the ranges into ``load``, up to the first range a
+    worker could not read so, and ``stats`` adds theirs up.
+    """
+
+    def __init__(self, source: Path, size: int, n: int, load: _Load, scope: tuple, workers: ExitStack):
+        self.source = source
+        self.size = size
+        self.n = n
+        self.load = load
+        self.scope = scope
+        self.workers = workers
+        self.cuts: list[int] = []
+        self.stats = IngestStats(total=0, parsed=0, skipped=0, by_error={})
+        self.accepted = 0  # cuts whose range was folded
+        self._results: Iterator | None = None
+
+    def pick(self) -> bool:
+        """Pick the cuts; False without one."""
+        self.cuts = _row_cuts(self.source, self.size, self.n)
+        return bool(self.cuts)
+
+    def start(self, unwrap: bool, headroom: int, frames: int) -> None:
+        """Start reading the ranges, as rows ``frames`` frames above ``_ingest`` with the reader's ``headroom``."""
+        map_ranges = self.workers.enter_context(_workers(len(self.cuts)))
+        self._results = map_ranges(
+            _load_rows, repeat(self.source), self.cuts, [*self.cuts[1:], None],
+            repeat(self.scope), repeat(unwrap), repeat(headroom), repeat(frames),
+        )
+
+    def join(self, text: _JsonText) -> bool:
+        """Fold in the ranges up to the first a worker could not read; ``text``'s cursor, at the first cut, moves past their rows.
+
+        False, with nothing folded, when the first range could not be read.
+        """
+        at = text.mark  # the text position of the range's start
+        self.load._people.clear()  # it serves parsing only; this makes room for the parts
+        for result in self._results:
+            if result is None:
+                break
+            stats, chars, starts, ends = result[1:]
+            self.stats = _plus(self.stats, stats, self.load.fold(result[0]))
+            del result  # a folded part is not kept while its bytes are read
+            text.skip(at, starts, ends)
+            at += chars
+            self.accepted += 1
+        self._results = None
+        return self.accepted > 0
+
+
+@contextmanager
+def _bulk_split(source: Path, load: _Load, scope: tuple, jobs: int) -> Iterator[_Split | None]:
+    """A split of a bulk export into up to ``jobs`` ranges of at least ``_MIN_RANGE_BYTES``; None for one range.
+
+    Nothing is read for it, nor any process started, until the reader
+    reaches its first row: the file may turn out to be ndjson before.
+    """
+    size = source.stat().st_size
+    n = _ranges(size, jobs)
+    if n == 1:
+        yield None
+        return
+    with ExitStack() as workers:
+        split = _Split(source, size, n, load, scope, workers)
+        try:
+            yield split
+        finally:
+            split.load = None  # nor is the load of a voided read kept
+            if split.cuts:
+                logger.debug("split read of %s: %d of %d cuts accepted", source, split.accepted, len(split.cuts))
 
 
 def load_corpus(
@@ -1214,11 +1554,14 @@ def load_corpus(
     are counted under "duplicate_name". The digest hashes the bytes of the
     file, or for a directory one "relpath:sha256hex" line per document.
 
-    An ndjson snapshot of at least twice ``_MIN_RANGE_BYTES`` is read in up
-    to ``jobs`` ranges of whole lines: this process reads the first, one
-    worker process each of the others, and the loads are folded in file
-    order, which gives the corpus one read gives. The other layouts are
-    read in this process.
+    An ndjson snapshot or a bulk export of at least twice
+    ``_MIN_RANGE_BYTES`` is read in up to ``jobs`` ranges: this process
+    reads the first, one worker process each of the others, and the loads
+    are folded in file order, which gives the corpus one read gives. An
+    ndjson snapshot is cut where a line ends. A bulk export is cut where a
+    row-like object follows a comma (``_row_cuts``); the cuts are verified
+    by the read itself (``_Split``), which reads on in this process from
+    the first it cannot verify. A directory is read in this process.
 
     The corpus keeps the dependencies of ``dep_kinds`` on names in the
     corpus and the scripts whose key matches ``install_key_pattern``, and no
@@ -1250,8 +1593,10 @@ def load_corpus(
             elif layout == "ndjson":
                 load, stats = _read_ndjson(source, scope, jobs, digest)
             else:
-                with open(source, "rb") as fh:
-                    stats = _ingest(_BulkReader(fh, digest, autodetect=layout is None, rows_key=rows_key).items(), load)
+                with open(source, "rb") as fh, _bulk_split(source, load, scope, jobs) as split:
+                    stats = _ingest(_BulkReader(fh, digest, layout is None, rows_key, split).items(), load)
+                if split is not None:
+                    stats = _plus(stats, split.stats, 0)
             break
         except _Verdict:  # autodetection: the file is ndjson after all
             layout = "ndjson"

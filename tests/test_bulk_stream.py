@@ -9,8 +9,12 @@ exception type.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import logging
+import re
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -343,3 +347,200 @@ def test_long_row_is_decoded_a_bounded_number_of_times(tmp_path, monkeypatch):
     assert load_corpus(path).stats.total == 2
     # The buffer at least doubles between attempts: about log2(200000 / 64).
     assert len(attempts) <= 20
+
+
+# --- a bulk export read in ranges ---------------------------------------------
+
+
+def candidate_cuts(path: Path) -> list[int]:
+    """Every byte offset of ``path`` that a split read may cut at."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+        return [m.end() - 1 for m in ingest._CUT_RE.finditer(data) if ingest._is_row_at(fh, m.end() - 1)]
+
+
+def split_outcome(path: Path, layout: str | None, cuts: list[int] | None, map_ranges=map):
+    """``load_corpus`` read in one range (``cuts`` None), or cut at ``cuts`` with the ranges read by ``map_ranges``.
+
+    The corpus, or the type and message of the exception it raised. Both
+    reads decode from the same stack depth.
+    """
+    with (
+        mock.patch.object(ingest, "_MIN_RANGE_BYTES", 1),
+        mock.patch.object(ingest, "_row_cuts", lambda source, size, n: cuts),
+        mock.patch.object(ingest, "_workers", lambda n: contextlib.nullcontext(map_ranges)),
+    ):
+        try:
+            return load_corpus(path, layout=layout, jobs=1 if cuts is None else 2)
+        except (ValueError, RecursionError) as exc:
+            return type(exc), str(exc)
+
+
+# Row-like objects that are no rows: the cuts a split read must refuse. The
+# text holds row-like objects too, which are cut candidates only where its
+# quotes are not escaped.
+DECOY_ROWS = [{"doc": 1}, {"doc": {"name": "a"}}, {"name": "z", "versions": {}}]
+DECOY_TEXT = 'see ,{"doc": {"name": "z", "versions": {}}} and , {"name": "q", "versions": {}}'
+
+
+@st.composite
+def split_rows(draw) -> object:
+    doc = draw(DOCUMENTS)
+    decoy = draw(st.sampled_from(["none", "nested", "string"]))
+    if decoy == "nested":
+        doc["dependents"] = DECOY_ROWS
+    elif decoy == "string":
+        doc["readme"] = DECOY_TEXT
+    kind = draw(st.sampled_from(["doc", "doc_last", "bare", "malformed", "value"]))
+    if kind == "doc":
+        return {"id": doc["name"], "doc": doc}
+    if kind == "doc_last":
+        return {"id": doc["name"], "value": {"rev": "1-a"}, "doc": doc}
+    if kind == "bare":
+        return doc
+    if kind == "malformed":
+        return {"doc": draw(JSON_VALUES | st.just({"name": doc["name"]}))}
+    return draw(JSON_VALUES)
+
+
+@st.composite
+def split_exports(draw) -> str:
+    """A bulk export's text: few names, so duplicates fall in different ranges; rows with decoys among them."""
+    rows = draw(st.lists(split_rows(), min_size=1, max_size=6))
+    shape = draw(st.sampled_from(["rows", "rows+extra", "second_rows", "list"]))
+    if shape == "rows":
+        top = ("members", [("rows", rows)])
+    elif shape == "rows+extra":
+        top = ("members", [("total_rows", len(rows)), ("rows", rows), ("offset", 0)])
+    elif shape == "second_rows":
+        top = ("members", [("rows", rows), ("rows", draw(st.lists(split_rows(), max_size=3)))])
+    else:
+        top = ("value", rows)
+    return render(top, draw(st.sampled_from(["pretty", "compact", "one-line"])), draw(st.booleans()))
+
+
+def replace_nth(data: bytes, old: bytes, new: bytes, n: int) -> bytes:
+    parts = data.split(old)
+    if len(parts) == 1:
+        return data
+    n %= len(parts) - 1
+    return old.join(parts[: n + 1]) + new + old.join(parts[n + 1 :])
+
+
+SPLIT_DAMAGE = {
+    "none": lambda b, n: b,
+    # Quotes left unescaped make a string's text a row-like object.
+    "unescaped": lambda b, n: b.replace(b'\\"', b'"'),
+    "trailing_data": lambda b, n: b + b"\n{}\n",
+    "truncated": lambda b, n: b[: len(b) * (n + 1) // 10],
+    "invalid_utf8": lambda b, n: replace_nth(b, MARK.encode(), b"\xff", n),
+    "surrogate": lambda b, n: replace_nth(b, MARK.encode(), b"\xed\xa0\x80", n),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=split_exports(),
+    damage=st.sampled_from(sorted(SPLIT_DAMAGE)),
+    at=st.integers(0, 8),
+    chunk=st.sampled_from([2, 7, 61, 1 << 20]),
+    forced=st.booleans(),
+)
+def test_a_split_read_gives_what_one_read_gives(text, damage, at, chunk, forced):
+    # Cut at each candidate alone, and at all of them: nested decoys, rows
+    # after bytes that are not UTF-8, rows a second "rows" key voids, and
+    # one-line exports whose layout is settled only at their end among them.
+    data = SPLIT_DAMAGE[damage](text.encode("utf-8"), at)
+    layout = "bulk" if forced else None
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK", chunk):
+        path = Path(tmp) / "snap.json"
+        path.write_bytes(data)
+        cuts = candidate_cuts(path)
+        whole = split_outcome(path, layout, None)
+        for split in [[cut] for cut in cuts] + ([cuts] if len(cuts) > 1 else []):
+            assert split_outcome(path, layout, split) == whole, split
+
+
+def accepted_cuts(caplog) -> list[tuple[int, int]]:
+    """The accepted and the tried cuts of each split read logged so far."""
+    found = [re.search(r"(\d+) of (\d+) cuts accepted", r.getMessage()) for r in caplog.records]
+    return [(int(m[1]), int(m[2])) for m in found if m]
+
+
+@pytest.mark.parametrize("style", ["pretty", "compact", "one-line"])
+def test_a_split_read_folds_at_each_row_and_at_no_decoy(tmp_path, caplog, style):
+    rows = [{"id": f"p{i}", "doc": dict(document(f"p{i}", "1.0.0", "ann"), dependents=DECOY_ROWS)} for i in range(5)]
+    path = tmp_path / "snap.json"
+    path.write_text(render(("members", [("total_rows", 5), ("rows", rows)]), style, False), encoding="utf-8")
+    data = path.read_bytes()
+    key = b'"id":"p%d"' if style == "compact" else b'"id": "p%d"'
+    rows_at = [data.rindex(b"{", 0, data.index(key % i)) for i in range(1, 5)]
+    cuts = candidate_cuts(path)
+    assert set(rows_at) < set(cuts)  # the decoys are candidates too
+    whole = split_outcome(path, None, None)
+    caplog.set_level(logging.DEBUG, logger="weaklink.ingest")
+    for cut in cuts:
+        caplog.clear()
+        assert split_outcome(path, None, [cut]) == whole
+        assert accepted_cuts(caplog) == [(int(cut in rows_at), 1)], cut
+    caplog.clear()
+    assert split_outcome(path, None, rows_at) == whole
+    assert accepted_cuts(caplog) == [(4, 4)]
+    caplog.clear()
+    # Cut at every candidate, the first range ends inside a row: its rows are read here.
+    assert split_outcome(path, None, cuts) == whole
+    assert accepted_cuts(caplog) == [(0, len(cuts))]
+
+
+def deep_export(path: Path, depth: int, as_string: bool) -> list[int]:
+    """A bulk export whose last document nests ``depth`` levels, or is JSON text that does; its rows' starts after the first."""
+    doc = json.dumps(document("deep", "1.0.0", "ann"))
+    doc = doc[:-1] + ', "x": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
+    rows = [json.dumps({"id": name, "doc": document(name, "1.0.0", "ann")}) for name in ("a", "b")]
+    rows.append(json.dumps(doc) if as_string else '{"id": "deep", "doc": ' + doc + "}")
+    text = '{"rows": [' + rows[0]
+    starts = []
+    for row in rows[1:]:
+        text += ", "
+        starts.append(len(text))
+        text += row
+    path.write_text(text + "]}\n", encoding="utf-8")
+    return starts
+
+
+def deepest_read(path: Path, as_string: bool) -> int:
+    """The deepest document of ``deep_export`` that one read reads."""
+    low, high = 1, 2 * sys.getrecursionlimit()
+    while high - low > 1:
+        mid = (low + high) // 2
+        deep_export(path, mid, as_string)
+        result = split_outcome(path, "bulk", None)
+        low, high = (mid, high) if isinstance(result, ingest.Corpus) and result.stats.skipped == 0 else (low, mid)
+    return low
+
+
+@pytest.mark.parametrize("as_string", [False, True], ids=["nested-row", "row-of-json-text"])
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_worker_processes_decode_rows_no_deeper_than_one_read(tmp_path, caplog, method, as_string):
+    # A worker's stack is shallower than the scan's, so it must lower its
+    # recursion limit to fail where one read fails: a nested row is fatal,
+    # and a row of JSON text is skipped as malformed, at the same depth.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    path = tmp_path / "snap.json"
+    limit = sys.getrecursionlimit()
+    deepest = deepest_read(path, as_string)
+    caplog.set_level(logging.DEBUG, logger="weaklink.ingest")
+    read = []
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
+        for depth in sorted({*range(limit - 30, limit + 1), *range(deepest - 3, deepest + 4)}):
+            starts = deep_export(path, depth, as_string)
+            caplog.clear()
+            whole = split_outcome(path, "bulk", None)
+            assert split_outcome(path, "bulk", starts[:1], pool.map) == whole, depth
+            read.append(isinstance(whole, ingest.Corpus) and whole.stats.skipped == 0)
+            # A row of JSON text is a row whatever it holds: the worker reads it.
+            assert accepted_cuts(caplog) == [(int(read[-1] or as_string), 1)], depth
+    assert True in read and False in read
+    assert sys.getrecursionlimit() == limit

@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -118,6 +119,35 @@ def test_ndjson_read_in_ranges_by_worker_processes_matches_reference(corpus_dir,
     assert pools == ([(jobs - 1, "spawn" if threaded else "fork")] if jobs > 1 else [])
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert summary["input"]["digest"] == hashlib.sha256((corpus_dir / SNAPSHOTS["ndjson"]).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("jobs,threaded", [(1, False), (2, False), (3, False), (2, True)])
+def test_bulk_export_read_in_ranges_by_worker_processes_matches_reference(corpus_dir, tmp_path, monkeypatch, caplog, jobs, threaded):
+    # As the ndjson twin above: the export is read in ``jobs`` ranges, each
+    # but the first in a worker process, and every cut falls at a row.
+    pools = []
+
+    class Pool(ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            pools.append((max_workers, mp_context.get_start_method()))
+            super().__init__(max_workers, mp_context=mp_context)
+
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1 << 16)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    caplog.set_level(logging.DEBUG, logger="weaklink.ingest")
+    release = threading.Event()
+    if threaded:
+        threading.Thread(target=release.wait, daemon=True).start()
+    try:
+        assert main([*scan_args(corpus_dir, "bulk", tmp_path), "--jobs", str(jobs)]) == 0
+    finally:
+        release.set()
+    assert report_digests(tmp_path) == reference_digests()
+    assert pools == ([(jobs - 1, "spawn" if threaded else "fork")] if jobs > 1 else [])
+    accepted = [r.getMessage().rsplit(": ", 1)[1] for r in caplog.records if "cuts accepted" in r.getMessage()]
+    assert accepted == ([f"{jobs - 1} of {jobs - 1} cuts accepted"] if jobs > 1 else [])
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert summary["input"]["digest"] == hashlib.sha256((corpus_dir / SNAPSHOTS["bulk"]).read_bytes()).hexdigest()
 
 
 def test_traced_scan_matches_reference_and_counts_what_it_wrote(corpus_dir, tmp_path):
