@@ -10,4 +10,4 @@ from .errors import (  # noqa: F401
     ScannerError,
 )
 from .ingest import Corpus, extract_email_domain, load_corpus  # noqa: F401
-from .signals import AnalyzerConfig, ScriptCategory, ScriptPattern, WeakLinkFinding, classify_script  # noqa: F401
+from .signals import AnalyzerConfig, Findings, ScriptCategory, ScriptPattern, SignalRows, classify_script  # noqa: F401

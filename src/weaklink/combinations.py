@@ -10,6 +10,7 @@ hijack and overloaded-inactive takeover).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import attrgetter
@@ -19,8 +20,8 @@ from .providers import DownloadsProvider
 from .reach import DependentsIndex, top_n
 from .signals import (
     AnalyzerConfig,
+    Findings,
     ScriptPattern,
-    WeakLinkFinding,
     classify_script,
     find_suspicious_tokens,
 )
@@ -137,24 +138,23 @@ def popular_sample(
     return PopularSample(members=members, by_dependents=len(dep_top), by_downloads=len(dl_top))
 
 
-def combination_table(findings: list[WeakLinkFinding], scope: PopularSample) -> list[Combination]:
+def combination_table(corpus: Corpus, findings: Findings, scope: PopularSample) -> list[Combination]:
     """The canonical combination rows over the popular sample, sorted by id.
 
-    One pass over the findings gives each sampled package a bit for every
-    combination-level signal that flags it; a row's members are the sampled
-    packages that hold every bit of the row. No signal's full member set is
-    built.
+    Each sampled position gets a bit for every combination-level signal
+    that flags its package; a row's members are the sampled packages that
+    hold every bit of the row. No signal's full member set is built.
     """
-    members = scope.members
-    flags: dict[str, int] = {}
-    for f in findings:
-        bit = _SIGNAL_BITS.get("W3" if f.signal == COMBINATION_W3 else f.signal)
-        if bit and f.subject_kind == "package" and f.subject_id in members:
-            flags[f.subject_id] = flags.get(f.subject_id, 0) | bit
+    held = dict.fromkeys(map(corpus.position, scope.members), 0)
+    for signal, bit in _SIGNAL_BITS.items():
+        for pos in findings.packages(COMBINATION_W3 if signal == "W3" else signal):
+            if pos in held:
+                held[pos] |= bit
+    names = corpus.names
     rows = []
     for combo in DEFAULT_COMBINATIONS:
         mask = sum(_SIGNAL_BITS[signal] for signal in combo)
-        rows.append(Combination("+".join(combo), frozenset(pkg for pkg, held in flags.items() if held & mask == mask)))
+        rows.append(Combination("+".join(combo), frozenset(names[pos] for pos, bits in held.items() if bits & mask == mask)))
     return sorted(rows, key=attrgetter("combination_id"))
 
 
@@ -185,7 +185,7 @@ def keyword_hunt(corpus: Corpus, cfg: AnalyzerConfig) -> list[KeywordHit]:
 
 def attack_candidates(
     corpus: Corpus,
-    findings: list[WeakLinkFinding],
+    findings: Findings,
     dindex: DependentsIndex,
     downloads: DownloadsProvider,
 ) -> AttackReport:
@@ -197,49 +197,47 @@ def attack_candidates(
         entire portfolio is inactive (evidence inactive_owned_share == 1;
         exact, since k / n == 1.0 only when k == n).
     """
-    w1_by_pkg: dict[str, list[WeakLinkFinding]] = {}
-    for f in findings:
-        if f.signal == "W1" and f.subject_kind == "package":
-            w1_by_pkg.setdefault(f.subject_id, []).append(f)
-    # The inactive packages among the W1 ones; no set of every inactive package is built.
-    inactive = {
-        f.subject_id
-        for f in findings
-        if f.signal == COMBINATION_W3 and f.subject_kind == "package" and f.subject_id in w1_by_pkg
-    }
-
+    names = corpus.names
+    inactive = findings.packages(COMBINATION_W3)  # ascending; no set of every inactive package is built
+    expired: dict[int, list[int]] = {}  # each inactive W1 package's rows of W1
+    w1 = findings.rows.get("W1")
+    for row, ident in enumerate(w1.subjects if w1 else ()):
+        for pos in w1.owners.owned(ident):
+            at = bisect_left(inactive, pos)
+            if at < len(inactive) and inactive[at] == pos:
+                expired.setdefault(pos, []).append(row)
     hijackable = []
-    for pkg in sorted(inactive):
-        entries = w1_by_pkg[pkg]
-        emails = tuple(sorted({f.value("maintainer_key") for f in entries}))
-        domains = tuple(sorted({f.value("domain") for f in entries}))
+    for pos in sorted(expired):
+        rows = expired[pos]
         hijackable.append(
             HijackRow(
-                package=pkg,
-                maintainer_emails=emails,
-                domains=domains,
-                dependents=dindex.count(corpus.position(pkg)),
-                downloads=downloads.downloads(pkg),
+                package=names[pos],
+                maintainer_emails=tuple(sorted({w1.column("maintainer_key")[row] for row in rows})),
+                domains=tuple(sorted({w1.column("domain")[row] for row in rows})),
+                dependents=dindex.count(pos),
+                downloads=downloads.downloads(names[pos]),
             )
         )
 
-    stale_overloaded = {
-        f.subject_id: f
-        for f in findings
-        if f.signal == "W6" and f.subject_kind == "maintainer" and f.value("inactive_owned_share") == 1
-    }
-    # analyze_w6 emits each (package, maintainer) pair once: an identity
-    # lists each of its packages once.
-    takeover = [
+    # An identity owns each of its packages once, so each (package,
+    # maintainer) pair is one row.
+    stale_owned = []
+    w6 = findings.rows.get("W6")
+    if w6:
+        for ident, share, key, reach in zip(
+            w6.subjects, w6.column("inactive_owned_share"), w6.column("maintainer_key"), w6.column("reach")
+        ):
+            if share == 1:
+                stale_owned.extend((pos, key, reach) for pos in w6.owners.owned(ident))
+    stale_owned.sort()  # by package, as positions are in name order, then by maintainer
+    takeover = tuple(
         TakeoverRow(
-            package=f.subject_id,
+            package=names[pos],
             maintainer_key=key,
-            reach=stale_overloaded[key].value("reach"),
-            dependents=dindex.count(corpus.position(f.subject_id)),
-            downloads=downloads.downloads(f.subject_id),
+            reach=reach,
+            dependents=dindex.count(pos),
+            downloads=downloads.downloads(names[pos]),
         )
-        for f in findings
-        if f.signal == "W6" and f.subject_kind == "package" and (key := f.value("maintainer_key")) in stale_overloaded
-    ]
-    takeover.sort(key=lambda row: (row.package, row.maintainer_key))
-    return AttackReport(hijackable=tuple(hijackable), takeover_candidates=tuple(takeover))
+        for pos, key, reach in stale_owned
+    )
+    return AttackReport(hijackable=tuple(hijackable), takeover_candidates=takeover)

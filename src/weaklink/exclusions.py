@@ -32,7 +32,7 @@ class Verdict(NamedTuple):
 
 
 # The verdict of each byte, shared by every record with that byte.
-_VERDICTS = tuple(
+VERDICTS = tuple(
     Verdict(0 < flag < _HAD_DEPENDENTS, _REASON_SETS[flag & ~_HAD_DEPENDENTS], flag >= _HAD_DEPENDENTS)
     for flag in range(16)
 )
@@ -59,20 +59,10 @@ class ExclusionVerdicts(Sequence):
         return len(self.flags)
 
     def __getitem__(self, pos: int) -> Verdict:
-        return _VERDICTS[self.flags[pos]]  # one position; a slice is a TypeError
+        return VERDICTS[self.flags[pos]]  # one position; a slice is a TypeError
 
     def __iter__(self) -> Iterator[Verdict]:
-        return map(_VERDICTS.__getitem__, self.flags)
-
-    def report_line(self, pos: int) -> dict:
-        """The ``exclusions.jsonl`` line of the record at ``pos``."""
-        excluded, reasons, had_dependents = _VERDICTS[self.flags[pos]]
-        return {
-            "package_id": f"{self.names[pos]}@{self.versions[pos]}",
-            "excluded": excluded,
-            "reasons": list(reasons),
-            "had_dependents": had_dependents,
-        }
+        return map(VERDICTS.__getitem__, self.flags)
 
     def excluded_counts(self) -> dict[tuple[str, ...], int]:
         """The number of excluded records with each set of reasons, for the sets that excluded any."""

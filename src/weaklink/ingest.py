@@ -33,8 +33,8 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from functools import partial
+from datetime import date, datetime, timedelta, timezone
+from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import ne, sub
 from pathlib import Path
@@ -92,15 +92,17 @@ def parse_timestamp(value: object) -> datetime | None:
 
 
 def format_timestamp(dt: datetime) -> str:
-    # strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z" in under half its time;
-    # the report writer formats one or two timestamps per finding.
+    """``dt`` in UTC to the millisecond, the year in four digits: ``0999-03-04T05:06:07.891Z``."""
+    # strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z" in under half its time,
+    # and strftime would not pad a year below 1000.
     dt = dt.astimezone(timezone.utc)
-    return "%d-%02d-%02dT%02d:%02d:%02d.%03dZ" % (
+    return "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ" % (
         dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, dt.microsecond // 1000
     )
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = _EPOCH.toordinal()
 _MICROSECOND = timedelta(microseconds=1)
 US_PER_DAY = 86_400_000_000
 
@@ -115,9 +117,18 @@ def from_epoch_us(us: int) -> datetime:
     return _EPOCH + timedelta(microseconds=us)
 
 
+@lru_cache(maxsize=1 << 12)
+def _utc_date(day: int) -> str:
+    """The ISO 8601 date, year in four digits, ``day`` days after 1970-01-01."""
+    return date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
+
+
 def format_epoch_us(us: int) -> str:
     """``format_timestamp`` of the time ``us`` UTC epoch microseconds name."""
-    return format_timestamp(_EPOCH + timedelta(microseconds=us))
+    # The report writer formats one or two per finding: arithmetic on the
+    # integer and a date per day take half the time of building a datetime.
+    day, ms = divmod(us // 1000, 86_400_000)
+    return "%sT%02d:%02d:%02d.%03dZ" % (_utc_date(day), ms // 3_600_000, ms // 60_000 % 60, ms // 1000 % 60, ms % 1000)
 
 
 def extract_email_domain(email: str) -> str | None:
@@ -1270,17 +1281,16 @@ def _fold_ranges(source: Path, cuts: list[int], scope: tuple, digest, map_ranges
 # An ndjson snapshot or a bulk export is read in ranges of at least this
 # many bytes: a second range costs a worker process, its rows crossing a
 # pipe and the fold, and for a bulk export the second pass over the folded
-# rows' bytes. Loading seed-7 synth ndjson snapshots with 2 forked jobs
-# against 1 on a 2-CPU host (medians of 15), the split read lost at 1.9 MB
-# (0.120 s against 0.098 s) and won at 3.9 MB (0.151 s against 0.212 s) and
-# 7.9 MB (0.234 s against 0.320 s). Spawned workers break even later, at
-# 12-16 MB. Measured again later on the same host, interleaved, both
-# layouts broke even between 5 and 8 MB: the bulk export lost at 4.1 MB
-# (0.166 s against 0.153 s), was even at 5.0 MB and 6.7 MB, and won at
-# 5.8 MB and 8.4 MB (0.310 s against 0.326 s), while the ndjson snapshot
-# lost at every size from 3.1 to 6.3 MB (0.222 s against 0.209 s at
-# 6.3 MB). As the layouts break even alike, one bound serves both.
-_MIN_RANGE_BYTES = 2 << 20
+# rows' bytes. Loading seed-7 synth snapshots with 2 forked jobs against 1
+# on a 2-CPU host, interleaved in fresh interpreters (medians of 15-21),
+# the ndjson split lost at every size from 3.1 to 6.3 MB (0.222 s against
+# 0.209 s at 6.3 MB), and the bulk one lost at 4.1 MB (0.166 s against
+# 0.153 s) and was about even from 5 to 8 MB. At 8.4 MB neither won
+# (ndjson 0.319 s against 0.286 s, bulk 0.293 s against 0.280 s); at 17 MB
+# the bulk split won (0.445 s against 0.572 s) and the ndjson one was even
+# (0.613 s against 0.608 s). Spawned workers break even later still. So a
+# range holds at least 4 MiB: a snapshot under 8 MiB is read in one process.
+_MIN_RANGE_BYTES = 4 << 20
 
 
 def _ranges(size: int, jobs: int) -> int:

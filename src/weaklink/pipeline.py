@@ -1,8 +1,9 @@
 """Scan orchestration and canonical report emission.
 
 Pipeline order: ingest -> exclusions -> indexes over the filtered corpus,
-each built once and keyed by record position -> analyzers, whose findings
-are sorted into report order once -> combinations.
+each built once and keyed by record position -> analyzers, each returning
+its signal's typed rows -> combinations. The writer spells the rows as
+report lines, in report order, as it writes them.
 All report files are canonical (sorted keys, sorted records, trailing
 newline) and contain no wall-clock values, so reruns over identical inputs
 and fixtures are byte-identical.
@@ -15,8 +16,10 @@ import json
 import logging
 import os
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -30,8 +33,8 @@ from .combinations import (
     keyword_hunt,
     popular_sample,
 )
-from .exclusions import ExclusionVerdicts, apply_exclusions
-from .ingest import Corpus, format_timestamp, load_corpus
+from .exclusions import VERDICTS, ExclusionVerdicts, apply_exclusions
+from .ingest import Corpus, format_epoch_us, format_timestamp, load_corpus
 from .providers import (
     DownloadCounts,
     EmptyDomainProvider,
@@ -45,20 +48,23 @@ from .reach import build_dependents_index, build_maintainer_index
 from .signals import (
     EVIDENCE_SCHEMAS,
     AnalyzerConfig,
-    WeakLinkFinding,
+    Findings,
+    SignalRows,
     analyze_w1,
     analyze_w2,
     analyze_w3,
     analyze_w4,
     analyze_w5,
     analyze_w6,
-    canonical_json,
     is_inactive,
     mean_maintainers,
-    sort_findings,
 )
 
 logger = logging.getLogger(__name__)
+
+# json.dumps(value, sort_keys=True) without building an encoder per call.
+# It escapes strings with encode_basestring_ascii, as the line templates do.
+canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 FINDINGS_SCHEMA_VERSION = 1
 MEMBER_SAMPLE_CAP = 100
@@ -88,7 +94,7 @@ class ScanResult:
     filtered: Corpus  # its stats and digest are the load's
     verdicts: ExclusionVerdicts  # one per loaded record, by load position
     config: AnalyzerConfig
-    findings: list[WeakLinkFinding]
+    findings: Findings
     domain_histogram: dict[str, int]
     popular: PopularSample
     combinations: list[Combination]
@@ -140,13 +146,17 @@ def run_scan(options: ScanOptions) -> ScanResult:
     mindex = build_maintainer_index(filtered)
 
     # W1 checks each distinct (lowercased) maintainer domain once.
-    findings, histogram = analyze_w1(filtered, mindex, domains, cfg)
-    findings += analyze_w2(filtered, cfg)
-    findings += analyze_w3(filtered, mindex, cfg)
-    findings += analyze_w4(filtered, cfg)
-    findings += analyze_w5(filtered, cfg)
-    findings += analyze_w6(filtered, mindex, dindex, cfg)
-    sort_findings(findings)  # report order
+    w1, histogram = analyze_w1(filtered, mindex, domains, cfg)
+    findings = Findings(
+        (
+            w1,
+            analyze_w2(filtered, cfg),
+            *analyze_w3(filtered, mindex, cfg),
+            analyze_w4(filtered, cfg),
+            analyze_w5(filtered, cfg),
+            analyze_w6(filtered, mindex, dindex, cfg),
+        )
+    )
 
     popular = popular_sample(filtered, dindex, downloads, options.popular_n)
     return ScanResult(
@@ -157,7 +167,7 @@ def run_scan(options: ScanOptions) -> ScanResult:
         findings=findings,
         domain_histogram=histogram,
         popular=popular,
-        combinations=combination_table(findings, scope=popular),
+        combinations=combination_table(filtered, findings, scope=popular),
         keyword_hits=keyword_hunt(filtered, cfg),
         attack=attack_candidates(filtered, findings, dindex, downloads),
         maintainers=len(mindex),
@@ -183,18 +193,13 @@ def _summary(result: ScanResult) -> dict:
         for reason in reasons:
             by_reason[reason] = by_reason.get(reason, 0) + count
 
-    by_signal: dict[str, list[WeakLinkFinding]] = {}
-    for f in result.findings:
-        by_signal.setdefault(f.signal, []).append(f)
-
     with_contrib = n_filtered - filtered.contributor_counts.count(0)
     with_maints = n_filtered - filtered.maintainer_counts().count(0)
     maintainer_count = result.maintainers
 
     def signal_entry(signal: str) -> dict:
-        entries = by_signal.get(signal, [])
-        pkg_subjects = {f.subject_id for f in entries if f.subject_kind == "package"}
-        maint_subjects = {f.subject_id for f in entries if f.subject_kind == "maintainer"}
+        rows = result.findings.rows[signal]
+        packages = len(rows.packages())
         if signal == "W5":
             population = with_contrib
         elif signal == "W4":
@@ -203,15 +208,15 @@ def _summary(result: ScanResult) -> dict:
             population = maintainer_count
         else:
             population = n_filtered
-        subjects = len(maint_subjects) if signal == "W6" else len(pkg_subjects)
+        subjects = len(rows.subjects) if rows.maintainer_findings else packages
         entry = {
-            "findings": len(entries),
-            "package_subjects": len(pkg_subjects),
+            "findings": len(rows),
+            "package_subjects": packages,
             "population": population,
             "rate": (subjects / population) if population else 0.0,
         }
-        if signal == "W6":
-            entry["maintainer_subjects"] = len(maint_subjects)
+        if rows.maintainer_findings:
+            entry["maintainer_subjects"] = len(rows.subjects)
         return entry
 
     signals = {signal: signal_entry(signal) for signal in sorted(EVIDENCE_SCHEMAS)}
@@ -266,8 +271,97 @@ def findings_header() -> dict:
     }
 
 
-def _package_id_order(names: Sequence[str], versions: Sequence[str]) -> Iterator[int]:
-    """The positions of name-ordered records in the order of their package ids, ties by position.
+def _flag(value: bool | str) -> str:
+    # A deprecation message is written as is; a bare flag as JSON spells it.
+    if isinstance(value, str):
+        return value
+    return "true" if value else "false"
+
+
+# How a finding line writes each evidence key, every value as a JSON
+# string: the key's slot in the line's %-template, and what turns the typed
+# value into the slot's argument (None: the value itself). A key means the
+# same thing in every signal that carries it, so one table serves all.
+# Integers are written in decimal, shares and the average to 4 decimals and
+# the W5 ratio to 6 ("%.4f" % x is "{:.4f}".format(x)).
+_EVIDENCE_SLOTS: dict[str, tuple[str, Callable[[object], object] | None]] = {
+    "domain": ("%s", _quote),
+    "maintainer_key": ("%s", _quote),
+    "script_key": ("%s", lambda keys: _quote(",".join(keys))),
+    "has_suspicious_tokens": ('"%s"', _flag),
+    "deprecated": ("%s", lambda value: _quote(_flag(value))),
+    "last_modified": ('"%s"', format_epoch_us),
+    "latest_maintainer_activity": ('"%s"', format_epoch_us),
+    "age_days": ('"%d"', None),
+    "maintainer_count": ('"%d"', None),
+    "maintainers": ('"%d"', None),
+    "contributors": ('"%d"', None),
+    "owned_count": ('"%d"', None),
+    "reach": ('"%d"', None),
+    "registry_avg": ('"%.4f"', None),
+    "inactive_owned_share": ('"%.4f"', None),
+    "dependency_using_share": ('"%.4f"', None),
+    "ratio": ('"%.6f"', None),
+}
+
+
+def _template(payload: dict, slots: Sequence[str]) -> str:
+    """``canonical_json(payload)`` as a %-template: a value ``f"\\0{i}"`` is written as ``slots[i]``."""
+    text = canonical_json(payload).replace("%", "%%")
+    for i, slot in enumerate(slots):
+        text = text.replace(canonical_json(f"\0{i}"), slot)
+    return text
+
+
+def _evidence_template(signal: str) -> str:
+    """The written evidence of ``signal`` with one slot per key, in key order."""
+    keys = EVIDENCE_SCHEMAS[signal]
+    return _template({key: f"\0{i}" for i, key in enumerate(keys)}, [_EVIDENCE_SLOTS[key][0] for key in keys])
+
+
+def _line_template(signal: str, subject_kind: str, evidence: str, observed_at: str | None) -> str:
+    """A ``findings.jsonl`` line with the slots of ``evidence``, then one for the quoted subject."""
+    line = {"evidence": f"\0{0}", "observed_at": observed_at, "signal": signal, "subject_id": f"\0{1}", "subject_kind": subject_kind}
+    return _template(line, (evidence, "%s")) + "\n"
+
+
+def _slot_columns(rows: SignalRows) -> list[Iterable]:
+    """The arguments of each evidence slot of ``rows``, column by column."""
+    return [
+        column if convert is None else map(convert, column)
+        for column, (_slot, convert) in zip(rows.columns, map(_EVIDENCE_SLOTS.__getitem__, EVIDENCE_SCHEMAS[rows.signal]))
+    ]
+
+
+def _evidence_texts(rows: SignalRows) -> list[str]:
+    """The written evidence of each row, ``canonical_json`` of the dict of its strings."""
+    return list(map(_evidence_template(rows.signal).__mod__, zip(*_slot_columns(rows))))
+
+
+def _finding_lines(rows: SignalRows, names: Sequence[str], observed_at: str | None) -> Iterable[str]:
+    """The report lines of one signal's findings, in report order.
+
+    Findings are in order of subject, then of written evidence. Positions
+    ascend in name order, so a package signal's rows are in report order.
+    An identity's package findings merge in with every other flagged
+    identity's, and W6's maintainer findings with them all; where one
+    subject has several findings their evidence decides, and a maintainer
+    comes before a package of its own.
+    """
+    signal = rows.signal
+    if rows.owners is None:
+        line = _line_template(signal, "package", _evidence_template(signal), observed_at)
+        return map(line.__mod__, zip(*_slot_columns(rows), map(_quote, map(names.__getitem__, rows.subjects))))
+    evidence = _evidence_texts(rows)
+    lines = [(names[pos], text, 1) for ident, text in zip(rows.subjects, evidence) for pos in rows.owners.owned(ident)]
+    if rows.maintainer_findings:
+        lines += zip(rows.column("maintainer_key"), evidence, repeat(0))
+    templates = [_line_template(signal, kind, "%s", observed_at) for kind in ("maintainer", "package")]
+    return (templates[kind] % (text, _quote(subject)) for subject, text, kind in sorted(lines))
+
+
+def _package_id_order(names: Sequence[str], versions: Sequence[str]) -> Iterator[tuple[str, int]]:
+    """The package ids of name-ordered records, ascending, each with its position; ties by position.
 
     An id extends its record's name and names ascend, so an id that sorts
     before the next record's name sorts before every later id, and is
@@ -278,17 +372,33 @@ def _package_id_order(names: Sequence[str], versions: Sequence[str]) -> Iterator
     held: list[tuple[str, int]] = []
     for pos, (name, version) in enumerate(zip(names, versions)):
         while held and held[0][0] < name:
-            yield heapq.heappop(held)[1]
+            yield heapq.heappop(held)
         heapq.heappush(held, (f"{name}@{version}", pos))
     while held:
-        yield heapq.heappop(held)[1]
+        yield heapq.heappop(held)
+
+
+def _exclusion_lines(verdicts: ExclusionVerdicts) -> Iterator[str]:
+    """The ``exclusions.jsonl`` lines, one per loaded record in package-id order, from one template per verdict byte."""
+    templates = [
+        _template(
+            {"package_id": f"\0{0}", "excluded": excluded, "reasons": list(reasons), "had_dependents": had_dependents}, ("%s",)
+        )
+        + "\n"
+        for excluded, reasons, had_dependents in VERDICTS
+    ]
+    flags = verdicts.flags
+    for package_id, pos in _package_id_order(verdicts.names, verdicts.versions):
+        yield templates[flags[pos]] % _quote(package_id)
 
 
 def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: bool = False) -> dict[str, Path]:
     """Write summary, findings, exclusions and the combination report.
 
-    ``exclusions.jsonl`` holds one verdict per ingested record in package-id
-    order; each line is built from the verdicts' names, versions and bytes.
+    ``findings.jsonl`` holds a header and one line per finding, written from
+    each signal's rows in report order; ``exclusions.jsonl`` holds one
+    verdict per ingested record in package-id order, written from the
+    verdicts' names, versions and bytes.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -302,19 +412,13 @@ def write_reports(result: ScanResult, out_dir: str | Path, unsafe_full_output: b
         fh.write(canonical_json(findings_header()))
         fh.write("\n")
         # Every finding of a scan is observed at the scan's reference time.
-        observed_at = format_timestamp(result.config.reference_time) if result.findings else None
-        for finding in result.findings:
-            line = finding.to_dict()
-            line["observed_at"] = observed_at
-            fh.write(canonical_json(line))
-            fh.write("\n")
+        observed_at = format_timestamp(result.config.reference_time) if len(result.findings) else None
+        for rows in result.findings:
+            fh.writelines(_finding_lines(rows, result.filtered.names, observed_at))
 
     paths["exclusions"] = out / "exclusions.jsonl"
     with open(paths["exclusions"], "w", encoding="utf-8") as fh:
-        verdicts = result.verdicts
-        for pos in _package_id_order(verdicts.names, verdicts.versions):
-            fh.write(canonical_json(verdicts.report_line(pos)))
-            fh.write("\n")
+        fh.writelines(_exclusion_lines(result.verdicts))
 
     combo_payload = {
         "combinations": [

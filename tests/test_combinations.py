@@ -29,15 +29,16 @@ from weaklink.reach import build_dependents_index, build_maintainer_index
 from weaklink.signals import (
     EVIDENCE_SCHEMAS,
     AnalyzerConfig,
+    Findings,
     ScriptCategory,
-    WeakLinkFinding,
+    SignalRows,
     analyze_w1,
     analyze_w2,
     analyze_w3,
     analyze_w6,
 )
 
-from conftest import REF, corpus_records, make_corpus, make_record, person, random_corpus
+from conftest import REF, corpus_records, findings_of, make_corpus, make_record, person, random_corpus
 from datetime import datetime, timezone
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -170,9 +171,22 @@ def test_popular_rejects_bad_n():
 # --- combination_table over hand-made findings ----------------------------------
 
 
-def _finding(signal, subject, kind="package"):
-    # The table reads signal, subject and kind only.
-    return WeakLinkFinding(kind, subject, signal, (None,) * len(EVIDENCE_SCHEMAS[signal]))
+def _findings(corpus, **flagged) -> Findings:
+    """Hand-made findings: a package signal flags the named packages, W1 and W6 the identities with the named keys.
+
+    The table reads only which packages each signal flags, so the evidence columns hold None.
+    """
+    mindex = build_maintainer_index(corpus)
+    rows = []
+    for signal, subjects in flagged.items():
+        width = len(EVIDENCE_SCHEMAS[signal])
+        if signal in ("W1", "W6"):
+            ids = sorted({corpus.identity_keys.index(key) for key in subjects})
+            rows.append(SignalRows(signal, array("i", ids), ((None,) * len(ids),) * width, mindex))
+        else:
+            positions = sorted({corpus.position(name) for name in subjects})
+            rows.append(SignalRows(signal, array("i", positions), ((None,) * len(positions),) * width))
+    return Findings(rows)
 
 
 def _sample(names):
@@ -183,29 +197,43 @@ def _sample(names):
 CANONICAL_IDS = sorted("+".join(combo) for combo in DEFAULT_COMBINATIONS)
 
 
+def _owned_corpus(names, owners=None):
+    """One record per name, each owned by the identity ``owners[name]``, by default ``"own-" + name``."""
+    owners = owners or {}
+    return make_corpus([make_record(name, maintainers=(owners.get(name, "own-" + name),)) for name in names])
+
+
 def test_combination_table_canonical_ids_and_scope():
-    findings = [_finding("W6", pkg) for pkg in "xyz"] + [_finding("W3_inactive_pkg", pkg) for pkg in "yz"]
-    # Only W3_inactive_pkg stands for W3, and W6 counts its package subjects only.
-    findings += [_finding("W3_inactive_maintainer", "x"), _finding("W3_deprecated", "x")]
-    findings.append(_finding("W6", "w", "maintainer"))
-    rows = combination_table(findings, _sample("wxyz"))
+    # The identity "w" is flagged by W6 and owns "v": W6 counts its package
+    # subjects only, so the sampled package "w" is no W6 member.
+    corpus = _owned_corpus("vwxyz", owners={"v": "w"})
+    findings = _findings(
+        corpus,
+        W6=["own-x", "own-y", "own-z", "w"],
+        W3_inactive_pkg="yz",
+        # Only W3_inactive_pkg stands for W3.
+        W3_inactive_maintainer="x",
+        W3_deprecated="x",
+    )
+    rows = combination_table(corpus, findings, _sample("wxyz"))
     assert [row.combination_id for row in rows] == CANONICAL_IDS
     assert all(row.combination_id.split("+") == sorted(row.combination_id.split("+")) for row in rows)
     by_id = {row.combination_id: row for row in rows}
     assert by_id["W3+W6"].members == {"y", "z"}
     assert by_id["W3+W6"].count == 2
-    scoped = {row.combination_id: row for row in combination_table(findings, _sample("z"))}
+    scoped = {row.combination_id: row for row in combination_table(corpus, findings, _sample("z"))}
     assert scoped["W3+W6"].members == {"z"}
 
 
 def test_combination_table_empty_signals_and_scope():
-    findings = [_finding("W6", "x"), _finding("W4", "x"), _finding("W2", "x")]
-    rows = {row.combination_id: row.members for row in combination_table(findings, _sample("x"))}
+    corpus = _owned_corpus("x")
+    findings = _findings(corpus, W6=["own-x"], W4="x", W2="x")
+    rows = {row.combination_id: row.members for row in combination_table(corpus, findings, _sample("x"))}
     # No W3 finding: every row that needs W3 is empty, the others are not.
     assert {cid for cid, members in rows.items() if members} == {"W2+W6"}
     # An empty sample empties every row.
-    assert [row.count for row in combination_table(findings, _sample(""))] == [0] * len(DEFAULT_COMBINATIONS)
-    assert [row.count for row in combination_table([], _sample("x"))] == [0] * len(DEFAULT_COMBINATIONS)
+    assert [row.count for row in combination_table(corpus, findings, _sample(""))] == [0] * len(DEFAULT_COMBINATIONS)
+    assert [row.count for row in combination_table(corpus, Findings(()), _sample("x"))] == [0] * len(DEFAULT_COMBINATIONS)
 
 
 def test_combination_table_matches_brute_force_on_random_findings():
@@ -215,18 +243,24 @@ def test_combination_table_matches_brute_force_on_random_findings():
     for seed in range(40):
         rng = random.Random(seed)
         pool = [f"pkg{i}" for i in range(rng.randrange(1, 30))]
-        findings = [
-            _finding(rng.choice(signals), rng.choice(pool), rng.choice(("package", "package", "maintainer")))
-            for _ in range(rng.randrange(0, 120))
-        ]
-        rng.shuffle(findings)
+        # A few identities, each owning one or more packages.
+        keys = [f"m{j}@x.example" for j in range(rng.randrange(1, 6))]
+        owners = {name: rng.choice(keys) for name in pool}
+        corpus = _owned_corpus(pool, owners=owners)
+        flagged = {}
+        for signal in rng.sample(signals, rng.randrange(0, len(signals) + 1)):
+            subjects = corpus.identity_keys if signal in ("W1", "W6") else pool
+            flagged[signal] = rng.sample(subjects, rng.randrange(0, len(subjects) + 1))
+        findings = _findings(corpus, **flagged)
         scope = rng.sample(pool, rng.randrange(0, len(pool) + 1))
 
         def members(signal):
-            wanted = "W3_inactive_pkg" if signal == "W3" else signal
-            return {f.subject_id for f in findings if f.signal == wanted and f.subject_kind == "package"}
+            wanted = flagged.get("W3_inactive_pkg" if signal == "W3" else signal, ())
+            if signal in ("W1", "W6"):  # the packages of the flagged identities
+                return {name for name, key in owners.items() if key in wanted}
+            return set(wanted)
 
-        rows = combination_table(findings, _sample(scope))
+        rows = combination_table(corpus, findings, _sample(scope))
         assert [row.combination_id for row in rows] == CANONICAL_IDS
         by_id = {}
         for row in rows:
@@ -258,7 +292,7 @@ def test_keyword_hunt_subset_of_w2_and_classification():
     assert [h.package for h in hits] == ["evil"]
     assert hits[0].pattern.category is ScriptCategory.DOWNLOAD_AND_RUN
     assert "curl" in hits[0].tokens
-    w2 = {f.subject_id for f in analyze_w2(corpus, cfg)}
+    w2 = {f.subject_id for f in findings_of(corpus, analyze_w2(corpus, cfg))}
     assert {h.package for h in hits} <= w2
 
 
@@ -282,7 +316,7 @@ def test_keyword_hunt_subset_property_on_random_corpora():
         corpus = random_corpus(seed=seed, size=100)
         cfg = AnalyzerConfig().resolved(corpus)
         hits = keyword_hunt(corpus, cfg)
-        w2 = {f.subject_id for f in analyze_w2(corpus, cfg)}
+        w2 = {f.subject_id for f in findings_of(corpus, analyze_w2(corpus, cfg))}
         assert {h.package for h in hits} <= w2
 
 
@@ -321,10 +355,8 @@ def test_attack_pipelines():
     domains = MapDomains({"lapsed-a.example": STATUS_AVAILABLE, "lapsed-b.example": STATUS_AVAILABLE})
     downloads = MapDownloads(dict.fromkeys(corpus.names, 100))
 
-    findings, _ = analyze_w1(corpus, mindex, domains, cfg)
-    findings = list(findings)
-    findings += analyze_w3(corpus, mindex, cfg)
-    findings += analyze_w6(corpus, mindex, dindex, cfg)
+    w1, _ = analyze_w1(corpus, mindex, domains, cfg)
+    findings = Findings((w1, *analyze_w3(corpus, mindex, cfg), analyze_w6(corpus, mindex, dindex, cfg)))
 
     report = attack_candidates(corpus, findings, dindex, downloads)
     hijack_pkgs = {row.package for row in report.hijackable}
@@ -335,7 +367,7 @@ def test_attack_pipelines():
 
     # The overloaded stale maintainer's packages are takeover candidates and
     # always a subset of the W6 package set.
-    w6_pkgs = {f.subject_id for f in findings if f.signal == "W6" and f.subject_kind == "package"}
+    w6_pkgs = {f.subject_id for f in findings_of(corpus, findings) if f.signal == "W6" and f.subject_kind == "package"}
     takeover_pkgs = {row.package for row in report.takeover_candidates}
     assert takeover_pkgs
     assert takeover_pkgs <= w6_pkgs
@@ -348,7 +380,7 @@ def test_attack_pipeline_empty_without_w1():
     cfg = AnalyzerConfig(top_percent=25.0).resolved(corpus)
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
-    findings = analyze_w3(corpus, mindex, cfg)
+    findings = Findings(analyze_w3(corpus, mindex, cfg))
     report = attack_candidates(corpus, findings, dindex, MapDownloads({}))
     assert report.hijackable == ()
 
@@ -372,12 +404,12 @@ def test_takeover_needs_every_owned_package_inactive(owned, inactive, takeover_r
     corpus = make_corpus(records)
     cfg = AnalyzerConfig().resolved(corpus)
     dindex = build_dependents_index(corpus)
-    findings = analyze_w6(corpus, build_maintainer_index(corpus), dindex, cfg)
-    maint = [f for f in findings if f.subject_kind == "maintainer"]
+    w6 = analyze_w6(corpus, build_maintainer_index(corpus), dindex, cfg)
+    maint = [f for f in findings_of(corpus, w6) if f.subject_kind == "maintainer"]
     assert [f.subject_id for f in maint] == ["hoard@busy.example"]
     assert maint[0].to_dict()["evidence"]["inactive_owned_share"] == "1.0000"
 
-    report = attack_candidates(corpus, findings, dindex, NO_DOWNLOADS)
+    report = attack_candidates(corpus, Findings((w6,)), dindex, NO_DOWNLOADS)
     assert len(report.takeover_candidates) == takeover_rows
     assert all(row.reach == 0 for row in report.takeover_candidates)
 
@@ -394,12 +426,12 @@ def test_w6_package_maintainer_pairs_are_unique_on_random_corpora():
         cfg = AnalyzerConfig(top_percent=30.0).resolved(corpus)
         mindex = build_maintainer_index(corpus)
         dindex = build_dependents_index(corpus)
-        findings = analyze_w6(corpus, mindex, dindex, cfg)
-        pairs = [(f.subject_id, f.value("maintainer_key")) for f in findings if f.subject_kind == "package"]
+        w6 = analyze_w6(corpus, mindex, dindex, cfg)
+        pairs = [(f.subject_id, f.value("maintainer_key")) for f in findings_of(corpus, w6) if f.subject_kind == "package"]
         assert pairs
         assert len(pairs) == len(set(pairs)), seed
 
-        findings += analyze_w3(corpus, mindex, cfg)
+        findings = Findings((w6, *analyze_w3(corpus, mindex, cfg)))
         report = attack_candidates(corpus, findings, dindex, MapDownloads({}))
         rows = [(row.package, row.maintainer_key) for row in report.takeover_candidates]
         assert len(rows) == len(set(rows)), seed
@@ -414,13 +446,13 @@ def test_combination_table_ids_and_signal_sets():
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
     domains = MapDomains({"lapsed-a.example": STATUS_AVAILABLE})
-    findings, _ = analyze_w1(corpus, mindex, domains, cfg)
-    findings = list(findings) + analyze_w3(corpus, mindex, cfg) + analyze_w6(corpus, mindex, dindex, cfg)
+    w1, _ = analyze_w1(corpus, mindex, domains, cfg)
+    findings = Findings((w1, *analyze_w3(corpus, mindex, cfg), analyze_w6(corpus, mindex, dindex, cfg)))
 
     def members(signal):
-        return {f.subject_id for f in findings if f.signal == signal and f.subject_kind == "package"}
+        return {f.subject_id for f in findings_of(corpus, findings) if f.signal == signal and f.subject_kind == "package"}
 
-    rows = combination_table(findings, _sample(corpus.names))
+    rows = combination_table(corpus, findings, _sample(corpus.names))
     assert [row.combination_id for row in rows] == CANONICAL_IDS
     by_id = {row.combination_id: row for row in rows}
     # "W3" is the inactive-package signal.

@@ -285,14 +285,16 @@ def test_verdicts_equal_the_eager_computation_by_position(corpus_and_reasons):
     assert [verdicts[pos] for pos in range(-n, 0)] == eager
     assert tuple(corpus_records(filtered)) == tuple(rec for rec, v in zip(loaded, eager) if not v.excluded)
     assert verdicts.excluded_counts() == Counter(v.reasons for v in eager if v.excluded)
-    assert [verdicts.report_line(pos) for pos in range(n)] == [
+    # The writer's lines come in package-id order, ties by position.
+    order = sorted(range(n), key=lambda pos: loaded[pos].package_id)
+    assert [json.loads(line) for line in pipeline._exclusion_lines(verdicts)] == [
         {
             "package_id": rec.package_id,
             "excluded": v.excluded,
             "reasons": list(v.reasons),
             "had_dependents": v.had_dependents,
         }
-        for rec, v in zip(loaded, eager)
+        for rec, v in map(lambda pos: (loaded[pos], eager[pos]), order)
     ]
     listed = {key for rec in corpus_records(filtered) for key in rec.maintainers}
     assert set(filtered.identity_keys) == listed

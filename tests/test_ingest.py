@@ -14,7 +14,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weaklink import ingest
@@ -276,8 +276,12 @@ def test_security_holding_marker_from_placeholder_dist_tag():
         timezones=st.builds(timezone, st.timedeltas(min_value=timedelta(hours=-23), max_value=timedelta(hours=23))),
     )
 )
+@example(datetime(999, 3, 4, 5, 6, 7, 891000, tzinfo=timezone.utc))  # 0999-03-04T05:06:07.891Z
 def test_format_timestamp_matches_strftime(dt):
-    assert format_timestamp(dt) == dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+    # strftime's %Y does not pad a year below 1000 on every platform, and
+    # ISO 8601 needs four digits, so the year is padded here.
+    utc = dt.astimezone(timezone.utc)
+    assert format_timestamp(dt) == "%04d" % utc.year + utc.strftime("-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
 
 # --- extract_email_domain -----------------------------------------------------

@@ -32,7 +32,7 @@ from weaklink.providers import (
 from weaklink.reach import build_maintainer_index
 from weaklink.signals import AnalyzerConfig, analyze_w1
 
-from conftest import REF, make_corpus, make_record
+from conftest import REF, findings_of, make_corpus, make_record
 
 
 def write_jsonl(path, rows):
@@ -164,7 +164,8 @@ def test_w1_checks_each_lowercased_domain_once():
     records = [make_record(f"pkg-{i}", maintainers=[key for key, _ in row]) for i, row in enumerate(people)]
     corpus = make_corpus(records, email_domains={key: domain for row in people for key, domain in row if domain})
     provider = CountingProvider()
-    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, AnalyzerConfig(reference_time=REF))
+    rows, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, AnalyzerConfig(reference_time=REF))
+    findings = findings_of(corpus, rows)
     assert provider.calls == {"x.example": 1, "y.example": 1, "z.example": 1}
     assert histogram == {"x.example": 4, "y.example": 2, "z.example": 1}
     assert {f.subject_id for f in findings} == {"pkg-0", "pkg-1", "pkg-2"}

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from weaklink.exclusions import apply_exclusions
 from weaklink.ingest import from_epoch_us, load_corpus
 from weaklink.synth import GenerationPlan, generate
-from weaklink.signals import AnalyzerConfig, analyze_w6, sort_findings
+from weaklink.signals import AnalyzerConfig, analyze_w6
 from weaklink.reach import (
     build_dependents_index,
     build_maintainer_index,
@@ -23,7 +23,7 @@ from weaklink.reach import (
     top_percent,
 )
 
-from conftest import corpus_records, load_documents, make_corpus, make_record, owned_by_key, person, random_corpus, random_records
+from conftest import corpus_records, findings_of, load_documents, make_corpus, make_record, owned_by_key, person, random_corpus, random_records
 
 
 def dependents_by_name(corpus, index):
@@ -331,14 +331,13 @@ def test_reach_matches_brute_force_and_bounds():
 def test_w6_ties_between_maintainer_keys_break_on_the_key():
     # At 50% most flagged maintainers tie (many reach nothing), so the
     # cutoff's ties decide much of the ranking. Analyzers promise no order;
-    # in report order (``sort_findings``) the flagged maintainers run by key.
+    # in report order (``findings_of``) the flagged maintainers run by key.
     tied = 0
     for seed in range(10):
         corpus = random_corpus(seed=seed, size=150)
         for percent in (10.0, 50.0):
             cfg = AnalyzerConfig(top_percent=percent).resolved(corpus)
-            findings = analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg)
-            sort_findings(findings)
+            findings = findings_of(corpus, analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg))
             flagged = [(f.subject_id, f.value("reach")) for f in findings if f.subject_kind == "maintainer"]
             reaches = brute_force_reach(corpus)
             assert flagged == sorted(independent_top_percent(list(reaches.items()), percent)), (seed, percent)

@@ -18,20 +18,26 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from array import array
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weaklink import ingest
 from weaklink.cli import main
-from weaklink.pipeline import _package_id_order
+from weaklink.exclusions import ExclusionVerdicts
+from weaklink.pipeline import _exclusion_lines, _finding_lines, _package_id_order
+from weaklink.reach import MaintainerIndex
+from weaklink.signals import EVIDENCE_SCHEMAS, SignalRows
 from weaklink.synth import GenerationPlan, generate
 
-from conftest import corpus_records, random_corpus
+from conftest import canonical_json, corpus_records, findings_of, random_corpus
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "perfbench" / "reference_digests.json"
@@ -198,7 +204,7 @@ def test_exclusion_order_is_package_id_order(pairs):
     pairs.sort(key=lambda pair: pair[0])  # position order is name order; a name may repeat
     names, versions = [name for name, _ in pairs], [version for _, version in pairs]
     expected = sorted(range(len(pairs)), key=lambda pos: f"{names[pos]}@{versions[pos]}")
-    assert list(_package_id_order(names, versions)) == expected
+    assert [pos for _package_id, pos in _package_id_order(names, versions)] == expected
 
 
 def test_ordering_the_exclusions_holds_few_package_ids():
@@ -212,3 +218,81 @@ def test_ordering_the_exclusions_holds_few_package_ids():
     finally:
         tracemalloc.stop()
     assert peak < id_bytes / 10
+
+
+# --- line templates ------------------------------------------------------------------
+
+# Text that JSON escapes, or that a %-template could misread.
+SPECIAL = ('"', "\\", "\x00", "\x1f", "\x7f", "\n", "é", "\u2028", "\ud800", "\udfff", "😀", "%", "%s", "%%", "%(x)d")
+TEXT = st.lists(st.one_of(st.characters(), st.sampled_from(SPECIAL)), max_size=6).map("".join)
+BIG = st.one_of(st.integers(0, 3), st.integers(-(10**30), 10**30))
+EPOCH_US = st.integers(ingest.epoch_us(ingest.parse_timestamp("0001-01-01T00:00:00Z")), ingest.epoch_us(ingest.parse_timestamp("9999-12-31T23:59:59.999999Z")))
+# A typed value of each evidence key, as the analyzers give them.
+VALUES = {
+    "domain": TEXT,
+    "maintainer_key": TEXT,
+    "script_key": st.lists(TEXT, min_size=1, max_size=3).map(tuple),
+    "has_suspicious_tokens": st.booleans(),
+    "deprecated": st.one_of(st.booleans(), TEXT),
+    "last_modified": EPOCH_US,
+    "latest_maintainer_activity": EPOCH_US,
+    "age_days": BIG,
+    "maintainer_count": BIG,
+    "maintainers": BIG,
+    "contributors": BIG,
+    "owned_count": BIG,
+    "reach": BIG,
+    "registry_avg": st.floats(),
+    "inactive_owned_share": st.floats(),
+    "dependency_using_share": st.floats(),
+    "ratio": st.floats(),
+}
+
+
+@st.composite
+def signal_rows(draw):
+    """Rows of any signal over names and identity keys of any text, and the stand-in corpus they index."""
+    signal = draw(st.sampled_from(sorted(EVIDENCE_SCHEMAS)))
+    names = sorted(set(draw(st.lists(TEXT, min_size=1, max_size=5))))
+    keys = tuple(draw(st.lists(TEXT, min_size=1, max_size=3, unique=True)))
+    identities = signal in ("W1", "W6")
+    subjects = sorted(draw(st.sets(st.integers(0, (len(keys) if identities else len(names)) - 1), min_size=1)))
+    columns = tuple([draw(VALUES[key]) for _ in subjects] for key in EVIDENCE_SCHEMAS[signal])
+    if "maintainer_key" in EVIDENCE_SCHEMAS[signal]:  # an identity's key is its maintainer_key
+        columns[EVIDENCE_SCHEMAS[signal].index("maintainer_key")][:] = [keys[ident] for ident in subjects]
+    owners = None
+    if identities:  # every identity owns a nonempty ascending set of positions
+        owned = [sorted(draw(st.sets(st.integers(0, len(names) - 1), min_size=1))) for _ in keys]
+        offsets = array("i", accumulate(map(len, owned), initial=0))
+        owners = MaintainerIndex(offsets, array("i", [pos for row in owned for pos in row]), array("q", [0] * len(keys)))
+    corpus = SimpleNamespace(names=tuple(names), identity_keys=keys)
+    return SignalRows(signal, array("i", subjects), columns, owners), corpus
+
+
+@given(signal_rows(), st.one_of(st.none(), TEXT))
+def test_finding_line_templates_write_canonical_json(rows_and_corpus, observed_at):
+    # Each line equals canonical_json of the dict the report spells it as,
+    # and the lines come in report order.
+    rows, corpus = rows_and_corpus
+    written = list(_finding_lines(rows, corpus.names, observed_at))
+    expected = [canonical_json({**f.to_dict(), "observed_at": observed_at}) + "\n" for f in findings_of(corpus, rows)]
+    assert written == expected
+    assert len(written) == len(rows)
+
+
+NAMES_AND_VERSIONS = st.lists(st.tuples(TEXT, TEXT), max_size=16, unique_by=lambda pair: pair[0])
+
+
+@given(NAMES_AND_VERSIONS, st.data())
+@example([(name, "1.0") for name in SPECIAL], None)
+def test_exclusion_line_templates_write_canonical_json(pairs, data):
+    pairs.sort()
+    flags = bytes(data.draw(st.integers(0, 15)) if data else i % 16 for i in range(len(pairs)))
+    verdicts = ExclusionVerdicts(tuple(name for name, _ in pairs), tuple(version for _, version in pairs), flags)
+    order = sorted(range(len(pairs)), key=lambda pos: f"{pairs[pos][0]}@{pairs[pos][1]}")
+    expected = []
+    for pos in order:
+        excluded, reasons, had_dependents = verdicts[pos]
+        line = {"package_id": f"{pairs[pos][0]}@{pairs[pos][1]}", "excluded": excluded, "reasons": list(reasons), "had_dependents": had_dependents}
+        expected.append(canonical_json(line) + "\n")
+    assert list(_exclusion_lines(verdicts)) == expected

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-import random
+import json
 from datetime import timedelta, timezone, datetime
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from weaklink.ingest import US_PER_DAY, epoch_us, format_epoch_us, format_timestamp, from_epoch_us
+from weaklink import pipeline
+from weaklink.ingest import US_PER_DAY, epoch_us, format_epoch_us, format_timestamp, from_epoch_us, parse_timestamp
 from weaklink.providers import DomainStatus, STATUS_AVAILABLE, STATUS_REGISTERED, STATUS_UNKNOWN
 from weaklink.reach import build_dependents_index, build_maintainer_index
 from weaklink.signals import (
     EVIDENCE_SCHEMAS,
     AnalyzerConfig,
-    WeakLinkFinding,
+    Findings,
     analyze_w1,
     analyze_w2,
     analyze_w3,
@@ -24,10 +25,21 @@ from weaklink.signals import (
     analyze_w6,
     is_inactive,
     mean_maintainers,
-    sort_findings,
 )
 
-from conftest import REF, corpus_records, email_domains, load_documents, make_corpus, make_record, owned_by_key, person, random_corpus
+from conftest import (
+    REF,
+    canonical_json,
+    corpus_records,
+    email_domains,
+    findings_of,
+    load_documents,
+    make_corpus,
+    make_record,
+    owned_by_key,
+    person,
+    random_corpus,
+)
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
@@ -69,12 +81,14 @@ def test_w1_fan_out_per_owned_package():
     corpus = make_corpus(records)
     cfg = cfg_for(corpus)
     provider = MapDomainProvider({"oldsite.io": STATUS_AVAILABLE, "fine.example": STATUS_REGISTERED})
-    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg)
+    rows, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg)
+    findings = findings_of(corpus, rows)
     assert len(findings) == 3
     assert {f.subject_id for f in findings} == {"p0", "p1", "p2"}
     assert all(evidence_of(f) == {"domain": "oldsite.io", "maintainer_key": "m@oldsite.io"} for f in findings)
-    # The findings of one maintainer share one evidence tuple.
+    # The findings of one maintainer share one evidence tuple, one row of its rows.
     assert all(f.values is findings[0].values for f in findings)
+    assert len(rows.subjects) == 1
     assert histogram == {"fine.example": 1, "oldsite.io": 3}
 
 
@@ -83,7 +97,8 @@ def test_w1_one_finding_when_two_listed_addresses_share_an_identity():
     mindex = build_maintainer_index(corpus)
     assert {key: tuple(owned) for key, owned in owned_by_key(corpus, mindex).items()} == {"a@dead.io": (0,)}
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
-    findings, histogram = analyze_w1(corpus, mindex, provider, cfg_for(corpus))
+    rows, histogram = analyze_w1(corpus, mindex, provider, cfg_for(corpus))
+    findings = findings_of(corpus, rows)
     assert [(f.subject_id, f.values) for f in findings] == [("p", ("dead.io", "a@dead.io"))]
     assert histogram == {"dead.io": 2}
 
@@ -93,7 +108,8 @@ def test_w1_all_registered_yields_nothing():
     corpus = make_corpus([make_record("p", maintainers=(m,))])
     cfg = cfg_for(corpus)
     provider = MapDomainProvider({"solid.example": STATUS_REGISTERED})
-    findings, _ = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg)
+    rows, _ = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg)
+    findings = findings_of(corpus, rows)
     assert findings == []
 
 
@@ -101,7 +117,8 @@ def test_w1_provider_failure_never_available():
     m = person(email="m@flaky.example")
     corpus = make_corpus([make_record("p", maintainers=(m,))])
     cfg = cfg_for(corpus)
-    findings, _ = analyze_w1(corpus, build_maintainer_index(corpus), ExplodingProvider(), cfg)
+    rows, _ = analyze_w1(corpus, build_maintainer_index(corpus), ExplodingProvider(), cfg)
+    findings = findings_of(corpus, rows)
     assert findings == []
 
 
@@ -110,7 +127,8 @@ def test_w1_name_only_maintainers_have_no_domain():
     corpus = make_corpus([make_record("p", maintainers=(m,))])
     cfg = cfg_for(corpus)
     provider = MapDomainProvider({})
-    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg)
+    rows, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg)
+    findings = findings_of(corpus, rows)
     assert findings == []
     assert histogram == {}
     assert provider.calls == []
@@ -121,7 +139,8 @@ def test_w1_name_only_maintainers_have_no_domain():
         [make_record("a", maintainers=(named,)), make_record("b", maintainers=(person(email="y@dead.io"),))]
     )
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
-    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
+    rows, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
+    findings = findings_of(corpus, rows)
     assert [(f.subject_id, f.value("maintainer_key")) for f in findings] == [("b", "y@dead.io")]
     assert histogram == {"dead.io": 1}
 
@@ -135,7 +154,8 @@ def test_w1_counts_the_name_only_entries_of_a_key_an_email_spells(tmp_path):
     assert [rec.maintainers for rec in corpus_records(corpus)] == [("name:x@dead.io",)] * 2
     assert email_domains(corpus) == {"name:x@dead.io": "dead.io"}
     provider = MapDomainProvider({"dead.io": STATUS_AVAILABLE})
-    findings, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
+    rows, histogram = analyze_w1(corpus, build_maintainer_index(corpus), provider, cfg_for(corpus))
+    findings = findings_of(corpus, rows)
     assert [(f.subject_id, f.value("maintainer_key")) for f in findings] == [
         ("a", "name:x@dead.io"),
         ("b", "name:x@dead.io"),
@@ -155,7 +175,7 @@ def test_w2_flags_install_keys_only():
         ]
     )
     cfg = cfg_for(corpus)
-    findings = analyze_w2(corpus, cfg)
+    findings = findings_of(corpus, analyze_w2(corpus, cfg))
     assert {f.subject_id: f.value("script_key") for f in findings} == {"a": ("postinstall",), "c": ("PreInstall",)}
     assert all(f.value("has_suspicious_tokens") is False for f in findings)
     assert findings[0].to_dict()["evidence"] == {"has_suspicious_tokens": "false", "script_key": "postinstall"}
@@ -169,7 +189,7 @@ def test_w2_token_scan_enriches_but_does_not_gate():
         ]
     )
     cfg = cfg_for(corpus)
-    findings = analyze_w2(corpus, cfg)
+    findings = findings_of(corpus, analyze_w2(corpus, cfg))
     assert [f.subject_id for f in findings] == ["bad"]
     assert findings[0].value("has_suspicious_tokens") is True
     assert findings[0].to_dict()["evidence"]["has_suspicious_tokens"] == "true"
@@ -186,7 +206,7 @@ def test_w3_inactive_package():
         ]
     )
     cfg = cfg_for(corpus)
-    findings = analyze_w3(corpus, build_maintainer_index(corpus), cfg)
+    findings = findings_of(corpus, analyze_w3(corpus, build_maintainer_index(corpus), cfg))
     inactive = {f.subject_id for f in findings if f.signal == "W3_inactive_pkg"}
     assert inactive == {"old"}
 
@@ -200,7 +220,7 @@ def test_w3_boundary_is_strict():
         ]
     )
     cfg = cfg_for(corpus)
-    findings = analyze_w3(corpus, build_maintainer_index(corpus), cfg)
+    findings = findings_of(corpus, analyze_w3(corpus, build_maintainer_index(corpus), cfg))
     inactive = {f.subject_id for f in findings if f.signal == "W3_inactive_pkg"}
     assert inactive == {"past"}
 
@@ -218,7 +238,7 @@ def test_w3_inactive_maintainer_needs_every_maintainer_stale():
         ]
     )
     cfg = cfg_for(corpus)
-    findings = analyze_w3(corpus, build_maintainer_index(corpus), cfg)
+    findings = findings_of(corpus, analyze_w3(corpus, build_maintainer_index(corpus), cfg))
     inactive = {f.subject_id for f in findings if f.signal == "W3_inactive_pkg"}
     inactive_maint = {f.subject_id for f in findings if f.signal == "W3_inactive_maintainer"}
     assert inactive == {"fully-stale", "half-stale"}
@@ -241,7 +261,7 @@ def test_w3_inactive_maintainer_subset_of_inactive_pkg():
         )
     corpus = make_corpus(records)
     cfg = cfg_for(corpus)
-    findings = analyze_w3(corpus, build_maintainer_index(corpus), cfg)
+    findings = findings_of(corpus, analyze_w3(corpus, build_maintainer_index(corpus), cfg))
     inactive = {f.subject_id for f in findings if f.signal == "W3_inactive_pkg"}
     inactive_maint = {f.subject_id for f in findings if f.signal == "W3_inactive_maintainer"}
     assert inactive_maint <= inactive
@@ -257,7 +277,7 @@ def test_w3_deprecated_requires_stale_deprecation():
         ]
     )
     cfg = cfg_for(corpus)
-    findings = analyze_w3(corpus, build_maintainer_index(corpus), cfg)
+    findings = findings_of(corpus, analyze_w3(corpus, build_maintainer_index(corpus), cfg))
     deprecated = {f.subject_id for f in findings if f.signal == "W3_deprecated"}
     assert deprecated == {"old-deprecated"}
 
@@ -275,7 +295,7 @@ def test_w3_threshold_monotonicity():
     counts = []
     for days in (365, 730, 1095):
         cfg = AnalyzerConfig(inactivity_days=days).resolved(corpus)
-        findings = analyze_w3(corpus, mindex, cfg)
+        findings = findings_of(corpus, analyze_w3(corpus, mindex, cfg))
         counts.append(sum(1 for f in findings if f.signal == "W3_inactive_pkg"))
     assert counts[0] >= counts[1] >= counts[2]
 
@@ -294,6 +314,17 @@ def test_epoch_microseconds_format_as_the_datetime(dt):
     us = epoch_us(dt)
     assert from_epoch_us(us) == dt
     assert format_epoch_us(us) == format_timestamp(dt)
+
+
+@given(UTC_TIMES)
+@example(datetime(999, 3, 4, 5, 6, 7, 891234, tzinfo=timezone.utc))
+@example(datetime(1, 1, 1, tzinfo=timezone.utc))
+def test_a_formatted_timestamp_reads_back_as_the_time_to_the_millisecond(dt):
+    # A year below 1000 is padded to four digits, as ISO 8601 spells it.
+    text = format_timestamp(dt)
+    assert len(text.split("-", 1)[0]) == 4
+    assert parse_timestamp(text) == dt.replace(microsecond=dt.microsecond // 1000 * 1000)
+    assert format_epoch_us(epoch_us(dt)) == text
 
 
 @given(UTC_TIMES, UTC_TIMES, st.integers(1, timedelta.max.days))
@@ -319,7 +350,7 @@ def test_w4_flags_extreme_maintainer_count():
     records += [make_record(f"p{i}", maintainers=(person(email=f"s{i}@solo.example"),)) for i in range(99)]
     corpus = make_corpus(records)
     cfg = cfg_for(corpus)
-    findings = analyze_w4(corpus, cfg)
+    findings = findings_of(corpus, analyze_w4(corpus, cfg))
     assert [f.subject_id for f in findings] == ["crowded"]
     assert findings[0].value("maintainer_count") == 30
     expected_avg = (30 + 99) / 100
@@ -332,14 +363,14 @@ def test_w4_degenerate_ranking_emits_all():
     records = [make_record(f"p{i}", maintainers=(person(email=f"m{i}@x.example"),)) for i in range(50)]
     corpus = make_corpus(records)
     cfg = cfg_for(corpus)
-    findings = analyze_w4(corpus, cfg)
+    findings = findings_of(corpus, analyze_w4(corpus, cfg))
     assert len(findings) == 50  # every package ties with the cutoff
 
 
 def test_w4_zero_maintainer_corpus_emits_nothing():
     corpus = make_corpus([make_record(f"p{i}") for i in range(10)])
     cfg = cfg_for(corpus)
-    assert analyze_w4(corpus, cfg) == []
+    assert findings_of(corpus, analyze_w4(corpus, cfg)) == []
 
 
 # --- W5 ------------------------------------------------------------------
@@ -357,7 +388,7 @@ def test_w5_low_ratio_flagged():
         )
     corpus = make_corpus(records)
     cfg = cfg_for(corpus)
-    findings = analyze_w5(corpus, cfg)
+    findings = findings_of(corpus, analyze_w5(corpus, cfg))
     assert [f.subject_id for f in findings] == ["imbalanced"]
     assert evidence_of(findings[0]) == {"maintainers": 1, "contributors": 40, "ratio": 1 / 40}
     assert findings[0].to_dict()["evidence"] == {"maintainers": "1", "contributors": "40", "ratio": f"{1 / 40:.6f}"}
@@ -366,7 +397,7 @@ def test_w5_low_ratio_flagged():
 def test_w5_zero_contributor_packages_excluded():
     corpus = make_corpus([make_record("no-contrib", maintainers=(person(email="a@b.example"),))])
     cfg = cfg_for(corpus)
-    assert analyze_w5(corpus, cfg) == []
+    assert findings_of(corpus, analyze_w5(corpus, cfg)) == []
 
 
 # --- W6 ------------------------------------------------------------------
@@ -401,7 +432,8 @@ def test_w6_flags_top_reach_and_evidence_shares():
     cfg = cfg_for(corpus, top_percent=10.0)
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
-    findings = analyze_w6(corpus, mindex, dindex, cfg)
+    rows = analyze_w6(corpus, mindex, dindex, cfg)
+    findings = findings_of(corpus, rows)
     maint = [f for f in findings if f.subject_kind == "maintainer"]
     assert [f.subject_id for f in maint] == ["big@owner.example"]
     evidence = evidence_of(maint[0])
@@ -419,6 +451,7 @@ def test_w6_flags_top_reach_and_evidence_shares():
     pkg_findings = [f for f in findings if f.subject_kind == "package"]
     assert [f.subject_id for f in pkg_findings] == [f"owned{i}" for i in range(5)]
     assert all(f.values is maint[0].values for f in pkg_findings)
+    assert len(rows.subjects) == 1  # one row of evidence for the maintainer and its packages
 
 
 def test_w6_zero_reach_not_flagged_unless_all_zero():
@@ -431,7 +464,7 @@ def test_w6_zero_reach_not_flagged_unless_all_zero():
         ]
     )
     cfg = cfg_for(corpus, top_percent=50.0)
-    findings = analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg)
+    findings = findings_of(corpus, analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg))
     maints = {f.subject_id for f in findings if f.subject_kind == "maintainer"}
     assert maints == {"a@one.example"}
 
@@ -453,7 +486,7 @@ def test_w6_dependency_using_share_reads_runtime_dependencies_whatever_the_kinds
     corpus = load_documents(tmp_path, versions, dep_kinds=kinds)
     assert [rec.has_runtime_dependencies for rec in corpus_records(corpus)] == [False, False, True, True, True]
     cfg = cfg_for(corpus, top_percent=100.0)
-    findings = analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg)
+    findings = findings_of(corpus, analyze_w6(corpus, build_maintainer_index(corpus), build_dependents_index(corpus), cfg))
     (owner_finding,) = [f for f in findings if f.subject_id == "owner@x.example"]
     assert owner_finding.value("dependency_using_share") == 2 / 4
     assert owner_finding.value("owned_count") == 4
@@ -462,32 +495,42 @@ def test_w6_dependency_using_share_reads_runtime_dependencies_whatever_the_kinds
 # --- shared contracts -------------------------------------------------------
 
 
-def test_findings_reject_unknown_evidence_keys():
-    with pytest.raises(ValueError):
-        WeakLinkFinding.of(subject_kind="package", subject_id="x", signal="W2", evidence={"bogus": "1"})
-    with pytest.raises(ValueError):
-        WeakLinkFinding.of(subject_kind="package", subject_id="x", signal="W9", evidence={})
-    with pytest.raises(ValueError):
-        WeakLinkFinding("package", "x", "W9", ())
-    # Every schema key is required, and no other: one missing, one extra, both.
-    for evidence in (
-        {"has_suspicious_tokens": True},
-        {"has_suspicious_tokens": True, "script_key": ("install",), "bogus": "1"},
-        {"script_key": ("install",), "bogus": True},
-    ):
-        with pytest.raises(ValueError):
-            WeakLinkFinding.of("package", "x", "W2", evidence)
-
-
 def test_finding_holds_values_in_schema_order():
     assert all(list(keys) == sorted(keys) for keys in EVIDENCE_SCHEMAS.values())
-    f = WeakLinkFinding.of("package", "x", "W2", {"script_key": ("install",), "has_suspicious_tokens": False})
+    corpus = make_corpus([make_record("x", scripts={"install": "node x.js"})])
+    rows = analyze_w2(corpus, cfg_for(corpus))
+    (f,) = findings_of(corpus, rows)
     assert f.values == (False, ("install",))
     assert f.value("script_key") == ("install",)
+    assert rows.column("script_key")[0] == ("install",)
     with pytest.raises(ValueError):
         f.value("domain")
     with pytest.raises(ValueError):
-        WeakLinkFinding("package", "x", "W2", (False,))
+        rows.column("domain")
+
+
+def test_every_analyzer_gives_one_column_per_schema_key_and_ascending_subjects():
+    domains = MapDomainProvider({f"pool{i}.example": STATUS_AVAILABLE for i in range(3)})
+    for seed in range(4):
+        corpus = random_corpus(seed=seed, size=150)
+        cfg = cfg_for(corpus, top_percent=10.0)
+        mindex = build_maintainer_index(corpus)
+        dindex = build_dependents_index(corpus)
+        parts = [
+            analyze_w1(corpus, mindex, domains, cfg)[0],
+            analyze_w2(corpus, cfg),
+            *analyze_w3(corpus, mindex, cfg),
+            analyze_w4(corpus, cfg),
+            analyze_w5(corpus, cfg),
+            analyze_w6(corpus, mindex, dindex, cfg),
+        ]
+        assert sorted(rows.signal for rows in parts) == sorted(EVIDENCE_SCHEMAS)
+        for rows in parts:
+            assert len(rows.columns) == len(EVIDENCE_SCHEMAS[rows.signal])
+            assert all(len(column) == len(rows.subjects) for column in rows.columns)
+            assert list(rows.subjects) == sorted(set(rows.subjects))
+            assert (rows.owners is not None) == (rows.signal in ("W1", "W6"))
+            assert len(rows) == sum(1 for f in findings_of(corpus, rows))
 
 
 def test_written_evidence_is_strings_for_every_signal():
@@ -506,9 +549,16 @@ def test_written_evidence_is_strings_for_every_signal():
     cfg = cfg_for(corpus, top_percent=50.0)
     mindex = build_maintainer_index(corpus)
     dindex = build_dependents_index(corpus)
-    findings, _ = analyze_w1(corpus, mindex, MapDomainProvider({"gone.example": STATUS_AVAILABLE}), cfg)
-    findings += analyze_w2(corpus, cfg) + analyze_w3(corpus, mindex, cfg) + analyze_w4(corpus, cfg)
-    findings += analyze_w5(corpus, cfg) + analyze_w6(corpus, mindex, dindex, cfg)
+    rows, _ = analyze_w1(corpus, mindex, MapDomainProvider({"gone.example": STATUS_AVAILABLE}), cfg)
+    findings = findings_of(
+        corpus,
+        rows,
+        analyze_w2(corpus, cfg),
+        analyze_w3(corpus, mindex, cfg),
+        analyze_w4(corpus, cfg),
+        analyze_w5(corpus, cfg),
+        analyze_w6(corpus, mindex, dindex, cfg),
+    )
     assert {f.signal for f in findings} == set(EVIDENCE_SCHEMAS)
     for f in findings:
         written = f.to_dict()["evidence"]
@@ -531,55 +581,70 @@ def test_analyzers_pure_and_sorted():
     dindex = build_dependents_index(corpus)
     runs = []
     for _ in range(2):
-        findings = analyze_w6(corpus, mindex, dindex, cfg) + analyze_w3(corpus, mindex, cfg) + analyze_w2(corpus, cfg)
+        findings = findings_of(corpus, analyze_w6(corpus, mindex, dindex, cfg), analyze_w3(corpus, mindex, cfg), analyze_w2(corpus, cfg))
         runs.append([f.to_dict() for f in findings])
     assert runs[0] == runs[1]
+    # Rows come in subject order, so a package signal's rows are its report order.
     w3 = analyze_w3(corpus, mindex, cfg)
-    expected = sorted(w3, key=WeakLinkFinding.sort_key)
-    sort_findings(w3)
-    assert w3 == expected
+    for rows in w3:
+        expected = findings_of(corpus, rows)
+        assert [corpus.names[pos] for pos in rows.subjects] == [f.subject_id for f in expected]
 
 
-def test_sort_findings_breaks_ties_by_written_evidence():
-    def w1(pkg, key):
-        return WeakLinkFinding.of("package", pkg, "W1", {"domain": "d.io", "maintainer_key": key})
+def test_report_order_breaks_ties_by_written_evidence():
+    # '"' sorts before '#' as a character but after it once JSON escapes it.
+    quote, hash_, last = person(email='a"x@d.io'), person(email="a#x@d.io"), person(email="z@d.io")
+    # A package named as its overloaded maintainer's key: the maintainer finding comes first.
+    owner = person(email="m@own.io")
+    corpus = make_corpus(
+        [
+            make_record("a", maintainers=(last,), dependencies=("m@own.io",)),
+            make_record("b", maintainers=(quote, hash_), dependencies=("n@own.io",)),
+            make_record("m@own.io", maintainers=(owner,)),
+            make_record("n@own.io", maintainers=(owner,)),
+        ]
+    )
+    cfg = cfg_for(corpus, top_percent=1.0)
+    mindex = build_maintainer_index(corpus)
+    w1, _ = analyze_w1(corpus, mindex, MapDomainProvider({"d.io": STATUS_AVAILABLE}), cfg)
+    w6 = analyze_w6(corpus, mindex, build_dependents_index(corpus), cfg)
+    written = [json.loads(line) for rows in (w1, w6) for line in pipeline._finding_lines(rows, corpus.names, "T")]
+    assert [(line["subject_id"], line["subject_kind"], line["evidence"]["maintainer_key"]) for line in written] == [
+        ("a", "package", "z@d.io"),
+        ("b", "package", "a#x@d.io"),
+        ("b", "package", 'a"x@d.io'),
+        ("m@own.io", "maintainer", "m@own.io"),
+        ("m@own.io", "package", "m@own.io"),
+        ("n@own.io", "package", "m@own.io"),
+    ]
+    assert [canonical_json(line) + "\n" for line in written] == [f.line("T") for f in findings_of(corpus, w1, w6)]
 
-    def w4(pkg, count):
-        return WeakLinkFinding.of("package", pkg, "W4", {"maintainer_count": count, "registry_avg": 1.5})
 
-    # '"' sorts before '#' as a character but after it once JSON escapes it;
-    # 9 sorts after 10 as a written string.
-    findings = [w4("p", 9), w1("b", "a#x@d.io"), w1("a", "z@d.io"), w4("p", 10), w1("b", 'a"x@d.io'), w4("q", 1)]
-    expected = sorted(findings, key=WeakLinkFinding.sort_key)
-    sort_findings(findings)
-    assert findings == expected
-    assert findings == [w1("a", "z@d.io"), w1("b", "a#x@d.io"), w1("b", 'a"x@d.io'), w4("p", 10), w4("p", 9), w4("q", 1)]
-
-
-def test_sort_findings_over_all_analyzers_joined_in_any_order_is_report_order():
-    # The pipeline joins the six analyzers' findings and sorts them once.
+def test_written_findings_are_every_analyzers_findings_in_report_order():
+    # The writer spells each signal's rows in report order, which the
+    # findings of all analyzers sorted by signal, subject and written
+    # evidence give.
     domains = MapDomainProvider({f"pool{i}.example": STATUS_AVAILABLE for i in range(3)})
-    rng = random.Random(0)
     for seed in range(8):
         corpus = random_corpus(seed=seed, size=150)
         cfg = cfg_for(corpus, top_percent=10.0)
         mindex = build_maintainer_index(corpus)
         dindex = build_dependents_index(corpus)
-        parts = [
-            analyze_w1(corpus, mindex, domains, cfg)[0],
-            analyze_w2(corpus, cfg),
-            analyze_w3(corpus, mindex, cfg),
-            analyze_w4(corpus, cfg),
-            analyze_w5(corpus, cfg),
-            analyze_w6(corpus, mindex, dindex, cfg),
-        ]
-        everything = sorted((f for part in parts for f in part), key=WeakLinkFinding.sort_key)
-        assert len({f.signal for f in everything}) >= 6
-        shuffled = [f for part in parts for f in part]
-        rng.shuffle(shuffled)
-        for joined in ([f for part in parts for f in part], [f for part in parts[::-1] for f in part], shuffled):
-            sort_findings(joined)
-            assert [f.to_dict() for f in joined] == [f.to_dict() for f in everything], seed
+        findings = Findings(
+            (
+                analyze_w1(corpus, mindex, domains, cfg)[0],
+                analyze_w2(corpus, cfg),
+                *analyze_w3(corpus, mindex, cfg),
+                analyze_w4(corpus, cfg),
+                analyze_w5(corpus, cfg),
+                analyze_w6(corpus, mindex, dindex, cfg),
+            )
+        )
+        expected = findings_of(corpus, findings)
+        assert len({f.signal for f in expected}) >= 6
+        assert len(findings) == len(expected)
+        written = [line for rows in findings for line in pipeline._finding_lines(rows, corpus.names, "T")]
+        assert written == [f.line("T") for f in expected], seed
 
 
 def test_reference_time_defaults_to_corpus_max():

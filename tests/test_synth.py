@@ -13,6 +13,8 @@ from weaklink.pipeline import ScanOptions, run_scan
 from weaklink.signals import AnalyzerConfig
 from weaklink.synth import GenerationPlan, generate
 
+from conftest import findings_of
+
 
 def digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -101,7 +103,7 @@ def test_zero_plan_scanner_emits_zero_findings(tmp_path):
     result = run_scan(
         ScanOptions(input_path=snap, config=AnalyzerConfig(), popular_n=4, domains_fixture=dom, downloads_fixture=dl)
     )
-    assert result.findings == []
+    assert len(result.findings) == 0
     assert [v for v in result.verdicts if v.excluded] == []
 
 
@@ -198,7 +200,7 @@ def test_w2_count_without_exclusions_is_22_of_1000(tmp_path):
             downloads_fixture=dl,
         )
     )
-    assert sum(1 for f in result.findings if f.signal == "W2") == 22
+    assert sum(1 for f in findings_of(result.filtered, result.findings) if f.signal == "W2") == 22
 
 
 def test_w2_count_is_exact(tmp_path):
@@ -219,7 +221,7 @@ def test_w2_count_is_exact(tmp_path):
             downloads_fixture=dl,
         )
     )
-    w2 = {f.subject_id for f in result.findings if f.signal == "W2"}
+    w2 = {f.subject_id for f in findings_of(result.filtered, result.findings) if f.signal == "W2"}
     assert len(w2) == expected
 
 

@@ -40,3 +40,26 @@ def test_every_traced_provider_exists_on_the_pipeline(attr):
     pipeline = importlib.import_module("weaklink.pipeline")
     _span, method = PROVIDERS[attr]
     assert hasattr(getattr(pipeline, attr, None), method)
+
+
+def test_the_results_the_tracer_reads_hold_on_a_small_scan(tmp_path):
+    # Besides the names, the tracer reads what four stages return: the
+    # loaded corpus's stats, the verdicts' ``excluded``, the length of the
+    # scan's findings and the report paths (``tracer.RESULT_COUNTS``).
+    from weaklink import pipeline
+    from weaklink.synth import GenerationPlan, generate
+
+    corpus = generate(GenerationPlan(seed=5, package_count=600))
+    snapshot = corpus.write_snapshot(tmp_path / "snapshot.ndjson", layout="ndjson")
+    domains, downloads = corpus.write_fixtures(tmp_path)
+    loaded = pipeline.load_corpus(snapshot)
+    assert (loaded.stats.total, loaded.stats.skipped) == (600, 0)
+    _filtered, verdicts = pipeline.apply_exclusions(loaded)
+    assert sum(1 for verdict in verdicts if verdict.excluded) == sum(verdicts.excluded_counts().values()) > 0
+
+    options = pipeline.ScanOptions(input_path=snapshot, popular_n=6, domains_fixture=domains, downloads_fixture=downloads)
+    result = pipeline.run_scan(options)
+    paths = pipeline.write_reports(result, tmp_path / "report")
+    assert paths and all(path.is_file() for path in paths.values())
+    lines = paths["findings"].read_text(encoding="utf-8").splitlines()[1:]  # after the header
+    assert len(result.findings) == len(lines) > 0
