@@ -140,7 +140,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         snapshot = corpus.write_snapshot(out / suffix, layout=args.format)
         domains, downloads = corpus.write_fixtures(out)
         manifest = corpus.write_manifest(out / "manifest.json")
-    except (OSError, PlanError, json.JSONDecodeError) as exc:
+    # ValueError: a plan file that is not UTF-8 or not JSON. RecursionError:
+    # one nested too deeply to decode.
+    except (OSError, PlanError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for label, path in (("snapshot", snapshot), ("domains", domains), ("downloads", downloads), ("manifest", manifest)):

@@ -24,6 +24,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import sys
 import threading
@@ -34,7 +35,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import ne, sub
 from pathlib import Path
@@ -794,7 +795,7 @@ class _JsonText:
         self.pos = 0
         self.base = 0  # file position of buf[0]
         self.eof = False
-        self.first_nl: int | None = None  # file position of the first newline
+        self.first_nl: int | None = None  # text position of the first newline
         self._lines = 0  # newlines before buf
         self._last_nl = -1  # file position of the last newline before buf
         self.surrogate: UnicodeDecodeError | None = None
@@ -926,28 +927,26 @@ class _JsonText:
                 low = mid
         return low
 
-    def skip(self, at: int, starts: array, ends: array) -> None:
-        """Move the cursor to the end of the value at text position ``at + ends[-1]``.
+    def jump(self, offset: int, chars: int, newline: bool) -> None:
+        """Move the cursor ``chars`` characters on, to byte ``offset`` of the file, over text that others decoded.
 
-        ``at + starts[i]`` and ``at + ends[i]`` bound each value from the
-        cursor on, valid JSON that others decoded. The file is read as
-        ``token`` and ``next_char`` read it on their way over those values,
-        in reads of the same sizes, so what follows is decoded, placed and
-        hashed as if they had been decoded here. A read grows past
-        ``_CHUNK`` only for a value that reaches near the end of the text
-        when its decoding starts; it then keeps the text from that value's
-        start.
+        That text is strict UTF-8 and holds a newline if ``newline``. Of its
+        bytes, those this text has not read are read and hashed already
+        (``_Split.join``). Positions after the jump are those of the whole
+        file, but line numbers in errors are not.
         """
-        k = 0
-        while not self.eof:
-            end = self.base + len(self.buf) - at
-            k = bisect_left(ends, end - _CUT, k)  # the first value ``token`` reads more text for
-            if k == len(ends):
-                break
-            # ``next_char`` reaches the end of the text before that value starts, or ``token`` starts at it.
-            self.pos = min(at + starts[k] - self.base, len(self.buf))
-            self.fill()
-        self.pos = at + ends[-1] - self.base
+        at = self.base + self.pos + chars
+        if newline and self.first_nl is None:
+            self.first_nl = at - 1  # where in that text is not known, only that it is before the cursor
+        if offset <= self._read:  # the text holds it already
+            self.pos = at - self.base
+            return
+        self._read, self._undecoded, self._decoded = offset, b"", at
+        self.buf, self.pos, self.base, self.eof = "", 0, at, False
+
+    def tell(self) -> int:
+        """The bytes read up to the cursor, for text that is strict UTF-8."""
+        return self._read - len(self._undecoded) - len(self.buf[self.pos :].encode())
 
     def fail(self, msg: str, pos: int | None = None) -> ValueError:
         """The error a strict read of the whole file raises for a JSON error at ``pos`` of the buffer.
@@ -992,12 +991,13 @@ class _BulkReader:
     ``rows_key`` is the index of the "rows" key whose rows are handed on; a
     later "rows" key raises ``_Reread`` with its own index.
 
-    With a ``split``, the rows from its first cut on may be read by worker
+    The rows from the ``split``'s first cut on may be read by worker
     processes, and their loads folded into the split's load in place of
-    the rows they read (``_Split.join``).
+    the rows they read (``_Split.join``). An error after that is not
+    placed as one read places it, so ``load_corpus`` then reads again.
     """
 
-    def __init__(self, fh, digest, autodetect: bool, rows_key: int, split: _Split | None = None):
+    def __init__(self, fh, digest, autodetect: bool, rows_key: int, split: _Split):
         # Autodetection reads little first: a first line settles an ndjson
         # snapshot, and what the read decoded is then dropped.
         self.text = _JsonText(fh, digest, min(_PROBE, _CHUNK) if autodetect else None)
@@ -1064,26 +1064,30 @@ class _BulkReader:
         split = None
         if emit and self._split is not None:
             split, self._split = self._split, None
-            # A doomed first line fails the read wherever it is settled.
-            frames = 0 if self._doom is not None else _frames_above_ingest()
-            if frames and split.pick():
+            frames = _frames_above_ingest()
+            if frames and split.pick(_row_cuts):
                 text.place(split.cuts[0])
-                split.start(unwrap, text.headroom(), frames)
+                split.start((unwrap, text.headroom(), frames))
             else:
                 split = None
         while True:
             if self._pending:
                 self._past_first_line()
-            joined = False
             if split is not None and text.base + text.pos >= text.mark:
                 # At the first cut a row starts; past it, the cut fell inside a row.
-                joined = text.base + text.pos == text.mark and split.join(text)
+                jump = text.base + text.pos == text.mark and split.join()
                 split = None
-            if not joined:
-                value = text.token(_DECODER.raw_decode)
-                if emit:
-                    self._handed_on = True
-                    yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
+                if jump:
+                    # Past the folded rows: at the "]", or at the first row of a range a worker could not read.
+                    text.jump(*jump)
+                    if text.next_char() != "]":
+                        continue
+                    text.pos += 1
+                    return
+            value = text.token(_DECODER.raw_decode)
+            if emit:
+                self._handed_on = True
+                yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
             ch = text.next_char()
             text.pos += 1
             if ch == "]":
@@ -1165,11 +1169,13 @@ class _BulkReader:
 _STREAMED = object()
 
 
-def _iter_ndjson(fh, end: int, digest=None) -> Iterator[bytes]:
-    """The stripped nonblank lines of ``fh`` from its position to file position ``end``, where a line ends.
+def _iter_ndjson(fh, end: int | None, digest=None) -> Iterator[bytes]:
+    """The stripped nonblank lines of ``fh`` from its position to file position ``end``, where a line ends; None: to the end.
 
     ``digest``, when given, gets every byte read.
     """
+    if end is None:
+        end = os.fstat(fh.fileno()).st_size
     pos = fh.tell()
     while pos < end and (line := fh.readline()):
         pos += len(line)
@@ -1211,30 +1217,19 @@ def _ingest(items: Iterable[object], load: _Load) -> IngestStats:
     return IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
 
 
-def _load_range(source: Path, start: int, end: int, scope: tuple, digest=None) -> tuple[_Load, IngestStats]:
-    """A new load of the ndjson lines in bytes ``start`` to ``end`` of ``source``, and its stats.
-
-    ``digest``, when given, gets the bytes of the range.
-    """
-    load = _Load(*scope)
-    with open(source, "rb") as fh:
-        fh.seek(start)
-        return load, _ingest(_iter_ndjson(fh, end, digest), load)
-
-
 def _cuts(source: Path, size: int, n: int) -> list[int]:
-    """The bounds of ``n`` ranges of whole lines of ``source``, a file of ``size`` bytes.
+    """The ``n - 1`` cuts between ``n`` ranges of whole lines of ``source``, a file of ``size`` bytes.
 
-    Range ``i`` ends where the line that holds byte ``size * (i + 1) // n - 1``
-    ends, so a range is empty when one line spans it.
+    Cut ``i`` is where the line that holds byte ``size * i // n - 1`` ends,
+    so a range is empty when one line spans it.
     """
-    cuts = [0]
+    cuts = []
     with open(source, "rb") as fh:
         for i in range(1, n):
             fh.seek(size * i // n - 1)
             fh.readline()
             cuts.append(fh.tell())
-    return [*cuts, size]
+    return cuts
 
 
 def _plus(stats: IngestStats, later: IngestStats, duplicates: int) -> IngestStats:
@@ -1248,54 +1243,19 @@ def _plus(stats: IngestStats, later: IngestStats, duplicates: int) -> IngestStat
     return IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=dict(by_error))
 
 
-def _load_part(source: Path, start: int, end: int, scope: tuple) -> tuple[dict, IngestStats]:
-    """The ``part()`` of a new load of the ndjson lines in bytes ``start`` to ``end`` of ``source``, and its stats.
-
-    A split read runs this in worker processes, so it is a module-level
-    function whose arguments pickle: the path, the bounds and ``_Load``'s
-    arguments.
-    """
-    load, stats = _load_range(source, start, end, scope)
-    return load.part(), stats
-
-
-def _fold_ranges(source: Path, cuts: list[int], scope: tuple, digest, map_ranges=map) -> tuple[_Load, IngestStats]:
-    """The load of the ndjson ranges between ``cuts``, folded in file order, and its stats.
-
-    This process reads the first range, and ``map_ranges`` reads the
-    others: a process pool's ``map`` reads them in its workers while this
-    process reads. ``digest`` gets every byte of the file.
-    """
-    parts = map_ranges(_load_part, repeat(source), cuts[1:-1], cuts[2:], repeat(scope))
-    load, stats = _load_range(source, cuts[0], cuts[1], scope, digest)
-    load._people.clear()  # it serves parsing only; this makes room for the parts
-    with open(source, "rb") as fh:  # the bytes the other ranges hold
-        fh.seek(cuts[1])
-        for block in iter(partial(fh.read, _CHUNK), b""):
-            digest.update(block)
-    for part, part_stats in parts:
-        stats = _plus(stats, part_stats, load.fold(part))
-    return load, stats
-
-
 # An ndjson snapshot or a bulk export is read in ranges of at least this
 # many bytes: a second range costs a worker process, its rows crossing a
-# pipe and the fold, and for a bulk export the second pass over the folded
-# rows' bytes. Loading seed-7 synth snapshots with 2 forked jobs against 1
-# on a 2-CPU host, interleaved in fresh interpreters (medians of 15-21),
-# the ndjson split lost at every size from 3.1 to 6.3 MB (0.222 s against
-# 0.209 s at 6.3 MB), and the bulk one lost at 4.1 MB (0.166 s against
-# 0.153 s) and was about even from 5 to 8 MB. At 8.4 MB neither won
-# (ndjson 0.319 s against 0.286 s, bulk 0.293 s against 0.280 s); at 17 MB
-# the bulk split won (0.445 s against 0.572 s) and the ndjson one was even
-# (0.613 s against 0.608 s). Spawned workers break even later still. So a
-# range holds at least 4 MiB: a snapshot under 8 MiB is read in one process.
+# pipe, the fold and hashing the folded bytes. Loading seed-7 synth
+# snapshots with 2 forked jobs against 1 on a 2-CPU host, GC off, interleaved
+# in fresh interpreters (medians of 15), the ndjson split lost at 4.1 MB
+# (0.155 s against 0.137 s) and was even at 6.3 and 8.4 MB (0.208 s against
+# 0.210 s, 0.276 s against 0.279 s); the bulk one was even at 4.4 MB (0.145 s
+# against 0.149 s) and won from 6.7 MB (0.227 s against 0.262 s). At 17 and
+# 18 MB both won (ndjson 0.570 s against 0.685 s, bulk 0.547 s against
+# 0.661 s).
+# Spawned workers break even later still. So a range holds at least 4 MiB:
+# a snapshot under 8 MiB is read in one process.
 _MIN_RANGE_BYTES = 4 << 20
-
-
-def _ranges(size: int, jobs: int) -> int:
-    """How many ranges a snapshot of ``size`` bytes is read in: up to ``jobs``, each of at least ``_MIN_RANGE_BYTES``."""
-    return max(1, min(jobs, size // _MIN_RANGE_BYTES))
 
 
 @contextmanager
@@ -1311,16 +1271,6 @@ def _workers(n: int) -> Iterator:
     method = "fork" if sys.platform == "linux" and threading.active_count() == 1 else "spawn"
     with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context(method)) as pool:
         yield pool.map
-
-
-def _read_ndjson(source: Path, scope: tuple, jobs: int, digest) -> tuple[_Load, IngestStats]:
-    """The load of an ndjson snapshot read in up to ``jobs`` ranges of at least ``_MIN_RANGE_BYTES``, and its stats."""
-    size = source.stat().st_size
-    n = _ranges(size, jobs)
-    if n == 1:
-        return _load_range(source, 0, size, scope, digest)
-    with _workers(n - 1) as map_ranges:
-        return _fold_ranges(source, _cuts(source, size, n), scope, digest, map_ranges)
 
 
 # A bulk export is cut where a row may start: after a comma and JSON
@@ -1405,13 +1355,12 @@ def _nested(items: Iterator, frames: int) -> Iterator:
     yield from (_nested(items, frames - 1) if frames > 1 else items)
 
 
-def _range_rows(text: _JsonText, unwrap: bool, last: bool, headroom: int, starts: array, ends: array) -> Iterator[object]:
+def _range_rows(text: _JsonText, unwrap: bool, last: bool, headroom: int) -> Iterator[object]:
     """The rows of ``text`` from the cursor: values and commas to the end of the text, or for the ``last`` range to "]".
 
     A row is handed on as ``_BulkReader._array`` hands it on, and decoded
     no deeper than ``headroom`` allows (``_JsonText.headroom``): the
-    recursion limit is moved so that it allows as much here. ``starts`` and
-    ``ends`` get the text positions where each row starts and ends. Raises
+    recursion limit is moved so that it allows as much here. Raises
     ``ValueError`` or ``RecursionError`` where that read would not read
     these rows to the end.
     """
@@ -1420,9 +1369,7 @@ def _range_rows(text: _JsonText, unwrap: bool, last: bool, headroom: int, starts
         if text.headroom() != headroom:
             raise RecursionError("recursion headroom differs from the reader's")
     while True:
-        starts.append(text.base + text.pos)
         value = text.token(_DECODER.raw_decode)
-        ends.append(text.base + text.pos)
         yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
         ch = text.next_char()
         if last and ch == "]":
@@ -1434,116 +1381,136 @@ def _range_rows(text: _JsonText, unwrap: bool, last: bool, headroom: int, starts
             return  # at the end of the range, where the next row starts
 
 
-def _load_rows(source: Path, start: int, end: int | None, scope: tuple, unwrap: bool, headroom: int, frames: int) -> tuple | None:
-    """What a worker reads of the rows of a bulk export from byte ``start`` of ``source`` to byte ``end``; None where a read of the whole file would not read them so.
+def _load_range(source: Path, start: int, end: int | None, scope: tuple, bulk: tuple | None) -> tuple | None:
+    """What a worker reads of ``source`` from byte ``start`` to byte ``end``; None where one read of the whole file would not read it so.
 
-    ``end`` is the next range's start, after a comma; None for the last
-    range, which ends at the rows' "]". The rows are decoded as
-    ``_range_rows`` decodes them, ``frames`` generator frames above
-    ``_ingest``, as the reader's own rows are. Returns the ``part()`` of
-    their new load, its stats, the range's characters and two
-    ``array("q")`` of the text positions in the range where each row starts
-    and ends. None when a row is not JSON or is nested deeper than
-    ``headroom``, or the rows do not end where the range does; a byte that
-    is not UTF-8 ends the text, and so the rows, before that. Encoded
-    surrogates are read as ``_JsonText`` reads them: the scan's process
-    decodes the range again (``_JsonText.skip``), so its read fails for
-    them where one read fails. A split read runs this in worker processes,
-    so its arguments pickle.
+    ``end`` is the next range's start; None for the last range, which ends
+    with the file, or for a bulk export at its rows' "]". With ``bulk``
+    None the range holds ndjson lines (``_iter_ndjson``). Else it holds rows
+    of a bulk export and commas, and ``bulk`` is ``(unwrap, headroom,
+    frames)``: the rows are decoded as ``_range_rows`` decodes them,
+    ``frames`` generator frames above ``_ingest``, as the reader's own rows
+    are. Returns the ``part()`` of their new load, its stats, and where the
+    range ends: the byte offset, the characters of the range and whether
+    they hold a newline (for ndjson, 0 and False). None when a row is not
+    JSON or is nested deeper than ``headroom``, when the rows do not end
+    where the range does, or when the range is not strict UTF-8, encoded
+    surrogates among it: the reader folds the range without decoding it.
+    A split read runs this in worker processes, so its arguments pickle.
     """
     load = _Load(*scope)
-    starts, ends = array("q"), array("q")
     limit = sys.getrecursionlimit()
     try:
         with open(source, "rb") as fh:
             fh.seek(start)
+            if bulk is None:
+                stats = _ingest(_iter_ndjson(fh, end), load)
+                return load.part(), stats, fh.tell(), 0, False
+            unwrap, headroom, frames = bulk
             text = _JsonText(fh, size=None if end is None else end - start)
-            rows = _range_rows(text, unwrap, end is None, headroom, starts, ends)
+            rows = _range_rows(text, unwrap, end is None, headroom)
             stats = _ingest(_nested(rows, frames - 1) if frames > 1 else rows, load)
     except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return None
     finally:
         sys.setrecursionlimit(limit)
-    return load.part(), stats, text.base + text.pos, starts, ends
+    if text.surrogate or text.invalid:
+        return None
+    chars = text.base + text.pos
+    return load.part(), stats, start + text.tell(), chars, text.first_nl is not None and text.first_nl < chars
 
 
 class _Split:
-    """The rows of a bulk export from its first cut on, read in the ranges between its cuts by worker processes.
+    """A snapshot read in up to ``jobs`` ranges of at least ``_MIN_RANGE_BYTES``, all but the first by worker processes.
 
-    The cuts are guesses (``_row_cuts``), picked when the reader reaches
-    its first row (``pick``), which starts the ranges (``start``) in a pool
-    that ``workers`` closes. The reader joins them at the first cut, when
-    its cursor is at a row's start there: the range that starts at a row
-    and reads its rows to the next cut verifies that cut as well. ``join``
-    folds the loads of the ranges into ``load``, up to the first range a
-    worker could not read so, and ``stats`` adds theirs up.
+    When the reader reaches its first row, it picks the cuts (``pick``):
+    the line ends of an ndjson snapshot (``_cuts``), or guesses where a row
+    of a bulk export starts (``_row_cuts``). It then starts the ranges
+    (``start``) in a pool that closes with the split. Nothing is read for
+    them, nor any process started, before: a file autodetection reads may
+    turn out to be ndjson. The reader reads the rows before the first cut
+    itself and joins the ranges there (``join``). A bulk export's reader
+    joins them only when its cursor is at a row's start at the first cut:
+    the range that starts at a row and reads its rows to the next cut
+    verifies that cut as well. ``join`` folds the loads of the ranges into
+    ``load`` in file order, up to the first range a worker could not read
+    so, and ``stats`` adds theirs up. ``fh`` is the reader's file and
+    ``digest`` hashes what it reads.
     """
 
-    def __init__(self, source: Path, size: int, n: int, load: _Load, scope: tuple, workers: ExitStack):
+    def __init__(self, source: Path, fh, digest, load: _Load, scope: tuple, jobs: int):
         self.source = source
-        self.size = size
-        self.n = n
+        self.fh = fh
+        self.digest = digest
         self.load = load
         self.scope = scope
-        self.workers = workers
+        self.jobs = jobs
+        self.workers = ExitStack()
         self.cuts: list[int] = []
         self.stats = IngestStats(total=0, parsed=0, skipped=0, by_error={})
         self.accepted = 0  # cuts whose range was folded
         self._results: Iterator | None = None
 
-    def pick(self) -> bool:
-        """Pick the cuts; False without one."""
-        self.cuts = _row_cuts(self.source, self.size, self.n)
+    def __enter__(self) -> _Split:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.cuts:
+            logger.debug("split read of %s: %d of %d cuts accepted", self.source, self.accepted, len(self.cuts))
+        self.workers.close()
+
+    def pick(self, cuts) -> bool:
+        """Pick the cuts with ``cuts``, ``_cuts`` or ``_row_cuts``; False without one."""
+        size = self.source.stat().st_size
+        n = max(1, min(self.jobs, size // _MIN_RANGE_BYTES))
+        self.cuts = cuts(self.source, size, n) if n > 1 else []
         return bool(self.cuts)
 
-    def start(self, unwrap: bool, headroom: int, frames: int) -> None:
-        """Start reading the ranges, as rows ``frames`` frames above ``_ingest`` with the reader's ``headroom``."""
+    def start(self, bulk: tuple | None) -> None:
+        """Start reading the ranges (``_load_range``): ndjson lines, or with ``bulk`` rows of a bulk export."""
         map_ranges = self.workers.enter_context(_workers(len(self.cuts)))
         self._results = map_ranges(
-            _load_rows, repeat(self.source), self.cuts, [*self.cuts[1:], None],
-            repeat(self.scope), repeat(unwrap), repeat(headroom), repeat(frames),
+            _load_range, repeat(self.source), self.cuts, [*self.cuts[1:], None], repeat(self.scope), repeat(bulk)
         )
 
-    def join(self, text: _JsonText) -> bool:
-        """Fold in the ranges up to the first a worker could not read; ``text``'s cursor, at the first cut, moves past their rows.
+    def join(self) -> tuple[int, int, bool] | None:
+        """Fold in the ranges up to the first a worker could not read, and hash their bytes the reader has not read.
 
-        False, with nothing folded, when the first range could not be read.
+        Returns where the folded ranges end, as ``_load_range`` gives it for
+        the last of them, but with the characters of all of them; the
+        reader's file is then at that byte offset, or past it. None, with
+        nothing folded, when the first range could not be read.
         """
-        at = text.mark  # the text position of the range's start
         self.load._people.clear()  # it serves parsing only; this makes room for the parts
+        fh, end, chars, newline = self.fh, 0, 0, False
         for result in self._results:
             if result is None:
                 break
-            stats, chars, starts, ends = result[1:]
-            self.stats = _plus(self.stats, stats, self.load.fold(result[0]))
-            del result  # a folded part is not kept while its bytes are read
-            text.skip(at, starts, ends)
-            at += chars
+            part, stats, end, range_chars, range_newline = result
+            del result
+            self.stats = _plus(self.stats, stats, self.load.fold(part))
+            del part  # a folded part is not kept while its bytes are read
+            while (ahead := end - fh.tell()) > 0 and (block := fh.read(min(ahead, _CHUNK))):
+                self.digest.update(block)
+            chars += range_chars
+            newline = newline or range_newline
             self.accepted += 1
         self._results = None
-        return self.accepted > 0
+        return (end, chars, newline) if self.accepted else None
 
 
-@contextmanager
-def _bulk_split(source: Path, load: _Load, scope: tuple, jobs: int) -> Iterator[_Split | None]:
-    """A split of a bulk export into up to ``jobs`` ranges of at least ``_MIN_RANGE_BYTES``; None for one range.
+def _ndjson_lines(split: _Split) -> Iterator[bytes]:
+    """The stripped nonblank lines of the split's file, hashed; workers load those from its first cut on."""
+    if not split.pick(_cuts):
+        return _iter_ndjson(split.fh, None, split.digest)
+    split.start(None)
+    return chain(_iter_ndjson(split.fh, split.cuts[0], split.digest), _lines_after_join(split))
 
-    Nothing is read for it, nor any process started, until the reader
-    reaches its first row: the file may turn out to be ndjson before.
-    """
-    size = source.stat().st_size
-    n = _ranges(size, jobs)
-    if n == 1:
-        yield None
-        return
-    with ExitStack() as workers:
-        split = _Split(source, size, n, load, scope, workers)
-        try:
-            yield split
-        finally:
-            split.load = None  # nor is the load of a voided read kept
-            if split.cuts:
-                logger.debug("split read of %s: %d of %d cuts accepted", source, split.accepted, len(split.cuts))
+
+def _lines_after_join(split: _Split) -> Iterator[bytes]:
+    """The lines of the ranges ``split`` could not fold, once it has folded the others."""
+    split.join()
+    yield from _iter_ndjson(split.fh, None, split.digest)
 
 
 def load_corpus(
@@ -1567,11 +1534,13 @@ def load_corpus(
     An ndjson snapshot or a bulk export of at least twice
     ``_MIN_RANGE_BYTES`` is read in up to ``jobs`` ranges: this process
     reads the first, one worker process each of the others, and the loads
-    are folded in file order, which gives the corpus one read gives. An
-    ndjson snapshot is cut where a line ends. A bulk export is cut where a
-    row-like object follows a comma (``_row_cuts``); the cuts are verified
-    by the read itself (``_Split``), which reads on in this process from
-    the first it cannot verify. A directory is read in this process.
+    are folded in file order, which gives the corpus one read gives
+    (``_Split``). An ndjson snapshot is cut where a line ends. A bulk
+    export is cut where a row-like object follows a comma (``_row_cuts``);
+    the cuts are verified by the read itself, which reads on in this
+    process from the first it cannot verify. A read that fails after it
+    has folded a range is read again in one range, so that it fails as one
+    read does. A directory is read in this process.
 
     The corpus keeps the dependencies of ``dep_kinds`` on names in the
     corpus and the scripts whose key matches ``install_key_pattern``, and no
@@ -1597,21 +1566,28 @@ def load_corpus(
     while True:
         # Each attempt reads from the start, so it hashes from the start.
         digest = hashlib.sha256()
+        split = None
         try:
             if layout == "dir":
                 stats = _ingest(_iter_dir(source, digest), load)
-            elif layout == "ndjson":
-                load, stats = _read_ndjson(source, scope, jobs, digest)
             else:
-                with open(source, "rb") as fh, _bulk_split(source, load, scope, jobs) as split:
-                    stats = _ingest(_BulkReader(fh, digest, layout is None, rows_key, split).items(), load)
-                if split is not None:
-                    stats = _plus(stats, split.stats, 0)
+                with open(source, "rb") as fh, _Split(source, fh, digest, load, scope, jobs) as split:
+                    if layout == "ndjson":
+                        items = _ndjson_lines(split)
+                    else:
+                        items = _BulkReader(fh, digest, layout is None, rows_key, split).items()
+                    stats = _plus(_ingest(items, load), split.stats, 0)
             break
         except _Verdict:  # autodetection: the file is ndjson after all
             layout = "ndjson"
         except _Reread as again:
             rows_key = again.rows_key
+        except (ValueError, RecursionError):
+            # Past a fold the reader's text does not place an error as one read's does.
+            if split is None or not split.accepted:
+                raise
+            logger.debug("split read of %s: failed after a fold, so it starts over in one range", source)
+            jobs = 1
         load = _Load(*scope)  # no table or row of a voided attempt is kept
     layout = layout or "bulk"
     logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)

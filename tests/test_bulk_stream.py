@@ -435,9 +435,20 @@ SPLIT_DAMAGE = {
     "truncated": lambda b, n: b[: len(b) * (n + 1) // 10],
     "invalid_utf8": lambda b, n: replace_nth(b, MARK.encode(), b"\xff", n),
     "surrogate": lambda b, n: replace_nth(b, MARK.encode(), b"\xed\xa0\x80", n),
+    # A one-line export's first line ends between rows that may be folded.
+    "line_break": lambda b, n: replace_nth(b, b", {", b",\n{", n),
 }
 
 
+# The first line ends inside the folded range, beyond what the reader has
+# decoded at the cut: the read is a bulk export's, not an ndjson one's.
+@example(
+    text=render(("value", [{"doc": document(name, "1.0.0", "ann")} for name in "abc"]), "one-line", False),
+    damage="line_break",
+    at=1,
+    chunk=61,
+    forced=False,
+)
 @settings(max_examples=150, deadline=None)
 @given(
     text=split_exports(),
@@ -544,3 +555,33 @@ def test_worker_processes_decode_rows_no_deeper_than_one_read(tmp_path, caplog, 
             assert accepted_cuts(caplog) == [(int(read[-1] or as_string), 1)], depth
     assert True in read and False in read
     assert sys.getrecursionlimit() == limit
+
+
+@pytest.mark.parametrize("style", ["pretty", "one-line"])
+@pytest.mark.parametrize(
+    "damage,error,accepted",
+    [
+        ("invalid_utf8", UnicodeDecodeError, 1),
+        ("surrogate", UnicodeDecodeError, 1),
+        ("truncated", json.JSONDecodeError, 1),
+        ("trailing_data", json.JSONDecodeError, 2),
+    ],
+)
+def test_an_error_after_a_fold_starts_the_read_over_in_one_range(tmp_path, monkeypatch, caplog, style, damage, error, accepted):
+    # Cut at the second and the fourth row: the range between them is
+    # folded. The damage falls in the last range, which the reader then
+    # reads itself, or after the rows; either way the reader fails past a
+    # fold, and reads again in one range to fail as one read fails. Small
+    # reads, so that the reader has not decoded the damage at the first cut.
+    monkeypatch.setattr(ingest, "_CHUNK", 61)
+    rows = [{"id": f"p{i}", "doc": document(f"p{i}", "1.0.0", "ann")} for i in range(5)]
+    path = tmp_path / "snap.json"
+    data = render(("members", [("rows", rows)]), style, False).encode("utf-8")
+    cuts = [data.rindex(b"{", 0, data.index(b'"id": "p%d"' % i)) for i in (1, 3)]
+    path.write_bytes(SPLIT_DAMAGE[damage](data, 8))
+    whole = split_outcome(path, None, None)
+    assert whole[0] is error
+    caplog.set_level(logging.DEBUG, logger="weaklink.ingest")
+    assert split_outcome(path, None, cuts) == whole
+    assert accepted_cuts(caplog) == [(accepted, 2)]
+    assert any("starts over in one range" in record.getMessage() for record in caplog.records)

@@ -66,17 +66,19 @@ def test_gen_plan_file_overrides(tmp_path, capsys):
 
     bad = tmp_path / "bad.json"
     for plan in (
-        '{"no_such_knob": 1}',
-        "[1]",
-        '{"inactive_rate": "high"}',
-        '{"expired_maintainers": 2.5}',
-        '{"mean_maintainers": 1e400}',
-        '{"mean_maintainers": 1' + "0" * 400 + "}",
-        '{"expired_maintainers": "12"}',
-        '{"malicious_scripts": true}',
-        '{"inactive_rate": false}',
+        b'{"no_such_knob": 1}',
+        b"[1]",
+        b'{"inactive_rate": "high"}',
+        b'{"expired_maintainers": 2.5}',
+        b'{"mean_maintainers": 1e400}',
+        b'{"mean_maintainers": 1' + b"0" * 400 + b"}",
+        b'{"expired_maintainers": "12"}',
+        b'{"malicious_scripts": true}',
+        b'{"inactive_rate": false}',
+        b'{"inactive_rate": "\xff"}',
+        b"[" * 100_000,
     ):
-        bad.write_text(plan)
+        bad.write_bytes(plan)
         assert main(["gen", "--out", str(tmp_path / "x"), "--plan", str(bad)]) == 1, plan
         assert capsys.readouterr().err.startswith("error: "), plan
     assert not (tmp_path / "x").exists()

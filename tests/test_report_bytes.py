@@ -101,7 +101,7 @@ def test_bulk_export_read_in_small_chunks_matches_reference(corpus_dir, tmp_path
 
 
 @pytest.mark.parametrize("jobs,threaded", [(1, False), (2, False), (3, False), (2, True)])
-def test_ndjson_read_in_ranges_by_worker_processes_matches_reference(corpus_dir, tmp_path, monkeypatch, jobs, threaded):
+def test_ndjson_read_in_ranges_by_worker_processes_matches_reference(corpus_dir, tmp_path, monkeypatch, caplog, jobs, threaded):
     # With ranges this small the snapshot is read in ``jobs`` ranges, each
     # but the first in a worker process: forked, or spawned while another
     # thread runs. One job starts none.
@@ -114,6 +114,7 @@ def test_ndjson_read_in_ranges_by_worker_processes_matches_reference(corpus_dir,
 
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", 1 << 16)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    caplog.set_level(logging.DEBUG, logger="weaklink.ingest")
     release = threading.Event()
     if threaded:
         threading.Thread(target=release.wait, daemon=True).start()
@@ -123,6 +124,8 @@ def test_ndjson_read_in_ranges_by_worker_processes_matches_reference(corpus_dir,
         release.set()
     assert report_digests(tmp_path) == reference_digests()
     assert pools == ([(jobs - 1, "spawn" if threaded else "fork")] if jobs > 1 else [])
+    accepted = [r.getMessage().rsplit(": ", 1)[1] for r in caplog.records if "cuts accepted" in r.getMessage()]
+    assert accepted == ([f"{jobs - 1} of {jobs - 1} cuts accepted"] if jobs > 1 else [])
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert summary["input"]["digest"] == hashlib.sha256((corpus_dir / SNAPSHOTS["ndjson"]).read_bytes()).hexdigest()
 
