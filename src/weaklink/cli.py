@@ -153,7 +153,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_diff(args: argparse.Namespace) -> int:
     try:
         added, removed = diff_findings(args.old, args.new)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    # RecursionError: a header nested too deeply to decode.
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for line in removed:

@@ -93,13 +93,8 @@ def parse_timestamp(value: object) -> datetime | None:
 
 
 def format_timestamp(dt: datetime) -> str:
-    """``dt`` in UTC to the millisecond, the year in four digits: ``0999-03-04T05:06:07.891Z``."""
-    # strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z" in under half its time,
-    # and strftime would not pad a year below 1000.
-    dt = dt.astimezone(timezone.utc)
-    return "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ" % (
-        dt.year, dt.month, dt.day, dt.hour, dt.minute, dt.second, dt.microsecond // 1000
-    )
+    """The aware ``dt`` in UTC to the millisecond, the year in four digits: ``0999-03-04T05:06:07.891Z``."""
+    return format_epoch_us(epoch_us(dt))
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -125,7 +120,7 @@ def _utc_date(day: int) -> str:
 
 
 def format_epoch_us(us: int) -> str:
-    """``format_timestamp`` of the time ``us`` UTC epoch microseconds name."""
+    """The time ``us`` UTC epoch microseconds name, spelled as ``format_timestamp`` spells it."""
     # The report writer formats one or two per finding: arithmetic on the
     # integer and a date per day take half the time of building a datetime.
     day, ms = divmod(us // 1000, 86_400_000)
@@ -321,6 +316,9 @@ class _Load:
         self.scripts: dict[int, dict[str, str]] = {}
         self.deprecated: dict[int, object] = {}
         self._held = bytearray()  # 1 at the id of each name a row has
+        self.total = 0  # documents added
+        self.skipped = 0
+        self.by_error: Counter[str] = Counter()  # of the skipped documents, by reason
 
     def person(self, entry: object) -> tuple[str, str | None] | None:
         """``parse_person(entry)``, kept once for each email of an object entry.
@@ -374,6 +372,28 @@ class _Load:
                 declared.update(raw)  # a name declared before keeps its place
         return [k for k in declared if isinstance(k, str) and k and k != name]
 
+    def add(self, item: object) -> None:
+        """Parse one document (``_parse``) and append its row, or count why it is skipped.
+
+        A document is skipped as ``malformed`` or ``no_name`` (``ParseError``),
+        ``no_versions`` (``NoVersionsError``), or ``duplicate_name`` when a row
+        already has its name. Anything already decoded is a tree, and every
+        tree but an object is malformed.
+        """
+        self.total += 1
+        try:
+            fields = _parse(item, self)
+        except ParseError as exc:
+            reason = exc.reason
+        except NoVersionsError:
+            reason = "no_versions"
+        else:
+            if self.append(fields):
+                return
+            reason = "duplicate_name"
+        self.skipped += 1
+        self.by_error[reason] += 1
+
     def append(self, fields: tuple) -> bool:
         """Add the row of one ``_parse`` result; False, adding nothing, when a row already has its name."""
         name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = fields
@@ -406,7 +426,7 @@ class _Load:
         return True
 
     def part(self) -> dict:
-        """The rows and tables ``fold`` reads of this load, as the load of a later range; a worker process sends it back.
+        """The rows, tables and counts ``fold`` reads of this load, as the load of a later range; a worker process sends it back.
 
         No person cache or lookup dict goes. The names and the identity keys,
         in id order, each go as one joined string and the lengths of its
@@ -417,14 +437,15 @@ class _Load:
             del part[lookup]
         return part
 
-    def fold(self, part: dict) -> int:
+    def fold(self, part: dict) -> None:
         """Append the rows of ``part``, the ``part()`` of the load of a later range, as this load would read them.
 
         The names of ``part`` are numbered here and its identities
         registered here, both in its id order, which is the order this load
         would first see them in; its versions, domains and script keys are
-        interned here. A row whose name a row of this load already has is
-        dropped, as ``append`` drops it; returns how many were.
+        interned here. Its counts are added to this load's. A row whose name
+        a row of this load already has is dropped and counted under
+        ``duplicate_name``, as ``add`` counts it.
         """
         ids = self.names
         number = ids.setdefault
@@ -459,10 +480,14 @@ class _Load:
         for row, deprecated in part["deprecated"].items():
             if (kept := _after_drops(dropped, row)) >= 0:
                 self.deprecated[base + kept] = deprecated
-        return len(dropped)
+        self.total += part["total"]
+        self.skipped += part["skipped"] + len(dropped)
+        self.by_error.update(part["by_error"])
+        if dropped:
+            self.by_error["duplicate_name"] += len(dropped)
 
-    def corpus(self, stats: IngestStats, digest: str) -> Corpus:
-        """The corpus of the rows, sorted by name; the lookup tables are emptied, as the columns hold what they number."""
+    def corpus(self, digest: str) -> Corpus:
+        """The corpus of the rows, sorted by name, with the load's counts; the lookup tables are emptied, as the columns hold what they number."""
         ids = self.names
         table = list(ids)
         names = tuple(sorted(map(table.__getitem__, self.row_names)))
@@ -476,6 +501,8 @@ class _Load:
         rows = array("i", bytes(new_row.itemsize * len(new_row)))
         for row, pos in enumerate(new_row):
             rows[pos] = row
+        parsed = self.total - self.skipped
+        stats = IngestStats(total=self.total, parsed=parsed, skipped=self.skipped, by_error=dict(self.by_error))
         return _gather(self, rows, new_row, position, names, stats, digest)
 
 
@@ -761,6 +788,30 @@ def _scan_key(text: str, idx: int) -> tuple[str, int]:
     return json.decoder.scanstring(text, idx + 1)
 
 
+def _headroom() -> int:
+    """The deepest nesting ``_DECODER`` decodes when the caller calls it through one frame, as ``_JsonText.token`` does.
+
+    It probes upward from shallow values, so it never nests much deeper
+    than decoding a row that deep would.
+    """
+    low, high = 0, 64
+    while high <= sys.getrecursionlimit():
+        try:
+            _DECODER.raw_decode("[" * high + "]" * high)
+        except RecursionError:
+            break
+        low, high = high, high * 2
+    while high - low > 1:  # ``low`` decodes; ``high`` fails, or exceeds the limit
+        mid = (low + high) // 2
+        try:
+            _DECODER.raw_decode("[" * mid + "]" * mid)
+        except RecursionError:
+            high = mid
+        else:
+            low = mid
+    return low
+
+
 class _Verdict(Exception):
     """Autodetection found that the file being read is ndjson, not a bulk export."""
 
@@ -904,29 +955,6 @@ class _JsonText:
         self._fh.seek(here)
         self.mark = self._decoded - len(codecs.utf_8_decode(rest, "surrogatepass", True)[0])
 
-    def headroom(self) -> int:
-        """The deepest nesting ``token`` decodes when called from the caller's frame.
-
-        It probes upward from shallow values, so it never nests much deeper
-        than decoding a row that deep would.
-        """
-        low, high = 0, 64
-        while high <= sys.getrecursionlimit():
-            try:
-                _DECODER.raw_decode("[" * high + "]" * high)
-            except RecursionError:
-                break
-            low, high = high, high * 2
-        while high - low > 1:  # ``low`` decodes; ``high`` fails, or exceeds the limit
-            mid = (low + high) // 2
-            try:
-                _DECODER.raw_decode("[" * mid + "]" * mid)
-            except RecursionError:
-                high = mid
-            else:
-                low = mid
-        return low
-
     def jump(self, offset: int, chars: int, newline: bool) -> None:
         """Move the cursor ``chars`` characters on, to byte ``offset`` of the file, over text that others decoded.
 
@@ -977,18 +1005,18 @@ class _JsonText:
 
 
 class _BulkReader:
-    """The items of a bulk export, each decoded and handed on before the next.
+    """The items of a bulk export, each decoded and added to the ``split``'s load before the next.
 
-    Gives what ``json.load`` of the whole file would: the rows of the last
-    top-level "rows" list (each row's "doc" when it has one), the elements
-    of a top-level list, or else the top-level value itself, and the same
-    errors.
+    Adds what ``json.load`` of the whole file would give: the rows of the
+    last top-level "rows" list (each row's "doc" when it has one), the
+    elements of a top-level list, or else the top-level value itself, and
+    raises the same errors.
 
     With ``autodetect``, the reader also settles the layout from the first
     line and raises ``_Verdict`` when the file is not a bulk
-    export after all. Rows are handed on before the verdict is in (for a
+    export after all. Rows are added before the verdict is in (for a
     one-line export it comes at the end), so that exception voids them.
-    ``rows_key`` is the index of the "rows" key whose rows are handed on; a
+    ``rows_key`` is the index of the "rows" key whose rows are added; a
     later "rows" key raises ``_Reread`` with its own index.
 
     The rows from the ``split``'s first cut on may be read by worker
@@ -1008,6 +1036,7 @@ class _BulkReader:
         # leniently, as json.loads does the first line.
         self._doom: json.JSONDecodeError | None = None
         self._split = split
+        self._load = split.load
 
     def _settle(self, layout: str) -> None:
         self._pending = False
@@ -1054,8 +1083,8 @@ class _BulkReader:
         self._doom_at_line_ws(run, "Extra data")
         self._settle("bulk" if is_bulk_tree else "ndjson")
 
-    def _array(self, emit: bool, unwrap: bool) -> Iterator[object]:
-        """The elements of the array at the cursor; the cursor moves past it."""
+    def _array(self, emit: bool, unwrap: bool) -> None:
+        """Add the elements of the array at the cursor, with ``emit``; the cursor moves past it."""
         text = self.text
         text.pos += 1
         if text.next_char() == "]":
@@ -1064,12 +1093,12 @@ class _BulkReader:
         split = None
         if emit and self._split is not None:
             split, self._split = self._split, None
-            frames = _frames_above_ingest()
-            if frames and split.pick(_row_cuts):
+            if split.pick(_row_cuts):
                 text.place(split.cuts[0])
-                split.start((unwrap, text.headroom(), frames))
+                split.start(_headroom(), unwrap)  # this frame adds the rows
             else:
                 split = None
+        add = self._load.add
         while True:
             if self._pending:
                 self._past_first_line()
@@ -1087,7 +1116,7 @@ class _BulkReader:
             value = text.token(_DECODER.raw_decode)
             if emit:
                 self._handed_on = True
-                yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
+                add(value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value)
             ch = text.next_char()
             text.pos += 1
             if ch == "]":
@@ -1096,8 +1125,8 @@ class _BulkReader:
                 raise text.fail("Expecting ',' delimiter", text.pos - 1)
             text.next_char()
 
-    def _object(self) -> Iterator[object]:
-        """The rows of the object at the cursor; its other members go in ``self._fields``."""
+    def _object(self) -> None:
+        """Add the rows of the object at the cursor; its other members go in ``self._fields``."""
         text = self.text
         fields = self._fields = {}
         rows_seen = 0
@@ -1118,7 +1147,7 @@ class _BulkReader:
             if key == "rows" and self._handed_on:
                 raise _Reread(rows_seen)  # the last "rows" key wins
             if key == "rows" and text.next_char() == "[":
-                yield from self._array(rows_seen >= self._rows_key, unwrap=True)
+                self._array(rows_seen >= self._rows_key, unwrap=True)
                 fields[key] = _STREAMED
             else:
                 text.next_char()
@@ -1132,9 +1161,9 @@ class _BulkReader:
                 raise text.fail("Expecting ',' delimiter", text.pos - 1)
             ch = text.next_char()
 
-    def items(self) -> Iterator[object]:
+    def read(self) -> None:
         try:
-            yield from self._items()
+            self._read()
         except RecursionError as exc:
             # json.load raises this for a value nested too deeply to decode.
             # While autodetection is pending that value is on the first
@@ -1142,17 +1171,17 @@ class _BulkReader:
             # json.loads cannot decode does; only an earlier strict error wins.
             raise self.text.first_error(self._doom or exc) from None
 
-    def _items(self) -> Iterator[object]:
+    def _read(self) -> None:
         text = self.text
         self._lead_in()
         ch = text.next_char()
         if ch == "{":
-            yield from self._object()
+            self._object()
             fields = self._fields
             self._first_line_ends(_is_bulk_tree(fields))
             rest = () if fields.get("rows") is _STREAMED else (fields,)
         elif ch == "[":
-            yield from self._array(True, unwrap=False)
+            self._array(True, unwrap=False)
             self._first_line_ends(False)
             rest = ()
         else:
@@ -1162,7 +1191,8 @@ class _BulkReader:
             raise text.fail("Extra data")
         if text.surrogate or text.invalid:
             raise text.surrogate or text.invalid
-        yield from rest
+        for item in rest:
+            self._load.add(item)
 
 
 # Stands in for a top-level "rows" list that was read row by row.
@@ -1186,37 +1216,6 @@ def _iter_ndjson(fh, end: int | None, digest=None) -> Iterator[bytes]:
             yield line
 
 
-def _iter_dir(source: Path, digest) -> Iterator[bytes]:
-    """Each ``.json`` file under ``source`` in path order; ``digest`` gets a "relpath:sha256hex" line for each."""
-    for path in sorted(source.rglob("*.json")):
-        data = path.read_bytes()
-        digest.update(f"{path.relative_to(source)}:{hashlib.sha256(data).hexdigest()}\n".encode())
-        yield data
-
-
-def _ingest(items: Iterable[object], load: _Load) -> IngestStats:
-    total = 0
-    skipped = 0
-    by_error: dict[str, int] = {}
-    for item in items:
-        total += 1
-        try:
-            # Anything already decoded (dict, list, null, scalar) is a tree;
-            # _parse rejects every non-object as malformed.
-            fields = _parse(item, load)
-        except ParseError as exc:
-            reason = exc.reason
-        except NoVersionsError:
-            reason = "no_versions"
-        else:
-            if load.append(fields):
-                continue
-            reason = "duplicate_name"
-        skipped += 1
-        by_error[reason] = by_error.get(reason, 0) + 1
-    return IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=by_error)
-
-
 def _cuts(source: Path, size: int, n: int) -> list[int]:
     """The ``n - 1`` cuts between ``n`` ranges of whole lines of ``source``, a file of ``size`` bytes.
 
@@ -1230,17 +1229,6 @@ def _cuts(source: Path, size: int, n: int) -> list[int]:
             fh.readline()
             cuts.append(fh.tell())
     return cuts
-
-
-def _plus(stats: IngestStats, later: IngestStats, duplicates: int) -> IngestStats:
-    """The stats of a range and a later one, whose fold dropped ``duplicates`` rows."""
-    by_error = Counter(stats.by_error)
-    by_error.update(later.by_error)
-    if duplicates:
-        by_error["duplicate_name"] += duplicates
-    skipped = stats.skipped + later.skipped + duplicates
-    total = stats.total + later.total
-    return IngestStats(total=total, parsed=total - skipped, skipped=skipped, by_error=dict(by_error))
 
 
 # An ndjson snapshot or a bulk export is read in ranges of at least this
@@ -1340,76 +1328,50 @@ def _row_cuts(source: Path, size: int, n: int) -> list[int]:
     return cuts
 
 
-def _frames_above_ingest() -> int:
-    """The number of frames from the caller's, counted, down to the ``_ingest`` that reads what it hands on; 0 without one."""
-    frame, frames = sys._getframe(1), 1
-    while (frame := frame.f_back) is not None:
-        if frame.f_code is _ingest.__code__:
-            return frames
-        frames += 1
-    return 0
-
-
-def _nested(items: Iterator, frames: int) -> Iterator:
-    """``items`` handed on through ``frames`` generator frames, each inside the one before."""
-    yield from (_nested(items, frames - 1) if frames > 1 else items)
-
-
-def _range_rows(text: _JsonText, unwrap: bool, last: bool, headroom: int) -> Iterator[object]:
-    """The rows of ``text`` from the cursor: values and commas to the end of the text, or for the ``last`` range to "]".
-
-    A row is handed on as ``_BulkReader._array`` hands it on, and decoded
-    no deeper than ``headroom`` allows (``_JsonText.headroom``): the
-    recursion limit is moved so that it allows as much here. Raises
-    ``ValueError`` or ``RecursionError`` where that read would not read
-    these rows to the end.
-    """
-    if (room := text.headroom()) != headroom:
-        sys.setrecursionlimit(sys.getrecursionlimit() + headroom - room)
-        if text.headroom() != headroom:
-            raise RecursionError("recursion headroom differs from the reader's")
-    while True:
-        value = text.token(_DECODER.raw_decode)
-        yield value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value
-        ch = text.next_char()
-        if last and ch == "]":
-            return
-        if ch != ",":
-            raise text.error("Expecting ',' delimiter")
-        text.pos += 1
-        if not text.next_char() and not last:
-            return  # at the end of the range, where the next row starts
-
-
-def _load_range(source: Path, start: int, end: int | None, scope: tuple, bulk: tuple | None) -> tuple | None:
+def _load_range(source: Path, start: int, end: int | None, scope: tuple, headroom: int, unwrap: bool | None) -> tuple | None:
     """What a worker reads of ``source`` from byte ``start`` to byte ``end``; None where one read of the whole file would not read it so.
 
     ``end`` is the next range's start; None for the last range, which ends
-    with the file, or for a bulk export at its rows' "]". With ``bulk``
+    with the file, or for a bulk export at its rows' "]". With ``unwrap``
     None the range holds ndjson lines (``_iter_ndjson``). Else it holds rows
-    of a bulk export and commas, and ``bulk`` is ``(unwrap, headroom,
-    frames)``: the rows are decoded as ``_range_rows`` decodes them,
-    ``frames`` generator frames above ``_ingest``, as the reader's own rows
-    are. Returns the ``part()`` of their new load, its stats, and where the
-    range ends: the byte offset, the characters of the range and whether
-    they hold a newline (for ndjson, 0 and False). None when a row is not
-    JSON or is nested deeper than ``headroom``, when the rows do not end
-    where the range does, or when the range is not strict UTF-8, encoded
-    surrogates among it: the reader folds the range without decoding it.
-    A split read runs this in worker processes, so its arguments pickle.
+    of a bulk export and commas: values and commas to the end of the range,
+    or for the last range to "]", each row's "doc" taken when ``unwrap``.
+    This frame adds each document to a new load, and first moves the
+    recursion limit so that it decodes as deep as the reader's adding frame
+    does, ``headroom`` (``_headroom``). Returns the ``part()`` of the load
+    and where the range ends: the byte offset, the characters of the range
+    and whether they hold a newline (for ndjson, 0 and False). None when
+    the headroom cannot be matched, when a row is not JSON or is nested
+    deeper than ``headroom``, when the rows do not end where the range
+    does, or when the range is not strict UTF-8, encoded surrogates among
+    it: the reader then reads the range itself. A split read runs this in
+    worker processes, so its arguments pickle.
     """
     load = _Load(*scope)
     limit = sys.getrecursionlimit()
     try:
         with open(source, "rb") as fh:
             fh.seek(start)
-            if bulk is None:
-                stats = _ingest(_iter_ndjson(fh, end), load)
-                return load.part(), stats, fh.tell(), 0, False
-            unwrap, headroom, frames = bulk
+            if (room := _headroom()) != headroom:
+                sys.setrecursionlimit(sys.getrecursionlimit() + headroom - room)
+                if _headroom() != headroom:
+                    raise RecursionError("recursion headroom differs from the reader's")
+            if unwrap is None:
+                for line in _iter_ndjson(fh, end):
+                    load.add(line)
+                return load.part(), fh.tell(), 0, False
             text = _JsonText(fh, size=None if end is None else end - start)
-            rows = _range_rows(text, unwrap, end is None, headroom)
-            stats = _ingest(_nested(rows, frames - 1) if frames > 1 else rows, load)
+            while True:
+                value = text.token(_DECODER.raw_decode)
+                load.add(value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value)
+                ch = text.next_char()
+                if end is None and ch == "]":
+                    break
+                if ch != ",":
+                    raise text.error("Expecting ',' delimiter")
+                text.pos += 1
+                if not text.next_char() and end is not None:
+                    break  # at the end of the range, where the next row starts
     except (ValueError, RecursionError):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         return None
     finally:
@@ -1417,7 +1379,7 @@ def _load_range(source: Path, start: int, end: int | None, scope: tuple, bulk: t
     if text.surrogate or text.invalid:
         return None
     chars = text.base + text.pos
-    return load.part(), stats, start + text.tell(), chars, text.first_nl is not None and text.first_nl < chars
+    return load.part(), start + text.tell(), chars, text.first_nl is not None and text.first_nl < chars
 
 
 class _Split:
@@ -1434,8 +1396,7 @@ class _Split:
     the range that starts at a row and reads its rows to the next cut
     verifies that cut as well. ``join`` folds the loads of the ranges into
     ``load`` in file order, up to the first range a worker could not read
-    so, and ``stats`` adds theirs up. ``fh`` is the reader's file and
-    ``digest`` hashes what it reads.
+    so. ``fh`` is the reader's file and ``digest`` hashes what it reads.
     """
 
     def __init__(self, source: Path, fh, digest, load: _Load, scope: tuple, jobs: int):
@@ -1447,7 +1408,6 @@ class _Split:
         self.jobs = jobs
         self.workers = ExitStack()
         self.cuts: list[int] = []
-        self.stats = IngestStats(total=0, parsed=0, skipped=0, by_error={})
         self.accepted = 0  # cuts whose range was folded
         self._results: Iterator | None = None
 
@@ -1466,11 +1426,15 @@ class _Split:
         self.cuts = cuts(self.source, size, n) if n > 1 else []
         return bool(self.cuts)
 
-    def start(self, bulk: tuple | None) -> None:
-        """Start reading the ranges (``_load_range``): ndjson lines, or with ``bulk`` rows of a bulk export."""
+    def start(self, headroom: int, unwrap: bool | None) -> None:
+        """Start reading the ranges (``_load_range``): ndjson lines, or rows of a bulk export unless ``unwrap`` is None.
+
+        ``headroom`` is the ``_headroom()`` of the reader's frame that adds documents.
+        """
         map_ranges = self.workers.enter_context(_workers(len(self.cuts)))
+        ends = [*self.cuts[1:], None]
         self._results = map_ranges(
-            _load_range, repeat(self.source), self.cuts, [*self.cuts[1:], None], repeat(self.scope), repeat(bulk)
+            _load_range, repeat(self.source), self.cuts, ends, repeat(self.scope), repeat(headroom), repeat(unwrap)
         )
 
     def join(self) -> tuple[int, int, bool] | None:
@@ -1486,9 +1450,9 @@ class _Split:
         for result in self._results:
             if result is None:
                 break
-            part, stats, end, range_chars, range_newline = result
+            part, end, range_chars, range_newline = result
             del result
-            self.stats = _plus(self.stats, stats, self.load.fold(part))
+            self.load.fold(part)
             del part  # a folded part is not kept while its bytes are read
             while (ahead := end - fh.tell()) > 0 and (block := fh.read(min(ahead, _CHUNK))):
                 self.digest.update(block)
@@ -1497,20 +1461,6 @@ class _Split:
             self.accepted += 1
         self._results = None
         return (end, chars, newline) if self.accepted else None
-
-
-def _ndjson_lines(split: _Split) -> Iterator[bytes]:
-    """The stripped nonblank lines of the split's file, hashed; workers load those from its first cut on."""
-    if not split.pick(_cuts):
-        return _iter_ndjson(split.fh, None, split.digest)
-    split.start(None)
-    return chain(_iter_ndjson(split.fh, split.cuts[0], split.digest), _lines_after_join(split))
-
-
-def _lines_after_join(split: _Split) -> Iterator[bytes]:
-    """The lines of the ranges ``split`` could not fold, once it has folded the others."""
-    split.join()
-    yield from _iter_ndjson(split.fh, None, split.digest)
 
 
 def load_corpus(
@@ -1569,14 +1519,23 @@ def load_corpus(
         split = None
         try:
             if layout == "dir":
-                stats = _ingest(_iter_dir(source, digest), load)
+                for path in sorted(source.rglob("*.json")):
+                    data = path.read_bytes()
+                    digest.update(f"{path.relative_to(source)}:{hashlib.sha256(data).hexdigest()}\n".encode())
+                    load.add(data)
             else:
                 with open(source, "rb") as fh, _Split(source, fh, digest, load, scope, jobs) as split:
-                    if layout == "ndjson":
-                        items = _ndjson_lines(split)
+                    if layout != "ndjson":
+                        _BulkReader(fh, digest, layout is None, rows_key, split).read()
                     else:
-                        items = _BulkReader(fh, digest, layout is None, rows_key, split).items()
-                    stats = _plus(_ingest(items, load), split.stats, 0)
+                        if split.pick(_cuts):
+                            # Workers read the lines from the first cut on; this frame adds the others.
+                            split.start(_headroom(), None)
+                            for line in _iter_ndjson(fh, split.cuts[0], digest):
+                                load.add(line)
+                            split.join()
+                        for line in _iter_ndjson(fh, None, digest):
+                            load.add(line)
             break
         except _Verdict:  # autodetection: the file is ndjson after all
             layout = "ndjson"
@@ -1589,6 +1548,6 @@ def load_corpus(
             logger.debug("split read of %s: failed after a fold, so it starts over in one range", source)
             jobs = 1
         load = _Load(*scope)  # no table or row of a voided attempt is kept
-    layout = layout or "bulk"
-    logger.info("ingested %d/%d documents from %s (%s)", stats.parsed, stats.total, source, layout)
-    return load.corpus(stats, digest.hexdigest())
+    corpus = load.corpus(digest.hexdigest())
+    logger.info("ingested %d/%d documents from %s (%s)", corpus.stats.parsed, corpus.stats.total, source, layout or "bulk")
+    return corpus

@@ -500,7 +500,7 @@ def read_findings(path: str | Path) -> tuple[dict, list[str]]:
                 continue
             if header is None:
                 header = json.loads(raw)
-                if header.get("kind") != "header":
+                if not isinstance(header, dict) or header.get("kind") != "header":
                     raise ValueError(f"{path}: missing findings header")
                 continue
             lines.append(raw)

@@ -23,6 +23,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from .errors import PlanError
+from .ingest import format_timestamp
 
 REFERENCE_TIME = datetime(2024, 5, 15, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -212,10 +213,6 @@ class _Package:
     malicious_category: str = ""
 
 
-def _iso(dt: datetime) -> str:
-    return dt.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
-
-
 def _package_name(i: int) -> str:
     if i % 97 == 0:
         return f"@synth/pkg-{i:06d}"
@@ -248,14 +245,14 @@ class SynthCorpus:
             chain = ["0.0.1-security"]
         latest = chain[-1]
 
-        times = {"created": _iso(pkg.created), "modified": _iso(pkg.last_modified)}
+        times = {"created": format_timestamp(pkg.created), "modified": format_timestamp(pkg.last_modified)}
         span = pkg.last_modified - pkg.created
         for idx, version in enumerate(chain):
             if len(chain) == 1:
                 ts = pkg.last_modified
             else:
                 ts = pkg.created + span * (idx / (len(chain) - 1))
-            times[version] = _iso(ts)
+            times[version] = format_timestamp(ts)
 
         deps = {self._packages[j].name: "^1.0.0" for j in sorted(pkg.dependencies)}
         vobj: dict = {"name": pkg.name, "version": latest}
@@ -1038,7 +1035,7 @@ def _build_manifest(
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "seed": plan.seed,
         "plan": plan.to_dict(),
-        "reference_time": _iso(REFERENCE_TIME),
+        "reference_time": format_timestamp(REFERENCE_TIME),
         "counts": {
             "packages": plan.package_count,
             "retained": n_retained,

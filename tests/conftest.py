@@ -15,7 +15,6 @@ from weaklink import ingest
 from weaklink.ingest import (
     DEFAULT_LICENSE_DENYLIST,
     Corpus,
-    IngestStats,
     epoch_us,
     extract_email_domain,
     format_timestamp,
@@ -186,8 +185,8 @@ def make_corpus(records, email_domains: dict[str, str] | None = None) -> Corpus:
         )
         if not appended:
             raise ValueError("corpus records must have distinct names")
-    stats = IngestStats(total=len(records), parsed=len(records), skipped=0, by_error={})
-    return load.corpus(stats, "test")
+    load.total = len(records)
+    return load.corpus("test")
 
 
 def email_domains(table) -> dict[str, str]:

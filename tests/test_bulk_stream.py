@@ -363,11 +363,12 @@ def split_outcome(path: Path, layout: str | None, cuts: list[int] | None, map_ra
     """``load_corpus`` read in one range (``cuts`` None), or cut at ``cuts`` with the ranges read by ``map_ranges``.
 
     The corpus, or the type and message of the exception it raised. Both
-    reads decode from the same stack depth.
+    reads decode from the same stack depth. ``cuts`` are line ends for the
+    ``ndjson`` layout, and else where rows of a bulk export start.
     """
     with (
         mock.patch.object(ingest, "_MIN_RANGE_BYTES", 1),
-        mock.patch.object(ingest, "_row_cuts", lambda source, size, n: cuts),
+        mock.patch.object(ingest, "_cuts" if layout == "ndjson" else "_row_cuts", lambda source, size, n: cuts),
         mock.patch.object(ingest, "_workers", lambda n: contextlib.nullcontext(map_ranges)),
     ):
         try:
@@ -503,56 +504,69 @@ def test_a_split_read_folds_at_each_row_and_at_no_decoy(tmp_path, caplog, style)
     assert accepted_cuts(caplog) == [(0, len(cuts))]
 
 
-def deep_export(path: Path, depth: int, as_string: bool) -> list[int]:
-    """A bulk export whose last document nests ``depth`` levels, or is JSON text that does; its rows' starts after the first."""
+def deep_snapshot(path: Path, layout: str, depth: int, as_string: bool) -> list[int]:
+    """A snapshot whose last document nests ``depth`` levels, or in a bulk export is JSON text that does; where its documents after the first start."""
     doc = json.dumps(document("deep", "1.0.0", "ann"))
     doc = doc[:-1] + ', "x": ' + "[" * (depth - 1) + "]" * (depth - 1) + "}"
-    rows = [json.dumps({"id": name, "doc": document(name, "1.0.0", "ann")}) for name in ("a", "b")]
-    rows.append(json.dumps(doc) if as_string else '{"id": "deep", "doc": ' + doc + "}")
-    text = '{"rows": [' + rows[0]
+    if layout == "ndjson":
+        rows = [json.dumps(document(name, "1.0.0", "ann")) for name in ("a", "b")] + [doc]
+        text, sep, end = "", "\n", "\n"
+    else:
+        rows = [json.dumps({"id": name, "doc": document(name, "1.0.0", "ann")}) for name in ("a", "b")]
+        rows.append(json.dumps(doc) if as_string else '{"id": "deep", "doc": ' + doc + "}")
+        text, sep, end = '{"rows": [', ", ", "]}\n"
+    text += rows[0]
     starts = []
     for row in rows[1:]:
-        text += ", "
+        text += sep
         starts.append(len(text))
         text += row
-    path.write_text(text + "]}\n", encoding="utf-8")
+    path.write_text(text + end, encoding="utf-8")
     return starts
 
 
-def deepest_read(path: Path, as_string: bool) -> int:
-    """The deepest document of ``deep_export`` that one read reads."""
+def deepest_read(path: Path, layout: str, as_string: bool) -> int:
+    """The deepest document of ``deep_snapshot`` that one read reads."""
     low, high = 1, 2 * sys.getrecursionlimit()
     while high - low > 1:
         mid = (low + high) // 2
-        deep_export(path, mid, as_string)
-        result = split_outcome(path, "bulk", None)
+        deep_snapshot(path, layout, mid, as_string)
+        result = split_outcome(path, layout, None)
         low, high = (mid, high) if isinstance(result, ingest.Corpus) and result.stats.skipped == 0 else (low, mid)
     return low
 
 
-@pytest.mark.parametrize("as_string", [False, True], ids=["nested-row", "row-of-json-text"])
+@pytest.mark.parametrize(
+    "layout,as_string",
+    [
+        pytest.param("bulk", False, id="nested-row"),
+        pytest.param("bulk", True, id="row-of-json-text"),
+        pytest.param("ndjson", False, id="ndjson-line"),
+    ],
+)
 @pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_worker_processes_decode_rows_no_deeper_than_one_read(tmp_path, caplog, method, as_string):
+def test_worker_processes_decode_rows_no_deeper_than_one_read(tmp_path, caplog, method, layout, as_string):
     # A worker's stack is shallower than the scan's, so it must lower its
     # recursion limit to fail where one read fails: a nested row is fatal,
-    # and a row of JSON text is skipped as malformed, at the same depth.
+    # and a row of JSON text or an ndjson line is skipped as malformed, at
+    # the same depth. The cut puts the deep document in the worker's range.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     path = tmp_path / "snap.json"
     limit = sys.getrecursionlimit()
-    deepest = deepest_read(path, as_string)
+    deepest = deepest_read(path, layout, as_string)
     caplog.set_level(logging.DEBUG, logger="weaklink.ingest")
     read = []
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
         for depth in sorted({*range(limit - 30, limit + 1), *range(deepest - 3, deepest + 4)}):
-            starts = deep_export(path, depth, as_string)
+            starts = deep_snapshot(path, layout, depth, as_string)
             caplog.clear()
-            whole = split_outcome(path, "bulk", None)
-            assert split_outcome(path, "bulk", starts[:1], pool.map) == whole, depth
+            whole = split_outcome(path, layout, None)
+            assert split_outcome(path, layout, starts[:1], pool.map) == whole, depth
             read.append(isinstance(whole, ingest.Corpus) and whole.stats.skipped == 0)
-            # A row of JSON text is a row whatever it holds: the worker reads it.
-            assert accepted_cuts(caplog) == [(int(read[-1] or as_string), 1)], depth
+            # A row of JSON text, or a line, is a document whatever it holds: the worker reads it.
+            assert accepted_cuts(caplog) == [(int(read[-1] or as_string or layout == "ndjson"), 1)], depth
     assert True in read and False in read
     assert sys.getrecursionlimit() == limit
 

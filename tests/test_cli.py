@@ -330,6 +330,16 @@ def test_diff_schema_mismatch(tmp_path, corpus_dir, capsys):
     assert main(["diff", str(out / "findings.jsonl"), str(mangled)]) == 1
 
 
+@pytest.mark.parametrize("header", ["[1]", "null", '"x"', "[" * 100_000 + "]" * 100_000], ids=["list", "null", "string", "deep"])
+def test_diff_of_a_header_that_is_not_an_object_is_an_error(tmp_path, capsys, header):
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text('{"kind": "header", "schema_version": 1}\n')
+    new.write_text(header + "\n")
+    assert main(["diff", str(old), str(new)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_scan_live_stub_down_degrades_to_exit_2(corpus_dir, tmp_path):
     # Live downloads against a dead local endpoint (connection refused):
     # the scan completes, downloads come back unknown, exit code is 2.
