@@ -36,8 +36,8 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import ne, sub
+from itertools import accumulate, chain, compress, count, groupby, islice, repeat
+from operator import itemgetter, ne, sub
 from pathlib import Path
 
 from . import semver
@@ -278,8 +278,9 @@ class _Load:
 
     The rows have the names of the ``Corpus`` columns, but that a row's
     name, ``row_names``, and its dependencies, ``dep_targets``, are ids of
-    ``names``. ``corpus`` sorts the rows by name and turns those ids into
-    positions.
+    ``names``. Rows are only appended, also one whose name an earlier row
+    has. ``corpus`` keeps the first row of each name, sorts the rows by
+    name and turns those ids into positions.
     """
 
     def __init__(
@@ -315,7 +316,6 @@ class _Load:
         self.runtime_flags = bytearray()
         self.scripts: dict[int, dict[str, str]] = {}
         self.deprecated: dict[int, object] = {}
-        self._held = bytearray()  # 1 at the id of each name a row has
         self.total = 0  # documents added
         self.skipped = 0
         self.by_error: Counter[str] = Counter()  # of the skipped documents, by reason
@@ -375,10 +375,10 @@ class _Load:
     def add(self, item: object) -> None:
         """Parse one document (``_parse``) and append its row, or count why it is skipped.
 
-        A document is skipped as ``malformed`` or ``no_name`` (``ParseError``),
-        ``no_versions`` (``NoVersionsError``), or ``duplicate_name`` when a row
-        already has its name. Anything already decoded is a tree, and every
-        tree but an object is malformed.
+        A document is skipped as ``malformed`` or ``no_name`` (``ParseError``)
+        or ``no_versions`` (``NoVersionsError``). Anything already decoded is
+        a tree, and every tree but an object is malformed. A row whose name
+        an earlier row has is appended too: ``corpus`` drops it.
         """
         self.total += 1
         try:
@@ -388,26 +388,18 @@ class _Load:
         except NoVersionsError:
             reason = "no_versions"
         else:
-            if self.append(fields):
-                return
-            reason = "duplicate_name"
+            self.append(fields)
+            return
         self.skipped += 1
         self.by_error[reason] += 1
 
-    def append(self, fields: tuple) -> bool:
-        """Add the row of one ``_parse`` result; False, adding nothing, when a row already has its name."""
+    def append(self, fields: tuple) -> None:
+        """Add the row of one ``_parse`` result."""
         name, version, last_modified, scripts, maintainers, contributors, dependencies, runtime, deprecated, reasons = fields
         ids = self.names
         number = ids.setdefault
-        name_id = number(name, len(ids))
-        held = self._held
-        if name_id >= len(held):
-            held.extend(bytes(name_id + 1024 - len(held)))  # grown in steps, not per row
-        elif held[name_id]:
-            return False
-        held[name_id] = 1
         row = len(self.row_names)
-        self.row_names.append(name_id)
+        self.row_names.append(number(name, len(ids)))
         self.versions.append(version)
         self.last_modified.append(last_modified)
         targets = self.dep_targets
@@ -423,7 +415,6 @@ class _Load:
             self.scripts[row] = scripts
         if deprecated is not None:
             self.deprecated[row] = deprecated
-        return True
 
     def part(self) -> dict:
         """The rows, tables and counts ``fold`` reads of this load, as the load of a later range; a worker process sends it back.
@@ -433,7 +424,7 @@ class _Load:
         strings (``_joined``), which unpickle to two objects, not one per string.
         """
         part = dict(vars(self), names=_joined(self.names), identity_keys=_joined(self.identity_keys))
-        for lookup in ("_people", "_identities", "strings", "_held"):
+        for lookup in ("_people", "_identities", "strings"):
             del part[lookup]
         return part
 
@@ -443,64 +434,57 @@ class _Load:
         The names of ``part`` are numbered here and its identities
         registered here, both in its id order, which is the order this load
         would first see them in; its versions, domains and script keys are
-        interned here. Its counts are added to this load's. A row whose name
-        a row of this load already has is dropped and counted under
-        ``duplicate_name``, as ``add`` counts it.
+        interned here. Its counts are added to this load's. Its rows are
+        appended whole, also those whose name an earlier row has.
         """
         ids = self.names
         number = ids.setdefault
         name_ids = array("i", [number(name, len(ids)) for name in _split(*part["names"])])
         identity_ids = array("i", map(self.identity, _split(*part["identity_keys"]), part["identity_domains"]))
-        row_names = array("i", map(name_ids.__getitem__, part["row_names"]))
-        held = self._held
-        if len(held) < len(ids):
-            held.extend(bytes(len(ids) - len(held)))
-        dropped = list(compress(range(len(row_names)), map(held.__getitem__, row_names)))
         base = len(self.row_names)
         intern = self.strings.setdefault
-        versions, last_modified = part["versions"], part["last_modified"]
-        dep_offsets, dep_targets = part["dep_offsets"], part["dep_targets"]
-        maint_offsets, maint_ids = part["maint_offsets"], part["maint_ids"]
-        # The kept rows are the runs between the dropped ones: one run unless
-        # a name repeats across ranges.
-        for start, end in zip([0, *map((1).__add__, dropped)], [*dropped, len(row_names)]):
-            self.row_names += row_names[start:end]
-            self.versions += [intern(version, version) for version in versions[start:end]]
-            self.last_modified += last_modified[start:end]
-            _append_rows(self.dep_offsets, self.dep_targets, dep_offsets, dep_targets, start, end, name_ids)
-            _append_rows(self.maint_offsets, self.maint_ids, maint_offsets, maint_ids, start, end, identity_ids)
-            self.contributor_counts += part["contributor_counts"][start:end]
-            self.exclusion_reasons += part["exclusion_reasons"][start:end]
-            self.runtime_flags += part["runtime_flags"][start:end]
-        for name_id in self.row_names[base:]:
-            held[name_id] = 1
+        self.row_names.extend(map(name_ids.__getitem__, part["row_names"]))
+        self.versions += [intern(version, version) for version in part["versions"]]
+        self.last_modified += part["last_modified"]
+        _append_rows(self.dep_offsets, self.dep_targets, part["dep_offsets"], part["dep_targets"], name_ids)
+        _append_rows(self.maint_offsets, self.maint_ids, part["maint_offsets"], part["maint_ids"], identity_ids)
+        self.contributor_counts += part["contributor_counts"]
+        self.exclusion_reasons += part["exclusion_reasons"]
+        self.runtime_flags += part["runtime_flags"]
         for row, scripts in part["scripts"].items():
-            if (kept := _after_drops(dropped, row)) >= 0:
-                self.scripts[base + kept] = {intern(key, key): body for key, body in scripts.items()}
+            self.scripts[base + row] = {intern(key, key): body for key, body in scripts.items()}
         for row, deprecated in part["deprecated"].items():
-            if (kept := _after_drops(dropped, row)) >= 0:
-                self.deprecated[base + kept] = deprecated
+            self.deprecated[base + row] = deprecated
         self.total += part["total"]
-        self.skipped += part["skipped"] + len(dropped)
+        self.skipped += part["skipped"]
         self.by_error.update(part["by_error"])
-        if dropped:
-            self.by_error["duplicate_name"] += len(dropped)
 
     def corpus(self, digest: str) -> Corpus:
-        """The corpus of the rows, sorted by name, with the load's counts; the lookup tables are emptied, as the columns hold what they number."""
+        """The corpus of the rows, sorted by name, with the load's counts; the lookup tables are emptied, as the columns hold what they number.
+
+        Of the rows that share a name, the first in file order is kept, and
+        each other is counted as skipped under ``duplicate_name``.
+        """
         ids = self.names
+        row_names = self.row_names
         table = list(ids)
-        names = tuple(sorted(map(table.__getitem__, self.row_names)))
+        names = tuple(map(itemgetter(0), groupby(sorted(map(table.__getitem__, row_names)))))  # each once
         del table
+        repeats = len(row_names) - len(names)
         position = array("i", [-1]) * len(ids)  # of each name id
         for pos, name in enumerate(names):
             position[ids[name]] = pos
         for lookup in (self._people, ids, self._identities, self.strings):
             lookup.clear()
-        new_row = array("i", map(position.__getitem__, self.row_names))
-        rows = array("i", bytes(new_row.itemsize * len(new_row)))
-        for row, pos in enumerate(new_row):
-            rows[pos] = row
+        new_row = array("i", map(position.__getitem__, row_names))
+        rows = array("i", bytes(new_row.itemsize * len(names)))
+        for row, pos in zip(range(len(new_row) - 1, -1, -1), reversed(new_row)):
+            rows[pos] = row  # the last written, so kept, is the first in file order
+        if repeats:  # the later rows of a name take no position
+            for row in compress(count(), map(ne, map(rows.__getitem__, new_row), count())):
+                new_row[row] = -1
+            self.skipped += repeats
+            self.by_error["duplicate_name"] = repeats
         parsed = self.total - self.skipped
         stats = IngestStats(total=self.total, parsed=parsed, skipped=self.skipped, by_error=dict(self.by_error))
         return _gather(self, rows, new_row, position, names, stats, digest)
@@ -565,11 +549,10 @@ def _rows(offsets: array, values: array, rows: array) -> tuple[array, array]:
     return new_offsets, new_values
 
 
-def _append_rows(offsets: array, values: array, part_offsets: array, part_values: array, start: int, end: int, new_id: array) -> None:
-    """Append rows ``start`` to ``end`` of other compressed sparse rows, each value ``v`` as ``new_id[v]``."""
-    first, last = part_offsets[start], part_offsets[end]
-    offsets.extend(map((len(values) - first).__add__, part_offsets[start + 1 : end + 1]))
-    values.extend(map(new_id.__getitem__, part_values[first:last]))
+def _append_rows(offsets: array, values: array, part_offsets: array, part_values: array, new_id: array) -> None:
+    """Append the rows of other compressed sparse rows, each value ``v`` as ``new_id[v]``."""
+    offsets.extend(map(len(values).__add__, islice(part_offsets, 1, None)))
+    values.extend(map(new_id.__getitem__, part_values))
 
 
 def _joined(strings: Iterable[str]) -> tuple[str, array]:
@@ -580,12 +563,6 @@ def _joined(strings: Iterable[str]) -> tuple[str, array]:
 
 def _split(text: str, lengths: array) -> Iterator[str]:
     return map(text.__getitem__, map(slice, accumulate(lengths, initial=0), accumulate(lengths)))
-
-
-def _after_drops(dropped: list[int], row: int) -> int:
-    """The index of ``row`` once the ascending rows ``dropped`` are taken out; -1 for a dropped row."""
-    at = bisect_left(dropped, row)
-    return -1 if at < len(dropped) and dropped[at] == row else row - at
 
 
 def _sparse(values: dict[int, object], new_row: array) -> dict[int, object]:
@@ -816,14 +793,6 @@ class _Verdict(Exception):
     """Autodetection found that the file being read is ndjson, not a bulk export."""
 
 
-class _Reread(Exception):
-    """A later top-level "rows" key voids the rows read so far."""
-
-    def __init__(self, rows_key: int):
-        super().__init__(rows_key)
-        self.rows_key = rows_key
-
-
 class _JsonText:
     """The UTF-8 text of a file, decoded in chunks behind a cursor.
 
@@ -1016,8 +985,8 @@ class _BulkReader:
     line and raises ``_Verdict`` when the file is not a bulk
     export after all. Rows are added before the verdict is in (for a
     one-line export it comes at the end), so that exception voids them.
-    ``rows_key`` is the index of the "rows" key whose rows are added; a
-    later "rows" key raises ``_Reread`` with its own index.
+    A later top-level "rows" key voids the rows added so far in place: the
+    split's load is replaced by an empty one, and the read goes on.
 
     The rows from the ``split``'s first cut on may be read by worker
     processes, and their loads folded into the split's load in place of
@@ -1025,18 +994,16 @@ class _BulkReader:
     placed as one read places it, so ``load_corpus`` then reads again.
     """
 
-    def __init__(self, fh, digest, autodetect: bool, rows_key: int, split: _Split):
+    def __init__(self, fh, digest, autodetect: bool, split: _Split):
         # Autodetection reads little first: a first line settles an ndjson
         # snapshot, and what the read decoded is then dropped.
         self.text = _JsonText(fh, digest, min(_PROBE, _CHUNK) if autodetect else None)
         self._pending = autodetect
-        self._rows_key = rows_key
-        self._handed_on = False
         # The error a strict read raises on a file autodetection reads
         # leniently, as json.loads does the first line.
         self._doom: json.JSONDecodeError | None = None
         self._split = split
-        self._load = split.load
+        self._unsplit = True  # no array has been read in ranges yet
 
     def _settle(self, layout: str) -> None:
         self._pending = False
@@ -1083,22 +1050,24 @@ class _BulkReader:
         self._doom_at_line_ws(run, "Extra data")
         self._settle("bulk" if is_bulk_tree else "ndjson")
 
-    def _array(self, emit: bool, unwrap: bool) -> None:
-        """Add the elements of the array at the cursor, with ``emit``; the cursor moves past it."""
+    def _array(self, unwrap: bool) -> None:
+        """Add the elements of the array at the cursor; the cursor moves past it.
+
+        The first array with an element may be read in ranges.
+        """
         text = self.text
         text.pos += 1
         if text.next_char() == "]":
             text.pos += 1
             return
         split = None
-        if emit and self._split is not None:
-            split, self._split = self._split, None
-            if split.pick(_row_cuts):
+        if self._unsplit:
+            self._unsplit = False
+            if self._split.pick(_row_cuts):
+                split = self._split
                 text.place(split.cuts[0])
                 split.start(_headroom(), unwrap)  # this frame adds the rows
-            else:
-                split = None
-        add = self._load.add
+        add = self._split.load.add
         while True:
             if self._pending:
                 self._past_first_line()
@@ -1114,9 +1083,7 @@ class _BulkReader:
                     text.pos += 1
                     return
             value = text.token(_DECODER.raw_decode)
-            if emit:
-                self._handed_on = True
-                add(value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value)
+            add(value["doc"] if unwrap and isinstance(value, dict) and "doc" in value else value)
             ch = text.next_char()
             text.pos += 1
             if ch == "]":
@@ -1129,7 +1096,6 @@ class _BulkReader:
         """Add the rows of the object at the cursor; its other members go in ``self._fields``."""
         text = self.text
         fields = self._fields = {}
-        rows_seen = 0
         text.pos += 1
         ch = text.next_char()
         if ch == "}":
@@ -1144,15 +1110,15 @@ class _BulkReader:
             if text.next_char() != ":":
                 raise text.fail("Expecting ':' delimiter")
             text.pos += 1
-            if key == "rows" and self._handed_on:
-                raise _Reread(rows_seen)  # the last "rows" key wins
+            if key == "rows" and key in fields:  # the last "rows" key wins
+                split = self._split
+                split.load = _Load(*split.scope)
             if key == "rows" and text.next_char() == "[":
-                self._array(rows_seen >= self._rows_key, unwrap=True)
+                self._array(unwrap=True)
                 fields[key] = _STREAMED
             else:
                 text.next_char()
                 fields[key] = text.token(_DECODER.raw_decode)
-            rows_seen += key == "rows"
             ch = text.next_char()
             text.pos += 1
             if ch == "}":
@@ -1181,7 +1147,7 @@ class _BulkReader:
             self._first_line_ends(_is_bulk_tree(fields))
             rest = () if fields.get("rows") is _STREAMED else (fields,)
         elif ch == "[":
-            self._array(True, unwrap=False)
+            self._array(unwrap=False)
             self._first_line_ends(False)
             rest = ()
         else:
@@ -1192,7 +1158,7 @@ class _BulkReader:
         if text.surrogate or text.invalid:
             raise text.surrogate or text.invalid
         for item in rest:
-            self._load.add(item)
+            self._split.load.add(item)
 
 
 # Stands in for a top-level "rows" list that was read row by row.
@@ -1478,7 +1444,9 @@ def load_corpus(
     straight into the load's rows. Malformed documents are counted and
     skipped. The rows are sorted by package name once all are read; the
     first occurrence of a duplicate name in file order wins and later ones
-    are counted under "duplicate_name". The digest hashes the bytes of the
+    are counted under "duplicate_name" (``_Load.corpus``). A later
+    top-level "rows" key of a bulk export voids the rows read so far, and
+    the read goes on in the same pass. The digest hashes the bytes of the
     file, or for a directory one "relpath:sha256hex" line per document.
 
     An ndjson snapshot or a bulk export of at least twice
@@ -1498,8 +1466,8 @@ def load_corpus(
     or unknown kind, or ``jobs`` below 1, raises ``ValueError`` before
     anything is read.
     """
-    # Tuples, so that a restarted read can build its load from a generator's
-    # items again, and a worker process from pickled ones.
+    # Tuples, so that a restarted or voided read can build its load from a
+    # generator's items again, and a worker process from pickled ones.
     scope = (tuple(dep_kinds), install_key_pattern, tuple(license_denylist))
     load = _Load(*scope)
     if jobs < 1:
@@ -1512,7 +1480,6 @@ def load_corpus(
     if layout is None:
         # None: the layout of a UTF-8 file is settled while it is read.
         layout = "dir" if source.is_dir() else _wide_text_verdict(source)
-    rows_key = 0
     while True:
         # Each attempt reads from the start, so it hashes from the start.
         digest = hashlib.sha256()
@@ -1526,7 +1493,8 @@ def load_corpus(
             else:
                 with open(source, "rb") as fh, _Split(source, fh, digest, load, scope, jobs) as split:
                     if layout != "ndjson":
-                        _BulkReader(fh, digest, layout is None, rows_key, split).read()
+                        _BulkReader(fh, digest, layout is None, split).read()
+                        load = split.load  # a later "rows" key replaces it
                     else:
                         if split.pick(_cuts):
                             # Workers read the lines from the first cut on; this frame adds the others.
@@ -1539,8 +1507,6 @@ def load_corpus(
             break
         except _Verdict:  # autodetection: the file is ndjson after all
             layout = "ndjson"
-        except _Reread as again:
-            rows_key = again.rows_key
         except (ValueError, RecursionError):
             # Past a fold the reader's text does not place an error as one read's does.
             if split is None or not split.accepted:

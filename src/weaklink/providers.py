@@ -104,7 +104,7 @@ def _iter_jsonl(path: Path) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
                 raise FixtureError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             if not isinstance(row, dict):
                 raise FixtureError(f"{path}:{lineno}: fixture row is not an object: {row!r}")
@@ -118,11 +118,11 @@ class FixtureDomainProvider:
         path = Path(path)
         self._statuses: dict[str, str] = {}
         for lineno, row in _iter_jsonl(path):
-            domain = str(row.get("domain", "")).lower()
-            status = str(row.get("status", "")).lower()
-            if not domain or status not in (STATUS_AVAILABLE, STATUS_REGISTERED, STATUS_UNKNOWN):
+            domain, status = row.get("domain"), row.get("status")
+            status = status.lower() if isinstance(status, str) else None  # a value that is not a string names none
+            if not isinstance(domain, str) or not domain or status not in (STATUS_AVAILABLE, STATUS_REGISTERED, STATUS_UNKNOWN):
                 raise FixtureError(f"{path}:{lineno}: bad domain fixture row: {row!r}")
-            self._statuses[domain] = status
+            self._statuses[domain.lower()] = status
         self.warnings = 0
 
     def check(self, domain: str) -> DomainStatus:

@@ -163,13 +163,15 @@ def make_corpus(records, email_domains: dict[str, str] | None = None) -> Corpus:
     Raises ``ValueError`` when two records share a name.
     """
     records = list(records)
+    if len({rec.name for rec in records}) < len(records):
+        raise ValueError("corpus records must have distinct names")
     if email_domains is None:
         keys = {key for rec in records for key in rec.maintainers if not key.startswith("name:")}
         email_domains = {key: domain for key in keys if (domain := extract_email_domain(key))}
     load = ingest._Load()
     for rec in records:
         maintainers = [load.identity(key, email_domains.get(key)) for key in rec.maintainers]
-        appended = load.append(
+        load.append(
             (
                 rec.name,
                 rec.version,
@@ -183,8 +185,6 @@ def make_corpus(records, email_domains: dict[str, str] | None = None) -> Corpus:
                 rec.exclusion_reasons,
             )
         )
-        if not appended:
-            raise ValueError("corpus records must have distinct names")
     load.total = len(records)
     return load.corpus("test")
 

@@ -406,13 +406,24 @@ def test_empty_directory(tmp_path):
     assert corpus.stats.total == 0
 
 
-def test_duplicate_names_keep_first(tmp_path):
-    docs = [minimal_doc(name="dup", version="1.0.0"), minimal_doc(name="dup", version="2.0.0")]
-    path = write_snapshot(tmp_path, docs, "ndjson")
-    corpus = load_corpus(path)
-    assert len(corpus.names) == 1
-    assert corpus.versions[0] == "1.0.0"
+@pytest.mark.parametrize("layout", ["ndjson", "bulk", "dir"])
+def test_duplicate_names_keep_first(tmp_path, layout):
+    # The dropped row lists a maintainer, dependencies, an install script and
+    # a deprecation that no kept row has: none of them reaches the corpus.
+    kept = minimal_doc(name="dup", version="1.0.0", maintainers=[{"email": "kept@x.io"}])
+    dropped = minimal_doc(name="dup", version="2.0.0", maintainers=[{"email": "gone@x.io"}])
+    dropped["versions"]["2.0.0"].update(
+        dependencies={"other": "1", "ghost": "1"}, scripts={"postinstall": "x"}, deprecated="gone"
+    )
+    path = write_snapshot(tmp_path, [kept, minimal_doc(name="other"), dropped], layout)
+    corpus = load_corpus(path, layout=layout)
+    assert corpus.names == ("dup", "other")
+    assert corpus.versions == ("1.0.0", "1.0.0")
+    assert corpus.identity_keys == ("kept@x.io",)
+    assert len(corpus.dep_targets) == 0
+    assert corpus.scripts == corpus.deprecated == {}
     assert corpus.stats.by_error == {"duplicate_name": 1}
+    assert (corpus.stats.total, corpus.stats.skipped) == (3, 1)
 
 
 def test_missing_source_raises_oserror(tmp_path):
@@ -751,17 +762,22 @@ def test_digest_restarts_when_autodetection_rereads_the_file_as_ndjson(tmp_path,
 
 @pytest.mark.parametrize("chunk", [3, 1 << 20])
 @pytest.mark.parametrize("layout", [None, "bulk"])
-def test_digest_restarts_when_a_later_rows_key_rereads_the_export(tmp_path, monkeypatch, chunk, layout):
-    # The rows of the first "rows" key are handed on before the second key
-    # voids them; the reread starts again from byte 0.
+def test_digest_restarts_when_a_later_rows_key_rereads_the_export(tmp_path, monkeypatch, opened, chunk, layout):
+    # The rows of the first "rows" key are added before the second key
+    # voids them; the read goes on in the same pass and hashes the file once.
     monkeypatch.setattr(ingest, "_CHUNK", chunk)
     first = json.dumps([{"doc": minimal_doc(name="void")}])
     last = json.dumps([{"doc": minimal_doc(name=f"pkg-{i}")} for i in range(2)])
     path = tmp_path / "snap.json"
     path.write_text(f'{{"rows": {first},\n "rows": {last}}}')
+    digest = sha256_hex(path.read_bytes())
+    opened.clear()
     corpus = load_corpus(path, layout=layout)
     assert list(corpus.names) == ["pkg-0", "pkg-1"]
-    assert corpus.digest == sha256_hex(path.read_bytes())
+    assert corpus.stats.total == 2
+    assert corpus.digest == digest
+    # Autodetection opens the file once more first, to look for UTF-16 or UTF-32.
+    assert opened == {str(path): 1 if layout == "bulk" else 2}
 
 
 @pytest.fixture

@@ -52,9 +52,21 @@ def test_domain_fixture_echo_and_miss(tmp_path):
 
 
 def test_domain_fixture_validation(tmp_path):
-    path = write_jsonl(tmp_path / "bad.jsonl", [{"domain": "x.io", "status": "sold-out"}])
-    with pytest.raises(FixtureError):
-        FixtureDomainProvider(path)
+    path = tmp_path / "bad.jsonl"
+    rows = [
+        {"domain": "x.io", "status": "sold-out"},
+        # A domain or status that is not a string is no name, not its str().
+        {"domain": None, "status": "available"},
+        {"domain": 5, "status": "available"},
+        {"domain": ["x"], "status": "available"},
+        {"domain": "none", "status": None},
+        {"domain": "x.io", "status": 5},
+        {"domain": "x.io", "status": ["available"]},
+    ]
+    for row in rows:
+        write_jsonl(path, [row])
+        with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:1: bad domain fixture row: "):
+            FixtureDomainProvider(path)
     with pytest.raises(FixtureError):
         FixtureDomainProvider(tmp_path / "missing.jsonl")
 
@@ -129,6 +141,10 @@ def test_fixture_errors_name_the_line(tmp_path, provider):
         provider(path)
     path.write_text(json.dumps(good) + "\n[1, 2]\n")
     with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:2: fixture row is not an object: \[1, 2\]$"):
+        provider(path)
+    # A line nested too deeply to decode is bad JSON, and names its line too.
+    path.write_text(json.dumps(good) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(FixtureError, match=rf"^{re.escape(str(path))}:2: bad JSON: "):
         provider(path)
 
 
